@@ -39,14 +39,15 @@ soak-cluster:
 	$(GO) run -race ./cmd/odrsoak -cluster -workers 3 -clients 8 -schedule flaky -seed 1 -duration 15s
 
 # Fuzz smoke over the wire framing, the chaos schedule parser, the codec
-# bitstream decoders (v1 + v2 tile), the content-addressed tile cache, and
-# the metrics scrape parser.
+# bitstream decoders (v1 + v2 tile), the tile payload coder, the
+# content-addressed tile cache, and the metrics scrape parser.
 fuzz:
 	$(GO) test -fuzz=FuzzReadMsg -fuzztime=10s -run '^$$' ./internal/stream
 	$(GO) test -fuzz=FuzzFrameRoundTrip -fuzztime=10s -run '^$$' ./internal/stream
 	$(GO) test -fuzz=FuzzParseSchedule -fuzztime=10s -run '^$$' ./internal/chaos
 	$(GO) test -fuzz=FuzzDecode -fuzztime=10s -run '^$$' ./internal/codec
 	$(GO) test -fuzz=FuzzV2RoundTrip -fuzztime=10s -run '^$$' ./internal/codec
+	$(GO) test -fuzz=FuzzTilePayload -fuzztime=10s -run '^$$' ./internal/codec
 	$(GO) test -fuzz=FuzzTileCache -fuzztime=10s -run '^$$' ./internal/codec
 	$(GO) test -fuzz=FuzzParse -fuzztime=10s -run '^$$' ./internal/obs/scrape
 
@@ -65,17 +66,20 @@ bench:
 	$(GO) run ./cmd/odrbench -o BENCH_sched.json
 
 # Tile-codec suite -> BENCH_codec.json: static/scrolling/mixed/noise content
-# at 720p/1080p/4K through the v1 serial coder and the v2 tile coder (keyframe
-# striping + shared tile cache, the hub configuration) at 1-16 workers, with a
-# parallel-equals-serial byte-identity check per cell group.
+# at 720p/1080p/4K and the synthetic game at 320x180/640x360 (QuantShift 0 and
+# 2) through the v1 serial coder and the v2 tile coder (keyframe striping +
+# shared tile cache, the hub configuration) at 1-16 workers, with a
+# parallel-equals-serial byte-identity check per cell group and a host
+# fingerprint (CPU count, GOMAXPROCS, commit).
 bench-codec:
 	$(GO) run ./cmd/odrbench -codec -codec-out BENCH_codec.json
 
-# Regression gate: re-run the suite and fail when any (content, resolution)
-# group's median speedup-vs-v1 drops more than 25% below the committed
-# BENCH_codec.json baseline, any cell's bytes/frame grow >10%, a static
-# cell's cache hit ratio falls below 0.9, or a static cell shows a
-# keyframe-shaped latency spike.
+# Regression gate: re-run the suite and fail when any (content, resolution,
+# QuantShift) group's median speedup-vs-v1 drops more than 25% below the
+# committed BENCH_codec.json baseline, a static/scrolling/mixed cell's
+# bytes/frame grow at all (game, noise: >10%), game content codes above 0.35x
+# raw, noise above 1.02x raw, a static cell's cache hit ratio falls below 0.9,
+# or a static cell shows a keyframe-shaped latency spike.
 bench-codec-check:
 	$(GO) run ./cmd/odrbench -codec-check BENCH_codec.json
 

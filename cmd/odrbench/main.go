@@ -13,15 +13,19 @@
 // The tile-codec suite (codecsuite.go) runs separately:
 //
 //   - `odrbench -codec` sweeps static/scrolling/mixed/noise content at
-//     720p/1080p/4K through the v1 serial coder and the v2 tile coder
+//     720p/1080p/4K and the synthetic game (what the stack serves, with an
+//     input flash every 7th frame, lossless and at QuantShift 2) at
+//     320x180/640x360 through the v1 serial coder and the v2 tile coder
 //     (keyframe striping + shared tile cache, the hub configuration) at
 //     1-16 workers, verifies parallel/serial byte identity, and writes
-//     BENCH_codec.json;
+//     BENCH_codec.json with a host fingerprint;
 //   - `odrbench -codec-check BENCH_codec.json` re-runs the sweep and exits
 //     nonzero when any group's median speedup-vs-v1 regresses more than
-//     -codec-tol below the committed baseline, any cell's bytes/frame grow
-//     >10%, a static cell's cache hit ratio falls below 0.9, or a static
-//     cell shows a keyframe-shaped latency spike.
+//     -codec-tol below the committed baseline, a static/scrolling/mixed
+//     cell's bytes/frame grow at all (game and noise: >10%), game content
+//     codes above 0.35x raw or noise above 1.02x raw, a static cell's cache
+//     hit ratio falls below 0.9, or a static cell shows a keyframe-shaped
+//     latency spike.
 //
 // The hub fan-out suite (hubsuite.go) measures the encode-once hub:
 //

@@ -292,20 +292,31 @@ func MustParse(spec string) Schedule {
 	return s
 }
 
+// nominalFrame is the unit the stock schedules are written in: the wire
+// size, in bytes, of one delta frame message of the synthetic game at the
+// soaks' default 64x36 (9216 raw bytes; about 0.3x that through the tile
+// codec). The grammar's offsets are bytes, but what a stock schedule means
+// is "a few frames in" — so each offset below is a frame count times this,
+// and keeps that meaning when the codec's output size moves.
+const nominalFrame = 2740
+
 // namedSpecs are the stock schedules the soak harness and tests run under.
 var namedSpecs = map[string]string{
 	// clean: no faults — the control arm.
 	"clean": "",
-	// flaky: a little base latency, a write stall, then a mid-stream cut.
-	// On a reconnecting client each fresh conn restarts the script, so the
-	// session dies and resumes every ~144 KiB — sustained churn.
-	"flaky": "latency@0:2ms,stallw@49152:60ms,disc@147456",
-	// lossy: recurring burst loss and byte corruption every 96 KiB.
-	"lossy": "loss@49152x2,corrupt@98304,loop@98304",
-	// degraded: added latency, then the path collapses to 256 KiB/s.
-	"degraded": "latency@0:15ms,bw@32768:262144",
-	// partition: the read direction goes dark after 64 KiB (half-open).
-	"partition": "halfopen@65536",
+	// flaky: a little base latency, a write stall 5 frames in, then a
+	// mid-stream cut after 16. On a reconnecting client each fresh conn
+	// restarts the script, so the session dies and resumes every 16 frames
+	// — sustained churn.
+	"flaky": fmt.Sprintf("latency@0:2ms,stallw@%d:60ms,disc@%d", 5*nominalFrame, 16*nominalFrame),
+	// lossy: recurring burst loss (5 frames in) and byte corruption (10
+	// frames in) every 10 frames.
+	"lossy": fmt.Sprintf("loss@%dx2,corrupt@%d,loop@%d", 5*nominalFrame, 10*nominalFrame, 10*nominalFrame),
+	// degraded: added latency, then after 3 frames the path collapses to 30
+	// frames a second (an eighth of what the soaks' 240 FPS hub produces).
+	"degraded": fmt.Sprintf("latency@0:15ms,bw@%d:%d", 3*nominalFrame, 30*nominalFrame),
+	// partition: the read direction goes dark after 7 frames (half-open).
+	"partition": fmt.Sprintf("halfopen@%d", 7*nominalFrame),
 }
 
 // Named returns one of the stock schedules: clean, flaky, lossy, degraded,

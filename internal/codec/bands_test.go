@@ -81,7 +81,7 @@ func TestBandsSmallerOrSimilarToDelta(t *testing.T) {
 	// Partially-changing content: bands must not be much larger than plain
 	// delta coding (a few bytes of band headers).
 	const w, h = 64, 128
-	plain := NewEncoder(w, h, Options{QuantShift: 2})
+	plain := NewEncoder(w, h, Options{QuantShift: 2, Version: 1})
 	banded := NewEncoder(w, h, Options{QuantShift: 2, Bands: true})
 	rng := rand.New(rand.NewSource(5))
 	base := genFrame(w, h, 5)

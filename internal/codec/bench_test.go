@@ -97,21 +97,6 @@ func BenchmarkDecode360p(b *testing.B) {
 	}
 }
 
-func BenchmarkRLEWorstCase(b *testing.B) {
-	// Alternating bytes defeat run-length coding: the compression floor.
-	data := make([]byte, 1<<16)
-	for i := range data {
-		data[i] = byte(i % 2 * 255)
-	}
-	b.SetBytes(int64(len(data)))
-	for i := 0; i < b.N; i++ {
-		out := rleAppend(nil, data)
-		if i == 0 {
-			b.ReportMetric(float64(len(out))/float64(len(data)), "expansion")
-		}
-	}
-}
-
 func ExampleEncoder() {
 	enc := NewEncoder(2, 2, Options{QuantShift: 0})
 	dec := NewDecoder()

@@ -4,13 +4,13 @@ package codec
 // across frames, encoders and hub lanes.
 //
 // The key insight that makes sharing sound is that a tile payload is a pure
-// function of the bytes being coded: payload = RLE(content) and
+// function of the bytes being coded: payload = appendPayload(content) and
 // crc = CRC32C(payload) depend on nothing but the content byte string — not
 // on the encoder, the frame index, the worker count, or whether the bytes
 // are a key tile, a stripe-intra tile, a splice cut or a delta image. One
 // cache therefore serves every payload producer in this package, and a hit
 // can never change what goes on the wire: it returns exactly the bytes a
-// fresh RLE pass would have produced. Tile geometry does not need to be
+// fresh coding pass would have produced. Tile geometry does not need to be
 // part of the key explicitly — two tiles of different geometry have
 // different content lengths and so can never compare equal.
 //
@@ -72,7 +72,7 @@ func hashContent(b []byte) uint64 {
 }
 
 // tcEntry is one cached payload. content is the verification key (a copy of
-// the coded bytes), payload the RLE coding and crc its CRC32-Castagnoli.
+// the coded bytes), payload its coded form and crc the payload's CRC32-Castagnoli.
 type tcEntry struct {
 	hash    uint64
 	content []byte

@@ -20,7 +20,7 @@ func tcContent(seed byte, n int) []byte {
 // way the encode path does: Lookup miss, then Insert.
 func cachePut(t *testing.T, c *TileCache, content []byte) []byte {
 	t.Helper()
-	payload := rleAppend(nil, content)
+	payload := appendPayload(nil, content)
 	crc := crc32.Checksum(payload, castagnoli)
 	for i := 0; i < 2; i++ {
 		if p, gotCRC, ok := c.Lookup(content); ok {
@@ -40,7 +40,7 @@ func cachePut(t *testing.T, c *TileCache, content []byte) []byte {
 func TestTileCacheLookupInsertDoorkeeper(t *testing.T) {
 	c := NewTileCache(1 << 20)
 	content := tcContent(3, 4096)
-	payload := rleAppend(nil, content)
+	payload := appendPayload(nil, content)
 	crc := crc32.Checksum(payload, castagnoli)
 
 	if _, _, ok := c.Lookup(content); ok {
@@ -122,7 +122,7 @@ func TestTileCachePoisoning(t *testing.T) {
 	if !okA || !okB {
 		t.Fatal("chained colliding entries must both hit")
 	}
-	if !bytes.Equal(gotA, rleAppend(nil, a)) || !bytes.Equal(gotB, rleAppend(nil, b)) {
+	if !bytes.Equal(gotA, appendPayload(nil, a)) || !bytes.Equal(gotB, appendPayload(nil, b)) {
 		t.Fatal("chain walk returned the wrong entry's payload")
 	}
 	if crcA != crc32.Checksum(gotA, castagnoli) || crcB != crc32.Checksum(gotB, castagnoli) {

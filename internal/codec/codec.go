@@ -1,33 +1,22 @@
 // Package codec implements the video-style frame codec used by the
 // real-time streaming stack: temporal delta against the previous frame,
-// quantization, and run-length entropy coding. It stands in for the
-// VirtualGL/TurboVNC video streaming the paper builds on — what matters to
-// FPS regulation is that encoding takes real, content-dependent time and
-// that static scene regions compress away (which is why the paper's streams
-// fit in 15–60 Mbps).
+// quantization, spatial prediction and Golomb-Rice entropy coding over
+// independently coded tiles. It stands in for the VirtualGL/TurboVNC video
+// streaming the paper builds on — what matters to FPS regulation is that
+// encoding takes real, content-dependent time, that static scene regions
+// compress away and that moving ones shrink to video size (which is why
+// the paper's streams fit in 15–60 Mbps).
 //
-// Bitstream layout (all integers little-endian):
-//
-//	byte 0:     magic 0xD3
-//	byte 1:     frame type (0 = key, 1 = delta)
-//	byte 2:     quantization shift (0-7)
-//	bytes 3-6:  width (uint32)
-//	bytes 7-10: height (uint32)
-//	bytes 11+:  RLE payload
-//
-// RLE payload tokens:
-//
-//	0x00 <uvarint n>            — n zero bytes
-//	0x01 <uvarint n> <n bytes>  — n literal bytes
-//
-// The layout above is the v1 bitstream. The v2 bitstream (magic 0xD4, see
-// tile.go) splits the frame into independent tile rows with a per-tile
-// offset table, dirty-skip flags and per-tile CRCs, and is what encoders
-// produce by default; this decoder accepts both.
+// Encoders emit the tiled v2 bitstream by default: a 16-byte header, a
+// per-tile directory (dirty/intra flags, payload length, CRC-32C) and the
+// tile payloads (tile.go for the frame layout, payload.go for the payload
+// coder, splice.go for per-session resync frames, cache.go for the
+// content-addressed payload cache). The legacy v1 byte stream (v1.go,
+// bands.go) is produced only on request; the decoder accepts both,
+// switching on the magic byte.
 package codec
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -35,9 +24,6 @@ import (
 )
 
 const (
-	magic     = 0xD3
-	headerLen = 11
-
 	frameKey   = 0
 	frameDelta = 1
 
@@ -60,7 +46,8 @@ var (
 // Options configures an Encoder.
 type Options struct {
 	// QuantShift drops the low bits of each sample before coding
-	// (0 = lossless, higher = smaller and lossier). Default 2.
+	// (0 = lossless, higher = smaller and lossier). The zero value is the
+	// default: lossless.
 	QuantShift uint
 	// KeyInterval forces a keyframe every N frames (default 120; the
 	// first frame is always a keyframe).
@@ -87,8 +74,9 @@ type Options struct {
 	Pool *wpool.Pool
 	// Cache, when non-nil, memoizes encoded tile payloads content-addressed
 	// across frames, encoders and splices (v2 only; see cache.go). Sharing
-	// one cache between encoders is safe and changes no bitstream byte —
-	// payloads are pure functions of the coded content.
+	// one cache between encoders — of any geometry or QuantShift — is safe
+	// and changes no bitstream byte: payloads are pure functions of the
+	// coded bytes.
 	Cache *TileCache
 	// StripeKeyframes replaces the periodic full keyframe with temporal
 	// striping (v2 only): each delta frame intra-refreshes the tile stripe
@@ -148,7 +136,7 @@ type Encoder struct {
 	prevRaw     []byte   // raw pixels behind prev, per tile (see predict.go)
 	tileRawOK   []bool   // prevRaw[tile] is a valid raw reference
 	tilePayload [][]byte // per-tile payload refs: tileScratch[i] or cache memory
-	tileScratch [][]byte // per-tile encoder-owned RLE scratch
+	tileScratch [][]byte // per-tile encoder-owned payload scratch
 	tileQ       [][]byte // per-tile quantization scratch
 	tileDelta   [][]byte // per-tile delta scratch
 	tileCRC     []uint32
@@ -166,10 +154,10 @@ type Encoder struct {
 	// Splice state (splice.go): tileChangedAt[i] is the encode index
 	// (Frames() value) of the last frame whose tile i was dirty, and the
 	// splice* slices memoize intra-coded tile payloads cut from e.prev so
-	// repeated splices of a static tile cost one RLE pass, not N.
+	// repeated splices of a static tile cost one coding pass, not N.
 	tileChangedAt []int64
-	spliceRLE     [][]byte // per-tile intra payload refs: spliceScratch[i], memo, or cache
-	spliceScratch [][]byte // per-tile encoder-owned splice RLE scratch (cache path)
+	splicePayload [][]byte // per-tile intra payload refs: spliceScratch[i] or cache memory
+	spliceScratch [][]byte // per-tile encoder-owned splice payload scratch
 	spliceCRC     []uint32
 	spliceAt      []int64
 	// lastSpliceTiles is the tile count of the most recent AppendSplice
@@ -228,50 +216,7 @@ func (e *Encoder) EncodeAppend(dst, pix []byte) ([]byte, error) {
 	if e.version == 2 {
 		return e.encodeTiles(dst, pix)
 	}
-	q := e.quantizeInto(pix)
-	isKey := e.prev == nil || e.count%e.opts.KeyInterval == 0
-	e.count++
-
-	base := len(dst)
-	var hdr [headerLen]byte
-	out := append(dst, hdr[:]...)
-	out[base] = magic
-	out[base+2] = byte(e.opts.QuantShift)
-	binary.LittleEndian.PutUint32(out[base+3:], uint32(e.w))
-	binary.LittleEndian.PutUint32(out[base+7:], uint32(e.h))
-
-	switch {
-	case isKey:
-		out[base+1] = frameKey
-		out = rleAppend(out, q)
-	case e.opts.Bands:
-		out[base+1] = frameBands
-		out = e.appendBands(out, q, e.prev)
-	default:
-		out[base+1] = frameDelta
-		delta := grow(e.delta, len(q))
-		deltaInto(delta, q, e.prev)
-		e.delta = delta
-		out = rleAppend(out, delta)
-	}
-	// q lives in e.qbuf; keep it as the new reference frame and let the old
-	// reference become the next quantization target.
-	e.prev, e.qbuf = q, e.prev
-	e.frames++
-	e.bytes += int64(len(out) - base)
-	return out, nil
-}
-
-// quantizeInto quantizes pix into the encoder's reusable buffer.
-func (e *Encoder) quantizeInto(pix []byte) []byte {
-	out := grow(e.qbuf, len(pix))
-	e.qbuf = out
-	if e.opts.QuantShift == 0 {
-		copy(out, pix)
-		return out
-	}
-	maskInto(out, pix, 0xFF<<e.opts.QuantShift)
-	return out
+	return e.encodeV1(dst, pix), nil
 }
 
 // ForceKeyframe makes the next frame a keyframe (e.g. after a client joins).
@@ -304,7 +249,7 @@ func (e *Encoder) SetQuantShift(s uint) {
 type Decoder struct {
 	w, h    int
 	cur     []byte
-	scratch []byte // RLE expansion target; swaps with cur on keyframes
+	scratch []byte // payload expansion target; swaps with cur on keyframes
 
 	// v2 tile state (tile.go): parsed directory scratches plus the
 	// optional decode pool (nil = serial decoding).
@@ -316,7 +261,7 @@ type Decoder struct {
 	tileGood  []bool
 	tileIntra []bool
 	tileErr   []error
-	decTask  func(int)
+	decTask   func(int)
 	// per-frame decode task inputs
 	curBS      []byte
 	curKeyF    bool
@@ -361,50 +306,7 @@ func (d *Decoder) Decode(bs []byte) ([]byte, error) {
 	if len(bs) >= 1 && bs[0] == magic2 {
 		return d.decodeTiles(bs)
 	}
-	if len(bs) < headerLen {
-		return nil, ErrTruncated
-	}
-	if bs[0] != magic {
-		return nil, ErrBadMagic
-	}
-	ftype := bs[1]
-	w := int(binary.LittleEndian.Uint32(bs[3:]))
-	h := int(binary.LittleEndian.Uint32(bs[7:]))
-	if w <= 0 || h <= 0 || w > maxDim || h > maxDim {
-		return nil, ErrDimensions
-	}
-	size := w * h * 4
-	if d.cur != nil && (d.w != w || d.h != h) {
-		return nil, ErrDimensions
-	}
-	switch ftype {
-	case frameKey:
-		d.scratch = grow(d.scratch, size)
-		if err := rleDecodeInto(d.scratch, bs[headerLen:]); err != nil {
-			return nil, err
-		}
-		d.w, d.h = w, h
-		d.cur, d.scratch = d.scratch, d.cur
-	case frameDelta:
-		if d.cur == nil {
-			return nil, ErrNoKeyframe
-		}
-		d.scratch = grow(d.scratch, size)
-		if err := rleDecodeInto(d.scratch, bs[headerLen:]); err != nil {
-			return nil, err
-		}
-		addInto(d.cur, d.scratch)
-	case frameBands:
-		if d.cur == nil {
-			return nil, ErrNoKeyframe
-		}
-		if err := d.applyBands(bs[headerLen:], w, h); err != nil {
-			return nil, err
-		}
-	default:
-		return nil, ErrCorrupt
-	}
-	return d.cur, nil
+	return d.decodeV1(bs)
 }
 
 // Size returns the current frame dimensions (0,0 before the first frame).
@@ -417,98 +319,4 @@ func grow(b []byte, n int) []byte {
 		return make([]byte, n)
 	}
 	return b[:n]
-}
-
-// quantize returns pix with the low QuantShift bits cleared.
-func quantize(pix []byte, shift uint) []byte {
-	out := make([]byte, len(pix))
-	if shift == 0 {
-		copy(out, pix)
-		return out
-	}
-	mask := byte(0xFF) << shift
-	for i, v := range pix {
-		out[i] = v & mask
-	}
-	return out
-}
-
-// rleAppend appends the RLE coding of data to dst and returns dst. The
-// run scanners walk the data a word at a time (wide.go) but keep the
-// exact token boundaries of the original byte-loop coder: zero runs are
-// taken whole, and literal runs break at the first zero run of
-// minZeroRun+ bytes.
-func rleAppend(dst, data []byte) []byte {
-	var scratch [binary.MaxVarintLen64]byte
-	i := 0
-	for i < len(data) {
-		var j int
-		if data[i] == 0 {
-			j = zeroRunEnd(data, i)
-			dst = append(dst, 0x00)
-			n := binary.PutUvarint(scratch[:], uint64(j-i))
-			dst = append(dst, scratch[:n]...)
-			i = j
-			continue
-		}
-		j = literalRunEnd(data, i)
-		dst = append(dst, 0x01)
-		n := binary.PutUvarint(scratch[:], uint64(j-i))
-		dst = append(dst, scratch[:n]...)
-		dst = append(dst, data[i:j]...)
-		i = j
-	}
-	return dst
-}
-
-// rleDecode expands an RLE payload into exactly size bytes.
-func rleDecode(payload []byte, size int) ([]byte, error) {
-	out := make([]byte, size)
-	if err := rleDecodeInto(out, payload); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// rleDecodeInto expands an RLE payload into exactly len(dst) bytes without
-// allocating: zero runs clear the destination range in place (dst is reused
-// across frames, so stale bytes must be overwritten) and literal runs copy.
-//
-// Hostile-input hardening: every run length is bounded against the space
-// remaining in dst *before* the cursor advances or a byte is written, while
-// still a uint64 — a crafted uvarint near 2^64 can neither drive a huge
-// memset nor wrap to a negative int and bypass the slice bounds.
-func rleDecodeInto(dst, payload []byte) error {
-	o := 0
-	i := 0
-	for i < len(payload) {
-		tok := payload[i]
-		i++
-		n, used := binary.Uvarint(payload[i:])
-		if used <= 0 {
-			return ErrCorrupt
-		}
-		i += used
-		if n > uint64(len(dst)-o) {
-			return ErrCorrupt
-		}
-		switch tok {
-		case 0x00:
-			clear(dst[o : o+int(n)])
-			o += int(n)
-		case 0x01:
-			if n > uint64(len(payload)-i) {
-				return ErrTruncated
-			}
-			copy(dst[o:], payload[i:i+int(n)])
-			o += int(n)
-			i += int(n)
-		default:
-			return ErrCorrupt
-		}
-	}
-	if o != len(dst) {
-		return ErrTruncated
-	}
-	return nil
 }

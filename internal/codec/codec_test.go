@@ -198,21 +198,6 @@ func TestStatsAccumulate(t *testing.T) {
 	}
 }
 
-// Property: RLE round-trips arbitrary byte strings.
-func TestRLERoundTripProperty(t *testing.T) {
-	f := func(data []byte) bool {
-		encoded := rleAppend(nil, data)
-		decoded, err := rleDecode(encoded, len(data))
-		if err != nil {
-			return false
-		}
-		return bytes.Equal(decoded, data)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // Property: decoding never panics on arbitrary input, and a full
 // encode/decode round trip over random frame sequences reconstructs the
 // quantized source.

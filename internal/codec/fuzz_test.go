@@ -34,6 +34,25 @@ func FuzzDecode(f *testing.F) {
 		}
 		f.Add(bs)
 	}
+	// Smooth content: rice blocks in both prediction modes, intra stripes and
+	// spliced frames, lossless and quantized.
+	for _, shift := range []uint{0, 3} {
+		gameEnc := NewEncoder(16, 20, Options{QuantShift: shift, TileRows: 8, KeyInterval: 2, StripeKeyframes: true})
+		for _, pix := range gameFrames(16, 20, 3) {
+			bs, err := gameEnc.Encode(pix)
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(bs)
+		}
+		for _, parent := range []int64{0, 1} {
+			bs, err := gameEnc.AppendSplice(nil, parent)
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(bs)
+		}
+	}
 	f.Add([]byte{magic, frameDelta, 0, 8, 0, 0, 0, 8, 0, 0, 0})
 	f.Add([]byte{magic2, version2, frameKey, 0, 8, 0, 0, 0, 8, 0, 0, 0, 16, 0, 1, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -56,6 +75,9 @@ func FuzzV2RoundTrip(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 0, 0, 0, 0, 9}, uint8(1), uint8(1), uint8(1), uint8(2))
 	f.Add(bytes.Repeat([]byte{0xAB, 0x00}, 40), uint8(8), uint8(40), uint8(5), uint8(7))
 	f.Add([]byte{0xFF}, uint8(16), uint8(3), uint8(2), uint8(3))
+	f.Add(gameFrames(16, 5, 1)[0], uint8(15), uint8(19), uint8(7), uint8(0)) // smooth: rice blocks
+	f.Add(gameFrames(16, 5, 1)[0], uint8(12), uint8(38), uint8(15), uint8(4))
+	f.Add([]byte{0x10, 0x20, 0x30, 0xFF}, uint8(15), uint8(39), uint8(23), uint8(1)) // flat: all-zero channels
 	f.Fuzz(func(t *testing.T, data []byte, wb, hb, rowsB, shiftB uint8) {
 		w, h := 1+int(wb)%16, 1+int(hb)%40
 		rows, shift := 1+int(rowsB)%24, uint(shiftB)%8
@@ -101,27 +123,10 @@ func FuzzV2RoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzRLERoundTrip checks the entropy coder against arbitrary inputs.
-func FuzzRLERoundTrip(f *testing.F) {
-	f.Add([]byte{})
-	f.Add([]byte{0, 0, 0, 0, 1, 2, 3})
-	f.Add(bytes.Repeat([]byte{0xAB}, 300))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		enc := rleAppend(nil, data)
-		dec, err := rleDecode(enc, len(data))
-		if err != nil {
-			t.Fatalf("round trip failed: %v", err)
-		}
-		if !bytes.Equal(dec, data) {
-			t.Fatal("round trip mismatch")
-		}
-	})
-}
-
 // FuzzTileCache drives a deliberately tiny cache through fuzzer-chosen
 // hit/miss/evict interleavings and holds it to its two contracts: a hit
-// returns exactly RLE(content) with a matching CRC (never another entry's
-// payload), and the hit/miss counters account for every lookup. The seeds
+// returns exactly appendPayload(content) with a matching CRC (never another
+// entry's payload), and the hit/miss counters account for every lookup. The seeds
 // cover repeat-until-admitted (hit), distinct contents (miss), and enough
 // distinct admissions to force evictions on the small budget.
 func FuzzTileCache(f *testing.F) {
@@ -144,7 +149,7 @@ func FuzzTileCache(f *testing.F) {
 			for i := range content {
 				content[i] = (op & 0x0F) * byte(i>>3)
 			}
-			want := rleAppend(nil, content)
+			want := appendPayload(nil, content)
 			wantCRC := crc32.Checksum(want, castagnoli)
 			payload, crc, ok := cache.Lookup(content)
 			lookups++

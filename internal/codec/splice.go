@@ -24,9 +24,9 @@ package codec
 // verbatim subscriber holds — so the shared stream's next delta applies
 // cleanly and the splice never forks the chain.
 //
-// Intra payloads are memoized per tile (spliceRLE/spliceCRC, valid while the
+// Intra payloads are memoized per tile (splicePayload/spliceCRC, valid while the
 // tile hasn't changed since it was cut), so a churn of joiners against a
-// mostly-static scene re-uses one RLE pass per tile instead of paying
+// mostly-static scene re-uses one coding pass per tile instead of paying
 // O(joiners × frame) encode work.
 //
 // Concurrency: AppendSplice reads e.prev/tileChangedAt and writes the
@@ -36,7 +36,6 @@ package codec
 import (
 	"encoding/binary"
 	"errors"
-	"hash/crc32"
 )
 
 // ErrNoSpliceState is returned by AppendSplice before the encoder has
@@ -89,14 +88,14 @@ func (e *Encoder) AppendSplice(dst []byte, parent int64) ([]byte, error) {
 			if !isKey {
 				ent[0] |= tileFlagIntra
 			}
-			binary.LittleEndian.PutUint32(ent[1:], uint32(len(e.spliceRLE[i])))
+			binary.LittleEndian.PutUint32(ent[1:], uint32(len(e.splicePayload[i])))
 			binary.LittleEndian.PutUint32(ent[5:], e.spliceCRC[i])
 		}
 		out = append(out, ent[:]...)
 	}
 	for i := 0; i < nt; i++ {
 		if isKey || e.tileChangedAt[i] > parent {
-			out = append(out, e.spliceRLE[i]...)
+			out = append(out, e.splicePayload[i]...)
 		}
 	}
 	e.lastSpliceTiles = included
@@ -115,31 +114,12 @@ func (e *Encoder) LastSpliceTiles() int { return e.lastSpliceTiles }
 // a churn of joiners against tiles the frame path already coded absolute
 // (keys, stripe refreshes) shares those payload bytes outright, across
 // every lane and session on the cache. Without a cache the per-encoder
-// memo (spliceAt vs tileChangedAt) keeps the old one-RLE-pass-per-change
-// behavior.
+// memo (spliceAt vs tileChangedAt) keeps it to one coding pass per change.
 func (e *Encoder) ensureIntraTile(i int) {
-	if c := e.opts.Cache; c != nil {
-		s, end := tileRange(e.w, e.h, e.tileRows, i)
-		content := e.prev[s:end]
-		h := tileCacheHash(content)
-		if payload, crc, ok := c.lookupHashed(h, content); ok {
-			e.spliceRLE[i], e.spliceCRC[i] = payload, crc
-			return
-		}
-		p := rleAppend(e.spliceScratch[i][:0], content)
-		e.spliceScratch[i] = p
-		crc := crc32.Checksum(p, castagnoli)
-		if canon := c.insertHashed(h, content, p, crc); canon != nil {
-			p = canon
-		}
-		e.spliceRLE[i], e.spliceCRC[i] = p, crc
-		return
-	}
-	if e.spliceAt[i] > 0 && e.spliceAt[i] >= e.tileChangedAt[i] {
+	if e.opts.Cache == nil && e.spliceAt[i] > 0 && e.spliceAt[i] >= e.tileChangedAt[i] {
 		return
 	}
 	s, end := tileRange(e.w, e.h, e.tileRows, i)
-	e.spliceRLE[i] = rleAppend(e.spliceRLE[i][:0], e.prev[s:end])
-	e.spliceCRC[i] = crc32.Checksum(e.spliceRLE[i], castagnoli)
+	e.splicePayload[i], e.spliceCRC[i] = e.codePayload(&e.spliceScratch[i], e.prev[s:end])
 	e.spliceAt[i] = e.frames
 }

@@ -10,7 +10,8 @@ package codec
 // Layout (all integers little-endian):
 //
 //	byte 0:       magic 0xD4
-//	byte 1:       version (2)
+//	byte 1:       version (3; 2 was the zero-run RLE payload generation,
+//	              which decoders now answer with ErrVersion)
 //	byte 2:       frame type (0 = key, 1 = delta)
 //	byte 3:       quantization shift (0-7)
 //	bytes 4-7:    width  (uint32)
@@ -24,9 +25,9 @@ package codec
 //	    bytes 5-8:  CRC32-Castagnoli of the payload
 //	then the tile payloads, concatenated in tile order.
 //
-// Each payload is the RLE coding (codec.go tokens) of the tile's quantized
-// content (key frames) or of its byte-wise delta against the previous
-// frame (delta frames). Key frames mark every tile dirty.
+// Each payload is the predictive Rice coding (payload.go) of the tile's
+// quantized content (key frames) or of its byte-wise delta against the
+// previous frame (delta frames). Key frames mark every tile dirty.
 //
 // The intra flag (splice.go) marks a dirty tile of a *delta* frame whose
 // payload is absolute content rather than a delta: the decoder copies it
@@ -50,7 +51,7 @@ import (
 
 const (
 	magic2   = 0xD4
-	version2 = 2
+	version2 = 3 // version byte of the tiled (v2) bitstream
 
 	hdr2Len     = 16
 	dirEntryLen = 9
@@ -123,7 +124,7 @@ func (e *Encoder) ensureTileState(nt int) {
 	e.tileNanos = make([]int64, nt)
 	e.workList = make([]int, 0, nt)
 	e.tileChangedAt = make([]int64, nt)
-	e.spliceRLE = make([][]byte, nt)
+	e.splicePayload = make([][]byte, nt)
 	e.spliceScratch = make([][]byte, nt)
 	e.spliceCRC = make([]uint32, nt)
 	e.spliceAt = make([]int64, nt)
@@ -149,7 +150,7 @@ func (e *Encoder) encodeTile(k int) {
 		d := grow(e.tileDelta[i], end-s)
 		e.tileDelta[i] = d
 		maskSubInto(d, e.curPix[s:end], e.prev[s:end], 0xFF<<e.opts.QuantShift)
-		e.codeTilePayload(i, d)
+		e.tilePayload[i], e.tileCRC[i] = e.codePayload(&e.tileScratch[i], d)
 		if e.opts.QuantShift == 0 {
 			copy(e.prev[s:end], e.curPix[s:end])
 		} else {
@@ -176,7 +177,7 @@ func (e *Encoder) encodeTile(k int) {
 		// exactly its quantized content — no quantization work at all.
 		content = e.prev[s:end]
 	}
-	e.codeTilePayload(i, content)
+	e.tilePayload[i], e.tileCRC[i] = e.codePayload(&e.tileScratch[i], content)
 	e.tileDirty[i] = true
 	if e.tileChanged[i] {
 		// Fold the tile into the persistent reference; tile ranges are
@@ -186,32 +187,32 @@ func (e *Encoder) encodeTile(k int) {
 	e.tileNanos[i] = time.Since(start).Nanoseconds()
 }
 
-// codeTilePayload produces tile i's RLE payload and CRC for src, through
-// the content-addressed cache when one is configured. On a hit the payload
-// aliases immutable cache memory (never the tile's scratch), so one encoded
-// payload is shared across frames, encoders and hub lanes without copying;
-// a miss codes into the tile-owned scratch and offers the result for
-// admission. Cached or fresh, the bytes are identical — payload and CRC are
-// pure functions of src (see cache.go).
-func (e *Encoder) codeTilePayload(i int, src []byte) {
+// codePayload produces the payload and CRC for src — the one place tile
+// bytes meet the payload coder — through the content-addressed cache when
+// one is configured. On a hit the payload aliases immutable cache memory
+// (never the scratch), so one encoded payload is shared across frames,
+// encoders and hub lanes without copying; a miss codes into the
+// caller-owned scratch and offers the result for admission. Cached or fresh,
+// the bytes are identical — payload and CRC are pure functions of src (see
+// cache.go).
+func (e *Encoder) codePayload(scratch *[]byte, src []byte) ([]byte, uint32) {
 	c := e.opts.Cache
 	var h uint64
 	if c != nil {
 		h = tileCacheHash(src)
 		if payload, crc, ok := c.lookupHashed(h, src); ok {
-			e.tilePayload[i], e.tileCRC[i] = payload, crc
-			return
+			return payload, crc
 		}
 	}
-	p := rleAppend(e.tileScratch[i][:0], src)
-	e.tileScratch[i] = p
+	p := appendPayload((*scratch)[:0], src)
+	*scratch = p
 	crc := crc32.Checksum(p, castagnoli)
 	if c != nil {
 		if canon := c.insertHashed(h, src, p, crc); canon != nil {
 			p = canon
 		}
 	}
-	e.tilePayload[i], e.tileCRC[i] = p, crc
+	return p, crc
 }
 
 // encodeTiles appends one v2 frame to dst: predict which tiles need work,
@@ -355,7 +356,7 @@ func (d *Decoder) decodeTile(i int) {
 		keepOld()
 		return
 	}
-	if err := rleDecodeInto(dst, seg); err != nil {
+	if err := decodePayload(dst, seg); err != nil {
 		d.tileErr[i] = err
 		keepOld()
 		return

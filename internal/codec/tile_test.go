@@ -284,6 +284,7 @@ func TestV2HostileHeaders(t *testing.T) {
 	}{
 		{"short header", valid[:10], ErrTruncated},
 		{"bad version", mut(func(b []byte) []byte { b[1] = 9; return b }), ErrVersion},
+		{"zero-run RLE generation", mut(func(b []byte) []byte { b[1] = 2; return b }), ErrVersion},
 		{"bad frame type", mut(func(b []byte) []byte { b[2] = 9; return b }), ErrCorrupt},
 		{"zero width", mut(func(b []byte) []byte { binary.LittleEndian.PutUint32(b[4:], 0); return b }), ErrDimensions},
 		{"huge height", mut(func(b []byte) []byte { binary.LittleEndian.PutUint32(b[8:], maxDim+1); return b }), ErrDimensions},
@@ -317,10 +318,11 @@ func TestV2HostileHeaders(t *testing.T) {
 	}
 }
 
-// TestV2HostileTilePayload hides a hostile RLE stream behind a valid CRC:
-// the declared run lengths exceed the tile, so the tile must fail its
-// bounds checks (satellite of the rleDecodeInto hardening) and surface as
-// a TileError rather than a panic or out-of-bounds write.
+// TestV2HostileTilePayload hides a hostile payload behind a valid CRC: its
+// declared sizes exceed the tile or the bytes present, so the tile must
+// fail decodePayload's bounds checks (TestDecodePayloadHostile has the full
+// table) and surface as a TileError rather than a panic or an
+// out-of-bounds write.
 func TestV2HostileTilePayload(t *testing.T) {
 	const w, h = 8, 16 // single tile
 	enc := NewEncoder(w, h, Options{QuantShift: 0})
@@ -329,14 +331,16 @@ func TestV2HostileTilePayload(t *testing.T) {
 		t.Fatal(err)
 	}
 	hostile := [][]byte{
-		// Zero run of 2^64-1 bytes: must not memset beyond the tile.
-		{0x00, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01},
-		// Literal run of 2^63 bytes: must not wrap negative and copy.
-		{0x01, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01},
+		// Zero run of 2^64-1 blocks: must not memset beyond the tile.
+		{blockZeros << 4, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01},
+		// Raw block with three of its 256 bytes.
+		{blockRaw << 4, 1, 2, 3},
 		// Unterminated uvarint.
-		{0x00, 0x80},
-		// Unknown token.
-		{0x02, 0x04},
+		{blockZeros << 4, 0x80},
+		// Rice block whose unary string runs off the payload.
+		{blockRice << 4, 0xF0, 0xFF, 0x00, 0x00},
+		// Unknown block type.
+		{0x30, 0x04},
 	}
 	for i, payload := range hostile {
 		bs := append([]byte(nil), valid[:hdr2Len]...)

@@ -6,30 +6,20 @@ import (
 )
 
 // Word-wide (SWAR) kernels for the frame hot path. The codec's inner loops
-// — quantization, temporal delta, delta application, and zero-run scanning
-// — are all independent per byte, so they run eight lanes at a time in a
-// uint64 with the classic carry-isolation tricks (Hacker's Delight §2-18).
+// — quantization, temporal delta, delta application, and (payload.go) the
+// residual, zig-zag and magnitude-sum passes of the payload coder — are
+// all independent per byte, so they run eight lanes at a time in a uint64
+// with the classic carry-isolation tricks (Hacker's Delight §2-18).
 // binary.LittleEndian loads compile to single unaligned MOVs on the
 // platforms we care about, so this stays portable safe Go.
 //
-// Every kernel is paired with a byte-at-a-time tail (and a differential
-// test in wide_test.go pinning kernel == byte loop), and the RLE scanners
-// preserve the exact token boundaries of the original byte-loop coder, so
-// swapping the kernels in changes no bitstream.
+// Every kernel is paired with a byte-at-a-time tail and a differential
+// test pinning kernel == byte loop (wide_test.go, payload_test.go).
 
 const (
 	swarLo uint64 = 0x0101010101010101 // low bit of every byte lane
 	swarHi uint64 = 0x8080808080808080 // high bit of every byte lane
-
-	// minZeroRun is the zero-run length worth breaking a literal run for:
-	// a zero token costs >= 2 bytes, so runs of 4+ compress.
-	minZeroRun = 4
 )
-
-// hasZeroByte reports whether any byte lane of v is zero.
-func hasZeroByte(v uint64) bool {
-	return (v-swarLo)&^v&swarHi != 0
-}
 
 // subBytes returns the lane-wise byte subtraction a-b (mod 256), with
 // borrows confined to their lanes.
@@ -142,43 +132,4 @@ func maskedEqual(a, ref []byte, mask byte) bool {
 		}
 	}
 	return true
-}
-
-// zeroRunEnd returns the index of the first non-zero byte at or after i
-// (len(data) if the run reaches the end), skipping eight bytes per probe
-// through the body of the run.
-func zeroRunEnd(data []byte, i int) int {
-	for i+8 <= len(data) && binary.LittleEndian.Uint64(data[i:]) == 0 {
-		i += 8
-	}
-	for i < len(data) && data[i] == 0 {
-		i++
-	}
-	return i
-}
-
-// literalRunEnd returns where the literal run starting at i ends: at the
-// first zero of the next zero-run of minZeroRun+ bytes, or at len(data).
-// Words with no zero byte are skipped eight at a time; the byte-stepping
-// fallback keeps the exact run-boundary semantics of the original scanner.
-func literalRunEnd(data []byte, i int) int {
-	zeros := 0
-	for i < len(data) {
-		if zeros == 0 && i+8 <= len(data) {
-			if w := binary.LittleEndian.Uint64(data[i:]); !hasZeroByte(w) {
-				i += 8
-				continue
-			}
-		}
-		if data[i] == 0 {
-			zeros++
-			if zeros >= minZeroRun {
-				return i - (zeros - 1)
-			}
-		} else {
-			zeros = 0
-		}
-		i++
-	}
-	return len(data)
 }

@@ -46,25 +46,6 @@ func TestSubAddBytesAllLanePairs(t *testing.T) {
 	}
 }
 
-func TestHasZeroByte(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	for i := 0; i < 20000; i++ {
-		v := rng.Uint64()
-		if i%4 == 0 { // force a zero lane in a quarter of the probes
-			v &^= uint64(0xFF) << (8 * uint(rng.Intn(8)))
-		}
-		want := false
-		for l := uint(0); l < 64; l += 8 {
-			if byte(v>>l) == 0 {
-				want = true
-			}
-		}
-		if got := hasZeroByte(v); got != want {
-			t.Fatalf("hasZeroByte(%#x) = %v, want %v", v, got, want)
-		}
-	}
-}
-
 func TestDeltaAddMaskMatchByteLoops(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for _, n := range kernelLens {
@@ -147,58 +128,6 @@ func TestMaskedEqualByteLoop(t *testing.T) {
 				if !maskedEqual(b, ref, mask) {
 					t.Fatalf("mask %#x len %d: sub-quantum noise broke equality", mask, n)
 				}
-			}
-		}
-	}
-}
-
-// Reference byte-loop run scanners, as rleAppend used before the word-wide
-// versions. The kernels must preserve these token boundaries exactly —
-// that is what keeps the new bitstream byte-identical to the old one.
-func refZeroRunEnd(data []byte, i int) int {
-	for i < len(data) && data[i] == 0 {
-		i++
-	}
-	return i
-}
-
-func refLiteralRunEnd(data []byte, i int) int {
-	zeros := 0
-	for i < len(data) {
-		if data[i] == 0 {
-			zeros++
-			if zeros >= minZeroRun {
-				return i - (zeros - 1)
-			}
-		} else {
-			zeros = 0
-		}
-		i++
-	}
-	return len(data)
-}
-
-func TestRunScannersMatchReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	for trial := 0; trial < 300; trial++ {
-		n := rng.Intn(200)
-		data := make([]byte, n)
-		for i := range data {
-			// Heavily zero-biased so runs of every length appear.
-			if rng.Intn(3) > 0 {
-				data[i] = 0
-			} else {
-				data[i] = byte(1 + rng.Intn(255))
-			}
-		}
-		for i := 0; i <= n; i++ {
-			if i < n && data[i] == 0 {
-				if got, want := zeroRunEnd(data, i), refZeroRunEnd(data, i); got != want {
-					t.Fatalf("zeroRunEnd(%v, %d) = %d, want %d", data, i, got, want)
-				}
-			}
-			if got, want := literalRunEnd(data, i), refLiteralRunEnd(data, i); got != want {
-				t.Fatalf("literalRunEnd(%v, %d) = %d, want %d", data, i, got, want)
 			}
 		}
 	}

@@ -658,6 +658,10 @@ func (h *Hub) AttachWithOptions(conn net.Conn, opts AttachOptions) {
 			}
 		}
 	}
+	// Everything a sender worker reads must be in place before the shard
+	// publishes the session: lane fan-out can hand it a frame the moment
+	// the lock drops.
+	s.probe = newSessionProbe(h.cfg.Metrics, "h"+strconv.FormatUint(uint64(id), 10))
 	h.eng.start()
 	sh := ln.shard(id)
 	sh.mu.Lock()
@@ -668,6 +672,7 @@ func (h *Hub) AttachWithOptions(conn net.Conn, opts AttachOptions) {
 		// past Stop's sweep. Refuse instead — under the same lock Stop's
 		// sweep serializes against.
 		sh.mu.Unlock()
+		s.probe.close(s.dom.Now(), true)
 		refuse()
 		return
 	default:
@@ -675,7 +680,6 @@ func (h *Hub) AttachWithOptions(conn net.Conn, opts AttachOptions) {
 	sh.m[id] = s
 	sh.rebuildLocked()
 	sh.mu.Unlock()
-	s.probe = newSessionProbe(h.cfg.Metrics, "h"+strconv.FormatUint(uint64(id), 10))
 	recordSessionStart(h.cfg.Metrics, "Hub", h.cfg.Codec)
 	// No per-session goroutines: the engine's reader pool serves the input
 	// path and lane fan-out kicks the sender pool when artifacts arrive. The

@@ -445,3 +445,29 @@ func TestHubTileCacheConservation(t *testing.T) {
 		t.Fatal("spliced keyframes recorded but no spliced tiles counted")
 	}
 }
+
+// TestHubAttachUnderLiveFanOut is the -race regression for the attach
+// publication order: AttachWithOptions used to make the session visible to
+// lane fan-out before assigning its metrics probe, so a sender worker
+// delivering the joiner's first frame could read s.probe while attach was
+// still writing it. With a registry configured (the probe is only built
+// then) and the lane fanning out at full rate, every attach here races a
+// delivery; the race detector fails the test if the field is published late.
+func TestHubAttachUnderLiveFanOut(t *testing.T) {
+	h, stop := startHub(t, HubConfig{Width: 16, Height: 16, TargetFPS: 2000, Metrics: obs.NewRegistry()})
+	defer stop()
+	steady, _, cleanSteady := attachClient(t, h, 0)
+	defer cleanSteady()
+	waitFrames(t, steady, 5, 10*time.Second)
+	for round := 0; round < 40; round++ {
+		var cleanups [4]func()
+		var joiners [4]*Client
+		for i := range joiners {
+			joiners[i], _, cleanups[i] = attachClient(t, h, 0)
+		}
+		for i, cli := range joiners {
+			waitFrames(t, cli, 1, 10*time.Second)
+			cleanups[i]()
+		}
+	}
+}

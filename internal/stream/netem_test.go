@@ -5,8 +5,40 @@ import (
 	"testing"
 	"time"
 
+	"odr/internal/codec"
 	"odr/internal/testutil"
 )
+
+// streamBytesPerSecond measures what the synthetic game costs on the wire
+// at w×h and fps frames a second with the servers' default codec: the mean
+// delta-frame message over two seconds' worth of frames with an input every
+// sixth. The game advances per rendered frame, not per wall second, so the
+// per-frame cost does not depend on the rate. Path bandwidths in these
+// tests are stated as fractions of this, so they keep their meaning when
+// the codec's output size changes.
+func streamBytesPerSecond(t *testing.T, w, h int, fps float64) float64 {
+	t.Helper()
+	g := NewGame(w, h)
+	enc := codec.NewEncoder(w, h, codec.Options{})
+	pix := make([]byte, g.FrameBytes())
+	var bs []byte
+	var total, n int
+	for i := 0; i < int(2*fps); i++ {
+		if i%6 == 0 {
+			g.OnInput()
+		}
+		g.Render(pix)
+		var err error
+		if bs, err = enc.EncodeAppend(bs[:0], pix); err != nil {
+			t.Fatal(err)
+		}
+		if !codec.IsKeyframe(bs) {
+			total += 5 + frameHeaderLen + len(bs) // type+length prefix, frame header, bitstream
+			n++
+		}
+	}
+	return float64(total) / float64(n) * fps
+}
 
 func tcpPair(t *testing.T) (server net.Conn, client net.Conn) {
 	t.Helper()
@@ -92,13 +124,16 @@ func TestRealStackCongestionCollapse(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-time congestion test")
 	}
+	const w, h, targetFPS = 96, 54, 30
+	// The path carries three times the stream at its 30 FPS target: ODR
+	// fills a third of it, unregulated encoding (hundreds of frames a second
+	// at this size on any host) oversubscribes it several times over.
+	bandwidth := 3 * streamBytesPerSecond(t, w, h, targetFPS)
 	run := func(policy PolicyKind) (mtp float64, drops int64) {
 		sc, cc := tcpPair(t)
-		// ~2 MB/s path; 64x36 frames quantized hard still exceed it under
-		// unregulated encoding.
-		shaped := Throttle(sc, ThrottleConfig{Bandwidth: 2 << 20, Delay: 10 * time.Millisecond})
+		shaped := Throttle(sc, ThrottleConfig{Bandwidth: bandwidth, Delay: 10 * time.Millisecond})
 		srv := NewServer(shaped, ServerConfig{
-			Width: 96, Height: 54, Policy: policy, TargetFPS: 30,
+			Width: w, Height: h, Policy: policy, TargetFPS: targetFPS,
 			QueueFrames: 64,
 		})
 		cli := NewClient(cc)
@@ -132,7 +167,7 @@ func TestRealStackCongestionCollapse(t *testing.T) {
 	}
 	noregMtP, noregDrops := run(NoRegulation)
 	odrMtP, _ := run(ODRRegulation)
-	t.Logf("real congestion: NoReg MtP %.0fms (drops %d) vs ODR MtP %.0fms", noregMtP, noregDrops, odrMtP)
+	t.Logf("real congestion on a %.0f KB/s path: NoReg MtP %.0fms (drops %d) vs ODR MtP %.0fms", bandwidth/1e3, noregMtP, noregDrops, odrMtP)
 	if noregMtP < odrMtP*2 {
 		t.Fatalf("NoReg MtP %.0fms not well above ODR %.0fms on the saturated path", noregMtP, odrMtP)
 	}
@@ -145,6 +180,7 @@ func TestAdaptiveQualityCoarsensUnderPressure(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-time adaptation test")
 	}
+	const w, h, targetFPS = 96, 54, 60
 	run := func(bandwidth float64) uint {
 		sc, cc := tcpPair(t)
 		conn := net.Conn(sc)
@@ -152,7 +188,7 @@ func TestAdaptiveQualityCoarsensUnderPressure(t *testing.T) {
 			conn = Throttle(sc, ThrottleConfig{Bandwidth: bandwidth})
 		}
 		srv := NewServer(conn, ServerConfig{
-			Width: 96, Height: 54, Policy: ODRRegulation, TargetFPS: 60,
+			Width: w, Height: h, Policy: ODRRegulation, TargetFPS: targetFPS,
 			AdaptiveQuality: true,
 		})
 		cli := NewClient(cc)
@@ -167,7 +203,8 @@ func TestAdaptiveQualityCoarsensUnderPressure(t *testing.T) {
 		return q
 	}
 	clear := run(0)
-	squeezed := run(256 << 10) // 256 KB/s: far below the stream's needs
+	// A quarter of what the lossless stream needs at its target rate.
+	squeezed := run(streamBytesPerSecond(t, w, h, targetFPS) / 4)
 	t.Logf("quant shift: clear path %d, squeezed path %d", clear, squeezed)
 	if clear != 0 {
 		t.Fatalf("clear path coarsened to shift %d", clear)

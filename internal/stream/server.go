@@ -172,11 +172,13 @@ type Server struct {
 	quantShift    int64
 
 	// carried holds input stamps whose frames were dropped before being
-	// sent; they attach to the next rendered frame so motion-to-photon
-	// accounting survives latest-wins drops (same mechanism as the
-	// simulator's pipeline).
+	// sent; they attach to the next frame that can answer them — one
+	// rendered after the dropped frame — so motion-to-photon accounting
+	// survives latest-wins and queue-full drops (same mechanism as the
+	// simulator's pipeline). Taken by the render loop for every new frame,
+	// and by the push policies' encode loop for the next frame it admits.
 	carriedMu sync.Mutex
-	carried   []frame.InputStamp
+	carried   []carriedStamp
 
 	// pool recycles raw frame buffers between render and encode.
 	pool sync.Pool
@@ -190,6 +192,14 @@ type Server struct {
 	tr    *obs.Tracer
 	ins   obs.FrameInstruments
 	probe *sessionProbe
+}
+
+// carriedStamp is an input stamp waiting for a frame to ride on, with the
+// seq of the dropped frame it came from: only a later frame shows the
+// game's response to it.
+type carriedStamp struct {
+	from uint64
+	frame.InputStamp
 }
 
 // NewServer prepares a server for conn; call Run to start streaming.
@@ -412,11 +422,11 @@ func (s *Server) appLoop() {
 		for range stamps {
 			s.game.OnInput()
 		}
-		stamps = append(s.takeCarried(), stamps...)
+		seq++
+		stamps = append(s.takeCarried(seq), stamps...)
 		pix := s.pool.Get().([]byte)
 		start := s.dom.Now()
 		s.game.Render(pix)
-		seq++
 		f := &frame.Frame{Seq: seq, Pixels: pix, RenderStart: start, RenderEnd: s.dom.Now()}
 		core.Tag(f, stamps)
 		s.tr.Span(obs.TrackRender, "render", f.Seq, f.RenderStart, f.RenderEnd)
@@ -437,7 +447,7 @@ func (s *Server) appLoop() {
 		// Priority frames and the push policies' latest-wins slot both use
 		// PutPriority: replace anything not yet being encoded.
 		for _, d := range s.buf1.PutPriority(f) {
-			s.addCarried(d.Inputs)
+			s.addCarried(d)
 			s.recycle(d)
 			atomic.AddInt64(&s.stats.Dropped, 1)
 		}
@@ -451,7 +461,7 @@ func (s *Server) renderFinalFrame(seq uint64) {
 	for range stamps {
 		s.game.OnInput()
 	}
-	stamps = append(s.takeCarried(), stamps...)
+	stamps = append(s.takeCarried(seq), stamps...)
 	pix := s.pool.Get().([]byte)
 	start := s.dom.Now()
 	s.game.Render(pix)
@@ -462,29 +472,73 @@ func (s *Server) renderFinalFrame(seq uint64) {
 	s.probe.onRender(f.RenderEnd - f.RenderStart)
 	atomic.AddInt64(&s.stats.Rendered, 1)
 	for _, d := range s.buf1.PutPriority(f) {
-		s.addCarried(d.Inputs)
+		s.addCarried(d)
 		s.recycle(d)
 		atomic.AddInt64(&s.stats.Dropped, 1)
 	}
 }
 
-// addCarried stores the input stamps of a dropped frame.
-func (s *Server) addCarried(stamps []frame.InputStamp) {
-	if len(stamps) == 0 {
+// addCarried stores the input stamps of dropped frame d.
+func (s *Server) addCarried(d *frame.Frame) {
+	if len(d.Inputs) == 0 {
 		return
 	}
 	s.carriedMu.Lock()
-	s.carried = append(s.carried, stamps...)
+	for _, st := range d.Inputs {
+		s.carried = append(s.carried, carriedStamp{from: d.Seq, InputStamp: st})
+	}
 	s.carriedMu.Unlock()
 }
 
-// takeCarried drains the carried stamps.
-func (s *Server) takeCarried() []frame.InputStamp {
+// takeCarried drains the stamps carried from frames older than seq — the
+// ones a frame numbered seq was rendered late enough to answer.
+func (s *Server) takeCarried(seq uint64) []frame.InputStamp {
 	s.carriedMu.Lock()
-	out := s.carried
-	s.carried = nil
-	s.carriedMu.Unlock()
+	defer s.carriedMu.Unlock()
+	var out []frame.InputStamp
+	keep := s.carried[:0]
+	for _, c := range s.carried {
+		if c.from < seq {
+			out = append(out, c.InputStamp)
+		} else {
+			keep = append(keep, c)
+		}
+	}
+	s.carried = keep
 	return out
+}
+
+// admitPush is the push policies' (NoReg, Interval) queue-full drop, taken
+// before any encoding work: the encoder is the send queue's only producer,
+// so room now is room when the encoded frame arrives, and every frame that
+// is encoded is sent. Dropping after the encode instead would break the
+// delta chain — the client skips every frame until a keyframe round trip
+// completes, and the input stamps riding on the skipped frames are never
+// sampled (on a fast host that was all of them). A refused frame's stamps
+// wait for the next admitted one.
+func (s *Server) admitPush(f *frame.Frame) bool {
+	if len(s.sendq) < cap(s.sendq) {
+		return true
+	}
+	s.addCarried(f)
+	s.recycle(f)
+	atomic.AddInt64(&s.stats.Dropped, 1) // tail-drop: queue full
+	s.tr.Instant(obs.TrackNetwork, "tail-drop", f.Seq, s.dom.Now())
+	s.ins.Dropped.Inc()
+	return false
+}
+
+// claimCarried moves the stamps carried from frames older than f onto f,
+// ahead of f's own (they were issued earlier): the oldest one becomes the
+// frame's motion-to-photon reference.
+func (s *Server) claimCarried(f *frame.Frame) {
+	stamps := s.takeCarried(f.Seq)
+	if len(stamps) == 0 {
+		return
+	}
+	stamps = append(stamps, f.Inputs...)
+	f.Inputs = nil
+	core.Tag(f, stamps)
 }
 
 // recycle returns a frame's raw buffer to the pool.
@@ -551,14 +605,73 @@ func (s *Server) CurrentQuantShift() uint {
 	return uint(atomic.LoadInt64(&s.quantShift))
 }
 
+// encodeState is the encode loop's private state across frames.
+type encodeState struct {
+	scratch     []byte // the proxy's framebuffer copy
+	lastCheck   time.Time
+	blockedAt   int64
+	lastEncoded uint64 // parent-chain tag: seq of the last encoded frame
+}
+
+// encodeOne runs the proxy's steps for one frame — framebuffer copy, encode,
+// frame header — and leaves header+bitstream in f.Pixels for the sender.
+func (s *Server) encodeOne(f *frame.Frame, st *encodeState) error {
+	start := s.dom.Now()
+	if s.cfg.AdaptiveQuality {
+		s.adaptQuality(&st.lastCheck, &st.blockedAt)
+	}
+	if s.wantKey.Swap(false) {
+		s.enc.ForceKeyframe()
+	}
+	// Step 4: the framebuffer copy is a real copy.
+	copy(st.scratch, f.Pixels)
+	s.recycle(f)
+	f.CopyEnd = s.dom.Now()
+	// Step 5: encode straight after a recycled frame-header prefix, so
+	// the sender can write header+bitstream without assembling a new
+	// payload per frame.
+	payload, err := s.enc.EncodeAppend(s.getPayload(), st.scratch)
+	if err != nil {
+		return fmt.Errorf("stream: encode: %w", err)
+	}
+	bs := payload[frameHeaderLen:]
+	var parent uint64
+	if !codec.IsKeyframe(bs) {
+		parent = st.lastEncoded
+	}
+	st.lastEncoded = f.Seq
+	putFrameHeader(payload, frameMeta{
+		seq:         f.Seq,
+		parentSeq:   parent,
+		inputID:     uint64(f.Input),
+		inputNanos:  int64(f.InputTime),
+		renderNanos: int64(f.RenderEnd),
+	}, bs)
+	f.EncodeStart = f.CopyEnd
+	f.EncodeEnd = s.dom.Now()
+	f.Bytes = len(payload) - frameHeaderLen
+	f.Pixels = payload // carries header+bitstream to the sender
+	atomic.AddInt64(&s.stats.Encoded, 1)
+	s.tr.Span(obs.TrackProxy, "copy", f.Seq, start, f.CopyEnd)
+	s.tr.Span(obs.TrackProxy, "encode", f.Seq, f.EncodeStart, f.EncodeEnd)
+	s.ins.Encoded.Inc()
+	s.ins.Copy.ObserveDuration(f.CopyEnd - start)
+	s.ins.Encode.ObserveDuration(f.EncodeEnd - f.EncodeStart)
+	s.probe.onEncode(f.EncodeEnd - start)
+	if tiles, dirty := s.enc.TileStats(); tiles > 0 {
+		s.ins.TilesCoded.Add(int64(tiles))
+		s.ins.TilesDirty.Add(int64(dirty))
+		s.ins.DirtyRatio.Set(float64(dirty) / float64(tiles))
+		s.probe.onTiles(tiles, dirty)
+	}
+	return nil
+}
+
 // encodeLoop is the server proxy: copy + encode + (for ODR) pace.
 func (s *Server) encodeLoop(errCh chan<- error) {
 	defer s.wg.Done()
 	w := realrt.NewWaiter(s.dom)
-	scratch := make([]byte, s.game.FrameBytes())
-	lastCheck := time.Now()
-	var blockedAt int64
-	var lastEncoded uint64 // parent-chain tag: seq of the last encoded frame
+	st := &encodeState{scratch: make([]byte, s.game.FrameBytes()), lastCheck: time.Now()}
 	for {
 		f := s.buf1.Acquire(w)
 		if f == nil {
@@ -572,60 +685,23 @@ func (s *Server) encodeLoop(errCh chan<- error) {
 			}
 			return
 		}
+		if s.cfg.Policy != ODRRegulation {
+			if !s.admitPush(f) {
+				s.buf1.Release()
+				continue
+			}
+			s.claimCarried(f)
+		}
 		start := s.dom.Now()
-		if s.cfg.AdaptiveQuality {
-			s.adaptQuality(&lastCheck, &blockedAt)
-		}
-		if s.wantKey.Swap(false) {
-			s.enc.ForceKeyframe()
-		}
-		// Step 4: the framebuffer copy is a real copy.
-		copy(scratch, f.Pixels)
-		s.recycle(f)
-		f.CopyEnd = s.dom.Now()
-		// Step 5: encode straight after a recycled frame-header prefix, so
-		// the sender can write header+bitstream without assembling a new
-		// payload per frame.
-		payload, err := s.enc.EncodeAppend(s.getPayload(), scratch)
-		if err != nil {
-			errCh <- fmt.Errorf("stream: encode: %w", err)
+		if err := s.encodeOne(f, st); err != nil {
+			errCh <- err
 			return
-		}
-		bs := payload[frameHeaderLen:]
-		var parent uint64
-		if !codec.IsKeyframe(bs) {
-			parent = lastEncoded
-		}
-		lastEncoded = f.Seq
-		putFrameHeader(payload, frameMeta{
-			seq:         f.Seq,
-			parentSeq:   parent,
-			inputID:     uint64(f.Input),
-			inputNanos:  int64(f.InputTime),
-			renderNanos: int64(f.RenderEnd),
-		}, bs)
-		f.EncodeStart = f.CopyEnd
-		f.EncodeEnd = s.dom.Now()
-		f.Bytes = len(payload) - frameHeaderLen
-		f.Pixels = payload // carries header+bitstream to the sender
-		atomic.AddInt64(&s.stats.Encoded, 1)
-		s.tr.Span(obs.TrackProxy, "copy", f.Seq, start, f.CopyEnd)
-		s.tr.Span(obs.TrackProxy, "encode", f.Seq, f.EncodeStart, f.EncodeEnd)
-		s.ins.Encoded.Inc()
-		s.ins.Copy.ObserveDuration(f.CopyEnd - start)
-		s.ins.Encode.ObserveDuration(f.EncodeEnd - f.EncodeStart)
-		s.probe.onEncode(f.EncodeEnd - start)
-		if tiles, dirty := s.enc.TileStats(); tiles > 0 {
-			s.ins.TilesCoded.Add(int64(tiles))
-			s.ins.TilesDirty.Add(int64(dirty))
-			s.ins.DirtyRatio.Set(float64(dirty) / float64(tiles))
-			s.probe.onTiles(tiles, dirty)
 		}
 
 		if s.cfg.Policy == ODRRegulation {
 			if f.Priority {
 				for _, d := range s.buf2.PutPriority(f) {
-					s.addCarried(d.Inputs)
+					s.addCarried(d)
 					s.putPayload(d)
 					atomic.AddInt64(&s.stats.Dropped, 1)
 				}
@@ -643,15 +719,7 @@ func (s *Server) encodeLoop(errCh chan<- error) {
 			continue
 		}
 		s.buf1.Release()
-		select {
-		case s.sendq <- f:
-		default:
-			s.addCarried(f.Inputs)
-			s.putPayload(f)
-			atomic.AddInt64(&s.stats.Dropped, 1) // tail-drop: queue full
-			s.tr.Instant(obs.TrackNetwork, "tail-drop", f.Seq, s.dom.Now())
-			s.ins.Dropped.Inc()
-		}
+		s.sendq <- f // admitPush saw the room, and only this loop fills it
 	}
 }
 
