@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-codec bench-codec-check bench-hub bench-hub-check bench-go report artifacts fidelity examples trace soak soak-hub soak-cluster fuzz metrics-check clean
+.PHONY: all build test race bench bench-smoke bench-codec bench-codec-check bench-hub bench-hub-check bench-go report artifacts fidelity examples trace soak soak-hub soak-cluster fuzz metrics-check clean
 
 all: build test
 
@@ -59,6 +59,19 @@ metrics-check:
 	$(GO) run ./cmd/odrserver -metrics-lint
 	$(GO) run ./cmd/odrmaster -metrics-lint
 	$(GO) test -run 'TestRegisterLiveMetricsIsLintClean|TestLint|TestClusterMetricsLintClean' ./internal/stream ./internal/obs ./internal/cluster
+
+# Frame-path benchmark smoke: bench/ is a nested module that `go test ./...`
+# at the root never reaches, so this is what tells a hub change that it broke
+# the driver protocol, one of the benchmark's correctness checks or the
+# energy-flush alignment before the pipeline's own run does. The module's
+# tests, then every workload once with ~1 s windows (numbers non-comparable;
+# exits non-zero on a failed check or a tripped validity flag). A one-second
+# window holds ten inputs, so a single late generator write on a busy host
+# trips gen.input_late_p95_ms; that is weather, a real breakage fails every
+# time, hence up to three attempts.
+bench-smoke:
+	cd bench && $(GO) test ./...
+	for try in 1 2 3; do bash bench/run.sh -quick && exit 0; done; exit 1
 
 # Scheduler / cache / codec performance evidence -> BENCH_sched.json
 # (cells/sec sequential vs parallel, warm-cache speedup, allocs/op).

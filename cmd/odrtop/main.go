@@ -116,6 +116,15 @@ func render(s, prev *scrape.Scrape, dt time.Duration, src string) string {
 	}
 	b.WriteString("\n\n")
 
+	// Hub line: why the shared renderer runs at the rate it does.
+	if target, ok := s.Value("odr_hub_render_target_fps"); ok {
+		if target == 0 {
+			b.WriteString("hub: parked — no viewer attached, nothing rendered\n\n")
+		} else {
+			fmt.Fprintf(&b, "hub: render clock at %.4g fps (the fastest attached viewer's rate; input frames come on top)\n\n", target)
+		}
+	}
+
 	names := make([]string, 0, len(s.Families))
 	for i := range s.Families {
 		names = append(names, s.Families[i].Name)

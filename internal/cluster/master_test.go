@@ -3,6 +3,8 @@ package cluster
 import (
 	"bytes"
 	"encoding/json"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -262,5 +264,48 @@ func TestLoadFromScrape(t *testing.T) {
 	}
 	if got := LoadFromScrape(nil); got != (LoadReport{}) {
 		t.Errorf("LoadFromScrape(nil) = %+v, want zeros", got)
+	}
+}
+
+// TestLoadFromScrapeParkedHub: a worker whose hub has served and then lost
+// its last viewer scrapes as idle — no sessions and, the point of the hub
+// parking, no watts for placement to mistake for load.
+func TestLoadFromScrapeParkedHub(t *testing.T) {
+	testutil.VerifyNoLeaks(t)
+	reg := obs.NewRegistry()
+	hub := stream.NewHub(stream.HubConfig{Width: 32, Height: 18, Metrics: reg})
+	go hub.Run()
+	defer hub.Stop()
+	load := func() LoadReport {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := obs.WritePrometheusWith(&buf, reg, false); err != nil {
+			t.Fatal(err)
+		}
+		sc, err := scrape.ParseBytes(buf.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return LoadFromScrape(sc)
+	}
+	poll := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(5 * time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+		}
+	}
+
+	sc, cc := net.Pipe()
+	hub.Attach(sc, 0, nil)
+	go io.Copy(io.Discard, cc)
+	// Power is published from the second half-second flush on.
+	poll("a busy hub to report watts", func() bool { l := load(); return l.Sessions == 1 && l.Watts > 0 })
+	cc.Close()
+	target := reg.Gauge(stream.NameHubRenderTargetFPS)
+	poll("the hub to park", func() bool { return hub.Clients() == 0 && target.Value() == 0 })
+	if l := load(); l.Sessions != 0 || l.Watts != 0 {
+		t.Fatalf("parked hub scrapes as %+v, want no sessions and 0 W", l)
 	}
 }

@@ -346,6 +346,55 @@ func TestInputBoxZeroDelay(t *testing.T) {
 	}
 }
 
+func TestInputBoxInterruptCutsDelayWithoutAnInput(t *testing.T) {
+	env, dom := newSim()
+	box := core.NewInputBox(dom)
+	var cut [3]bool
+	var at [3]time.Duration
+	env.Spawn("renderer", func(p *sim.Proc) {
+		w := simrt.NewWaiter(p)
+		cut[0] = box.DelayInterruptible(w, 100*ms) // interrupted at 30 ms
+		at[0] = p.Now()
+		p.Sleep(20 * ms) // busy until 50 ms; an interrupt lands at 40 ms
+		cut[1] = box.DelayInterruptible(w, 100*ms)
+		at[1] = p.Now()
+		cut[2] = box.DelayInterruptible(w, 100*ms) // nothing left to cut it short
+		at[2] = p.Now()
+	})
+	env.After(30*ms, box.Interrupt)
+	env.After(40*ms, box.Interrupt)
+	env.RunAll()
+	env.Shutdown()
+	if cut != [3]bool{} {
+		t.Fatalf("DelayInterruptible reported an input %v, want none: an interrupt is not an input", cut)
+	}
+	if want := [3]time.Duration{30 * ms, 50 * ms, 150 * ms}; at != want {
+		t.Fatalf("delays ended at %v, want %v (woken; consumed while busy; full delay)", at, want)
+	}
+	if box.HasPending() || box.Total() != 0 {
+		t.Fatalf("interrupts left pending=%v total=%d, want nothing recorded", box.HasPending(), box.Total())
+	}
+}
+
+func TestInputBoxParkWakesOnInterrupt(t *testing.T) {
+	env, dom := newSim()
+	box := core.NewInputBox(dom)
+	idle := true
+	var woke time.Duration
+	env.Spawn("renderer", func(p *sim.Proc) {
+		box.Park(simrt.NewWaiter(p), func() bool { return idle })
+		woke = p.Now()
+	})
+	env.After(10*ms, box.Interrupt) // idle still holds: keep parking
+	env.After(20*ms, func() { box.OnInput(1, 20*ms) })
+	env.After(30*ms, func() { idle = false; box.Interrupt() })
+	env.RunAll()
+	env.Shutdown()
+	if woke != 30*ms {
+		t.Fatalf("Park returned at %v, want 30ms (when idle stopped holding)", woke)
+	}
+}
+
 func TestOdrEncodeLoopEndToEndSim(t *testing.T) {
 	// Wire renderer -> MulBuf1 -> encoder(Pacer) -> MulBuf2 -> sender in
 	// the simulator and check the encoder hits a 60FPS target while the

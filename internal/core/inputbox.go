@@ -25,6 +25,10 @@ type InputBox struct {
 	pending []InputStamp
 	total   int64
 
+	// interrupted is set by Interrupt and consumed by the wait it cuts short
+	// (the current one, or the renderer's next if it was not waiting).
+	interrupted bool
+
 	// subscribers are additional conds broadcast on every input, letting
 	// components in the same domain (e.g. a MultiBuffer the renderer is
 	// blocked on) wake their waiters when an input arrives.
@@ -49,6 +53,19 @@ func (b *InputBox) OnInput(id frame.InputID, issued time.Duration) {
 	for _, c := range b.subscribers {
 		c.Broadcast()
 	}
+}
+
+// Interrupt wakes the renderer out of DelayInterruptible or Park without
+// recording an input: nothing joins the pending list, so no frame is tagged
+// for it. The current wait — or, when the renderer is busy, its next
+// DelayInterruptible — returns at once, and the renderer re-reads whatever
+// state the interrupter changed before calling (a stop flag, a new target).
+func (b *InputBox) Interrupt() {
+	mu := b.dom.Locker()
+	mu.Lock()
+	defer mu.Unlock()
+	b.interrupted = true
+	b.arrived.Broadcast()
 }
 
 // Subscribe registers an additional cond (from the same domain) to be
@@ -93,37 +110,43 @@ func (b *InputBox) Total() int64 {
 }
 
 // DelayInterruptible delays the renderer for d, returning early if an input
-// arrives (or is already pending). It reports whether it was cut short by an
-// input. A non-positive d returns immediately with the pending status.
+// arrives (or is already pending) or Interrupt is called. It reports whether
+// it was cut short by an input. A non-positive d returns immediately with the
+// pending status.
 func (b *InputBox) DelayInterruptible(w Waiter, d time.Duration) bool {
 	mu := b.dom.Locker()
 	mu.Lock()
-	if len(b.pending) > 0 {
-		mu.Unlock()
-		return true
-	}
-	if d <= 0 {
-		mu.Unlock()
-		return false
-	}
+	defer mu.Unlock()
 	deadline := b.dom.Now() + d
 	for {
-		remaining := deadline - b.dom.Now()
-		if remaining <= 0 {
-			mu.Unlock()
-			return false
-		}
-		signaled := w.WaitTimeout(b.arrived, remaining)
-		if signaled && len(b.pending) > 0 {
-			mu.Unlock()
+		if len(b.pending) > 0 {
 			return true
 		}
-		if !signaled {
-			mu.Unlock()
+		if b.interrupted {
+			b.interrupted = false
 			return false
 		}
-		// Spurious wake (input consumed by a racing check): loop.
+		remaining := deadline - b.dom.Now()
+		if remaining <= 0 || !w.WaitTimeout(b.arrived, remaining) {
+			return false
+		}
+		// Woken: an input, an interrupt, or an input a racing consumer
+		// already took — the checks above tell which.
 	}
+}
+
+// Park blocks the renderer while idle reports true. idle is evaluated with
+// the domain lock held, and Interrupt broadcasts under that same lock, so a
+// waker that changes what idle reads and then calls Interrupt is never
+// missed, however the two interleave.
+func (b *InputBox) Park(w Waiter, idle func() bool) {
+	mu := b.dom.Locker()
+	mu.Lock()
+	defer mu.Unlock()
+	for idle() {
+		w.Wait(b.arrived)
+	}
+	b.interrupted = false
 }
 
 // Tag stamps f with the given combined inputs: the oldest input defines the

@@ -18,7 +18,8 @@ import "time"
 // FPS": ODRMax relies purely on multi-buffer backpressure).
 //
 // Pacer is not internally locked: in the simulator it runs single-threaded;
-// in the stream stack it is owned by the single encoder goroutine.
+// in the stream stack each pacer is owned by one goroutine (the server's
+// encoder, the hub's renderer through RenderClock, a session's sender).
 type Pacer struct {
 	interval  time.Duration
 	accDelay  time.Duration
@@ -94,9 +95,11 @@ func (p *Pacer) PaceAfterObserved(start, end time.Duration) time.Duration {
 	return d
 }
 
-// SkipFrame consumes one interval from the budget without any processing
-// having happened, used when a priority frame bypasses pacing so that the
-// regulator does not later "catch up" for it.
+// SkipFrame counts a frame that bypassed pacing (a priority frame) and leaves
+// the budget alone: the frame is an extra one outside the target, so the
+// regulator neither delays nor catches up for it. The simulator's policies
+// and stream.Server call it; the hub does not — RenderClock keeps its extra
+// frames away from the pacer altogether.
 func (p *Pacer) SkipFrame() {
 	if p.interval == 0 {
 		return

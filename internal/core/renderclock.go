@@ -1,0 +1,115 @@
+package core
+
+import (
+	"math"
+	"sync/atomic"
+	"time"
+)
+
+// RenderClock decides when a shared renderer starts its next frame. It joins
+// the Pacer (Algorithm 1) and the InputBox (PriorityFrame) under three rules:
+//
+//   - Priority frames keep the cadence. Regular frames own absolute slots:
+//     the pacer is charged from the slot's due time, not from the moment the
+//     renderer got going, so a late wake-up shortens the next delay instead of
+//     stretching the period (and a wake-up later than a whole interval skips
+//     the slots it missed rather than replaying them). A frame that starts
+//     before its slot because an input cut the delay is an extra frame outside
+//     the pacer's budget; the slot stays where it was and the rest of the
+//     delay is served — still interruptibly — after it. Rendered rate =
+//     target + extra frames.
+//   - No viewer, no work. With no demand the renderer parks until SetDemand or
+//     Stop wakes it.
+//   - The fastest viewer sets the rate. The target is whatever SetDemand last
+//     published; the renderer adopts it at its next Begin.
+//
+// Begin and End belong to the rendering thread of execution, which alone
+// touches the Pacer; SetDemand and Stop may be called from anywhere.
+type RenderClock struct {
+	dom  Domain
+	box  *InputBox
+	pace *Pacer
+
+	demand  atomic.Uint64 // math.Float64bits of the wanted FPS; 0 = park
+	stopped atomic.Bool
+
+	// Renderer-owned.
+	target float64       // what the pacer is set to; 0 while parked
+	due    time.Duration // the current slot
+	extra  bool          // the frame in progress started before its slot
+
+	// OnTarget, when non-nil, observes every target the renderer adopts (0 =
+	// about to park). It runs on the rendering thread and must not block.
+	OnTarget func(fps float64)
+}
+
+// NewRenderClock returns a parked clock; pace must be the renderer's own.
+func NewRenderClock(dom Domain, box *InputBox, pace *Pacer) *RenderClock {
+	return &RenderClock{dom: dom, box: box, pace: pace}
+}
+
+// SetDemand publishes the frame rate the audience can consume (0 = nobody is
+// watching) and wakes the renderer if that changed it.
+func (c *RenderClock) SetDemand(fps float64) {
+	if c.demand.Swap(math.Float64bits(fps)) != math.Float64bits(fps) {
+		c.box.Interrupt()
+	}
+}
+
+// Stop makes the current and every later Begin report false.
+func (c *RenderClock) Stop() {
+	c.stopped.Store(true)
+	c.box.Interrupt()
+}
+
+// Begin blocks until the next frame should start and reports false once the
+// clock is stopped. The frame is the slot's own when it starts at or after
+// the slot's due time — even if it carries an input — and an extra frame when
+// a pending input started it early.
+func (c *RenderClock) Begin(w Waiter) bool {
+	for !c.stopped.Load() {
+		fps := math.Float64frombits(c.demand.Load())
+		if fps != c.target {
+			// A new audience starts a new cadence: first slot now.
+			c.target = fps
+			c.pace.SetTargetFPS(fps)
+			c.due = c.dom.Now()
+			if c.OnTarget != nil {
+				c.OnTarget(fps)
+			}
+		}
+		if fps == 0 {
+			c.box.Park(w, func() bool { return c.demand.Load() == 0 && !c.stopped.Load() })
+			continue
+		}
+		late := c.dom.Now() - c.due
+		if late < 0 {
+			if c.box.DelayInterruptible(w, -late) && c.dom.Now() < c.due {
+				c.extra = true
+				return true
+			}
+			// The slot came due (perhaps with an input landing on it), or an
+			// interrupt asked for a second look.
+			continue
+		}
+		// Slots that came and went while the renderer could not run are gone —
+		// replayed back to back they would only displace each other
+		// downstream. The frame is the newest due slot's, late by less than an
+		// interval, and that lateness is what End charges.
+		c.due += late / c.pace.Interval() * c.pace.Interval()
+		c.extra = false
+		return true
+	}
+	return false
+}
+
+// End closes the frame Begin opened. A slot's frame is charged to the pacer
+// from the slot's due time to now, and the delay the pacer grants places the
+// next slot; an extra frame leaves both alone.
+func (c *RenderClock) End() {
+	if c.extra {
+		return
+	}
+	now := c.dom.Now()
+	c.due = now + c.pace.PaceAfterObserved(c.due, now)
+}

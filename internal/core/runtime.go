@@ -1,5 +1,6 @@
 // Package core implements the paper's contribution — OnDemand Rendering
-// (ODR) — as three reusable components:
+// (ODR) — as three reusable components, plus the RenderClock that joins the
+// last two into the render loop of a renderer shared by many viewers:
 //
 //   - MultiBuffer: the front/back frame buffers that synchronize adjacent
 //     pipeline stages by swap-blocking (§5.1, Mul-Buf1 and Mul-Buf2).
@@ -8,7 +9,7 @@
 //   - InputBox: input observation, pending-input combining and the
 //     interruptible render delay behind PriorityFrame (§5.3).
 //
-// All three are written against the small Domain/Waiter runtime abstraction
+// All of them are written against the small Domain/Waiter runtime abstraction
 // below, so the identical code runs inside the deterministic discrete-event
 // simulator (package pipeline, via package simrt) and inside the real-time
 // streaming stack (package stream, via package realrt). This mirrors the

@@ -270,6 +270,7 @@ func (s *hubSession) runSends(e *hubEngine, wk int) (frames int64, dead, evict b
 	for {
 		f := s.buf.TryAcquire()
 		if f == nil {
+			s.paceDue = 0 // nothing was waiting on the deadline: the next send starts its own period
 			if s.buf.Closed() {
 				// Drained after a close: a hub Drain flush ends with an
 				// orderly bye, exactly like the old send loop.
@@ -310,9 +311,9 @@ func (s *hubSession) runSends(e *hubEngine, wk int) (frames int64, dead, evict b
 }
 
 // teardown detaches the session exactly once: close the transport, cancel
-// any pacing timer, remove it from its lane shard and reader, release queued
-// artifacts, retire its metric series, fold its counters into the hub totals,
-// and fire the detach callback. Callable from any goroutine (sender worker,
+// any pacing timer, remove it from its lane shard, the render clock's demand
+// and its reader, release queued artifacts, retire its metric series, fold its
+// counters into the hub totals, and fire the detach callback. Callable from any goroutine (sender worker,
 // reader, lane failure, Stop); callbacks must not block — they run inline.
 func (s *hubSession) teardown(evict bool) {
 	s.detachOnce.Do(func() {
@@ -331,6 +332,8 @@ func (s *hubSession) teardown(evict bool) {
 		delete(sh.m, s.id)
 		sh.rebuildLocked()
 		sh.mu.Unlock()
+		s.lane.sessions.Add(-1)
+		h.demandChange(s.rate, -1)
 		e.readerFor(s.id).deregister(s)
 		// Release artifacts still queued in the (now closed) buffer so their
 		// bitstream buffers recycle. sendMu excludes a concurrent send pass.

@@ -17,9 +17,11 @@ import (
 )
 
 // Hub streams one game to many clients — the "render once, view many" shape
-// of spectating and co-streaming. The shared game renders on demand under a
-// single ODR pacer (inputs from any client cancel its delay, PriorityFrame
-// style); each frame is then encoded once per resolution lane and the
+// of spectating and co-streaming. The shared game renders on demand under one
+// core.RenderClock: at the rate the fastest attached viewer can consume (never
+// above the hub target), not at all while nobody is attached, and with one
+// extra frame per input (PriorityFrame style) that leaves the regular cadence
+// where it was; each frame is then encoded once per resolution lane and the
 // resulting artifact fans out to every viewer on the lane. Every client
 // keeps its own Mul-Buf latest-wins slot and its own pacer, so a slow or
 // slower-paced client never stalls the game or its peers — its obsolete
@@ -34,7 +36,14 @@ type Hub struct {
 	epoch time.Time // shared epoch; lane and session domains align to it
 	game  *Game
 	box   *core.InputBox
-	pace  *core.Pacer
+	clock *core.RenderClock
+
+	// rates counts attached sessions by the frame rate they can consume
+	// (ClientFPS capped at the hub target); its largest key is the render
+	// clock's demand. demandMu also orders the SetDemand calls, so the last
+	// one published matches the final membership.
+	demandMu sync.Mutex
+	rates    map[float64]int
 
 	// Lanes (one shared encoder per downscale divisor) are created lazily
 	// under laneMu and published copy-on-write; the render loop reads the
@@ -56,6 +65,10 @@ type Hub struct {
 
 	stopOnce sync.Once
 	stopping chan struct{}
+	// runMu orders Run's renderWG.Add against the Wait in Stop and Drain: Run
+	// registers under it unless the hub is already ending, and both enders
+	// stop the clock under it after closing their channel.
+	runMu    sync.Mutex
 	renderWG sync.WaitGroup
 
 	// Drain sequencing: Drain closes draining; the renderer retires, each
@@ -75,6 +88,8 @@ type Hub struct {
 
 	// evictCtr mirrors evicted into the metrics registry (nil-safe).
 	evictCtr *obs.Counter
+	// targetGauge shows the render clock's target (nil-safe; 0 = parked).
+	targetGauge *obs.Gauge
 
 	// tileCache is the content-addressed encoded-tile cache every v2 lane
 	// encoder shares: a tile's payload is a pure function of its content
@@ -169,8 +184,9 @@ type hubSession struct {
 	buf *core.MultiBuffer
 
 	pace      *core.Pacer
-	downscale int // 1 = full resolution; n = 1/n width and height
-	w, h      int // this session's output dimensions
+	rate      float64 // key in Hub.rates
+	downscale int     // 1 = full resolution; n = 1/n width and height
+	w, h      int     // this session's output dimensions
 
 	// Verbatim-chain state (send-loop goroutine only): the shared seq and
 	// encoder index of the last frame this viewer displayed. An artifact
@@ -195,6 +211,7 @@ type hubSession struct {
 	wk       int
 	sched    atomic.Int32
 	timer    timerwheel.Timer
+	paceDue  time.Duration // when the armed pacing delay ends; 0 = none (sender worker only)
 	detached atomic.Bool
 	sendMu   sync.Mutex
 
@@ -245,7 +262,7 @@ func NewHub(cfg HubConfig) *Hub {
 		epoch:    epoch,
 		game:     NewGame(cfg.Width, cfg.Height),
 		box:      core.NewInputBox(dom),
-		pace:     core.NewPacer(cfg.TargetFPS),
+		rates:    make(map[float64]int),
 		stopping: make(chan struct{}),
 		draining: make(chan struct{}),
 		tr:       cfg.Trace,
@@ -262,15 +279,42 @@ func NewHub(cfg HubConfig) *Hub {
 		h.eng.queueGauge = v.senderQueueDepth
 		h.eng.lagGauge = v.timerwheelLag
 		h.eng.coalescedCtr = v.coalescedWrites
+		h.targetGauge = v.renderTarget
 	}
 	h.probe = newSessionProbe(cfg.Metrics, "shared")
 	h.game.ExtraCost = cfg.RenderCost
+	pace := core.NewPacer(0) // the clock sets the target
 	if h.tr != nil {
-		h.pace.OnDelay = func(end, d time.Duration) {
+		pace.OnDelay = func(end, d time.Duration) {
 			h.tr.Span(obs.TrackPacer, "pace", 0, end, end+d)
 		}
 	}
+	h.clock = core.NewRenderClock(dom, h.box, pace)
+	h.clock.OnTarget = func(fps float64) {
+		if fps == 0 {
+			h.probe.flushIdle(h.dom.Now())
+		}
+		h.targetGauge.Set(fps) // last: a scrape that reads 0 here finds the idle flush done
+	}
 	return h
+}
+
+// demandChange adds (n = +1) or removes (n = -1) one session consuming rate
+// frames a second and republishes the render clock's demand: the fastest
+// attached viewer's rate, 0 with nobody attached.
+func (h *Hub) demandChange(rate float64, n int) {
+	h.demandMu.Lock()
+	defer h.demandMu.Unlock()
+	if h.rates[rate] += n; h.rates[rate] == 0 {
+		delete(h.rates, rate)
+	}
+	var fastest float64
+	for r := range h.rates {
+		if r > fastest {
+			fastest = r
+		}
+	}
+	h.clock.SetDemand(fastest)
 }
 
 // deadlineAfter converts a timeout into an absolute conn deadline on the
@@ -325,20 +369,26 @@ func (h *Hub) pixPut(b []byte) {
 	h.pixMu.Unlock()
 }
 
-// Run renders the shared game until Stop; it drives all attached sessions.
+// Run renders the shared game until Stop or Drain; it drives all attached
+// sessions. The render clock says when each frame starts (and parks the loop
+// while nobody is attached).
 func (h *Hub) Run() {
+	h.runMu.Lock()
+	select {
+	case <-h.stopping:
+		h.runMu.Unlock()
+		return
+	case <-h.draining:
+		h.runMu.Unlock()
+		return
+	default:
+	}
 	h.renderWG.Add(1)
+	h.runMu.Unlock()
 	defer h.renderWG.Done()
 	w := realrt.NewWaiter(h.dom)
 	var seq uint64
-	for {
-		select {
-		case <-h.stopping:
-			return
-		case <-h.draining:
-			return
-		default:
-		}
+	for h.clock.Begin(w) {
 		start := h.dom.Now()
 		stamps := h.box.ConsumePending()
 		for range stamps {
@@ -360,39 +410,37 @@ func (h *Hub) Run() {
 			h.ins.Priority.Inc()
 		}
 
-		// Offer the frame to every lane: each encodes it once (latest-wins,
-		// so a lane still busy with an older frame drops it) and fans the
-		// artifact out to its viewers. The pixel buffer recycles once the
-		// last lane retires the frame.
-		var lanes []*encLane
-		if lsP := h.lanes.Load(); lsP != nil {
-			lanes = *lsP
+		// Offer the frame to every lane that has a viewer: each encodes it
+		// once (latest-wins, so a lane still busy with an older frame drops
+		// it) and fans the artifact out. The pixel buffer recycles once the
+		// last lane retires the frame; the renderer holds one reference of
+		// its own until every offer is made.
+		var rc atomic.Int32
+		rc.Store(1)
+		f.Retire = func() {
+			if rc.Add(-1) == 0 {
+				h.pixPut(pix)
+			}
 		}
-		if len(lanes) == 0 {
-			h.pixPut(pix)
-		} else {
-			var rc atomic.Int32
-			rc.Store(int32(len(lanes)))
-			f.Retire = func() {
-				if rc.Add(-1) == 0 {
-					h.pixPut(pix)
+		if lsP := h.lanes.Load(); lsP != nil {
+			for _, ln := range *lsP {
+				if ln.sessions.Load() > 0 {
+					rc.Add(1)
+					ln.offer(f)
 				}
 			}
-			for _, ln := range lanes {
-				ln.offer(f)
-			}
 		}
-
-		// ODR pacing with PriorityFrame: an input arrival cancels the
-		// render delay.
-		if f.Priority {
-			h.pace.SkipFrame()
-			continue
-		}
-		if d := h.pace.PaceAfterObserved(start, h.dom.Now()); d > 0 {
-			h.box.DelayInterruptible(w, d)
-		}
+		f.Retire()
+		h.clock.End()
 	}
+}
+
+// stopClock retires the renderer wherever it is waiting (a delay, a park, or
+// not yet started); renderWG.Wait may follow.
+func (h *Hub) stopClock() {
+	h.runMu.Lock()
+	h.clock.Stop()
+	h.runMu.Unlock()
 }
 
 // allSessions snapshots every attached session across lanes and shards.
@@ -418,8 +466,7 @@ func (h *Hub) allSessions() []*hubSession {
 func (h *Hub) Stop() {
 	h.stopOnce.Do(func() {
 		close(h.stopping)
-		// Wake the renderer if it is inside DelayInterruptible.
-		h.box.OnInput(0, 0)
+		h.stopClock()
 		// Taking laneMu orders this sweep after any in-flight lane creation;
 		// Attach re-checks stopping under the shard lock, so a racing attach
 		// either lands in this sweep or refuses itself.
@@ -456,8 +503,7 @@ func (h *Hub) Stop() {
 // stopped when it returns.
 func (h *Hub) Drain(timeout time.Duration) error {
 	h.drainOnce.Do(func() { close(h.draining) })
-	// Wake the renderer out of a pacing delay so it observes draining.
-	h.box.OnInput(0, 0)
+	h.stopClock()
 	h.renderWG.Wait()
 	// Renderer gone: close lane buffers so each lane flushes its final
 	// queued frame and exits. lane() refuses creation once draining is
@@ -633,6 +679,12 @@ func (h *Hub) AttachWithOptions(conn net.Conn, opts AttachOptions) {
 		return
 	}
 	id := h.allocID()
+	// What this viewer can consume: its own pace, or the hub's when unpaced
+	// (or paced faster than the hub renders).
+	rate := h.cfg.TargetFPS
+	if opts.ClientFPS > 0 && opts.ClientFPS < rate {
+		rate = opts.ClientFPS
+	}
 	s := &hubSession{
 		id:        id,
 		hub:       h,
@@ -640,6 +692,7 @@ func (h *Hub) AttachWithOptions(conn net.Conn, opts AttachOptions) {
 		conn:      conn,
 		dom:       realrt.NewDomainAt(h.epoch),
 		pace:      core.NewPacer(opts.ClientFPS),
+		rate:      rate,
 		downscale: div,
 		w:         ln.w,
 		h:         ln.h,
@@ -679,6 +732,11 @@ func (h *Hub) AttachWithOptions(conn net.Conn, opts AttachOptions) {
 	}
 	sh.m[id] = s
 	sh.rebuildLocked()
+	// Demand rises while the shard lock still keeps teardown out, so the
+	// matching decrement always comes second; the wake-up finds the session
+	// already published, and the frame it starts reaches this lane.
+	ln.sessions.Add(1)
+	h.demandChange(rate, +1)
 	sh.mu.Unlock()
 	recordSessionStart(h.cfg.Metrics, "Hub", h.cfg.Codec)
 	// No per-session goroutines: the engine's reader pool serves the input
@@ -740,6 +798,14 @@ func (s *hubSession) sendArtifact(scr *senderScratch, f *frame.Frame, art *encAr
 		return false, 0, nil
 	}
 	start := h.dom.Now()
+	// A send its pacing timer released is paced from the deadline, not from
+	// the wheel's late tick: uncharged, that lag stretches every period, and a
+	// viewer paced at the render rate falls a whole frame behind (a drop and
+	// a spliced catch-up) every few dozen frames.
+	paceFrom := start
+	if s.paceDue != 0 {
+		paceFrom, s.paceDue = s.paceDue, 0
+	}
 	wantKey := s.wantKey.Swap(false)
 	verbatim := art.key ||
 		(!wantKey && s.lastSentSeq != 0 && art.parentSeq == s.lastSentSeq)
@@ -883,17 +949,20 @@ func (s *hubSession) sendArtifact(scr *senderScratch, f *frame.Frame, art *encAr
 		}
 	}
 	s.probe.onSend(txEnd, sentBytes, txEnd-txStart, mtpUs)
-	if !f.Priority {
+	if inputID == 0 {
+		// A frame answering this viewer's own input skips its pacer
+		// (PriorityFrame); anybody else's input frame is paced like any other.
 		// Same ODR arithmetic as the old in-loop sleep — the delay now rides
 		// the timer wheel instead of blocking a goroutine. The differential
 		// pacing test pins this call bit-for-bit against a reference pacer.
 		end := h.dom.Now()
-		d := s.pace.PaceAfterObserved(start, end)
+		d := s.pace.PaceAfterObserved(paceFrom, end)
 		if h.paceHook != nil {
-			h.paceHook(s.id, start, end, d)
+			h.paceHook(s.id, paceFrom, end, d)
 		}
 		if d > 0 {
 			delay = d
+			s.paceDue = end + d
 		}
 	}
 	return true, delay, nil

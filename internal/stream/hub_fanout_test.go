@@ -3,6 +3,7 @@ package stream
 import (
 	"crypto/sha256"
 	"errors"
+	"io"
 	"net"
 	"runtime"
 	"sync"
@@ -166,8 +167,14 @@ func TestHubRenderBufferRecycling(t *testing.T) {
 	// per frame. The per-frame frame.Frame bookkeeping is far smaller than
 	// one 32×18 RGBA buffer, so bytes-per-frame under FrameBytes proves the
 	// pixel buffer recycled.
+	// The hub renders only for somebody: a viewer that discards its stream
+	// keeps the loop running.
 	h3 := NewHub(HubConfig{Width: 32, Height: 18, TargetFPS: 2000})
 	go h3.Run()
+	sc, cc := net.Pipe()
+	defer cc.Close()
+	h3.Attach(sc, 0, nil)
+	go io.Copy(io.Discard, cc)
 	for h3.Rendered() < 20 { // warm up the free list
 		time.Sleep(time.Millisecond)
 	}

@@ -70,9 +70,9 @@ func (sh *laneShard) rebuildLocked() {
 }
 
 // encLane is one shared encoder serving every session at one resolution
-// (downscale divisor). The hub's renderer offers each frame to every lane;
-// the lane encodes it exactly once and fans the artifact out to its
-// sessions' latest-wins buffers — encode work is O(frames), not
+// (downscale divisor). The hub's renderer offers each frame to every lane
+// with a viewer; the lane encodes it exactly once and fans the artifact out
+// to its sessions' latest-wins buffers — encode work is O(frames), not
 // O(sessions × frames).
 type encLane struct {
 	hub  *Hub
@@ -108,6 +108,9 @@ type encLane struct {
 	free   [][]byte
 
 	shards [hubShards]laneShard
+	// sessions counts the viewers registered across shards; the renderer
+	// offers frames only to lanes that have one.
+	sessions atomic.Int32
 
 	// Nil-safe labeled counters (label = downscale divisor).
 	sharedEncodes *obs.Counter

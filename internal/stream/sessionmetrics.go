@@ -61,6 +61,11 @@ const (
 	// the wheel, so this is the scheduling error added on top of each
 	// session's computed delay.
 	NameHubTimerwheelLagUs = "odr_hub_timerwheel_lag_us"
+	// NameHubRenderTargetFPS gauges the rate the hub's render clock is pacing
+	// to: the fastest attached viewer's consumable rate, capped at the hub
+	// target, and 0 while the hub is parked with nobody attached. Rendered
+	// frames per second exceed it by exactly the input-triggered extras.
+	NameHubRenderTargetFPS = "odr_hub_render_target_fps"
 	// NameHubCoalescedWrites counts frames flushed in sender passes that
 	// drained two or more sessions back-to-back — writes whose syscall cost
 	// amortized across a batch instead of paying one wakeup each.
@@ -119,6 +124,7 @@ type liveVecs struct {
 	senderQueueDepth *obs.Gauge
 	timerwheelLag    *obs.Gauge
 	coalescedWrites  *obs.Counter
+	renderTarget     *obs.Gauge
 }
 
 // registerLiveVecs idempotently registers every live-session family in reg.
@@ -138,6 +144,8 @@ func registerLiveVecs(reg *obs.Registry) liveVecs {
 		"Lag of the most recent pacing timer-wheel fire past its deadline, microseconds.")
 	reg.SetHelp(NameHubCoalescedWrites,
 		"Frames flushed in sender passes that drained two or more sessions back-to-back.")
+	reg.SetHelp(NameHubRenderTargetFPS,
+		"Rate the hub's render clock paces to: the fastest attached viewer's, capped at the hub target; 0 while parked with no viewer.")
 	return liveVecs{
 		cacheHits:        reg.Counter(NameCodecTileCacheHits),
 		cacheMisses:      reg.Counter(NameCodecTileCacheMisses),
@@ -145,6 +153,7 @@ func registerLiveVecs(reg *obs.Registry) liveVecs {
 		senderQueueDepth: reg.Gauge(NameHubSenderQueueDepth),
 		timerwheelLag:    reg.Gauge(NameHubTimerwheelLagUs),
 		coalescedWrites:  reg.Counter(NameHubCoalescedWrites),
+		renderTarget:     reg.Gauge(NameHubRenderTargetFPS),
 		hubEncodes: reg.CounterVec(NameHubSharedEncodes,
 			"Frames encoded once by a hub lane's shared encoder and fanned out to every viewer on the lane.", "lane"),
 		hubSplicedKeys: reg.CounterVec(NameHubSplicedKeyframes,
@@ -337,6 +346,18 @@ func (p *sessionProbe) flush(now time.Duration) {
 	}
 	p.lastFlushAt = now
 	p.lastTotalJ = total
+}
+
+// flushIdle is the flush of a probe whose owner is about to stop working (the
+// hub's renderer parking with nobody attached): the energy totals publish as
+// they stand and the power gauge reads 0 until work resumes, instead of
+// holding the last busy interval's watts (owner goroutine only).
+func (p *sessionProbe) flushIdle(now time.Duration) {
+	if p == nil {
+		return
+	}
+	p.flush(now)
+	p.watts.Set(0)
 }
 
 // EnergyTotals reads the probe's cumulative energy split.

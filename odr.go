@@ -373,6 +373,9 @@ const (
 	NameHubSenderQueueDepth = stream.NameHubSenderQueueDepth
 	NameHubTimerwheelLagUs  = stream.NameHubTimerwheelLagUs
 	NameHubCoalescedWrites  = stream.NameHubCoalescedWrites
+	// NameHubRenderTargetFPS gauges the rate the hub's render clock paces to:
+	// the fastest attached viewer's, 0 while parked with nobody attached.
+	NameHubRenderTargetFPS = stream.NameHubRenderTargetFPS
 )
 
 // Encoded-tile cache metric names (unlabeled counters; one cache serves
