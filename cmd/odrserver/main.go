@@ -126,7 +126,6 @@ func main() {
 	master := flag.String("master", "", "join this odrmaster control plane as a cluster worker (implies -hub)")
 	workerID := flag.String("worker-id", "", "stable worker ID for -master (default: the advertised address)")
 	advertise := flag.String("advertise", "", "data-plane address registered with -master (default: the listen address)")
-	bands := flag.Bool("bands", false, "legacy v1 band-skip delta coding (default: the v2 tile codec, which supersedes it)")
 	debugAddr := flag.String("debug-addr", "", "serve /debug/odr, /metrics, /debug/vars and /debug/pprof/ on this address")
 	metricsLint := flag.Bool("metrics-lint", false, "validate the metric naming conventions and exit")
 	flag.Parse()
@@ -170,7 +169,6 @@ func main() {
 	if *hubMode {
 		hub = odr.NewHub(odr.HubConfig{
 			Width: *width, Height: *height, TargetFPS: *fps,
-			Codec:   odr.CodecOptions{Bands: *bands},
 			Metrics: reg,
 			Logf:    log.Printf,
 		})
@@ -305,7 +303,6 @@ func main() {
 		connSeq++
 		srv := odr.NewStreamServer(conn, odr.StreamServerConfig{
 			Width: *width, Height: *height, Policy: kind, TargetFPS: *fps,
-			Codec:        odr.CodecOptions{Bands: *bands},
 			Metrics:      reg,
 			SessionLabel: fmt.Sprintf("s%d", connSeq),
 		})

@@ -36,10 +36,10 @@
 //     resume or end with a reported error, never a silent wedge
 //   - no goroutine leaks: after the drain, the goroutine count returns to
 //     the pre-run baseline
-//   - tile accounting: the hub encodes the v2 tile bitstream, so the
-//     exported tile counters must agree with the frame counters —
-//     tiles_coded is exactly frames_encoded x tiles-per-frame, and
-//     tiles_dirty never exceeds tiles_coded
+//   - tile accounting: the exported tile counters must agree with the
+//     frame counters — odr_tiles_coded_total is exactly
+//     odr_frames_encoded_total x tiles-per-frame, and odr_tiles_dirty_total
+//     never exceeds it
 //
 // The run also scrapes its own /metrics endpoint (the Prometheus surface
 // odrserver exposes) through internal/obs/scrape and asserts metric
@@ -67,6 +67,7 @@ import (
 	"odr"
 	"odr/internal/chaos"
 	"odr/internal/codec"
+	"odr/internal/obs"
 	"odr/internal/obs/scrape"
 	"odr/internal/stream"
 	"odr/internal/testutil"
@@ -287,13 +288,13 @@ func main() {
 	check("no-goroutine-leaks", leakErr == nil, leakDetail)
 
 	// Tile accounting: every encoded frame contributes exactly
-	// ceil(h/DefaultTileRows) tiles to tiles_coded, and only a subset of
-	// them can be dirty. A drift here means the v2 encoder and its
+	// ceil(h/DefaultTileRows) tiles to odr_tiles_coded_total, and only a
+	// subset of them can be dirty. A drift here means the encoder and its
 	// telemetry disagree about what was put on the wire.
 	snap := metrics.Snapshot()
-	encoded, _ := snap["frames_encoded"].(int64)
-	tilesCoded, _ := snap["tiles_coded"].(int64)
-	tilesDirty, _ := snap["tiles_dirty"].(int64)
+	encoded, _ := snap[obs.NameFramesEncoded].(int64)
+	tilesCoded, _ := snap[obs.NameTilesCoded].(int64)
+	tilesDirty, _ := snap[obs.NameTilesDirty].(int64)
 	perFrame := int64((*height + codec.DefaultTileRows - 1) / codec.DefaultTileRows)
 	check("tile-accounting",
 		encoded > 0 && tilesCoded == encoded*perFrame && tilesDirty > 0 && tilesDirty <= tilesCoded,

@@ -33,7 +33,6 @@ func main() {
 			Width: 320, Height: 180,
 			Policy:    odr.StreamODR,
 			TargetFPS: 60,
-			Codec:     odr.CodecOptions{Bands: true},
 		})
 		if err := srv.Run(); err != nil {
 			log.Printf("server: %v", err)

@@ -9,28 +9,26 @@ import "testing"
 // streaming stack.
 
 func TestEncodeAppendSteadyStateAllocs(t *testing.T) {
-	for _, bands := range []bool{false, true} {
-		const w, h = 320, 180
-		frames := animatedFrames(w, h, 8)
-		enc := NewEncoder(w, h, Options{QuantShift: 2, Bands: bands})
-		buf := make([]byte, 0, 2*w*h*4)
-		var err error
-		// Warm up the encoder scratches (first frames grow them).
-		for _, f := range frames {
-			if buf, err = enc.EncodeAppend(buf[:0], f); err != nil {
-				t.Fatal(err)
-			}
+	const w, h = 320, 180
+	frames := animatedFrames(w, h, 8)
+	enc := NewEncoder(w, h, Options{QuantShift: 2})
+	buf := make([]byte, 0, 2*w*h*4)
+	var err error
+	// Warm up the encoder scratches (first frames grow them).
+	for _, f := range frames {
+		if buf, err = enc.EncodeAppend(buf[:0], f); err != nil {
+			t.Fatal(err)
 		}
-		i := 0
-		allocs := testing.AllocsPerRun(200, func() {
-			if buf, err = enc.EncodeAppend(buf[:0], frames[i%len(frames)]); err != nil {
-				t.Fatal(err)
-			}
-			i++
-		})
-		if allocs > 0 {
-			t.Errorf("bands=%v: EncodeAppend allocates %.1f objects/frame in steady state, want 0", bands, allocs)
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(200, func() {
+		if buf, err = enc.EncodeAppend(buf[:0], frames[i%len(frames)]); err != nil {
+			t.Fatal(err)
 		}
+		i++
+	})
+	if allocs > 0 {
+		t.Errorf("EncodeAppend allocates %.1f objects/frame in steady state, want 0", allocs)
 	}
 }
 
@@ -93,34 +91,32 @@ func TestCacheHitSteadyStateAllocs(t *testing.T) {
 }
 
 func TestDecodeSteadyStateAllocs(t *testing.T) {
-	for _, bands := range []bool{false, true} {
-		const w, h = 320, 180
-		frames := animatedFrames(w, h, 8)
-		enc := NewEncoder(w, h, Options{QuantShift: 2, Bands: bands})
-		var streams [][]byte
-		for _, f := range frames {
-			bs, err := enc.Encode(f)
-			if err != nil {
-				t.Fatal(err)
-			}
-			streams = append(streams, bs)
+	const w, h = 320, 180
+	frames := animatedFrames(w, h, 8)
+	enc := NewEncoder(w, h, Options{QuantShift: 2})
+	var streams [][]byte
+	for _, f := range frames {
+		bs, err := enc.Encode(f)
+		if err != nil {
+			t.Fatal(err)
 		}
-		dec := NewDecoder()
-		for _, bs := range streams {
-			if _, err := dec.Decode(bs); err != nil {
-				t.Fatal(err)
-			}
+		streams = append(streams, bs)
+	}
+	dec := NewDecoder()
+	for _, bs := range streams {
+		if _, err := dec.Decode(bs); err != nil {
+			t.Fatal(err)
 		}
-		i := 0
-		allocs := testing.AllocsPerRun(200, func() {
-			if _, err := dec.Decode(streams[i%len(streams)]); err != nil {
-				t.Fatal(err)
-			}
-			i++
-		})
-		if allocs > 0 {
-			t.Errorf("bands=%v: Decode allocates %.1f objects/frame in steady state, want 0", bands, allocs)
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, err := dec.Decode(streams[i%len(streams)]); err != nil {
+			t.Fatal(err)
 		}
+		i++
+	})
+	if allocs > 0 {
+		t.Errorf("Decode allocates %.1f objects/frame in steady state, want 0", allocs)
 	}
 }
 

@@ -7,13 +7,11 @@
 // compress away and that moving ones shrink to video size (which is why
 // the paper's streams fit in 15–60 Mbps).
 //
-// Encoders emit the tiled v2 bitstream by default: a 16-byte header, a
-// per-tile directory (dirty/intra flags, payload length, CRC-32C) and the
-// tile payloads (tile.go for the frame layout, payload.go for the payload
-// coder, splice.go for per-session resync frames, cache.go for the
-// content-addressed payload cache). The legacy v1 byte stream (v1.go,
-// bands.go) is produced only on request; the decoder accepts both,
-// switching on the magic byte.
+// There is one bitstream: a 16-byte header, a per-tile directory
+// (dirty/intra flags, payload length, CRC-32C) and the tile payloads
+// (tile.go for the frame layout, payload.go for the payload coder,
+// splice.go for per-session resync frames, cache.go for the
+// content-addressed payload cache).
 package codec
 
 import (
@@ -52,18 +50,8 @@ type Options struct {
 	// KeyInterval forces a keyframe every N frames (default 120; the
 	// first frame is always a keyframe).
 	KeyInterval int
-	// Bands enables band-skip delta coding: unchanged 16-row bands are
-	// skipped without any coding work, cutting encode time on mostly-
-	// static content (see bands.go). Bands is a v1 mechanism; selecting it
-	// without an explicit Version pins the encoder to the v1 bitstream
-	// (the v2 tile path subsumes band skipping).
-	Bands bool
-	// Version selects the bitstream generation: 2 (the default) emits the
-	// tiled v2 bitstream, 1 the legacy v1 byte-stream. Zero means 2 unless
-	// Bands is set.
-	Version int
-	// TileRows is the tile height in pixel rows for the v2 bitstream
-	// (default 16). Every tile is an independent encode/decode unit.
+	// TileRows is the tile height in pixel rows (default 16). Every tile is
+	// an independent encode/decode unit.
 	TileRows int
 	// Workers caps how many pool workers encode tiles of one frame
 	// concurrently (0 = the pool's full width, 1 = serial in the calling
@@ -73,13 +61,13 @@ type Options struct {
 	// process-wide wpool.Default()).
 	Pool *wpool.Pool
 	// Cache, when non-nil, memoizes encoded tile payloads content-addressed
-	// across frames, encoders and splices (v2 only; see cache.go). Sharing
+	// across frames, encoders and splices (see cache.go). Sharing
 	// one cache between encoders — of any geometry or QuantShift — is safe
 	// and changes no bitstream byte: payloads are pure functions of the
 	// coded bytes.
 	Cache *TileCache
 	// StripeKeyframes replaces the periodic full keyframe with temporal
-	// striping (v2 only): each delta frame intra-refreshes the tile stripe
+	// striping: each delta frame intra-refreshes the tile stripe
 	// whose index matches the frame number mod KeyInterval, so every tile
 	// is re-anchored once per KeyInterval frames and per-frame encode time
 	// stays flat instead of spiking KeyInterval-periodically. The first
@@ -87,52 +75,25 @@ type Options struct {
 	StripeKeyframes bool
 }
 
-// BitstreamVersion returns the bitstream generation these options resolve
-// to (1 or 2), applying the same defaulting NewEncoder applies.
-func (o Options) BitstreamVersion() int { return o.version() }
-
-// version resolves the effective bitstream version for the options.
-func (o Options) version() int {
-	switch o.Version {
-	case 1, 2:
-		return o.Version
-	default:
-		if o.Bands {
-			return 1
-		}
-		return 2
-	}
-}
-
 // Encoder compresses a stream of same-sized RGBA frames.
 //
 // The encoder holds all working buffers it needs between frames, so the
 // steady-state hot path allocates only when the caller's destination slice
-// must grow: quantization and the previous-frame reference swap between two
-// persistent buffers, the delta image lives in a reusable scratch, and band
-// coding reuses its index/payload scratches.
+// must grow.
 type Encoder struct {
-	w, h    int
-	opts    Options
-	version int
-	prev    []byte // previous *quantized* frame
-	count   int
+	w, h  int
+	opts  Options
+	prev  []byte // persistent quantized reference; dirty tiles fold into it in place
+	count int
 
-	qbuf    []byte // quantization target; swaps with prev each frame
-	delta   []byte // delta-image scratch
-	bandIdx []int  // changed-band index scratch
-	bandRLE []byte // per-band RLE payload scratch
-
-	// v2 tile state (see tile.go, predict.go): per-tile scratches persist
+	// Tile state (see tile.go, predict.go): per-tile scratches persist
 	// across frames, and the wpool.Group embeds the submission bookkeeping,
-	// so the parallel path allocates nothing in steady state either. For
-	// v2, prev is a persistent quantized reference that dirty tiles fold
-	// into in place — it is never swapped or re-quantized whole.
+	// so the parallel path allocates nothing in steady state either.
 	tileRows    int
 	group       *wpool.Group
 	encTask     func(int)
 	predTask    func(int)
-	refValid    bool     // prev holds a decodable reference (v2)
+	refValid    bool     // prev holds a decodable reference
 	prevRaw     []byte   // raw pixels behind prev, per tile (see predict.go)
 	tileRawOK   []bool   // prevRaw[tile] is a valid raw reference
 	tilePayload [][]byte // per-tile payload refs: tileScratch[i] or cache memory
@@ -177,16 +138,13 @@ func NewEncoder(w, h int, opts Options) *Encoder {
 	if opts.KeyInterval <= 0 {
 		opts.KeyInterval = 120
 	}
-	e := &Encoder{w: w, h: h, opts: opts, version: opts.version()}
-	if e.version == 2 {
-		e.tileRows = opts.TileRows
-		if e.tileRows <= 0 {
-			e.tileRows = DefaultTileRows
-		}
-		e.group = wpool.NewGroup(opts.Pool)
-		e.encTask = e.encodeTile
-		e.predTask = e.predictTile
+	e := &Encoder{w: w, h: h, opts: opts, tileRows: opts.TileRows}
+	if e.tileRows <= 0 {
+		e.tileRows = DefaultTileRows
 	}
+	e.group = wpool.NewGroup(opts.Pool)
+	e.encTask = e.encodeTile
+	e.predTask = e.predictTile
 	return e
 }
 
@@ -203,7 +161,7 @@ func (e *Encoder) Bytes() int64 { return e.bytes }
 // freshly allocated slice. Callers that recycle payload buffers should use
 // EncodeAppend instead.
 func (e *Encoder) Encode(pix []byte) ([]byte, error) {
-	return e.EncodeAppend(make([]byte, 0, headerLen+len(pix)/8), pix)
+	return e.EncodeAppend(make([]byte, 0, hdr2Len+len(pix)/8), pix)
 }
 
 // EncodeAppend compresses pix (len must be w*h*4), appends the bitstream to
@@ -213,21 +171,15 @@ func (e *Encoder) EncodeAppend(dst, pix []byte) ([]byte, error) {
 	if len(pix) != e.FrameSize() {
 		return nil, fmt.Errorf("codec: frame is %d bytes, want %d", len(pix), e.FrameSize())
 	}
-	if e.version == 2 {
-		return e.encodeTiles(dst, pix)
-	}
-	return e.encodeV1(dst, pix), nil
+	return e.encodeTiles(dst, pix)
 }
 
 // ForceKeyframe makes the next frame a keyframe (e.g. after a client joins).
-// For v2 the reference buffer is kept (the key frame overwrites every tile
-// anyway); only its validity is dropped.
+// The reference buffer is kept (the key frame overwrites every tile anyway);
+// only its validity is dropped.
 func (e *Encoder) ForceKeyframe() {
 	e.count = 0
 	e.refValid = false
-	if e.version != 2 {
-		e.prev = nil
-	}
 }
 
 // QuantShift returns the current quantization shift.
@@ -244,15 +196,14 @@ func (e *Encoder) SetQuantShift(s uint) {
 	e.opts.QuantShift = s
 }
 
-// Decoder decompresses a stream produced by Encoder. It accepts both the
-// v1 and the tiled v2 bitstream, switching on the magic byte per frame.
+// Decoder decompresses a stream produced by Encoder.
 type Decoder struct {
 	w, h    int
 	cur     []byte
 	scratch []byte // payload expansion target; swaps with cur on keyframes
 
-	// v2 tile state (tile.go): parsed directory scratches plus the
-	// optional decode pool (nil = serial decoding).
+	// Tile state (tile.go): parsed directory scratches plus the optional
+	// decode pool (nil = serial decoding).
 	group     *wpool.Group
 	workers   int
 	tileOff   []int
@@ -273,10 +224,10 @@ type Decoder struct {
 // NewDecoder returns a decoder; dimensions are learned from the first frame.
 func NewDecoder() *Decoder { return &Decoder{} }
 
-// SetPool enables tile-parallel decoding of v2 frames on p (nil = the
-// shared wpool.Default()), with at most workers concurrent tiles (0 = the
-// pool's full width). The decoded pixels are identical at any setting;
-// the default, without SetPool, is serial decoding.
+// SetPool enables tile-parallel decoding on p (nil = the shared
+// wpool.Default()), with at most workers concurrent tiles (0 = the pool's
+// full width). The decoded pixels are identical at any setting; the
+// default, without SetPool, is serial decoding.
 func (d *Decoder) SetPool(p *wpool.Pool, workers int) {
 	d.group = wpool.NewGroup(p)
 	d.workers = workers
@@ -284,12 +235,8 @@ func (d *Decoder) SetPool(p *wpool.Pool, workers int) {
 
 // IsKeyframe reports whether the bitstream is a self-contained keyframe —
 // decodable with no prior state. Transports use it to tag the delta chain:
-// a resyncing client skips frames until one of these arrives. Both
-// bitstream versions are recognized.
+// a resyncing client skips frames until one of these arrives.
 func IsKeyframe(bs []byte) bool {
-	if len(bs) >= 2 && bs[0] == magic && bs[1] == frameKey {
-		return true
-	}
 	return len(bs) >= 3 && bs[0] == magic2 && bs[1] == version2 && bs[2] == frameKey
 }
 
@@ -297,16 +244,19 @@ func IsKeyframe(bs []byte) bool {
 // RGBA pixels. The returned slice is owned by the decoder and valid until
 // the next Decode. Steady-state decoding allocates nothing.
 //
-// A v2 frame whose bitstream carries corrupt tiles decodes partially: the
+// A frame whose bitstream carries corrupt tiles decodes partially: the
 // intact tiles are applied, the corrupt ones keep their previous content,
 // and Decode returns the pixels alongside a *TileError (matchable with
 // errors.Is(err, ErrTileCRC)) so the caller can resync instead of
 // discarding the whole frame.
 func (d *Decoder) Decode(bs []byte) ([]byte, error) {
-	if len(bs) >= 1 && bs[0] == magic2 {
-		return d.decodeTiles(bs)
+	if len(bs) == 0 {
+		return nil, ErrTruncated
 	}
-	return d.decodeV1(bs)
+	if bs[0] != magic2 {
+		return nil, ErrBadMagic
+	}
+	return d.decodeTiles(bs)
 }
 
 // Size returns the current frame dimensions (0,0 before the first frame).

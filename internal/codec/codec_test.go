@@ -80,14 +80,8 @@ func TestStaticSceneCompressesAway(t *testing.T) {
 	}
 }
 
-// frameType returns the frame-type byte of a bitstream regardless of its
-// version (v1 keeps it at byte 1, v2 at byte 2 behind the version byte).
-func frameType(bs []byte) byte {
-	if bs[0] == magic2 {
-		return bs[2]
-	}
-	return bs[1]
-}
+// frameType returns the frame-type byte of a bitstream.
+func frameType(bs []byte) byte { return bs[2] }
 
 func TestKeyframeInterval(t *testing.T) {
 	enc := NewEncoder(4, 4, Options{KeyInterval: 3, QuantShift: 0})
@@ -158,6 +152,41 @@ func TestDecodeErrors(t *testing.T) {
 			t.Errorf("%s: expected error", c.name)
 		} else if c.want != nil && err != c.want {
 			t.Errorf("%s: err = %v, want %v", c.name, err, c.want)
+		}
+	}
+}
+
+// formerV1Frames are frames of the deleted v1 byte stream (magic 0xD3, then
+// type, quant shift, width, height, run-length payload): a 2x1 key frame of
+// one literal run, its all-zero delta, an empty band-mode frame and a bare
+// 8x8 delta header. A peer built before the deletion can still send them.
+var formerV1Frames = [][]byte{
+	{0xD3, 0, 0, 2, 0, 0, 0, 1, 0, 0, 0, 0x01, 8, 1, 2, 3, 4, 5, 6, 7, 8},
+	{0xD3, 1, 0, 2, 0, 0, 0, 1, 0, 0, 0, 0x00, 8},
+	{0xD3, 2, 0, 2, 0, 0, 0, 1, 0, 0, 0, 16, 0},
+	{0xD3, 1, 0, 8, 0, 0, 0, 8, 0, 0, 0},
+}
+
+// TestFormerV1FramesRejected: the decoder refuses the old stream by its
+// first byte, before and after it holds a reference frame.
+func TestFormerV1FramesRejected(t *testing.T) {
+	enc := NewEncoder(2, 1, Options{})
+	key, err := enc.Encode(genFrame(2, 1, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	primed := NewDecoder()
+	if _, err := primed.Decode(key); err != nil {
+		t.Fatal(err)
+	}
+	for i, bs := range formerV1Frames {
+		if IsKeyframe(bs) {
+			t.Errorf("frame %d: IsKeyframe = true for a 0xD3 frame", i)
+		}
+		for _, dec := range []*Decoder{NewDecoder(), primed} {
+			if _, err := dec.Decode(bs); err != ErrBadMagic {
+				t.Errorf("frame %d: err = %v, want ErrBadMagic", i, err)
+			}
 		}
 	}
 }

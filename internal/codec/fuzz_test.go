@@ -18,15 +18,7 @@ func FuzzDecode(f *testing.F) {
 		}
 		f.Add(bs)
 	}
-	bandEnc := NewEncoder(8, 32, Options{Bands: true})
-	for i := int64(0); i < 3; i++ {
-		bs, err := bandEnc.Encode(genFrame(8, 32, i))
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(bs)
-	}
-	tileEnc := NewEncoder(8, 40, Options{Version: 2})
+	tileEnc := NewEncoder(8, 40, Options{})
 	for i := int64(0); i < 3; i++ {
 		bs, err := tileEnc.Encode(genFrame(8, 40, i))
 		if err != nil {
@@ -53,7 +45,9 @@ func FuzzDecode(f *testing.F) {
 			f.Add(bs)
 		}
 	}
-	f.Add([]byte{magic, frameDelta, 0, 8, 0, 0, 0, 8, 0, 0, 0})
+	for _, bs := range formerV1Frames {
+		f.Add(bs)
+	}
 	f.Add([]byte{magic2, version2, frameKey, 0, 8, 0, 0, 0, 8, 0, 0, 0, 16, 0, 1, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dec := NewDecoder()
@@ -67,9 +61,8 @@ func FuzzDecode(f *testing.F) {
 	})
 }
 
-// FuzzV2RoundTrip drives the v2 tile codec over fuzzer-chosen geometries
-// and content: the decode must reconstruct the quantized source exactly,
-// and the v1 coder fed the same frames must reconstruct the same pixels.
+// FuzzV2RoundTrip drives the tile codec over fuzzer-chosen geometries and
+// content: the decode must reconstruct the quantized source exactly.
 func FuzzV2RoundTrip(f *testing.F) {
 	f.Add([]byte{}, uint8(4), uint8(4), uint8(16), uint8(0))
 	f.Add([]byte{1, 2, 3, 0, 0, 0, 0, 9}, uint8(1), uint8(1), uint8(1), uint8(2))
@@ -91,33 +84,20 @@ func FuzzV2RoundTrip(f *testing.F) {
 			}
 			return p
 		}
-		v2 := NewEncoder(w, h, Options{QuantShift: shift, TileRows: rows, KeyInterval: 2, Workers: 1})
-		v1 := NewEncoder(w, h, Options{QuantShift: shift, Version: 1, KeyInterval: 2})
-		d2, d1 := NewDecoder(), NewDecoder()
+		enc := NewEncoder(w, h, Options{QuantShift: shift, TileRows: rows, KeyInterval: 2, Workers: 1})
+		dec := NewDecoder()
 		for mut := byte(0); mut < 3; mut++ {
 			p := pix(mut)
-			bs2, err := v2.Encode(p)
+			bs, err := enc.Encode(p)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := d2.Decode(bs2)
+			got, err := dec.Decode(bs)
 			if err != nil {
-				t.Fatalf("v2 decode: %v", err)
+				t.Fatalf("decode: %v", err)
 			}
-			want := quantized(p, shift)
-			if !bytes.Equal(got, want) {
-				t.Fatal("v2 round trip differs from quantized source")
-			}
-			bs1, err := v1.Encode(p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ref, err := d1.Decode(bs1)
-			if err != nil {
-				t.Fatalf("v1 decode: %v", err)
-			}
-			if !bytes.Equal(got, ref) {
-				t.Fatal("v2 pixels differ from v1")
+			if !bytes.Equal(got, quantized(p, shift)) {
+				t.Fatal("round trip differs from quantized source")
 			}
 		}
 	})

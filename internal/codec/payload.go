@@ -1,10 +1,10 @@
 package codec
 
-// The v2 tile payload coder: a block-wise, predictive Golomb-Rice residual
+// The tile payload coder: a block-wise, predictive Golomb-Rice residual
 // coder. Every payload producer in the package — delta tiles (the byte-wise
 // temporal delta image), key/stripe tiles and splice cuts (absolute
 // content) — hands its bytes to appendPayload, and decodeTile hands the
-// payload to decodePayload; there is no other v2 entropy stage.
+// payload to decodePayload; there is no other entropy stage.
 //
 // The payload is a pure, self-describing function of the source bytes:
 // blocks are cut by byte count from the start of the tile (never by row

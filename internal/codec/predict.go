@@ -8,7 +8,7 @@ import "bytes"
 // encode itself; the work list is assembled serially afterwards in tile
 // order, so prediction parallelism can never reorder the bitstream.
 //
-// The v2 encoder used to discover cleanliness mid-encode: quantize the whole
+// The encoder used to discover cleanliness mid-encode: quantize the whole
 // frame into a fresh buffer, fan every tile out to the pool, and have each
 // tile worker compare its quantized slice against the reference before
 // (maybe) coding. That costs two full-frame passes (quantize write +

@@ -7,7 +7,7 @@ package codec
 // per-session-encoder design never had: a late joiner (or a viewer whose
 // delta chain broke) needs absolute content, but forcing a keyframe on the
 // shared encoder would cost every healthy viewer a full-frame payload.
-// AppendSplice solves it with the v2 per-tile directory — the encoder knows,
+// AppendSplice solves it with the per-tile directory — the encoder knows,
 // per tile, the last encode whose content moved (tileChangedAt), so it can
 // emit a frame containing absolute ("intra") payloads for exactly the tiles
 // the session is missing and zero-byte clean entries for the rest:
@@ -42,9 +42,6 @@ import (
 // encoded its first frame (there is no reconstruction to cut tiles from).
 var ErrNoSpliceState = errors.New("codec: splice before first encoded frame")
 
-// errSpliceVersion marks AppendSplice on a v1 encoder (no tile directory).
-var errSpliceVersion = errors.New("codec: splice requires the v2 tile bitstream")
-
 // AppendSplice appends a resync frame for a session whose reconstruction is
 // the shared stream at encode index parent (a past Frames() value), or a
 // full key frame when parent <= 0. The spliced frame brings the session to
@@ -52,10 +49,7 @@ var errSpliceVersion = errors.New("codec: splice requires the v2 tile bitstream"
 // key/delta cadence. The encoder's streaming counters (Frames, Bytes) are
 // not advanced: a splice is a per-session repair, not a shared-stream frame.
 func (e *Encoder) AppendSplice(dst []byte, parent int64) ([]byte, error) {
-	if e.version != 2 {
-		return nil, errSpliceVersion
-	}
-	if e.prev == nil || e.frames == 0 {
+	if e.frames == 0 {
 		return nil, ErrNoSpliceState
 	}
 	nt := tileCount(e.h, e.tileRows)

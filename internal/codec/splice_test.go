@@ -184,18 +184,11 @@ func TestSpliceMemoReuse(t *testing.T) {
 	}
 }
 
-// TestSpliceErrors pins the refusal paths: no state yet, and v1 encoders.
+// TestSpliceErrors pins the refusal path: no state yet.
 func TestSpliceErrors(t *testing.T) {
 	enc := NewEncoder(8, 8, Options{})
 	if _, err := enc.AppendSplice(nil, 0); !errors.Is(err, ErrNoSpliceState) {
 		t.Fatalf("pre-state splice err = %v, want ErrNoSpliceState", err)
-	}
-	v1 := NewEncoder(8, 8, Options{Version: 1})
-	if _, err := v1.Encode(genFrame(8, 8, 1)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := v1.AppendSplice(nil, 0); err == nil {
-		t.Fatal("v1 splice did not error")
 	}
 }
 

@@ -1,17 +1,15 @@
 package codec
 
-// The v2 bitstream: the frame is split into fixed-height tile rows, each an
-// independent encode/decode unit. Tiles generalize bands.go — an unchanged
-// tile is skipped with a directory flag — and add what the flat v1 stream
-// cannot express: a per-tile offset table (so tiles encode and decode
-// concurrently), and a per-tile CRC32 (so corruption localizes to a tile
-// instead of killing the frame).
+// The bitstream: the frame is split into fixed-height tile rows, each an
+// independent encode/decode unit. An unchanged tile is skipped with a
+// directory flag; the per-tile offset table lets tiles encode and decode
+// concurrently, and the per-tile CRC32 localizes corruption to a tile
+// instead of killing the frame.
 //
 // Layout (all integers little-endian):
 //
 //	byte 0:       magic 0xD4
-//	byte 1:       version (3; 2 was the zero-run RLE payload generation,
-//	              which decoders now answer with ErrVersion)
+//	byte 1:       version (3; any other value is answered with ErrVersion)
 //	byte 2:       frame type (0 = key, 1 = delta)
 //	byte 3:       quantization shift (0-7)
 //	bytes 4-7:    width  (uint32)
@@ -51,7 +49,7 @@ import (
 
 const (
 	magic2   = 0xD4
-	version2 = 3 // version byte of the tiled (v2) bitstream
+	version2 = 3 // version byte of the bitstream
 
 	hdr2Len     = 16
 	dirEntryLen = 9
@@ -70,12 +68,12 @@ const (
 // amd64/arm64, unlike IEEE on some targets).
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// ErrTileCRC marks a v2 frame that carried one or more corrupt tile
+// ErrTileCRC marks a frame that carried one or more corrupt tile
 // payloads. The frame still decodes partially (intact tiles update, corrupt
 // tiles keep their previous content); match with errors.Is.
 var ErrTileCRC = errors.New("codec: tile payload failed its checksum")
 
-// TileError lists the corrupt tiles of a partially-decoded v2 frame, in
+// TileError lists the corrupt tiles of a partially-decoded frame, in
 // ascending tile order. errors.Is(err, ErrTileCRC) matches it.
 type TileError struct{ Tiles []int }
 
@@ -215,7 +213,7 @@ func (e *Encoder) codePayload(scratch *[]byte, src []byte) ([]byte, uint32) {
 	return p, crc
 }
 
-// encodeTiles appends one v2 frame to dst: predict which tiles need work,
+// encodeTiles appends one frame to dst: predict which tiles need work,
 // fan only those across the worker pool, then assemble header + directory +
 // payloads in fixed tile order.
 func (e *Encoder) encodeTiles(dst, pix []byte) ([]byte, error) {
@@ -290,13 +288,13 @@ func (e *Encoder) encodeTiles(dst, pix []byte) ([]byte, error) {
 }
 
 // TileStats reports the tile accounting of the last encoded frame: how many
-// tiles the frame had and how many were dirty (coded). Both are zero for
-// v1 encoders and before the first frame.
+// tiles the frame had and how many were dirty (coded). Both are zero before
+// the first frame.
 func (e *Encoder) TileStats() (tiles, dirty int) { return e.lastTiles, e.lastDirty }
 
 // TileNanos returns the per-tile encode durations (nanoseconds, tile order)
-// of the last encoded frame, in a freshly allocated slice the caller owns;
-// it is empty for v1 encoders. Tiles the pre-pass skipped report 0.
+// of the last encoded frame, in a freshly allocated slice the caller owns.
+// Tiles the pre-pass skipped report 0.
 // Hot paths that sample every frame should use TileNanosAppend instead.
 func (e *Encoder) TileNanos() []int64 {
 	return append([]int64(nil), e.tileNanos[:e.lastTiles]...)
@@ -328,7 +326,7 @@ func (d *Decoder) ensureTileState(nt int) {
 	d.tileErr = make([]error, nt)
 }
 
-// decodeTile validates and applies one tile of the in-flight v2 frame. It
+// decodeTile validates and applies one tile of the in-flight frame. It
 // runs concurrently with other tiles: tile regions are disjoint, shared
 // inputs read-only, and the per-tile error slot carries the outcome.
 func (d *Decoder) decodeTile(i int) {
@@ -373,8 +371,8 @@ func (d *Decoder) decodeTile(i int) {
 	}
 }
 
-// decodeTiles decodes one v2 frame. Intact tiles apply even when some
-// tiles are corrupt; see Decode's contract.
+// decodeTiles decodes one frame whose magic byte Decode has checked. Intact
+// tiles apply even when some tiles are corrupt; see Decode's contract.
 func (d *Decoder) decodeTiles(bs []byte) ([]byte, error) {
 	if len(bs) < hdr2Len {
 		return nil, ErrTruncated

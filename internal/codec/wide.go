@@ -33,21 +33,6 @@ func addBytes(a, b uint64) uint64 {
 	return ((a &^ swarHi) + (b &^ swarHi)) ^ ((a ^ b) & swarHi)
 }
 
-// deltaInto computes dst[i] = a[i] - b[i] byte-wise. len(dst) == len(a) ==
-// len(b) is the caller's contract.
-func deltaInto(dst, a, b []byte) {
-	n := len(dst)
-	i := 0
-	for ; i+8 <= n; i += 8 {
-		x := binary.LittleEndian.Uint64(a[i:])
-		y := binary.LittleEndian.Uint64(b[i:])
-		binary.LittleEndian.PutUint64(dst[i:], subBytes(x, y))
-	}
-	for ; i < n; i++ {
-		dst[i] = a[i] - b[i]
-	}
-}
-
 // addInto computes dst[i] += src[i] byte-wise (delta application).
 func addInto(dst, src []byte) {
 	n := len(dst)

@@ -52,20 +52,20 @@ func TestDeltaAddMaskMatchByteLoops(t *testing.T) {
 		a, b := randBuf(rng, n), randBuf(rng, n)
 
 		got := make([]byte, n)
-		deltaInto(got, a, b)
+		maskSubInto(got, a, b, 0xFF)
 		want := make([]byte, n)
 		for i := range want {
 			want[i] = a[i] - b[i]
 		}
 		if !bytes.Equal(got, want) {
-			t.Fatalf("deltaInto mismatch at len %d", n)
+			t.Fatalf("maskSubInto(0xFF) mismatch at len %d", n)
 		}
 
-		// addInto inverts deltaInto: b + (a-b) == a.
+		// addInto inverts the delta: b + (a-b) == a.
 		sum := append([]byte(nil), b...)
 		addInto(sum, got)
 		if !bytes.Equal(sum, a) {
-			t.Fatalf("addInto does not invert deltaInto at len %d", n)
+			t.Fatalf("addInto does not invert the delta at len %d", n)
 		}
 
 		for _, mask := range []byte{0x00, 0x80, 0xFC, 0xFF} {
@@ -77,7 +77,7 @@ func TestDeltaAddMaskMatchByteLoops(t *testing.T) {
 				}
 			}
 
-			// maskSubInto fuses maskInto + deltaInto, and applying its delta
+			// maskSubInto fuses maskInto with the delta, and applying its delta
 			// to the reference must land exactly on the quantized content.
 			fused := make([]byte, n)
 			maskSubInto(fused, a, b, mask)

@@ -1,9 +1,7 @@
 package obs
 
 // Canonical registry names follow odr_<subsystem>_<noun>_<unit>
-// (counters additionally end in _total, Prometheus-style). The pre-PR-6
-// free-form snake_case names survive as aliases for one release so that
-// existing /debug/odr consumers keep working; see Registry.Alias.
+// (counters additionally end in _total, Prometheus-style).
 const (
 	NameFramesRendered  = "odr_frames_rendered_total"
 	NameFramesEncoded   = "odr_frames_encoded_total"
@@ -29,31 +27,6 @@ const (
 	NameDirtyRatio = "odr_dirty_tile_ratio"
 )
 
-// frameAliases maps each legacy (pre-convention) name to its canonical
-// replacement.
-var frameAliases = map[string]string{
-	"frames_rendered":  NameFramesRendered,
-	"frames_encoded":   NameFramesEncoded,
-	"frames_displayed": NameFramesDisplayed,
-	"frames_dropped":   NameFramesDropped,
-	"priority_frames":  NameFramesPriority,
-	"inputs":           NameInputs,
-	"tiles_coded":      NameTilesCoded,
-	"tiles_dirty":      NameTilesDirty,
-	"sessions_evicted": NameSessionsEvicted,
-	"render_us":        NameRenderUs,
-	"copy_us":          NameCopyUs,
-	"encode_us":        NameEncodeUs,
-	"tile_encode_us":   NameTileEncodeUs,
-	"tx_us":            NameTxUs,
-	"decode_us":        NameDecodeUs,
-	"mtp_us":           NameMtPUs,
-	"render_fps":       NameRenderFPS,
-	"client_fps":       NameClientFPS,
-	"fps_gap":          NameFPSGap,
-	"dirty_tile_ratio": NameDirtyRatio,
-}
-
 // frameHelp is the # HELP text per canonical family.
 var frameHelp = map[string]string{
 	NameFramesRendered:  "Frames rendered by the 3D application.",
@@ -62,7 +35,7 @@ var frameHelp = map[string]string{
 	NameFramesDropped:   "Frames dropped by latest-wins buffers or tail drop.",
 	NameFramesPriority:  "PriorityFrame promotions (input-triggered renders).",
 	NameInputs:          "User inputs received.",
-	NameTilesCoded:      "Tiles emitted by the v2 tile codec (dirty or clean).",
+	NameTilesCoded:      "Tiles emitted by the tile codec (dirty or clean).",
 	NameTilesDirty:      "Tiles that carried an encoded payload.",
 	NameSessionsEvicted: "Sessions cut for blowing a read or write deadline.",
 	NameRenderUs:        "Render step service time, microseconds.",
@@ -92,7 +65,7 @@ type FrameInstruments struct {
 	Priority  *Counter // odr_frames_priority_total (PriorityFrame promotions)
 	Inputs    *Counter // odr_inputs_received_total
 
-	// Tile codec counters (v2 bitstream; see internal/codec/tile.go).
+	// Tile codec counters (see internal/codec/tile.go).
 	TilesCoded *Counter // odr_tiles_coded_total (tiles of every encoded frame)
 	TilesDirty *Counter // odr_tiles_dirty_total (tiles that actually carried a payload)
 
@@ -113,12 +86,9 @@ type FrameInstruments struct {
 }
 
 // NewFrameInstruments resolves the standard instrument set in r (nil r
-// yields all-nil, no-op instruments), registering the legacy-name aliases
-// and help text as a side effect.
+// yields all-nil, no-op instruments), registering the help text as a side
+// effect.
 func NewFrameInstruments(r *Registry) FrameInstruments {
-	for legacy, canon := range frameAliases {
-		r.Alias(legacy, canon)
-	}
 	ins := FrameInstruments{
 		Rendered:   r.Counter(NameFramesRendered),
 		Encoded:    r.Counter(NameFramesEncoded),

@@ -22,8 +22,7 @@ var histUnits = []string{"_us", "_ms", "_seconds", "_bytes", "_joules", "_ratio"
 // convention: names match the odr_/obs_ regex, counters end in _total,
 // histograms end in a unit suffix, label names are well-formed, and no
 // two families share a help string (copy-paste drift makes /metrics
-// lie). Aliases are exempt — they exist precisely to keep legacy names
-// alive for one release. It returns one error per violation.
+// lie). It returns one error per violation.
 func Lint(r *Registry) []error {
 	if r == nil {
 		return nil
@@ -101,14 +100,6 @@ func Lint(r *Registry) []error {
 			bad("families %q and %q share the help string %q", first, second, help)
 		} else {
 			helpOwner[help] = name
-		}
-	}
-	for legacy, canon := range r.aliases {
-		if legacy == canon {
-			bad("alias %q points at itself", legacy)
-		}
-		if _, isAlias := r.aliases[canon]; isAlias {
-			bad("alias %q chains to alias %q", legacy, canon)
 		}
 	}
 	r.mu.Unlock()

@@ -24,7 +24,6 @@ func TestLintCleanRegistry(t *testing.T) {
 	r.CounterVec("odr_tiles_outcome_total", "Tiles by outcome.", "tile_outcome")
 	r.GaugeVec("odr_session_fps", "FPS.", "session")
 	r.HistogramVec("odr_tx_seconds", "Send time.", "session")
-	r.Alias("frames_encoded", "odr_frames_encoded_total")
 	if errs := Lint(r); len(errs) != 0 {
 		t.Fatalf("clean registry flagged: %v", errs)
 	}
@@ -55,11 +54,6 @@ func TestLintCatchesViolations(t *testing.T) {
 	dupHelp.CounterVec("odr_a_total", "Same words.", "x")
 	dupHelp.GaugeVec("odr_b_ratio", "Same words.", "x")
 	lintErrs(t, dupHelp, "share the help string")
-
-	chained := NewRegistry()
-	chained.Alias("a", "b")
-	chained.Alias("b", "odr_c_total")
-	lintErrs(t, chained, "chains to alias")
 }
 
 func TestMustLintPanics(t *testing.T) {

@@ -248,8 +248,7 @@ func writeFamilies(w io.Writer, fams []promFamily) error {
 	return bw.Flush()
 }
 
-// WritePrometheus encodes every instrument of r (canonical names only —
-// aliases are a JSON-surface compatibility shim) in the Prometheus text
+// WritePrometheus encodes every instrument of r in the Prometheus text
 // exposition format.
 func WritePrometheus(w io.Writer, r *Registry) error {
 	return writeFamilies(w, collectFamilies(r))

@@ -130,28 +130,3 @@ func TestPromHandlerServesRuntimeFamilies(t *testing.T) {
 		}
 	}
 }
-
-// TestAliasesStayOffPromSurface pins that legacy alias names are a JSON
-// compatibility shim only: /metrics exports canonical names.
-func TestAliasesStayOffPromSurface(t *testing.T) {
-	r := NewRegistry()
-	r.Alias("frames_encoded", "odr_frames_encoded_total")
-	r.Counter("frames_encoded").Add(5) // resolves to the canonical name
-
-	snap := r.Snapshot()
-	if snap["frames_encoded"] != int64(5) || snap["odr_frames_encoded_total"] != int64(5) {
-		t.Fatalf("JSON snapshot should carry both names: %v", snap)
-	}
-
-	var b bytes.Buffer
-	if err := WritePrometheus(&b, r); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	if !strings.Contains(out, "odr_frames_encoded_total 5") {
-		t.Errorf("canonical name missing from exposition\n%s", out)
-	}
-	if strings.Contains(out, "\nframes_encoded ") || strings.HasPrefix(out, "frames_encoded ") {
-		t.Errorf("legacy alias leaked onto the Prometheus surface\n%s", out)
-	}
-}

@@ -247,9 +247,7 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 // A nil *Registry is valid: it returns nil instruments, whose methods are
 // no-ops.
 //
-// Names follow the odr_<subsystem>_<noun>_<unit> convention (see Lint);
-// legacy names registered via Alias keep resolving and keep appearing in
-// JSON snapshots, so /debug/odr consumers survive one release of renames.
+// Names follow the odr_<subsystem>_<noun>_<unit> convention (see Lint).
 type Registry struct {
 	mu         sync.Mutex
 	counters   map[string]*Counter
@@ -260,8 +258,7 @@ type Registry struct {
 	gaugeVecs   map[string]*GaugeVec
 	histVecs    map[string]*HistogramVec
 
-	help    map[string]string // family name -> help text
-	aliases map[string]string // legacy name -> canonical name
+	help map[string]string // family name -> help text
 
 	// dropped is the registry-wide obs_dropped_label_sets_total
 	// self-metric, shared by every vector for cardinality-overflow
@@ -279,33 +276,11 @@ func NewRegistry() *Registry {
 		gaugeVecs:   make(map[string]*GaugeVec),
 		histVecs:    make(map[string]*HistogramVec),
 		help:        make(map[string]string),
-		aliases:     make(map[string]string),
 	}
 	r.dropped = &Counter{}
 	r.counters[DroppedLabelSetsName] = r.dropped
 	r.help[DroppedLabelSetsName] = "Label sets evicted from vector instruments after hitting the cardinality bound."
 	return r
-}
-
-// resolve maps a legacy alias to its canonical name (lock held).
-func (r *Registry) resolve(name string) string {
-	if canon, ok := r.aliases[name]; ok {
-		return canon
-	}
-	return name
-}
-
-// Alias declares legacy as an alternate name for canonical: instrument
-// lookups under legacy resolve to the canonical instrument, and JSON
-// snapshots carry both keys with the same value. The Prometheus surface
-// exports canonical names only.
-func (r *Registry) Alias(legacy, canonical string) {
-	if r == nil || legacy == canonical {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.aliases[legacy] = canonical
 }
 
 // SetHelp attaches help text to a family name; the Prometheus encoder
@@ -316,7 +291,7 @@ func (r *Registry) SetHelp(name, help string) {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.help[r.resolve(name)] = help
+	r.help[name] = help
 }
 
 // Help returns the help text for name ("" when unset).
@@ -326,7 +301,7 @@ func (r *Registry) Help(name string) string {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.help[r.resolve(name)]
+	return r.help[name]
 }
 
 // Counter returns the named counter, creating it on first use.
@@ -336,7 +311,6 @@ func (r *Registry) Counter(name string) *Counter {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	name = r.resolve(name)
 	c := r.counters[name]
 	if c == nil {
 		c = &Counter{}
@@ -352,7 +326,6 @@ func (r *Registry) Gauge(name string) *Gauge {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	name = r.resolve(name)
 	g := r.gauges[name]
 	if g == nil {
 		g = &Gauge{}
@@ -368,7 +341,6 @@ func (r *Registry) Histogram(name string) *Histogram {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	name = r.resolve(name)
 	h := r.histograms[name]
 	if h == nil {
 		h = newHistogram()
@@ -386,7 +358,6 @@ func (r *Registry) CounterVec(name, help string, labels ...string) *CounterVec {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	name = r.resolve(name)
 	v := r.counterVecs[name]
 	if v == nil {
 		v = newVec(name, help, labels, 0, r.dropped, func() *Counter { return &Counter{} })
@@ -406,7 +377,6 @@ func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	name = r.resolve(name)
 	v := r.gaugeVecs[name]
 	if v == nil {
 		v = newVec(name, help, labels, 0, r.dropped, func() *Gauge { return &Gauge{} })
@@ -426,7 +396,6 @@ func (r *Registry) HistogramVec(name, help string, labels ...string) *HistogramV
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	name = r.resolve(name)
 	v := r.histVecs[name]
 	if v == nil {
 		v = newVec(name, help, labels, 0, r.dropped, newHistogram)
@@ -468,8 +437,6 @@ func seriesKey(name string, labels, values []string) string {
 // Snapshot returns a point-in-time copy of every instrument, keyed by
 // name. Counter and gauge values appear directly; histograms appear as
 // HistogramSnapshot; vector series appear under name{label="value"} keys.
-// Legacy aliases appear alongside their canonical names with the same
-// value.
 func (r *Registry) Snapshot() map[string]any {
 	out := make(map[string]any)
 	if r == nil {
@@ -501,25 +468,6 @@ func (r *Registry) Snapshot() map[string]any {
 			out[seriesKey(name, v.Labels(), s.Values)] = s.Inst.Snapshot()
 		}
 	}
-	for legacy, canon := range r.aliases {
-		if v, ok := out[canon]; ok {
-			out[legacy] = v
-		}
-	}
-	return out
-}
-
-// AliasNames returns the registered legacy->canonical alias map.
-func (r *Registry) AliasNames() map[string]string {
-	out := make(map[string]string)
-	if r == nil {
-		return out
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for k, v := range r.aliases {
-		out[k] = v
-	}
 	return out
 }
 
@@ -544,19 +492,14 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 // WriteSummary writes a line-per-instrument plain-text summary sorted by
 // name — the diff-friendly form the odrserver SIGINT handler logs. It
 // reuses the same sorted export path as the Prometheus encoder, so two
-// runs of the same build list instruments in the same order. Alias names
-// are skipped: the summary speaks canonical names only.
+// runs of the same build list instruments in the same order.
 func (r *Registry) WriteSummary(w io.Writer) error {
 	if r == nil {
 		return nil
 	}
 	snap := r.Snapshot()
-	aliases := r.AliasNames()
 	names := make([]string, 0, len(snap))
 	for n := range snap {
-		if _, isAlias := aliases[n]; isAlias {
-			continue
-		}
 		names = append(names, n)
 	}
 	sort.Strings(names)

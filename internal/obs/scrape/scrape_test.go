@@ -210,13 +210,12 @@ func TestWriteIsFixedPoint(t *testing.T) {
 }
 
 // TestDifferentialJSONVsProm pins that the two export surfaces of one
-// registry agree: every canonical instrument in the JSON snapshot appears
-// in the Prometheus exposition with the same value (histograms compare
-// their count and sum; alias keys are JSON-only by design).
+// registry agree: every instrument in the JSON snapshot appears in the
+// Prometheus exposition with the same value (histograms compare their
+// count and sum).
 func TestDifferentialJSONVsProm(t *testing.T) {
 	r := obs.NewRegistry()
-	r.Alias("frames_encoded", "odr_frames_encoded_total")
-	r.Counter("frames_encoded").Add(894) // via the legacy alias
+	r.Counter("odr_frames_encoded_total").Add(894)
 	r.Gauge("odr_dirty_tile_ratio").Set(0.375)
 	h := r.Histogram("odr_encode_us")
 	for _, v := range []int64{3, 700, 900, 4096} {
@@ -252,16 +251,9 @@ func TestDifferentialJSONVsProm(t *testing.T) {
 		}
 	}
 
-	aliases := r.AliasNames()
 	snap := r.Snapshot()
 	checked := 0
 	for name, v := range snap {
-		if _, isAlias := aliases[name]; isAlias {
-			if _, leaked := scraped[name]; leaked {
-				t.Errorf("alias %q leaked onto the Prometheus surface", name)
-			}
-			continue
-		}
 		switch v := v.(type) {
 		case int64:
 			if got, ok := scraped[name]; !ok || got != float64(v) {

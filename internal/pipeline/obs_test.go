@@ -119,25 +119,25 @@ func TestPipelineMetricsRegistry(t *testing.T) {
 		Seed:     1,
 		Metrics:  reg,
 	})
-	if got := reg.Counter("frames_rendered").Value(); got != r.FramesRendered {
+	if got := reg.Counter(obs.NameFramesRendered).Value(); got != r.FramesRendered {
 		t.Errorf("frames_rendered counter = %d, result = %d", got, r.FramesRendered)
 	}
-	if got := reg.Counter("frames_displayed").Value(); got != r.FramesDisplayed {
+	if got := reg.Counter(obs.NameFramesDisplayed).Value(); got != r.FramesDisplayed {
 		t.Errorf("frames_displayed counter = %d, result = %d", got, r.FramesDisplayed)
 	}
-	if got := reg.Counter("frames_dropped").Value(); got != r.FramesDropped {
+	if got := reg.Counter(obs.NameFramesDropped).Value(); got != r.FramesDropped {
 		t.Errorf("frames_dropped counter = %d, result = %d", got, r.FramesDropped)
 	}
-	if got := reg.Counter("priority_frames").Value(); got != r.PriorityFrames {
+	if got := reg.Counter(obs.NameFramesPriority).Value(); got != r.PriorityFrames {
 		t.Errorf("priority_frames counter = %d, result = %d", got, r.PriorityFrames)
 	}
-	if reg.Histogram("render_us").Count() == 0 {
+	if reg.Histogram(obs.NameRenderUs).Count() == 0 {
 		t.Error("render_us histogram empty")
 	}
-	if reg.Histogram("mtp_us").Count() == 0 {
+	if reg.Histogram(obs.NameMtPUs).Count() == 0 {
 		t.Error("mtp_us histogram empty")
 	}
-	if reg.Gauge("client_fps").Value() <= 0 {
+	if reg.Gauge(obs.NameClientFPS).Value() <= 0 {
 		t.Error("client_fps gauge never set")
 	}
 }

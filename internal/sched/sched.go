@@ -30,8 +30,7 @@ type Options struct {
 	Cache *Cache
 	// Metrics, when non-nil, receives the odr_sched_cells_run_total,
 	// odr_sched_cache_hits_total, odr_sched_cache_misses_total and
-	// odr_sched_cache_stores_total counters (legacy sched_* names resolve
-	// as aliases for one release).
+	// odr_sched_cache_stores_total counters.
 	Metrics *obs.Registry
 }
 
@@ -55,14 +54,6 @@ func New(o Options) *Runner {
 	if o.Metrics == nil {
 		// Stats() must count even when the caller doesn't export metrics.
 		o.Metrics = obs.NewRegistry()
-	}
-	for legacy, canon := range map[string]string{
-		"sched_cells_run":    "odr_sched_cells_run_total",
-		"sched_cache_hits":   "odr_sched_cache_hits_total",
-		"sched_cache_misses": "odr_sched_cache_misses_total",
-		"sched_cache_stores": "odr_sched_cache_stores_total",
-	} {
-		o.Metrics.Alias(legacy, canon)
 	}
 	o.Metrics.SetHelp("odr_sched_cells_run_total", "Experiment cells executed (cache misses included).")
 	o.Metrics.SetHelp("odr_sched_cache_hits_total", "Experiment cells served from the result cache.")

@@ -272,7 +272,7 @@ func (c *Client) runSession(conn streamConn) error {
 				return err
 			}
 			if partial {
-				// Corrupt tiles in an otherwise valid v2 frame: the intact
+				// Corrupt tiles in an otherwise valid frame: the intact
 				// tiles were applied, so show what arrived — but the
 				// reconstruction no longer matches the encoder, so treat the
 				// delta chain as broken until a keyframe lands.

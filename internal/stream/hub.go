@@ -91,7 +91,7 @@ type Hub struct {
 	// targetGauge shows the render clock's target (nil-safe; 0 = parked).
 	targetGauge *obs.Gauge
 
-	// tileCache is the content-addressed encoded-tile cache every v2 lane
+	// tileCache is the content-addressed encoded-tile cache every lane
 	// encoder shares: a tile's payload is a pure function of its content
 	// bytes, so one cache serves frame payloads, stripe refreshes and splice
 	// cuts across all lanes without affecting any bitstream byte.
@@ -243,17 +243,15 @@ type hubSession struct {
 // NewHub returns a hub ready to Run.
 func NewHub(cfg HubConfig) *Hub {
 	cfg.applyDefaults()
-	if cfg.Codec.BitstreamVersion() == 2 {
-		// Every lane encoder shares one content-addressed tile cache and
-		// rotates intra refreshes across frames instead of emitting periodic
-		// full keys (joiners still get spliced keys on demand). Both are
-		// bitstream-deterministic, so hub streams stay byte-identical across
-		// lane membership and worker counts.
-		if cfg.Codec.Cache == nil {
-			cfg.Codec.Cache = codec.NewTileCache(0)
-		}
-		cfg.Codec.StripeKeyframes = true
+	// Every lane encoder shares one content-addressed tile cache and rotates
+	// intra refreshes across frames instead of emitting periodic full keys
+	// (joiners still get spliced keys on demand). Both are
+	// bitstream-deterministic, so hub streams stay byte-identical across lane
+	// membership and worker counts.
+	if cfg.Codec.Cache == nil {
+		cfg.Codec.Cache = codec.NewTileCache(0)
 	}
+	cfg.Codec.StripeKeyframes = true
 	epoch := time.Now()
 	dom := realrt.NewDomainAt(epoch)
 	h := &Hub{
@@ -555,9 +553,6 @@ func (h *Hub) drainRequested() bool {
 // the scraped counters equal the cache's totals exactly — that equality is
 // the soak's conservation invariant.
 func (h *Hub) publishCacheStats() {
-	if h.tileCache == nil {
-		return
-	}
 	hits, misses, evs := h.tileCache.Stats()
 	h.cachePubMu.Lock()
 	dh, dm, de := hits-h.pubHits, misses-h.pubMisses, evs-h.pubEvictions
@@ -738,7 +733,7 @@ func (h *Hub) AttachWithOptions(conn net.Conn, opts AttachOptions) {
 	ln.sessions.Add(1)
 	h.demandChange(rate, +1)
 	sh.mu.Unlock()
-	recordSessionStart(h.cfg.Metrics, "Hub", h.cfg.Codec)
+	recordSessionStart(h.cfg.Metrics, "Hub")
 	// No per-session goroutines: the engine's reader pool serves the input
 	// path and lane fan-out kicks the sender pool when artifacts arrive. The
 	// initial kick covers nothing today (the buffer is empty) but is cheap

@@ -306,14 +306,12 @@ func (ln *encLane) run() {
 		h.ins.Encode.ObserveDuration(encEnd - start)
 		ln.sharedEncodes.Inc()
 		h.probe.onEncode(encEnd - start) // shared work bills the shared probe
-		if tiles > 0 {
-			h.ins.TilesCoded.Add(int64(tiles))
-			h.ins.TilesDirty.Add(int64(dirty))
-			h.ins.DirtyRatio.Set(float64(dirty) / float64(tiles))
-			h.probe.onTiles(tiles, dirty)
-			for _, ns := range tileNanos {
-				h.ins.TileEncode.Observe(ns / 1e3)
-			}
+		h.ins.TilesCoded.Add(int64(tiles))
+		h.ins.TilesDirty.Add(int64(dirty))
+		h.ins.DirtyRatio.Set(float64(dirty) / float64(tiles))
+		h.probe.onTiles(tiles, dirty)
+		for _, ns := range tileNanos {
+			h.ins.TileEncode.Observe(ns / 1e3)
 		}
 
 		ln.carriedMu.Lock()

@@ -82,8 +82,8 @@ func TestHubObservability(t *testing.T) {
 	if len(snap.Hub.Clients) != 1 {
 		t.Errorf("/debug/odr reports %d clients, want 1", len(snap.Hub.Clients))
 	}
-	if _, ok := snap.Metrics["frames_rendered"]; !ok {
-		t.Errorf("/debug/odr metrics missing frames_rendered: %v", snap.Metrics)
+	if _, ok := snap.Metrics[obs.NameFramesRendered]; !ok {
+		t.Errorf("/debug/odr metrics missing odr_frames_rendered_total: %v", snap.Metrics)
 	}
 	if !strings.Contains(string(get("/debug/pprof/goroutine?debug=1")), "goroutine") {
 		t.Error("/debug/pprof/goroutine did not return a goroutine dump")
@@ -113,10 +113,10 @@ func TestHubObservability(t *testing.T) {
 		}
 	}
 
-	if reg.Counter("frames_rendered").Value() == 0 {
+	if reg.Counter(obs.NameFramesRendered).Value() == 0 {
 		t.Error("frames_rendered counter never incremented")
 	}
-	if reg.Histogram("encode_us").Count() == 0 {
+	if reg.Histogram(obs.NameEncodeUs).Count() == 0 {
 		t.Error("encode_us histogram empty")
 	}
 }

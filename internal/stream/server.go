@@ -226,7 +226,7 @@ func NewServer(conn net.Conn, cfg ServerConfig) *Server {
 		evictCtr: cfg.Metrics.Counter(obs.NameSessionsEvicted),
 	}
 	s.probe = newSessionProbe(cfg.Metrics, cfg.SessionLabel)
-	recordSessionStart(cfg.Metrics, cfg.Policy.String(), cfg.Codec)
+	recordSessionStart(cfg.Metrics, cfg.Policy.String())
 	s.game.ExtraCost = cfg.RenderCost
 	s.quantShift = int64(cfg.Codec.QuantShift)
 	size := s.game.FrameBytes()
@@ -658,12 +658,11 @@ func (s *Server) encodeOne(f *frame.Frame, st *encodeState) error {
 	s.ins.Copy.ObserveDuration(f.CopyEnd - start)
 	s.ins.Encode.ObserveDuration(f.EncodeEnd - f.EncodeStart)
 	s.probe.onEncode(f.EncodeEnd - start)
-	if tiles, dirty := s.enc.TileStats(); tiles > 0 {
-		s.ins.TilesCoded.Add(int64(tiles))
-		s.ins.TilesDirty.Add(int64(dirty))
-		s.ins.DirtyRatio.Set(float64(dirty) / float64(tiles))
-		s.probe.onTiles(tiles, dirty)
-	}
+	tiles, dirty := s.enc.TileStats()
+	s.ins.TilesCoded.Add(int64(tiles))
+	s.ins.TilesDirty.Add(int64(dirty))
+	s.ins.DirtyRatio.Set(float64(dirty) / float64(tiles))
+	s.probe.onTiles(tiles, dirty)
 	return nil
 }
 

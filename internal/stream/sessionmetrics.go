@@ -4,7 +4,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"odr/internal/codec"
 	"odr/internal/obs"
 	"odr/internal/powermodel"
 	"odr/internal/qoe"
@@ -32,8 +31,7 @@ const (
 	// NameTilesOutcome counts encoded tiles by outcome (dirty = coded,
 	// clean = skipped by change detection).
 	NameTilesOutcome = "odr_tiles_outcome_total"
-	// NameSessionsStarted counts sessions by regulation policy and
-	// bitstream generation.
+	// NameSessionsStarted counts sessions by regulation policy.
 	NameSessionsStarted = "odr_sessions_started_total"
 	// NameHubSharedEncodes counts frames encoded once by a hub lane's shared
 	// encoder and fanned out to every same-resolution viewer. With N viewers
@@ -89,24 +87,13 @@ const sessionFlushInterval = 500 * time.Millisecond
 // benchmark (the simulator varies this per workload, the live path cannot).
 const defaultGPUIntensity = 0.5
 
-// codecVersionLabel names the bitstream generation for the codec_version
-// label (mirrors codec.Options: 0 means the v2 default).
-func codecVersionLabel(o codec.Options) string {
-	if o.Version == 1 {
-		return "1"
-	}
-	return "2"
-}
-
-// recordSessionStart counts one real client session by policy and codec
-// generation (nil-safe).
-func recordSessionStart(reg *obs.Registry, policy string, o codec.Options) {
+// recordSessionStart counts one real client session by policy (nil-safe).
+func recordSessionStart(reg *obs.Registry, policy string) {
 	if reg == nil {
 		return
 	}
 	registerLiveVecs(reg)
-	reg.CounterVec(NameSessionsStarted, "", "policy", "codec_version").
-		With2(policy, codecVersionLabel(o)).Inc()
+	reg.CounterVec(NameSessionsStarted, "", "policy").With1(policy).Inc()
 }
 
 // liveVecs bundles the labeled families of the live per-session surface.
@@ -130,8 +117,7 @@ type liveVecs struct {
 // registerLiveVecs idempotently registers every live-session family in reg.
 func registerLiveVecs(reg *obs.Registry) liveVecs {
 	reg.CounterVec(NameSessionsStarted,
-		"Streaming sessions started, by regulation policy and bitstream generation.",
-		"policy", "codec_version")
+		"Streaming sessions started, by regulation policy.", "policy")
 	reg.SetHelp(NameCodecTileCacheHits,
 		"Encoded-tile cache lookups served from the content-addressed cache.")
 	reg.SetHelp(NameCodecTileCacheMisses,

@@ -4,21 +4,8 @@ import (
 	"testing"
 	"time"
 
-	"odr/internal/codec"
 	"odr/internal/obs"
 )
-
-func TestCodecVersionLabel(t *testing.T) {
-	if got := codecVersionLabel(codec.Options{}); got != "2" {
-		t.Errorf("default version label = %q, want 2", got)
-	}
-	if got := codecVersionLabel(codec.Options{Version: 1}); got != "1" {
-		t.Errorf("v1 label = %q", got)
-	}
-	if got := codecVersionLabel(codec.Options{Version: 2}); got != "2" {
-		t.Errorf("v2 label = %q", got)
-	}
-}
 
 func TestRegisterLiveMetricsIsLintClean(t *testing.T) {
 	reg := obs.NewRegistry()
@@ -32,17 +19,17 @@ func TestRegisterLiveMetricsIsLintClean(t *testing.T) {
 
 func TestRecordSessionStart(t *testing.T) {
 	reg := obs.NewRegistry()
-	recordSessionStart(reg, "ODR", codec.Options{})
-	recordSessionStart(reg, "ODR", codec.Options{})
-	recordSessionStart(reg, "Hub", codec.Options{Version: 1})
-	v := reg.CounterVec(NameSessionsStarted, "", "policy", "codec_version")
-	if got := v.With2("ODR", "2").Value(); got != 2 {
-		t.Errorf("ODR/2 starts = %d, want 2", got)
+	recordSessionStart(reg, "ODR")
+	recordSessionStart(reg, "ODR")
+	recordSessionStart(reg, "Hub")
+	v := reg.CounterVec(NameSessionsStarted, "", "policy")
+	if got := v.With1("ODR").Value(); got != 2 {
+		t.Errorf("ODR starts = %d, want 2", got)
 	}
-	if got := v.With2("Hub", "1").Value(); got != 1 {
-		t.Errorf("Hub/1 starts = %d, want 1", got)
+	if got := v.With1("Hub").Value(); got != 1 {
+		t.Errorf("Hub starts = %d, want 1", got)
 	}
-	recordSessionStart(nil, "ODR", codec.Options{}) // nil-safe
+	recordSessionStart(nil, "ODR") // nil-safe
 }
 
 func TestSessionProbeLifecycle(t *testing.T) {

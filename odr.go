@@ -261,9 +261,9 @@ type (
 	// ClientReport summarizes client-side measurements.
 	ClientReport = stream.Report
 	// CodecOptions configures the frame codec (quantization, keyframe
-	// interval, band-skip delta coding, keyframe striping, tile cache).
+	// interval and striping, tile height, encode workers, tile cache).
 	CodecOptions = codec.Options
-	// TileCache is the content-addressed encoded-tile cache v2 encoders can
+	// TileCache is the content-addressed encoded-tile cache encoders can
 	// share (CodecOptions.Cache): a tile's payload is a pure function of its
 	// content bytes, so sharing one cache across encoders, lanes and worker
 	// counts never changes any bitstream byte.
