@@ -4,21 +4,22 @@ package codec
 // across frames, encoders and hub lanes.
 //
 // The key insight that makes sharing sound is that a tile payload is a pure
-// function of the bytes being coded: payload = appendPayload(content) and
-// crc = CRC32C(payload) depend on nothing but the content byte string — not
-// on the encoder, the frame index, the worker count, or whether the bytes
-// are a key tile, a stripe-intra tile, a splice cut or a delta image. One
-// cache therefore serves every payload producer in this package, and a hit
-// can never change what goes on the wire: it returns exactly the bytes a
-// fresh coding pass would have produced. Tile geometry does not need to be
-// part of the key explicitly — two tiles of different geometry have
-// different content lengths and so can never compare equal.
+// function of the bytes being coded and the row width they are coded at:
+// payload = appendPayload(content, rowBytes) (rowBytes because the coder
+// may predict a byte from the one a row above it) and crc =
+// CRC32C(payload) depend on nothing else — not on the encoder, the frame
+// index, the worker count, or whether the bytes are a key tile, a
+// stripe-intra tile, a splice cut or a delta image. One cache therefore
+// serves every payload producer in this package, and a hit can never
+// change what goes on the wire: it returns exactly the bytes a fresh coding
+// pass would have produced. The key is (content, rowBytes): the same bytes
+// at two row widths are two entries with two payloads.
 //
 // Hash collisions are survived, not assumed away: entries with the same
-// 64-bit hash chain, and every lookup re-verifies the full content bytes
-// (length + memcmp) before declaring a hit. A poisoned or colliding entry
-// can cost a chain walk, never wrong pixels (TestTileCachePoisoning pins
-// this with a deliberately constant hash).
+// 64-bit hash chain, and every lookup re-verifies the row width and the
+// full content bytes (length + memcmp) before declaring a hit. A poisoned
+// or colliding entry can cost a chain walk, never wrong pixels
+// (TestTileCachePoisoning pins this with a deliberately constant hash).
 //
 // Admission is gated by a per-shard doorkeeper: a hash is only admitted on
 // its second sighting. Never-repeating content (noise, one-shot deltas)
@@ -59,25 +60,28 @@ const (
 // tests can force collisions and prove the full-content verification on hit.
 var tileCacheHash = hashContent
 
-// hashContent addresses tile content with CRC32-Castagnoli, which is a
-// single hardware instruction per word on amd64/arm64 — an order of
-// magnitude faster over tile-sized inputs than any scalar software mix,
-// which matters because never-repeating content (noise) pays exactly one
-// hash pass per miss and nothing else. 32 bits of state are plenty for
-// bucket addressing: every hit re-verifies the full content bytes, so a
-// collision costs a chain walk, never wrong payload bytes. The length goes
-// in the high half so different tile geometries never share a chain.
-func hashContent(b []byte) uint64 {
-	return uint64(len(b))<<32 | uint64(crc32.Checksum(b, castagnoli))
+// hashContent addresses tile content coded at row width rowBytes with
+// CRC32-Castagnoli, which is a single hardware instruction per word on
+// amd64/arm64 — an order of magnitude faster over tile-sized inputs than
+// any scalar software mix, which matters because never-repeating content
+// (noise) pays exactly one hash pass per miss and nothing else. 32 bits of
+// state are plenty for bucket addressing: every hit re-verifies the row
+// width and the full content bytes, so a collision costs a chain walk,
+// never wrong payload bytes. The length and the row width go in the high
+// half so tiles of different geometry seldom share a chain.
+func hashContent(b []byte, rowBytes int) uint64 {
+	return (uint64(len(b))^uint64(rowBytes)<<16)<<32 | uint64(crc32.Checksum(b, castagnoli))
 }
 
-// tcEntry is one cached payload. content is the verification key (a copy of
-// the coded bytes), payload its coded form and crc the payload's CRC32-Castagnoli.
+// tcEntry is one cached payload. content and rowBytes are the verification
+// key (a copy of the coded bytes and the row width they were coded at),
+// payload their coded form and crc the payload's CRC32-Castagnoli.
 type tcEntry struct {
-	hash    uint64
-	content []byte
-	payload []byte
-	crc     uint32
+	hash     uint64
+	content  []byte
+	rowBytes int
+	payload  []byte
+	crc      uint32
 
 	hnext      *tcEntry // same-hash chain
 	lruP, lruN *tcEntry // doubly-linked LRU, head = most recent
@@ -123,27 +127,28 @@ func NewTileCache(maxBytes int64) *TileCache {
 	return c
 }
 
-// Lookup returns the cached payload and CRC for content, verifying the full
-// content bytes before declaring a hit. Every call counts exactly one hit
-// or one miss, which is the accounting contract the soak conservation
-// invariant checks (hits + misses == payload tiles coded + splice tiles
-// cut). Nil-safe; allocation-free.
-func (c *TileCache) Lookup(content []byte) (payload []byte, crc uint32, ok bool) {
+// Lookup returns the cached payload and CRC for content coded at row width
+// rowBytes, verifying the row width and the full content bytes before
+// declaring a hit. Every call counts exactly one hit or one miss, which is
+// the accounting contract the soak conservation invariant checks (hits +
+// misses == payload tiles coded + splice tiles cut). Nil-safe;
+// allocation-free.
+func (c *TileCache) Lookup(content []byte, rowBytes int) (payload []byte, crc uint32, ok bool) {
 	if c == nil {
 		return nil, 0, false
 	}
-	return c.lookupHashed(tileCacheHash(content), content)
+	return c.lookupHashed(tileCacheHash(content, rowBytes), content, rowBytes)
 }
 
 // lookupHashed is Lookup with the content hash already computed, so a
 // miss-then-Insert sequence hashes the content exactly once (the hash pass
 // is the dominant miss cost on never-repeating content). Callers must pass
-// h == tileCacheHash(content) and a non-nil receiver.
-func (c *TileCache) lookupHashed(h uint64, content []byte) (payload []byte, crc uint32, ok bool) {
+// h == tileCacheHash(content, rowBytes) and a non-nil receiver.
+func (c *TileCache) lookupHashed(h uint64, content []byte, rowBytes int) (payload []byte, crc uint32, ok bool) {
 	sh := &c.shards[h&(tcShards-1)]
 	sh.mu.Lock()
 	for e := sh.m[h]; e != nil; e = e.hnext {
-		if len(e.content) == len(content) && bytes.Equal(e.content, content) {
+		if e.matches(content, rowBytes) {
 			sh.moveFrontLocked(e)
 			sh.mu.Unlock()
 			c.hits.Add(1)
@@ -155,29 +160,29 @@ func (c *TileCache) lookupHashed(h uint64, content []byte) (payload []byte, crc 
 	return nil, 0, false
 }
 
-// Insert offers (content, payload, crc) after a Lookup miss. It returns the
-// canonical cache-owned payload when the entry was admitted (possibly one
-// another worker raced in first), or nil when the doorkeeper rejected the
-// first sighting — the caller then keeps using its own scratch payload.
-// Content and payload are copied on admission; the caller's slices are
-// never retained. Nil-safe.
-func (c *TileCache) Insert(content, payload []byte, crc uint32) []byte {
+// Insert offers (content, rowBytes, payload, crc) after a Lookup miss. It
+// returns the canonical cache-owned payload when the entry was admitted
+// (possibly one another worker raced in first), or nil when the doorkeeper
+// rejected the first sighting — the caller then keeps using its own scratch
+// payload. Content and payload are copied on admission; the caller's slices
+// are never retained. Nil-safe.
+func (c *TileCache) Insert(content []byte, rowBytes int, payload []byte, crc uint32) []byte {
 	if c == nil {
 		return nil
 	}
-	return c.insertHashed(tileCacheHash(content), content, payload, crc)
+	return c.insertHashed(tileCacheHash(content, rowBytes), content, rowBytes, payload, crc)
 }
 
 // insertHashed is Insert with the content hash already computed (paired
 // with lookupHashed; same contract).
-func (c *TileCache) insertHashed(h uint64, content, payload []byte, crc uint32) []byte {
+func (c *TileCache) insertHashed(h uint64, content []byte, rowBytes int, payload []byte, crc uint32) []byte {
 	sh := &c.shards[h&(tcShards-1)]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	// A concurrent worker coding the same content may have admitted it
 	// between our Lookup and this Insert; dedupe under the lock.
 	for e := sh.m[h]; e != nil; e = e.hnext {
-		if len(e.content) == len(content) && bytes.Equal(e.content, content) {
+		if e.matches(content, rowBytes) {
 			sh.moveFrontLocked(e)
 			return e.payload
 		}
@@ -195,11 +200,12 @@ func (c *TileCache) insertHashed(h uint64, content, payload []byte, crc uint32) 
 		return nil
 	}
 	e := &tcEntry{
-		hash:    h,
-		content: append([]byte(nil), content...),
-		payload: append([]byte(nil), payload...),
-		crc:     crc,
-		hnext:   sh.m[h],
+		hash:     h,
+		content:  append([]byte(nil), content...),
+		rowBytes: rowBytes,
+		payload:  append([]byte(nil), payload...),
+		crc:      crc,
+		hnext:    sh.m[h],
 	}
 	sh.m[h] = e
 	sh.pushFrontLocked(e)
@@ -236,6 +242,11 @@ func (c *TileCache) Len() int {
 		sh.mu.Unlock()
 	}
 	return n
+}
+
+// matches reports whether e caches content coded at row width rowBytes.
+func (e *tcEntry) matches(content []byte, rowBytes int) bool {
+	return e.rowBytes == rowBytes && bytes.Equal(e.content, content)
 }
 
 // pushFrontLocked links e at the LRU head.

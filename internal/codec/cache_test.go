@@ -16,20 +16,23 @@ func tcContent(seed byte, n int) []byte {
 	return b
 }
 
+// tcRow is the row width the cache tests code their content at.
+const tcRow = 256
+
 // cachePut drives content through the doorkeeper until it is admitted, the
 // way the encode path does: Lookup miss, then Insert.
 func cachePut(t *testing.T, c *TileCache, content []byte) []byte {
 	t.Helper()
-	payload := appendPayload(nil, content)
+	payload := appendPayload(nil, content, tcRow)
 	crc := crc32.Checksum(payload, castagnoli)
 	for i := 0; i < 2; i++ {
-		if p, gotCRC, ok := c.Lookup(content); ok {
+		if p, gotCRC, ok := c.Lookup(content, tcRow); ok {
 			if gotCRC != crc || !bytes.Equal(p, payload) {
 				t.Fatalf("cache returned wrong payload for content")
 			}
 			return p
 		}
-		if canon := c.Insert(content, payload, crc); canon != nil {
+		if canon := c.Insert(content, tcRow, payload, crc); canon != nil {
 			return canon
 		}
 	}
@@ -40,26 +43,26 @@ func cachePut(t *testing.T, c *TileCache, content []byte) []byte {
 func TestTileCacheLookupInsertDoorkeeper(t *testing.T) {
 	c := NewTileCache(1 << 20)
 	content := tcContent(3, 4096)
-	payload := appendPayload(nil, content)
+	payload := appendPayload(nil, content, tcRow)
 	crc := crc32.Checksum(payload, castagnoli)
 
-	if _, _, ok := c.Lookup(content); ok {
+	if _, _, ok := c.Lookup(content, tcRow); ok {
 		t.Fatal("empty cache reported a hit")
 	}
-	if canon := c.Insert(content, payload, crc); canon != nil {
+	if canon := c.Insert(content, tcRow, payload, crc); canon != nil {
 		t.Fatal("doorkeeper admitted content on first sighting")
 	}
-	if _, _, ok := c.Lookup(content); ok {
+	if _, _, ok := c.Lookup(content, tcRow); ok {
 		t.Fatal("hit after a rejected insert")
 	}
-	canon := c.Insert(content, payload, crc)
+	canon := c.Insert(content, tcRow, payload, crc)
 	if canon == nil {
 		t.Fatal("doorkeeper rejected content on second sighting")
 	}
 	if &canon[0] == &payload[0] {
 		t.Fatal("cache retained the caller's payload slice instead of copying")
 	}
-	got, gotCRC, ok := c.Lookup(content)
+	got, gotCRC, ok := c.Lookup(content, tcRow)
 	if !ok || gotCRC != crc || !bytes.Equal(got, payload) {
 		t.Fatalf("lookup after admission: ok=%v crc=%d want %d", ok, gotCRC, crc)
 	}
@@ -92,7 +95,7 @@ func TestTileCacheEvictionLRU(t *testing.T) {
 	}
 	// The most recent insert must still be resident.
 	last := contents[len(contents)-1]
-	if _, _, ok := c.Lookup(last); !ok {
+	if _, _, ok := c.Lookup(last, tcRow); !ok {
 		t.Fatal("most recently admitted entry was evicted")
 	}
 }
@@ -102,7 +105,7 @@ func TestTileCacheEvictionLRU(t *testing.T) {
 // must miss (then coexist on the chain), never serve the other's payload.
 func TestTileCachePoisoning(t *testing.T) {
 	orig := tileCacheHash
-	tileCacheHash = func([]byte) uint64 { return 0xDEAD }
+	tileCacheHash = func([]byte, int) uint64 { return 0xDEAD }
 	defer func() { tileCacheHash = orig }()
 
 	c := NewTileCache(1 << 20)
@@ -110,19 +113,19 @@ func TestTileCachePoisoning(t *testing.T) {
 	b := tcContent(9, 2048) // same geometry, same (forced) hash, different pixels
 	pa := cachePut(t, c, a)
 
-	if _, _, ok := c.Lookup(b); ok {
+	if _, _, ok := c.Lookup(b, tcRow); ok {
 		t.Fatal("poisoning: colliding content reported a hit without matching bytes")
 	}
 	pb := cachePut(t, c, b)
 	if bytes.Equal(pa, pb) {
 		t.Fatal("distinct contents produced one payload")
 	}
-	gotA, crcA, okA := c.Lookup(a)
-	gotB, crcB, okB := c.Lookup(b)
+	gotA, crcA, okA := c.Lookup(a, tcRow)
+	gotB, crcB, okB := c.Lookup(b, tcRow)
 	if !okA || !okB {
 		t.Fatal("chained colliding entries must both hit")
 	}
-	if !bytes.Equal(gotA, appendPayload(nil, a)) || !bytes.Equal(gotB, appendPayload(nil, b)) {
+	if !bytes.Equal(gotA, appendPayload(nil, a, tcRow)) || !bytes.Equal(gotB, appendPayload(nil, b, tcRow)) {
 		t.Fatal("chain walk returned the wrong entry's payload")
 	}
 	if crcA != crc32.Checksum(gotA, castagnoli) || crcB != crc32.Checksum(gotB, castagnoli) {
@@ -130,8 +133,13 @@ func TestTileCachePoisoning(t *testing.T) {
 	}
 	// Shorter content with the same hash: length check alone must reject.
 	short := a[:1024]
-	if _, _, ok := c.Lookup(short); ok {
+	if _, _, ok := c.Lookup(short, tcRow); ok {
 		t.Fatal("prefix content hit a longer entry")
+	}
+	// The same content at another row width: the row width alone must
+	// reject.
+	if _, _, ok := c.Lookup(a, 2*tcRow); ok {
+		t.Fatal("content hit an entry coded at another row width")
 	}
 }
 
@@ -244,10 +252,10 @@ func TestTileNanosIsACopy(t *testing.T) {
 
 func TestTileCacheNilSafe(t *testing.T) {
 	var c *TileCache
-	if _, _, ok := c.Lookup([]byte{1}); ok {
+	if _, _, ok := c.Lookup([]byte{1}, 4); ok {
 		t.Fatal("nil cache hit")
 	}
-	if p := c.Insert([]byte{1}, []byte{2}, 3); p != nil {
+	if p := c.Insert([]byte{1}, 4, []byte{2}, 3); p != nil {
 		t.Fatal("nil cache admitted")
 	}
 	if h, m, e := c.Stats(); h != 0 || m != 0 || e != 0 {
@@ -267,8 +275,8 @@ func TestHashContentSpreads(t *testing.T) {
 	for i := 0; i < 256; i++ {
 		b := tcContent(7, 512)
 		b[i] ^= 0x01
-		h := hashContent(b)
-		if h != hashContent(b) {
+		h := hashContent(b, tcRow)
+		if h != hashContent(b, tcRow) {
 			t.Fatal("hashContent is not deterministic")
 		}
 		key := fmt.Sprintf("flip %d", i)
@@ -276,5 +284,9 @@ func TestHashContentSpreads(t *testing.T) {
 			t.Fatalf("single-bit variants %q and %q collide", prev, key)
 		}
 		seen[h] = key
+	}
+	// Row width is part of the address too.
+	if b := tcContent(7, 512); hashContent(b, tcRow) == hashContent(b, 2*tcRow) {
+		t.Fatal("one content at two row widths hashes alike")
 	}
 }

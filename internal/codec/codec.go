@@ -64,7 +64,7 @@ type Options struct {
 	// across frames, encoders and splices (see cache.go). Sharing
 	// one cache between encoders — of any geometry or QuantShift — is safe
 	// and changes no bitstream byte: payloads are pure functions of the
-	// coded bytes.
+	// coded bytes and the row width, and the cache keys on both.
 	Cache *TileCache
 	// StripeKeyframes replaces the periodic full keyframe with temporal
 	// striping: each delta frame intra-refreshes the tile stripe

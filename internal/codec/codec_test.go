@@ -157,7 +157,7 @@ func TestDecodeErrors(t *testing.T) {
 }
 
 // formerV1Frames are frames of the deleted v1 byte stream (magic 0xD3, then
-// type, quant shift, width, height, run-length payload): a 2x1 key frame of
+// type, quant shift, width, height, zero-run-coded body): a 2x1 key frame of
 // one literal run, its all-zero delta, an empty band-mode frame and a bare
 // 8x8 delta header. A peer built before the deletion can still send them.
 var formerV1Frames = [][]byte{

@@ -9,7 +9,7 @@ package codec
 // Layout (all integers little-endian):
 //
 //	byte 0:       magic 0xD4
-//	byte 1:       version (3; any other value is answered with ErrVersion)
+//	byte 1:       version (4; any other value is answered with ErrVersion)
 //	byte 2:       frame type (0 = key, 1 = delta)
 //	byte 3:       quantization shift (0-7)
 //	bytes 4-7:    width  (uint32)
@@ -49,7 +49,7 @@ import (
 
 const (
 	magic2   = 0xD4
-	version2 = 3 // version byte of the bitstream
+	version2 = 4 // version byte of the bitstream
 
 	hdr2Len     = 16
 	dirEntryLen = 9
@@ -191,22 +191,23 @@ func (e *Encoder) encodeTile(k int) {
 // (never the scratch), so one encoded payload is shared across frames,
 // encoders and hub lanes without copying; a miss codes into the
 // caller-owned scratch and offers the result for admission. Cached or fresh,
-// the bytes are identical — payload and CRC are pure functions of src (see
-// cache.go).
+// the bytes are identical — payload and CRC are pure functions of src and
+// the row width (see cache.go).
 func (e *Encoder) codePayload(scratch *[]byte, src []byte) ([]byte, uint32) {
 	c := e.opts.Cache
+	rowBytes := e.w * 4
 	var h uint64
 	if c != nil {
-		h = tileCacheHash(src)
-		if payload, crc, ok := c.lookupHashed(h, src); ok {
+		h = tileCacheHash(src, rowBytes)
+		if payload, crc, ok := c.lookupHashed(h, src, rowBytes); ok {
 			return payload, crc
 		}
 	}
-	p := appendPayload((*scratch)[:0], src)
+	p := appendPayload((*scratch)[:0], src, rowBytes)
 	*scratch = p
 	crc := crc32.Checksum(p, castagnoli)
 	if c != nil {
-		if canon := c.insertHashed(h, src, p, crc); canon != nil {
+		if canon := c.insertHashed(h, src, rowBytes, p, crc); canon != nil {
 			p = canon
 		}
 	}
@@ -354,7 +355,7 @@ func (d *Decoder) decodeTile(i int) {
 		keepOld()
 		return
 	}
-	if err := decodePayload(dst, seg); err != nil {
+	if err := decodePayload(dst, seg, d.curW*4); err != nil {
 		d.tileErr[i] = err
 		keepOld()
 		return

@@ -274,6 +274,7 @@ func TestV2HostileHeaders(t *testing.T) {
 		{"short header", valid[:10], ErrTruncated},
 		{"bad version", mut(func(b []byte) []byte { b[1] = 9; return b }), ErrVersion},
 		{"zero-run RLE generation", mut(func(b []byte) []byte { b[1] = 2; return b }), ErrVersion},
+		{"Rice v3 generation", mut(func(b []byte) []byte { b[1] = 3; return b }), ErrVersion},
 		{"bad frame type", mut(func(b []byte) []byte { b[2] = 9; return b }), ErrCorrupt},
 		{"zero width", mut(func(b []byte) []byte { binary.LittleEndian.PutUint32(b[4:], 0); return b }), ErrDimensions},
 		{"huge height", mut(func(b []byte) []byte { binary.LittleEndian.PutUint32(b[8:], maxDim+1); return b }), ErrDimensions},
@@ -321,15 +322,19 @@ func TestV2HostileTilePayload(t *testing.T) {
 	}
 	hostile := [][]byte{
 		// Zero run of 2^64-1 blocks: must not memset beyond the tile.
-		{blockZeros << 4, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01},
-		// Raw block with three of its 256 bytes.
-		{blockRaw << 4, 1, 2, 3},
+		{blockZeros << tagTypeShift, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01},
+		// Raw block with three of its 512 bytes.
+		{blockRaw << tagTypeShift, 1, 2, 3},
 		// Unterminated uvarint.
-		{blockZeros << 4, 0x80},
+		{blockZeros << tagTypeShift, 0x80},
 		// Rice block whose unary string runs off the payload.
-		{blockRice << 4, 0xF0, 0xFF, 0x00, 0x00},
+		{blockRice << tagTypeShift, 0xF0, 0xFF, 0xFF},
+		// Rice block whose unary code is longer than the limit.
+		{blockRice << tagTypeShift, 0xF0, 0xFF, 0x00, 0x00},
+		// Rice block whose escaped sample has no escape string.
+		{blockRice << tagTypeShift, 0xF0, 0xFF, 0x00, 0x01},
 		// Unknown block type.
-		{0x30, 0x04},
+		{0x60, 0x04},
 	}
 	for i, payload := range hostile {
 		bs := append([]byte(nil), valid[:hdr2Len]...)

@@ -69,7 +69,7 @@ const (
 	// amortized across a batch instead of paying one wakeup each.
 	NameHubCoalescedWrites = "odr_hub_coalesced_writes_total"
 	// NameCodecTileCacheHits counts encoded-tile cache lookups served from
-	// the content-addressed cache (payload bytes reused, no RLE pass).
+	// the content-addressed cache (payload bytes reused, no coding pass).
 	NameCodecTileCacheHits = "odr_codec_tile_cache_hits_total"
 	// NameCodecTileCacheMisses counts lookups that had to encode.
 	NameCodecTileCacheMisses = "odr_codec_tile_cache_misses_total"
