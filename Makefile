@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench-smoke bench-codec bench-codec-check bench-go report artifacts fidelity examples trace soak soak-hub soak-cluster fuzz metrics-check clean
+.PHONY: all build test race serve-smoke bench-smoke bench-codec bench-codec-check bench-go report artifacts fidelity examples trace soak soak-hub soak-cluster fuzz metrics-check clean
 
 all: build test
 
@@ -59,6 +59,12 @@ metrics-check:
 	$(GO) run ./cmd/odrserver -metrics-lint
 	$(GO) run ./cmd/odrmaster -metrics-lint
 	$(GO) test -run 'TestRegisterLiveMetricsIsLintClean|TestLint|TestClusterMetricsLintClean' ./internal/stream ./internal/obs ./internal/cluster
+
+# CLI smoke: for each of -policy odr|interval|noreg, odrserver -once on a
+# fixed loopback port and odrclient against it for 2 s; fails unless the
+# client decoded frames and the server exited after its client left.
+serve-smoke:
+	GO=$(GO) bash scripts/serve-smoke.sh
 
 # Frame-path benchmark smoke: bench/ is a nested module that `go test ./...`
 # at the root never reaches, so this is what tells a hub change that it broke

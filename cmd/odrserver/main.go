@@ -1,17 +1,19 @@
-// Command odrserver runs the real-time streaming server: it listens for a
-// client, renders the synthetic 3D application, regulates it with the
+// Command odrserver runs the real-time streaming server: it listens for
+// clients, renders the synthetic 3D application, regulates it with the
 // chosen policy, encodes frames and streams them.
 //
 // Usage:
 //
 //	odrserver [-addr :7311] [-policy odr|interval|noreg] [-fps 60]
-//	          [-width 640] [-height 360] [-once] [-hub]
+//	          [-width 640] [-height 360] [-once]
 //	          [-debug-addr :8099]
 //
-// With -hub, all connected clients share one rendered game: clients at the
-// same resolution also share one encoder (each frame is encoded once and
-// fanned out; late joiners get spliced catch-up keyframes) while pacing
-// stays per-client. Without it, each client gets a private session.
+// Every client attaches to one hub: all of them share one rendered game, and
+// clients at the same resolution also share one encoder (each frame is
+// encoded once and fanned out; late joiners get spliced catch-up keyframes)
+// while pacing and session buffering stay per-client. -policy sets the hub's
+// regulation policy; with -once the server exits when its first client
+// detaches.
 //
 // With -debug-addr, the server exposes live observability over HTTP:
 // /debug/odr (JSON snapshot of the regulation state and telemetry
@@ -24,8 +26,8 @@
 // load report derived from its own /metrics surface (sessions, watts,
 // dirty-tile ratio), and obeys drain orders — the hub drains (orderly
 // goodbye per session), the worker deregisters, and the process exits while
-// clients re-resolve through the master onto surviving workers. -master
-// implies -hub. -advertise overrides the data-plane address registered with
+// clients re-resolve through the master onto surviving workers. -advertise
+// overrides the data-plane address registered with
 // the master when -addr is not dialable from clients (e.g. ":7311").
 //
 // -metrics-lint validates the full metric surface against the registry
@@ -57,40 +59,6 @@ import (
 	"odr/internal/stream"
 )
 
-// active tracks the live private sessions for the /debug/odr snapshot.
-type active struct {
-	mu   sync.Mutex
-	next int
-	m    map[int]*odr.StreamServer
-}
-
-func (a *active) add(s *odr.StreamServer) int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.m == nil {
-		a.m = make(map[int]*odr.StreamServer)
-	}
-	a.next++
-	a.m[a.next] = s
-	return a.next
-}
-
-func (a *active) remove(id int) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	delete(a.m, id)
-}
-
-func (a *active) snapshots() []map[string]any {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	out := make([]map[string]any, 0, len(a.m))
-	for _, s := range a.m {
-		out = append(out, s.DebugSnapshot())
-	}
-	return out
-}
-
 // registerAll pre-registers every metric family odrserver can export: the
 // shared frame-pipeline instruments and the labeled live-session surface.
 func registerAll(reg *odr.MetricsRegistry) {
@@ -121,9 +89,8 @@ func main() {
 	fps := flag.Float64("fps", 60, "target FPS (0 = maximize)")
 	width := flag.Int("width", 640, "frame width")
 	height := flag.Int("height", 360, "frame height")
-	once := flag.Bool("once", false, "serve a single client, then exit")
-	hubMode := flag.Bool("hub", false, "share one game across all clients (spectating)")
-	master := flag.String("master", "", "join this odrmaster control plane as a cluster worker (implies -hub)")
+	once := flag.Bool("once", false, "exit when the first client detaches")
+	master := flag.String("master", "", "join this odrmaster control plane as a cluster worker")
 	workerID := flag.String("worker-id", "", "stable worker ID for -master (default: the advertised address)")
 	advertise := flag.String("advertise", "", "data-plane address registered with -master (default: the listen address)")
 	debugAddr := flag.String("debug-addr", "", "serve /debug/odr, /metrics, /debug/vars and /debug/pprof/ on this address")
@@ -132,11 +99,6 @@ func main() {
 
 	if *metricsLint {
 		os.Exit(lintMetrics())
-	}
-	if *master != "" {
-		// A cluster worker serves many migrating clients out of one shared
-		// game; private sessions cannot be re-placed.
-		*hubMode = true
 	}
 
 	var kind odr.StreamPolicy
@@ -164,26 +126,16 @@ func main() {
 	// here, not a broken dashboard discovered later.
 	registerAll(reg)
 	obs.MustLint(reg)
-	var sessions active
-	var hub *odr.Hub
-	if *hubMode {
-		hub = odr.NewHub(odr.HubConfig{
-			Width: *width, Height: *height, TargetFPS: *fps,
-			Metrics: reg,
-			Logf:    log.Printf,
-		})
-		go hub.Run()
-	}
+	hub := odr.NewHub(odr.HubConfig{
+		Width: *width, Height: *height, Policy: kind, TargetFPS: *fps,
+		Metrics: reg,
+		Logf:    log.Printf,
+	})
+	go hub.Run()
 
 	if *debugAddr != "" {
 		ds, err := odr.ServeDebugWithMetrics(*debugAddr, reg, func() any {
-			snap := map[string]any{"metrics": reg.Snapshot()}
-			if hub != nil {
-				snap["hub"] = hub.Snapshot()
-			} else {
-				snap["sessions"] = sessions.snapshots()
-			}
-			return snap
+			return map[string]any{"metrics": reg.Snapshot(), "hub": hub.Snapshot()}
 		})
 		if err != nil {
 			log.Fatal(err)
@@ -193,8 +145,8 @@ func main() {
 	}
 
 	// Graceful shutdown: close the listener so Accept unblocks, stop the
-	// hub if any, then log the final telemetry summary. Both the signal
-	// handler and a cluster drain order end up here.
+	// hub, then log the final telemetry summary. The signal handler, a
+	// cluster drain order and -once's first detach all end up here.
 	done := make(chan struct{})
 	var shutdownOnce sync.Once
 	shutdown := func(reason string) {
@@ -266,9 +218,7 @@ func main() {
 		log.Printf("cluster worker %s: data plane %s, master %s", id, adAddr, masterURL)
 	}
 	finish := func() {
-		if hub != nil {
-			hub.Stop() // logs its own summary via Logf
-		}
+		hub.Stop() // logs its own summary via Logf
 		// One line per instrument, sorted by canonical name — the same
 		// ordering /metrics exports.
 		var b strings.Builder
@@ -280,7 +230,6 @@ func main() {
 	}
 	defer finish()
 
-	var connSeq int
 	for {
 		conn, err := ln.Accept()
 		if err != nil {
@@ -291,33 +240,13 @@ func main() {
 			}
 			log.Fatal(err)
 		}
-		if hub != nil {
-			remote := conn.RemoteAddr()
-			log.Printf("hub client connected: %s", remote)
-			hub.Attach(conn, 0, func(st odr.SessionStats) {
-				log.Printf("hub client %s detached: sent %d, dropped %d", remote, st.Sent, st.Dropped)
-			})
-			continue
-		}
-		log.Printf("client connected: %s", conn.RemoteAddr())
-		connSeq++
-		srv := odr.NewStreamServer(conn, odr.StreamServerConfig{
-			Width: *width, Height: *height, Policy: kind, TargetFPS: *fps,
-			Metrics:      reg,
-			SessionLabel: fmt.Sprintf("s%d", connSeq),
+		remote := conn.RemoteAddr()
+		log.Printf("client connected: %s", remote)
+		hub.Attach(conn, 0, func(st odr.SessionStats) {
+			log.Printf("client %s detached: sent %d, dropped %d", remote, st.Sent, st.Dropped)
+			if *once {
+				shutdown("-once: first client detached")
+			}
 		})
-		id := sessions.add(srv)
-		start := time.Now()
-		if err := srv.Run(); err != nil {
-			log.Printf("session error: %v", err)
-		}
-		sessions.remove(id)
-		st := srv.Stats().Snapshot()
-		secs := time.Since(start).Seconds()
-		log.Printf("session done after %.1fs: rendered %d (%.1f/s), sent %d (%.1f/s), dropped %d, priority %d",
-			secs, st.Rendered, float64(st.Rendered)/secs, st.Sent, float64(st.Sent)/secs, st.Dropped, st.Priority)
-		if *once {
-			return
-		}
 	}
 }

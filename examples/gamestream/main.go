@@ -1,7 +1,7 @@
 // Gamestream: the real-time stack end-to-end over a real TCP connection on
-// localhost — a server rendering the synthetic game under ODR regulation,
-// and a client decoding frames, injecting inputs and measuring FPS and
-// motion-to-photon latency.
+// localhost — a hub rendering the synthetic game under ODR regulation for one
+// viewer, and a client decoding frames, injecting inputs and measuring FPS
+// and motion-to-photon latency.
 package main
 
 import (
@@ -20,26 +20,23 @@ func main() {
 	}
 	defer ln.Close()
 
-	// Server side.
-	serverDone := make(chan struct{})
+	// Server side: a hub with one viewer.
+	reg := odr.NewMetricsRegistry()
+	hub := odr.NewHub(odr.HubConfig{
+		Width: 320, Height: 180,
+		Policy:    odr.StreamODR,
+		TargetFPS: 60,
+		Metrics:   reg,
+	})
+	go hub.Run()
+	detached := make(chan odr.SessionStats, 1)
 	go func() {
-		defer close(serverDone)
 		conn, err := ln.Accept()
 		if err != nil {
 			log.Print(err)
 			return
 		}
-		srv := odr.NewStreamServer(conn, odr.StreamServerConfig{
-			Width: 320, Height: 180,
-			Policy:    odr.StreamODR,
-			TargetFPS: 60,
-		})
-		if err := srv.Run(); err != nil {
-			log.Printf("server: %v", err)
-		}
-		st := srv.Stats().Snapshot()
-		fmt.Printf("server: rendered %d, encoded %d, sent %d, dropped %d, priority %d\n",
-			st.Rendered, st.Encoded, st.Sent, st.Dropped, st.Priority)
+		hub.Attach(conn, 0, func(st odr.SessionStats) { detached <- st })
 	}()
 
 	// Client side.
@@ -68,8 +65,13 @@ func main() {
 	rep := cli.Report()
 	cli.Stop()
 	<-clientDone
-	<-serverDone
+	st := <-detached
+	hub.Stop()
 
+	count := func(name string) int64 { return reg.Counter(name).Value() }
+	fmt.Printf("server: rendered %d, encoded %d, sent %d, dropped %d, priority %d\n",
+		count("odr_frames_rendered_total"), count("odr_frames_encoded_total"),
+		st.Sent, st.Dropped, count("odr_frames_priority_total"))
 	fmt.Printf("client: %d frames at %.1f FPS, %.1f KB/frame, MtP mean %.1f ms (p99 %.1f ms, %d samples)\n",
 		rep.Frames, rep.FPS, float64(rep.Bytes)/float64(rep.Frames)/1024,
 		rep.MeanLatency, rep.P99Latency, rep.LatencySamples)

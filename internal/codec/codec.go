@@ -182,20 +182,6 @@ func (e *Encoder) ForceKeyframe() {
 	e.refValid = false
 }
 
-// QuantShift returns the current quantization shift.
-func (e *Encoder) QuantShift() uint { return e.opts.QuantShift }
-
-// SetQuantShift changes the quantization at a frame boundary (adaptive
-// quality). Raising it coarsens and shrinks subsequent frames; the next
-// delta stays decodable because deltas are byte-exact against whatever the
-// previous frame reconstructed to.
-func (e *Encoder) SetQuantShift(s uint) {
-	if s > 7 {
-		s = 7
-	}
-	e.opts.QuantShift = s
-}
-
 // Decoder decompresses a stream produced by Encoder.
 type Decoder struct {
 	w, h    int

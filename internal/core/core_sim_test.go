@@ -228,12 +228,12 @@ func TestMultiBufferTryVariants(t *testing.T) {
 	if mb.TryAcquire() != nil {
 		t.Fatal("TryAcquire on empty buffer should return nil")
 	}
-	if !mb.TryPut(&frame.Frame{Seq: 1}) || !mb.TryPut(&frame.Frame{Seq: 2}) {
-		t.Fatal("two TryPuts into an empty buffer should succeed")
-	}
-	if mb.TryPut(&frame.Frame{Seq: 3}) {
-		t.Fatal("third TryPut should fail: back buffer occupied")
-	}
+	env.Spawn("producer", func(p *sim.Proc) {
+		w := simrt.NewWaiter(p)
+		mb.Put(w, &frame.Frame{Seq: 1})
+		mb.Put(w, &frame.Frame{Seq: 2})
+	})
+	env.RunAll()
 	if f := mb.TryAcquire(); f == nil || f.Seq != 1 {
 		t.Fatalf("TryAcquire = %+v", f)
 	}

@@ -55,7 +55,7 @@ func (b *InputBox) OnInput(id frame.InputID, issued time.Duration) {
 	}
 }
 
-// Interrupt wakes the renderer out of DelayInterruptible or Park without
+// Interrupt wakes the renderer out of DelayInterruptible, Sleep or Park without
 // recording an input: nothing joins the pending list, so no frame is tagged
 // for it. The current wait — or, when the renderer is busy, its next
 // DelayInterruptible — returns at once, and the renderer re-reads whatever
@@ -133,6 +133,24 @@ func (b *InputBox) DelayInterruptible(w Waiter, d time.Duration) bool {
 		// Woken: an input, an interrupt, or an input a racing consumer
 		// already took — the checks above tell which.
 	}
+}
+
+// Sleep delays the renderer for d, cut short only by Interrupt: unlike
+// DelayInterruptible, a pending or arriving input neither ends nor shortens
+// it (interval-based regulation makes inputs wait for the next tick).
+func (b *InputBox) Sleep(w Waiter, d time.Duration) {
+	mu := b.dom.Locker()
+	mu.Lock()
+	defer mu.Unlock()
+	deadline := b.dom.Now() + d
+	for !b.interrupted {
+		remaining := deadline - b.dom.Now()
+		if remaining <= 0 || !w.WaitTimeout(b.arrived, remaining) {
+			return
+		}
+		// Woken by an input or an interrupt: only the latter ends the wait.
+	}
+	b.interrupted = false
 }
 
 // Park blocks the renderer while idle reports true. idle is evaluated with

@@ -30,15 +30,7 @@ type MultiBuffer struct {
 	consuming bool // front is currently held by the consumer
 	closed    bool
 
-	puts  int64
 	drops int64
-
-	// OnDrop, when non-nil, observes every PutPriority drop batch (n is
-	// the number of obsolete frames discarded, at is the newest dropped
-	// frame's sequence number). It is called with the domain lock held and
-	// must not block or re-enter the buffer; the observability layer uses
-	// it to emit MulBuf-drop events without polling Drops().
-	OnDrop func(n int, at uint64)
 }
 
 // NewMultiBuffer returns an empty multi-buffer in the given domain.
@@ -67,22 +59,6 @@ func (b *MultiBuffer) Put(w Waiter, f *frame.Frame) bool {
 		return false
 	}
 	b.back = f
-	b.puts++
-	b.promoteLocked()
-	b.changed.Broadcast()
-	return true
-}
-
-// TryPut stores f if the back buffer is free, without blocking.
-func (b *MultiBuffer) TryPut(f *frame.Frame) bool {
-	mu := b.dom.Locker()
-	mu.Lock()
-	defer mu.Unlock()
-	if b.back != nil || b.closed {
-		return false
-	}
-	b.back = f
-	b.puts++
 	b.promoteLocked()
 	b.changed.Broadcast()
 	return true
@@ -123,11 +99,7 @@ func (b *MultiBuffer) PutPriorityStored(f *frame.Frame) (stored bool, droppedFra
 	} else {
 		b.back = f
 	}
-	b.puts++
 	b.drops += int64(len(dropped))
-	if b.OnDrop != nil && len(dropped) > 0 {
-		b.OnDrop(len(dropped), dropped[len(dropped)-1].Seq)
-	}
 	b.changed.Broadcast()
 	return true, dropped
 }
@@ -203,30 +175,6 @@ func (b *MultiBuffer) WaitBackFree(w Waiter, interrupt func() bool) bool {
 	return true
 }
 
-// WaitBackFull blocks until the back buffer holds a frame (Algorithm 1 line
-// 17, wait_for_Mul-Buf1_back_buf_full) or the buffer is closed. Note that
-// with PriorityFrame a priority frame can land directly in the front buffer;
-// WaitFrameReady covers that case and is what the ODR encode loop uses.
-func (b *MultiBuffer) WaitBackFull(w Waiter) {
-	mu := b.dom.Locker()
-	mu.Lock()
-	defer mu.Unlock()
-	for b.back == nil && !b.closed {
-		w.Wait(b.changed)
-	}
-}
-
-// WaitFrameReady blocks until a frame is available in either buffer or the
-// buffer is closed.
-func (b *MultiBuffer) WaitFrameReady(w Waiter) {
-	mu := b.dom.Locker()
-	mu.Lock()
-	defer mu.Unlock()
-	for b.front == nil && b.back == nil && !b.closed {
-		w.Wait(b.changed)
-	}
-}
-
 // Close releases all waiters; subsequent Puts fail and Acquires return nil
 // once drained.
 func (b *MultiBuffer) Close() {
@@ -243,14 +191,6 @@ func (b *MultiBuffer) Closed() bool {
 	mu.Lock()
 	defer mu.Unlock()
 	return b.closed
-}
-
-// Puts returns the number of frames stored (including priority puts).
-func (b *MultiBuffer) Puts() int64 {
-	mu := b.dom.Locker()
-	mu.Lock()
-	defer mu.Unlock()
-	return b.puts
 }
 
 // Drops returns the number of obsolete frames dropped by PutPriority.

@@ -18,8 +18,8 @@ import "time"
 // FPS": ODRMax relies purely on multi-buffer backpressure).
 //
 // Pacer is not internally locked: in the simulator it runs single-threaded;
-// in the stream stack each pacer is owned by one goroutine (the server's
-// encoder, the hub's renderer through RenderClock, a session's sender).
+// in the stream stack each pacer is owned by one goroutine (the hub's
+// renderer through RenderClock, a session's sender).
 type Pacer struct {
 	interval  time.Duration
 	accDelay  time.Duration
@@ -98,8 +98,8 @@ func (p *Pacer) PaceAfterObserved(start, end time.Duration) time.Duration {
 // SkipFrame counts a frame that bypassed pacing (a priority frame) and leaves
 // the budget alone: the frame is an extra one outside the target, so the
 // regulator neither delays nor catches up for it. The simulator's policies
-// and stream.Server call it; the hub does not — RenderClock keeps its extra
-// frames away from the pacer altogether.
+// call it; the hub does not — RenderClock keeps its extra frames away from
+// the pacer altogether.
 func (p *Pacer) SkipFrame() {
 	if p.interval == 0 {
 		return

@@ -39,9 +39,15 @@ type clockRig struct {
 }
 
 func newClockRig(render time.Duration, late func() time.Duration) *clockRig {
+	return newRuleRig(core.RuleODR, func(int) time.Duration { return render }, late)
+}
+
+// newRuleRig is newClockRig under any render rule, with frame k taking
+// cost(k) to render.
+func newRuleRig(rule core.RenderRule, cost func(k int) time.Duration, late func() time.Duration) *clockRig {
 	env, dom := newSim()
 	r := &clockRig{env: env, box: core.NewInputBox(dom), pace: core.NewPacer(0), exited: -1}
-	r.clock = core.NewRenderClock(dom, r.box, r.pace)
+	r.clock = core.NewRenderClock(dom, r.box, r.pace, rule)
 	env.Spawn("renderer", func(p *sim.Proc) {
 		var w core.Waiter = simrt.NewWaiter(p)
 		if late != nil {
@@ -49,7 +55,7 @@ func newClockRig(render time.Duration, late func() time.Duration) *clockRig {
 		}
 		for r.clock.Begin(w) {
 			r.frames = append(r.frames, clockFrame{start: p.Now(), inputs: len(r.box.ConsumePending())})
-			p.Sleep(render)
+			p.Sleep(cost(len(r.frames) - 1))
 			r.clock.End()
 		}
 		r.exited = p.Now()
@@ -286,5 +292,105 @@ func TestRenderClockFollowsDemand(t *testing.T) {
 	}
 	if r.exited != 4000*ms {
 		t.Fatalf("renderer left its loop at %v, want at Stop (4s)", r.exited)
+	}
+}
+
+// TestRenderClockIntervalGrid: interval regulation on the virtual clock. Ten
+// seconds at 60 FPS give exactly 600 frames, one per tick; 100 inputs add no
+// frame of their own but all ride the next tick's; and timers that wake
+// 0.7 ms late leave the grid where it was.
+func TestRenderClockIntervalGrid(t *testing.T) {
+	const late = 700 * time.Microsecond
+	r := newRuleRig(core.RuleInterval, func(int) time.Duration { return 2 * ms }, func() time.Duration { return late })
+	interval := core.NewPacer(60).Interval()
+	rng := rand.New(rand.NewSource(27))
+	for j := 0; j < 100; j++ {
+		at := time.Duration(j)*100*ms + time.Duration(rng.Int63n(int64(100*ms)))
+		id := frame.InputID(j + 1)
+		r.env.At(at, func() { r.box.OnInput(id, at) })
+	}
+	r.clock.SetDemand(60)
+	r.env.Run(600*interval - 1)
+	r.env.Shutdown()
+	if len(r.frames) != 600 {
+		t.Fatalf("%d frames, want exactly 600", len(r.frames))
+	}
+	// A tick's frame starts when the late timer fires, or earlier when an
+	// input landing between the tick and the timer wakes the renderer: never
+	// before the tick, never past the timer.
+	inputs := 0
+	for k, f := range r.frames {
+		tick := time.Duration(k) * interval
+		if f.start < tick || f.start > tick+late {
+			t.Fatalf("frame %d started at %v, off its tick %v", k, f.start, tick)
+		}
+		inputs += f.inputs
+	}
+	if inputs != 100 {
+		t.Fatalf("frames answered %d inputs, want all 100", inputs)
+	}
+}
+
+// TestRenderClockIntervalOverrunLosesSlot: a frame that renders longer than
+// an interval loses the tick it ran past — the next frame waits for the tick
+// after — and the grid is unmoved.
+func TestRenderClockIntervalOverrunLosesSlot(t *testing.T) {
+	r := newRuleRig(core.RuleInterval, func(k int) time.Duration {
+		if k == 100 {
+			return 20 * ms
+		}
+		return 2 * ms
+	}, nil)
+	interval := core.NewPacer(60).Interval()
+	r.clock.SetDemand(60)
+	r.env.Run(600*interval - 1)
+	r.env.Shutdown()
+	if len(r.frames) != 599 {
+		t.Fatalf("%d frames, want 599: one slot lost to the overrun", len(r.frames))
+	}
+	for k, f := range r.frames {
+		tick := k
+		if k > 100 {
+			tick++ // slot 101 went by while frame 100 rendered
+		}
+		if want := time.Duration(tick) * interval; f.start != want {
+			t.Fatalf("frame %d started at %v, want %v", k, f.start, want)
+		}
+	}
+}
+
+// TestRenderClockNoRegBackToBack: without regulation every frame starts the
+// instant the previous one ends, whatever the demanded rate and however many
+// inputs arrive; with no demand the renderer parks, and Stop ends it there.
+func TestRenderClockNoRegBackToBack(t *testing.T) {
+	r := newRuleRig(core.RuleNoReg, func(int) time.Duration { return ms }, nil)
+	for j := 0; j < 50; j++ {
+		at := time.Duration(j)*20*ms + 500*time.Microsecond
+		id := frame.InputID(j + 1)
+		r.env.At(at, func() { r.box.OnInput(id, at) })
+	}
+	r.clock.SetDemand(60)
+	r.env.At(time.Second, func() { r.clock.SetDemand(0) })
+	r.env.At(2*time.Second, func() { r.clock.Stop() })
+	r.env.RunAll()
+	r.env.Shutdown()
+	if len(r.frames) != 1000 {
+		t.Fatalf("%d frames, want 1000: one per millisecond until the demand went", len(r.frames))
+	}
+	inputs := 0
+	for k, f := range r.frames {
+		if f.start != time.Duration(k)*ms {
+			t.Fatalf("frame %d started at %v, want %v", k, f.start, time.Duration(k)*ms)
+		}
+		inputs += f.inputs
+	}
+	if inputs != 50 {
+		t.Fatalf("frames answered %d inputs, want 50", inputs)
+	}
+	if r.pace.TotalSlept() != 0 {
+		t.Fatalf("pacer asked for %v of delay without regulation", r.pace.TotalSlept())
+	}
+	if r.exited != 2*time.Second {
+		t.Fatalf("renderer left its loop at %v, want at Stop (2s) from a park", r.exited)
 	}
 }

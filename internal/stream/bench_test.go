@@ -7,12 +7,15 @@ import (
 )
 
 // BenchmarkStreamEndToEnd measures full-stack frame throughput (render +
-// encode + pipe + decode) for one unregulated session at a small resolution.
+// encode + pipe + decode) for one session at a small resolution, with the
+// target set far above what the pipeline can deliver.
 func BenchmarkStreamEndToEnd(b *testing.B) {
+	h := NewHub(HubConfig{Width: 96, Height: 54, TargetFPS: 100000})
+	go h.Run()
+	defer h.Stop()
 	sc, cc := net.Pipe()
-	srv := NewServer(sc, ServerConfig{Width: 96, Height: 54, Policy: ODRRegulation, TargetFPS: 0})
+	h.Attach(sc, 0, nil)
 	cli := NewClient(cc)
-	go func() { _ = srv.Run() }()
 	go func() { _ = cli.Run() }()
 	b.SetBytes(int64(96 * 54 * 4))
 	b.ResetTimer()
@@ -26,7 +29,6 @@ func BenchmarkStreamEndToEnd(b *testing.B) {
 		b.ReportMetric(rep.FPS, "frames/s")
 	}
 	cli.Stop()
-	srv.Stop()
 }
 
 // BenchmarkHubBroadcast measures hub throughput with four concurrent

@@ -318,6 +318,15 @@ func (c *Client) runSession(conn streamConn) error {
 	}
 }
 
+// isClosedErr reports whether err is an orderly-shutdown artifact.
+func isClosedErr(err error) bool {
+	if err == nil || errors.Is(err, net.ErrClosed) {
+		return true
+	}
+	s := err.Error()
+	return s == "EOF" || s == "io: read/write on closed pipe"
+}
+
 // Run receives, decodes and accounts frames until the stream ends. A nil
 // return means orderly shutdown. A reconnecting client redials dead sessions
 // under its policy; Run returns the last session error once MaxAttempts

@@ -2,6 +2,7 @@ package stream
 
 import (
 	"encoding/binary"
+	"errors"
 	"net"
 	"runtime"
 	"sync"
@@ -61,9 +62,9 @@ type senderScratch struct {
 // three-goroutines-per-viewer shape (sendLoop + inputLoop + reaper) with:
 //
 //   - a fixed sender worker pool (wpool.Striped) draining per-session
-//     latest-wins buffers; each viewer is pinned to a stripe so its writes
-//     stay ordered, and a worker flushes every ready session in its batch
-//     back-to-back — the batch is the cross-session write-coalescing unit;
+//     buffers; each viewer is pinned to a stripe so its writes stay ordered,
+//     and a worker flushes every ready session in its batch back-to-back —
+//     the batch is the cross-session write-coalescing unit;
 //   - one hashed timer wheel scheduling every session's ODR pacing deadline,
 //     aligned to the hub epoch via the domain clock;
 //   - a small shared reader pool polling session input paths.
@@ -310,6 +311,12 @@ func (s *hubSession) runSends(e *hubEngine, wk int) (frames int64, dead, evict b
 	}
 }
 
+// isTimeoutErr reports a deadline-exceeded I/O error.
+func isTimeoutErr(err error) bool {
+	var ne net.Error
+	return errors.As(err, &ne) && ne.Timeout()
+}
+
 // teardown detaches the session exactly once: close the transport, cancel
 // any pacing timer, remove it from its lane shard, the render clock's demand
 // and its reader, release queued artifacts, retire its metric series, fold its
@@ -361,8 +368,9 @@ func (s *hubSession) teardown(evict bool) {
 	})
 }
 
-// handleClientMsg dispatches one client→hub message; false ends the session
-// (msgBye or an unparseable input), mirroring the old per-session input loop.
+// handleClientMsg dispatches one client→hub message; false ends the session:
+// msgBye, an unparseable input, or any type a client does not send (a frame,
+// or garbage).
 func (e *hubEngine) handleClientMsg(s *hubSession, typ byte, payload []byte) bool {
 	h := e.h
 	switch typ {
@@ -380,7 +388,8 @@ func (e *hubEngine) handleClientMsg(s *hubSession, typ byte, payload []byte) boo
 		// The lane encoder is shared; a per-viewer keyframe is spliced from
 		// its state by the send path, so only flag the request.
 		s.wantKey.Store(true)
-	case msgBye:
+	default:
+		// msgBye, or a type no client sends.
 		return false
 	}
 	return true

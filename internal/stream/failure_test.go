@@ -5,26 +5,26 @@ import (
 	"errors"
 	"io"
 	"net"
-	"strings"
 	"testing"
 	"time"
 
 	"odr/internal/chaos"
 	"odr/internal/codec"
+	"odr/internal/obs"
 	"odr/internal/testutil"
 )
 
 // ---------------------------------------------------------------------------
-// Failure matrix: every chaos fault kind × {Client, Server, Hub} with an
-// explicit expected outcome. The chaos schedules are seeded and offset-based,
+// Failure matrix: every chaos fault kind × {Client, Hub} with an explicit
+// expected outcome. The chaos schedules are seeded and offset-based,
 // so each cell exercises the same fault at the same point in the stream on
 // every run.
 //
 // Outcomes:
 //   - tolerate:   the stream keeps delivering frames through the fault
 //   - resume:     delivery breaks but recovers (keyframe resync or reconnect)
-//   - evict:      the serving side detects the stall via its deadline and
-//                 cuts the session (eviction counters observable)
+//   - evict:      the hub detects the stall via its deadline and cuts the
+//                 session (eviction counters observable)
 //   - cleanError: the session terminates with an error — no hang, no panic,
 //                 no goroutine leak
 // ---------------------------------------------------------------------------
@@ -107,137 +107,6 @@ func TestFailureMatrixClient(t *testing.T) {
 	}
 }
 
-// --- Server column: chaos on the single server's conn ---------------------
-
-type serverCell struct {
-	kind       chaos.Kind
-	spec       string
-	expect     string
-	readTO     time.Duration // ServerConfig.ReadTimeout
-	writeTO    time.Duration // ServerConfig.WriteTimeout
-	sendInputs bool          // keep the input path busy (for read-side cells)
-}
-
-func TestFailureMatrixServer(t *testing.T) {
-	cells := []serverCell{
-		// See the client matrix for why loss@6x2 and corrupt@5: whole-frame
-		// loss exercises the parent-chain check, payload corruption the CRC.
-		{kind: chaos.Latency, spec: "latency@0:2ms", expect: "tolerate"},
-		{kind: chaos.Bandwidth, spec: "bw@0:1048576", expect: "tolerate"},
-		{kind: chaos.Loss, spec: "loss@6x2", expect: "resume"},
-		{kind: chaos.Corrupt, spec: "corrupt@5", expect: "resume"},
-		{kind: chaos.StallRead, spec: "stallr@1:10s", expect: "evict",
-			readTO: 150 * time.Millisecond, sendInputs: true},
-		{kind: chaos.StallWrite, spec: "stallw@6000:300ms", expect: "evict",
-			writeTO: 100 * time.Millisecond},
-		{kind: chaos.Disconnect, spec: "disc@9000", expect: "cleanError"},
-		{kind: chaos.HalfOpen, spec: "halfopen@0", expect: "evict",
-			readTO: 150 * time.Millisecond},
-	}
-	for _, cell := range cells {
-		t.Run(cell.kind.String(), func(t *testing.T) {
-			testutil.VerifyNoLeaks(t)
-			sc, cc := net.Pipe()
-			fc := chaos.Wrap(sc, chaos.MustParse(cell.spec), matrixSeed)
-			srv := NewServer(fc, ServerConfig{
-				Width: 32, Height: 18, Policy: ODRRegulation, TargetFPS: 240,
-				ReadTimeout: cell.readTO, WriteTimeout: cell.writeTO,
-			})
-			cli := NewClient(cc)
-			srvErr := make(chan error, 1)
-			cliErr := make(chan error, 1)
-			var srvDone, cliDone bool
-			go func() { srvErr <- srv.Run() }()
-			go func() { cliErr <- cli.Run() }()
-			// Teardown runs even when an assertion below t.Fatals out, so a
-			// failed cell can never strand a running server for the leak
-			// check to trip over. Each loop channel is received exactly once.
-			defer func() {
-				srv.Stop()
-				cli.Stop()
-				if !srvDone {
-					select {
-					case <-srvErr:
-					case <-time.After(10 * time.Second):
-						t.Errorf("%s: server loop did not exit", cell.kind)
-					}
-				}
-				if !cliDone {
-					select {
-					case <-cliErr:
-					case <-time.After(10 * time.Second):
-						t.Errorf("%s: client loop did not exit", cell.kind)
-					}
-				}
-			}()
-			stopInputs := make(chan struct{})
-			if cell.sendInputs {
-				go func() {
-					for {
-						select {
-						case <-stopInputs:
-							return
-						case <-time.After(20 * time.Millisecond):
-							if _, err := cli.SendInput(); err != nil {
-								return
-							}
-						}
-					}
-				}()
-			}
-			defer close(stopInputs)
-
-			switch cell.expect {
-			case "tolerate":
-				waitFrames(t, cli, 40, 15*time.Second)
-			case "resume":
-				waitFrames(t, cli, 40, 15*time.Second)
-				rep := cli.Report()
-				if rep.Resyncs == 0 {
-					t.Errorf("%s: expected a resync (%+v)", cell.kind, rep)
-				}
-				if srv.Stats().Snapshot().KeyReqs == 0 {
-					t.Errorf("%s: server never saw the keyframe request", cell.kind)
-				}
-			case "evict":
-				select {
-				case err := <-srvErr:
-					srvDone = true
-					if err == nil || !strings.Contains(err.Error(), "evicted") {
-						t.Errorf("%s: server Run = %v, want eviction error", cell.kind, err)
-					}
-					if got := srv.Stats().Snapshot().Evicted; got != 1 {
-						t.Errorf("%s: Evicted = %d, want 1", cell.kind, got)
-					}
-				case <-time.After(15 * time.Second):
-					t.Fatalf("%s: server never evicted", cell.kind)
-				}
-			case "cleanError":
-				// The faulted session must terminate — an error on at least
-				// one side, never a hang.
-				var sErr, cErr error
-				select {
-				case sErr = <-srvErr:
-					srvDone = true
-					cli.Stop()
-					cErr = <-cliErr
-					cliDone = true
-				case cErr = <-cliErr:
-					cliDone = true
-					srv.Stop()
-					sErr = <-srvErr
-					srvDone = true
-				case <-time.After(15 * time.Second):
-					t.Fatalf("%s: neither side terminated", cell.kind)
-				}
-				if sErr == nil && cErr == nil {
-					t.Errorf("%s: expected a session error on some side", cell.kind)
-				}
-			}
-		})
-	}
-}
-
 // --- Hub column: a faulted victim session next to a healthy peer ----------
 
 type hubCell struct {
@@ -266,12 +135,25 @@ func TestFailureMatrixHub(t *testing.T) {
 	for _, cell := range cells {
 		t.Run(cell.kind.String(), func(t *testing.T) {
 			testutil.VerifyNoLeaks(t)
+			reg := obs.NewRegistry()
 			h := NewHub(HubConfig{
 				Width: 32, Height: 18, TargetFPS: 240,
 				ReadTimeout: cell.readTO, WriteTimeout: cell.writeTO,
+				Metrics: reg,
 			})
 			go h.Run()
 			defer h.Stop()
+			splicedKeys := reg.CounterVec(NameHubSplicedKeyframes, "", "lane").With1("1")
+
+			// Healthy peer: a clean conn on the same hub, streaming before the
+			// victim joins.
+			hs, hc := net.Pipe()
+			h.Attach(hs, 0, nil)
+			healthy := NewClient(hc)
+			healthyErr := make(chan error, 1)
+			go func() { healthyErr <- healthy.Run() }()
+			waitFrames(t, healthy, 1, 10*time.Second)
+			keys0 := splicedKeys.Value()
 
 			// Victim: its hub-side conn runs under the fault schedule.
 			vs, vc := net.Pipe()
@@ -282,13 +164,6 @@ func TestFailureMatrixHub(t *testing.T) {
 			victimErr := make(chan error, 1)
 			var victimDone bool
 			go func() { victimErr <- victim.Run() }()
-
-			// Healthy peer: a clean conn on the same hub.
-			hs, hc := net.Pipe()
-			h.Attach(hs, 0, nil)
-			healthy := NewClient(hc)
-			healthyErr := make(chan error, 1)
-			go func() { healthyErr <- healthy.Run() }()
 
 			// Teardown runs even when an assertion t.Fatals out mid-cell;
 			// each loop channel is received exactly once.
@@ -336,6 +211,11 @@ func TestFailureMatrixHub(t *testing.T) {
 				waitFrames(t, victim, 40, 15*time.Second)
 				if rep := victim.Report(); rep.Resyncs == 0 {
 					t.Errorf("%s: victim expected a resync (%+v)", cell.kind, rep)
+				}
+				// The victim joined a running lane, so its first frame was a
+				// spliced keyframe; its keyframe request must have cut another.
+				if n := splicedKeys.Value() - keys0; n < 2 {
+					t.Errorf("%s: %d keyframes spliced since the victim joined, want its join's and its resync's", cell.kind, n)
 				}
 			case "evict":
 				select {
@@ -388,9 +268,8 @@ func TestClientResyncsMidStreamJoin(t *testing.T) {
 	// Hand-rolled "server": pre-encode three frames (key, delta, delta),
 	// send only the deltas first, then answer the key request with a fresh
 	// keyframe.
-	srv := NewServer(sc, ServerConfig{Width: 16, Height: 9}) // for its encoder/game only
-	game := srv.game
-	enc := srv.enc
+	game := NewGame(16, 9)
+	enc := codec.NewEncoder(16, 9, codec.Options{})
 	pix := make([]byte, game.FrameBytes())
 	encodeNext := func() []byte {
 		game.Render(pix)
@@ -472,26 +351,25 @@ func TestClientResyncsMidStreamJoin(t *testing.T) {
 	}
 }
 
-// TestServerHandlesKeyReq verifies the live server responds to a keyframe
-// request with a keyframe on the wire.
+// TestServerHandlesKeyReq verifies that a one-viewer hub answers a keyframe
+// request with a keyframe on the wire, spliced from the lane encoder.
 func TestServerHandlesKeyReq(t *testing.T) {
-	srv, cli, cleanup := startPair(t, ServerConfig{
+	reg := obs.NewRegistry()
+	_, cli, cleanup := startPair(t, HubConfig{
 		Width: 32, Height: 18, Policy: ODRRegulation, TargetFPS: 60,
-		Codec: codec.Options{QuantShift: 2, KeyInterval: 1 << 20},
+		Codec:   codec.Options{QuantShift: 2, KeyInterval: 1 << 20},
+		Metrics: reg,
 	})
 	defer cleanup()
 	waitFrames(t, cli, 10, 10*time.Second)
+	keys := reg.CounterVec(NameHubSplicedKeyframes, "", "lane").With1("1")
+	before := keys.Value()
 	if err := cli.sendKeyReq(); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if srv.Stats().Snapshot().KeyReqs > 0 {
-			return
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	t.Fatal("server never observed the keyframe request")
+	pollUntil(t, 5*time.Second, "a spliced keyframe answering the request", func() bool {
+		return keys.Value() > before
+	})
 }
 
 // TestClientResyncsOnChecksumMismatch: a frame whose bitstream fails the CRC
@@ -524,28 +402,46 @@ func TestClientResyncsOnChecksumMismatch(t *testing.T) {
 	}
 }
 
-// TestServerRejectsGarbageMessage: unknown message types terminate the
-// session cleanly.
+// TestServerRejectsGarbageMessage: a message type no client sends — garbage,
+// or a frame — ends that session, in the blocking read mode (ReadTimeout
+// set) and the polling one, while a healthy peer on the same hub streams on.
 func TestServerRejectsGarbageMessage(t *testing.T) {
-	testutil.VerifyNoLeaks(t)
-	sc, cc := net.Pipe()
-	srv := NewServer(sc, ServerConfig{Width: 16, Height: 9, Policy: ODRRegulation, TargetFPS: 60})
-	errCh := make(chan error, 1)
-	go func() { errCh <- srv.Run() }()
-	// Drain frames so the server isn't blocked writing.
-	go func() { _, _ = io.Copy(io.Discard, cc) }()
-	if err := writeMsg(cc, 0xEE, []byte("junk")); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case err := <-errCh:
-		if err == nil {
-			t.Fatal("expected protocol error")
+	for _, mode := range []struct {
+		name   string
+		readTO time.Duration
+	}{{"poll", 0}, {"blocking", 30 * time.Second}} {
+		for _, msg := range []struct {
+			name string
+			typ  byte
+			body []byte
+		}{{"garbage", 0xEE, []byte("junk")}, {"frame", msgFrame, frameMsg(frameMeta{seq: 1}, []byte{1})}} {
+			t.Run(mode.name+"/"+msg.name, func(t *testing.T) {
+				h, stop := startHub(t, HubConfig{Width: 16, Height: 9, TargetFPS: 60, ReadTimeout: mode.readTO})
+				defer stop()
+				healthy, _, detachHealthy := attachClient(t, h, 0)
+				defer detachHealthy()
+				waitFrames(t, healthy, 5, 10*time.Second)
+
+				vs, vc := net.Pipe()
+				defer vc.Close()
+				gone := make(chan SessionStats, 1)
+				h.Attach(vs, 0, func(st SessionStats) { gone <- st })
+				go io.Copy(io.Discard, vc) // drain frames so the hub is not blocked writing
+				if err := writeMsg(vc, msg.typ, msg.body); err != nil {
+					t.Fatal(err)
+				}
+				select {
+				case <-gone:
+				case <-time.After(10 * time.Second):
+					t.Fatal("hub kept the session after a message type no client sends")
+				}
+				waitFrames(t, healthy, healthy.Report().Frames+20, 10*time.Second)
+				if h.Evicted() != 0 {
+					t.Fatalf("%d sessions evicted: a protocol error is not a stall", h.Evicted())
+				}
+			})
 		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("server hung on garbage message")
 	}
-	cc.Close()
 }
 
 // TestClientRejectsOversizedMessage: the length prefix is bounded.

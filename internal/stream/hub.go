@@ -2,6 +2,7 @@ package stream
 
 import (
 	"encoding/binary"
+	"errors"
 	"net"
 	"strconv"
 	"sync"
@@ -16,20 +17,22 @@ import (
 	"odr/internal/timerwheel"
 )
 
-// Hub streams one game to many clients — the "render once, view many" shape
-// of spectating and co-streaming. The shared game renders on demand under one
-// core.RenderClock: at the rate the fastest attached viewer can consume (never
-// above the hub target), not at all while nobody is attached, and with one
-// extra frame per input (PriorityFrame style) that leaves the regular cadence
-// where it was; each frame is then encoded once per resolution lane and the
-// resulting artifact fans out to every viewer on the lane. Every client
-// keeps its own Mul-Buf latest-wins slot and its own pacer, so a slow or
-// slower-paced client never stalls the game or its peers — its obsolete
-// artifacts are simply dropped before transmission, which is ODR's on-demand
-// principle applied per viewer. A viewer whose delta chain skipped frames
-// (or a late joiner needing a keyframe) is repaired by splicing intra-coded
-// tiles out of the shared encoder's state, never by forcing a keyframe on
-// everyone; see encLane and codec.AppendSplice.
+// Hub streams one game to its clients — one viewer or many, in the "render
+// once, view many" shape of spectating and co-streaming. It is the stack's
+// only serving path, under any regulation policy (HubConfig.Policy). Under
+// ODR the shared game renders on demand under one core.RenderClock: at the
+// rate the fastest attached viewer can consume (never above the hub target),
+// not at all while nobody is attached, and with one extra frame per input
+// (PriorityFrame style) that leaves the regular cadence where it was; each
+// frame is then encoded once per resolution lane and the resulting artifact
+// fans out to every viewer on the lane. Every client keeps its own Mul-Buf
+// latest-wins slot and its own pacer, so a slow or slower-paced client never
+// stalls the game or its peers — its obsolete artifacts are simply dropped
+// before transmission, which is ODR's on-demand principle applied per viewer.
+// A viewer whose delta chain skipped frames (or a late joiner needing a
+// keyframe) is repaired by splicing intra-coded tiles out of the shared
+// encoder's state, never by forcing a keyframe on everyone; see encLane and
+// codec.AppendSplice.
 type Hub struct {
 	cfg   HubConfig
 	dom   *realrt.Domain
@@ -130,6 +133,8 @@ type Hub struct {
 type HubConfig struct {
 	// Width and Height are the stream resolution (defaults 320×180).
 	Width, Height int
+	// Policy selects the regulation policy (default ODR); see PolicyKind.
+	Policy PolicyKind
 	// TargetFPS paces the shared renderer (default 60).
 	TargetFPS float64
 	// Codec configures the shared per-lane encoders.
@@ -144,8 +149,8 @@ type HubConfig struct {
 	// obs.FrameInstruments names.
 	Metrics *obs.Registry
 	// WriteTimeout, when > 0, bounds each per-session frame write; a viewer
-	// that cannot drain its socket for this long is evicted. Latest-wins
-	// dropping already shields the hub from slow viewers, so eviction only
+	// that cannot drain its socket for this long is evicted. Each session's
+	// buffer already shields the hub from slow viewers, so eviction only
 	// fires when even single-frame writes stall. 0 disables it.
 	WriteTimeout time.Duration
 	// ReadTimeout, when > 0, bounds each read on a session's input path,
@@ -181,7 +186,7 @@ type hubSession struct {
 	// blocked viewer never contends on a lock shared with the renderer,
 	// the lane, or any other viewer.
 	dom *realrt.Domain
-	buf *core.MultiBuffer
+	buf sessionQueue
 
 	pace      *core.Pacer
 	rate      float64 // key in Hub.rates
@@ -228,11 +233,11 @@ type hubSession struct {
 	// loop before the next transmit.
 	wantKey atomic.Bool
 
-	// carried holds the input stamps of artifacts this session dropped
-	// (latest-wins) before sending; the next frame it does send answers
-	// them, so the issuing client still gets its MtP sample.
+	// carried holds the input stamps of artifacts this session dropped or
+	// skipped before sending; the next frame it sends that was rendered after
+	// them answers them, so the issuing client still gets its MtP sample.
 	carriedMu sync.Mutex
-	carried   []frame.InputStamp
+	carried   []carriedStamp
 
 	// probe publishes this viewer's live QoE/energy series (nil-safe).
 	probe *sessionProbe
@@ -287,7 +292,7 @@ func NewHub(cfg HubConfig) *Hub {
 			h.tr.Span(obs.TrackPacer, "pace", 0, end, end+d)
 		}
 	}
-	h.clock = core.NewRenderClock(dom, h.box, pace)
+	h.clock = core.NewRenderClock(dom, h.box, pace, cfg.Policy.renderRule())
 	h.clock.OnTarget = func(fps float64) {
 		if fps == 0 {
 			h.probe.flushIdle(h.dom.Now())
@@ -493,6 +498,10 @@ func (h *Hub) Stop() {
 	})
 }
 
+// ErrDrainTimeout is returned by Drain when sessions were still flushing when
+// the timeout passed; the hub is stopped regardless.
+var ErrDrainTimeout = errors.New("stream: drain timed out")
+
 // Drain ends the hub gracefully: the renderer retires, each lane encodes the
 // frame it already has queued, every attached session flushes its queued
 // artifacts and receives an orderly msgBye before its connection closes.
@@ -597,6 +606,7 @@ func (h *Hub) Snapshot() map[string]any {
 	}
 	served := atomic.LoadInt64(&h.served)
 	return map[string]any{
+		"policy":          h.cfg.Policy.String(),
 		"target_fps":      h.cfg.TargetFPS,
 		"rendered":        atomic.LoadInt64(&h.rendered),
 		"inputs":          atomic.LoadInt64(&h.inputs),
@@ -695,7 +705,7 @@ func (h *Hub) AttachWithOptions(conn net.Conn, opts AttachOptions) {
 		vectored:  supportsVectoredWrites(conn),
 		detachCb:  opts.Detach,
 	}
-	s.buf = core.NewMultiBuffer(s.dom)
+	s.buf = h.cfg.Policy.sessionBuf(s.dom)
 	// The timer's job is only to requeue the session once its pacing delay
 	// elapses; a Submit refused by a closing pool is fine — shutdown's
 	// straggler sweep tears the session down instead.
@@ -733,7 +743,7 @@ func (h *Hub) AttachWithOptions(conn net.Conn, opts AttachOptions) {
 	ln.sessions.Add(1)
 	h.demandChange(rate, +1)
 	sh.mu.Unlock()
-	recordSessionStart(h.cfg.Metrics, "Hub")
+	recordSessionStart(h.cfg.Metrics, h.cfg.Policy.String())
 	// No per-session goroutines: the engine's reader pool serves the input
 	// path and lane fan-out kicks the sender pool when artifacts arrive. The
 	// initial kick covers nothing today (the buffer is empty) but is cheap
@@ -785,11 +795,7 @@ func (s *hubSession) sendArtifact(scr *senderScratch, f *frame.Frame, art *encAr
 	if art.seq <= s.lastSentSeq {
 		// Stale artifact (the viewer already advanced past it via a
 		// splice): carry its stamps so their MtP samples still answer.
-		if len(f.Inputs) > 0 {
-			s.carriedMu.Lock()
-			s.carried = append(s.carried, f.Inputs...)
-			s.carriedMu.Unlock()
-		}
+		s.carry(art.seq, f.Inputs)
 		return false, 0, nil
 	}
 	start := h.dom.Now()
@@ -808,10 +814,7 @@ func (s *hubSession) sendArtifact(scr *senderScratch, f *frame.Frame, art *encAr
 	// Only the stamp belonging to this session is echoed: MtP is measured
 	// on the issuing client's clock. Stamps carried from dropped older
 	// artifacts are answered by this frame too.
-	s.carriedMu.Lock()
-	stamps := append(s.carried, f.Inputs...)
-	s.carried = nil
-	s.carriedMu.Unlock()
+	stamps := append(s.takeCarried(art.seq), f.Inputs...)
 	var inputID uint64
 	var inputNanos int64
 	for _, st := range stamps {
@@ -961,6 +964,64 @@ func (s *hubSession) sendArtifact(scr *senderScratch, f *frame.Frame, art *encAr
 		}
 	}
 	return true, delay, nil
+}
+
+// carriedStamp is an input stamp waiting for a frame to ride on, with the
+// seq of the frame it came from: only a later frame shows the game's response
+// to it.
+type carriedStamp struct {
+	from uint64
+	frame.InputStamp
+}
+
+// carry keeps the stamps of frame seq, which this session will not send, for
+// the next frame it sends that was rendered after it. Under a push policy
+// that is not simply the next send: the queue ahead of it holds older frames.
+func (s *hubSession) carry(seq uint64, stamps []frame.InputStamp) {
+	if len(stamps) == 0 {
+		return
+	}
+	s.carriedMu.Lock()
+	for _, st := range stamps {
+		s.carried = append(s.carried, carriedStamp{from: seq, InputStamp: st})
+	}
+	s.carriedMu.Unlock()
+}
+
+// takeCarried removes and returns, oldest first, the carried stamps a frame
+// numbered seq was rendered late enough to answer.
+func (s *hubSession) takeCarried(seq uint64) []frame.InputStamp {
+	s.carriedMu.Lock()
+	defer s.carriedMu.Unlock()
+	var out []frame.InputStamp
+	keep := s.carried[:0]
+	for _, c := range s.carried {
+		if c.from < seq {
+			out = append(out, c.InputStamp)
+		} else {
+			keep = append(keep, c)
+		}
+	}
+	s.carried = keep
+	return out
+}
+
+// skip accounts an artifact this session will never send: a drop, whose
+// stamps are carried to a later frame.
+func (s *hubSession) skip(f *frame.Frame) {
+	h := s.hub
+	atomic.AddInt64(&s.dropped, 1)
+	h.ins.Dropped.Inc()
+	h.tr.Instant(obs.TrackProxy, "mulbuf-drop", f.Seq, h.dom.Now())
+	s.carry(f.Seq, f.Inputs)
+}
+
+// hasRoom reports whether the session can take another artifact without
+// displacing one: always under latest-wins, while its queue is short of full
+// under a push policy.
+func (s *hubSession) hasRoom() bool {
+	q, ok := s.buf.(*pushQueue)
+	return !ok || q.Occupancy() < pushQueueDepth
 }
 
 // supportsVectoredWrites reports whether the conn's underlying transport

@@ -224,6 +224,17 @@ func (ln *encLane) putBuf(b []byte) {
 	ln.freeMu.Unlock()
 }
 
+// carry keeps the stamps of a frame dropped before the shared encode for the
+// next encode, which is always of a later frame.
+func (ln *encLane) carry(stamps []frame.InputStamp) {
+	if len(stamps) == 0 {
+		return
+	}
+	ln.carriedMu.Lock()
+	ln.carried = append(ln.carried, stamps...)
+	ln.carriedMu.Unlock()
+}
+
 // offer hands a rendered frame to the lane's latest-wins buffer (renderer
 // goroutine). Dropped frames retire immediately and their input stamps carry
 // into the next encode.
@@ -232,11 +243,7 @@ func (ln *encLane) offer(f *frame.Frame) {
 	for _, d := range dropped {
 		ln.hub.tr.Instant(obs.TrackProxy, "mulbuf-drop", d.Seq, ln.hub.dom.Now())
 		ln.hub.ins.Dropped.Inc()
-		if len(d.Inputs) > 0 {
-			ln.carriedMu.Lock()
-			ln.carried = append(ln.carried, d.Inputs...)
-			ln.carriedMu.Unlock()
-		}
+		ln.carry(d.Inputs)
 		if d.Retire != nil {
 			d.Retire()
 		}
@@ -251,121 +258,151 @@ func (ln *encLane) offer(f *frame.Frame) {
 // run is the lane's encode loop: acquire the latest rendered frame, encode
 // it once, fan the artifact out to every session on the lane.
 func (ln *encLane) run() {
-	h := ln.hub
 	w := realrt.NewWaiter(ln.dom)
 	for {
 		f := ln.buf.Acquire(w)
 		if f == nil {
 			return // lane buffer closed: hub stopping or drained
 		}
-		start := h.dom.Now()
-		src := f.Pixels
-		if ln.div > 1 {
-			downsample(f.Pixels, h.cfg.Width, ln.scratch, ln.w, ln.h, ln.div)
-			src = ln.scratch
-		}
-		buf := ln.getBuf()
-		ln.encMu.Lock()
-		bs, err := ln.enc.EncodeAppend(buf[:0], src)
-		if err != nil {
-			ln.encMu.Unlock()
-			ln.buf.Release()
-			if f.Retire != nil {
-				f.Retire()
-			}
-			ln.fail()
-			return
-		}
-		key := codec.IsKeyframe(bs)
-		art := &encArtifact{
-			lane:        ln,
-			seq:         f.Seq,
-			encIdx:      ln.enc.Frames(),
-			key:         key,
-			bs:          bs,
-			crc:         crc32.ChecksumIEEE(bs),
-			renderNanos: int64(f.RenderEnd),
-			priority:    f.Priority,
-		}
-		if !key {
-			art.parentSeq = ln.lastSeq
-		}
-		ln.lastSeq = f.Seq
-		ln.lastRenderNanos = int64(f.RenderEnd)
-		tiles, dirty := ln.enc.TileStats()
-		// Copy the timings out while still holding encMu: the encoder's own
-		// slice is rewritten by the next encode (or a concurrent splice).
-		ln.nanosScratch = ln.enc.TileNanosAppend(ln.nanosScratch[:0])
-		tileNanos := ln.nanosScratch
-		ln.encMu.Unlock()
-		h.publishCacheStats()
-		encEnd := h.dom.Now()
-
-		h.tr.Span(obs.TrackProxy, "encode", f.Seq, start, encEnd)
-		h.ins.Encoded.Inc()
-		h.ins.Encode.ObserveDuration(encEnd - start)
-		ln.sharedEncodes.Inc()
-		h.probe.onEncode(encEnd - start) // shared work bills the shared probe
-		h.ins.TilesCoded.Add(int64(tiles))
-		h.ins.TilesDirty.Add(int64(dirty))
-		h.ins.DirtyRatio.Set(float64(dirty) / float64(tiles))
-		h.probe.onTiles(tiles, dirty)
-		for _, ns := range tileNanos {
-			h.ins.TileEncode.Observe(ns / 1e3)
-		}
-
-		ln.carriedMu.Lock()
-		stamps := append(ln.carried, f.Inputs...)
-		ln.carried = nil
-		ln.carriedMu.Unlock()
-
-		ef := &frame.Frame{
-			Seq:       art.seq,
-			Priority:  art.priority,
-			Inputs:    stamps,
-			RenderEnd: f.RenderEnd,
-			Bytes:     len(bs),
-			Encoded:   art,
-		}
-		// The lane holds one reference while fanning out, so a fast session
-		// cannot release the artifact to zero mid-broadcast.
-		art.refs.Store(1)
-		for i := range ln.shards {
-			snapP := ln.shards[i].snap.Load()
-			if snapP == nil {
-				continue
-			}
-			for _, s := range *snapP {
-				art.refs.Add(1)
-				stored, dropped := s.buf.PutPriorityStored(ef)
-				for _, d := range dropped {
-					atomic.AddInt64(&s.dropped, 1)
-					h.ins.Dropped.Inc()
-					h.tr.Instant(obs.TrackProxy, "mulbuf-drop", d.Seq, h.dom.Now())
-					if len(d.Inputs) > 0 {
-						s.carriedMu.Lock()
-						s.carried = append(s.carried, d.Inputs...)
-						s.carriedMu.Unlock()
-					}
-					if da, ok := d.Encoded.(*encArtifact); ok {
-						da.release()
-					}
-				}
-				if stored {
-					// Hand the session to a sender worker; a no-op when it
-					// is already queued or waiting out a pacing delay.
-					h.eng.kick(s)
-				} else {
-					art.refs.Add(-1)
-				}
-			}
-		}
+		err := ln.encode(f)
 		ln.buf.Release()
 		if f.Retire != nil {
 			f.Retire()
 		}
-		art.release()
+		if err != nil {
+			ln.fail()
+			return
+		}
 	}
+}
+
+// hasRoom reports whether some session on the lane can queue another
+// artifact.
+func (ln *encLane) hasRoom() bool {
+	for i := range ln.shards {
+		if snapP := ln.shards[i].snap.Load(); snapP != nil {
+			for _, s := range *snapP {
+				if s.hasRoom() {
+					return true
+				}
+			}
+		}
+	}
+	return false
+}
+
+// encode encodes f once and fans the artifact out to every session on the
+// lane (encode-loop goroutine). Under a push policy a frame no session has
+// room for is dropped first, before any encoding work: the lane is the only
+// producer into its sessions' queues, so room now is room at fan-out, and
+// with one viewer every frame that is encoded is sent. Dropping after the
+// encode instead would break the viewer's delta chain. A dropped frame's
+// stamps ride the next encode.
+func (ln *encLane) encode(f *frame.Frame) error {
+	h := ln.hub
+	if h.cfg.Policy.push() && !ln.hasRoom() {
+		h.tr.Instant(obs.TrackProxy, "tail-drop", f.Seq, h.dom.Now())
+		h.ins.Dropped.Inc()
+		ln.carry(f.Inputs)
+		return nil
+	}
+	start := h.dom.Now()
+	src := f.Pixels
+	if ln.div > 1 {
+		downsample(f.Pixels, h.cfg.Width, ln.scratch, ln.w, ln.h, ln.div)
+		src = ln.scratch
+	}
+	buf := ln.getBuf()
+	ln.encMu.Lock()
+	bs, err := ln.enc.EncodeAppend(buf[:0], src)
+	if err != nil {
+		ln.encMu.Unlock()
+		return err
+	}
+	key := codec.IsKeyframe(bs)
+	art := &encArtifact{
+		lane:        ln,
+		seq:         f.Seq,
+		encIdx:      ln.enc.Frames(),
+		key:         key,
+		bs:          bs,
+		crc:         crc32.ChecksumIEEE(bs),
+		renderNanos: int64(f.RenderEnd),
+		priority:    f.Priority,
+	}
+	if !key {
+		art.parentSeq = ln.lastSeq
+	}
+	ln.lastSeq = f.Seq
+	ln.lastRenderNanos = int64(f.RenderEnd)
+	tiles, dirty := ln.enc.TileStats()
+	// Copy the timings out while still holding encMu: the encoder's own
+	// slice is rewritten by the next encode (or a concurrent splice).
+	ln.nanosScratch = ln.enc.TileNanosAppend(ln.nanosScratch[:0])
+	tileNanos := ln.nanosScratch
+	ln.encMu.Unlock()
+	h.publishCacheStats()
+	encEnd := h.dom.Now()
+
+	h.tr.Span(obs.TrackProxy, "encode", f.Seq, start, encEnd)
+	h.ins.Encoded.Inc()
+	h.ins.Encode.ObserveDuration(encEnd - start)
+	ln.sharedEncodes.Inc()
+	h.probe.onEncode(encEnd - start) // shared work bills the shared probe
+	h.ins.TilesCoded.Add(int64(tiles))
+	h.ins.TilesDirty.Add(int64(dirty))
+	h.ins.DirtyRatio.Set(float64(dirty) / float64(tiles))
+	h.probe.onTiles(tiles, dirty)
+	for _, ns := range tileNanos {
+		h.ins.TileEncode.Observe(ns / 1e3)
+	}
+
+	ln.carriedMu.Lock()
+	stamps := append(ln.carried, f.Inputs...)
+	ln.carried = nil
+	ln.carriedMu.Unlock()
+
+	ef := &frame.Frame{
+		Seq:       art.seq,
+		Priority:  art.priority,
+		Inputs:    stamps,
+		RenderEnd: f.RenderEnd,
+		Bytes:     len(bs),
+		Encoded:   art,
+	}
+	// The lane holds one reference while fanning out, so a fast session
+	// cannot release the artifact to zero mid-broadcast.
+	art.refs.Store(1)
+	for i := range ln.shards {
+		snapP := ln.shards[i].snap.Load()
+		if snapP == nil {
+			continue
+		}
+		for _, s := range *snapP {
+			art.refs.Add(1)
+			stored, dropped := s.buf.PutPriorityStored(ef)
+			for _, d := range dropped {
+				s.skip(d)
+				if da, ok := d.Encoded.(*encArtifact); ok {
+					da.release()
+				}
+			}
+			if stored {
+				// Hand the session to a sender worker; a no-op when it
+				// is already queued or waiting out a pacing delay.
+				h.eng.kick(s)
+				continue
+			}
+			art.refs.Add(-1)
+			if !s.hasRoom() {
+				// A full push queue skips this artifact; the session's next
+				// send finds its chain broken and is spliced.
+				s.skip(ef)
+			}
+		}
+	}
+	art.release()
+	return nil
 }
 
 // fail tears down every session on the lane after an encoder error; the

@@ -6,20 +6,21 @@ import (
 	"time"
 
 	"odr/internal/codec"
+	"odr/internal/obs"
 	"odr/internal/testutil"
 )
 
 // streamBytesPerSecond measures what the synthetic game costs on the wire
-// at w×h and fps frames a second with the servers' default codec: the mean
-// delta-frame message over two seconds' worth of frames with an input every
-// sixth. The game advances per rendered frame, not per wall second, so the
+// at w×h and fps frames a second with the hub's lane codec (striped
+// keyframes, shared tile cache): the mean delta-frame message over two
+// seconds' worth of frames with an input every sixth. The game advances per rendered frame, not per wall second, so the
 // per-frame cost does not depend on the rate. Path bandwidths in these
 // tests are stated as fractions of this, so they keep their meaning when
 // the codec's output size changes.
 func streamBytesPerSecond(t *testing.T, w, h int, fps float64) float64 {
 	t.Helper()
 	g := NewGame(w, h)
-	enc := codec.NewEncoder(w, h, codec.Options{})
+	enc := codec.NewEncoder(w, h, codec.Options{Cache: codec.NewTileCache(0), StripeKeyframes: true})
 	pix := make([]byte, g.FrameBytes())
 	var bs []byte
 	var total, n int
@@ -117,9 +118,10 @@ func TestThrottleDelay(t *testing.T) {
 }
 
 // TestRealStackCongestionCollapse reproduces the paper's headline GCE
-// result on the REAL stack: over a bandwidth-limited path, NoReg's
-// motion-to-photon latency collapses into hundreds of milliseconds of
-// queueing while ODR, at the same bandwidth, stays interactive.
+// result on the REAL stack — a hub serving one viewer, the production path:
+// over a bandwidth-limited path, NoReg's motion-to-photon latency collapses
+// into hundreds of milliseconds of queueing while ODR, at the same
+// bandwidth, stays interactive.
 func TestRealStackCongestionCollapse(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-time congestion test")
@@ -132,14 +134,12 @@ func TestRealStackCongestionCollapse(t *testing.T) {
 	run := func(policy PolicyKind) (mtp float64, drops int64) {
 		sc, cc := tcpPair(t)
 		shaped := Throttle(sc, ThrottleConfig{Bandwidth: bandwidth, Delay: 10 * time.Millisecond})
-		srv := NewServer(shaped, ServerConfig{
-			Width: w, Height: h, Policy: policy, TargetFPS: targetFPS,
-			QueueFrames: 64,
-		})
+		reg := obs.NewRegistry()
+		hub := NewHub(HubConfig{Width: w, Height: h, Policy: policy, TargetFPS: targetFPS, Metrics: reg})
+		go hub.Run()
+		hub.Attach(shaped, 0, nil)
 		cli := NewClient(cc)
-		srvDone := make(chan error, 1)
 		cliDone := make(chan error, 1)
-		go func() { srvDone <- srv.Run() }()
 		go func() { cliDone <- cli.Run() }()
 		// Let the queue build, then measure input latency.
 		time.Sleep(700 * time.Millisecond)
@@ -154,62 +154,19 @@ func TestRealStackCongestionCollapse(t *testing.T) {
 			time.Sleep(20 * time.Millisecond)
 		}
 		rep := cli.Report()
-		st := srv.Stats().Snapshot()
+		drops = reg.Counter(obs.NameFramesDropped).Value()
 		cli.Stop()
-		srv.Stop()
-		shaped.Close()
-		<-srvDone
+		hub.Stop()
 		<-cliDone
 		if rep.LatencySamples < 4 {
 			t.Fatalf("%v: only %d latency samples", policy, rep.LatencySamples)
 		}
-		return rep.MeanLatency, st.Dropped
+		return rep.MeanLatency, drops
 	}
 	noregMtP, noregDrops := run(NoRegulation)
 	odrMtP, _ := run(ODRRegulation)
 	t.Logf("real congestion on a %.0f KB/s path: NoReg MtP %.0fms (drops %d) vs ODR MtP %.0fms", bandwidth/1e3, noregMtP, noregDrops, odrMtP)
 	if noregMtP < odrMtP*2 {
 		t.Fatalf("NoReg MtP %.0fms not well above ODR %.0fms on the saturated path", noregMtP, odrMtP)
-	}
-}
-
-// TestAdaptiveQualityCoarsensUnderPressure: on a saturated path the server
-// must raise its quantization shift (coarser, smaller frames); on a clear
-// path it must stay at the configured base.
-func TestAdaptiveQualityCoarsensUnderPressure(t *testing.T) {
-	if testing.Short() {
-		t.Skip("real-time adaptation test")
-	}
-	const w, h, targetFPS = 96, 54, 60
-	run := func(bandwidth float64) uint {
-		sc, cc := tcpPair(t)
-		conn := net.Conn(sc)
-		if bandwidth > 0 {
-			conn = Throttle(sc, ThrottleConfig{Bandwidth: bandwidth})
-		}
-		srv := NewServer(conn, ServerConfig{
-			Width: w, Height: h, Policy: ODRRegulation, TargetFPS: targetFPS,
-			AdaptiveQuality: true,
-		})
-		cli := NewClient(cc)
-		go func() { _ = srv.Run() }()
-		go func() { _ = cli.Run() }()
-		time.Sleep(2 * time.Second)
-		q := srv.CurrentQuantShift()
-		cli.Stop()
-		srv.Stop()
-		conn.Close()
-		cc.Close()
-		return q
-	}
-	clear := run(0)
-	// A quarter of what the lossless stream needs at its target rate.
-	squeezed := run(streamBytesPerSecond(t, w, h, targetFPS) / 4)
-	t.Logf("quant shift: clear path %d, squeezed path %d", clear, squeezed)
-	if clear != 0 {
-		t.Fatalf("clear path coarsened to shift %d", clear)
-	}
-	if squeezed < 2 {
-		t.Fatalf("squeezed path stayed at shift %d, want coarsened", squeezed)
 	}
 }

@@ -1,0 +1,188 @@
+package stream
+
+import (
+	"bytes"
+	"net"
+	"testing"
+	"time"
+
+	"odr/internal/core"
+	"odr/internal/frame"
+	"odr/internal/obs"
+	"odr/internal/realrt"
+	"odr/internal/testutil"
+)
+
+// recordConn keeps every byte written to it; only Write and Close are used.
+type recordConn struct {
+	net.Conn
+	buf bytes.Buffer
+}
+
+func (c *recordConn) Write(p []byte) (int, error) { return c.buf.Write(p) }
+func (c *recordConn) Close() error                { return nil }
+
+// handRig drives one lane and its sessions by hand — no renderer, no sender
+// pool, no clock: the test renders, encodes and sends each frame itself.
+type handRig struct {
+	t    *testing.T
+	h    *Hub
+	ln   *encLane
+	ins  obs.FrameInstruments
+	game *Game
+	pix  []byte
+	scr  senderScratch
+}
+
+func newHandRig(t *testing.T, policy PolicyKind) *handRig {
+	t.Helper()
+	testutil.VerifyNoLeaks(t)
+	reg := obs.NewRegistry()
+	h := NewHub(HubConfig{Width: 16, Height: 8, Policy: policy, Metrics: reg})
+	t.Cleanup(h.Stop)
+	r := &handRig{t: t, h: h, ln: h.lane(1), ins: obs.NewFrameInstruments(reg), game: NewGame(16, 8)}
+	r.pix = make([]byte, r.game.FrameBytes())
+	r.scr.payload = make([]byte, frameHeaderLen, 4096)
+	return r
+}
+
+// session registers a session on the lane whose sends land in its recordConn.
+func (r *handRig) session(id uint32) *hubSession {
+	conn := &recordConn{}
+	dom := realrt.NewDomainAt(r.h.epoch)
+	s := &hubSession{id: id, hub: r.h, lane: r.ln, conn: conn, dom: dom,
+		pace: core.NewPacer(0), buf: r.h.cfg.Policy.sessionBuf(dom)}
+	sh := r.ln.shard(id)
+	sh.mu.Lock()
+	sh.m[id] = s
+	sh.rebuildLocked()
+	sh.mu.Unlock()
+	r.ln.sessions.Add(1)
+	return s
+}
+
+// encode renders frame seq answering stamps and hands it to the lane.
+func (r *handRig) encode(seq uint64, stamps ...frame.InputStamp) {
+	r.t.Helper()
+	r.game.Render(r.pix)
+	f := &frame.Frame{Seq: seq, Pixels: r.pix}
+	core.Tag(f, stamps)
+	if err := r.ln.encode(f); err != nil {
+		r.t.Fatal(err)
+	}
+}
+
+// send transmits the session's next queued artifact and returns the header
+// the client received.
+func (r *handRig) send(s *hubSession) frameMeta {
+	r.t.Helper()
+	f := s.buf.TryAcquire()
+	if f == nil {
+		r.t.Fatalf("session %d has nothing queued", s.id)
+	}
+	art := f.Encoded.(*encArtifact)
+	sent, _, err := s.sendArtifact(&r.scr, f, art)
+	s.buf.Release()
+	art.release()
+	if err != nil || !sent {
+		r.t.Fatalf("send of frame %d: sent %v, err %v", art.seq, sent, err)
+	}
+	wire := &s.conn.(*recordConn).buf
+	typ, payload, err := readMsg(wire, nil)
+	if err != nil || typ != msgFrame || wire.Len() != 0 {
+		r.t.Fatalf("wire after sending frame %d: type %d, err %v, %d bytes left", art.seq, typ, err, wire.Len())
+	}
+	m, _, err := parseFrameMsg(payload)
+	if err != nil {
+		r.t.Fatal(err)
+	}
+	return m
+}
+
+// TestPushDropCarriesStampsToNextSentFrame walks a push policy's drop path by
+// hand on a one-viewer hub: a frame refused by the full session queue is
+// dropped before it is encoded (so the delta chain the client follows never
+// breaks), and its input stamp goes out in the header of the next frame that
+// is encoded, never on an older queued one.
+func TestPushDropCarriesStampsToNextSentFrame(t *testing.T) {
+	r := newHandRig(t, NoRegulation)
+	s := r.session(1)
+	stamp := func(local uint64) frame.InputStamp {
+		return frame.InputStamp{ID: packInput(s.id, local), Issued: time.Duration(local) * time.Millisecond}
+	}
+
+	r.encode(1)
+	if m := r.send(s); m.seq != 1 || m.parentSeq != 0 || m.inputID != 0 {
+		t.Fatalf("frame 1: %+v, want an untagged keyframe", m)
+	}
+	for seq := uint64(2); seq <= 1+pushQueueDepth; seq++ {
+		r.encode(seq)
+	}
+	// Queue full: the two frames answering inputs 7 and 8 are refused.
+	r.encode(2+pushQueueDepth, stamp(7))
+	r.encode(3+pushQueueDepth, stamp(8))
+	if enc, drop := r.ins.Encoded.Value(), r.ins.Dropped.Value(); enc != 1+pushQueueDepth || drop != 2 {
+		t.Fatalf("after two refusals: %d encoded, %d dropped, want %d and 2", enc, drop, 1+pushQueueDepth)
+	}
+
+	// The sender frees a slot, and the next frame is encoded: it carries the
+	// oldest dropped stamp as its motion-to-photon reference and all three
+	// for the record.
+	if m := r.send(s); m.seq != 2 || m.parentSeq != 1 || m.inputID != 0 {
+		t.Fatalf("frame 2: %+v, want an untagged delta on 1", m)
+	}
+	last := uint64(4 + pushQueueDepth)
+	r.encode(last, stamp(9))
+	// Every frame queued ahead of it was rendered before the inputs: none
+	// shows their response.
+	for seq := uint64(3); seq <= 1+pushQueueDepth; seq++ {
+		if m := r.send(s); m.seq != seq || m.parentSeq != seq-1 || m.inputID != 0 {
+			t.Fatalf("queued frame %d: %+v, want an untagged delta on %d", seq, m, seq-1)
+		}
+	}
+	f := s.buf.TryAcquire()
+	if f == nil || len(f.Inputs) != 3 || !f.Priority {
+		t.Fatalf("frame %d queued as %+v, want a priority frame holding 3 stamps", last, f)
+	}
+	m := r.send(s)
+	if m.seq != last || m.inputID != uint64(stamp(7).ID) || m.inputNanos != int64(7*time.Millisecond) {
+		t.Fatalf("frame %d: %+v, want the oldest dropped stamp (7)", last, m)
+	}
+	if m.parentSeq != 1+pushQueueDepth {
+		t.Fatalf("frame %d builds on %d, want %d: a refused frame must not advance the delta chain", last, m.parentSeq, 1+pushQueueDepth)
+	}
+	if len(r.ln.carried) != 0 || len(s.carried) != 0 {
+		t.Fatalf("stamps still carried after they were sent: lane %v, session %v", r.ln.carried, s.carried)
+	}
+}
+
+// TestPushFullSessionSkipsToLaterFrame: with two viewers on a push lane, one
+// whose queue is full skips the artifact its peer takes. The skipped frame's
+// stamp waits out the older frames queued ahead of it and rides the
+// session's next send, which the hub splices because the chain skipped.
+func TestPushFullSessionSkipsToLaterFrame(t *testing.T) {
+	r := newHandRig(t, IntervalRegulation)
+	full, peer := r.session(1), r.session(2)
+	for seq := uint64(1); seq <= pushQueueDepth; seq++ {
+		r.encode(seq)
+		r.send(peer)
+	}
+	skipped := uint64(pushQueueDepth + 1)
+	r.encode(skipped, frame.InputStamp{ID: packInput(full.id, 5), Issued: 5 * time.Millisecond})
+	if m := r.send(peer); m.seq != skipped {
+		t.Fatalf("peer got frame %d, want %d", m.seq, skipped)
+	}
+	if full.dropped != 1 || r.ins.Dropped.Value() != 1 {
+		t.Fatalf("full session dropped %d (hub %d), want the one skipped artifact", full.dropped, r.ins.Dropped.Value())
+	}
+	for seq := uint64(1); seq <= pushQueueDepth; seq++ {
+		if m := r.send(full); m.seq != seq || m.inputID != 0 {
+			t.Fatalf("queued frame %d: %+v, want untagged: it was rendered before the input", seq, m)
+		}
+	}
+	r.encode(skipped + 1)
+	m := r.send(full)
+	if m.seq != skipped+1 || m.parentSeq != pushQueueDepth || m.inputID != uint64(packInput(full.id, 5)) {
+		t.Fatalf("next send %+v, want frame %d spliced onto %d carrying input 5", m, skipped+1, pushQueueDepth)
+	}
+}

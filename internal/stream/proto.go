@@ -1,10 +1,11 @@
 // Package stream is the real-time implementation of the cloud-3D pipeline:
-// a server proxy that renders a synthetic 3D application, encodes frames
-// with the real codec and streams them over a net.Conn, and a client that
-// decodes, displays and measures QoS — with the regulation policy (NoReg,
-// Interval, or ODR) plugged in. The ODR components (MultiBuffer, Pacer,
-// InputBox) are the same package core objects the simulator uses, running on
-// the real-time runtime (package realrt).
+// a hub that renders a synthetic 3D application, encodes frames with the real
+// codec once per resolution lane and streams them to one or many viewers over
+// net.Conn, and a client that decodes, displays and measures QoS — with the
+// regulation policy (ODR, Interval or NoReg) chosen when the hub is built.
+// The ODR components (MultiBuffer, Pacer, InputBox, RenderClock) are the same
+// package core objects the simulator uses, running on the real-time runtime
+// (package realrt).
 package stream
 
 import (

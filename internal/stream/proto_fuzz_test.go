@@ -21,6 +21,7 @@ func FuzzReadMsg(f *testing.F) {
 		stream := append([]byte{msgFrame, byte(len(m)), 0, 0, 0}, m...)
 		f.Add(stream)
 	}
+	f.Add([]byte{0xEE, 4, 0, 0, 0, 'j', 'u', 'n', 'k'}) // a type no peer sends: the hub ends such a session
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bytes.NewReader(data)
 		for {

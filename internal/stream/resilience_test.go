@@ -122,99 +122,77 @@ func TestClientReconnectBudgetResetsOnProgress(t *testing.T) {
 	}
 }
 
-// TestServerDrainFlushesAndByes: Drain delivers a final frame and an orderly
-// msgBye to a live client before the connection closes.
-func TestServerDrainFlushesAndByes(t *testing.T) {
-	testutil.VerifyNoLeaks(t)
-	sc, cc := net.Pipe()
-	srv := NewServer(sc, ServerConfig{Width: 32, Height: 18, Policy: ODRRegulation, TargetFPS: 240})
-	cli := NewClient(cc)
-	srvErr := make(chan error, 1)
-	cliErr := make(chan error, 1)
-	go func() { srvErr <- srv.Run() }()
-	go func() { cliErr <- cli.Run() }()
-
-	waitFrames(t, cli, 5, 10*time.Second)
-	before := cli.Report().Frames
-	if err := srv.Drain(10 * time.Second); err != nil {
-		t.Fatalf("Drain = %v, want nil", err)
-	}
-	// The client must exit via msgBye (nil), having seen the final frame.
-	select {
-	case err := <-cliErr:
-		if err != nil {
-			t.Fatalf("client Run = %v, want nil (orderly bye)", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("client never received the bye")
-	}
-	if after := cli.Report().Frames; after <= before {
-		t.Errorf("no final frame delivered during drain: %d -> %d", before, after)
-	}
-	select {
-	case <-srvErr:
-	case <-time.After(10 * time.Second):
-		t.Fatal("server loop did not exit")
-	}
-	cli.Stop()
-}
-
-// TestServerDrainTimeout: a client that never reads blocks the flush; Drain
-// must give up after its timeout, stop the session, and report it.
-func TestServerDrainTimeout(t *testing.T) {
-	testutil.VerifyNoLeaks(t)
-	sc, cc := net.Pipe()
-	defer cc.Close()
-	srv := NewServer(sc, ServerConfig{Width: 32, Height: 18, Policy: ODRRegulation, TargetFPS: 240})
-	srvErr := make(chan error, 1)
-	go func() { srvErr <- srv.Run() }()
-
-	if err := srv.Drain(200 * time.Millisecond); !errors.Is(err, ErrDrainTimeout) {
-		t.Fatalf("Drain = %v, want ErrDrainTimeout", err)
-	}
-	select {
-	case <-srvErr:
-	case <-time.After(10 * time.Second):
-		t.Fatal("server loop did not exit after drain timeout")
-	}
-}
-
-// TestHubDrainByesAllClients: Drain flushes every attached session, each
-// client exits via msgBye, and the hub ends with zero sessions.
-func TestHubDrainByesAllClients(t *testing.T) {
+// TestHubDrainTimeout: a viewer that never reads blocks its flush; Drain must
+// give up after its timeout, report it, and leave the hub stopped with every
+// session detached and no goroutine behind.
+func TestHubDrainTimeout(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
 	h := NewHub(HubConfig{Width: 32, Height: 18, TargetFPS: 240})
 	go h.Run()
-	defer h.Stop()
+	sc, cc := net.Pipe()
+	defer cc.Close()
+	gone := make(chan SessionStats, 1)
+	h.Attach(sc, 0, func(st SessionStats) { gone <- st })
 
-	const n = 3
-	clients := make([]*Client, n)
-	errs := make([]chan error, n)
-	for i := range clients {
-		sc, cc := net.Pipe()
-		h.Attach(sc, 0, nil)
-		clients[i] = NewClient(cc)
-		errs[i] = make(chan error, 1)
-		go func(c *Client, ch chan error) { ch <- c.Run() }(clients[i], errs[i])
+	if err := h.Drain(200 * time.Millisecond); !errors.Is(err, ErrDrainTimeout) {
+		t.Fatalf("Drain = %v, want ErrDrainTimeout", err)
 	}
-	for _, c := range clients {
-		waitFrames(t, c, 5, 10*time.Second)
+	select {
+	case <-gone:
+	default:
+		t.Fatal("Drain returned with the stuck session still attached")
 	}
-	if err := h.Drain(10 * time.Second); err != nil {
-		t.Fatalf("Drain = %v, want nil", err)
+	select {
+	case <-h.stopping:
+	default:
+		t.Fatal("hub not stopped after a drain timeout")
 	}
-	for i, ch := range errs {
-		select {
-		case err := <-ch:
-			if err != nil {
-				t.Errorf("client %d Run = %v, want nil (orderly bye)", i, err)
+	if n := h.Clients(); n != 0 {
+		t.Fatalf("Clients after drain timeout = %d, want 0", n)
+	}
+}
+
+// TestHubDrainByesAllClients: under every policy, Drain flushes every
+// attached session, each client exits via msgBye, and the hub ends with zero
+// sessions.
+func TestHubDrainByesAllClients(t *testing.T) {
+	for _, policy := range []PolicyKind{ODRRegulation, IntervalRegulation, NoRegulation} {
+		t.Run(policy.String(), func(t *testing.T) {
+			testutil.VerifyNoLeaks(t)
+			h := NewHub(HubConfig{Width: 32, Height: 18, Policy: policy, TargetFPS: 240})
+			go h.Run()
+			defer h.Stop()
+
+			const n = 3
+			clients := make([]*Client, n)
+			errs := make([]chan error, n)
+			for i := range clients {
+				sc, cc := net.Pipe()
+				h.Attach(sc, 0, nil)
+				clients[i] = NewClient(cc)
+				errs[i] = make(chan error, 1)
+				go func(c *Client, ch chan error) { ch <- c.Run() }(clients[i], errs[i])
 			}
-		case <-time.After(10 * time.Second):
-			t.Fatalf("client %d never received the bye", i)
-		}
-	}
-	if got := h.Clients(); got != 0 {
-		t.Errorf("Clients after drain = %d, want 0", got)
+			for _, c := range clients {
+				waitFrames(t, c, 5, 10*time.Second)
+			}
+			if err := h.Drain(10 * time.Second); err != nil {
+				t.Fatalf("Drain = %v, want nil", err)
+			}
+			for i, ch := range errs {
+				select {
+				case err := <-ch:
+					if err != nil {
+						t.Errorf("client %d Run = %v, want nil (orderly bye)", i, err)
+					}
+				case <-time.After(10 * time.Second):
+					t.Fatalf("client %d never received the bye", i)
+				}
+			}
+			if got := h.Clients(); got != 0 {
+				t.Errorf("Clients after drain = %d, want 0", got)
+			}
+		})
 	}
 }
 

@@ -6,42 +6,41 @@ import (
 	"testing"
 	"time"
 
+	"odr/internal/obs"
 	"odr/internal/testutil"
 )
 
-// startPair wires a server and client over an in-process pipe and runs both.
-func startPair(t *testing.T, cfg ServerConfig) (*Server, *Client, func()) {
+// startPair serves one client from a hub over an in-process pipe — the
+// one-viewer shape of a server — and returns the hub's frame instruments
+// (registered on cfg.Metrics, or on a fresh registry).
+func startPair(t *testing.T, cfg HubConfig) (obs.FrameInstruments, *Client, func()) {
 	t.Helper()
 	testutil.VerifyNoLeaks(t)
+	if cfg.Metrics == nil {
+		cfg.Metrics = obs.NewRegistry()
+	}
+	h := NewHub(cfg)
+	go h.Run()
 	sc, cc := net.Pipe()
-	srv := NewServer(sc, cfg)
+	h.Attach(sc, 0, nil)
 	cli := NewClient(cc)
-	var wg sync.WaitGroup
-	wg.Add(2)
+	done := make(chan struct{})
 	go func() {
-		defer wg.Done()
-		if err := srv.Run(); err != nil {
-			t.Errorf("server: %v", err)
-		}
-	}()
-	go func() {
-		defer wg.Done()
+		defer close(done)
 		if err := cli.Run(); err != nil {
 			t.Errorf("client: %v", err)
 		}
 	}()
 	cleanup := func() {
 		cli.Stop()
-		srv.Stop()
-		done := make(chan struct{})
-		go func() { wg.Wait(); close(done) }()
+		h.Stop()
 		select {
 		case <-done:
 		case <-time.After(10 * time.Second):
 			t.Fatal("stream did not shut down")
 		}
 	}
-	return srv, cli, cleanup
+	return obs.NewFrameInstruments(cfg.Metrics), cli, cleanup
 }
 
 func waitFrames(t *testing.T, c *Client, n int64, within time.Duration) {
@@ -57,24 +56,16 @@ func waitFrames(t *testing.T, c *Client, n int64, within time.Duration) {
 }
 
 func TestStreamODRDeliversFrames(t *testing.T) {
-	srv, cli, cleanup := startPair(t, ServerConfig{
+	ins, cli, cleanup := startPair(t, HubConfig{
 		Width: 64, Height: 36, Policy: ODRRegulation, TargetFPS: 120,
 	})
 	defer cleanup()
 	waitFrames(t, cli, 30, 10*time.Second)
-	// The server bumps Sent after its pipe write returns, which can trail
+	// The hub counts a send after its pipe write returns, which can trail
 	// the client's decode of that same frame by a beat — poll briefly.
-	st := srv.Stats().Snapshot()
-	for deadline := time.Now().Add(2 * time.Second); time.Now().Before(deadline); {
-		if st.Rendered >= 30 && st.Encoded >= 30 && st.Sent >= 30 {
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
-		st = srv.Stats().Snapshot()
-	}
-	if st.Rendered < 30 || st.Encoded < 30 || st.Sent < 30 {
-		t.Fatalf("server stats too low: %+v", st)
-	}
+	pollUntil(t, 2*time.Second, "30 frames rendered, encoded and sent", func() bool {
+		return ins.Rendered.Value() >= 30 && ins.Encoded.Value() >= 30 && ins.Displayed.Value() >= 30
+	})
 	rep := cli.Report()
 	if rep.Bytes == 0 || rep.Brightness == 0 {
 		t.Fatalf("client did not decode real content: %+v", rep)
@@ -82,7 +73,7 @@ func TestStreamODRDeliversFrames(t *testing.T) {
 }
 
 func TestStreamODRMeetsTargetFPS(t *testing.T) {
-	_, cli, cleanup := startPair(t, ServerConfig{
+	_, cli, cleanup := startPair(t, HubConfig{
 		Width: 48, Height: 27, Policy: ODRRegulation, TargetFPS: 60,
 	})
 	defer cleanup()
@@ -94,44 +85,20 @@ func TestStreamODRMeetsTargetFPS(t *testing.T) {
 	}
 }
 
-func TestStreamODRBackpressureLimitsRendering(t *testing.T) {
-	// A slow client (tiny pipe + slow reads) must throttle an unregulated-
-	// speed ODR renderer via the multi-buffers, with no drops.
-	srv, cli, cleanup := startPair(t, ServerConfig{
-		Width: 64, Height: 36, Policy: ODRRegulation, TargetFPS: 0,
-	})
-	defer cleanup()
-	waitFrames(t, cli, 50, 15*time.Second)
-	st := srv.Stats().Snapshot()
-	// ODR renders on demand: rendered can exceed sent only by the frames
-	// buffered in the two multi-buffers (and any priority replacements).
-	if st.Rendered > st.Sent+4 {
-		t.Fatalf("ODR rendered %d but sent only %d: backpressure failed", st.Rendered, st.Sent)
-	}
-	if st.Dropped != 0 {
-		t.Fatalf("ODR dropped %d frames without inputs", st.Dropped)
-	}
-}
-
 func TestStreamNoRegRendersExcessively(t *testing.T) {
-	srv, cli, cleanup := startPair(t, ServerConfig{
-		Width: 64, Height: 36, Policy: NoRegulation, QueueFrames: 4,
+	ins, cli, cleanup := startPair(t, HubConfig{
+		Width: 64, Height: 36, Policy: NoRegulation,
 	})
 	defer cleanup()
 	waitFrames(t, cli, 30, 10*time.Second)
-	// Give the renderer time to outrun the pipe.
-	time.Sleep(300 * time.Millisecond)
-	st := srv.Stats().Snapshot()
-	if st.Rendered <= st.Sent {
-		t.Fatalf("NoReg rendered %d <= sent %d: expected excessive rendering", st.Rendered, st.Sent)
-	}
-	if st.Dropped == 0 {
-		t.Fatal("NoReg should drop frames (excess rendering)")
-	}
+	// The renderer never waits, so it outruns the encoder and the pipe.
+	pollUntil(t, 10*time.Second, "NoReg to render frames nobody sees", func() bool {
+		return ins.Rendered.Value() > ins.Displayed.Value() && ins.Dropped.Value() > 0
+	})
 }
 
 func TestStreamInputLatencyAndPriority(t *testing.T) {
-	srv, cli, cleanup := startPair(t, ServerConfig{
+	ins, cli, cleanup := startPair(t, HubConfig{
 		Width: 48, Height: 27, Policy: ODRRegulation, TargetFPS: 30,
 	})
 	defer cleanup()
@@ -153,7 +120,7 @@ func TestStreamInputLatencyAndPriority(t *testing.T) {
 	if rep.MeanLatency <= 0 || rep.MeanLatency > 500 {
 		t.Fatalf("MtP latency %.1fms implausible", rep.MeanLatency)
 	}
-	if st := srv.Stats().Snapshot(); st.Priority == 0 {
+	if ins.Priority.Value() == 0 {
 		t.Fatal("no priority frames produced")
 	}
 }
@@ -161,7 +128,7 @@ func TestStreamInputLatencyAndPriority(t *testing.T) {
 func TestStreamInputVisibleInPixels(t *testing.T) {
 	// The frame responding to an input flashes brighter: verify causality
 	// end-to-end through render -> encode -> network -> decode.
-	srv, cli, cleanup := startPair(t, ServerConfig{
+	_, cli, cleanup := startPair(t, HubConfig{
 		Width: 48, Height: 27, Policy: ODRRegulation, TargetFPS: 30,
 	})
 	defer cleanup()
@@ -184,24 +151,21 @@ func TestStreamInputVisibleInPixels(t *testing.T) {
 	if peak <= base+10 {
 		t.Fatalf("input flash not visible: base %.1f, peak %.1f", base, peak)
 	}
-	_ = srv
 }
 
 func TestStreamOverTCP(t *testing.T) {
+	h, stop := startHub(t, HubConfig{Width: 64, Height: 36, Policy: ODRRegulation, TargetFPS: 60})
+	defer stop()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ln.Close()
-	srvErr := make(chan error, 1)
+	detached := make(chan SessionStats, 1)
 	go func() {
-		conn, err := ln.Accept()
-		if err != nil {
-			srvErr <- err
-			return
+		if conn, err := ln.Accept(); err == nil {
+			h.Attach(conn, 0, func(st SessionStats) { detached <- st })
 		}
-		srv := NewServer(conn, ServerConfig{Width: 64, Height: 36, Policy: ODRRegulation, TargetFPS: 60})
-		srvErr <- srv.Run()
 	}()
 	conn, err := net.Dial("tcp", ln.Addr().String())
 	if err != nil {
@@ -225,17 +189,20 @@ func TestStreamOverTCP(t *testing.T) {
 		t.Fatal("client did not stop")
 	}
 	select {
-	case err := <-srvErr:
-		if err != nil {
-			t.Fatalf("server: %v", err)
+	case st := <-detached:
+		if st.Sent < 30 {
+			t.Fatalf("session sent %d frames, want >= 30", st.Sent)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("server did not stop")
+		t.Fatal("session did not end with its client")
+	}
+	if n := h.Evicted(); n != 0 {
+		t.Fatalf("%d sessions evicted, want an orderly end", n)
 	}
 }
 
 func TestStreamIntervalRegulation(t *testing.T) {
-	_, cli, cleanup := startPair(t, ServerConfig{
+	_, cli, cleanup := startPair(t, HubConfig{
 		Width: 48, Height: 27, Policy: IntervalRegulation, TargetFPS: 50,
 	})
 	defer cleanup()
@@ -248,7 +215,7 @@ func TestStreamIntervalRegulation(t *testing.T) {
 }
 
 func TestStreamOnFrameCallback(t *testing.T) {
-	_, cli, cleanup := startPair(t, ServerConfig{
+	_, cli, cleanup := startPair(t, HubConfig{
 		Width: 32, Height: 18, Policy: ODRRegulation, TargetFPS: 60,
 	})
 	defer cleanup()

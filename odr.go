@@ -10,10 +10,10 @@
 //     paper's metrics (FPS, FPS gap, motion-to-photon latency, DRAM
 //     behaviour, power).
 //
-//   - NewStreamServer / NewStreamClient build the real-time streaming stack:
-//     a server that renders a synthetic game, regulates it with ODR (or a
-//     baseline), encodes frames with a real codec and streams them over any
-//     net.Conn; and a measuring client.
+//   - NewHub / NewStreamClient build the real-time streaming stack: a hub
+//     that renders a synthetic game, regulates it with ODR (or a baseline,
+//     HubConfig.Policy), encodes frames with a real codec and streams them to
+//     one or many viewers over any net.Conn; and a measuring client.
 //
 //   - The re-exported core types (MultiBuffer, Pacer, InputBox) are the
 //     paper's mechanisms themselves, usable in other pipelines via the
@@ -249,14 +249,9 @@ func Simulate(cfg SimConfig) (*SimResult, error) {
 
 // Streaming stack re-exports.
 type (
-	// StreamServer streams a synthetic 3D application over a net.Conn
-	// under a regulation policy.
-	StreamServer = stream.Server
-	// StreamServerConfig configures a StreamServer.
-	StreamServerConfig = stream.ServerConfig
 	// StreamClient decodes a stream and measures client-side QoS.
 	StreamClient = stream.Client
-	// StreamPolicy selects the server's regulation strategy.
+	// StreamPolicy selects a hub's regulation policy (HubConfig.Policy).
 	StreamPolicy = stream.PolicyKind
 	// ClientReport summarizes client-side measurements.
 	ClientReport = stream.Report
@@ -274,17 +269,12 @@ type (
 // the default budget).
 func NewTileCache(maxBytes int64) *TileCache { return codec.NewTileCache(maxBytes) }
 
-// The streaming regulation strategies.
+// The streaming regulation policies; StreamODR is the zero value.
 const (
-	StreamNoReg    = stream.NoRegulation
-	StreamInterval = stream.IntervalRegulation
 	StreamODR      = stream.ODRRegulation
+	StreamInterval = stream.IntervalRegulation
+	StreamNoReg    = stream.NoRegulation
 )
-
-// NewStreamServer prepares a streaming server on conn.
-func NewStreamServer(conn net.Conn, cfg StreamServerConfig) *StreamServer {
-	return stream.NewServer(conn, cfg)
-}
 
 // NewStreamClient wraps conn as a measuring stream client.
 func NewStreamClient(conn net.Conn) *StreamClient { return stream.NewClient(conn) }
@@ -305,8 +295,8 @@ type (
 	ChaosConn = chaos.Conn
 )
 
-// ErrStreamDrainTimeout is returned by StreamServer.Drain and Hub.Drain when
-// the graceful flush did not finish in time.
+// ErrStreamDrainTimeout is returned by Hub.Drain when the graceful flush did
+// not finish in time.
 var ErrStreamDrainTimeout = stream.ErrDrainTimeout
 
 // NewReconnectingStreamClient returns a stream client that obtains
@@ -332,11 +322,12 @@ func WrapChaos(conn net.Conn, sched ChaosSchedule, seed int64) *ChaosConn {
 	return chaos.Wrap(conn, sched, seed)
 }
 
-// Hub streams one shared game to many clients ("render once, encode once,
-// view many"): sessions at the same resolution share a lane encoder, each
-// frame is encoded once per lane and fanned out, and late joiners are served
-// catch-up keyframes spliced from shared encoder state. Pacing and
-// latest-wins regulation stay per-session; see stream.Hub.
+// Hub streams one shared game to one or many clients ("render once, encode
+// once, view many") under a regulation policy: sessions at the same
+// resolution share a lane encoder, each frame is encoded once per lane and
+// fanned out, and late joiners are served catch-up keyframes spliced from
+// shared encoder state. Pacing and session buffering stay per-session; see
+// stream.Hub.
 type (
 	Hub          = stream.Hub
 	HubConfig    = stream.HubConfig

@@ -92,11 +92,12 @@ func TestCoreReexportsUsable(t *testing.T) {
 
 func TestStreamFacade(t *testing.T) {
 	sc, cc := net.Pipe()
-	srv := NewStreamServer(sc, StreamServerConfig{Width: 32, Height: 18, Policy: StreamODR, TargetFPS: 60})
+	hub := NewHub(HubConfig{Width: 32, Height: 18, Policy: StreamODR, TargetFPS: 60})
+	go hub.Run()
+	detached := make(chan SessionStats, 1)
+	hub.Attach(sc, 0, func(st SessionStats) { detached <- st })
 	cli := NewStreamClient(cc)
-	srvDone := make(chan error, 1)
 	cliDone := make(chan error, 1)
-	go func() { srvDone <- srv.Run() }()
 	go func() { cliDone <- cli.Run() }()
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) && cli.Report().Frames < 10 {
@@ -104,10 +105,15 @@ func TestStreamFacade(t *testing.T) {
 	}
 	rep := cli.Report()
 	cli.Stop()
-	srv.Stop()
-	if err := <-srvDone; err != nil {
-		t.Fatalf("server: %v", err)
+	select {
+	case st := <-detached:
+		if st.Sent < 10 {
+			t.Fatalf("hub sent %d frames", st.Sent)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("session never detached after the client stopped")
 	}
+	hub.Stop()
 	if err := <-cliDone; err != nil {
 		t.Fatalf("client: %v", err)
 	}

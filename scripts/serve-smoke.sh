@@ -1,0 +1,58 @@
+#!/usr/bin/env bash
+# The real-time CLIs end to end. For each regulation policy, start
+# `odrserver -once` on a fixed loopback port, play `odrclient` against it for
+# two seconds, and fail unless the client decoded frames and the server exited
+# once its client detached.
+#
+#   bash scripts/serve-smoke.sh            (or: make serve-smoke)
+#
+# SERVE_SMOKE_ADDR overrides the port (default 127.0.0.1:7391); GO the
+# toolchain. Binaries and logs live in a temporary directory that is removed
+# on exit.
+set -euo pipefail
+
+addr=${SERVE_SMOKE_ADDR:-127.0.0.1:7391}
+go=${GO:-go}
+tmp=$(mktemp -d)
+srv=
+cleanup() {
+	if [ -n "$srv" ]; then kill "$srv" 2>/dev/null || true; fi
+	rm -rf "$tmp"
+}
+trap cleanup EXIT
+
+"$go" build -o "$tmp/odrserver" ./cmd/odrserver
+"$go" build -o "$tmp/odrclient" ./cmd/odrclient
+
+fail() {
+	echo "serve-smoke: -policy $policy: $*" >&2
+	echo "--- odrserver log" >&2
+	cat "$tmp/server.log" >&2
+	echo "--- odrclient log" >&2
+	cat "$tmp/client.log" >&2 2>/dev/null || true
+	exit 1
+}
+
+for policy in odr interval noreg; do
+	rm -f "$tmp/client.log"
+	"$tmp/odrserver" -once -policy "$policy" -addr "$addr" -width 96 -height 54 2>"$tmp/server.log" &
+	srv=$!
+	for _ in $(seq 100); do
+		grep -q 'listening on' "$tmp/server.log" && break
+		sleep 0.05
+	done
+	grep -q 'listening on' "$tmp/server.log" || fail "odrserver never listened"
+
+	"$tmp/odrclient" -addr "$addr" -duration 2s 2>"$tmp/client.log" || fail "odrclient failed"
+	frames=$(sed -n 's/.*frames \([0-9]*\)  FPS.*/\1/p' "$tmp/client.log" | tail -n 1)
+	[ -n "$frames" ] && [ "$frames" -gt 0 ] || fail "client decoded no frames"
+
+	for _ in $(seq 100); do
+		kill -0 "$srv" 2>/dev/null || break
+		sleep 0.05
+	done
+	kill -0 "$srv" 2>/dev/null && fail "odrserver -once still running after its client left"
+	wait "$srv" || fail "odrserver exited with an error"
+	srv=
+	echo "serve-smoke: -policy $policy: client decoded $frames frames; server exited after it left"
+done
