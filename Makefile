@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race serve-smoke bench-smoke bench-codec bench-codec-check bench-go report artifacts fidelity examples trace soak soak-hub soak-cluster fuzz metrics-check clean
+.PHONY: all build test race serve-smoke bench-smoke bench-codec bench-codec-check bench-go report report-md artifacts fidelity examples trace soak soak-hub soak-cluster fuzz metrics-check clean
 
 all: build test
 
@@ -128,6 +128,7 @@ examples:
 	$(GO) run ./examples/publiccloud
 	$(GO) run ./examples/gamestream
 	$(GO) run ./examples/spectate
+	$(GO) run ./examples/regulator_compare
 
 clean:
 	rm -rf artifacts report.md

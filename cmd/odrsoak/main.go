@@ -45,9 +45,10 @@
 // odrserver exposes) through internal/obs/scrape and asserts metric
 // predicates against the parsed samples: frame conservation across the
 // pipeline counters, agreement between the Prometheus and /debug/odr JSON
-// views of the registry, tile-outcome accounting of the labeled
-// odr_tiles_outcome_total series, bounded per-session series cardinality
-// with zero label-set evictions, and non-negative per-session energy.
+// views of the registry (the hub snapshot's totals included), tile-outcome
+// accounting of the labeled odr_tiles_outcome_total series, bounded
+// per-session series cardinality with zero label-set evictions, and
+// non-negative per-session energy.
 package main
 
 import (
@@ -315,10 +316,35 @@ func main() {
 		check("prom-frame-conservation",
 			renderedP > 0 && encodedP > 0 && encodedP <= renderedP && displayedP > 0,
 			fmt.Sprintf("rendered=%.0f >= encoded=%.0f (shared), displayed=%.0f", renderedP, encodedP, displayedP))
+		// The hub's own snapshot totals are read from the same registry, so
+		// each must equal its scraped counter exactly.
+		hubSnap := hub.Snapshot()
+		policy, _ := hubSnap["policy"].(string)
+		hubTotals := []struct {
+			key  string
+			prom float64
+		}{
+			{"rendered", renderedP},
+			{"inputs", s.Number(obs.NameInputs)},
+			{"sent", displayedP},
+			{"dropped", s.Number(obs.NameFramesDropped)},
+			{"evicted", s.Number(obs.NameSessionsEvicted)},
+			{"sessions_served", s.Number(stream.NameSessionsStarted, scrape.Label{Name: "policy", Value: policy})},
+		}
+		hubDetail := "all six hub totals agree"
+		var hubOff []string
+		for _, ht := range hubTotals {
+			if v, _ := hubSnap[ht.key].(int64); float64(v) != ht.prom {
+				hubOff = append(hubOff, fmt.Sprintf("%s=%d vs %.0f", ht.key, v, ht.prom))
+			}
+		}
+		if len(hubOff) > 0 {
+			hubDetail = "hub totals differ: " + strings.Join(hubOff, ", ")
+		}
 		check("prom-vs-json",
-			int64(encodedP) == encoded && int64(s.Number("odr_tiles_coded_total")) == tilesCoded,
-			fmt.Sprintf("/metrics encoded=%.0f tiles=%.0f vs /debug/odr %d/%d",
-				encodedP, s.Number("odr_tiles_coded_total"), encoded, tilesCoded))
+			int64(encodedP) == encoded && int64(s.Number("odr_tiles_coded_total")) == tilesCoded && len(hubOff) == 0,
+			fmt.Sprintf("/metrics encoded=%.0f tiles=%.0f vs /debug/odr %d/%d; %s",
+				encodedP, s.Number("odr_tiles_coded_total"), encoded, tilesCoded, hubDetail))
 		dirtyOut := s.Number("odr_tiles_outcome_total", scrape.Label{Name: "tile_outcome", Value: "dirty"})
 		cleanOut := s.Number("odr_tiles_outcome_total", scrape.Label{Name: "tile_outcome", Value: "clean"})
 		check("prom-tile-outcomes",

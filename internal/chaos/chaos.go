@@ -275,8 +275,8 @@ func (c *Conn) Write(p []byte) (int, error) {
 		}
 		eff.latency = c.latency
 		if c.rate > 0 {
-			// Serialize at the bottleneck, exactly like the Throttle this
-			// absorbs: each write occupies the link for len/rate.
+			// Serialize at the bottleneck: each write occupies the link for
+			// len/rate.
 			tx := time.Duration(float64(len(p)) / c.rate * float64(time.Second))
 			now := time.Now()
 			if c.sendAt.Before(now) {

@@ -62,12 +62,14 @@ type Kind uint8
 // HalfOpen act on the read side.
 const (
 	// Latency adds Dur to every write from the step's offset on (Dur 0
-	// clears it). This absorbs the propagation-delay half of the old
-	// stream.Throttle wrapper.
+	// clears it). The writer waits it out, so back-to-back writes pay it
+	// one after another: a stalling sender, not pipelined propagation
+	// delay.
 	Latency Kind = iota
 	// Bandwidth paces writes at Rate bytes/second from the step's offset on
 	// (Rate 0 lifts the limit) — the serialization bottleneck of a shaped
-	// path, with the same synchronous backpressure as stream.Throttle.
+	// path, with synchronous backpressure: a write returns once the link
+	// has carried it.
 	Bandwidth
 	// Loss silently swallows the next Count writes (burst loss).
 	Loss

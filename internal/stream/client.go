@@ -105,7 +105,8 @@ type Client struct {
 	frames       int64
 	bytes        int64
 	latencies    metrics.Dist
-	interDisplay metrics.Dist
+	interDispSum float64 // inter-display gaps, ms: Report needs only
+	interDispN   int     // their mean, so the gaps themselves are not kept
 	lastDisplay  time.Duration
 	lastBright   float64
 	resyncs      int64
@@ -295,10 +296,7 @@ func (c *Client) runSession(conn streamConn) error {
 				c.firstFrame = display
 			}
 			c.lastFrame = display
-			if c.lastDisplay > 0 {
-				c.interDisplay.Add(float64(display-c.lastDisplay) / float64(time.Millisecond))
-			}
-			c.lastDisplay = display
+			c.markDisplayLocked(display)
 			if m.inputID != 0 {
 				c.latencies.Add(float64(display-time.Duration(m.inputNanos)) / float64(time.Millisecond))
 			}
@@ -316,6 +314,16 @@ func (c *Client) runSession(conn streamConn) error {
 			return fmt.Errorf("stream: unknown message type %d", typ)
 		}
 	}
+}
+
+// markDisplayLocked folds one display instant into the inter-display mean
+// (c.mu held).
+func (c *Client) markDisplayLocked(display time.Duration) {
+	if c.lastDisplay > 0 {
+		c.interDispSum += float64(display-c.lastDisplay) / float64(time.Millisecond)
+		c.interDispN++
+	}
+	c.lastDisplay = display
 }
 
 // isClosedErr reports whether err is an orderly-shutdown artifact.
@@ -462,11 +470,13 @@ func (c *Client) Report() Report {
 		MeanLatency:    c.latencies.Mean(),
 		P99Latency:     c.latencies.Percentile(99),
 		LatencySamples: c.latencies.N(),
-		MeanInterMs:    c.interDisplay.Mean(),
 		Brightness:     c.lastBright,
 		Resyncs:        c.resyncs,
 		Reconnects:     c.reconnects,
 		Redirects:      c.redirects,
+	}
+	if c.interDispN > 0 {
+		r.MeanInterMs = c.interDispSum / float64(c.interDispN)
 	}
 	if c.dial != nil {
 		r.RetryBudget = c.pol.MaxAttempts

@@ -85,16 +85,6 @@ type hubEngine struct {
 	readerWG   sync.WaitGroup
 
 	scratch []senderScratch
-
-	// Coalescing accounting: a flush pass is one handler batch that sent at
-	// least one frame; flushedFrames counts the frames those passes sent.
-	flushPasses   atomic.Int64
-	flushedFrames atomic.Int64
-
-	// Nil-safe instruments (registered in NewHub when Metrics is set).
-	queueGauge   *obs.Gauge
-	lagGauge     *obs.Gauge
-	coalescedCtr *obs.Counter
 }
 
 // hubReader is one stripe of the shared input-reader pool: a registry of the
@@ -175,7 +165,7 @@ func (e *hubEngine) start() {
 		Tick:  time.Millisecond,
 		Now:   e.h.dom.Now,
 		OnFire: func(lag time.Duration) {
-			e.lagGauge.Set(float64(lag.Microseconds()))
+			e.h.live.timerwheelLag.Set(float64(lag.Microseconds()))
 		},
 	})
 	e.readerStop = make(chan struct{})
@@ -205,7 +195,7 @@ func (e *hubEngine) shutdown() {
 	}
 	close(e.readerStop)
 	e.readerWG.Wait()
-	e.queueGauge.Set(0)
+	e.h.live.senderQueueDepth.Set(0)
 }
 
 // kick marks s ready and hands it to the sender pool; a no-op when the
@@ -222,13 +212,14 @@ func (e *hubEngine) kick(s *hubSession) {
 		s.sched.Store(schedParked)
 		return
 	}
-	e.queueGauge.Set(float64(e.senders.QueueLen()))
+	e.h.live.senderQueueDepth.Set(float64(e.senders.QueueLen()))
 }
 
 // handleBatch is the sender pool handler: flush every ready session in the
-// batch back-to-back. Two or more sessions flushed in one pass are coalesced —
-// their socket writes ran on one worker wakeup instead of paying a goroutine
-// switch each.
+// batch back-to-back. A pass that sent a frame counts in
+// odr_hub_flush_passes_total; two or more sessions flushed in one pass are
+// coalesced — their socket writes ran on one worker wakeup instead of paying
+// a goroutine switch each.
 func (e *hubEngine) handleBatch(wk int, batch []*hubSession) {
 	var frames int64
 	flushed := 0
@@ -238,14 +229,14 @@ func (e *hubEngine) handleBatch(wk int, batch []*hubSession) {
 			frames += n
 		}
 	}
+	live := e.h.live
 	if frames > 0 {
-		e.flushPasses.Add(1)
-		e.flushedFrames.Add(frames)
+		live.flushPasses.Inc()
 		if flushed >= 2 {
-			e.coalescedCtr.Add(frames)
+			live.coalescedWrites.Add(frames)
 		}
 	}
-	e.queueGauge.Set(float64(e.senders.QueueLen()))
+	live.senderQueueDepth.Set(float64(e.senders.QueueLen()))
 }
 
 // process runs one session's send pass and tears it down if the pass ended
@@ -319,9 +310,10 @@ func isTimeoutErr(err error) bool {
 
 // teardown detaches the session exactly once: close the transport, cancel
 // any pacing timer, remove it from its lane shard, the render clock's demand
-// and its reader, release queued artifacts, retire its metric series, fold its
-// counters into the hub totals, and fire the detach callback. Callable from any goroutine (sender worker,
-// reader, lane failure, Stop); callbacks must not block — they run inline.
+// and its reader, release queued artifacts, retire its metric series, and
+// fire the detach callback with its counters. Callable from any goroutine
+// (sender worker, reader, lane failure, Stop); callbacks must not block —
+// they run inline.
 func (s *hubSession) teardown(evict bool) {
 	s.detachOnce.Do(func() {
 		h := s.hub
@@ -357,13 +349,8 @@ func (s *hubSession) teardown(evict bool) {
 		}
 		s.probe.close(h.dom.Now(), true)
 		s.sendMu.Unlock()
-		sent := atomic.LoadInt64(&s.sent)
-		droppedN := atomic.LoadInt64(&s.dropped)
-		atomic.AddInt64(&h.served, 1)
-		atomic.AddInt64(&h.totalSent, sent)
-		atomic.AddInt64(&h.totalDropped, droppedN)
 		if s.detachCb != nil {
-			s.detachCb(SessionStats{Sent: sent, Dropped: droppedN})
+			s.detachCb(SessionStats{Sent: atomic.LoadInt64(&s.sent), Dropped: atomic.LoadInt64(&s.dropped)})
 		}
 	})
 }
@@ -379,7 +366,6 @@ func (e *hubEngine) handleClientMsg(s *hubSession, typ byte, payload []byte) boo
 		if err != nil {
 			return false
 		}
-		atomic.AddInt64(&h.inputs, 1)
 		h.tr.Instant(obs.TrackInput, "input", id, h.dom.Now())
 		h.ins.Inputs.Inc()
 		s.probe.onInput(h.dom.Now())
@@ -508,9 +494,11 @@ func (s *hubSession) drainPollBuf(e *hubEngine) bool {
 	return true
 }
 
-// SenderBatchStats reports the engine's coalescing accounting: how many
-// flush passes sent at least one frame and how many frames they sent in
-// total. frames/passes is the mean coalescing ratio the hub bench reports.
+// SenderBatchStats reports the engine's coalescing accounting from the
+// registry: how many flush passes sent at least one frame
+// (odr_hub_flush_passes_total) and how many frames the hub sent
+// (odr_frames_displayed_total — every send runs in a flush pass).
+// frames/passes is the mean coalescing ratio the hub bench reports.
 func (h *Hub) SenderBatchStats() (passes, frames int64) {
-	return h.eng.flushPasses.Load(), h.eng.flushedFrames.Load()
+	return h.live.flushPasses.Value(), h.ins.Displayed.Value()
 }

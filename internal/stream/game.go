@@ -1,9 +1,6 @@
 package stream
 
-import (
-	"math"
-	"time"
-)
+import "math"
 
 // Game is the synthetic interactive 3D application the server renders: a
 // procedurally animated scene (a plasma-style gradient with moving sprites)
@@ -17,10 +14,6 @@ type Game struct {
 	// input-to-frame causality visible (and testable) in pixels.
 	reaction float64
 	inputs   int
-
-	// ExtraCost, when set, is sampled per frame and busy-waited/slept to
-	// emulate a heavier GPU load.
-	ExtraCost func() time.Duration
 }
 
 // NewGame returns a game rendering w×h RGBA frames.
@@ -82,11 +75,6 @@ func (g *Game) Render(dst []byte) {
 			dst[i+2] = b
 			dst[i+3] = 255
 			i += 4
-		}
-	}
-	if g.ExtraCost != nil {
-		if d := g.ExtraCost(); d > 0 {
-			time.Sleep(d)
 		}
 	}
 }

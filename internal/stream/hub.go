@@ -57,15 +57,6 @@ type Hub struct {
 
 	nextID atomic.Uint32
 
-	rendered int64
-	inputs   int64
-
-	// Lifetime totals across detached sessions (atomics).
-	served       int64
-	totalSent    int64
-	totalDropped int64
-	evicted      int64 // sessions cut for blowing a read/write deadline
-
 	stopOnce sync.Once
 	stopping chan struct{}
 	// runMu orders Run's renderWG.Add against the Wait in Stop and Drain: Run
@@ -89,11 +80,6 @@ type Hub struct {
 	// (test hook: fault injection on the send path without breaking conns).
 	sendErr atomic.Pointer[func(sessionID uint32) error]
 
-	// evictCtr mirrors evicted into the metrics registry (nil-safe).
-	evictCtr *obs.Counter
-	// targetGauge shows the render clock's target (nil-safe; 0 = parked).
-	targetGauge *obs.Gauge
-
 	// tileCache is the content-addressed encoded-tile cache every lane
 	// encoder shares: a tile's payload is a pure function of its content
 	// bytes, so one cache serves frame payloads, stripe refreshes and splice
@@ -106,16 +92,18 @@ type Hub struct {
 	// publishers (lane loops, session send loops).
 	cachePubMu                       sync.Mutex
 	pubHits, pubMisses, pubEvictions int64
-	cacheHits                        *obs.Counter
-	cacheMisses                      *obs.Counter
-	cacheEvictions                   *obs.Counter
 
-	// Observability (nil-safe; see HubConfig.Trace/Metrics). The hub-level
+	// Observability. The registry is the hub's only counter store: Snapshot,
+	// Rendered, Evicted and SenderBatchStats read it back. The hub-level
 	// probe carries the shared renderer's and shared encoders' energy under
-	// session="shared"; per-viewer probes live on each hubSession.
-	tr    *obs.Tracer
-	ins   obs.FrameInstruments
-	probe *sessionProbe
+	// session="shared"; per-viewer probes live on each hubSession. The
+	// tracer is nil-safe (see HubConfig.Trace).
+	tr      *obs.Tracer
+	ins     obs.FrameInstruments
+	live    *liveVecs
+	evicted *obs.Counter // odr_sessions_evicted_total
+	started *obs.Counter // odr_sessions_started_total{policy=<this hub's>}
+	probe   *sessionProbe
 
 	// eng is the event-driven session engine: a fixed sender worker pool, a
 	// pacing timer wheel, and a shared input-reader pool replace the old
@@ -139,14 +127,14 @@ type HubConfig struct {
 	TargetFPS float64
 	// Codec configures the shared per-lane encoders.
 	Codec codec.Options
-	// RenderCost optionally emulates a heavier GPU.
-	RenderCost func() time.Duration
 	// Trace, when non-nil, records the shared game's frame lifecycle and
 	// per-viewer events against the hub's wall clock (the simulator's
 	// vocabulary; export with Trace.WriteChromeTrace).
 	Trace *obs.Tracer
-	// Metrics, when non-nil, receives live hub telemetry under the
-	// obs.FrameInstruments names.
+	// Metrics receives live hub telemetry under the obs.FrameInstruments
+	// names and the live-session names of this package. It is the hub's only
+	// counter store; nil gives the hub a registry of its own, so Snapshot and
+	// the counters work either way.
 	Metrics *obs.Registry
 	// WriteTimeout, when > 0, bounds each per-session frame write; a viewer
 	// that cannot drain its socket for this long is evicted. Each session's
@@ -239,7 +227,7 @@ type hubSession struct {
 	carriedMu sync.Mutex
 	carried   []carriedStamp
 
-	// probe publishes this viewer's live QoE/energy series (nil-safe).
+	// probe publishes this viewer's live QoE/energy series.
 	probe *sessionProbe
 
 	closeOnce sync.Once
@@ -257,6 +245,10 @@ func NewHub(cfg HubConfig) *Hub {
 		cfg.Codec.Cache = codec.NewTileCache(0)
 	}
 	cfg.Codec.StripeKeyframes = true
+	if cfg.Metrics == nil {
+		cfg.Metrics = obs.NewRegistry()
+	}
+	live := registerLiveVecs(cfg.Metrics)
 	epoch := time.Now()
 	dom := realrt.NewDomainAt(epoch)
 	h := &Hub{
@@ -270,22 +262,13 @@ func NewHub(cfg HubConfig) *Hub {
 		draining: make(chan struct{}),
 		tr:       cfg.Trace,
 		ins:      obs.NewFrameInstruments(cfg.Metrics),
-		evictCtr: cfg.Metrics.Counter(obs.NameSessionsEvicted),
+		live:     live,
+		evicted:  cfg.Metrics.Counter(obs.NameSessionsEvicted),
+		started:  live.started.With1(cfg.Policy.String()),
+		probe:    newSessionProbe(live, "shared"),
 	}
 	h.tileCache = cfg.Codec.Cache
 	h.eng = newHubEngine(h)
-	if reg := cfg.Metrics; reg != nil {
-		v := registerLiveVecs(reg)
-		h.cacheHits = v.cacheHits
-		h.cacheMisses = v.cacheMisses
-		h.cacheEvictions = v.cacheEvictions
-		h.eng.queueGauge = v.senderQueueDepth
-		h.eng.lagGauge = v.timerwheelLag
-		h.eng.coalescedCtr = v.coalescedWrites
-		h.targetGauge = v.renderTarget
-	}
-	h.probe = newSessionProbe(cfg.Metrics, "shared")
-	h.game.ExtraCost = cfg.RenderCost
 	pace := core.NewPacer(0) // the clock sets the target
 	if h.tr != nil {
 		pace.OnDelay = func(end, d time.Duration) {
@@ -297,7 +280,7 @@ func NewHub(cfg HubConfig) *Hub {
 		if fps == 0 {
 			h.probe.flushIdle(h.dom.Now())
 		}
-		h.targetGauge.Set(fps) // last: a scrape that reads 0 here finds the idle flush done
+		h.live.renderTarget.Set(fps) // last: a scrape that reads 0 here finds the idle flush done
 	}
 	return h
 }
@@ -345,7 +328,7 @@ func (h *Hub) Clients() int {
 }
 
 // Rendered returns the number of frames the shared game has rendered.
-func (h *Hub) Rendered() int64 { return atomic.LoadInt64(&h.rendered) }
+func (h *Hub) Rendered() int64 { return h.ins.Rendered.Value() }
 
 // hubPixFreeCap bounds the render-buffer free list: the renderer plus one
 // in-flight frame per lane is the realistic ceiling.
@@ -402,7 +385,6 @@ func (h *Hub) Run() {
 		seq++
 		f := &frame.Frame{Seq: seq, Pixels: pix, RenderStart: start, RenderEnd: h.dom.Now()}
 		core.Tag(f, stamps)
-		atomic.AddInt64(&h.rendered, 1)
 		h.tr.Span(obs.TrackRender, "render", f.Seq, f.RenderStart, f.RenderEnd)
 		h.ins.Rendered.Inc()
 		h.ins.Render.ObserveDuration(f.RenderEnd - f.RenderStart)
@@ -567,53 +549,51 @@ func (h *Hub) publishCacheStats() {
 	dh, dm, de := hits-h.pubHits, misses-h.pubMisses, evs-h.pubEvictions
 	h.pubHits, h.pubMisses, h.pubEvictions = hits, misses, evs
 	h.cachePubMu.Unlock()
-	h.cacheHits.Add(dh)
-	h.cacheMisses.Add(dm)
-	h.cacheEvictions.Add(de)
+	h.live.cacheHits.Add(dh)
+	h.live.cacheMisses.Add(dm)
+	h.live.cacheEvictions.Add(de)
 }
 
 // Evicted returns how many sessions were cut for blowing a deadline.
-func (h *Hub) Evicted() int64 { return atomic.LoadInt64(&h.evicted) }
+func (h *Hub) Evicted() int64 { return h.evicted.Value() }
 
 // evictSession records one deadline eviction.
 func (h *Hub) evictSession() {
-	atomic.AddInt64(&h.evicted, 1)
-	h.evictCtr.Inc()
+	h.evicted.Inc()
 	h.tr.Instant(obs.TrackNetwork, "evict", 0, h.dom.Now())
 }
 
-// Snapshot reports the hub's live state for /debug/odr: lifetime frame and
-// input counters, totals across detached sessions, and the per-session
-// counters of every client still attached. Safe to call concurrently with
-// Run.
+// Snapshot reports the hub's live state for /debug/odr: lifetime totals and
+// the per-session counters of every client still attached. Every total is
+// read from the registry, so it equals its /metrics counter: rendered
+// (odr_frames_rendered_total), inputs (odr_inputs_received_total), sent
+// (odr_frames_displayed_total), dropped (odr_frames_dropped_total: lane
+// drops and push-policy drops before encode as well as per-session skips),
+// evicted (odr_sessions_evicted_total) and sessions_served
+// (odr_sessions_started_total for this hub's policy). Hubs that share a
+// registry share these totals. Safe to call concurrently with Run.
 func (h *Hub) Snapshot() map[string]any {
 	sessions := h.allSessions()
 	live := make([]map[string]any, 0, len(sessions))
-	var liveSent, liveDropped int64
 	for _, s := range sessions {
-		sent := atomic.LoadInt64(&s.sent)
-		dropped := atomic.LoadInt64(&s.dropped)
-		liveSent += sent
-		liveDropped += dropped
 		live = append(live, map[string]any{
 			"id":        s.id,
-			"sent":      sent,
-			"dropped":   dropped,
+			"sent":      atomic.LoadInt64(&s.sent),
+			"dropped":   atomic.LoadInt64(&s.dropped),
 			"downscale": s.downscale,
 			"width":     s.w,
 			"height":    s.h,
 		})
 	}
-	served := atomic.LoadInt64(&h.served)
 	return map[string]any{
 		"policy":          h.cfg.Policy.String(),
 		"target_fps":      h.cfg.TargetFPS,
-		"rendered":        atomic.LoadInt64(&h.rendered),
-		"inputs":          atomic.LoadInt64(&h.inputs),
-		"sessions_served": served + int64(len(live)),
-		"sent":            atomic.LoadInt64(&h.totalSent) + liveSent,
-		"dropped":         atomic.LoadInt64(&h.totalDropped) + liveDropped,
-		"evicted":         atomic.LoadInt64(&h.evicted),
+		"rendered":        h.ins.Rendered.Value(),
+		"inputs":          h.ins.Inputs.Value(),
+		"sessions_served": h.started.Value(),
+		"sent":            h.ins.Displayed.Value(),
+		"dropped":         h.ins.Dropped.Value(),
+		"evicted":         h.evicted.Value(),
 		"clients":         live,
 	}
 }
@@ -719,7 +699,7 @@ func (h *Hub) AttachWithOptions(conn net.Conn, opts AttachOptions) {
 	// Everything a sender worker reads must be in place before the shard
 	// publishes the session: lane fan-out can hand it a frame the moment
 	// the lock drops.
-	s.probe = newSessionProbe(h.cfg.Metrics, "h"+strconv.FormatUint(uint64(id), 10))
+	s.probe = newSessionProbe(h.live, "h"+strconv.FormatUint(uint64(id), 10))
 	h.eng.start()
 	sh := ln.shard(id)
 	sh.mu.Lock()
@@ -742,8 +722,8 @@ func (h *Hub) AttachWithOptions(conn net.Conn, opts AttachOptions) {
 	// already published, and the frame it starts reaches this lane.
 	ln.sessions.Add(1)
 	h.demandChange(rate, +1)
+	h.started.Inc()
 	sh.mu.Unlock()
-	recordSessionStart(h.cfg.Metrics, h.cfg.Policy.String())
 	// No per-session goroutines: the engine's reader pool serves the input
 	// path and lane fan-out kicks the sender pool when artifacts arrive. The
 	// initial kick covers nothing today (the buffer is empty) but is cheap

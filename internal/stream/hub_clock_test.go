@@ -58,7 +58,7 @@ func firstFrameSeq(t *testing.T, h *Hub) (seq uint64, took time.Duration) {
 func parked(t *testing.T, h *Hub) {
 	t.Helper()
 	pollUntil(t, 10*time.Second, "the hub to park", func() bool {
-		return h.Clients() == 0 && h.targetGauge.Value() == 0
+		return h.Clients() == 0 && h.live.renderTarget.Value() == 0
 	})
 }
 
@@ -90,7 +90,7 @@ func TestHubRendersOnDemand(t *testing.T) {
 	// One 30 FPS viewer: the clock follows it.
 	cli, _, detach := attachClient(t, h, 30)
 	waitFrames(t, cli, 10, 10*time.Second)
-	if got := h.targetGauge.Value(); got != 30 {
+	if got := h.live.renderTarget.Value(); got != 30 {
 		t.Fatalf("render target with one 30 FPS viewer = %v, want 30", got)
 	}
 	r0, f0, s0, t0 := h.Rendered(), cli.Report().Frames, spliced.Value(), time.Now()

@@ -112,7 +112,7 @@ type encLane struct {
 	// offers frames only to lanes that have one.
 	sessions atomic.Int32
 
-	// Nil-safe labeled counters (label = downscale divisor).
+	// Labeled counters (label = downscale divisor).
 	sharedEncodes *obs.Counter
 	splicedKeys   *obs.Counter
 	splicedDeltas *obs.Counter
@@ -171,14 +171,11 @@ func (h *Hub) lane(div int) *encLane {
 	for i := range ln.shards {
 		ln.shards[i].m = make(map[uint32]*hubSession)
 	}
-	if reg := h.cfg.Metrics; reg != nil {
-		v := registerLiveVecs(reg)
-		lane := strconv.Itoa(div)
-		ln.sharedEncodes = v.hubEncodes.With1(lane)
-		ln.splicedKeys = v.hubSplicedKeys.With1(lane)
-		ln.splicedDeltas = v.hubSplicedDeltas.With1(lane)
-		ln.splicedTiles = v.hubSplicedTiles.With1(lane)
-	}
+	lane := strconv.Itoa(div)
+	ln.sharedEncodes = h.live.hubEncodes.With1(lane)
+	ln.splicedKeys = h.live.hubSplicedKeys.With1(lane)
+	ln.splicedDeltas = h.live.hubSplicedDeltas.With1(lane)
+	ln.splicedTiles = h.live.hubSplicedTiles.With1(lane)
 	var next []*encLane
 	if cur != nil {
 		next = append(next, *cur...)

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"strings"
 	"sync"
@@ -149,16 +150,76 @@ func TestHubSnapshotTotalsSurviveDetach(t *testing.T) {
 	}
 }
 
-// TestHubObservabilityOffIsInert checks a hub without Trace/Metrics still
-// streams (the nil fast paths) and Snapshot works standalone.
+// TestHubObservabilityOffIsInert checks a hub built without Trace or
+// Metrics: it streams, keeps its counts in a registry of its own, and
+// Snapshot reports from that registry.
 func TestHubObservabilityOffIsInert(t *testing.T) {
 	h, stop := startHub(t, HubConfig{Width: 48, Height: 27, TargetFPS: 90})
 	defer stop()
 	cli, _, clean := attachClient(t, h, 0)
 	defer clean()
 	waitFrames(t, cli, 10, 10*time.Second)
+	reg := h.cfg.Metrics
+	if reg == nil {
+		t.Fatal("a hub built with Metrics: nil has no registry")
+	}
 	snap := h.Snapshot()
-	if snap["rendered"].(int64) == 0 {
-		t.Fatal("no frames rendered with observability off")
+	if r := snap["rendered"].(int64); r == 0 || r > reg.Counter(obs.NameFramesRendered).Value() {
+		t.Fatalf("snapshot rendered=%d, registry %d", r, reg.Counter(obs.NameFramesRendered).Value())
+	}
+	if s := snap["sent"].(int64); s == 0 || s > reg.Counter(obs.NameFramesDisplayed).Value() {
+		t.Fatalf("snapshot sent=%d, registry %d", s, reg.Counter(obs.NameFramesDisplayed).Value())
+	}
+	// Probes are live too: the shared probe's series and the viewer's.
+	if n := reg.GaugeVec(NameSessionFPS, "", "session").Len(); n != 2 {
+		t.Fatalf("%d odr_session_fps series, want 2 (shared + one viewer)", n)
+	}
+}
+
+// TestSnapshotTotalsMatchRegistry pins the hub's one bookkeeping path. A
+// NoReg renderer outruns its lane encoder (lane drops), a viewer sends an
+// input, and a viewer that never reads is evicted; after Stop every Snapshot
+// total equals its registry counter, and SenderBatchStats counts the
+// displayed frames.
+func TestSnapshotTotalsMatchRegistry(t *testing.T) {
+	reg := obs.NewRegistry()
+	h, stop := startHub(t, HubConfig{
+		Width: 48, Height: 27, Policy: NoRegulation, Metrics: reg,
+		WriteTimeout: 50 * time.Millisecond,
+	})
+	cli, _, clean := attachClient(t, h, 0)
+	stuck, peer := net.Pipe()
+	defer peer.Close()
+	h.Attach(stuck, 0, nil)
+	waitFrames(t, cli, 20, 10*time.Second)
+	if _, err := cli.SendInput(); err != nil {
+		t.Fatal(err)
+	}
+	ins := obs.NewFrameInstruments(reg)
+	pollUntil(t, 10*time.Second, "a drop, an input and an eviction", func() bool {
+		return ins.Dropped.Value() > 0 && ins.Inputs.Value() > 0 && h.Evicted() > 0
+	})
+	clean()
+	stop()
+
+	snap := h.Snapshot()
+	for key, name := range map[string]string{
+		"rendered": obs.NameFramesRendered,
+		"inputs":   obs.NameInputs,
+		"sent":     obs.NameFramesDisplayed,
+		"dropped":  obs.NameFramesDropped,
+		"evicted":  obs.NameSessionsEvicted,
+	} {
+		if got, want := snap[key].(int64), reg.Counter(name).Value(); got != want {
+			t.Errorf("snapshot %s = %d, %s = %d", key, got, name, want)
+		}
+	}
+	started := reg.CounterVec(NameSessionsStarted, "", "policy").With1("NoReg").Value()
+	if got := snap["sessions_served"].(int64); got != started || got != 2 {
+		t.Errorf("snapshot sessions_served = %d, %s{policy=NoReg} = %d, want 2", got, NameSessionsStarted, started)
+	}
+	passes, frames := h.SenderBatchStats()
+	if displayed := ins.Displayed.Value(); frames != displayed || passes == 0 || passes > frames {
+		t.Errorf("SenderBatchStats = %d passes / %d frames, %s = %d", passes, frames, obs.NameFramesDisplayed, displayed)
 	}
 }

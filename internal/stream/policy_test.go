@@ -3,6 +3,7 @@ package stream
 import (
 	"bytes"
 	"net"
+	"strconv"
 	"testing"
 	"time"
 
@@ -51,7 +52,8 @@ func (r *handRig) session(id uint32) *hubSession {
 	conn := &recordConn{}
 	dom := realrt.NewDomainAt(r.h.epoch)
 	s := &hubSession{id: id, hub: r.h, lane: r.ln, conn: conn, dom: dom,
-		pace: core.NewPacer(0), buf: r.h.cfg.Policy.sessionBuf(dom)}
+		pace: core.NewPacer(0), buf: r.h.cfg.Policy.sessionBuf(dom),
+		probe: newSessionProbe(r.h.live, "h"+strconv.FormatUint(uint64(id), 10))}
 	sh := r.ln.shard(id)
 	sh.mu.Lock()
 	sh.m[id] = s

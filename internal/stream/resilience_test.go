@@ -224,37 +224,3 @@ func TestHubAttachDuringDrainRefused(t *testing.T) {
 		t.Fatal("refused conn still open")
 	}
 }
-
-// TestThrottleCloseInterruptsForwarder: closing a throttled conn must unblock
-// a paced write in progress and terminate the forwarder goroutine, even with
-// chunks still queued behind a long propagation delay.
-func TestThrottleCloseInterruptsForwarder(t *testing.T) {
-	testutil.VerifyNoLeaks(t)
-	sc, cc := net.Pipe()
-	defer cc.Close()
-	// 1 KiB/s and 10s delay: the second write blocks in pacing, the first
-	// sits in the forwarder waiting out the delay.
-	tc := Throttle(sc, ThrottleConfig{Bandwidth: 1024, Delay: 10 * time.Second})
-	if _, err := tc.Write(make([]byte, 256)); err != nil {
-		t.Fatal(err)
-	}
-	wrote := make(chan error, 1)
-	go func() {
-		_, err := tc.Write(make([]byte, 4096)) // ~4s of pacing
-		wrote <- err
-	}()
-	time.Sleep(20 * time.Millisecond) // let the write enter its pacing sleep
-	if err := tc.Close(); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case err := <-wrote:
-		if !errors.Is(err, net.ErrClosed) {
-			t.Fatalf("paced write after Close = %v, want net.ErrClosed", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("paced write still blocked after Close")
-	}
-	// VerifyNoLeaks (cleanup) asserts the forwarder goroutine is gone well
-	// before its 10s propagation delay would have elapsed.
-}

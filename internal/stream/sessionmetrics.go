@@ -68,6 +68,10 @@ const (
 	// drained two or more sessions back-to-back — writes whose syscall cost
 	// amortized across a batch instead of paying one wakeup each.
 	NameHubCoalescedWrites = "odr_hub_coalesced_writes_total"
+	// NameHubFlushPasses counts sender-pool passes that sent at least one
+	// frame; odr_frames_displayed_total over it is the mean number of frames
+	// a pass flushes.
+	NameHubFlushPasses = "odr_hub_flush_passes_total"
 	// NameCodecTileCacheHits counts encoded-tile cache lookups served from
 	// the content-addressed cache (payload bytes reused, no coding pass).
 	NameCodecTileCacheHits = "odr_codec_tile_cache_hits_total"
@@ -87,19 +91,12 @@ const sessionFlushInterval = 500 * time.Millisecond
 // benchmark (the simulator varies this per workload, the live path cannot).
 const defaultGPUIntensity = 0.5
 
-// recordSessionStart counts one real client session by policy (nil-safe).
-func recordSessionStart(reg *obs.Registry, policy string) {
-	if reg == nil {
-		return
-	}
-	registerLiveVecs(reg)
-	reg.CounterVec(NameSessionsStarted, "", "policy").With1(policy).Inc()
-}
-
-// liveVecs bundles the labeled families of the live per-session surface.
+// liveVecs bundles the live hub surface beyond obs.FrameInstruments: the
+// labeled per-session families and the hub's own counters and gauges. A hub
+// registers it once and hands it to its lanes, engine and probes.
 type liveVecs struct {
 	fps, mtp, mtpP99, smooth, watts, energy *obs.GaugeVec
-	outcome                                 *obs.CounterVec
+	outcome, started                        *obs.CounterVec
 
 	// Hub fan-out families, labeled by lane (the downscale divisor).
 	hubEncodes, hubSplicedKeys, hubSplicedDeltas, hubSplicedTiles *obs.CounterVec
@@ -111,13 +108,12 @@ type liveVecs struct {
 	senderQueueDepth *obs.Gauge
 	timerwheelLag    *obs.Gauge
 	coalescedWrites  *obs.Counter
+	flushPasses      *obs.Counter
 	renderTarget     *obs.Gauge
 }
 
 // registerLiveVecs idempotently registers every live-session family in reg.
-func registerLiveVecs(reg *obs.Registry) liveVecs {
-	reg.CounterVec(NameSessionsStarted,
-		"Streaming sessions started, by regulation policy.", "policy")
+func registerLiveVecs(reg *obs.Registry) *liveVecs {
 	reg.SetHelp(NameCodecTileCacheHits,
 		"Encoded-tile cache lookups served from the content-addressed cache.")
 	reg.SetHelp(NameCodecTileCacheMisses,
@@ -130,16 +126,21 @@ func registerLiveVecs(reg *obs.Registry) liveVecs {
 		"Lag of the most recent pacing timer-wheel fire past its deadline, microseconds.")
 	reg.SetHelp(NameHubCoalescedWrites,
 		"Frames flushed in sender passes that drained two or more sessions back-to-back.")
+	reg.SetHelp(NameHubFlushPasses,
+		"Sender-pool passes that flushed at least one frame.")
 	reg.SetHelp(NameHubRenderTargetFPS,
 		"Rate the hub's render clock paces to: the fastest attached viewer's, capped at the hub target; 0 while parked with no viewer.")
-	return liveVecs{
+	return &liveVecs{
 		cacheHits:        reg.Counter(NameCodecTileCacheHits),
 		cacheMisses:      reg.Counter(NameCodecTileCacheMisses),
 		cacheEvictions:   reg.Counter(NameCodecTileCacheEvictions),
 		senderQueueDepth: reg.Gauge(NameHubSenderQueueDepth),
 		timerwheelLag:    reg.Gauge(NameHubTimerwheelLagUs),
 		coalescedWrites:  reg.Counter(NameHubCoalescedWrites),
+		flushPasses:      reg.Counter(NameHubFlushPasses),
 		renderTarget:     reg.Gauge(NameHubRenderTargetFPS),
+		started: reg.CounterVec(NameSessionsStarted,
+			"Streaming sessions started, by regulation policy.", "policy"),
 		hubEncodes: reg.CounterVec(NameHubSharedEncodes,
 			"Frames encoded once by a hub lane's shared encoder and fanned out to every viewer on the lane.", "lane"),
 		hubSplicedKeys: reg.CounterVec(NameHubSplicedKeyframes,
@@ -196,8 +197,8 @@ type sessionProbe struct {
 	energyNetwork                   *obs.Gauge
 	tilesDirty, tilesClean          *obs.Counter
 
-	// vec handles kept for Delete on close (bounding series churn).
-	fpsVec, mtpVec, mtpP99Vec, smoothVec, wattsVec, energyVec *obs.GaugeVec
+	// vecs is kept for Delete on close (bounding series churn).
+	vecs *liveVecs
 
 	lastFlushAt time.Duration
 	lastTotalJ  float64
@@ -208,23 +209,13 @@ type sessionProbe struct {
 	lastInputAt atomic.Int64
 }
 
-// newSessionProbe registers the live series for one session label. Returns
-// nil (all methods no-ops) when reg is nil.
-func newSessionProbe(reg *obs.Registry, session string) *sessionProbe {
-	if reg == nil {
-		return nil
-	}
-	v := registerLiveVecs(reg)
+// newSessionProbe creates the live series for one session label.
+func newSessionProbe(v *liveVecs, session string) *sessionProbe {
 	p := &sessionProbe{
-		session:   session,
-		live:      qoe.NewLiveWindow(0),
-		meter:     powermodel.NewSessionMeter(powermodel.Config{}, defaultGPUIntensity),
-		fpsVec:    v.fps,
-		mtpVec:    v.mtp,
-		mtpP99Vec: v.mtpP99,
-		smoothVec: v.smooth,
-		wattsVec:  v.watts,
-		energyVec: v.energy,
+		session: session,
+		live:    qoe.NewLiveWindow(0),
+		meter:   powermodel.NewSessionMeter(powermodel.Config{}, defaultGPUIntensity),
+		vecs:    v,
 	}
 	p.fps = v.fps.With1(session)
 	p.mtp = v.mtp.With1(session)
@@ -241,23 +232,17 @@ func newSessionProbe(reg *obs.Registry, session string) *sessionProbe {
 
 // onRender bills GPU-busy render time.
 func (p *sessionProbe) onRender(busy time.Duration) {
-	if p == nil {
-		return
-	}
 	p.meter.AddRender(busy)
 }
 
 // onEncode bills CPU-busy copy+encode time.
 func (p *sessionProbe) onEncode(busy time.Duration) {
-	if p == nil {
-		return
-	}
 	p.meter.AddEncode(busy)
 }
 
 // onTiles counts one frame's tile outcomes.
 func (p *sessionProbe) onTiles(tiles, dirty int) {
-	if p == nil || tiles <= 0 {
+	if tiles <= 0 {
 		return
 	}
 	p.tilesDirty.Add(int64(dirty))
@@ -266,9 +251,6 @@ func (p *sessionProbe) onTiles(tiles, dirty int) {
 
 // onInput stamps a client input's arrival on the session clock.
 func (p *sessionProbe) onInput(now time.Duration) {
-	if p == nil {
-		return
-	}
 	p.lastInputAt.Store(int64(now))
 }
 
@@ -278,9 +260,6 @@ func (p *sessionProbe) onInput(now time.Duration) {
 // a newer input arrived while the answering frame was in flight — it is a
 // live approximation; the authoritative MtP is measured on the client clock.
 func (p *sessionProbe) mtpEstimate(txEnd time.Duration) int64 {
-	if p == nil {
-		return 0
-	}
 	arr := p.lastInputAt.Load()
 	if arr <= 0 || int64(txEnd) <= arr {
 		return 0
@@ -291,9 +270,6 @@ func (p *sessionProbe) mtpEstimate(txEnd time.Duration) int64 {
 // onSend records one delivered frame (send-loop goroutine only): network
 // energy, the QoE window event, and a gauge flush when due.
 func (p *sessionProbe) onSend(at time.Duration, bytes int, busy time.Duration, mtpUs int64) {
-	if p == nil {
-		return
-	}
 	p.meter.AddSend(bytes, busy)
 	p.live.OnSend(at, mtpUs)
 	p.maybeFlush(at)
@@ -302,7 +278,7 @@ func (p *sessionProbe) onSend(at time.Duration, bytes int, busy time.Duration, m
 // maybeFlush publishes the gauges when a flush interval has elapsed
 // (owner goroutine only).
 func (p *sessionProbe) maybeFlush(now time.Duration) {
-	if p == nil || now-p.lastFlushAt < sessionFlushInterval {
+	if now-p.lastFlushAt < sessionFlushInterval {
 		return
 	}
 	p.flush(now)
@@ -310,9 +286,6 @@ func (p *sessionProbe) maybeFlush(now time.Duration) {
 
 // flush publishes the window stats and energy split (owner goroutine only).
 func (p *sessionProbe) flush(now time.Duration) {
-	if p == nil {
-		return
-	}
 	st := p.live.Stats(now)
 	p.fps.Set(st.FPS)
 	p.mtp.Set(st.MeanMtPMs)
@@ -339,18 +312,12 @@ func (p *sessionProbe) flush(now time.Duration) {
 // they stand and the power gauge reads 0 until work resumes, instead of
 // holding the last busy interval's watts (owner goroutine only).
 func (p *sessionProbe) flushIdle(now time.Duration) {
-	if p == nil {
-		return
-	}
 	p.flush(now)
 	p.watts.Set(0)
 }
 
 // EnergyTotals reads the probe's cumulative energy split.
 func (p *sessionProbe) EnergyTotals() powermodel.EnergySplit {
-	if p == nil {
-		return powermodel.EnergySplit{}
-	}
 	return p.meter.Totals()
 }
 
@@ -360,19 +327,17 @@ func (p *sessionProbe) EnergyTotals() powermodel.EnergySplit {
 // the orderly path). Counter series (tile outcomes, session starts) are
 // unlabeled by session and stay.
 func (p *sessionProbe) close(now time.Duration, deleteSeries bool) {
-	if p == nil {
-		return
-	}
 	p.flush(now)
 	if !deleteSeries {
 		return
 	}
-	p.fpsVec.Delete(p.session)
-	p.mtpVec.Delete(p.session)
-	p.mtpP99Vec.Delete(p.session)
-	p.smoothVec.Delete(p.session)
-	p.wattsVec.Delete(p.session)
-	p.energyVec.Delete(p.session, "render")
-	p.energyVec.Delete(p.session, "encode")
-	p.energyVec.Delete(p.session, "network")
+	v := p.vecs
+	v.fps.Delete(p.session)
+	v.mtp.Delete(p.session)
+	v.mtpP99.Delete(p.session)
+	v.smooth.Delete(p.session)
+	v.watts.Delete(p.session)
+	v.energy.Delete(p.session, "render")
+	v.energy.Delete(p.session, "encode")
+	v.energy.Delete(p.session, "network")
 }

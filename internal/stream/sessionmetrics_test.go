@@ -17,24 +17,36 @@ func TestRegisterLiveMetricsIsLintClean(t *testing.T) {
 	RegisterLiveMetrics(nil) // nil-safe
 }
 
+// TestRecordSessionStart pins session-start accounting: every attach counts
+// in odr_sessions_started_total under its hub's policy, and Snapshot's
+// sessions_served reads that series back.
 func TestRecordSessionStart(t *testing.T) {
 	reg := obs.NewRegistry()
-	recordSessionStart(reg, "ODR")
-	recordSessionStart(reg, "ODR")
-	recordSessionStart(reg, "Hub")
+	odrHub, stopODR := startHub(t, HubConfig{Width: 16, Height: 16, TargetFPS: 10, Metrics: reg})
+	defer stopODR()
+	intHub, stopInt := startHub(t, HubConfig{Width: 16, Height: 16, TargetFPS: 10, Policy: IntervalRegulation, Metrics: reg})
+	defer stopInt()
+	for _, h := range []*Hub{odrHub, odrHub, intHub} {
+		defer attachDiscarding(h, AttachOptions{})()
+	}
 	v := reg.CounterVec(NameSessionsStarted, "", "policy")
 	if got := v.With1("ODR").Value(); got != 2 {
 		t.Errorf("ODR starts = %d, want 2", got)
 	}
-	if got := v.With1("Hub").Value(); got != 1 {
-		t.Errorf("Hub starts = %d, want 1", got)
+	if got := v.With1("Interval").Value(); got != 1 {
+		t.Errorf("Interval starts = %d, want 1", got)
 	}
-	recordSessionStart(nil, "ODR") // nil-safe
+	if got := odrHub.Snapshot()["sessions_served"].(int64); got != 2 {
+		t.Errorf("ODR hub sessions_served = %d, want 2", got)
+	}
+	if got := intHub.Snapshot()["sessions_served"].(int64); got != 1 {
+		t.Errorf("Interval hub sessions_served = %d, want 1", got)
+	}
 }
 
 func TestSessionProbeLifecycle(t *testing.T) {
 	reg := obs.NewRegistry()
-	p := newSessionProbe(reg, "s1")
+	p := newSessionProbe(registerLiveVecs(reg), "s1")
 	now := time.Duration(0)
 
 	// Simulate ~1 s of a 50 FPS session answering an input every frame.
@@ -86,7 +98,7 @@ func TestSessionProbeLifecycle(t *testing.T) {
 // means no sample, and a frame finishing before the input cannot sample.
 func TestSessionProbeMtPEstimate(t *testing.T) {
 	reg := obs.NewRegistry()
-	p := newSessionProbe(reg, "s1")
+	p := newSessionProbe(registerLiveVecs(reg), "s1")
 	if got := p.mtpEstimate(time.Second); got != 0 {
 		t.Errorf("estimate before any input = %d", got)
 	}
@@ -101,7 +113,7 @@ func TestSessionProbeMtPEstimate(t *testing.T) {
 
 func TestSessionProbeCloseDeletesSeries(t *testing.T) {
 	reg := obs.NewRegistry()
-	p := newSessionProbe(reg, "h7")
+	p := newSessionProbe(registerLiveVecs(reg), "h7")
 	p.onSend(sessionFlushInterval+time.Millisecond, 1000, time.Millisecond, 0)
 
 	fpsVec := reg.GaugeVec(NameSessionFPS, "", "session")
@@ -120,30 +132,12 @@ func TestSessionProbeCloseDeletesSeries(t *testing.T) {
 	}
 }
 
-func TestSessionProbeNilIsInert(t *testing.T) {
-	p := newSessionProbe(nil, "s1")
-	if p != nil {
-		t.Fatal("nil registry should yield nil probe")
-	}
-	p.onRender(time.Millisecond)
-	p.onEncode(time.Millisecond)
-	p.onTiles(3, 1)
-	p.onInput(time.Second)
-	_ = p.mtpEstimate(2 * time.Second)
-	p.onSend(time.Second, 100, time.Millisecond, 0)
-	p.maybeFlush(time.Second)
-	p.close(time.Second, true)
-	if s := p.EnergyTotals(); s.TotalJ() != 0 {
-		t.Fatalf("nil probe energy = %+v", s)
-	}
-}
-
 // TestSessionProbeRecordingAllocFree pins the hot-path contract: recording
 // a frame through the probe (the per-frame half, not the flush) must not
 // allocate.
 func TestSessionProbeRecordingAllocFree(t *testing.T) {
 	reg := obs.NewRegistry()
-	p := newSessionProbe(reg, "s1")
+	p := newSessionProbe(registerLiveVecs(reg), "s1")
 	at := time.Duration(0)
 	if n := testing.AllocsPerRun(1000, func() {
 		at += time.Millisecond // stay inside one flush interval per run

@@ -239,6 +239,24 @@ func TestStreamOnFrameCallback(t *testing.T) {
 	}
 }
 
+// TestClientMeanInterDisplay pins Report().MeanInterMs to the mean of the
+// gaps between display instants, computed by hand.
+func TestClientMeanInterDisplay(t *testing.T) {
+	c := NewClient(nil)
+	if got := c.Report().MeanInterMs; got != 0 {
+		t.Fatalf("MeanInterMs before any frame = %v, want 0", got)
+	}
+	c.mu.Lock()
+	for _, ms := range []float64{10, 26.5, 43.25, 60, 76.125} {
+		c.markDisplayLocked(time.Duration(ms * float64(time.Millisecond)))
+	}
+	c.mu.Unlock()
+	want := (16.5 + 16.75 + 16.75 + 16.125) / 4
+	if got := c.Report().MeanInterMs; got != want {
+		t.Fatalf("MeanInterMs = %v, want %v", got, want)
+	}
+}
+
 func TestGameRenderDeterministicShape(t *testing.T) {
 	g := NewGame(16, 9)
 	buf := make([]byte, g.FrameBytes())

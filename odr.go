@@ -339,8 +339,8 @@ type (
 // NewHub returns a multi-client streaming hub.
 func NewHub(cfg HubConfig) *Hub { return stream.NewHub(cfg) }
 
-// Hub fan-out metric names, exported by a hub built with a MetricsRegistry
-// as counters labeled by lane (downscale divisor).
+// Hub fan-out metric names, exported by a hub's registry as counters labeled
+// by lane (downscale divisor).
 const (
 	// NameHubSharedEncodes counts frames encoded once on a shared lane
 	// encoder, however many viewers the artifact fanned out to.
@@ -378,9 +378,10 @@ const (
 )
 
 // Observability re-exports: the frame-lifecycle tracer, the telemetry
-// registry, and the live debug endpoint. All are nil-safe — a nil *Tracer or
-// *MetricsRegistry turns every recording call into a no-op, so observability
-// can be compiled in and switched off without cost.
+// registry, and the live debug endpoint. A nil *Tracer turns every recording
+// call into a no-op, and so does a nil *MetricsRegistry in the simulator. A
+// Hub always counts: built without a MetricsRegistry it keeps its counts in
+// a registry of its own, which Hub.Snapshot reads.
 type (
 	// Tracer records frame-lifecycle spans and instants into a fixed-size
 	// lock-free ring; export with WriteChromeTrace (chrome://tracing /
@@ -461,12 +462,3 @@ func NewClusterResolver(masterURL string) *ClusterResolver { return cluster.NewR
 // reg (for lint gates and dashboards that want the families present before
 // the first worker registers).
 func RegisterClusterMetrics(reg *MetricsRegistry) { cluster.RegisterClusterMetrics(reg) }
-
-// ThrottleConfig shapes a connection like a wide-area path (bandwidth cap,
-// propagation delay, bounded buffering).
-type ThrottleConfig = stream.ThrottleConfig
-
-// Throttle wraps conn so its writes experience the configured path shaping;
-// it lets the real-time stack reproduce public-cloud conditions (including
-// the §6.4 congestion collapse) on a loopback connection.
-func Throttle(conn net.Conn, cfg ThrottleConfig) net.Conn { return stream.Throttle(conn, cfg) }
