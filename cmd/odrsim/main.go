@@ -13,6 +13,9 @@
 // worker count (0 = all CPUs, 1 = sequential) and -cache points at a
 // content-addressed result cache reused across runs ("" disables caching).
 // Output is byte-identical regardless of worker count or cache state.
+//
+// The exit status is 1 when the fidelity experiment ran and any paper anchor
+// fell outside its tolerance, so `odrsim fidelity` works as a gate.
 package main
 
 import (
@@ -59,6 +62,7 @@ func main() {
 	}
 
 	start := time.Now()
+	anchorMissed := false
 	// Prefetch the evaluation matrix only when a matrix-backed experiment is
 	// requested, so e.g. `odrsim fig1` stays cheap.
 	matrixBacked := map[string]bool{"table2": true, "fig9": true, "fig10": true,
@@ -122,7 +126,9 @@ func main() {
 		case "seeds":
 			experiments.SummaryCI(o, 5)
 		case "fidelity":
-			experiments.Fidelity(m)
+			for _, r := range experiments.Fidelity(m) {
+				anchorMissed = anchorMissed || !r.OK
+			}
 		default:
 			fmt.Fprintf(os.Stderr, "odrsim: unknown experiment %q (known: %s)\n", name, strings.Join(all, ", "))
 			os.Exit(2)
@@ -141,4 +147,8 @@ func main() {
 	fmt.Printf("scheduler: %d cells run, cache %d hits / %d misses (%d workers)\n",
 		run, hits, misses, runner.Workers())
 	fmt.Printf("completed in %.1fs wall time\n", time.Since(start).Seconds())
+	if anchorMissed {
+		fmt.Fprintln(os.Stderr, "odrsim: paper anchors missed")
+		os.Exit(1)
+	}
 }

@@ -157,22 +157,17 @@ func (b *MultiBuffer) Changed() Cond { return b.changed }
 // "pause until the buffers are swapped", §5.1) or the buffer is closed.
 // If interrupt is non-nil it is evaluated — with the domain lock held — at
 // entry and after every wakeup; when it reports true, WaitBackFree returns
-// false immediately (PriorityFrame canceling the rendering delay, §5.3).
-// It returns true if the back buffer is free or the buffer closed.
-func (b *MultiBuffer) WaitBackFree(w Waiter, interrupt func() bool) bool {
+// at once (PriorityFrame canceling the rendering delay, §5.3).
+func (b *MultiBuffer) WaitBackFree(w Waiter, interrupt func() bool) {
 	mu := b.dom.Locker()
 	mu.Lock()
 	defer mu.Unlock()
 	for b.back != nil && !b.closed {
 		if interrupt != nil && interrupt() {
-			return false
+			return
 		}
 		w.Wait(b.changed)
 	}
-	if interrupt != nil && interrupt() {
-		return false
-	}
-	return true
 }
 
 // Close releases all waiters; subsequent Puts fail and Acquires return nil

@@ -17,9 +17,9 @@ import "time"
 // A Pacer with TargetFPS 0 never requests a delay (the QoS goal "maximize
 // FPS": ODRMax relies purely on multi-buffer backpressure).
 //
-// Pacer is not internally locked: in the simulator it runs single-threaded;
-// in the stream stack each pacer is owned by one goroutine (the hub's
-// renderer through RenderClock, a session's sender).
+// Pacer is not internally locked: each pacer belongs to one thread of
+// execution — the renderer of a RenderClock (ODR's, in the simulator and in
+// the hub alike) or a hub session's sender.
 type Pacer struct {
 	interval  time.Duration
 	accDelay  time.Duration
@@ -84,27 +84,15 @@ func (p *Pacer) PaceAfter(start, end time.Duration) time.Duration {
 	return 0
 }
 
-// PaceAfterObserved is PaceAfter plus the OnDelay observer hook. The
-// regulation pipelines call this variant so that plain PaceAfter stays
-// branch-free for callers that never attach observers.
+// PaceAfterObserved is PaceAfter plus the OnDelay observer hook. RenderClock
+// and the hub's per-viewer send path call this variant so that plain
+// PaceAfter stays branch-free for callers that never attach observers.
 func (p *Pacer) PaceAfterObserved(start, end time.Duration) time.Duration {
 	d := p.PaceAfter(start, end)
 	if d > 0 && p.OnDelay != nil {
 		p.OnDelay(end, d)
 	}
 	return d
-}
-
-// SkipFrame counts a frame that bypassed pacing (a priority frame) and leaves
-// the budget alone: the frame is an extra one outside the target, so the
-// regulator neither delays nor catches up for it. The simulator's policies
-// call it; the hub does not — RenderClock keeps its extra frames away from
-// the pacer altogether.
-func (p *Pacer) SkipFrame() {
-	if p.interval == 0 {
-		return
-	}
-	p.frames++
 }
 
 // AccDelay exposes the current budget for tests and introspection.

@@ -142,17 +142,6 @@ func TestPacerReset(t *testing.T) {
 	}
 }
 
-func TestPacerSkipFrameCountsFrame(t *testing.T) {
-	p := NewPacer(60)
-	p.SkipFrame()
-	if p.Frames() != 1 {
-		t.Fatalf("Frames = %d", p.Frames())
-	}
-	if p.AccDelay() != 0 {
-		t.Fatalf("SkipFrame changed the budget: %v", p.AccDelay())
-	}
-}
-
 // Property: the pacer never requests a negative delay, and after any
 // sequence of frames the accumulated budget is within [-1s, 0].
 func TestPacerInvariants(t *testing.T) {

@@ -90,6 +90,7 @@ func (c *RenderClock) Stop() {
 // at or after the slot's due time — even if it carries an input — and an
 // extra frame when a pending input started it early.
 func (c *RenderClock) Begin(w Waiter) bool {
+	c.extra = false
 	for !c.stopped.Load() {
 		fps := math.Float64frombits(c.demand.Load())
 		if fps != c.target {
@@ -130,7 +131,6 @@ func (c *RenderClock) Begin(w Waiter) bool {
 			// than an interval, and that lateness is what End charges.
 			c.due += late / iv * iv
 		}
-		c.extra = false
 		return true
 	}
 	return false
@@ -158,3 +158,8 @@ func (c *RenderClock) End() {
 	}
 	c.due = now + c.pace.PaceAfterObserved(c.due, now)
 }
+
+// Extra reports whether the frame Begin last opened is an extra frame: one a
+// pending input started before its slot under RuleODR. Like Begin and End it
+// belongs to the rendering thread of execution.
+func (c *RenderClock) Extra() bool { return c.extra }

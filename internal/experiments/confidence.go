@@ -49,7 +49,8 @@ type SummaryCIResult struct {
 	NoRegLatMs    CIStat
 	PowerDropPct  CIStat
 	ReadDropPct   CIStat
-	GoalAttainPct CIStat
+	GoalAttainPct CIStat // regular cadence, as in SummaryResult
+	GoalExtraFPS  CIStat
 }
 
 // SummaryCI runs the §6.6 summary over several independent seeds and
@@ -61,7 +62,7 @@ func SummaryCI(o Options, seeds int) SummaryCIResult {
 	if seeds <= 0 {
 		seeds = 5
 	}
-	var noRegGap, odrGap, odrFPS, noRegFPS, odrLat, noRegLat, powerDrop, readDrop, attain []float64
+	var noRegGap, odrGap, odrFPS, noRegFPS, odrLat, noRegLat, powerDrop, readDrop, attain, extra []float64
 	for i := 0; i < seeds; i++ {
 		so := o
 		so.Seed = o.Seed + int64(i)*7919
@@ -79,6 +80,7 @@ func SummaryCI(o Options, seeds int) SummaryCIResult {
 		powerDrop = append(powerDrop, 100*s.PowerDrop)
 		readDrop = append(readDrop, 100*s.ReadTimeDrop)
 		attain = append(attain, 100*s.ODRGoalFPSvsTarget)
+		extra = append(extra, s.ODRGoalExtraFPS)
 	}
 	res := SummaryCIResult{
 		Seeds:         seeds,
@@ -91,12 +93,13 @@ func SummaryCI(o Options, seeds int) SummaryCIResult {
 		PowerDropPct:  ciOf(powerDrop),
 		ReadDropPct:   ciOf(readDrop),
 		GoalAttainPct: ciOf(attain),
+		GoalExtraFPS:  ciOf(extra),
 	}
 	fmt.Fprintf(o.Out, "Seed sensitivity (%d independent seeds, %v each):\n", seeds, o.Duration)
 	fmt.Fprintf(o.Out, "  FPS gap:          NoReg %s -> ODR %s\n", res.NoRegGap, res.ODRGap)
 	fmt.Fprintf(o.Out, "  client FPS:       ODRMax %s vs NoReg %s\n", res.ODRMaxFPS, res.NoRegFPS)
 	fmt.Fprintf(o.Out, "  MtP latency (ms): ODRMax %s vs NoReg %s\n", res.ODRMaxLatMs, res.NoRegLatMs)
 	fmt.Fprintf(o.Out, "  power saving %%:   %s   read-time saving %%: %s\n", res.PowerDropPct, res.ReadDropPct)
-	fmt.Fprintf(o.Out, "  goal attainment:  %s %% of target\n", res.GoalAttainPct)
+	fmt.Fprintf(o.Out, "  goal attainment:  %s %% of target (regular cadence; + %s extra FPS)\n", res.GoalAttainPct, res.GoalExtraFPS)
 	return res
 }

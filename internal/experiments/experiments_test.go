@@ -298,8 +298,8 @@ func TestAblationDirections(t *testing.T) {
 	})
 	t.Run("Acceleration", func(t *testing.T) {
 		rows := AblationAcceleration(o)
-		if rows[1].ClientFPS >= rows[0].ClientFPS {
-			t.Errorf("delay-only FPS %.1f >= accelerating %.1f", rows[1].ClientFPS, rows[0].ClientFPS)
+		if rows[1].RegularFPS >= rows[0].RegularFPS {
+			t.Errorf("delay-only regular FPS %.1f >= accelerating %.1f", rows[1].RegularFPS, rows[0].RegularFPS)
 		}
 	})
 	t.Run("Priority", func(t *testing.T) {

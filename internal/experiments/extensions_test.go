@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestVRRStudyShapes(t *testing.T) {
@@ -36,7 +37,11 @@ func TestVRRStudyShapes(t *testing.T) {
 }
 
 func TestConsolidationShapes(t *testing.T) {
-	rows := Consolidation(testOptions())
+	// The reference duration: past capacity (x4, no session at QoS) ODR's
+	// MtP margin over NoReg is a few ms, inside 15 s runs' noise.
+	o := testOptions()
+	o.Duration = 60 * time.Second
+	rows := Consolidation(o)
 	type key struct {
 		policy   string
 		sessions int

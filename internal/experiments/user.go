@@ -80,7 +80,11 @@ type SummaryResult struct {
 	NoRegAvgGap          float64
 	// Client FPS overall averages.
 	ODRMaxFPS, NoRegFPS, IntMaxFPS, RVSMaxFPS float64
-	ODRGoalFPSvsTarget                        float64 // ODR60/30 mean over target (1.0 = exactly met)
+	// ODRGoalFPSvsTarget is ODR60/30's regular cadence over its target
+	// (1.0 = exactly met): displayed frames net of the extra frames inputs
+	// start between slots, whose mean rate is ODRGoalExtraFPS.
+	ODRGoalFPSvsTarget float64
+	ODRGoalExtraFPS    float64
 	// MtP latency overall averages (ms).
 	ODRMaxLat, NoRegLat, IntMaxLat, RVSMaxLat float64
 	// Efficiency (720p private cloud, ODR average over Max+60 vs NoReg).
@@ -93,7 +97,7 @@ func Summary(m *Matrix) SummaryResult {
 	var s SummaryResult
 	odrIDs := []PolicyID{ODRMax, ODRGoal}
 	var odrGaps, noregGaps []float64
-	var odrTargets []float64
+	var odrTargets, odrExtras []float64
 	for _, g := range pictor.Groups {
 		for _, b := range pictor.Benchmarks {
 			for _, id := range odrIDs {
@@ -103,7 +107,8 @@ func Summary(m *Matrix) SummaryResult {
 					s.ODRMaxGap = r.GapMax
 				}
 				if id == ODRGoal {
-					odrTargets = append(odrTargets, r.ClientFPS/g.Resolution.TargetFPS())
+					odrTargets = append(odrTargets, (r.ClientFPS-r.ExtraFPS)/g.Resolution.TargetFPS())
+					odrExtras = append(odrExtras, r.ExtraFPS)
 				}
 			}
 			noregGaps = append(noregGaps, m.Get(b, g, NoReg).GapMean)
@@ -112,6 +117,7 @@ func Summary(m *Matrix) SummaryResult {
 	s.ODRAvgGap = mean(odrGaps)
 	s.NoRegAvgGap = mean(noregGaps)
 	s.ODRGoalFPSvsTarget = mean(odrTargets)
+	s.ODRGoalExtraFPS = mean(odrExtras)
 
 	overall := func(id PolicyID, f func(*pipeline.Result) float64) float64 {
 		var rows []float64
@@ -151,7 +157,8 @@ func Summary(m *Matrix) SummaryResult {
 	fmt.Fprintf(o.Out, "  FPS gap: NoReg %.1f -> ODR %.1f (max %.1f)\n", s.NoRegAvgGap, s.ODRAvgGap, s.ODRMaxGap)
 	fmt.Fprintf(o.Out, "  client FPS: ODRMax %.1f vs NoReg %.1f (%+.1f%%), IntMax %.1f, RVSMax %.1f\n",
 		s.ODRMaxFPS, s.NoRegFPS, 100*(s.ODRMaxFPS/s.NoRegFPS-1), s.IntMaxFPS, s.RVSMaxFPS)
-	fmt.Fprintf(o.Out, "  ODR fixed-goal FPS vs target: %.3f of target\n", s.ODRGoalFPSvsTarget)
+	fmt.Fprintf(o.Out, "  ODR fixed-goal regular FPS vs target: %.3f of target (+%.1f extra FPS for inputs)\n",
+		s.ODRGoalFPSvsTarget, s.ODRGoalExtraFPS)
 	fmt.Fprintf(o.Out, "  MtP: ODRMax %.1fms vs NoReg %.1fms (%.1f%% faster), IntMax %.1f, RVSMax %.1f\n",
 		s.ODRMaxLat, s.NoRegLat, 100*(1-s.ODRMaxLat/s.NoRegLat), s.IntMaxLat, s.RVSMaxLat)
 	fmt.Fprintf(o.Out, "  efficiency vs NoReg (720p priv): IPC %+.1f%%, miss rate -%.1f%%, read time -%.1f%%, power -%.1f%%\n",

@@ -38,6 +38,11 @@ type Frame struct {
 	// Priority marks an input-triggered frame handled by PriorityFrame.
 	Priority bool
 
+	// Extra marks a frame the render clock started before its slot because
+	// an input arrived: a frame on top of the target cadence, not one of it.
+	// Filled by the simulator only.
+	Extra bool
+
 	// Inputs holds all inputs combined into this frame (oldest first);
 	// empty for refresh frames.
 	Inputs []InputStamp

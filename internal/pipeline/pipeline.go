@@ -121,6 +121,11 @@ type Result struct {
 	RenderFPS float64
 	EncodeFPS float64
 	ClientFPS float64
+	// ExtraFPS is the part of ClientFPS made of extra frames: frames ODR's
+	// render clock started before their slot for an input (frame.Extra).
+	// ClientFPS − ExtraFPS is the regular cadence, the rate to hold
+	// against a target.
+	ExtraFPS float64
 
 	// Windowed (200 ms) rate distributions, for box plots and tails.
 	ClientRates metrics.Dist
@@ -206,6 +211,8 @@ type pipelineState struct {
 	dropped   int64
 	priority  int64
 
+	extraDisplayed int64 // displayed extra frames, counted while collecting
+
 	collecting bool // true once warmup has passed
 
 	// extGPU/extCPU are slowdowns imposed by co-located sessions (set by
@@ -279,8 +286,9 @@ func build(cfg Config, env *sim.Env) *pipelineState {
 		OnDrop: st.onDrop,
 	}
 	st.policy = cfg.Policy(ctx)
-	// Pacer-delay spans: the regulator's pacer reports every requested
-	// sleep; [end, end+d) is exactly when the encode stage idles for it.
+	// Pacer-delay spans: the regulator's pacer reports every delay its
+	// render clock grants; [end, end+d) is when the renderer waits for its
+	// next slot (an input may start an extra frame inside it).
 	if st.tr != nil {
 		if pp, ok := st.policy.(interface{ Pacer() *core.Pacer }); ok {
 			tr := st.tr
@@ -337,6 +345,7 @@ func (st *pipelineState) result(end time.Duration) *Result {
 		RenderFPS:       float64(st.renderCounter.Total()) / span.Seconds(),
 		EncodeFPS:       float64(st.encodeCounter.Total()) / span.Seconds(),
 		ClientFPS:       float64(st.clientCounter.Total()) / span.Seconds(),
+		ExtraFPS:        float64(st.extraDisplayed) / span.Seconds(),
 		ClientRates:     *st.clientCounter.Rates(),
 		RenderRates:     *st.renderCounter.Rates(),
 		GapMean:         st.gap.Mean(),

@@ -20,7 +20,8 @@ func scaleDur(d time.Duration, f float64) time.Duration {
 
 // rendererProc is the 3D application plus GPU (Fig. 2 step 3). The policy's
 // RenderGate supplies the regulation delay (none, interval, RVS feedback, or
-// ODR's Mul-Buf1 wait); pending inputs are combined into the next frame.
+// ODR's render clock and Mul-Buf1 wait); pending inputs are combined into the
+// next frame.
 func (st *pipelineState) rendererProc(p *sim.Proc) {
 	w := simrt.NewWaiter(p)
 	var seq uint64
@@ -100,7 +101,7 @@ func (st *pipelineState) proxyProc(p *sim.Proc) {
 			st.encodeCounter.Tick(p.Now())
 			st.encodeTimes.Add(msf(et))
 		}
-		st.policy.SubmitEncoded(w, f, start)
+		st.policy.SubmitEncoded(w, f)
 	}
 }
 
@@ -162,6 +163,9 @@ func (st *pipelineState) clientProc(p *sim.Proc) {
 		}
 		if st.collecting {
 			st.clientCounter.Tick(display)
+			if f.Extra {
+				st.extraDisplayed++
+			}
 			if st.lastDisplay > 0 {
 				st.interDisplay.Add(msf(display - st.lastDisplay))
 			}

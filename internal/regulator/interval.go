@@ -65,9 +65,9 @@ func NewInterval(ctx *Ctx, targetFPS float64) *Interval {
 func (iv *Interval) Name() string { return iv.label }
 
 // RenderGate implements Policy: sleep until the next interval boundary.
-func (iv *Interval) RenderGate(w core.Waiter) bool {
+func (iv *Interval) RenderGate(w core.Waiter) {
 	if iv.interval <= 0 {
-		return false
+		return
 	}
 	now := iv.ctx.Dom.Now()
 	if iv.nextTick <= now {
@@ -78,7 +78,6 @@ func (iv *Interval) RenderGate(w core.Waiter) bool {
 	}
 	w.Sleep(iv.nextTick - now)
 	iv.nextTick += iv.interval
-	return false
 }
 
 // SubmitRendered implements Policy (latest-wins, like all in-app delays).
@@ -103,7 +102,7 @@ func (iv *Interval) AcquireForEncode(w core.Waiter) *frame.Frame {
 }
 
 // SubmitEncoded implements Policy: push, no proxy-side pacing.
-func (iv *Interval) SubmitEncoded(_ core.Waiter, f *frame.Frame, _ time.Duration) { iv.sb.push(f) }
+func (iv *Interval) SubmitEncoded(_ core.Waiter, f *frame.Frame) { iv.sb.push(f) }
 
 // AcquireForSend implements Policy.
 func (iv *Interval) AcquireForSend(w core.Waiter) *frame.Frame { return iv.sb.pop(w) }

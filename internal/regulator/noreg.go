@@ -27,7 +27,7 @@ func NewNoReg(ctx *Ctx) *NoReg {
 func (n *NoReg) Name() string { return "NoReg" }
 
 // RenderGate implements Policy: no gating at all.
-func (n *NoReg) RenderGate(core.Waiter) bool { return false }
+func (n *NoReg) RenderGate(core.Waiter) {}
 
 // SubmitRendered implements Policy with latest-wins semantics.
 func (n *NoReg) SubmitRendered(_ core.Waiter, f *frame.Frame) { n.box.putLatest(f) }
@@ -36,7 +36,7 @@ func (n *NoReg) SubmitRendered(_ core.Waiter, f *frame.Frame) { n.box.putLatest(
 func (n *NoReg) AcquireForEncode(w core.Waiter) *frame.Frame { return n.box.take(w) }
 
 // SubmitEncoded implements Policy: push to the send buffer, no pacing.
-func (n *NoReg) SubmitEncoded(_ core.Waiter, f *frame.Frame, _ time.Duration) { n.sb.push(f) }
+func (n *NoReg) SubmitEncoded(_ core.Waiter, f *frame.Frame) { n.sb.push(f) }
 
 // AcquireForSend implements Policy.
 func (n *NoReg) AcquireForSend(w core.Waiter) *frame.Frame { return n.sb.pop(w) }

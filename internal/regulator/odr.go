@@ -2,6 +2,7 @@ package regulator
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"odr/internal/core"
@@ -11,7 +12,7 @@ import (
 // ODROptions selects the ODR variant.
 type ODROptions struct {
 	// TargetFPS is the QoS goal; 0 means maximize FPS (ODRMax), in which
-	// case the pacer never delays and multi-buffer backpressure alone
+	// case the render clock never delays and multi-buffer backpressure alone
 	// synchronizes the pipeline to its bottleneck rate.
 	TargetFPS float64
 	// DisablePriority turns PriorityFrame off (the Table 2 "ODRMax-noPri"
@@ -28,8 +29,11 @@ type ODROptions struct {
 }
 
 // ODR is OnDemand Rendering (§5): Mul-Buf1 between application and proxy,
-// Mul-Buf2 between proxy and network, the Algorithm 1 pacer around the
-// encode step, and PriorityFrame for input-triggered frames.
+// Mul-Buf2 between proxy and network, and a core.RenderClock under RuleODR
+// that decides when the renderer starts each frame — the Algorithm 1 pacer
+// charged from absolute slots, plus PriorityFrame's extra frame per input.
+// It is the same clock, over the same Pacer and InputBox, that the stream
+// hub renders by, so the simulator and the real stack run one ODR.
 type ODR struct {
 	ctx   *Ctx
 	opts  ODROptions
@@ -39,6 +43,7 @@ type ODR struct {
 	buf2  *core.MultiBuffer
 	sb    *sendBuf // only with DisableMulBuf2
 	pacer *core.Pacer
+	clock *core.RenderClock
 }
 
 // NewODR returns an ODR policy with the given options.
@@ -70,39 +75,54 @@ func NewODR(ctx *Ctx, opts ODROptions) *ODR {
 	if opts.DisableMulBuf2 {
 		o.label += "-noBuf2"
 	}
-	// PriorityFrame part 1: an input arrival must cancel the renderer's
-	// buffer-swapping wait, so input broadcasts wake Mul-Buf1 waiters.
-	if !opts.DisablePriority {
+	box := ctx.Inputs
+	if opts.DisablePriority {
+		// A box no input reaches: inputs neither cut the clock's delay nor
+		// start extra frames.
+		box = core.NewInputBox(ctx.Dom)
+	} else {
+		// PriorityFrame part 1: an input arrival must cancel the renderer's
+		// buffer-swapping wait, so input broadcasts wake Mul-Buf1 waiters.
 		ctx.Inputs.Subscribe(o.buf1.Changed())
 	}
+	o.clock = core.NewRenderClock(ctx.Dom, box, o.pacer, core.RuleODR)
+	demand := opts.TargetFPS
+	if demand <= 0 {
+		demand = math.Inf(1) // ODRMax: no interval, so never a delay
+	}
+	o.clock.SetDemand(demand)
 	return o
 }
 
 // Name implements Policy.
 func (o *ODR) Name() string { return o.label }
 
-// RenderGate implements Policy: the renderer's only delay is waiting for a
-// free back buffer in Mul-Buf1; with PriorityFrame enabled a pending input
-// cancels that wait and marks the next frame as a priority frame.
-func (o *ODR) RenderGate(w core.Waiter) bool {
-	if o.opts.DisablePriority {
-		o.buf1.WaitBackFree(w, nil)
-		return false
+// RenderGate implements Policy: the render clock holds the renderer until the
+// next slot, or until a pending input starts an extra frame early; then the
+// renderer waits for a free back buffer in Mul-Buf1, a wait that a pending
+// input also cancels when PriorityFrame is on.
+func (o *ODR) RenderGate(w core.Waiter) {
+	o.clock.Begin(w)
+	var interrupt func() bool
+	if !o.opts.DisablePriority {
+		interrupt = o.ctx.Inputs.PendingLocked
 	}
-	free := o.buf1.WaitBackFree(w, o.ctx.Inputs.PendingLocked)
-	return !free
+	o.buf1.WaitBackFree(w, interrupt)
 }
 
 // SubmitRendered implements Policy: priority frames replace obsolete
-// un-encoded frames; refresh frames use the ordinary blocking Put.
+// un-encoded frames; refresh frames use the ordinary blocking Put. The frame
+// is then charged to the render clock, which places the next slot.
 func (o *ODR) SubmitRendered(w core.Waiter, f *frame.Frame) {
+	f.Extra = o.clock.Extra()
 	if f.Priority && !o.opts.DisablePriority {
 		for _, d := range o.buf1.PutPriority(f) {
 			o.ctx.drop(d)
 		}
-		return
+	} else {
+		o.buf1.Put(w, f)
 	}
-	o.buf1.Put(w, f)
+	o.clock.End()
 }
 
 // AcquireForEncode implements Policy.
@@ -111,10 +131,9 @@ func (o *ODR) AcquireForEncode(w core.Waiter) *frame.Frame {
 }
 
 // SubmitEncoded implements Policy: store to Mul-Buf2 (waiting for its swap —
-// the backpressure that keeps the network queue at depth ≤ 2), apply the
-// Algorithm 1 pacing, then swap Mul-Buf1. Priority frames skip the pacing
-// sleep entirely ("encoding and network transmission without any delay").
-func (o *ODR) SubmitEncoded(w core.Waiter, f *frame.Frame, encodeStart time.Duration) {
+// the backpressure that keeps the network queue at depth ≤ 2; a priority
+// frame replaces an unsent one instead), then swap Mul-Buf1.
+func (o *ODR) SubmitEncoded(w core.Waiter, f *frame.Frame) {
 	if o.opts.DisableMulBuf2 {
 		o.sb.push(f)
 	} else if f.Priority && !o.opts.DisablePriority {
@@ -123,11 +142,6 @@ func (o *ODR) SubmitEncoded(w core.Waiter, f *frame.Frame, encodeStart time.Dura
 		}
 	} else {
 		o.buf2.Put(w, f)
-	}
-	if f.Priority && !o.opts.DisablePriority {
-		o.pacer.SkipFrame()
-	} else if d := o.pacer.PaceAfterObserved(encodeStart, o.ctx.Dom.Now()); d > 0 {
-		w.Sleep(d)
 	}
 	o.buf1.Release()
 }
@@ -168,11 +182,9 @@ func (o *ODR) SendBacklog() int {
 // Pacer exposes the regulator state for tests and diagnostics.
 func (o *ODR) Pacer() *core.Pacer { return o.pacer }
 
-// BufferDrops returns the obsolete frames dropped by PriorityFrame.
-func (o *ODR) BufferDrops() int64 { return o.buf1.Drops() + o.buf2.Drops() }
-
 // Close implements Policy.
 func (o *ODR) Close() {
+	o.clock.Stop()
 	o.buf1.Close()
 	o.buf2.Close()
 	if o.sb != nil {

@@ -9,9 +9,9 @@ import (
 // treats as orthogonal input ("prior research investigated the proper FPS
 // target … they provide the FPS target for the regulation", §2). ODRAuto
 // closes that loop: it starts at MaxTarget and, using the same windowed
-// rate observations every policy receives, steps the pacer's target down
-// when the client persistently cannot keep up (bandwidth or decode bound)
-// and back up when there is headroom. Because ODR's multi-buffers already
+// rate observations every policy receives, steps the render clock's demand
+// down when the client persistently cannot keep up (bandwidth or decode
+// bound) and back up when there is headroom. Because ODR's multi-buffers already
 // absorb transient mismatch, the controller only needs to track the slow
 // trend, so a simple hysteresis step controller suffices.
 type ODRAuto struct {
@@ -84,5 +84,6 @@ func (a *ODRAuto) setTarget(t float64) {
 		return
 	}
 	a.target = t
-	a.pacer.SetTargetFPS(t)
+	// The renderer adopts the new demand at its next RenderGate.
+	a.clock.SetDemand(t)
 }

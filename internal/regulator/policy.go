@@ -6,9 +6,11 @@
 //     (Int30/Int60) and adaptive maximize-FPS (IntMax) flavours.
 //   - RVS: Remote VSync (§2, §4.1) — vblank-slack feedback from the client
 //     delays rendering, scaled by the cc low-pass filter.
-//   - ODR: OnDemand Rendering (§5) — multi-buffering, the accelerate-or-delay
-//     pacer of Algorithm 1, and PriorityFrame; with switches for the
-//     ODRMax-noPri and ablation variants.
+//   - ODR: OnDemand Rendering (§5) — multi-buffering, plus a
+//     core.RenderClock that runs the accelerate-or-delay pacer of Algorithm 1
+//     and PriorityFrame's extra frames; with switches for the ODRMax-noPri
+//     and ablation variants. The clock is the one the stream hub renders by,
+//     so both substrates start ODR frames by the same rule.
 //
 // A Policy supplies the hook points of the pipeline's stages. The stages
 // call them in this order:
@@ -51,23 +53,23 @@ type Policy interface {
 	// Name returns the configuration label ("NoReg", "ODR60", ...).
 	Name() string
 
-	// RenderGate blocks the renderer until it may render the next frame.
-	// It reports whether the frame should be treated as a priority
-	// (input-triggered) frame.
-	RenderGate(w core.Waiter) (priority bool)
+	// RenderGate blocks the renderer until it may render the next frame
+	// (ODR's render clock and Mul-Buf1 wait, Interval's grid, RVS's
+	// feedback token; NoReg returns at once).
+	RenderGate(w core.Waiter)
 
 	// SubmitRendered hands a rendered frame toward the proxy. It may block
 	// (ODR's Mul-Buf1) or drop an older frame (NoReg's latest-wins slot).
+	// ODR also closes the frame on its render clock here.
 	SubmitRendered(w core.Waiter, f *frame.Frame)
 
 	// AcquireForEncode blocks the proxy until a frame is ready; nil means
 	// the pipeline is shutting down.
 	AcquireForEncode(w core.Waiter) *frame.Frame
 
-	// SubmitEncoded hands an encoded frame toward the network and applies
-	// any post-encode pacing (ODR's Algorithm 1 sleep). encodeStart is
-	// when the proxy began working on the frame.
-	SubmitEncoded(w core.Waiter, f *frame.Frame, encodeStart time.Duration)
+	// SubmitEncoded hands an encoded frame toward the network. It may
+	// block (ODR's Mul-Buf2) or tail-drop (the push policies' send buffer).
+	SubmitEncoded(w core.Waiter, f *frame.Frame)
 
 	// AcquireForSend blocks the network until a frame is ready to
 	// transmit; nil means shutdown.

@@ -1,6 +1,7 @@
 package regulator
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 
@@ -297,7 +298,7 @@ func TestODRPriorityFrameJumpsQueue(t *testing.T) {
 			}
 			order = append(order, fr.Seq)
 			pr.Sleep(2 * ms)
-			p.SubmitEncoded(w, fr, pr.Now()-2*ms)
+			p.SubmitEncoded(w, fr)
 		}
 	})
 	f.env.Run(200 * ms)
@@ -314,6 +315,109 @@ func TestODRPriorityFrameJumpsQueue(t *testing.T) {
 	}
 	if len(seqs) != 2 || seqs[0] != 2 || seqs[1] != 1 {
 		t.Fatalf("dropped = %v, want [2 1]", seqs)
+	}
+}
+
+// started is when a renderer began one frame, and whether the render clock
+// called it an extra frame.
+type started struct {
+	at    time.Duration
+	extra bool
+}
+
+// TestODRRendersByTheHubClock is the two-substrate differential: one seeded
+// input script on the virtual clock, run through ODR's hooks (RenderGate, a
+// fixed render cost, SubmitRendered, with a proxy and network that empty the
+// buffers at once) and through a bare core.RenderClock driven the way
+// Hub.Run drives it, gives the same frame starts and the same extra flags.
+func TestODRRendersByTheHubClock(t *testing.T) {
+	const (
+		render  = 3 * ms
+		horizon = 10 * time.Second
+	)
+	interval := core.NewPacer(60).Interval()
+	rng := rand.New(rand.NewSource(7))
+	var script []time.Duration
+	for j := 0; j < 100; j++ {
+		at := time.Duration(j)*100*ms + time.Duration(rng.Int63n(int64(100*ms)))
+		if j%10 == 3 {
+			at = at / interval * interval // dead on a slot
+		}
+		script = append(script, at)
+	}
+	feed := func(env *sim.Env, box *core.InputBox) {
+		for j, at := range script {
+			id, at := frame.InputID(j+1), at
+			env.At(at, func() { box.OnInput(id, at) })
+		}
+	}
+
+	var viaODR []started
+	f := newFixture(defaultNet())
+	p := NewODR(f.ctx, ODROptions{TargetFPS: 60})
+	feed(f.env, f.ctx.Inputs)
+	f.env.Spawn("renderer", func(pr *sim.Proc) {
+		w := simrt.NewWaiter(pr)
+		for {
+			p.RenderGate(w)
+			fr := &frame.Frame{}
+			core.Tag(fr, f.ctx.Inputs.ConsumePending())
+			viaODR = append(viaODR, started{at: pr.Now()})
+			pr.Sleep(render)
+			p.SubmitRendered(w, fr)
+			viaODR[len(viaODR)-1].extra = fr.Extra
+		}
+	})
+	f.env.Spawn("proxy", func(pr *sim.Proc) {
+		w := simrt.NewWaiter(pr)
+		for fr := p.AcquireForEncode(w); fr != nil; fr = p.AcquireForEncode(w) {
+			p.SubmitEncoded(w, fr)
+		}
+	})
+	f.env.Spawn("network", func(pr *sim.Proc) {
+		w := simrt.NewWaiter(pr)
+		for fr := p.AcquireForSend(w); fr != nil; fr = p.AcquireForSend(w) {
+			p.DoneSend(fr)
+		}
+	})
+	f.env.Run(horizon)
+	f.env.Shutdown()
+
+	var viaClock []started
+	env := sim.NewEnv()
+	dom := simrt.NewDomain(env)
+	box := core.NewInputBox(dom)
+	clock := core.NewRenderClock(dom, box, core.NewPacer(0), core.RuleODR)
+	feed(env, box)
+	clock.SetDemand(60)
+	env.Spawn("renderer", func(pr *sim.Proc) {
+		w := simrt.NewWaiter(pr)
+		for clock.Begin(w) {
+			viaClock = append(viaClock, started{pr.Now(), clock.Extra()})
+			box.ConsumePending()
+			pr.Sleep(render)
+			clock.End()
+		}
+	})
+	env.Run(horizon)
+	env.Shutdown()
+
+	extras := 0
+	for _, s := range viaClock {
+		if s.extra {
+			extras++
+		}
+	}
+	if extras < 50 || len(viaClock) < 600 {
+		t.Fatalf("%d frames, %d extra: the script does not exercise the clock", len(viaClock), extras)
+	}
+	if len(viaODR) != len(viaClock) {
+		t.Fatalf("ODR started %d frames, the hub's clock %d", len(viaODR), len(viaClock))
+	}
+	for k := range viaClock {
+		if viaODR[k] != viaClock[k] {
+			t.Fatalf("frame %d: ODR %+v, hub's clock %+v", k, viaODR[k], viaClock[k])
+		}
 	}
 }
 
@@ -334,7 +438,7 @@ func TestSendBufTailDropsAndCounts(t *testing.T) {
 	f.env.Spawn("proxy", func(pr *sim.Proc) {
 		w = simrt.NewWaiter(pr)
 		for i := 0; i < 5; i++ {
-			p.SubmitEncoded(w, &frame.Frame{Seq: uint64(i), Bytes: 30 << 10}, 0)
+			p.SubmitEncoded(w, &frame.Frame{Seq: uint64(i), Bytes: 30 << 10})
 		}
 	})
 	f.env.RunAll()
@@ -415,7 +519,10 @@ func TestODRAutoStepsDownAndRecovers(t *testing.T) {
 	if a.Target() < 20-1e-9 {
 		t.Fatalf("target fell below the floor: %v", a.Target())
 	}
-	// The pacer must track the controller.
+	// The pacer must track the controller once the renderer adopts the new
+	// demand, at its next render gate.
+	f.env.Spawn("renderer", func(pr *sim.Proc) { a.RenderGate(simrt.NewWaiter(pr)) })
+	f.env.RunAll()
 	if got := float64(time.Second) / float64(a.Pacer().Interval()); got != a.Target() {
 		t.Fatalf("pacer at %.1f FPS, controller at %.1f", got, a.Target())
 	}

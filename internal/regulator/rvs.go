@@ -92,7 +92,7 @@ func (r *RVS) Name() string { return r.label }
 // then apply the cc-scaled slack delay. If no feedback arrives within three
 // vblank periods (at least 50 ms — startup, loss, pipeline stall), rendering
 // proceeds anyway — a liveness guard any real implementation needs.
-func (r *RVS) RenderGate(w core.Waiter) bool {
+func (r *RVS) RenderGate(w core.Waiter) {
 	fallback := 3 * r.period
 	if fallback < 50*time.Millisecond {
 		fallback = 50 * time.Millisecond
@@ -115,7 +115,6 @@ func (r *RVS) RenderGate(w core.Waiter) bool {
 	if d > 0 {
 		w.Sleep(d)
 	}
-	return false
 }
 
 // SubmitRendered implements Policy.
@@ -125,7 +124,7 @@ func (r *RVS) SubmitRendered(_ core.Waiter, f *frame.Frame) { r.box.putLatest(f)
 func (r *RVS) AcquireForEncode(w core.Waiter) *frame.Frame { return r.box.take(w) }
 
 // SubmitEncoded implements Policy.
-func (r *RVS) SubmitEncoded(_ core.Waiter, f *frame.Frame, _ time.Duration) { r.sb.push(f) }
+func (r *RVS) SubmitEncoded(_ core.Waiter, f *frame.Frame) { r.sb.push(f) }
 
 // AcquireForSend implements Policy.
 func (r *RVS) AcquireForSend(w core.Waiter) *frame.Frame { return r.sb.pop(w) }

@@ -18,8 +18,10 @@ import (
 // cacheSchema versions both the key derivation and the stored encoding.
 // Bump it whenever pipeline.Result, metrics.Dist's JSON form, or the key
 // material changes shape, so stale artifacts miss instead of decoding into
-// the wrong struct.
-const cacheSchema = 1
+// the wrong struct — and whenever a policy's algorithm changes under an
+// unchanged PolicyKey, so no cell replays numbers the old algorithm computed
+// (2: ODR renders through core.RenderClock and Result gains ExtraFPS).
+const cacheSchema = 2
 
 // Cache is a content-addressed store of pipeline results under one
 // directory: each entry is <sha256 of the canonical cell>.json. Entries are

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -171,6 +172,29 @@ func TestCacheCorruptArtifactIsAMiss(t *testing.T) {
 	}
 	if got, ok := cache.Get(key); !ok || !reflect.DeepEqual(got, res) {
 		t.Fatal("repaired cache entry missing or wrong")
+	}
+}
+
+func TestCacheSchema1EntryIsAMiss(t *testing.T) {
+	// Schema 1 entries were computed by the ODR that paced after encode; the
+	// policy key ("ODR@60") does not name the algorithm, so only the schema
+	// keeps them from being replayed.
+	dir := t.TempDir()
+	cache, err := OpenCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cell := testCell(1)
+	key, _ := CellKey(cell)
+	b, err := json.Marshal(cacheEntry{Schema: 1, Result: New(Options{Workers: 1}).RunOne(cell)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, key+".json"), b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := cache.Get(key); ok {
+		t.Fatal("schema-1 entry served as a hit")
 	}
 }
 
