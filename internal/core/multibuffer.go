@@ -29,8 +29,6 @@ type MultiBuffer struct {
 	back      *frame.Frame
 	consuming bool // front is currently held by the consumer
 	closed    bool
-
-	drops int64
 }
 
 // NewMultiBuffer returns an empty multi-buffer in the given domain.
@@ -99,7 +97,6 @@ func (b *MultiBuffer) PutPriorityStored(f *frame.Frame) (stored bool, droppedFra
 	} else {
 		b.back = f
 	}
-	b.drops += int64(len(dropped))
 	b.changed.Broadcast()
 	return true, dropped
 }
@@ -186,14 +183,6 @@ func (b *MultiBuffer) Closed() bool {
 	mu.Lock()
 	defer mu.Unlock()
 	return b.closed
-}
-
-// Drops returns the number of obsolete frames dropped by PutPriority.
-func (b *MultiBuffer) Drops() int64 {
-	mu := b.dom.Locker()
-	mu.Lock()
-	defer mu.Unlock()
-	return b.drops
 }
 
 // Occupancy returns how many frames are currently buffered (0, 1 or 2).

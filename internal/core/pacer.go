@@ -104,10 +104,6 @@ func (p *Pacer) Frames() int64 { return p.frames }
 // TotalSlept returns the cumulative requested delay.
 func (p *Pacer) TotalSlept() time.Duration { return p.slept }
 
-// Reset clears the accumulated budget (used at stream start or after a
-// target change).
-func (p *Pacer) Reset() { p.accDelay = 0 }
-
 // SetTargetFPS changes the target at runtime (0 disables pacing).
 func (p *Pacer) SetTargetFPS(fps float64) {
 	if fps > 0 {

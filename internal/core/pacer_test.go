@@ -130,18 +130,6 @@ func TestPacerSetTargetFPS(t *testing.T) {
 	}
 }
 
-func TestPacerReset(t *testing.T) {
-	p := NewPacer(60)
-	p.PaceAfter(0, time.Second)
-	if p.AccDelay() == 0 {
-		t.Fatal("expected nonzero deficit")
-	}
-	p.Reset()
-	if p.AccDelay() != 0 {
-		t.Fatal("Reset must clear the budget")
-	}
-}
-
 // Property: the pacer never requests a negative delay, and after any
 // sequence of frames the accumulated budget is within [-1s, 0].
 func TestPacerInvariants(t *testing.T) {

@@ -16,8 +16,9 @@ const (
 	// extra frame per input that leaves the slots where they were.
 	RuleODR RenderRule = iota
 	// RuleInterval is interval-based regulation: frames start on a fixed grid
-	// at the demanded rate. A frame that runs past a tick loses it, and an
-	// input waits for the next tick.
+	// at the demanded rate, the multiples of the interval from domain time
+	// zero. A frame that runs past a tick loses it, and an input waits for the
+	// next tick.
 	RuleInterval
 	// RuleNoReg never waits: the next frame starts as the last one ends.
 	RuleNoReg
@@ -94,10 +95,14 @@ func (c *RenderClock) Begin(w Waiter) bool {
 	for !c.stopped.Load() {
 		fps := math.Float64frombits(c.demand.Load())
 		if fps != c.target {
-			// A new audience starts a new cadence: first slot now.
+			// A new audience starts a new cadence: first slot now, or under
+			// RuleInterval the grid's next tick.
 			c.target = fps
 			c.pace.SetTargetFPS(fps)
 			c.due = c.dom.Now()
+			if iv := c.pace.Interval(); c.rule == RuleInterval && iv > 0 {
+				c.due = (c.due + iv - 1) / iv * iv
+			}
 			if c.OnTarget != nil {
 				c.OnTarget(fps)
 			}

@@ -331,6 +331,42 @@ func TestRenderClockIntervalGrid(t *testing.T) {
 	}
 }
 
+// TestRenderClockIntervalGridAnchoredAtZero: the interval grid is the
+// multiples of the interval from domain time zero, whenever a demand arrives.
+// A demand set off the grid (1005 ms) waits for its next tick, and a new
+// demand set in the middle of a delay (60 → 30 FPS at 2010 ms) starts on the
+// next tick of its own grid, not at the moment it was set.
+func TestRenderClockIntervalGridAnchoredAtZero(t *testing.T) {
+	r := newRuleRig(core.RuleInterval, func(int) time.Duration { return 2 * ms }, nil)
+	i60 := core.NewPacer(60).Interval()
+	i30 := core.NewPacer(30).Interval()
+	r.env.At(1005*ms, func() { r.clock.SetDemand(60) })
+	r.env.At(2010*ms, func() { r.clock.SetDemand(30) })
+	r.env.At(3000*ms, func() { r.clock.Stop() })
+	r.env.RunAll()
+	r.env.Shutdown()
+
+	ticks := func(from, to, iv time.Duration) (out []time.Duration) {
+		for at := (from + iv - 1) / iv * iv; at < to; at += iv {
+			out = append(out, at)
+		}
+		return out
+	}
+	want := append(ticks(1005*ms, 2010*ms, i60), ticks(2010*ms, 3000*ms, i30)...)
+	if len(r.frames) != len(want) {
+		t.Fatalf("%d frames, want %d", len(r.frames), len(want))
+	}
+	for k, f := range r.frames {
+		iv := i60
+		if f.start >= 2010*ms {
+			iv = i30
+		}
+		if f.start%iv != 0 || f.start != want[k] {
+			t.Fatalf("frame %d started at %v, want %v, a multiple of %v", k, f.start, want[k], iv)
+		}
+	}
+}
+
 // TestRenderClockIntervalOverrunLosesSlot: a frame that renders longer than
 // an interval loses the tick it ran past — the next frame waits for the tick
 // after — and the grid is unmoved.

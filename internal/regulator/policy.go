@@ -1,16 +1,22 @@
 // Package regulator implements the FPS-regulation policies evaluated in the
-// paper, for use inside the discrete-event pipeline simulator:
+// paper, for use inside the discrete-event pipeline simulator. Frames start
+// by a core.RenderClock, the clock the stream hub renders by, so both
+// substrates run one algorithm per render rule. A baseline is a render rule
+// plus the push half (push): a latest-wins mailbox toward the proxy and a
+// tail-drop send buffer toward the network.
 //
-//   - NoReg: no regulation (§4.1) — rendering free-runs, excess frames drop.
-//   - Interval: interval-based software regulation (§2, §4.1), in fixed-FPS
-//     (Int30/Int60) and adaptive maximize-FPS (IntMax) flavours.
-//   - RVS: Remote VSync (§2, §4.1) — vblank-slack feedback from the client
-//     delays rendering, scaled by the cc low-pass filter.
-//   - ODR: OnDemand Rendering (§5) — multi-buffering, plus a
-//     core.RenderClock that runs the accelerate-or-delay pacer of Algorithm 1
-//     and PriorityFrame's extra frames; with switches for the ODRMax-noPri
-//     and ablation variants. The clock is the one the stream hub renders by,
-//     so both substrates start ODR frames by the same rule.
+//   - NoReg: no regulation (§4.1) — the push half under core.RuleNoReg;
+//     rendering free-runs, excess frames drop.
+//   - Interval: interval-based software regulation (§2, §4.1) — the push half
+//     under core.RuleInterval, in fixed-FPS (Int30/Int60) and adaptive
+//     maximize-FPS (IntMax) flavours, with the proxy polling on the same grid.
+//   - RVS: Remote VSync (§2, §4.1) — the push half behind a gate of its own:
+//     vblank-slack feedback from the client delays rendering, scaled by the
+//     cc low-pass filter.
+//   - ODR: OnDemand Rendering (§5) — multi-buffering, plus a clock under
+//     core.RuleODR that runs the accelerate-or-delay pacer of Algorithm 1 and
+//     PriorityFrame's extra frames; with switches for the ODRMax-noPri and
+//     ablation variants.
 //
 // A Policy supplies the hook points of the pipeline's stages. The stages
 // call them in this order:
@@ -54,13 +60,13 @@ type Policy interface {
 	Name() string
 
 	// RenderGate blocks the renderer until it may render the next frame
-	// (ODR's render clock and Mul-Buf1 wait, Interval's grid, RVS's
-	// feedback token; NoReg returns at once).
+	// (the render clock under the policy's rule, plus ODR's Mul-Buf1 wait;
+	// RVS's feedback token).
 	RenderGate(w core.Waiter)
 
 	// SubmitRendered hands a rendered frame toward the proxy. It may block
-	// (ODR's Mul-Buf1) or drop an older frame (NoReg's latest-wins slot).
-	// ODR also closes the frame on its render clock here.
+	// (ODR's Mul-Buf1) or drop an older frame (the push policies'
+	// latest-wins slot). The frame is then closed on the render clock.
 	SubmitRendered(w core.Waiter, f *frame.Frame)
 
 	// AcquireForEncode blocks the proxy until a frame is ready; nil means
@@ -97,6 +103,76 @@ type Policy interface {
 
 	// Close releases all blocked stages.
 	Close()
+}
+
+// push is the half the three baselines share, the way a stream.PolicyKind is
+// a render rule plus a session-buffer rule: a core.RenderClock under the
+// baseline's rule, over a pacer of its own and the pipeline's InputBox, and
+// the push buffers — the latest-wins mailbox between renderer and proxy and
+// the tail-drop send buffer between proxy and network. It implements every
+// Policy hook but Name.
+type push struct {
+	ctx   *Ctx
+	clock *core.RenderClock
+	box   *mailbox
+	sb    *sendBuf
+}
+
+// newPush returns a push half whose clock follows rule at demand fps.
+func newPush(ctx *Ctx, rule core.RenderRule, fps float64) push {
+	p := push{
+		ctx:   ctx,
+		clock: core.NewRenderClock(ctx.Dom, ctx.Inputs, core.NewPacer(0), rule),
+		box:   newMailbox(ctx),
+		sb:    newSendBuf(ctx),
+	}
+	p.clock.SetDemand(fps)
+	return p
+}
+
+// RenderGate implements Policy: the clock holds the renderer until its rule
+// starts the next frame.
+func (p *push) RenderGate(w core.Waiter) { p.clock.Begin(w) }
+
+// SubmitRendered implements Policy with latest-wins semantics; the frame is
+// then closed on the clock, which places the next start.
+func (p *push) SubmitRendered(_ core.Waiter, f *frame.Frame) {
+	p.box.putLatest(f)
+	p.clock.End()
+}
+
+// AcquireForEncode implements Policy.
+func (p *push) AcquireForEncode(w core.Waiter) *frame.Frame { return p.box.take(w) }
+
+// SubmitEncoded implements Policy: push to the send buffer, no pacing.
+func (p *push) SubmitEncoded(_ core.Waiter, f *frame.Frame) { p.sb.push(f) }
+
+// AcquireForSend implements Policy.
+func (p *push) AcquireForSend(w core.Waiter) *frame.Frame { return p.sb.pop(w) }
+
+// DoneSend implements Policy.
+func (p *push) DoneSend(*frame.Frame) {}
+
+// DisplayTime implements Policy: display immediately on decode (no VSync,
+// so tearing is possible).
+func (p *push) DisplayTime(_ *frame.Frame, decodeEnd time.Duration) (time.Duration, bool) {
+	return decodeEnd, true
+}
+
+// OnWindow implements Policy.
+func (p *push) OnWindow(renderFPS, clientFPS float64) {}
+
+// SendBacklog implements Policy.
+func (p *push) SendBacklog() int { return p.sb.depthBytes() }
+
+// MaxBacklogBytes implements MaxBacklogger.
+func (p *push) MaxBacklogBytes() int { return p.sb.maxBytes() }
+
+// Close implements Policy.
+func (p *push) Close() {
+	p.clock.Stop()
+	p.box.close()
+	p.sb.close()
 }
 
 // mailbox is the latest-wins single-frame slot used by the push policies

@@ -1,6 +1,7 @@
 package regulator
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -92,6 +93,7 @@ func TestIntervalGateAlignsToGrid(t *testing.T) {
 			p.RenderGate(w)
 			starts = append(starts, pr.Now())
 			pr.Sleep(3 * ms) // render faster than the interval
+			p.SubmitRendered(w, &frame.Frame{Seq: uint64(i + 1)})
 		}
 	})
 	f.env.RunAll()
@@ -112,19 +114,20 @@ func TestIntervalOverrunSkipsGridSlots(t *testing.T) {
 		p.RenderGate(w)
 		starts = append(starts, pr.Now())
 		pr.Sleep(25 * ms) // overruns 2.5 intervals
+		p.SubmitRendered(w, &frame.Frame{Seq: 1})
 		p.RenderGate(w)
 		starts = append(starts, pr.Now())
 	})
 	f.env.RunAll()
 	f.env.Shutdown()
-	// The first render starts on the first grid slot (10ms). Its 25ms
-	// render runs to 35ms, so the 20ms and 30ms slots are lost forever
-	// (the §4.1 pathology) and the next start is 40ms.
-	if starts[0] != 10*ms {
-		t.Fatalf("first start = %v, want 10ms", starts[0])
+	// The first render starts on the grid's first slot, time zero. Its 25ms
+	// render runs to 25ms, so the 10ms and 20ms slots are lost forever (the
+	// §4.1 pathology) and the next start is 30ms.
+	if starts[0] != 0 {
+		t.Fatalf("first start = %v, want 0", starts[0])
 	}
-	if starts[1] != 40*ms {
-		t.Fatalf("post-overrun start = %v, want 40ms", starts[1])
+	if starts[1] != 30*ms {
+		t.Fatalf("post-overrun start = %v, want 30ms", starts[1])
 	}
 }
 
@@ -134,24 +137,25 @@ func TestIntMaxRatchetsDownNeverUp(t *testing.T) {
 	if !p.adaptive {
 		t.Fatal("IntMax should be adaptive")
 	}
+	intervalMs := func() float64 { return 1000 / p.fps }
 	p.OnWindow(100, 50) // gap of 50: slow down toward 50
-	first := p.CurrentIntervalMs()
+	first := intervalMs()
 	if first < 19 || first > 22 {
 		t.Fatalf("interval after first violation = %.1fms, want ~20.7", first)
 	}
 	p.OnWindow(52, 50) // gap below threshold: no change
-	if p.CurrentIntervalMs() != first {
+	if intervalMs() != first {
 		t.Fatal("small gap should not adjust")
 	}
 	p.OnWindow(100, 80) // another violation: must not speed up
-	if p.CurrentIntervalMs() < first {
+	if intervalMs() < first {
 		t.Fatal("IntMax sped up — it must only ratchet down")
 	}
 	for i := 0; i < 1000; i++ {
 		p.OnWindow(100, 20)
 	}
-	if p.TargetFPS() < 10-1e-9 {
-		t.Fatalf("ratchet went below the 10FPS floor: %.1f", p.TargetFPS())
+	if p.fps < 10-1e-9 {
+		t.Fatalf("ratchet went below the 10FPS floor: %.1f", p.fps)
 	}
 }
 
@@ -226,7 +230,7 @@ func TestRVSFeedbackDelaysRender(t *testing.T) {
 	if p.FeedbackSent() != 1 {
 		t.Fatalf("feedback sent = %d", p.FeedbackSent())
 	}
-	if p.CurrentDelay() <= 0 {
+	if p.delay <= 0 {
 		t.Fatal("feedback did not set a render delay")
 	}
 	if gateDone <= 5*ms {
@@ -421,6 +425,138 @@ func TestODRRendersByTheHubClock(t *testing.T) {
 	}
 }
 
+// TestIntervalRendersByTheHubClock is the same differential for the interval
+// baselines: one seeded input script on the virtual clock, run through
+// Interval's hooks and through a bare core.RenderClock under RuleInterval
+// driven the way Hub.Run drives it, gives the same frame starts. The IntMax
+// case applies one scripted ratchet to both sides: Interval's OnWindow, and on
+// the bare clock SetDemand of the same step, as the hub publishes a demand.
+func TestIntervalRendersByTheHubClock(t *testing.T) {
+	const (
+		render  = 3 * ms
+		horizon = 10 * time.Second
+	)
+	rng := rand.New(rand.NewSource(11))
+	var script []time.Duration
+	for j := 0; j < 100; j++ {
+		script = append(script, time.Duration(j)*100*ms+time.Duration(rng.Int63n(int64(100*ms))))
+	}
+	// One rate window every 500 ms, off the grid; every third shows a gap.
+	type window struct {
+		at             time.Duration
+		render, client float64
+	}
+	var windows []window
+	for k := 1; k < 20; k++ {
+		client := 40 + 60*rng.Float64()
+		w := window{at: time.Duration(k)*500*ms + time.Duration(rng.Int63n(int64(50*ms))), render: client + 2, client: client}
+		if k%3 == 0 {
+			w.render += 10
+		}
+		windows = append(windows, w)
+	}
+	schedule := func(env *sim.Env, box *core.InputBox, onWindow func(window)) {
+		for j, at := range script {
+			id, at := frame.InputID(j+1), at
+			env.At(at, func() { box.OnInput(id, at) })
+		}
+		if onWindow != nil {
+			for _, w := range windows {
+				w := w
+				env.At(w.at, func() { onWindow(w) })
+			}
+		}
+	}
+
+	for _, target := range []float64{60, 0} {
+		name := "Int60"
+		if target == 0 {
+			name = "IntMax"
+		}
+		t.Run(name, func(t *testing.T) {
+			var viaInterval []time.Duration
+			f := newFixture(defaultNet())
+			p := NewInterval(f.ctx, target)
+			var onWindow func(window)
+			if target == 0 {
+				onWindow = func(w window) { p.OnWindow(w.render, w.client) }
+			}
+			schedule(f.env, f.ctx.Inputs, onWindow)
+			f.env.Spawn("renderer", func(pr *sim.Proc) {
+				w := simrt.NewWaiter(pr)
+				for {
+					p.RenderGate(w)
+					fr := &frame.Frame{}
+					core.Tag(fr, f.ctx.Inputs.ConsumePending())
+					viaInterval = append(viaInterval, pr.Now())
+					pr.Sleep(render)
+					p.SubmitRendered(w, fr)
+				}
+			})
+			f.env.Spawn("proxy", func(pr *sim.Proc) {
+				w := simrt.NewWaiter(pr)
+				for fr := p.AcquireForEncode(w); fr != nil; fr = p.AcquireForEncode(w) {
+					p.SubmitEncoded(w, fr)
+				}
+			})
+			f.env.Spawn("network", func(pr *sim.Proc) {
+				w := simrt.NewWaiter(pr)
+				for fr := p.AcquireForSend(w); fr != nil; fr = p.AcquireForSend(w) {
+					p.DoneSend(fr)
+				}
+			})
+			f.env.Run(horizon)
+			f.env.Shutdown()
+
+			var viaClock []time.Duration
+			env := sim.NewEnv()
+			dom := simrt.NewDomain(env)
+			box := core.NewInputBox(dom)
+			clock := core.NewRenderClock(dom, box, core.NewPacer(0), core.RuleInterval)
+			demand, steps := target, 0
+			onWindow = nil
+			if target == 0 {
+				demand = math.Inf(1)
+				onWindow = func(w window) {
+					if next := ratchet(demand, w.render, w.client); next != demand {
+						demand = next
+						steps++
+						clock.SetDemand(demand)
+					}
+				}
+			}
+			schedule(env, box, onWindow)
+			clock.SetDemand(demand)
+			env.Spawn("renderer", func(pr *sim.Proc) {
+				w := simrt.NewWaiter(pr)
+				for clock.Begin(w) {
+					viaClock = append(viaClock, pr.Now())
+					box.ConsumePending()
+					pr.Sleep(render)
+					clock.End()
+				}
+			})
+			env.Run(horizon)
+			env.Shutdown()
+
+			if target == 0 && (steps < 3 || len(viaClock) < 500) {
+				t.Fatalf("%d frames over %d ratchet steps: the script does not exercise IntMax", len(viaClock), steps)
+			}
+			if iv := core.NewPacer(60).Interval(); target == 60 && len(viaClock) != int((horizon+iv-1)/iv) {
+				t.Fatalf("%d frames, want one per 60 FPS tick before %v", len(viaClock), horizon)
+			}
+			if len(viaInterval) != len(viaClock) {
+				t.Fatalf("%s started %d frames, the hub's clock %d", p.Name(), len(viaInterval), len(viaClock))
+			}
+			for k := range viaClock {
+				if viaInterval[k] != viaClock[k] {
+					t.Fatalf("frame %d: %s started at %v, the hub's clock at %v", k, p.Name(), viaInterval[k], viaClock[k])
+				}
+			}
+		})
+	}
+}
+
 func TestODRSendBacklogZeroWithMulBuf2(t *testing.T) {
 	f := newFixture(defaultNet())
 	p := NewODR(f.ctx, ODROptions{})
@@ -447,8 +583,8 @@ func TestSendBufTailDropsAndCounts(t *testing.T) {
 	if len(f.dropped) != 2 {
 		t.Fatalf("dropped %d, want 2", len(f.dropped))
 	}
-	if p.QueuedBytes() != 90<<10 {
-		t.Fatalf("QueuedBytes = %d", p.QueuedBytes())
+	if p.SendBacklog() != 90<<10 {
+		t.Fatalf("SendBacklog = %d", p.SendBacklog())
 	}
 }
 

@@ -22,11 +22,13 @@ import (
 // achieved FPS sits measurably below the refresh rate (54 on a 60 Hz display
 // for InMind, §4.1) and below the pipeline's capability in RVSMax mode
 // (76 vs 93 on a 240 Hz display).
+//
+// RVS is the push half behind a gate of its own: until core has a render rule
+// for it, its RenderGate replaces the clock's Begin, and under RuleNoReg the
+// clock's End leaves the never-begun clock alone.
 type RVS struct {
-	ctx   *Ctx
+	push
 	label string
-	box   *mailbox
-	sb    *sendBuf
 
 	period time.Duration // vblank period = 1/refresh
 	cc     float64
@@ -73,10 +75,8 @@ func NewRVS(ctx *Ctx, refreshHz float64, cc float64) *RVS {
 		cap = 2
 	}
 	return &RVS{
-		ctx:       ctx,
+		push:      newPush(ctx, core.RuleNoReg, 0),
 		label:     label,
-		box:       newMailbox(ctx),
-		sb:        newSendBuf(ctx),
 		period:    time.Duration(float64(time.Second) / refreshHz),
 		cc:        cc,
 		tokens:    cap, // prime the pipeline: first frames render unguarded
@@ -117,21 +117,6 @@ func (r *RVS) RenderGate(w core.Waiter) {
 	}
 }
 
-// SubmitRendered implements Policy.
-func (r *RVS) SubmitRendered(_ core.Waiter, f *frame.Frame) { r.box.putLatest(f) }
-
-// AcquireForEncode implements Policy.
-func (r *RVS) AcquireForEncode(w core.Waiter) *frame.Frame { return r.box.take(w) }
-
-// SubmitEncoded implements Policy.
-func (r *RVS) SubmitEncoded(_ core.Waiter, f *frame.Frame) { r.sb.push(f) }
-
-// AcquireForSend implements Policy.
-func (r *RVS) AcquireForSend(w core.Waiter) *frame.Frame { return r.sb.pop(w) }
-
-// DoneSend implements Policy.
-func (r *RVS) DoneSend(*frame.Frame) {}
-
 // DisplayTime implements Policy: VSync display. The frame is shown at the
 // next free vblank after its decode completes; if that slot was already
 // claimed by a newer... (older frames decode in order, so "claimed" means a
@@ -164,28 +149,16 @@ func (r *RVS) DisplayTime(f *frame.Frame, decodeEnd time.Duration) (time.Duratio
 	return vblank, true
 }
 
-// OnWindow implements Policy.
-func (r *RVS) OnWindow(renderFPS, clientFPS float64) {}
-
-// SendBacklog implements Policy.
-func (r *RVS) SendBacklog() int { return r.sb.depthBytes() }
-
 // FeedbackSent returns the number of feedback messages generated.
 func (r *RVS) FeedbackSent() int64 { return r.feedbackSent }
 
-// CurrentDelay exposes the feedback delay for diagnostics.
-func (r *RVS) CurrentDelay() time.Duration { return r.delay }
-
-// Close implements Policy.
+// Close implements Policy: it releases a renderer waiting for a token, then
+// the push half's stages.
 func (r *RVS) Close() {
 	mu := r.ctx.Dom.Locker()
 	mu.Lock()
 	r.closed = true
 	r.tokenCond.Broadcast()
 	mu.Unlock()
-	r.box.close()
-	r.sb.close()
+	r.push.Close()
 }
-
-// MaxBacklogBytes implements MaxBacklogger.
-func (r *RVS) MaxBacklogBytes() int { return r.sb.maxBytes() }

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -175,26 +176,31 @@ func TestCacheCorruptArtifactIsAMiss(t *testing.T) {
 	}
 }
 
-func TestCacheSchema1EntryIsAMiss(t *testing.T) {
-	// Schema 1 entries were computed by the ODR that paced after encode; the
-	// policy key ("ODR@60") does not name the algorithm, so only the schema
-	// keeps them from being replayed.
-	dir := t.TempDir()
-	cache, err := OpenCache(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cell := testCell(1)
-	key, _ := CellKey(cell)
-	b, err := json.Marshal(cacheEntry{Schema: 1, Result: New(Options{Workers: 1}).RunOne(cell)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, key+".json"), b, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := cache.Get(key); ok {
-		t.Fatal("schema-1 entry served as a hit")
+func TestStaleCacheSchemaIsAMiss(t *testing.T) {
+	// A policy key ("ODR@60", "Int@60") does not name the algorithm, so only
+	// the schema keeps an entry an older algorithm computed from being
+	// replayed. Schema 1 entries came from the ODR that paced after encode,
+	// schema 2 entries from the Interval with a render grid of its own.
+	for _, schema := range []int{1, 2} {
+		t.Run(fmt.Sprintf("schema%d", schema), func(t *testing.T) {
+			dir := t.TempDir()
+			cache, err := OpenCache(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cell := testCell(1)
+			key, _ := CellKey(cell)
+			b, err := json.Marshal(cacheEntry{Schema: schema, Result: New(Options{Workers: 1}).RunOne(cell)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, key+".json"), b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, ok := cache.Get(key); ok {
+				t.Fatalf("schema-%d entry served as a hit", schema)
+			}
+		})
 	}
 }
 
