@@ -457,11 +457,11 @@ func writeCodecReport(rep *codecSuiteReport, path string) error {
 // and what it cannot compress must not grow past the payload coder's
 // documented worst case of raw + one tag byte per 1 KiB block, plus the
 // tile directory (noise). The game bound sits just above what the coder
-// achieves (0.173x raw at 320x180 lossless), so a compression loss of a
-// tenth fails it.
+// achieves (0.149x raw at 320x180 lossless), so a compression loss of 7 %
+// fails it.
 const (
 	codecMinStaticHitRatio = 0.9
-	codecGameMaxRawRatio   = 0.19
+	codecGameMaxRawRatio   = 0.16
 	codecNoiseMaxRawRatio  = 1.02
 )
 

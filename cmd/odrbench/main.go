@@ -10,7 +10,7 @@
 //   - `odrbench -codec-check BENCH_codec.json` re-runs the sweep and exits
 //     nonzero when a static/scrolling/mixed cell's bytes/frame grow at all
 //     against the committed baseline (game and noise: >10%), game content
-//     codes above 0.19x raw or noise above 1.02x raw, a static cell's cache
+//     codes above 0.16x raw or noise above 1.02x raw, a static cell's cache
 //     hit ratio falls below 0.9, or a static cell shows a keyframe-shaped
 //     latency spike. ns/frame and MB/s are reported, not gated: codec time is
 //     measured parent-vs-change on one host by the frame-path benchmark

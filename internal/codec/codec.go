@@ -1,7 +1,8 @@
 // Package codec implements the video-style frame codec used by the
 // real-time streaming stack: temporal delta against the previous frame,
-// quantization, spatial prediction and Golomb-Rice entropy coding over
-// independently coded tiles. It stands in for the VirtualGL/TurboVNC video
+// quantization, spatial prediction and entropy coding — Rice-split
+// residuals whose quotients are coded in pairs by static prefix tables —
+// over independently coded tiles. It stands in for the VirtualGL/TurboVNC video
 // streaming the paper builds on — what matters to FPS regulation is that
 // encoding takes real, content-dependent time, that static scene regions
 // compress away and that moving ones shrink to video size (which is why

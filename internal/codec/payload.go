@@ -1,7 +1,8 @@
 package codec
 
-// The tile payload coder: a block-wise, predictive Golomb-Rice residual
-// coder. Every payload producer in the package — delta tiles (the byte-wise
+// The tile payload coder: a block-wise, predictive residual coder with
+// Rice-split samples whose quotients are coded in pairs by static prefix
+// tables. Every payload producer in the package — delta tiles (the byte-wise
 // temporal delta image), key/stripe tiles and splice cuts (absolute
 // content) — hands its bytes to appendPayload, and decodeTile hands the
 // payload to decodePayload; there is no other entropy stage.
@@ -13,8 +14,10 @@ package codec
 // everything else the decoder needs — prediction mode, the common
 // power-of-two factor of the block (what quantization leaves behind), the
 // per-channel Rice parameters — is derived from the bytes and recorded in
-// the block header. That is what lets TileCache key payloads by (content,
-// rowBytes) and keeps a splice byte-identical to a private encoder.
+// the block header (the pair table of each channel included: it is picked
+// by cost from the same bytes). That is what lets TileCache key payloads by
+// (content, rowBytes) and keeps a splice byte-identical to a private
+// encoder.
 //
 // Layout: the source is cut into blockBytes-byte blocks (the last may be
 // short; the decoder derives the block count from the tile size, so no
@@ -38,38 +41,48 @@ package codec
 // tile is corrupt.
 //
 //	type 0 (rice):  two bytes follow holding four 4-bit parameters, channel
-//	    c = byte index mod 4 in bits 4c..4c+3 (little-endian). Parameter
-//	    k < 8-s is a Rice parameter; 8-s codes the channel verbatim in 8-s
-//	    bits per sample; 15 means every residual of the channel is zero and
-//	    the channel costs no bits at all (alpha, static stretches inside a
-//	    changed block). Then the body, below.
+//	    c = byte index mod 4 in bits 4c..4c+3 (little-endian):
+//	      0-7    Rice parameter k = 0, the pair codes in pair table 0-7;
+//	      8-13   Rice parameter k = 1-6 (the nibble minus 7), the pair codes
+//	             in the unary table 7; k must be below 7-s, since k = 7-s
+//	             never beats verbatim;
+//	      14     verbatim: the channel in 8-s bits per sample;
+//	      15     every residual of the channel is zero and the channel costs
+//	             no bits at all (alpha, static stretches inside a changed
+//	             block).
+//	    Then the body, below.
 //	type 1 (zeros): s, H and V must be 0; a uvarint n >= 1 follows and the
 //	    next n blocks are all zero — a clean region of any length costs
 //	    one tag and one varint.
 //	type 2 (raw):   s, H and V must be 0; the block's bytes follow verbatim.
 //
 // A sample is coded as v = zigzag(int8(residual) >> s), split Rice-fashion
-// into a quotient q = v>>k and the k remainder bits. The unary code is
-// limited: a quotient of riceEscape or more is coded as riceEscape, and
-// the sample escapes — its excess goes to a third string. The body of a
-// rice block keeps the parts apart, because fixed-width fields and a unary
-// bit vector each decode without the serial shift-by-what-I-just-read
-// chain of an interleaved Rice stream:
+// into a quotient q = v>>k and the k remainder bits. The quotient becomes a
+// token min(q, riceEscape): a quotient of riceEscape or more escapes, and
+// its excess goes to a third string. Tokens are coded two at a time — the
+// samples j and j+4 of a channel, one pixel and the next — as one code of
+// the channel's pair table (pairtables.go), so a pair of zeros can cost a
+// single bit. The body of a rice block keeps the parts apart, because
+// fixed-width fields and a string of table codes each decode without the
+// serial shift-by-what-I-just-read chain of an interleaved Rice stream:
 //
 //	remainder string: channel by channel (0..3), sample by sample, the low
 //	    k bits of v (all 8-s bits for a verbatim channel), packed
 //	    LSB-first; zero-padded to a byte boundary.
-//	unary string: channel by channel, rice channels only, sample by
-//	    sample, min(q, riceEscape) zero bits and a one bit, packed
-//	    LSB-first; zero-padded to a byte boundary.
+//	pair string: channel by channel, rice channels only, pair by pair
+//	    (samples c and c+4, c+8 and c+12, …), the code of the two tokens,
+//	    first code bit lowest, packed LSB-first. A channel with an odd
+//	    number of samples ends on a pair whose second token is a pad that
+//	    must be 0. Zero-padded to a byte boundary.
 //	escape string: the escaped samples in sample (byte) order, each as
 //	    q-riceEscape in 8-s-k bits, packed LSB-first; zero-padded to a byte
 //	    boundary, and empty when nothing escapes. With its k remainder bits
 //	    an escaped sample is verbatim in 8-s bits.
 //
-// The limit caps a sample at riceEscape+1+8-s bits however far it lies
-// from its prediction (a sprite edge, an input flash), where an unlimited
-// unary code spends up to 256.
+// The escape caps a sample at maxPairLen/2+8-s bits in the unary table
+// however far it lies from its prediction (a sprite edge, an input flash),
+// where an unlimited unary code spends up to 256; no table has a code
+// longer than maxPairLen.
 //
 // Worst case: a rice block that comes out no smaller than the block itself
 // is rewound and the block goes out raw, so a payload never exceeds
@@ -104,19 +117,18 @@ const (
 	// minUpRow is the narrowest row V may predict from.
 	minUpRow = 8
 
-	// kZero marks a channel whose residuals are all zero.
+	// kZero marks a channel whose residuals are all zero, in the header and
+	// in the coder's parameter arrays, where a verbatim channel has k = 8-s.
 	kZero = 15
+	// nibVerbatim is the header nibble of a verbatim channel, and nibRice+k
+	// the nibble of Rice parameter k >= 1.
+	nibVerbatim = 14
+	nibRice     = unaryTable
 
-	// riceEscape is the unary limit: the largest quotient the unary string
-	// codes, and the one that marks an escaped sample. A power of two, so
-	// an escape is a set bit at or above riceEscape<<k (escapeMask).
+	// riceEscape is the largest token: the quotient limit, and the token
+	// that marks an escaped sample. A power of two, so an escape is a set
+	// bit at or above riceEscape<<k (escapeMask).
 	riceEscape = 8
-
-	// unaryRun is how many unary codes of at most riceEscape+1 bits fit a
-	// word behind 7 pending bits: the bit writer flushes after every run
-	// (appendUnary spells the six out), and the reader decodes a run from
-	// one word.
-	unaryRun = 6
 
 	// kClamp caps the magnitudes the Rice parameter is picked from:
 	// anything larger is an outlier that escapes whatever k is.
@@ -128,13 +140,10 @@ const (
 
 	// payloadSlack is the headroom past the worst-case payload that lets a
 	// rice block be written before it is known to beat raw — a sample costs
-	// at most riceEscape+1 bits more than verbatim, plus the header and
-	// paddings — and the bit writers store whole words.
-	payloadSlack = (riceEscape+1)*blockBytes/8 + riceOverhead + 8
+	// at most maxPairLen/2 bits more than verbatim, a pad token as much,
+	// plus the header and paddings — and the bit writers store whole words.
+	payloadSlack = maxPairLen/2*(blockBytes+4)/8 + 1 + riceOverhead + 8
 )
-
-// A run of unaryRun codes and 7 pending bits fit a word.
-const _ uint = 64 - 7 - unaryRun*(riceEscape+1)
 
 // maxPayloadLen returns the payload worst case for n source bytes.
 func maxPayloadLen(n int) int { return n + (n+blockBytes-1)/blockBytes }
@@ -378,6 +387,33 @@ func modeCost(s uint, sum *[4]uint32, n int) int {
 	return est
 }
 
+// planBlock analyses the block src[i:end], which is not all zero, and picks
+// how it codes: the prediction mode, the shift, the channel parameters and
+// the estimated body size in bits. It leaves every mode's zig-zagged
+// residuals in zz.
+func planBlock(zz *[4][blockBytes]byte, src []byte, i, end, rowBytes int) (mode int, s uint, ks [4]uint8, est int) {
+	modes := 4
+	if rowBytes < minUpRow {
+		modes = 2 // none and H only
+	}
+	n := end - i
+	or, sum := blockStats(zz, src, i, end, rowBytes)
+	s = uint(bits.TrailingZeros8(or)) // or != 0: the block is not all zero
+	best := modeCost(s, &sum[0], n)
+	for m := 1; m < modes; m++ {
+		if c := modeCost(s, &sum[m], n); c < best {
+			mode, best = m, c
+		}
+	}
+	var mag [4]uint32
+	for c, v := range sum[mode] {
+		mag[c] = v >> s
+	}
+	cmag := clampedSums(&zz[mode], n, s)
+	ks, est = riceParams(s, &mag, &cmag, n)
+	return mode, s, ks, est
+}
+
 // appendPayload appends the coded form of src, a tile whose rows are
 // rowBytes long, to dst and returns the extended slice. It allocates only
 // when dst lacks the capacity for the worst case plus payloadSlack.
@@ -389,10 +425,6 @@ func appendPayload(dst, src []byte, rowBytes int) []byte {
 		dst = grown
 	}
 	out := dst[:cap(dst)]
-	modes := 4
-	if rowBytes < minUpRow {
-		modes = 2 // none and H only
-	}
 	var zz [4][blockBytes]byte
 	for i := 0; i < len(src); {
 		end := min(i+blockBytes, len(src))
@@ -413,20 +445,7 @@ func appendPayload(dst, src []byte, rowBytes int) []byte {
 			continue
 		}
 		n := end - i
-		or, sum := blockStats(&zz, src, i, end, rowBytes)
-		s := uint(bits.TrailingZeros8(or)) // or != 0: the block is not all zero
-		mode, best := 0, modeCost(s, &sum[0], n)
-		for m := 1; m < modes; m++ {
-			if c := modeCost(s, &sum[m], n); c < best {
-				mode, best = m, c
-			}
-		}
-		var mag [4]uint32
-		for c, v := range sum[mode] {
-			mag[c] = v >> s
-		}
-		cmag := clampedSums(&zz[mode], n, s)
-		ks, est := riceParams(s, &mag, &cmag, n)
+		mode, s, ks, est := planBlock(&zz, src, i, end, rowBytes)
 		if est+8*riceOverhead <= 8*n {
 			tag := byte(blockRice<<tagTypeShift) | byte(mode)<<tagModeShift | byte(s)
 			if next := appendRiceBlock(out, pos, &zz[mode], n, tag, &ks); next-pos <= n {
@@ -463,19 +482,96 @@ func escapeMask(ks *[4]uint8, width, s uint) (m uint64) {
 	return m
 }
 
+// pairSymbols fills syms with the pairs of the n magnitudes zz at shift
+// sk, a word of eight at a time: a word is two pixels, the first holding
+// every channel's token a and the second its token b, so pair p of channel
+// c lands at syms[4p+c] as a<<4|b. Tokens saturate at riceEscape lane by
+// lane; a pair past n (the pad of an odd channel) reads the zero tail of
+// zz.
+func pairSymbols(syms *[blockBytes / 2]byte, zz *[blockBytes]byte, n int, sk uint) {
+	sk &= 7
+	lanes := uint64(0xFF>>sk) * swarLo
+	for j := 0; j < n; j += 8 {
+		v := binary.LittleEndian.Uint64(zz[j:]) >> sk & lanes
+		big := nonZeroLanes(v &^ ((riceEscape - 1) * swarLo)) // a high bit per lane >= riceEscape
+		v = v&^(big>>7*0xFF) | big>>7*riceEscape
+		binary.LittleEndian.PutUint32(syms[j/2:], uint32(v)<<4|uint32(v>>32))
+	}
+}
+
+// channelPairs returns channel c's pairs from syms filled for n samples:
+// the slice starts at the channel's first pair, and every 4th byte is the
+// next one.
+func channelPairs(syms *[blockBytes / 2]byte, c, n int) []byte {
+	np := (n - c + 7) / 8
+	if np == 0 {
+		return nil
+	}
+	return syms[c : c+4*np-3]
+}
+
+// pairTable returns the table that codes the pairs ch (every 4th byte) in
+// the fewest bits, the lowest-numbered one on a tie: one pass adds up
+// their cost in every table, in byte lanes spilled to 16-bit lanes (even
+// tables, odd tables) every costRun pairs.
+func pairTable(ch []byte) uint8 {
+	const lo16 = 0x00FF00FF00FF00FF
+	var even, odd uint64
+	for i := 0; i < len(ch); {
+		var acc uint64
+		for stop := min(len(ch), i+4*costRun); i < stop; i += 4 {
+			acc += pairs.cost[ch[i]]
+		}
+		even += acc & lo16
+		odd += acc >> 8 & lo16
+	}
+	best, least := uint8(0), even&0xFFFF
+	for t := uint8(1); t < pairTables; t++ {
+		lanes := even
+		if t&1 != 0 {
+			lanes = odd
+		}
+		if b := lanes >> (16 * (t >> 1)) & 0xFFFF; b < least {
+			best, least = t, b
+		}
+	}
+	return best
+}
+
 // appendRiceBlock writes one rice block (header tag, ks) for the n
 // zig-zag magnitudes zz (before the shift; zero up to the next multiple of
-// 8) at out[pos:] and returns the position after it. out has payloadSlack
-// bytes of headroom past the raw size of the block, enough for anything
-// the block can need, so the bit writers store whole words without bounds
-// arithmetic.
+// 8) at out[pos:] and returns the position after it. ks holds each
+// channel's Rice parameter, 8-s for verbatim or kZero; the block picks the
+// pair tables. out has payloadSlack bytes of headroom past the raw size of
+// the block, enough for anything the block can need, so the bit writers
+// store whole words without bounds arithmetic.
 func appendRiceBlock(out []byte, pos int, zz *[blockBytes]byte, n int, tag byte, ks *[4]uint8) int {
-	out[pos] = tag
-	out[pos+1] = ks[0] | ks[1]<<4
-	out[pos+2] = ks[2] | ks[3]<<4
-	pos += 3
 	s := uint(tag & 7)
 	width := 8 - s
+	// The pairs at shift s serve the k = 0 channels; a k >= 1 channel
+	// refills syms at its own shift when its pairs are written.
+	var syms [blockBytes / 2]byte
+	symShift := s
+	pairSymbols(&syms, zz, n, s)
+	var tabs, nib [4]uint8
+	for c, k := range ks {
+		switch {
+		case k == kZero:
+			nib[c] = kZero
+		case uint(k) == width:
+			nib[c] = nibVerbatim
+		case k == 0:
+			tabs[c] = pairTable(channelPairs(&syms, c, n))
+			nib[c] = tabs[c]
+		default:
+			tabs[c] = unaryTable
+			nib[c] = nibRice + k
+		}
+	}
+	out[pos] = tag
+	out[pos+1] = nib[0] | nib[1]<<4
+	out[pos+2] = nib[2] | nib[3]<<4
+	pos += 3
 
 	// Remainder string. The accumulator is flushed after every run of
 	// samples that keeps it within a word: at most 7 pending bits plus 56.
@@ -504,14 +600,18 @@ func appendRiceBlock(out []byte, pos int, zz *[blockBytes]byte, n int, tag byte,
 		pos++
 	}
 
-	// Unary string.
+	// Pair string.
 	acc, nb = 0, 0
 	for c, k8 := range ks {
 		k := uint(k8)
 		if k >= width { // all-zero or verbatim: no quotients
 			continue
 		}
-		pos, acc, nb = appendUnary(out, pos, acc, nb, zz, c, n, s+k)
+		if s+k != symShift {
+			symShift = s + k
+			pairSymbols(&syms, zz, n, symShift)
+		}
+		pos, acc, nb = appendPairs(out, pos, acc, nb, channelPairs(&syms, c, n), &pairs.code[tabs[c]])
 	}
 	if nb > 0 {
 		out[pos] = byte(acc)
@@ -543,29 +643,25 @@ func appendRiceBlock(out []byte, pos int, zz *[blockBytes]byte, n int, tag byte,
 	return pos
 }
 
-// appendUnary writes the unary codes of channel samples zz[c], zz[c+4], …
-// below n, quotients taken at shift sk, to the bit writer (out, pos, acc,
-// nb) and returns its new state: the cursor skips min(q, riceEscape) bits
-// and sets one. A run of unaryRun codes is summed into bit positions
-// without a flush check, then flushed like the remainder string.
-func appendUnary(out []byte, pos int, acc uint64, nb uint, zz *[blockBytes]byte, c, n int, sk uint) (int, uint64, uint) {
-	sk &= 7
-	for j := c; j < n; j += 4 * unaryRun {
-		if j+4*(unaryRun-1) < n {
-			z := zz[j : j+4*unaryRun-3 : j+4*unaryRun-3]
-			p0 := nb + min(uint(z[0]>>sk), riceEscape)
-			p1 := p0 + 1 + min(uint(z[4]>>sk), riceEscape)
-			p2 := p1 + 1 + min(uint(z[8]>>sk), riceEscape)
-			p3 := p2 + 1 + min(uint(z[12]>>sk), riceEscape)
-			p4 := p3 + 1 + min(uint(z[16]>>sk), riceEscape)
-			p5 := p4 + 1 + min(uint(z[20]>>sk), riceEscape)
-			acc |= 1<<(p0&63) | 1<<(p1&63) | 1<<(p2&63) | 1<<(p3&63) | 1<<(p4&63) | 1<<(p5&63)
-			nb = p5 + 1
+// appendPairs writes the codes of the pairs ch (every 4th byte) in the
+// table code to the bit writer (out, pos, acc, nb) and returns its new
+// state. A run of pairRun codes is summed without a flush check, then
+// flushed like the remainder string.
+func appendPairs(out []byte, pos int, acc uint64, nb uint, ch []byte, code *[256]uint32) (int, uint64, uint) {
+	const codeMask = 1<<codeLenShift - 1
+	for i := 0; i < len(ch); i += 4 * pairRun {
+		if i+4*(pairRun-1) < len(ch) {
+			z := ch[i : i+4*pairRun-3 : i+4*pairRun-3]
+			e0, e1, e2 := code[z[0]], code[z[4]], code[z[8]]
+			p1 := nb + uint(e0>>codeLenShift)
+			p2 := p1 + uint(e1>>codeLenShift)
+			acc |= uint64(e0&codeMask)<<(nb&63) | uint64(e1&codeMask)<<(p1&63) | uint64(e2&codeMask)<<(p2&63)
+			nb = p2 + uint(e2>>codeLenShift)
 		} else {
-			for t := j; t < n; t += 4 {
-				q := min(uint(zz[t]>>sk), riceEscape)
-				acc |= 1 << ((nb + q) & 63)
-				nb += q + 1
+			for t := i; t < len(ch); t += 4 {
+				e := code[ch[t]]
+				acc |= uint64(e&codeMask) << (nb & 63)
+				nb += uint(e >> codeLenShift)
 			}
 		}
 		binary.LittleEndian.PutUint64(out[pos:], acc)
@@ -641,17 +737,31 @@ func decodeRiceBlock(dst []byte, i, end, rowBytes int, payload []byte, pos int, 
 	}
 	s := uint(tag & 7)
 	width := 8 - s
-	ks := [4]uint8{payload[pos] & 15, payload[pos] >> 4, payload[pos+1] & 15, payload[pos+1] >> 4}
-	for _, k := range ks {
-		if uint(k) > width && k != kZero {
-			return 0, ErrCorrupt
+	// Parameters as the encoder holds them: k, 8-s for verbatim or kZero,
+	// and the pair table of each rice channel.
+	var ks, tabs [4]uint8
+	for c := range ks {
+		p := payload[pos+c>>1] >> (4 * (c & 1)) & 15
+		switch {
+		case p == kZero:
+			ks[c] = kZero
+		case p == nibVerbatim:
+			ks[c] = uint8(width)
+		case p < pairTables:
+			ks[c], tabs[c] = 0, p
+		case uint(p-nibRice)+1 >= width:
+			return 0, ErrCorrupt // k = 7-s or wider: verbatim is never longer
+		default:
+			ks[c], tabs[c] = p-nibRice, unaryTable
 		}
 	}
 	pos += 2
 	n := end - i
 	// Sample j's value is rem[j] | quo[j]: the strings fill one array each,
 	// so no loop reads what another wrote.
-	var rem, quo [blockBytes]byte
+	// quo runs 16 bytes past the block for the last pair's lookup.
+	var rem [blockBytes]byte
+	var quo [blockBytes + 16]byte
 
 	// Remainder string: fixed-width fields, a word's worth per refill.
 	// Bits past the end of the payload read as zeros and drive nb negative,
@@ -693,19 +803,21 @@ func decodeRiceBlock(dst []byte, i, end, rowBytes int, payload []byte, pos int, 
 		return 0, ErrCorrupt // padding must be zero
 	}
 
-	// Unary string: a run of unaryRun codes fits the 57 bits one load at
-	// the cursor brings, and in that word every one bit ends a code.
-	// Clearing the lowest set bit is the only loop-carried step; its
-	// position is read off the side.
+	// Pair string: a run of pairRun lookups fits the 57 bits one load at
+	// the cursor brings; each looks its one or two codes up by their first
+	// lutBits bits. The lookup, a shift by the entry and the next index
+	// are the only loop-carried steps: a longer code (second step) and a
+	// bad one leave the loop by one comparison.
 	bp := 8 * pos // the cursor, in bits
 	for c, k8 := range ks {
 		k := uint(k8)
 		if k >= width {
 			continue
 		}
-		// The largest quotient the code can hold: riceEscape (an escape),
-		// or less when no (8-s)-bit sample has a quotient that large.
-		qmax := min(riceEscape, int(0xFF>>s)>>k)
+		lut := &pairs.lut[tabs[c]]
+		// The largest token the block allows: riceEscape (an escape), or
+		// less when no (8-s)-bit sample has a quotient that large.
+		qmax := uint32(min(riceEscape, int(0xFF>>s)>>k))
 		for j := c; j < n; {
 			at := bp >> 3
 			var w uint64
@@ -717,21 +829,39 @@ func decodeRiceBlock(dst []byte, i, end, rowBytes int, payload []byte, pos int, 
 			}
 			w >>= uint(bp) & 7
 			valid -= bp & 7
-			off := 0 // the position after the last one taken
-			for stop := min(n, j+4*unaryRun); j < stop; j += 4 {
-				t := bits.TrailingZeros64(w)
-				q := t - off
-				if q > qmax {
-					if valid-off <= qmax {
-						return 0, ErrTruncated // the payload ends inside the code
-					}
-					return 0, ErrCorrupt // longer than any code
+			off := 0 // bits taken from w
+			for r := 0; r < pairRun && j < n; r++ {
+				e := lut.prim[w&(1<<lutBits-1)]
+				if j+8 >= n { // the channel's last pair: what follows is not its own
+					e = firstPair(e)
 				}
-				off = t + 1
-				w &= w - 1
-				quo[j] = byte(q << k)
+				if e>>lutMaxShift > qmax {
+					if e>>lutMaxShift == lutLong {
+						e = lut.sec[e>>8&0xFFFF|uint32(w>>lutBits)&(1<<secBits-1)]
+					}
+					if e>>lutMaxShift > qmax { // no code, or a token too large
+						if l := int(e & lutLenMask); l == 0 && valid-off < maxPairLen || off+l > valid {
+							return 0, ErrTruncated // the payload ends inside the code
+						}
+						return 0, ErrCorrupt
+					}
+				}
+				// A one-pair entry writes zeros where the next pair goes.
+				quo[j] = byte(e>>8&15) << k
+				quo[j+4] = byte(e>>12&15) << k
+				quo[j+8] = byte(e>>16&15) << k
+				quo[j+12] = byte(e>>20&15) << k
+				w >>= e & lutLenMask
+				off += int(e & lutLenMask)
+				j += int(e >> 3 & 24) // 8 a pair
+			}
+			if off > valid {
+				return 0, ErrTruncated
 			}
 			bp += off
+		}
+		if nc := (n - c + 3) / 4; nc&1 != 0 && quo[c+4*nc] != 0 {
+			return 0, ErrCorrupt // the pad token must be 0
 		}
 	}
 	pos = bp >> 3
@@ -772,7 +902,7 @@ func decodeRiceBlock(dst []byte, i, end, rowBytes int, payload []byte, pos int, 
 		}
 	}
 
-	unpredictBlock(dst, i, end, rowBytes, tag, &rem, &quo)
+	unpredictBlock(dst, i, end, rowBytes, tag, &rem, (*[blockBytes]byte)(quo[:]))
 	return pos, nil
 }
 

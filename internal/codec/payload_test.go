@@ -2,22 +2,27 @@ package codec
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"math"
 	"math/bits"
 	"math/rand"
+	"sort"
 	"testing"
 )
 
 // ---------------------------------------------------------------------------
 // Reference coder: the payload format written and read one bit at a time,
 // straight from the layout comment in payload.go. It shares only riceParams
-// (plain scalar code) with the production coder: its predictors, statistics,
-// bit strings and reconstruction are its own, so byte equality between the
-// two pins every word-wide kernel — the four-mode analysis, the clamped
-// sums, the three bit packers, the escape scan, and on the way back the bit
-// readers and both reconstruction passes.
+// (plain scalar code) and the committed code lengths pairLens with the
+// production coder: its predictors, statistics, table choice, canonical
+// codes, bit strings and reconstruction are its own, and it writes the
+// unary table as two unary codes, so byte equality between the two pins
+// every word-wide kernel — the four-mode analysis, the clamped sums, the
+// three bit packers, the escape scan, and on the way back the table lookups,
+// the bit readers and both reconstruction passes.
 // ---------------------------------------------------------------------------
 
 type refBitWriter struct {
@@ -123,9 +128,79 @@ func refAppendPayload(src []byte, rowBytes int) []byte {
 	return out
 }
 
+// refLen is the code length of tokens (a, b) in table t.
+func refLen(t, a, b int) int {
+	if t == unaryTable {
+		return a + 1 + b + 1
+	}
+	return int(pairLens[t][a*pairTokens+b])
+}
+
+// refCodes holds the canonical codes of the fitted tables, most significant
+// (first) bit first: the pairs sorted by length and then by index take
+// consecutive values, shifted left where the length grows.
+var refCodes = func() (codes [unaryTable][pairSyms]uint) {
+	for t := range codes {
+		order := make([]int, pairSyms)
+		for i := range order {
+			order[i] = i
+		}
+		sort.SliceStable(order, func(x, y int) bool { return pairLens[t][order[x]] < pairLens[t][order[y]] })
+		code, prevLen := uint(0), 0
+		for n, i := range order {
+			l := int(pairLens[t][i])
+			if n > 0 {
+				code = (code + 1) << (l - prevLen)
+			}
+			codes[t][i], prevLen = code, l
+		}
+	}
+	return codes
+}()
+
+// refToken is the token of sample value x at parameter k.
+func refToken(x, k uint) int { return int(min(x>>k, riceEscape)) }
+
+// refPairs returns the tokens of channel c's pairs, the pad token 0 closing
+// an odd channel.
+func refPairs(v []uint, c int, k uint) (pairs [][2]int) {
+	for j := c; j < len(v); j += 8 {
+		p := [2]int{refToken(v[j], k), 0}
+		if j+4 < len(v) {
+			p[1] = refToken(v[j+4], k)
+		}
+		pairs = append(pairs, p)
+	}
+	return pairs
+}
+
 // refRiceBlock writes a rice block for the sample values v.
 func refRiceBlock(v []uint, s uint, mode int, ks [4]uint8) []byte {
 	width := 8 - s
+	var nib [4]byte
+	var tabs [4]int
+	for c, k := range ks {
+		switch {
+		case k == kZero:
+			nib[c] = kZero
+		case uint(k) == width:
+			nib[c] = nibVerbatim
+		case k > 0:
+			nib[c], tabs[c] = 7+k, unaryTable
+		default: // the cheapest table, the first on a tie
+			best := -1
+			for t := 0; t < pairTables; t++ {
+				bits := 0
+				for _, p := range refPairs(v, c, 0) {
+					bits += refLen(t, p[0], p[1])
+				}
+				if best < 0 || bits < best {
+					best, tabs[c] = bits, t
+				}
+			}
+			nib[c] = byte(tabs[c])
+		}
+	}
 	w := &refBitWriter{}
 	for c := 0; c < 4; c++ {
 		if ks[c] == kZero {
@@ -140,9 +215,18 @@ func refRiceBlock(v []uint, s uint, mode int, ks [4]uint8) []byte {
 		if uint(ks[c]) >= width {
 			continue
 		}
-		for j := c; j < len(v); j += 4 {
-			w.bits(0, min(v[j]>>ks[c], riceEscape))
-			w.bits(1, 1)
+		for _, p := range refPairs(v, c, uint(ks[c])) {
+			if tabs[c] == unaryTable {
+				for _, q := range p { // two unary codes
+					w.bits(0, uint(q))
+					w.bits(1, 1)
+				}
+				continue
+			}
+			code, l := refCodes[tabs[c]][p[0]*pairTokens+p[1]], refLen(tabs[c], p[0], p[1])
+			for i := l - 1; i >= 0; i-- {
+				w.bits(code>>i&1, 1)
+			}
 		}
 	}
 	w.align()
@@ -153,7 +237,7 @@ func refRiceBlock(v []uint, s uint, mode int, ks [4]uint8) []byte {
 	}
 	w.align()
 	tag := byte(blockRice<<tagTypeShift) | byte(mode)<<tagModeShift | byte(s)
-	return append([]byte{tag, ks[0] | ks[1]<<4, ks[2] | ks[3]<<4}, w.b...)
+	return append([]byte{tag, nib[0] | nib[1]<<4, nib[2] | nib[3]<<4}, w.b...)
 }
 
 var errRef = errors.New("reference decoder: malformed payload")
@@ -224,14 +308,27 @@ func refDecodePayload(payload []byte, size, rowBytes int) ([]byte, error) {
 		if mode&modeUp != 0 && rowBytes < 8 {
 			return nil, errRef
 		}
-		ks := [4]uint{uint(payload[pos] & 15), uint(payload[pos] >> 4), uint(payload[pos+1] & 15), uint(payload[pos+1] >> 4)}
+		nib := [4]uint{uint(payload[pos] & 15), uint(payload[pos] >> 4), uint(payload[pos+1] & 15), uint(payload[pos+1] >> 4)}
+		var ks [4]uint
+		var tabs [4]int
+		for c, p := range nib {
+			switch {
+			case p == kZero:
+				ks[c] = kZero
+			case p == nibVerbatim:
+				ks[c] = width
+			case p < pairTables:
+				tabs[c] = int(p)
+			case p-7 >= width-1:
+				return nil, errRef
+			default:
+				ks[c], tabs[c] = p-7, unaryTable
+			}
+		}
 		r := &refBitReader{b: payload, pos: pos + 2}
 		n := end - i
 		v := make([]uint, n)
 		for c := 0; c < 4; c++ {
-			if ks[c] > width && ks[c] != kZero {
-				return nil, errRef
-			}
 			if ks[c] == kZero {
 				continue
 			}
@@ -246,21 +343,47 @@ func refDecodePayload(payload []byte, size, rowBytes int) ([]byte, error) {
 		if !r.align() {
 			return nil, errRef
 		}
-		q := make([]uint, n)
+		q := make([]uint, n+4) // the pads land past n
 		for c := 0; c < 4; c++ {
 			if ks[c] >= width {
 				continue
 			}
-			for j := c; j < n; j += 4 {
-				for {
-					b, ok := r.bits(1)
-					if !ok || q[j] > riceEscape {
-						return nil, errRef
+			for j := c; j < n; j += 8 {
+				for _, x := range []int{j, j + 4} {
+					if tabs[c] != unaryTable {
+						continue
 					}
-					if b == 1 {
-						break
+					for { // a unary code
+						b, ok := r.bits(1)
+						if !ok || q[x] > riceEscape {
+							return nil, errRef
+						}
+						if b == 1 {
+							break
+						}
+						q[x]++
 					}
-					q[j]++
+				}
+				if tabs[c] != unaryTable {
+					code, l, found := uint(0), 0, false
+					for !found {
+						b, ok := r.bits(1)
+						if !ok || l == maxPairLen {
+							return nil, errRef
+						}
+						code, l = code<<1|b, l+1
+						for a := 0; a < pairTokens && !found; a++ {
+							for bb := 0; bb < pairTokens; bb++ {
+								if refLen(tabs[c], a, bb) == l && refCodes[tabs[c]][a*pairTokens+bb] == code {
+									q[j], q[j+4], found = uint(a), uint(bb), true
+									break
+								}
+							}
+						}
+					}
+				}
+				if j+4 >= n && q[j+4] != 0 {
+					return nil, errRef // a pad token must be 0
 				}
 			}
 		}
@@ -513,6 +636,49 @@ func TestZigzagLanes(t *testing.T) {
 			}
 			if got, want := nonZeroLanes(x)>>(8*lane)&0xFF, uint64(0); b != 0 && got != 0x80 || b == 0 && got != want {
 				t.Fatalf("nonZeroLanes lane %d of %#x = %#x", lane, x, got)
+			}
+		}
+	}
+}
+
+// refPairSym is the pair a<<4|b of the tokens of magnitudes a and b at
+// shift sk, a byte at a time.
+func refPairSym(a, b byte, sk uint) byte {
+	return min(a>>sk, riceEscape)<<4 | min(b>>sk, riceEscape)
+}
+
+// TestPairSymbolsMatchesByteLoop pins the word-wide token pass and the
+// channel slices against a byte loop, at every shift and block length,
+// the pads of odd channels included.
+func TestPairSymbolsMatchesByteLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	var zz [blockBytes]byte
+	var syms [blockBytes / 2]byte
+	for iter := 0; iter < 300; iter++ {
+		n := 1 + rng.Intn(blockBytes)
+		if iter < 16 {
+			n = iter + 1
+		}
+		for j := range zz {
+			zz[j] = 0 // the coder's arrays are zero past n
+			if j < n {
+				zz[j] = byte(rng.Intn(256)) >> rng.Intn(8)
+			}
+		}
+		for sk := uint(0); sk < 8; sk++ {
+			pairSymbols(&syms, &zz, n, sk)
+			for c := 0; c < 4; c++ {
+				ch := channelPairs(&syms, c, n)
+				p := 0
+				for j := c; j < n; j += 8 {
+					if got, want := ch[4*p], refPairSym(zz[j], zz[j+4], sk); got != want {
+						t.Fatalf("n=%d shift %d channel %d pair %d: %#x, want %#x", n, sk, c, p, got, want)
+					}
+					p++
+				}
+				if len(ch) != max(4*p-3, 0) {
+					t.Fatalf("n=%d channel %d: %d bytes for %d pairs", n, c, len(ch), p)
+				}
 			}
 		}
 	}
@@ -797,12 +963,14 @@ func TestPayloadCleanRegionIsCheap(t *testing.T) {
 	}
 }
 
+// TestGameContentCompresses bounds game content about 5 % above what the
+// pair-table coder measures (0.150x raw lossless, 0.118x at QuantShift 2).
 func TestGameContentCompresses(t *testing.T) {
 	const w, h = 320, 180
 	for _, c := range []struct {
 		shift uint
 		ratio float64
-	}{{0, 0.22}, {2, 0.18}} {
+	}{{0, 0.158}, {2, 0.124}} {
 		enc := NewEncoder(w, h, Options{QuantShift: c.shift, StripeKeyframes: true})
 		dec := NewDecoder()
 		frames := gameFrames(w, h, 30)
@@ -823,8 +991,37 @@ func TestGameContentCompresses(t *testing.T) {
 		}
 		perFrame := float64(total) / float64(len(frames))
 		if limit := c.ratio * w * h * 4; perFrame > limit {
-			t.Errorf("QuantShift %d: %.0f bytes/frame, want <= %.0f (%.2fx raw)", c.shift, perFrame, limit, c.ratio)
+			t.Errorf("QuantShift %d: %.0f bytes/frame, want <= %.0f (%.3fx raw)", c.shift, perFrame, limit, c.ratio)
 		}
+	}
+}
+
+// TestBitstreamGolden pins the bitstream byte for byte: the SHA-256 of
+// what a hub-configured encoder (striped keys, a tile cache) emits for 30
+// game frames, then one frame of every other content class. The digest
+// must read the same on every GOARCH, 32-bit ones included: the coder, its
+// tables and the word-wide kernels may not depend on the host. A change to
+// any of them changes the digest and needs a new version byte.
+func TestBitstreamGolden(t *testing.T) {
+	const want = "510d5d43d520a782353182a0dc487a86195ff67cf924b35c37d77833d8ac6e03"
+	sum := sha256.New()
+	enc := NewEncoder(160, 90, Options{StripeKeyframes: true, Cache: NewTileCache(0)})
+	for _, f := range gameFrames(160, 90, 30) {
+		bs, err := enc.Encode(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum.Write(bs)
+	}
+	for _, kind := range []string{"static", "scrolling", "mixed", "noise"} {
+		bs, err := NewEncoder(64, 40, Options{}).Encode(contentFrames(kind, 64, 40, 1)[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum.Write(bs)
+	}
+	if got := hex.EncodeToString(sum.Sum(nil)); got != want {
+		t.Errorf("bitstream digest %s, want %s", got, want)
 	}
 }
 
@@ -986,21 +1183,42 @@ func TestSharedCacheAcrossGeometryAndQuant(t *testing.T) {
 // Hostile payloads
 // ---------------------------------------------------------------------------
 
-// riceBlock hand-assembles one rice block: tag, parameters, the three
-// strings.
-func riceBlock(tag byte, ks [4]byte, rem, unary, esc []byte) []byte {
+// riceBlock hand-assembles one rice block: tag, parameter nibbles, the
+// three strings.
+func riceBlock(tag byte, ks [4]byte, rem, pairs, esc []byte) []byte {
 	b := append([]byte{tag, ks[0] | ks[1]<<4, ks[2] | ks[3]<<4}, rem...)
-	return append(append(b, unary...), esc...)
+	return append(append(b, pairs...), esc...)
+}
+
+// pairString hand-assembles a pair string: the codes of the given token
+// pairs in table tab, from the reference coder's codes, zero-padded.
+func pairString(tab int, pairs ...[2]int) []byte {
+	w := &refBitWriter{}
+	for _, p := range pairs {
+		if tab == unaryTable {
+			w.bits(1<<p[0], uint(p[0]+1))
+			w.bits(1<<p[1], uint(p[1]+1))
+			continue
+		}
+		code, l := refCodes[tab][p[0]*pairTokens+p[1]], refLen(tab, p[0], p[1])
+		for i := l - 1; i >= 0; i-- {
+			w.bits(code>>i&1, 1)
+		}
+	}
+	return w.b
 }
 
 func TestDecodePayloadHostile(t *testing.T) {
 	const zeros, raw = blockZeros << tagTypeShift, blockRaw << tagTypeShift
 	allZeroKs := [4]byte{kZero, kZero, kZero, kZero}
-	k0 := [4]byte{0, kZero, kZero, kZero} // channel 0 rice k=0: unary string only
-	k1 := [4]byte{1, kZero, kZero, kZero} // channel 0 rice k=1
+	k0 := [4]byte{unaryTable, kZero, kZero, kZero}        // channel 0 k=0, unary table: pair string only
+	k1 := [4]byte{nibRice + 1, kZero, kZero, kZero}       // channel 0 k=1
+	k6 := [4]byte{nibRice + 6, kZero, kZero, kZero}       // channel 0 k=6
+	verbatim := [4]byte{nibVerbatim, kZero, kZero, kZero} // channel 0 verbatim
 	ones := func(n int) []byte { return bytes.Repeat([]byte{0xFF}, n) }
-	// An escape on a one-pixel tile: eight zeros and a one.
-	escape := []byte{0x00, 0x01}
+	// An escape on a one-pixel tile: eight zeros and a one, then the pad
+	// token 0, a one.
+	escape := []byte{0x00, 0x03}
 	type hostile struct {
 		name     string
 		size     int
@@ -1032,29 +1250,34 @@ func TestDecodePayloadHostile(t *testing.T) {
 		{"second block after the tile", 4, 4, []byte{zeros, 1, zeros, 1}, ErrCorrupt},
 
 		{"rice parameters cut short", 4, 4, []byte{0x00, 0xFF}, ErrTruncated},
-		{"parameter above the sample width", 4, 4, riceBlock(0x05, [4]byte{4, kZero, kZero, kZero}, nil, nil, nil), ErrCorrupt},
-		{"parameter 9 unshifted", 4, 4, riceBlock(0x00, [4]byte{9, kZero, kZero, kZero}, nil, nil, nil), ErrCorrupt},
+		{"parameter 7-s at shift 5", 4, 4, riceBlock(0x05, [4]byte{nibRice + 2, kZero, kZero, kZero}, []byte{0x00}, pairString(unaryTable, [2]int{0, 0}), nil), ErrCorrupt},
+		{"parameter 7-s at shift 1", 4, 4, riceBlock(0x01, [4]byte{nibRice + 6, kZero, kZero, kZero}, []byte{0x00}, pairString(unaryTable, [2]int{0, 0}), nil), ErrCorrupt},
 		{"all-zero block then junk", 4, 4, append(riceBlock(0x00, allZeroKs, nil, nil, nil), 0), ErrCorrupt},
 
-		{"unary string missing", blockBytes, 4, riceBlock(0x00, k0, nil, nil, nil), ErrTruncated},
-		{"unary codes run past the payload", blockBytes, 4, riceBlock(0x00, k0, nil, ones(7), nil), ErrTruncated},
+		{"pair string missing", blockBytes, 4, riceBlock(0x00, k0, nil, nil, nil), ErrTruncated},
+		{"fitted-table pair string missing", blockBytes, 4, riceBlock(0x00, [4]byte{0, kZero, kZero, kZero}, nil, nil, nil), ErrTruncated},
+		{"pair codes run past the payload", blockBytes, 4, riceBlock(0x00, k0, nil, ones(7), nil), ErrTruncated},
 		{"unary zeros to the end", blockBytes, 4, riceBlock(0x00, k0, nil, make([]byte, 31), nil), ErrCorrupt},
-		{"unary code longer than the limit", 4, 4, riceBlock(0x00, k0, nil, []byte{0x00, 0x02}, []byte{0}), ErrCorrupt},
-		{"quotient too big for the parameter", 4, 4, riceBlock(0x00, [4]byte{6, kZero, kZero, kZero}, []byte{0x3F}, []byte{0x10}, nil), ErrCorrupt},
-		{"quotient too big for the shift", 4, 4, riceBlock(0x07, k0, nil, []byte{0x04}, nil), ErrCorrupt},
+		{"no code in the unary table: nine zeros", 4, 4, riceBlock(0x00, k0, nil, []byte{0x00, 0x02, 0x00}, []byte{0}), ErrCorrupt},
+		{"non-zero pad token", 4, 4, riceBlock(0x00, k0, nil, pairString(unaryTable, [2]int{0, 1}), nil), ErrCorrupt},
+		{"non-zero pad token, fitted table", 4, 4, riceBlock(0x00, [4]byte{3, kZero, kZero, kZero}, nil, pairString(3, [2]int{0, 1}), nil), ErrCorrupt},
+		{"escape as the pad token", 4, 4, riceBlock(0x00, k0, nil, pairString(unaryTable, [2]int{0, riceEscape}), []byte{0}), ErrCorrupt},
+		{"quotient too big for the parameter", 4, 4, riceBlock(0x00, k6, []byte{0x3F}, pairString(unaryTable, [2]int{4, 0}), nil), ErrCorrupt},
+		{"quotient too big for the shift", 4, 4, riceBlock(0x07, k0, nil, pairString(unaryTable, [2]int{2, 0}), nil), ErrCorrupt},
+		{"fitted-table token too big for the shift", 4, 4, riceBlock(0x05, [4]byte{2, kZero, kZero, kZero}, nil, pairString(2, [2]int{riceEscape, 0}), []byte{0}), ErrCorrupt},
 		{"remainder string cut short", blockBytes, 4, riceBlock(0x00, k1, ones(7), nil, nil), ErrTruncated},
-		{"remainder padding bits set", 12, 4, riceBlock(0x00, k1, []byte{0xFF}, []byte{0x07}, nil), ErrCorrupt},
-		{"unary padding bits set", 12, 4, riceBlock(0x00, k1, []byte{0x07}, []byte{0x0F}, nil), ErrCorrupt},
-		{"trailing byte after the strings", 12, 4, riceBlock(0x00, k1, []byte{0x07}, []byte{0x07, 0x00}, nil), ErrCorrupt},
-		{"verbatim padding bits set", 4, 4, riceBlock(0x04, [4]byte{4, kZero, kZero, kZero}, []byte{0x1F}, nil, nil), ErrCorrupt},
+		{"remainder padding bits set", 12, 4, riceBlock(0x00, k1, []byte{0xFF}, []byte{0x0F}, nil), ErrCorrupt},
+		{"pair padding bits set", 12, 4, riceBlock(0x00, k1, []byte{0x07}, []byte{0x1F}, nil), ErrCorrupt},
+		{"trailing byte after the strings", 12, 4, riceBlock(0x00, k1, []byte{0x07}, []byte{0x0F, 0x00}, nil), ErrCorrupt},
+		{"verbatim padding bits set", 4, 4, riceBlock(0x04, verbatim, []byte{0x1F}, nil, nil), ErrCorrupt},
 
 		{"escape string missing", 4, 4, riceBlock(0x00, k0, nil, escape, nil), ErrTruncated},
-		{"escape string cut short", 4, 4, riceBlock(0x00, [4]byte{0, 0, kZero, kZero}, nil, []byte{0x00, 0x01, 0x02}, []byte{0x00}), ErrTruncated},
+		{"escape string cut short", 4, 4, riceBlock(0x00, [4]byte{unaryTable, unaryTable, kZero, kZero}, nil, []byte{0x00, 0x03, 0x0C}, []byte{0x00}), ErrTruncated},
 		{"escape string over-long", 4, 4, riceBlock(0x00, k0, nil, escape, []byte{0x00, 0x00}), ErrCorrupt},
 		{"escape padding bits set", 4, 4, riceBlock(0x00, k1, []byte{0x01}, escape, []byte{0x80}), ErrCorrupt},
 		{"escape value wider than 8 bits", 4, 4, riceBlock(0x00, k0, nil, escape, []byte{0xF8}), ErrCorrupt},
 		{"escape value wider than 8-s bits", 4, 4, riceBlock(0x04, k0, nil, escape, []byte{0x08}), ErrCorrupt},
-		{"escape where no sample escapes", 4, 4, riceBlock(0x04, [4]byte{1, kZero, kZero, kZero}, []byte{0x00}, escape, []byte{0x00}), ErrCorrupt},
+		{"escape where no sample escapes", 4, 4, riceBlock(0x04, k1, []byte{0x00}, escape, []byte{0x00}), ErrCorrupt},
 	}
 	// Each corrupt case above is one change away from one of these, which
 	// decode, and a V or planar block in a tile's first row reads zeros
@@ -1065,15 +1288,19 @@ func TestDecodePayloadHostile(t *testing.T) {
 		payload        []byte
 		want           []byte
 	}{
+		{"parameter 6-s at shift 1", 4, 4, riceBlock(0x01, [4]byte{nibRice + 5, kZero, kZero, kZero}, []byte{0x00}, pairString(unaryTable, [2]int{0, 0}), nil), []byte{0, 0, 0, 0}},
+		{"pad token 0", 4, 4, riceBlock(0x00, k0, nil, pairString(unaryTable, [2]int{1, 0}), nil), []byte{0xFF, 0, 0, 0}},
+		{"pad token 0, fitted table", 4, 4, riceBlock(0x00, [4]byte{3, kZero, kZero, kZero}, nil, pairString(3, [2]int{1, 0}), nil), []byte{0xFF, 0, 0, 0}},
 		{"quotient of exactly riceEscape", 4, 4, riceBlock(0x00, k0, nil, escape, []byte{0x00}), []byte{4, 0, 0, 0}},
 		{"widest escape value", 4, 4, riceBlock(0x00, k0, nil, escape, []byte{0xF7}), []byte{0x80, 0, 0, 0}},
 		{"widest escape value at shift 4", 4, 4, riceBlock(0x04, k0, nil, escape, []byte{0x07}), []byte{0x80, 0, 0, 0}},
 		{"escape with a remainder", 4, 4, riceBlock(0x00, k1, []byte{0x01}, escape, []byte{0x00}), []byte{0xF7, 0, 0, 0}},
-		{"two escapes in sample order", 4, 4, riceBlock(0x00, [4]byte{0, 0, kZero, kZero}, nil, []byte{0x00, 0x01, 0x02}, []byte{0x01, 0x02}), []byte{0xFB, 5, 0, 0}},
-		{"quotient at the shift's limit", 4, 4, riceBlock(0x07, k0, nil, []byte{0x02}, nil), []byte{0x80, 0, 0, 0}},
-		{"largest quotient for the parameter", 4, 4, riceBlock(0x00, [4]byte{6, kZero, kZero, kZero}, []byte{0x3F}, []byte{0x08}, nil), []byte{0x80, 0, 0, 0}},
-		{"one-pixel unary codes", 12, 4, riceBlock(0x00, k1, []byte{0x07}, []byte{0x07}, nil), []byte{0xFF, 0, 0, 0, 0xFF, 0, 0, 0, 0xFF, 0, 0, 0}},
-		{"verbatim sample", 4, 4, riceBlock(0x04, [4]byte{4, kZero, kZero, kZero}, []byte{0x0F}, nil, nil), []byte{0x80, 0, 0, 0}},
+		{"two escapes in sample order", 4, 4, riceBlock(0x00, [4]byte{unaryTable, unaryTable, kZero, kZero}, nil, []byte{0x00, 0x03, 0x0C}, []byte{0x01, 0x02}), []byte{0xFB, 5, 0, 0}},
+		{"quotient at the shift's limit", 4, 4, riceBlock(0x07, k0, nil, pairString(unaryTable, [2]int{1, 0}), nil), []byte{0x80, 0, 0, 0}},
+		{"fitted-table token at the shift's limit", 4, 4, riceBlock(0x05, [4]byte{2, kZero, kZero, kZero}, nil, pairString(2, [2]int{7, 0}), nil), []byte{0x80, 0, 0, 0}},
+		{"largest quotient for the parameter", 4, 4, riceBlock(0x00, k6, []byte{0x3F}, pairString(unaryTable, [2]int{3, 0}), nil), []byte{0x80, 0, 0, 0}},
+		{"one-pixel pair codes", 12, 4, riceBlock(0x00, k1, []byte{0x07}, []byte{0x0F}, nil), []byte{0xFF, 0, 0, 0, 0xFF, 0, 0, 0, 0xFF, 0, 0, 0}},
+		{"verbatim sample", 4, 4, riceBlock(0x04, verbatim, []byte{0x0F}, nil, nil), []byte{0x80, 0, 0, 0}},
 		{"V in the first row", 8, 8, riceBlock(tagUp, k0, nil, []byte{0x24}, nil), []byte{1, 0, 0, 0, 1, 0, 0, 0}},
 		{"planar in the first row", 8, 8, riceBlock(tagUp|tagLeft, k0, nil, []byte{0x24}, nil), []byte{1, 0, 0, 0, 2, 0, 0, 0}},
 		{"V across the first row", 16, 8, riceBlock(tagUp, k0, nil, []byte{0x24, 0x09}, nil), []byte{1, 0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0, 2, 0, 0, 0}},
@@ -1224,6 +1451,16 @@ func FuzzTilePayload(f *testing.F) {
 			f.Add(e.src, uint16(len(e.src)), uint8(e.rowBytes/4-1))
 			f.Add(appendPayload(nil, e.src, e.rowBytes), uint16(len(e.src)), uint8(e.rowBytes/4-1))
 		}
+	}
+	// A valid payload in each pair table: seven pixels, channel 0 at k = 0
+	// with an escape and a pad token.
+	for tab := 0; tab < pairTables; tab++ {
+		pairs := pairString(tab, [2]int{0, 1}, [2]int{2, 0}, [2]int{riceEscape, 1}, [2]int{0, 0})
+		p := riceBlock(0x00, [4]byte{byte(tab), kZero, kZero, kZero}, nil, pairs, []byte{0x2A})
+		if err := decodePayload(make([]byte, 28), p, 8); err != nil {
+			f.Fatalf("table %d seed: %v", tab, err)
+		}
+		f.Add(p, uint16(28), uint8(1))
 	}
 	f.Fuzz(func(t *testing.T, data []byte, size uint16, rowB uint8) {
 		rowBytes := 4 * (1 + int(rowB))

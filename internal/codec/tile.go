@@ -9,7 +9,7 @@ package codec
 // Layout (all integers little-endian):
 //
 //	byte 0:       magic 0xD4
-//	byte 1:       version (4; any other value is answered with ErrVersion)
+//	byte 1:       version (5; any other value is answered with ErrVersion)
 //	byte 2:       frame type (0 = key, 1 = delta)
 //	byte 3:       quantization shift (0-7)
 //	bytes 4-7:    width  (uint32)
@@ -23,7 +23,7 @@ package codec
 //	    bytes 5-8:  CRC32-Castagnoli of the payload
 //	then the tile payloads, concatenated in tile order.
 //
-// Each payload is the predictive Rice coding (payload.go) of the tile's
+// Each payload is the predictive pair-table coding (payload.go) of the tile's
 // quantized content (key frames) or of its byte-wise delta against the
 // previous frame (delta frames). Key frames mark every tile dirty.
 //
@@ -49,7 +49,7 @@ import (
 
 const (
 	magic2   = 0xD4
-	version2 = 4 // version byte of the bitstream
+	version2 = 5 // version byte of the bitstream
 
 	hdr2Len     = 16
 	dirEntryLen = 9
@@ -419,7 +419,9 @@ func (d *Decoder) decodeTiles(bs []byte) ([]byte, error) {
 		if flags&^(tileFlagDirty|tileFlagIntra) != 0 {
 			return nil, ErrCorrupt
 		}
-		plen := int(binary.LittleEndian.Uint32(ent[1:]))
+		// Kept unsigned until checked against the bytes left: on a 32-bit
+		// host int(plen) of a hostile length is negative.
+		plen := binary.LittleEndian.Uint32(ent[1:])
 		dirtyTile := flags&tileFlagDirty != 0
 		intraTile := flags&tileFlagIntra != 0
 		if !dirtyTile && (plen != 0 || isKey) {
@@ -433,14 +435,14 @@ func (d *Decoder) decodeTiles(bs []byte) ([]byte, error) {
 			// on a key frame.
 			return nil, ErrCorrupt
 		}
-		if plen > len(bs)-off {
+		if uint64(plen) > uint64(len(bs)-off) {
 			return nil, ErrTruncated
 		}
-		d.tileOff[i], d.tileLen[i] = off, plen
+		d.tileOff[i], d.tileLen[i] = off, int(plen)
 		d.tileCRC[i] = binary.LittleEndian.Uint32(ent[5:])
 		d.tileGood[i] = dirtyTile
 		d.tileIntra[i] = intraTile
-		off += plen
+		off += int(plen)
 	}
 	if off != len(bs) {
 		return nil, ErrCorrupt

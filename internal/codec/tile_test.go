@@ -275,6 +275,7 @@ func TestV2HostileHeaders(t *testing.T) {
 		{"bad version", mut(func(b []byte) []byte { b[1] = 9; return b }), ErrVersion},
 		{"zero-run RLE generation", mut(func(b []byte) []byte { b[1] = 2; return b }), ErrVersion},
 		{"Rice v3 generation", mut(func(b []byte) []byte { b[1] = 3; return b }), ErrVersion},
+		{"unary-quotient v4 generation", mut(func(b []byte) []byte { b[1] = 4; return b }), ErrVersion},
 		{"bad frame type", mut(func(b []byte) []byte { b[2] = 9; return b }), ErrCorrupt},
 		{"zero width", mut(func(b []byte) []byte { binary.LittleEndian.PutUint32(b[4:], 0); return b }), ErrDimensions},
 		{"huge height", mut(func(b []byte) []byte { binary.LittleEndian.PutUint32(b[8:], maxDim+1); return b }), ErrDimensions},
@@ -327,12 +328,14 @@ func TestV2HostileTilePayload(t *testing.T) {
 		{blockRaw << tagTypeShift, 1, 2, 3},
 		// Unterminated uvarint.
 		{blockZeros << tagTypeShift, 0x80},
-		// Rice block whose unary string runs off the payload.
-		{blockRice << tagTypeShift, 0xF0, 0xFF, 0xFF},
-		// Rice block whose unary code is longer than the limit.
-		{blockRice << tagTypeShift, 0xF0, 0xFF, 0x00, 0x00},
+		// Rice block whose pair string (unary table) runs off the payload.
+		{blockRice << tagTypeShift, 0xF0 | unaryTable, 0xFF, 0xFF},
+		// Rice block whose pair string holds no code of its table.
+		{blockRice << tagTypeShift, 0xF0 | unaryTable, 0xFF, 0x00, 0x00},
 		// Rice block whose escaped sample has no escape string.
-		{blockRice << tagTypeShift, 0xF0, 0xFF, 0x00, 0x01},
+		{blockRice << tagTypeShift, 0xF0 | unaryTable, 0xFF, 0x00, 0x01},
+		// Rice block whose pair string (a fitted table) runs off the payload.
+		{blockRice << tagTypeShift, 0xF0, 0xFF, 0x00, 0x00},
 		// Unknown block type.
 		{0x60, 0x04},
 	}
