@@ -113,9 +113,12 @@ report-md:
 artifacts:
 	$(GO) run ./cmd/odrsim -csv artifacts table2
 
-# Executable paper-anchor suite (33 tolerance-checked anchors).
+# Executable paper-anchor suite (33 tolerance-checked anchors at the 60 s
+# reference duration), recomputed without the result cache on seeds 1-5; exits
+# non-zero on the first seed with a miss. CI runs exactly this.
 fidelity:
-	$(GO) run ./cmd/odrsim fidelity
+	$(GO) build -o odrsim ./cmd/odrsim
+	for seed in 1 2 3 4 5; do ./odrsim -cache '' -seed $$seed fidelity || exit 1; done
 
 # Frame-lifecycle timeline of an ODR run as Chrome trace-event JSON
 # (open artifacts/timeline.json in chrome://tracing or ui.perfetto.dev).

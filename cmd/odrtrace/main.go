@@ -27,11 +27,9 @@ import (
 	"time"
 
 	"odr/internal/obs"
-	"odr/internal/pictor"
 	"odr/internal/pipeline"
-	"odr/internal/regulator"
+	"odr/internal/simrun"
 	"odr/internal/trace"
-	"odr/internal/workload"
 )
 
 func main() {
@@ -49,72 +47,29 @@ func main() {
 	replay := flag.String("replay", "", "CSV trace to replay as the workload (from -kind trace)")
 	flag.Parse()
 
-	var b pictor.Benchmark
-	for _, cand := range pictor.Benchmarks {
-		if string(cand) == *benchmark {
-			b = cand
-		}
-	}
-	if b == "" {
-		log.Fatalf("unknown benchmark %q", *benchmark)
-	}
-	plat := pictor.PrivateCloud
-	if *platform == "gce" {
-		plat = pictor.GoogleGCE
-	}
-	res := pictor.R720p
-	if *resolution == "1080p" {
-		res = pictor.R1080p
-	}
-	var factory pipeline.PolicyFactory
-	switch *policy {
-	case "noreg":
-		factory = func(ctx *regulator.Ctx) regulator.Policy { return regulator.NewNoReg(ctx) }
-	case "int":
-		factory = func(ctx *regulator.Ctx) regulator.Policy { return regulator.NewInterval(ctx, *fps) }
-	case "rvs":
-		hz := *fps
-		if hz == 0 {
-			hz = 240
-		}
-		factory = func(ctx *regulator.Ctx) regulator.Policy { return regulator.NewRVS(ctx, hz, 0) }
-	case "odr":
-		factory = func(ctx *regulator.Ctx) regulator.Policy {
-			return regulator.NewODR(ctx, regulator.ODROptions{TargetFPS: *fps})
-		}
+	switch *kind {
+	case "cdf", "trace", "fps", "timeline":
 	default:
-		log.Fatalf("unknown policy %q", *policy)
+		usageError(fmt.Errorf("unknown kind %q (want cdf, trace, fps or timeline)", *kind))
 	}
-
-	cfg := pipeline.Config{
-		Workload:      b.Params(),
-		Scale:         pictor.Scale(plat, res),
-		Net:           pictor.Network(plat),
-		Policy:        factory,
-		Duration:      *duration,
-		Seed:          *seed,
-		CollectFrames: 200,
+	cfg, err := simrun.Config(simrun.Spec{
+		Benchmark:  *benchmark,
+		Platform:   *platform,
+		Resolution: *resolution,
+		Policy:     *policy,
+		FPS:        *fps,
+		Duration:   *duration,
+		Seed:       *seed,
+		Replay:     *replay,
+	})
+	if err != nil {
+		usageError(err)
 	}
+	cfg.CollectFrames = 200
 	var tl *obs.Tracer
 	if *kind == "timeline" {
 		tl = obs.NewTracer(*traceEvents)
 		cfg.Trace = tl
-	}
-	if *replay != "" {
-		f, err := os.Open(*replay)
-		if err != nil {
-			log.Fatal(err)
-		}
-		rows, err := workload.ParseTraceCSV(f)
-		f.Close()
-		if err != nil {
-			log.Fatal(err)
-		}
-		src, err := workload.NewTraceSampler(rows, b.Params().InputRate, *seed)
-		if err != nil {
-			log.Fatal(err)
-		}
-		cfg.Source = src
 	}
 	r := pipeline.Run(cfg)
 
@@ -166,7 +121,6 @@ func main() {
 			defer f.Close()
 			out = f
 		}
-		var err error
 		if *traceCSV {
 			err = tl.WriteCSV(out)
 		} else {
@@ -182,7 +136,13 @@ func main() {
 			log.Printf("timeline: %d events -> %s (open in chrome://tracing or ui.perfetto.dev)",
 				tl.Recorded()-tl.Dropped(), *traceOut)
 		}
-	default:
-		log.Fatalf("unknown kind %q", *kind)
 	}
+}
+
+// usageError reports a bad flag value with the usage text and exits 2, the
+// flag package's own status for a bad command line.
+func usageError(err error) {
+	fmt.Fprintf(os.Stderr, "odrtrace: %v\n", err)
+	flag.Usage()
+	os.Exit(2)
 }

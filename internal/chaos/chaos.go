@@ -59,6 +59,7 @@ type Conn struct {
 	lossLeft          int
 	corruptLeft       int
 	halfOpen          bool
+	stallUntil        time.Time // a read stall delivers nothing before this instant
 	disconnected      bool
 	readDeadline      time.Time
 
@@ -143,7 +144,7 @@ type writeEffects struct {
 
 // fireLocked fires every armed step of the given side whose shifted offset
 // has been reached, re-arming the schedule when it loops.
-func (c *Conn) fireLocked(readSide bool, off int64, stall *time.Duration, eff *writeEffects) {
+func (c *Conn) fireLocked(readSide bool, off int64, eff *writeEffects) {
 	for {
 		rest := c.armed[:0]
 		for _, st := range c.armed {
@@ -165,9 +166,10 @@ func (c *Conn) fireLocked(readSide bool, off int64, stall *time.Duration, eff *w
 				c.corruptLeft += st.Count
 				c.recordLocked(st.Kind, off, fmt.Sprintf("n=%d", st.Count))
 			case StallRead:
-				if stall != nil {
-					*stall += st.Dur
+				if now := time.Now(); c.stallUntil.Before(now) {
+					c.stallUntil = now
 				}
+				c.stallUntil = c.stallUntil.Add(st.Dur)
 				c.recordLocked(st.Kind, off, fmt.Sprintf("dur=%s", st.Dur))
 			case StallWrite:
 				if eff != nil {
@@ -249,7 +251,7 @@ func (c *Conn) Write(p []byte) (int, error) {
 		return 0, ErrInjected
 	}
 	eff := writeEffects{corruptPos: -1}
-	c.fireLocked(false, c.writeOff, nil, &eff)
+	c.fireLocked(false, c.writeOff, &eff)
 	c.writeOff += int64(len(p))
 	var hook func()
 	if eff.crash {
@@ -319,8 +321,10 @@ func (c *Conn) Write(p []byte) (int, error) {
 	return c.inner.Write(p)
 }
 
-// Read implements net.Conn with read-side faults: stalls delay delivery and
-// a half-open partition blocks until the read deadline (if any) or Close.
+// Read implements net.Conn with read-side faults: a stall delivers nothing
+// until it ends — a read whose deadline comes first times out and leaves the
+// stall in place — and a half-open partition blocks until the read deadline
+// (if any) or Close.
 func (c *Conn) Read(p []byte) (int, error) {
 	select {
 	case <-c.done:
@@ -328,8 +332,8 @@ func (c *Conn) Read(p []byte) (int, error) {
 	default:
 	}
 	c.mu.Lock()
-	var stall time.Duration
-	c.fireLocked(true, c.readOff, &stall, nil)
+	c.fireLocked(true, c.readOff, nil)
+	stall := time.Until(c.stallUntil)
 	halfOpen := c.halfOpen
 	deadline := c.readDeadline
 	partForever := c.partForever

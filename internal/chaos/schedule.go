@@ -75,7 +75,8 @@ const (
 	Loss
 	// Corrupt flips one seeded-random byte in each of the next Count writes.
 	Corrupt
-	// StallRead blocks the next read for Dur.
+	// StallRead delivers no byte for Dur: reads block until the stall ends
+	// or their deadline passes, and one that times out leaves it in place.
 	StallRead
 	// StallWrite blocks the next write for Dur.
 	StallWrite

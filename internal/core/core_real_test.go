@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -170,5 +171,43 @@ func TestMultiBufferRealTimePriorityConcurrent(t *testing.T) {
 	}
 	if priorities < 25 {
 		t.Fatalf("saw %d priority frames, want >= 25", priorities)
+	}
+}
+
+// TestRenderClockRVSRealTime: a RuleRVS renderer on a goroutine starts one
+// frame per token another goroutine feeds it, and leaves its token wait at
+// Stop.
+func TestRenderClockRVSRealTime(t *testing.T) {
+	dom := realrt.NewDomain()
+	clock := core.NewRenderClock(dom, core.NewInputBox(dom), core.NewPacer(0), core.RuleRVS)
+	clock.SetDemand(60)
+	var frames atomic.Int64
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		w := realrt.NewWaiter(dom)
+		for clock.Begin(w) {
+			frames.Add(1)
+			clock.End()
+		}
+	}()
+	await := func(n int64) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); frames.Load() < n; time.Sleep(100 * time.Microsecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d frames, want %d", frames.Load(), n)
+			}
+		}
+	}
+	await(4) // the primed tokens
+	for n := int64(5); n <= 24; n++ {
+		clock.Feedback(0)
+		await(n)
+	}
+	clock.Stop()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Begin not woken from its token wait by Stop")
 	}
 }

@@ -7,8 +7,9 @@ import (
 )
 
 // RenderRule is the render half of a regulation policy: how a RenderClock
-// spaces the frames it starts while someone is watching. Under every rule the
-// clock parks with no demand and reports false once stopped.
+// spaces the frames it starts while someone is watching. There is one rule
+// per policy the paper measures, ODR and its three baselines; under every rule
+// the clock parks with no demand and reports false once stopped.
 type RenderRule int
 
 const (
@@ -22,7 +23,18 @@ const (
 	RuleInterval
 	// RuleNoReg never waits: the next frame starts as the last one ends.
 	RuleNoReg
+	// RuleRVS is Remote VSync: a frame starts on a token that the client's
+	// vblank feedback returns (Feedback) — at most 4 outstanding, 2 at a
+	// demand of 200 Hz and more, primed full for each new demand — or, with
+	// none after max(3 intervals, 50 ms), without one; then it waits out the
+	// delay the latest feedback set. Inputs neither wake nor shorten either
+	// wait.
+	RuleRVS
 )
+
+// rvsMinFallback is the shortest RuleRVS wait for a token before a frame
+// starts without one.
+const rvsMinFallback = 50 * time.Millisecond
 
 // RenderClock decides when a shared renderer starts its next frame. Under
 // RuleODR it joins the Pacer (Algorithm 1) and the InputBox (PriorityFrame)
@@ -42,11 +54,11 @@ const (
 //   - The fastest viewer sets the rate. The target is whatever SetDemand last
 //     published; the renderer adopts it at its next Begin.
 //
-// RuleInterval and RuleNoReg keep the last two and replace the first (see
-// RenderRule).
+// RuleInterval, RuleNoReg and RuleRVS keep the last two and replace the first
+// (see RenderRule).
 //
 // Begin and End belong to the rendering thread of execution, which alone
-// touches the Pacer; SetDemand and Stop may be called from anywhere.
+// touches the Pacer; SetDemand, Feedback and Stop may be called from anywhere.
 type RenderClock struct {
 	dom  Domain
 	box  *InputBox
@@ -61,6 +73,13 @@ type RenderClock struct {
 	due    time.Duration // the current slot
 	extra  bool          // the frame in progress started before its slot
 
+	// RuleRVS state, guarded by the domain lock: the feedback tokens, their
+	// cap, the delay after each token, and the cond Feedback and Stop
+	// broadcast (not the InputBox's, so inputs do not wake a token wait).
+	tokens, tokenCap int
+	delay            time.Duration
+	fed              Cond
+
 	// OnTarget, when non-nil, observes every target the renderer adopts (0 =
 	// about to park). It runs on the rendering thread and must not block.
 	OnTarget func(fps float64)
@@ -69,7 +88,7 @@ type RenderClock struct {
 // NewRenderClock returns a parked clock following rule; pace must be the
 // renderer's own.
 func NewRenderClock(dom Domain, box *InputBox, pace *Pacer, rule RenderRule) *RenderClock {
-	return &RenderClock{dom: dom, box: box, pace: pace, rule: rule}
+	return &RenderClock{dom: dom, box: box, pace: pace, rule: rule, fed: dom.NewCond()}
 }
 
 // SetDemand publishes the frame rate the audience can consume (0 = nobody is
@@ -84,6 +103,24 @@ func (c *RenderClock) SetDemand(fps float64) {
 func (c *RenderClock) Stop() {
 	c.stopped.Store(true)
 	c.box.Interrupt()
+	mu := c.dom.Locker()
+	mu.Lock()
+	c.fed.Broadcast()
+	mu.Unlock()
+}
+
+// Feedback is one RuleRVS feedback message arriving: it returns a token to
+// the renderer, up to the cap, and sets the delay Begin serves after each
+// token from now on.
+func (c *RenderClock) Feedback(delay time.Duration) {
+	mu := c.dom.Locker()
+	mu.Lock()
+	defer mu.Unlock()
+	c.delay = delay
+	if c.tokens < c.tokenCap {
+		c.tokens++
+	}
+	c.fed.Broadcast()
 }
 
 // Begin blocks until the next frame should start and reports false once the
@@ -103,6 +140,21 @@ func (c *RenderClock) Begin(w Waiter) bool {
 			if iv := c.pace.Interval(); c.rule == RuleInterval && iv > 0 {
 				c.due = (c.due + iv - 1) / iv * iv
 			}
+			if c.rule == RuleRVS {
+				// Prime the feedback pipeline: how many frames may start per
+				// unacknowledged vblank. Deeper pipelining recovers faster
+				// from slipped vblanks on ordinary displays; high-refresh
+				// displays feed back often enough that two suffice (part of
+				// the per-setup tuning the paper describes).
+				n := 4
+				if fps >= 200 {
+					n = 2
+				}
+				mu := c.dom.Locker()
+				mu.Lock()
+				c.tokens, c.tokenCap = n, n
+				mu.Unlock()
+			}
 			if c.OnTarget != nil {
 				c.OnTarget(fps)
 			}
@@ -112,6 +164,9 @@ func (c *RenderClock) Begin(w Waiter) bool {
 			continue
 		}
 		iv := c.pace.Interval()
+		if c.rule == RuleRVS {
+			return c.awaitToken(w, iv)
+		}
 		if c.rule == RuleNoReg || iv == 0 {
 			return true // End ignores such frames
 		}
@@ -141,13 +196,39 @@ func (c *RenderClock) Begin(w Waiter) bool {
 	return false
 }
 
+// awaitToken is Begin under RuleRVS: wait for a feedback token, then serve
+// the delay the latest feedback set. With no token after three intervals (at
+// least 50 ms: startup, loss, a pipeline stall) the frame starts anyway, a
+// liveness guard any real implementation needs.
+func (c *RenderClock) awaitToken(w Waiter, iv time.Duration) bool {
+	mu := c.dom.Locker()
+	mu.Lock()
+	deadline := c.dom.Now() + max(3*iv, rvsMinFallback)
+	for c.tokens == 0 && !c.stopped.Load() && c.dom.Now() < deadline {
+		w.WaitTimeout(c.fed, deadline-c.dom.Now())
+	}
+	if c.tokens > 0 {
+		c.tokens--
+	}
+	d := c.delay
+	mu.Unlock()
+	if c.stopped.Load() {
+		return false
+	}
+	if d > 0 {
+		w.Sleep(d)
+	}
+	return true
+}
+
 // End closes the frame Begin opened. Under RuleODR a slot's frame is charged
 // to the pacer from the slot's due time to now, and the delay the pacer
 // grants places the next slot; an extra frame leaves both alone. Under
-// RuleInterval the next slot is the next tick that has not passed.
+// RuleInterval the next slot is the next tick that has not passed. Under
+// RuleNoReg and RuleRVS it does nothing.
 func (c *RenderClock) End() {
 	iv := c.pace.Interval()
-	if c.rule == RuleNoReg || iv == 0 {
+	if c.rule == RuleNoReg || c.rule == RuleRVS || iv == 0 {
 		return
 	}
 	now := c.dom.Now()

@@ -430,3 +430,160 @@ func TestRenderClockNoRegBackToBack(t *testing.T) {
 		t.Fatalf("renderer left its loop at %v, want at Stop (2s) from a park", r.exited)
 	}
 }
+
+// starts lists the frames' start times.
+func (r *clockRig) starts() []time.Duration {
+	out := make([]time.Duration, len(r.frames))
+	for k, f := range r.frames {
+		out[k] = f.start
+	}
+	return out
+}
+
+func sameStarts(t *testing.T, got, want []time.Duration) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("frames started at %v, want %v", got, want)
+	}
+	for k := range got {
+		if got[k] != want[k] {
+			t.Fatalf("frames started at %v, want %v", got, want)
+		}
+	}
+}
+
+func rvsRig() *clockRig {
+	return newRuleRig(core.RuleRVS, func(int) time.Duration { return ms }, nil)
+}
+
+// TestRenderClockRVSCap: the clock starts primed with as many tokens as the
+// cap — 4, or 2 at 200 Hz and above — and a burst of feedback returns no more
+// than the cap either.
+func TestRenderClockRVSCap(t *testing.T) {
+	for _, c := range []struct {
+		hz  float64
+		cap int
+	}{{60, 4}, {240, 2}} {
+		r := rvsRig()
+		r.clock.SetDemand(c.hz)
+		r.env.At(20*ms, func() {
+			for i := 0; i < 10; i++ {
+				r.clock.Feedback(0)
+			}
+		})
+		r.env.Run(100 * ms)
+		r.env.Shutdown()
+		var want []time.Duration
+		for k := 0; k < c.cap; k++ {
+			want = append(want, time.Duration(k)*ms)
+		}
+		for k := 0; k < c.cap; k++ {
+			want = append(want, 20*ms+time.Duration(k)*ms)
+		}
+		// The burst's tokens spent, the next frame waits out the fallback.
+		want = append(want, 20*ms+time.Duration(c.cap)*ms+50*ms)
+		sameStarts(t, r.starts(), want)
+	}
+}
+
+// TestRenderClockRVSFallback: with no feedback the renderer goes ahead after
+// max(3 intervals, 50 ms), and inputs neither wake nor shorten the wait: the
+// fallback frame carries them all.
+func TestRenderClockRVSFallback(t *testing.T) {
+	for _, c := range []struct {
+		hz   float64
+		wait time.Duration
+	}{{60, 50 * ms}, {30, 3 * core.NewPacer(30).Interval()}} {
+		r := rvsRig()
+		r.clock.SetDemand(c.hz)
+		for j, at := range []time.Duration{10 * ms, 40 * ms} {
+			id, at := frame.InputID(j+1), at
+			r.env.At(at, func() { r.box.OnInput(id, at) })
+		}
+		r.env.Run(4*ms + c.wait)
+		r.env.Shutdown()
+		sameStarts(t, r.starts(), []time.Duration{0, ms, 2 * ms, 3 * ms, 4*ms + c.wait})
+		if got := r.frames[4].inputs; got != 2 {
+			t.Fatalf("%v Hz: the fallback frame carries %d inputs, want both", c.hz, got)
+		}
+	}
+}
+
+// TestRenderClockRVSPrimesOnNewDemand: the clock refills its tokens to the
+// new cap when it adopts a new demand, at the Begin after the one it was
+// waiting in, and the fallback follows the new interval.
+func TestRenderClockRVSPrimesOnNewDemand(t *testing.T) {
+	r := rvsRig()
+	r.clock.SetDemand(60)
+	r.env.At(20*ms, func() { r.clock.SetDemand(30) })
+	r.env.Run(200 * ms)
+	r.env.Shutdown()
+	want := []time.Duration{0, ms, 2 * ms, 3 * ms, 54 * ms, 55 * ms, 56 * ms, 57 * ms, 58 * ms,
+		59*ms + 3*core.NewPacer(30).Interval()}
+	sameStarts(t, r.starts(), want)
+}
+
+// TestRenderClockRVSDelay: after each token — from feedback or the fallback —
+// Begin serves the delay the latest feedback set.
+func TestRenderClockRVSDelay(t *testing.T) {
+	r := rvsRig()
+	r.clock.SetDemand(60)
+	r.env.At(10*ms, func() { r.clock.Feedback(7 * ms) })
+	r.env.At(80*ms, func() { r.clock.Feedback(2 * ms) })
+	r.env.Run(140 * ms)
+	r.env.Shutdown()
+	sameStarts(t, r.starts(), []time.Duration{
+		0, ms, 2 * ms, 3 * ms, // primed, no delay fed yet
+		17 * ms,  // token at 10 ms, then 7 ms
+		75 * ms,  // fallback at 68 ms, then 7 ms
+		82 * ms,  // token at 80 ms, then 2 ms
+		135 * ms, // fallback at 133 ms, then 2 ms
+	})
+}
+
+// TestRenderClockRVSStopWakesTokenWait: Stop ends a renderer waiting for a
+// token at once.
+func TestRenderClockRVSStopWakesTokenWait(t *testing.T) {
+	r := rvsRig()
+	r.clock.SetDemand(60)
+	r.env.At(20*ms, func() { r.clock.Stop() })
+	r.env.RunAll()
+	r.env.Shutdown()
+	if len(r.frames) != 4 || r.exited != 20*ms {
+		t.Fatalf("%d frames, renderer left at %v; want 4 frames and a return at Stop (20ms)", len(r.frames), r.exited)
+	}
+}
+
+// TestRenderClockRVSEndIsNoOp: a renderer that never calls End starts the
+// same frames as one that does, and the pacer is never charged.
+func TestRenderClockRVSEndIsNoOp(t *testing.T) {
+	feed := func(env *sim.Env, clock *core.RenderClock) {
+		for k := 1; k <= 10; k++ {
+			d := time.Duration(k) * ms
+			env.At(time.Duration(k)*15*ms, func() { clock.Feedback(d) })
+		}
+	}
+	r := rvsRig()
+	r.clock.SetDemand(60)
+	feed(r.env, r.clock)
+	r.env.Run(300 * ms)
+	r.env.Shutdown()
+
+	env, dom := newSim()
+	clock := core.NewRenderClock(dom, core.NewInputBox(dom), core.NewPacer(0), core.RuleRVS)
+	clock.SetDemand(60)
+	feed(env, clock)
+	var noEnd []time.Duration
+	env.Spawn("renderer", func(p *sim.Proc) {
+		for w := simrt.NewWaiter(p); clock.Begin(w); p.Sleep(ms) {
+			noEnd = append(noEnd, p.Now())
+		}
+	})
+	env.Run(300 * ms)
+	env.Shutdown()
+
+	sameStarts(t, r.starts(), noEnd)
+	if r.pace.TotalSlept() != 0 {
+		t.Fatalf("End charged the pacer %v under RuleRVS", r.pace.TotalSlept())
+	}
+}

@@ -19,9 +19,8 @@ func scaleDur(d time.Duration, f float64) time.Duration {
 }
 
 // rendererProc is the 3D application plus GPU (Fig. 2 step 3). The policy's
-// RenderGate supplies the regulation delay (none, interval, RVS feedback, or
-// ODR's render clock and Mul-Buf1 wait); pending inputs are combined into the
-// next frame.
+// RenderGate supplies the regulation delay (its render clock's rule, plus
+// ODR's Mul-Buf1 wait); pending inputs are combined into the next frame.
 func (st *pipelineState) rendererProc(p *sim.Proc) {
 	w := simrt.NewWaiter(p)
 	var seq uint64

@@ -2,17 +2,17 @@
 // paper, for use inside the discrete-event pipeline simulator. Frames start
 // by a core.RenderClock, the clock the stream hub renders by, so both
 // substrates run one algorithm per render rule. A baseline is a render rule
-// plus the push half (push): a latest-wins mailbox toward the proxy and a
-// tail-drop send buffer toward the network.
+// plus the push half (push): a latest-wins core.MultiBuffer toward the proxy
+// and a tail-drop send buffer toward the network.
 //
 //   - NoReg: no regulation (§4.1) — the push half under core.RuleNoReg;
 //     rendering free-runs, excess frames drop.
 //   - Interval: interval-based software regulation (§2, §4.1) — the push half
 //     under core.RuleInterval, in fixed-FPS (Int30/Int60) and adaptive
 //     maximize-FPS (IntMax) flavours, with the proxy polling on the same grid.
-//   - RVS: Remote VSync (§2, §4.1) — the push half behind a gate of its own:
-//     vblank-slack feedback from the client delays rendering, scaled by the
-//     cc low-pass filter.
+//   - RVS: Remote VSync (§2, §4.1) — the push half under core.RuleRVS:
+//     vblank-slack feedback from the client returns the clock's tokens and
+//     delays rendering, scaled by the cc low-pass filter.
 //   - ODR: OnDemand Rendering (§5) — multi-buffering, plus a clock under
 //     core.RuleODR that runs the accelerate-or-delay pacer of Algorithm 1 and
 //     PriorityFrame's extra frames; with switches for the ODRMax-noPri and
@@ -59,9 +59,9 @@ type Policy interface {
 	// Name returns the configuration label ("NoReg", "ODR60", ...).
 	Name() string
 
-	// RenderGate blocks the renderer until it may render the next frame
-	// (the render clock under the policy's rule, plus ODR's Mul-Buf1 wait;
-	// RVS's feedback token).
+	// RenderGate blocks the renderer until it may render the next frame:
+	// the render clock's Begin under the policy's rule, plus ODR's Mul-Buf1
+	// wait.
 	RenderGate(w core.Waiter)
 
 	// SubmitRendered hands a rendered frame toward the proxy. It may block
@@ -108,13 +108,14 @@ type Policy interface {
 // push is the half the three baselines share, the way a stream.PolicyKind is
 // a render rule plus a session-buffer rule: a core.RenderClock under the
 // baseline's rule, over a pacer of its own and the pipeline's InputBox, and
-// the push buffers — the latest-wins mailbox between renderer and proxy and
-// the tail-drop send buffer between proxy and network. It implements every
-// Policy hook but Name.
+// the push buffers — a core.MultiBuffer between renderer and proxy, filled
+// latest-wins the way the stream hub fills its lanes' buffers, and the
+// tail-drop send buffer between proxy and network. It implements every Policy
+// hook but Name.
 type push struct {
 	ctx   *Ctx
 	clock *core.RenderClock
-	box   *mailbox
+	buf   *core.MultiBuffer
 	sb    *sendBuf
 }
 
@@ -123,7 +124,7 @@ func newPush(ctx *Ctx, rule core.RenderRule, fps float64) push {
 	p := push{
 		ctx:   ctx,
 		clock: core.NewRenderClock(ctx.Dom, ctx.Inputs, core.NewPacer(0), rule),
-		box:   newMailbox(ctx),
+		buf:   core.NewMultiBuffer(ctx.Dom),
 		sb:    newSendBuf(ctx),
 	}
 	p.clock.SetDemand(fps)
@@ -134,18 +135,26 @@ func newPush(ctx *Ctx, rule core.RenderRule, fps float64) push {
 // starts the next frame.
 func (p *push) RenderGate(w core.Waiter) { p.clock.Begin(w) }
 
-// SubmitRendered implements Policy with latest-wins semantics; the frame is
+// SubmitRendered implements Policy with latest-wins semantics: the frame
+// replaces any rendered frame the proxy has not taken yet, which is how
+// excessive rendering turns into dropped frames and wasted work. The frame is
 // then closed on the clock, which places the next start.
 func (p *push) SubmitRendered(_ core.Waiter, f *frame.Frame) {
-	p.box.putLatest(f)
+	for _, d := range p.buf.PutPriority(f) {
+		p.ctx.drop(d)
+	}
 	p.clock.End()
 }
 
 // AcquireForEncode implements Policy.
-func (p *push) AcquireForEncode(w core.Waiter) *frame.Frame { return p.box.take(w) }
+func (p *push) AcquireForEncode(w core.Waiter) *frame.Frame { return p.buf.Acquire(w) }
 
-// SubmitEncoded implements Policy: push to the send buffer, no pacing.
-func (p *push) SubmitEncoded(_ core.Waiter, f *frame.Frame) { p.sb.push(f) }
+// SubmitEncoded implements Policy: push to the send buffer, no pacing, and
+// free the proxy's slot.
+func (p *push) SubmitEncoded(_ core.Waiter, f *frame.Frame) {
+	p.sb.push(f)
+	p.buf.Release()
+}
 
 // AcquireForSend implements Policy.
 func (p *push) AcquireForSend(w core.Waiter) *frame.Frame { return p.sb.pop(w) }
@@ -171,57 +180,8 @@ func (p *push) MaxBacklogBytes() int { return p.sb.maxBytes() }
 // Close implements Policy.
 func (p *push) Close() {
 	p.clock.Stop()
-	p.box.close()
+	p.buf.Close()
 	p.sb.close()
-}
-
-// mailbox is the latest-wins single-frame slot used by the push policies
-// (NoReg, Interval, RVS) between renderer and proxy: a newer frame
-// overwrites an un-encoded older one, which is exactly how excessive
-// rendering turns into dropped frames and wasted work.
-type mailbox struct {
-	ctx    *Ctx
-	cond   core.Cond
-	f      *frame.Frame
-	closed bool
-}
-
-func newMailbox(ctx *Ctx) *mailbox {
-	return &mailbox{ctx: ctx, cond: ctx.Dom.NewCond()}
-}
-
-func (m *mailbox) putLatest(f *frame.Frame) {
-	mu := m.ctx.Dom.Locker()
-	mu.Lock()
-	defer mu.Unlock()
-	if m.closed {
-		return
-	}
-	if m.f != nil {
-		m.ctx.drop(m.f)
-	}
-	m.f = f
-	m.cond.Broadcast()
-}
-
-func (m *mailbox) take(w core.Waiter) *frame.Frame {
-	mu := m.ctx.Dom.Locker()
-	mu.Lock()
-	defer mu.Unlock()
-	for m.f == nil && !m.closed {
-		w.Wait(m.cond)
-	}
-	f := m.f
-	m.f = nil
-	return f
-}
-
-func (m *mailbox) close() {
-	mu := m.ctx.Dom.Locker()
-	mu.Lock()
-	defer mu.Unlock()
-	m.closed = true
-	m.cond.Broadcast()
 }
 
 // sendBuf is the byte-capacity tail-drop send buffer used by the push

@@ -40,6 +40,8 @@ func defaultNet() netsim.Params {
 	return netsim.Params{RTT: 2 * ms, Jitter: 0.05, Bandwidth: 100e6 / 8, BufferBytes: 1 << 20}
 }
 
+// TestMailboxLatestWins: the push half's renderer-to-proxy MultiBuffer is a
+// latest-wins mailbox — the proxy takes the newest frame, the rest drop.
 func TestMailboxLatestWins(t *testing.T) {
 	f := newFixture(defaultNet())
 	p := NewNoReg(f.ctx)
@@ -221,8 +223,9 @@ func TestRVSFeedbackDelaysRender(t *testing.T) {
 		}
 		gateDone = pr.Now()
 	})
+	const decodeEnd = 5 * ms
 	f.env.Spawn("client", func(pr *sim.Proc) {
-		pr.Sleep(5 * ms)
+		pr.Sleep(decodeEnd)
 		p.DisplayTime(&frame.Frame{Seq: 1}, pr.Now())
 	})
 	f.env.RunAll()
@@ -230,11 +233,91 @@ func TestRVSFeedbackDelaysRender(t *testing.T) {
 	if p.FeedbackSent() != 1 {
 		t.Fatalf("feedback sent = %d", p.FeedbackSent())
 	}
-	if p.delay <= 0 {
-		t.Fatal("feedback did not set a render delay")
+	// The token arrives one link delay after the display; with cc = 1 the
+	// gate then serves the whole slack to the 60 Hz vblank.
+	slack := time.Second/60 - decodeEnd
+	if gateDone < decodeEnd+slack || gateDone >= 50*ms {
+		t.Fatalf("gate finished at %v: want the feedback's token plus a %v delay, before the 50ms fallback", gateDone, slack)
 	}
-	if gateDone <= 5*ms {
-		t.Fatalf("gate finished at %v: 4th render should wait for feedback", gateDone)
+}
+
+// TestRVSRendersByTheHubClock: RVS's hooks start the same frames as a bare
+// core.RenderClock under RuleRVS fed the same feedback — each displayed
+// frame's vblank slack times cc, one link delay after the display — through
+// vblank drops, bursts and a silence long enough for the fallback.
+func TestRVSRendersByTheHubClock(t *testing.T) {
+	const (
+		hz     = 60
+		cc     = 0.25
+		render = 3 * ms
+		run    = time.Second
+		prop   = ms // half the RTT: the link has no jitter
+	)
+	rng := rand.New(rand.NewSource(5))
+	var decodeEnds []time.Duration
+	for at := 10 * ms; at < run; at += time.Duration(2+rng.Intn(30)) * ms {
+		if at < 400*ms || at > 550*ms {
+			decodeEnds = append(decodeEnds, at)
+		}
+	}
+	renderer := func(env *sim.Env, begin func(core.Waiter), end func()) *[]time.Duration {
+		var starts []time.Duration
+		env.Spawn("renderer", func(pr *sim.Proc) {
+			w := simrt.NewWaiter(pr)
+			for {
+				begin(w)
+				starts = append(starts, pr.Now())
+				pr.Sleep(render)
+				end()
+			}
+		})
+		return &starts
+	}
+
+	f := newFixture(netsim.Params{RTT: 2 * prop, Bandwidth: 100e6 / 8, BufferBytes: 1 << 20})
+	p := NewRVS(f.ctx, hz, cc)
+	viaPolicy := renderer(f.env, p.RenderGate, func() { p.SubmitRendered(nil, &frame.Frame{}) })
+	for _, at := range decodeEnds {
+		at := at
+		f.env.At(at, func() { p.DisplayTime(&frame.Frame{}, at) })
+	}
+	f.env.Run(run)
+	p.Close()
+	f.env.Shutdown()
+
+	env := sim.NewEnv()
+	dom := simrt.NewDomain(env)
+	clock := core.NewRenderClock(dom, core.NewInputBox(dom), core.NewPacer(0), core.RuleRVS)
+	clock.SetDemand(hz)
+	period := time.Second / hz
+	var lastVblank time.Duration
+	fed := 0
+	for _, at := range decodeEnds {
+		vblank := (at/period + 1) * period
+		if vblank <= lastVblank {
+			continue
+		}
+		lastVblank = vblank
+		d := time.Duration(cc * float64(vblank-at))
+		env.At(at+prop, func() { clock.Feedback(d) })
+		fed++
+	}
+	viaClock := renderer(env, func(w core.Waiter) { clock.Begin(w) }, clock.End)
+	env.Run(run)
+	clock.Stop()
+	env.Shutdown()
+
+	if p.FeedbackSent() != int64(fed) || fed == len(decodeEnds) {
+		t.Fatalf("policy fed back %d displays, the bare clock %d of %d decodes: want equal, with some dropped", p.FeedbackSent(), fed, len(decodeEnds))
+	}
+	got, want := *viaPolicy, *viaClock
+	if len(got) != len(want) || len(got) < 40 {
+		t.Fatalf("policy started %d frames, bare clock %d", len(got), len(want))
+	}
+	for k := range got {
+		if got[k] != want[k] {
+			t.Fatalf("frame %d: policy started it at %v, bare clock at %v", k, got[k], want[k])
+		}
 	}
 }
 

@@ -23,23 +23,16 @@ import (
 // for InMind, §4.1) and below the pipeline's capability in RVSMax mode
 // (76 vs 93 on a 240 Hz display).
 //
-// RVS is the push half behind a gate of its own: until core has a render rule
-// for it, its RenderGate replaces the clock's Begin, and under RuleNoReg the
-// clock's End leaves the never-begun clock alone.
+// RVS is the push half under core.RuleRVS at the refresh rate: the render
+// clock holds each frame for a feedback token and the delay that came with
+// it, and DisplayTime feeds the clock one link delay after each displayed
+// frame.
 type RVS struct {
 	push
 	label string
 
 	period time.Duration // vblank period = 1/refresh
 	cc     float64
-
-	// Server-side feedback state: tokens released by arriving feedback
-	// messages and the latest slack-derived delay.
-	tokens    int
-	tokenCap  int
-	delay     time.Duration
-	tokenCond core.Cond
-	closed    bool
 
 	// Client-side display state.
 	lastVblankUsed time.Duration
@@ -48,7 +41,8 @@ type RVS struct {
 }
 
 // NewRVS returns a Remote VSync policy for a client display with the given
-// refresh rate. cc <= 0 selects the default 0.35.
+// refresh rate. cc <= 0 selects the calibrated default: 0.25 below 200 Hz,
+// 1.0 at and above.
 func NewRVS(ctx *Ctx, refreshHz float64, cc float64) *RVS {
 	label := fmt.Sprintf("RVS%d", int(refreshHz))
 	if refreshHz >= 200 {
@@ -65,64 +59,23 @@ func NewRVS(ctx *Ctx, refreshHz float64, cc float64) *RVS {
 			cc = 0.25
 		}
 	}
-	// Feedback pipelining depth: how many renders may be in flight per
-	// un-acknowledged vblank. Deeper pipelining recovers faster from
-	// slipped vblanks on ordinary displays; high-refresh displays issue
-	// feedback often enough that depth 2 suffices (part of the per-setup
-	// tuning the paper describes).
-	cap := 4
-	if refreshHz >= 200 {
-		cap = 2
-	}
 	return &RVS{
-		push:      newPush(ctx, core.RuleNoReg, 0),
-		label:     label,
-		period:    time.Duration(float64(time.Second) / refreshHz),
-		cc:        cc,
-		tokens:    cap, // prime the pipeline: first frames render unguarded
-		tokenCap:  cap,
-		tokenCond: ctx.Dom.NewCond(),
+		push:   newPush(ctx, core.RuleRVS, refreshHz),
+		label:  label,
+		period: time.Duration(float64(time.Second) / refreshHz),
+		cc:     cc,
 	}
 }
 
 // Name implements Policy.
 func (r *RVS) Name() string { return r.label }
 
-// RenderGate implements Policy: wait for the remote vblank feedback token,
-// then apply the cc-scaled slack delay. If no feedback arrives within three
-// vblank periods (at least 50 ms — startup, loss, pipeline stall), rendering
-// proceeds anyway — a liveness guard any real implementation needs.
-func (r *RVS) RenderGate(w core.Waiter) {
-	fallback := 3 * r.period
-	if fallback < 50*time.Millisecond {
-		fallback = 50 * time.Millisecond
-	}
-	mu := r.ctx.Dom.Locker()
-	mu.Lock()
-	deadline := r.ctx.Dom.Now() + fallback
-	for r.tokens == 0 && !r.closed {
-		remaining := deadline - r.ctx.Dom.Now()
-		if remaining <= 0 {
-			break
-		}
-		w.WaitTimeout(r.tokenCond, remaining)
-	}
-	if r.tokens > 0 {
-		r.tokens--
-	}
-	d := r.delay
-	mu.Unlock()
-	if d > 0 {
-		w.Sleep(d)
-	}
-}
-
 // DisplayTime implements Policy: VSync display. The frame is shown at the
-// next free vblank after its decode completes; if that slot was already
-// claimed by a newer... (older frames decode in order, so "claimed" means a
-// prior frame owns it), the frame is dropped. The displayed frame generates
-// the feedback message: slack = vblank − decodeEnd travels back to the cloud
-// over the network and releases the next render.
+// next free vblank after its decode completes; if a prior frame already owns
+// that vblank (frames decode in order), the frame is dropped. The displayed
+// frame generates the feedback message: slack = vblank − decodeEnd travels
+// back to the cloud over the network and releases the next render, delayed
+// by cc × slack.
 func (r *RVS) DisplayTime(f *frame.Frame, decodeEnd time.Duration) (time.Duration, bool) {
 	n := decodeEnd / r.period
 	vblank := (n + 1) * r.period
@@ -133,32 +86,11 @@ func (r *RVS) DisplayTime(f *frame.Frame, decodeEnd time.Duration) (time.Duratio
 		return 0, false
 	}
 	r.lastVblankUsed = vblank
-	slack := vblank - decodeEnd
-	d := time.Duration(r.cc * float64(slack))
+	d := time.Duration(r.cc * float64(vblank-decodeEnd))
 	r.feedbackSent++
-	r.ctx.Env.After(r.ctx.Link.PropDelay(), func() {
-		mu := r.ctx.Dom.Locker()
-		mu.Lock()
-		r.delay = d
-		if r.tokens < r.tokenCap {
-			r.tokens++
-		}
-		r.tokenCond.Broadcast()
-		mu.Unlock()
-	})
+	r.ctx.Env.After(r.ctx.Link.PropDelay(), func() { r.clock.Feedback(d) })
 	return vblank, true
 }
 
 // FeedbackSent returns the number of feedback messages generated.
 func (r *RVS) FeedbackSent() int64 { return r.feedbackSent }
-
-// Close implements Policy: it releases a renderer waiting for a token, then
-// the push half's stages.
-func (r *RVS) Close() {
-	mu := r.ctx.Dom.Locker()
-	mu.Lock()
-	r.closed = true
-	r.tokenCond.Broadcast()
-	mu.Unlock()
-	r.push.Close()
-}

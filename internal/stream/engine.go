@@ -31,19 +31,18 @@ const (
 	// viewers; the failure matrix relies on a faulted session and its healthy
 	// peer (consecutive ids) landing on different readers.
 	hubReaders = 2
-	// pollWindow is the per-session read deadline in polling mode
-	// (ReadTimeout == 0). It must lie in the future: pipes and sockets never
-	// transfer bytes on an already-expired deadline, so a zero-length window
-	// would starve input delivery entirely.
+	// pollWindow is the per-session read deadline of one poll. It must lie
+	// in the future: pipes and sockets never transfer bytes on an
+	// already-expired deadline, so a zero-length window would starve input
+	// delivery entirely.
 	pollWindow = 200 * time.Microsecond
 	// pollReadBufCap sizes each session's polling read buffer. Client→hub
 	// messages are inputs (21 wire bytes), keyframe requests and byes (5), so
 	// 1 KiB holds dozens of queued events.
 	pollReadBufCap = 1024
-	// pollMaxPayload bounds a client→hub payload in polling mode. The
-	// largest legitimate payload is an input message (16 bytes); anything
-	// claiming more is corruption or protocol abuse and ends the session,
-	// exactly as the old per-session read loop did for unparseable traffic.
+	// pollMaxPayload bounds a client→hub payload. The largest legitimate
+	// payload is an input message (16 bytes); anything claiming more is
+	// corruption or protocol abuse and ends the session.
 	pollMaxPayload = 512
 )
 
@@ -381,16 +380,12 @@ func (e *hubEngine) handleClientMsg(s *hubSession, typ byte, payload []byte) boo
 	return true
 }
 
-// readLoop serves one reader stripe. With ReadTimeout set, each session gets
-// a full blocking readMsg per round (preserving the old eviction semantics:
-// a session silent for ReadTimeout blows its deadline and is evicted — the
-// config documents that a timeout is only meaningful when inputs flow, and a
-// round's reads serialize on that same assumption). Without a timeout,
-// sessions are polled with short future deadlines — a deadline already
-// expired would never transfer bytes on a pipe or socket.
+// readLoop serves one reader stripe: each round polls every session on it
+// with a short future deadline — a deadline already expired would never
+// transfer bytes on a pipe or socket — so a silent session costs its peers on
+// the stripe one poll window, never a whole read.
 func (e *hubEngine) readLoop(r *hubReader) {
 	defer e.readerWG.Done()
-	rt := e.h.cfg.ReadTimeout
 	for {
 		select {
 		case <-e.readerStop:
@@ -420,11 +415,7 @@ func (e *hubEngine) readLoop(r *hubReader) {
 				r.deregister(s)
 				continue
 			}
-			if rt > 0 {
-				s.readBlocking(e, rt)
-			} else {
-				s.readPoll(e)
-			}
+			s.readPoll(e)
 		}
 		// Bound the idle polling rate without slowing active rounds.
 		if d := time.Since(roundStart); d < time.Millisecond {
@@ -433,31 +424,18 @@ func (e *hubEngine) readLoop(r *hubReader) {
 	}
 }
 
-// readBlocking performs one full message read under the configured
-// ReadTimeout: identical semantics to the old per-session input loop — a
-// deadline hit is an eviction, any other error a plain teardown.
-func (s *hubSession) readBlocking(e *hubEngine, rt time.Duration) {
-	s.conn.SetReadDeadline(s.hub.deadlineAfter(rt))
-	typ, payload, err := readMsg(s.conn, s.rdbuf)
-	if err != nil {
-		s.teardown(isTimeoutErr(err))
-		return
-	}
-	s.rdbuf = payload[:cap(payload)]
-	if !e.handleClientMsg(s, typ, payload) {
-		s.teardown(false)
-	}
-}
-
-// readPoll drains whatever input bytes are available within a short window;
-// timeouts are the steady state, never an eviction (ReadTimeout is 0 here).
+// readPoll drains whatever input bytes are available within a short window.
+// A poll that times out is the steady state; with ReadTimeout set, a session
+// whose last input byte is older than that is evicted.
 func (s *hubSession) readPoll(e *hubEngine) {
+	h := s.hub
 	if s.rdbuf == nil {
 		s.rdbuf = make([]byte, 0, pollReadBufCap)
 	}
-	s.conn.SetReadDeadline(s.hub.deadlineAfter(pollWindow))
+	s.conn.SetReadDeadline(h.deadlineAfter(pollWindow))
 	n, err := s.conn.Read(s.rdbuf[len(s.rdbuf):cap(s.rdbuf)])
 	if n > 0 {
+		s.lastRead = h.dom.Now()
 		s.rdbuf = s.rdbuf[:len(s.rdbuf)+n]
 		if !s.drainPollBuf(e) {
 			s.teardown(false)
@@ -466,6 +444,10 @@ func (s *hubSession) readPoll(e *hubEngine) {
 	}
 	if err != nil && !isTimeoutErr(err) {
 		s.teardown(false)
+		return
+	}
+	if rt := h.cfg.ReadTimeout; rt > 0 && h.dom.Now()-s.lastRead > rt {
+		s.teardown(true)
 	}
 }
 

@@ -171,3 +171,37 @@ func TestHubPacedViewerHeldToTarget(t *testing.T) {
 		t.Fatalf("viewer paced at 30 FPS measured %.1f FPS: wheel pacing not applied", fps)
 	}
 }
+
+// TestHubReadsPastSilentSession: with ReadTimeout set, a silent session holds
+// up the inputs of a client on the same reader stripe for one poll window,
+// not for the whole timeout.
+func TestHubReadsPastSilentSession(t *testing.T) {
+	h, stop := startHub(t, HubConfig{Width: 16, Height: 9, TargetFPS: 60, ReadTimeout: 1500 * time.Millisecond})
+	defer stop()
+	// Sessions land on reader id%hubReaders: ids 1 and 3 share a stripe.
+	detachSilent := attachDiscarding(h, AttachOptions{}) // id 1, never writes
+	defer detachSilent()
+	detachOther := attachDiscarding(h, AttachOptions{}) // id 2
+	defer detachOther()
+	cli, _, detach := attachClient(t, h, 0) // id 3
+	defer detach()
+	waitFrames(t, cli, 1, 10*time.Second)
+
+	const n = 20
+	base := h.ins.Inputs.Value()
+	start := time.Now()
+	go func() {
+		for i := 0; i < n; i++ {
+			if _, err := cli.SendInput(); err != nil {
+				return
+			}
+		}
+	}()
+	for h.ins.Inputs.Value() < base+n {
+		if took := time.Since(start); took > 200*time.Millisecond {
+			t.Fatalf("%d of %d inputs counted after %v: the silent session on the stripe held them up",
+				h.ins.Inputs.Value()-base, n, took)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}

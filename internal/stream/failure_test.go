@@ -403,13 +403,14 @@ func TestClientResyncsOnChecksumMismatch(t *testing.T) {
 }
 
 // TestServerRejectsGarbageMessage: a message type no client sends — garbage,
-// or a frame — ends that session, in the blocking read mode (ReadTimeout
-// set) and the polling one, while a healthy peer on the same hub streams on.
+// or a frame — ends that session, with and without a ReadTimeout, while a
+// healthy peer on the same hub streams on; a protocol error is never counted
+// as an eviction.
 func TestServerRejectsGarbageMessage(t *testing.T) {
 	for _, mode := range []struct {
 		name   string
 		readTO time.Duration
-	}{{"poll", 0}, {"blocking", 30 * time.Second}} {
+	}{{"poll", 0}, {"timeout", 30 * time.Second}} {
 		for _, msg := range []struct {
 			name string
 			typ  byte

@@ -141,9 +141,10 @@ type HubConfig struct {
 	// buffer already shields the hub from slow viewers, so eviction only
 	// fires when even single-frame writes stall. 0 disables it.
 	WriteTimeout time.Duration
-	// ReadTimeout, when > 0, bounds each read on a session's input path,
-	// catching half-open viewer connections. 0 disables it — idle viewers
-	// send nothing, so only set this when inputs (or keepalives) flow.
+	// ReadTimeout, when > 0, evicts a session that has sent no input byte
+	// for this long, catching half-open and stalled viewer connections. 0
+	// disables it — idle viewers send nothing, so only set this when inputs
+	// (or keepalives) flow.
 	ReadTimeout time.Duration
 	// Logf, when non-nil, receives the final stats summary from Stop (and
 	// nothing else); typically log.Printf. Headless runs set it so every
@@ -208,8 +209,11 @@ type hubSession struct {
 	detached atomic.Bool
 	sendMu   sync.Mutex
 
-	// rdbuf is the session's input read buffer, owned by its reader stripe.
-	rdbuf []byte
+	// rdbuf is the session's input read buffer and lastRead the hub-domain
+	// time its last input byte arrived (attach time before the first), both
+	// owned by its reader stripe.
+	rdbuf    []byte
+	lastRead time.Duration
 
 	detachOnce sync.Once
 	detachCb   func(SessionStats)
@@ -217,7 +221,7 @@ type hubSession struct {
 	sent    int64
 	dropped int64
 
-	// wantKey is set by inputLoop on msgKeyReq and consumed by the send
+	// wantKey is set by the reader stripe on msgKeyReq and consumed by the send
 	// loop before the next transmit.
 	wantKey atomic.Bool
 
@@ -684,6 +688,7 @@ func (h *Hub) AttachWithOptions(conn net.Conn, opts AttachOptions) {
 		wk:        int(id),
 		vectored:  supportsVectoredWrites(conn),
 		detachCb:  opts.Detach,
+		lastRead:  h.dom.Now(),
 	}
 	s.buf = h.cfg.Policy.sessionBuf(s.dom)
 	// The timer's job is only to requeue the session once its pacing delay

@@ -26,7 +26,6 @@ package odr
 import (
 	"fmt"
 	"net"
-	"os"
 	"time"
 
 	"odr/internal/chaos"
@@ -34,12 +33,10 @@ import (
 	"odr/internal/codec"
 	"odr/internal/core"
 	"odr/internal/obs"
-	"odr/internal/pictor"
 	"odr/internal/pipeline"
 	"odr/internal/realrt"
-	"odr/internal/regulator"
+	"odr/internal/simrun"
 	"odr/internal/stream"
-	"odr/internal/workload"
 )
 
 // Core mechanism re-exports: these are the §5 components.
@@ -139,93 +136,27 @@ type SimResult struct {
 	PriorityFrames int64
 }
 
-func benchmarkOf(name string) (pictor.Benchmark, error) {
-	if name == "" {
-		return pictor.IM, nil
-	}
-	for _, b := range pictor.Benchmarks {
-		if string(b) == name {
-			return b, nil
-		}
-	}
-	return "", fmt.Errorf("odr: unknown benchmark %q (want one of %v)", name, pictor.Benchmarks)
-}
-
 // Simulate runs the cloud-3D pipeline simulator once.
 func Simulate(cfg SimConfig) (*SimResult, error) {
-	b, err := benchmarkOf(cfg.Benchmark)
-	if err != nil {
-		return nil, err
-	}
-	plat := pictor.PrivateCloud
-	switch cfg.Platform {
-	case "", "priv", "private":
-	case "gce", "GCE":
-		plat = pictor.GoogleGCE
-	default:
-		return nil, fmt.Errorf("odr: unknown platform %q (want priv or gce)", cfg.Platform)
-	}
-	res := pictor.R720p
-	switch cfg.Resolution {
-	case "", "720p":
-	case "1080p":
-		res = pictor.R1080p
-	default:
-		return nil, fmt.Errorf("odr: unknown resolution %q (want 720p or 1080p)", cfg.Resolution)
-	}
-	pol := cfg.Policy
-	if pol == "" {
-		pol = PolicyODR
-	}
-	var factory pipeline.PolicyFactory
-	switch pol {
-	case PolicyNoReg:
-		factory = func(ctx *regulator.Ctx) regulator.Policy { return regulator.NewNoReg(ctx) }
-	case PolicyInterval:
-		factory = func(ctx *regulator.Ctx) regulator.Policy { return regulator.NewInterval(ctx, cfg.TargetFPS) }
-	case PolicyRVS:
-		hz := cfg.TargetFPS
-		if hz == 0 {
-			hz = 240
-		}
-		factory = func(ctx *regulator.Ctx) regulator.Policy { return regulator.NewRVS(ctx, hz, 0) }
-	case PolicyODR:
-		factory = func(ctx *regulator.Ctx) regulator.Policy {
-			return regulator.NewODR(ctx, regulator.ODROptions{TargetFPS: cfg.TargetFPS})
-		}
-	default:
-		return nil, fmt.Errorf("odr: unknown policy %q", pol)
-	}
 	seed := cfg.Seed
 	if seed == 0 {
 		seed = 1
 	}
-	pc := pipeline.Config{
-		Workload: b.Params(),
-		Scale:    pictor.Scale(plat, res),
-		Net:      pictor.Network(plat),
-		Policy:   factory,
-		Duration: cfg.Duration,
-		Seed:     seed,
-		Trace:    cfg.Trace,
-		Metrics:  cfg.Metrics,
+	pc, err := simrun.Config(simrun.Spec{
+		Benchmark:  cfg.Benchmark,
+		Platform:   cfg.Platform,
+		Resolution: cfg.Resolution,
+		Policy:     string(cfg.Policy),
+		FPS:        cfg.TargetFPS,
+		Duration:   cfg.Duration,
+		Seed:       seed,
+		Replay:     cfg.TraceCSVPath,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("odr: %w", err)
 	}
-	if cfg.TraceCSVPath != "" {
-		f, err := os.Open(cfg.TraceCSVPath)
-		if err != nil {
-			return nil, fmt.Errorf("odr: opening trace: %w", err)
-		}
-		rows, err := workload.ParseTraceCSV(f)
-		f.Close()
-		if err != nil {
-			return nil, err
-		}
-		src, err := workload.NewTraceSampler(rows, b.Params().InputRate, seed)
-		if err != nil {
-			return nil, err
-		}
-		pc.Source = src
-	}
+	pc.Trace = cfg.Trace
+	pc.Metrics = cfg.Metrics
 	r := pipeline.Run(pc)
 	return &SimResult{
 		Label:          r.Label,
