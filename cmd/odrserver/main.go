@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	odrserver [-addr :7311] [-policy odr|interval|noreg] [-fps 60]
+//	odrserver [-addr :7311] [-policy odr|int|interval|noreg] [-fps 60]
 //	          [-width 640] [-height 360] [-once]
 //	          [-debug-addr :8099]
 //
@@ -12,8 +12,9 @@
 // clients at the same resolution also share one encoder (each frame is
 // encoded once and fanned out; late joiners get spliced catch-up keyframes)
 // while pacing and session buffering stay per-client. -policy sets the hub's
-// regulation policy; with -once the server exits when its first client
-// detaches.
+// regulation policy, named as core.ParsePolicy names it; rvs is refused
+// before the server listens, since a hub has no RVS. With -once the server
+// exits when its first client detaches.
 //
 // With -debug-addr, the server exposes live observability over HTTP:
 // /debug/odr (JSON snapshot of the regulation state and telemetry
@@ -54,6 +55,7 @@ import (
 
 	"odr"
 	"odr/internal/cluster"
+	"odr/internal/core"
 	"odr/internal/obs"
 	"odr/internal/obs/scrape"
 	"odr/internal/stream"
@@ -85,8 +87,8 @@ func lintMetrics() int {
 
 func main() {
 	addr := flag.String("addr", ":7311", "listen address")
-	policy := flag.String("policy", "odr", "regulation policy: odr, interval, noreg")
-	fps := flag.Float64("fps", 60, "target FPS (0 = maximize)")
+	policy := flag.String("policy", "odr", "regulation policy: odr, int (or interval), noreg")
+	fps := flag.Float64("fps", 60, "target FPS (0 means 60)")
 	width := flag.Int("width", 640, "frame width")
 	height := flag.Int("height", 360, "frame height")
 	once := flag.Bool("once", false, "exit when the first client detaches")
@@ -101,16 +103,12 @@ func main() {
 		os.Exit(lintMetrics())
 	}
 
-	var kind odr.StreamPolicy
-	switch *policy {
-	case "odr":
-		kind = odr.StreamODR
-	case "interval", "int":
-		kind = odr.StreamInterval
-	case "noreg":
-		kind = odr.StreamNoReg
-	default:
-		log.Fatalf("unknown policy %q", *policy)
+	pol, err := core.ParsePolicy(*policy, *fps)
+	if err == nil {
+		err = stream.CheckRule(pol.Rule)
+	}
+	if err != nil {
+		log.Fatalf("odrserver: -policy %s: %v", *policy, err)
 	}
 
 	ln, err := net.Listen("tcp", *addr)
@@ -118,7 +116,7 @@ func main() {
 		log.Fatal(err)
 	}
 	log.Printf("odrserver: %s policy, target %.0f FPS, %dx%d, listening on %s",
-		kind, *fps, *width, *height, ln.Addr())
+		pol.Rule, *fps, *width, *height, ln.Addr())
 
 	reg := odr.NewMetricsRegistry()
 	// Pre-register every family this process can export, then hold startup
@@ -127,7 +125,7 @@ func main() {
 	registerAll(reg)
 	obs.MustLint(reg)
 	hub := odr.NewHub(odr.HubConfig{
-		Width: *width, Height: *height, Policy: kind, TargetFPS: *fps,
+		Width: *width, Height: *height, Policy: pol.Rule, TargetFPS: *fps,
 		Metrics: reg,
 		Logf:    log.Printf,
 	})

@@ -40,7 +40,7 @@ func main() {
 	benchmark := flag.String("benchmark", "IM", "benchmark: STK, 0AD, RE, D2, IM, ITP")
 	platform := flag.String("platform", "priv", "platform: priv, gce")
 	resolution := flag.String("resolution", "720p", "resolution: 720p, 1080p")
-	policy := flag.String("policy", "noreg", "policy: noreg, int, rvs, odr")
+	policy := flag.String("policy", "noreg", "policy: noreg, int (or interval), rvs, odr")
 	fps := flag.Float64("fps", 0, "target FPS (0 = max; refresh rate for rvs)")
 	duration := flag.Duration("duration", 60*time.Second, "simulated duration")
 	seed := flag.Int64("seed", 1, "seed")

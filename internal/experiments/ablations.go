@@ -61,7 +61,7 @@ func odrVariantCell(o Options, b pictor.Benchmark, g pictor.PlatformGroup, opts 
 	if extra != nil {
 		extra(&cfg)
 	}
-	return sched.Cell{PolicyKey: odrKey(opts), Config: cfg}
+	return sched.Cell{PolicyKey: variant, Config: cfg}
 }
 
 // AblationMulBuf2 isolates design choice 1 (DESIGN.md §5): Mul-Buf2's
@@ -120,7 +120,7 @@ func AblationRVSFeedback(o Options) []AblationRow {
 		net := pictor.Network(pictor.GoogleGCE)
 		net.RTT = rtt
 		return sched.Cell{
-			PolicyKey: rvsKey(60, cc),
+			PolicyKey: variant,
 			Config: pipeline.Config{
 				Label:    variant,
 				Workload: pictor.IM.Params(),

@@ -9,10 +9,10 @@
 package experiments
 
 import (
-	"fmt"
 	"io"
 	"time"
 
+	"odr/internal/core"
 	"odr/internal/pictor"
 	"odr/internal/pipeline"
 	"odr/internal/regulator"
@@ -66,51 +66,48 @@ const (
 	ODRGoal     PolicyID = "ODR60/30"
 )
 
-// label resolves a PolicyID to the concrete label for a resolution
-// (Int60/30 becomes Int60 at 720p and Int30 at 1080p).
-func label(id PolicyID, res pictor.Resolution) string {
-	goal := fmt.Sprintf("%d", int(res.TargetFPS()))
-	switch id {
-	case IntGoal:
-		return "Int" + goal
-	case RVSGoal:
-		return "RVS" + goal
-	case ODRGoal:
-		return "ODR" + goal
-	default:
-		return string(id)
-	}
-}
-
-// factory builds the pipeline policy factory for a PolicyID under a
-// resolution's QoS goal.
-func factory(id PolicyID, res pictor.Resolution) pipeline.PolicyFactory {
+// policy resolves a PolicyID to the paper configuration it names under a
+// resolution's QoS goal (Int60/30 is Int60 at 720p and Int30 at 1080p).
+// ODRMax-noPri is ODRMax with PriorityFrame off, an ablation the table has
+// no row for: label and factory name and build it.
+func policy(id PolicyID, res pictor.Resolution) core.Policy {
 	goal := res.TargetFPS()
 	switch id {
 	case NoReg:
-		return func(ctx *regulator.Ctx) regulator.Policy { return regulator.NewNoReg(ctx) }
+		return core.Policy{Rule: core.RuleNoReg}
 	case IntMax:
-		return func(ctx *regulator.Ctx) regulator.Policy { return regulator.NewInterval(ctx, 0) }
+		return core.Policy{Rule: core.RuleInterval}
 	case RVSMax:
-		return func(ctx *regulator.Ctx) regulator.Policy { return regulator.NewRVS(ctx, 240, 0) }
+		return core.Policy{Rule: core.RuleRVS, FPS: core.RVSMaxHz}
 	case ODRMax:
-		return func(ctx *regulator.Ctx) regulator.Policy {
-			return regulator.NewODR(ctx, regulator.ODROptions{})
-		}
-	case ODRMaxNoPri:
+		return core.Policy{Rule: core.RuleODR}
+	case IntGoal:
+		return core.Policy{Rule: core.RuleInterval, FPS: goal}
+	case RVSGoal:
+		return core.Policy{Rule: core.RuleRVS, FPS: goal}
+	case ODRGoal:
+		return core.Policy{Rule: core.RuleODR, FPS: goal}
+	}
+	panic("experiments: no policy " + string(id))
+}
+
+// label is the configuration's name in the report.
+func label(id PolicyID, res pictor.Resolution) string {
+	if id == ODRMaxNoPri {
+		return string(id)
+	}
+	return policy(id, res).String()
+}
+
+// factory builds the configuration's regulation policy.
+func factory(id PolicyID, res pictor.Resolution) pipeline.PolicyFactory {
+	if id == ODRMaxNoPri {
 		return func(ctx *regulator.Ctx) regulator.Policy {
 			return regulator.NewODR(ctx, regulator.ODROptions{DisablePriority: true})
 		}
-	case IntGoal:
-		return func(ctx *regulator.Ctx) regulator.Policy { return regulator.NewInterval(ctx, goal) }
-	case RVSGoal:
-		return func(ctx *regulator.Ctx) regulator.Policy { return regulator.NewRVS(ctx, goal, 0) }
-	case ODRGoal:
-		return func(ctx *regulator.Ctx) regulator.Policy {
-			return regulator.NewODR(ctx, regulator.ODROptions{TargetFPS: goal})
-		}
 	}
-	panic("experiments: unknown policy " + string(id))
+	p := policy(id, res)
+	return func(ctx *regulator.Ctx) regulator.Policy { return regulator.New(ctx, p) }
 }
 
 // EvalPolicies is the seven-configuration set of Figures 9-13 (§6.1: no
@@ -137,61 +134,14 @@ func seedFor(base int64, b pictor.Benchmark, g pictor.PlatformGroup, id PolicyID
 	return h | 1
 }
 
-// policyKey canonically names the concrete policy factory(id, res) builds,
-// for content addressing in the result cache. Keys are canonical — the
-// same underlying policy gets the same key however an experiment reaches
-// it — so identical cells submitted by different experiments (e.g. the
-// matrix and an ablation baseline) share one cache entry.
-func policyKey(id PolicyID, res pictor.Resolution) string {
-	goal := res.TargetFPS()
-	switch id {
-	case NoReg:
-		return "NoReg"
-	case IntMax:
-		return "Int@0"
-	case RVSMax:
-		return rvsKey(240, 0)
-	case ODRMax:
-		return odrKey(regulator.ODROptions{})
-	case ODRMaxNoPri:
-		return odrKey(regulator.ODROptions{DisablePriority: true})
-	case IntGoal:
-		return fmt.Sprintf("Int@%g", goal)
-	case RVSGoal:
-		return rvsKey(goal, 0)
-	case ODRGoal:
-		return odrKey(regulator.ODROptions{TargetFPS: goal})
-	}
-	return "?" + string(id)
-}
-
-// odrKey names an ODR variant by its options.
-func odrKey(opts regulator.ODROptions) string {
-	key := fmt.Sprintf("ODR@%g", opts.TargetFPS)
-	if opts.DisablePriority {
-		key += "+noPri"
-	}
-	if opts.DisableMulBuf2 {
-		key += "+noBuf2"
-	}
-	if opts.DelayOnly {
-		key += "+delayOnly"
-	}
-	return key
-}
-
-// rvsKey names an RVS variant by its refresh rate and filter constant.
-func rvsKey(refreshHz, cc float64) string {
-	return fmt.Sprintf("RVS@%g/cc%g", refreshHz, cc)
-}
-
 // cellFor builds the schedulable cell for one (benchmark, group, policy)
 // coordinate of the evaluation matrix.
 func cellFor(o Options, b pictor.Benchmark, g pictor.PlatformGroup, id PolicyID) sched.Cell {
+	lbl := label(id, g.Resolution)
 	return sched.Cell{
-		PolicyKey: policyKey(id, g.Resolution),
+		PolicyKey: lbl,
 		Config: pipeline.Config{
-			Label:    label(id, g.Resolution),
+			Label:    lbl,
 			Workload: b.Params(),
 			Scale:    pictor.Scale(g.Platform, g.Resolution),
 			Net:      pictor.Network(g.Platform),

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"odr/internal/pictor"
+	"odr/internal/pipeline"
 	"odr/internal/sched"
 )
 
@@ -389,4 +390,27 @@ func TestPrefetchMatchesSequential(t *testing.T) {
 				id, a.ClientFPS, a.MtP.Mean(), b.ClientFPS, b.MtP.Mean())
 		}
 	}
+}
+
+// TestNoRegCongestionRidesTheByteBound pins the NoReg congestion anchors
+// ("Fig9b NoReg GCE720p MtP") to the send buffer's byte bound: on the GCE
+// 720p path NoReg fills the tail-drop buffer to within one frame of its 8 MB,
+// and halving the bound cuts its MtP by at least 40 %. A change to the send
+// buffer that stops honouring the bound fails here instead of moving the
+// anchor.
+func TestNoRegCongestionRidesTheByteBound(t *testing.T) {
+	o := Options{Duration: 30 * time.Second, Seed: 1}.withDefaults()
+	c := cellFor(o, pictor.IM, pictor.PlatformGroup{Platform: pictor.GoogleGCE, Resolution: pictor.R720p}, NoReg)
+	bound := c.Config.Net.BufferBytes
+	full := pipeline.Run(c.Config)
+	frameBytes := int(full.BandwidthMbps * 1e6 / 8 / full.ClientFPS)
+	if full.MaxQueueBytes > bound || bound-full.MaxQueueBytes > frameBytes {
+		t.Errorf("send-queue high-water %d B, want within one frame (%d B) of the %d B bound", full.MaxQueueBytes, frameBytes, bound)
+	}
+	c.Config.Net.BufferBytes = bound / 2
+	half := pipeline.Run(c.Config)
+	if ratio := half.MtP.Mean() / full.MtP.Mean(); ratio > 0.6 {
+		t.Errorf("MtP %.0f ms at the %d B bound, %.0f ms at half of it (%.2fx): want <= 0.6x", full.MtP.Mean(), bound, half.MtP.Mean(), ratio)
+	}
+	t.Logf("high-water %d of %d B (frame ~%d B); MtP %.0f ms, %.0f ms at half the bound", full.MaxQueueBytes, bound, frameBytes, full.MtP.Mean(), half.MtP.Mean())
 }

@@ -37,9 +37,9 @@ func SweepAPM(o Options) []SweepRow {
 		wl := pictor.IM.Params()
 		wl.InputRate = aps
 		cells[i] = sched.Cell{
-			PolicyKey: policyKey(ODRGoal, g.Resolution),
+			PolicyKey: label(ODRGoal, g.Resolution),
 			Config: pipeline.Config{
-				Label:    "ODR60",
+				Label:    label(ODRGoal, g.Resolution),
 				Workload: wl,
 				Scale:    pictor.Scale(g.Platform, g.Resolution),
 				Net:      pictor.Network(g.Platform),
@@ -76,23 +76,17 @@ func SweepBandwidth(o Options) map[string][]SweepRow {
 	fmt.Fprintln(o.Out, "Sweep: path bandwidth vs QoS (InMind, 720p GCE-like path)")
 	bandwidths := []float64{10, 14, 18, 22, 26, 34, 50}
 	for _, id := range []PolicyID{NoReg, ODRGoal, "ODRAuto60"} {
-		var pol pipeline.PolicyFactory
-		lbl, key := "ODRAuto60", "ODRAuto@60/20"
-		if id == "ODRAuto60" {
-			pol = func(ctx *regulator.Ctx) regulator.Policy {
-				return regulator.NewODRAuto(ctx, 60, 20)
-			}
-		} else {
-			pol = factory(id, g.Resolution)
-			lbl = label(id, g.Resolution)
-			key = policyKey(id, g.Resolution)
+		lbl := string(id)
+		pol := func(ctx *regulator.Ctx) regulator.Policy { return regulator.NewODRAuto(ctx, 60, 20) }
+		if id != "ODRAuto60" {
+			lbl, pol = label(id, g.Resolution), factory(id, g.Resolution)
 		}
 		cells := make([]sched.Cell, len(bandwidths))
 		for i, mbps := range bandwidths {
 			net := pictor.Network(g.Platform)
 			net.Bandwidth = mbps * 1e6 / 8
 			cells[i] = sched.Cell{
-				PolicyKey: key,
+				PolicyKey: lbl,
 				Config: pipeline.Config{
 					Label:    lbl,
 					Workload: pictor.IM.Params(),
@@ -136,7 +130,7 @@ func SweepRVScc(o Options) []SweepRow {
 	for i, cc := range ccs {
 		ccv := cc
 		cells[i] = sched.Cell{
-			PolicyKey: rvsKey(60, ccv),
+			PolicyKey: fmt.Sprintf("RVS60-cc%g", ccv),
 			Config: pipeline.Config{
 				Label:    "RVS60",
 				Workload: pictor.IM.Params(),

@@ -35,7 +35,8 @@ type PolicyFactory func(*regulator.Ctx) regulator.Policy
 
 // Config describes one simulated run.
 type Config struct {
-	// Label tags the run in results (defaults to the policy name).
+	// Label tags the run in results: a paper configuration's
+	// core.Policy.String, or a variant's own name.
 	Label string
 	// Workload is the benchmark model and Scale the platform/resolution
 	// scaling.
@@ -366,9 +367,6 @@ func (st *pipelineState) result(end time.Duration) *Result {
 		PriorityFrames:  st.priority,
 		BandwidthMbps:   float64(st.link.SentBytes()-st.startBytes) * 8 / 1e6 / span.Seconds(),
 		FrameTrace:      st.frameTrace,
-	}
-	if r.Label == "" {
-		r.Label = st.policy.Name()
 	}
 	if _, ok := st.policy.(*regulator.RVS); ok {
 		r.VSynced = true

@@ -1,7 +1,6 @@
 package regulator
 
 import (
-	"fmt"
 	"math"
 	"time"
 
@@ -33,7 +32,6 @@ const (
 // ratchets well below what the hardware could deliver.
 type Interval struct {
 	push
-	label    string
 	adaptive bool
 	fps      float64 // the clock's demand: the target, or IntMax's ratchet (+Inf before its first step)
 }
@@ -42,17 +40,12 @@ type Interval struct {
 // IntMax (adaptive maximize-FPS) mode.
 func NewInterval(ctx *Ctx, targetFPS float64) *Interval {
 	iv := &Interval{fps: targetFPS}
-	if targetFPS > 0 {
-		iv.label = fmt.Sprintf("Int%d", int(targetFPS))
-	} else {
-		iv.label, iv.adaptive, iv.fps = "IntMax", true, math.Inf(1)
+	if targetFPS <= 0 {
+		iv.adaptive, iv.fps = true, math.Inf(1)
 	}
 	iv.push = newPush(ctx, core.RuleInterval, iv.fps)
 	return iv
 }
-
-// Name implements Policy.
-func (iv *Interval) Name() string { return iv.label }
 
 // AcquireForEncode implements Policy: take the newest rendered frame, then
 // hold it until the proxy's next poll tick. The capture loop runs a

@@ -18,6 +18,3 @@ type NoReg struct{ push }
 func NewNoReg(ctx *Ctx) *NoReg {
 	return &NoReg{newPush(ctx, core.RuleNoReg, math.Inf(1))}
 }
-
-// Name implements Policy.
-func (n *NoReg) Name() string { return "NoReg" }

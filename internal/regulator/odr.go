@@ -1,7 +1,6 @@
 package regulator
 
 import (
-	"fmt"
 	"math"
 	"time"
 
@@ -35,9 +34,8 @@ type ODROptions struct {
 // It is the same clock, over the same Pacer and InputBox, that the stream
 // hub renders by, so the simulator and the real stack run one ODR.
 type ODR struct {
-	ctx   *Ctx
-	opts  ODROptions
-	label string
+	ctx  *Ctx
+	opts ODROptions
 
 	buf1  *core.MultiBuffer
 	buf2  *core.MultiBuffer
@@ -61,20 +59,6 @@ func NewODR(ctx *Ctx, opts ODROptions) *ODR {
 	if opts.DisableMulBuf2 {
 		o.sb = newSendBuf(ctx)
 	}
-	if opts.TargetFPS > 0 {
-		o.label = fmt.Sprintf("ODR%d", int(opts.TargetFPS))
-	} else {
-		o.label = "ODRMax"
-	}
-	if opts.DisablePriority {
-		o.label += "-noPri"
-	}
-	if opts.DelayOnly {
-		o.label += "-delayOnly"
-	}
-	if opts.DisableMulBuf2 {
-		o.label += "-noBuf2"
-	}
 	box := ctx.Inputs
 	if opts.DisablePriority {
 		// A box no input reaches: inputs neither cut the clock's delay nor
@@ -93,9 +77,6 @@ func NewODR(ctx *Ctx, opts ODROptions) *ODR {
 	o.clock.SetDemand(demand)
 	return o
 }
-
-// Name implements Policy.
-func (o *ODR) Name() string { return o.label }
 
 // RenderGate implements Policy: the render clock holds the renderer until the
 // next slot, or until a pending input starts an extra frame early; then the

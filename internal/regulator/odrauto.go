@@ -1,9 +1,6 @@
 package regulator
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // ODRAuto extends ODR with automatic target selection — the knob the paper
 // treats as orthogonal input ("prior research investigated the proper FPS
@@ -34,18 +31,13 @@ func NewODRAuto(ctx *Ctx, maxTarget, minTarget float64) *ODRAuto {
 	if maxTarget < minTarget {
 		maxTarget = minTarget
 	}
-	a := &ODRAuto{
+	return &ODRAuto{
 		ODR:       NewODR(ctx, ODROptions{TargetFPS: maxTarget}),
 		maxTarget: maxTarget,
 		minTarget: minTarget,
 		target:    maxTarget,
 	}
-	a.label = fmt.Sprintf("ODRAuto%d", int(maxTarget))
-	return a
 }
-
-// Name implements Policy.
-func (a *ODRAuto) Name() string { return a.label }
 
 // Target returns the current FPS target.
 func (a *ODRAuto) Target() float64 { return a.target }

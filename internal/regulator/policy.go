@@ -5,6 +5,11 @@
 // plus the push half (push): a latest-wins core.MultiBuffer toward the proxy
 // and a tail-drop send buffer toward the network.
 //
+// New builds each paper configuration — a core.Policy, whose String is the
+// configuration's label — from the types below; the ablation and extension
+// variants call their constructors directly and carry their own labels in
+// pipeline.Config.Label.
+//
 //   - NoReg: no regulation (§4.1) — the push half under core.RuleNoReg;
 //     rendering free-runs, excess frames drop.
 //   - Interval: interval-based software regulation (§2, §4.1) — the push half
@@ -56,9 +61,6 @@ func (c *Ctx) drop(f *frame.Frame) {
 
 // Policy is one FPS-regulation strategy.
 type Policy interface {
-	// Name returns the configuration label ("NoReg", "ODR60", ...).
-	Name() string
-
 	// RenderGate blocks the renderer until it may render the next frame:
 	// the render clock's Begin under the policy's rule, plus ODR's Mul-Buf1
 	// wait.
@@ -105,13 +107,30 @@ type Policy interface {
 	Close()
 }
 
-// push is the half the three baselines share, the way a stream.PolicyKind is
-// a render rule plus a session-buffer rule: a core.RenderClock under the
-// baseline's rule, over a pacer of its own and the pipeline's InputBox, and
-// the push buffers — a core.MultiBuffer between renderer and proxy, filled
-// latest-wins the way the stream hub fills its lanes' buffers, and the
-// tail-drop send buffer between proxy and network. It implements every Policy
-// hook but Name.
+// New returns the policy that runs the paper configuration p: NoReg,
+// Interval (IntMax at FPS 0), RVS at the refresh rate p.FPS with the
+// calibrated cc, or ODR (ODRMax at FPS 0).
+func New(ctx *Ctx, p core.Policy) Policy {
+	switch p.Rule {
+	case core.RuleNoReg:
+		return NewNoReg(ctx)
+	case core.RuleInterval:
+		return NewInterval(ctx, p.FPS)
+	case core.RuleRVS:
+		return NewRVS(ctx, p.FPS, 0)
+	case core.RuleODR:
+		return NewODR(ctx, ODROptions{TargetFPS: p.FPS})
+	}
+	panic("regulator: no policy for " + p.String())
+}
+
+// push is the half the three baselines share, the way a push rule on the
+// stream hub pairs a render rule with a queueing session buffer: a
+// core.RenderClock under the baseline's rule, over a pacer of its own and the
+// pipeline's InputBox, and the push buffers — a core.MultiBuffer between
+// renderer and proxy, filled latest-wins the way the stream hub fills its
+// lanes' buffers, and the tail-drop send buffer between proxy and network. It
+// implements every Policy hook.
 type push struct {
 	ctx   *Ctx
 	clock *core.RenderClock

@@ -1,7 +1,6 @@
 package regulator
 
 import (
-	"fmt"
 	"time"
 
 	"odr/internal/core"
@@ -29,7 +28,6 @@ import (
 // frame.
 type RVS struct {
 	push
-	label string
 
 	period time.Duration // vblank period = 1/refresh
 	cc     float64
@@ -44,11 +42,6 @@ type RVS struct {
 // refresh rate. cc <= 0 selects the calibrated default: 0.25 below 200 Hz,
 // 1.0 at and above.
 func NewRVS(ctx *Ctx, refreshHz float64, cc float64) *RVS {
-	label := fmt.Sprintf("RVS%d", int(refreshHz))
-	if refreshHz >= 200 {
-		// The paper maximizes FPS by pairing RVS with a 240 Hz display.
-		label = "RVSMax"
-	}
 	if cc <= 0 {
 		// The paper tunes the low-pass filter per setup (§5.4); these are
 		// the values our calibration found for 60 Hz and high-refresh
@@ -61,14 +54,10 @@ func NewRVS(ctx *Ctx, refreshHz float64, cc float64) *RVS {
 	}
 	return &RVS{
 		push:   newPush(ctx, core.RuleRVS, refreshHz),
-		label:  label,
 		period: time.Duration(float64(time.Second) / refreshHz),
 		cc:     cc,
 	}
 }
-
-// Name implements Policy.
-func (r *RVS) Name() string { return r.label }
 
 // DisplayTime implements Policy: VSync display. The frame is shown at the
 // next free vblank after its decode completes; if a prior frame already owns

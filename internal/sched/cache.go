@@ -21,8 +21,9 @@ import (
 // the wrong struct — and whenever a policy's algorithm changes under an
 // unchanged PolicyKey, so no cell replays numbers the old algorithm computed
 // (2: ODR renders through core.RenderClock and Result gains ExtraFPS; 3:
-// Interval does too, on a grid anchored at time zero).
-const cacheSchema = 3
+// Interval does too, on a grid anchored at time zero; 4: PolicyKey becomes
+// the cell's label, see Cell).
+const cacheSchema = 4
 
 // Cache is a content-addressed store of pipeline results under one
 // directory: each entry is <sha256 of the canonical cell>.json. Entries are

@@ -79,8 +79,11 @@ func (r *Runner) Stats() (run, hits, misses int64) {
 
 // Cell is one schedulable simulation: a pipeline.Config plus the identity
 // of its policy. Config.Policy is a function and cannot be hashed, so the
-// caller names the concrete policy (including its options) in PolicyKey;
-// an empty PolicyKey marks the cell uncacheable (it always runs).
+// caller names the concrete policy in PolicyKey: the cell's label (a
+// core.Policy's String, or a variant's own name), with anything the label
+// omits appended — the RVS cc sweep's cells all read RVS60 and key
+// RVS60-cc<cc>. An empty PolicyKey marks the cell uncacheable (it always
+// runs).
 type Cell struct {
 	PolicyKey string
 	Config    pipeline.Config

@@ -10,6 +10,7 @@ import (
 	"slices"
 	"time"
 
+	"odr/internal/core"
 	"odr/internal/pictor"
 	"odr/internal/pipeline"
 	"odr/internal/regulator"
@@ -21,7 +22,7 @@ type Spec struct {
 	Benchmark  string  // STK, 0AD, RE, D2, IM (default) or ITP
 	Platform   string  // priv (default) or gce
 	Resolution string  // 720p (default) or 1080p
-	Policy     string  // noreg, int, rvs or odr (default)
+	Policy     string  // a core.ParsePolicy name: noreg, int (or interval), rvs or odr (default)
 	FPS        float64 // the QoS goal, 0 = maximize; for rvs the display refresh rate (0 = 240 Hz)
 	Duration   time.Duration
 	Seed       int64
@@ -59,30 +60,16 @@ func Config(s Spec) (pipeline.Config, error) {
 	default:
 		return pipeline.Config{}, fmt.Errorf("unknown resolution %q (want 720p or 1080p)", s.Resolution)
 	}
-	fps := s.FPS
-	var factory pipeline.PolicyFactory
-	switch s.Policy {
-	case "noreg":
-		factory = func(ctx *regulator.Ctx) regulator.Policy { return regulator.NewNoReg(ctx) }
-	case "int":
-		factory = func(ctx *regulator.Ctx) regulator.Policy { return regulator.NewInterval(ctx, fps) }
-	case "rvs":
-		if fps == 0 {
-			fps = 240
-		}
-		factory = func(ctx *regulator.Ctx) regulator.Policy { return regulator.NewRVS(ctx, fps, 0) }
-	case "", "odr":
-		factory = func(ctx *regulator.Ctx) regulator.Policy {
-			return regulator.NewODR(ctx, regulator.ODROptions{TargetFPS: fps})
-		}
-	default:
-		return pipeline.Config{}, fmt.Errorf("unknown policy %q (want noreg, int, rvs or odr)", s.Policy)
+	pol, err := core.ParsePolicy(s.Policy, s.FPS)
+	if err != nil {
+		return pipeline.Config{}, err
 	}
 	cfg := pipeline.Config{
+		Label:    pol.String(),
 		Workload: b.Params(),
 		Scale:    pictor.Scale(plat, res),
 		Net:      pictor.Network(plat),
-		Policy:   factory,
+		Policy:   func(ctx *regulator.Ctx) regulator.Policy { return regulator.New(ctx, pol) },
 		Duration: s.Duration,
 		Seed:     s.Seed,
 	}

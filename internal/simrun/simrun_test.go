@@ -5,12 +5,7 @@ import (
 	"strings"
 	"testing"
 
-	"odr/internal/core"
-	"odr/internal/netsim"
 	"odr/internal/pictor"
-	"odr/internal/regulator"
-	"odr/internal/sim"
-	"odr/internal/simrt"
 )
 
 // TestConfigRefusesUnknownNames: every name outside the documented set is an
@@ -55,6 +50,7 @@ func TestConfigMapsNames(t *testing.T) {
 		{Spec{Policy: "rvs", FPS: 60}, pictor.IM, pictor.PrivateCloud, pictor.R720p, "RVS60"},
 		{Spec{Benchmark: "0AD", Policy: "noreg"}, pictor.ZAD, pictor.PrivateCloud, pictor.R720p, "NoReg"},
 		{Spec{Policy: "odr", FPS: 60}, pictor.IM, pictor.PrivateCloud, pictor.R720p, "ODR60"},
+		{Spec{Policy: "interval", FPS: 60}, pictor.IM, pictor.PrivateCloud, pictor.R720p, "Int60"},
 	} {
 		cfg, err := Config(c.spec)
 		if err != nil {
@@ -64,12 +60,8 @@ func TestConfigMapsNames(t *testing.T) {
 			cfg.Net != pictor.Network(c.plat) {
 			t.Errorf("%+v: not %s on %s at %s", c.spec, c.bench, c.plat, c.res)
 		}
-		env := sim.NewEnv()
-		dom := simrt.NewDomain(env)
-		ctx := &regulator.Ctx{Env: env, Dom: dom, Link: netsim.NewLink(cfg.Net, 1), Inputs: core.NewInputBox(dom)}
-		if got := cfg.Policy(ctx).Name(); got != c.label {
-			t.Errorf("%+v: policy %s, want %s", c.spec, got, c.label)
+		if cfg.Label != c.label {
+			t.Errorf("%+v: policy %s, want %s", c.spec, cfg.Label, c.label)
 		}
-		env.Shutdown()
 	}
 }

@@ -8,6 +8,7 @@ import (
 
 	"odr/internal/chaos"
 	"odr/internal/codec"
+	"odr/internal/core"
 	"odr/internal/obs"
 	"odr/internal/testutil"
 )
@@ -86,7 +87,7 @@ func TestRealStackCongestionCollapse(t *testing.T) {
 	// fills a third of it, unregulated encoding (hundreds of frames a second
 	// at this size on any host) oversubscribes it several times over.
 	bandwidth := 3 * streamBytesPerSecond(t, w, h, targetFPS)
-	run := func(policy PolicyKind) (mtp float64, drops int64) {
+	run := func(policy core.RenderRule) (mtp float64, drops int64) {
 		sc, cc := tcpPair(t)
 		shaped := chaos.Wrap(sc, chaos.MustParse(fmt.Sprintf("bw@0:%d", int64(bandwidth))), 1)
 		reg := obs.NewRegistry()
@@ -118,8 +119,8 @@ func TestRealStackCongestionCollapse(t *testing.T) {
 		}
 		return rep.MeanLatency, drops
 	}
-	noregMtP, noregDrops := run(NoRegulation)
-	odrMtP, _ := run(ODRRegulation)
+	noregMtP, noregDrops := run(core.RuleNoReg)
+	odrMtP, _ := run(core.RuleODR)
 	t.Logf("real congestion on a %.0f KB/s path: NoReg MtP %.0fms (drops %d) vs ODR MtP %.0fms", bandwidth/1e3, noregMtP, noregDrops, odrMtP)
 	if noregMtP < odrMtP*2 {
 		t.Fatalf("NoReg MtP %.0fms not well above ODR %.0fms on the saturated path", noregMtP, odrMtP)

@@ -10,6 +10,7 @@ import (
 
 	"odr/internal/chaos"
 	"odr/internal/codec"
+	"odr/internal/core"
 	"odr/internal/obs"
 	"odr/internal/testutil"
 )
@@ -356,7 +357,7 @@ func TestClientResyncsMidStreamJoin(t *testing.T) {
 func TestServerHandlesKeyReq(t *testing.T) {
 	reg := obs.NewRegistry()
 	_, cli, cleanup := startPair(t, HubConfig{
-		Width: 32, Height: 18, Policy: ODRRegulation, TargetFPS: 60,
+		Width: 32, Height: 18, Policy: core.RuleODR, TargetFPS: 60,
 		Codec:   codec.Options{QuantShift: 2, KeyInterval: 1 << 20},
 		Metrics: reg,
 	})

@@ -121,8 +121,15 @@ type Hub struct {
 type HubConfig struct {
 	// Width and Height are the stream resolution (defaults 320×180).
 	Width, Height int
-	// Policy selects the regulation policy (default ODR); see PolicyKind.
-	Policy PolicyKind
+	// Policy is the render rule the shared renderer starts frames by
+	// (default core.RuleODR: paced slots plus one extra frame per input).
+	// It also picks every session's buffer: under ODR a latest-wins
+	// core.MultiBuffer, so a viewer that falls behind skips to the newest
+	// frame (Mul-Buf2); under RuleInterval and RuleNoReg, the push rules, a
+	// bounded FIFO of encoded frames. Its String labels
+	// odr_sessions_started_total and /debug/odr. NewHub panics on any other
+	// rule, RuleRVS included (see CheckRule).
+	Policy core.RenderRule
 	// TargetFPS paces the shared renderer (default 60).
 	TargetFPS float64
 	// Codec configures the shared per-lane encoders.
@@ -237,8 +244,12 @@ type hubSession struct {
 	closeOnce sync.Once
 }
 
-// NewHub returns a hub ready to Run.
+// NewHub returns a hub ready to Run. It panics on a render rule CheckRule
+// refuses.
 func NewHub(cfg HubConfig) *Hub {
+	if err := CheckRule(cfg.Policy); err != nil {
+		panic("stream: " + err.Error())
+	}
 	cfg.applyDefaults()
 	// Every lane encoder shares one content-addressed tile cache and rotates
 	// intra refreshes across frames instead of emitting periodic full keys
@@ -279,7 +290,7 @@ func NewHub(cfg HubConfig) *Hub {
 			h.tr.Span(obs.TrackPacer, "pace", 0, end, end+d)
 		}
 	}
-	h.clock = core.NewRenderClock(dom, h.box, pace, cfg.Policy.renderRule())
+	h.clock = core.NewRenderClock(dom, h.box, pace, cfg.Policy)
 	h.clock.OnTarget = func(fps float64) {
 		if fps == 0 {
 			h.probe.flushIdle(h.dom.Now())
@@ -690,7 +701,7 @@ func (h *Hub) AttachWithOptions(conn net.Conn, opts AttachOptions) {
 		detachCb:  opts.Detach,
 		lastRead:  h.dom.Now(),
 	}
-	s.buf = h.cfg.Policy.sessionBuf(s.dom)
+	s.buf = h.sessionBuf(s.dom)
 	// The timer's job is only to requeue the session once its pacing delay
 	// elapses; a Submit refused by a closing pool is fine — shutdown's
 	// straggler sweep tears the session down instead.

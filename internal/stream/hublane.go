@@ -297,7 +297,7 @@ func (ln *encLane) hasRoom() bool {
 // stamps ride the next encode.
 func (ln *encLane) encode(f *frame.Frame) error {
 	h := ln.hub
-	if h.cfg.Policy.push() && !ln.hasRoom() {
+	if h.push() && !ln.hasRoom() {
 		h.tr.Instant(obs.TrackProxy, "tail-drop", f.Seq, h.dom.Now())
 		h.ins.Dropped.Inc()
 		ln.carry(f.Inputs)

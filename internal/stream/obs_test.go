@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"odr/internal/core"
 	"odr/internal/obs"
 )
 
@@ -184,7 +185,7 @@ func TestHubObservabilityOffIsInert(t *testing.T) {
 func TestSnapshotTotalsMatchRegistry(t *testing.T) {
 	reg := obs.NewRegistry()
 	h, stop := startHub(t, HubConfig{
-		Width: 48, Height: 27, Policy: NoRegulation, Metrics: reg,
+		Width: 48, Height: 27, Policy: core.RuleNoReg, Metrics: reg,
 		WriteTimeout: 50 * time.Millisecond,
 	})
 	cli, _, clean := attachClient(t, h, 0)

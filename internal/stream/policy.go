@@ -1,75 +1,43 @@
 package stream
 
 import (
+	"errors"
+	"fmt"
 	"sync"
 
 	"odr/internal/core"
 	"odr/internal/frame"
 )
 
-// PolicyKind selects a hub's FPS regulation policy. A policy is two rules,
-// both fixed when the hub is built: a render rule, which says when the shared
-// renderer starts a frame (a core.RenderRule on the hub's RenderClock), and a
-// session-buffer rule, which says how each viewer holds encoded frames for
-// its sender.
-type PolicyKind int
-
-// The regulation policies of the real-time stack.
-const (
-	// ODRRegulation is OnDemand Rendering (the zero value): the render clock
-	// paces slots and answers each input with an extra frame (PriorityFrame),
-	// and every session keeps a latest-wins core.MultiBuffer, so a viewer
-	// that falls behind skips to the newest frame (Mul-Buf2).
-	ODRRegulation PolicyKind = iota
-	// IntervalRegulation starts each render on a fixed interval grid; inputs
-	// wait for the next tick. Sessions queue encoded frames in a bounded
-	// FIFO.
-	IntervalRegulation
-	// NoRegulation renders as fast as possible; the newest frame wins at the
-	// encoder, and encoded frames queue deeply toward the network in a
-	// bounded FIFO.
-	NoRegulation
-)
-
-// String implements fmt.Stringer.
-func (k PolicyKind) String() string {
-	switch k {
-	case NoRegulation:
-		return "NoReg"
-	case IntervalRegulation:
-		return "Interval"
-	case ODRRegulation:
-		return "ODR"
+// CheckRule returns nil for a render rule a hub runs — core.RuleODR,
+// RuleInterval or RuleNoReg — and otherwise an error that names the rule.
+// NewHub panics with it. There is no RVS on a hub: the wire carries no vblank
+// feedback from the client, which displays each frame at decode end.
+func CheckRule(rule core.RenderRule) error {
+	switch rule {
+	case core.RuleODR, core.RuleInterval, core.RuleNoReg:
+		return nil
+	case core.RuleRVS:
+		return errors.New("the hub has no RVS: the wire carries no vblank feedback")
 	}
-	return "Unknown"
+	return fmt.Errorf("the hub has no render rule %v", rule)
 }
 
-// renderRule is the policy's render rule.
-func (k PolicyKind) renderRule() core.RenderRule {
-	switch k {
-	case IntervalRegulation:
-		return core.RuleInterval
-	case NoRegulation:
-		return core.RuleNoReg
-	}
-	return core.RuleODR
-}
+// push reports whether sessions queue encoded frames (the push rules: every
+// rule but ODR) rather than keeping only the newest.
+func (h *Hub) push() bool { return h.cfg.Policy != core.RuleODR }
 
-// push reports whether sessions queue encoded frames (the push policies)
-// rather than keeping only the newest.
-func (k PolicyKind) push() bool { return k == IntervalRegulation || k == NoRegulation }
-
-// sessionBuf returns a new session's buffer under the policy's rule.
-func (k PolicyKind) sessionBuf(dom core.Domain) sessionQueue {
-	if k.push() {
+// sessionBuf returns a new session's buffer under the hub's rule: a bounded
+// FIFO under a push rule, a latest-wins core.MultiBuffer under ODR.
+func (h *Hub) sessionBuf(dom core.Domain) sessionQueue {
+	if h.push() {
 		return &pushQueue{}
 	}
 	return core.NewMultiBuffer(dom)
 }
 
 // sessionQueue hands a session's artifacts from its lane (the producer) to
-// its sender (the consumer): the session-buffer half of the regulation
-// policy. Its methods are core.MultiBuffer's, which is the ODR rule.
+// its sender (the consumer): the session-buffer half of the hub's policy. Its methods are core.MultiBuffer's, which is the ODR rule.
 type sessionQueue interface {
 	// PutPriorityStored stores f, returning whether it was stored and the
 	// frames it displaced.
@@ -82,11 +50,11 @@ type sessionQueue interface {
 	Occupancy() int
 }
 
-// pushQueueDepth bounds a push-policy session's queue: frames encoded but
+// pushQueueDepth bounds a push-rule session's queue: frames encoded but
 // not yet sent, standing in for deep socket buffers.
 const pushQueueDepth = 64
 
-// pushQueue is the push policies' session buffer: a bounded FIFO. A put never
+// pushQueue is the push rules' session buffer: a bounded FIFO. A put never
 // displaces a queued frame; on a full queue it is refused. The lane checks for
 // room before it encodes (see encLane.encode), so a one-viewer stream never
 // has an encoded frame refused and its delta chain never breaks.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"net"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -35,7 +36,7 @@ type handRig struct {
 	scr  senderScratch
 }
 
-func newHandRig(t *testing.T, policy PolicyKind) *handRig {
+func newHandRig(t *testing.T, policy core.RenderRule) *handRig {
 	t.Helper()
 	testutil.VerifyNoLeaks(t)
 	reg := obs.NewRegistry()
@@ -52,7 +53,7 @@ func (r *handRig) session(id uint32) *hubSession {
 	conn := &recordConn{}
 	dom := realrt.NewDomainAt(r.h.epoch)
 	s := &hubSession{id: id, hub: r.h, lane: r.ln, conn: conn, dom: dom,
-		pace: core.NewPacer(0), buf: r.h.cfg.Policy.sessionBuf(dom),
+		pace: core.NewPacer(0), buf: r.h.sessionBuf(dom),
 		probe: newSessionProbe(r.h.live, "h"+strconv.FormatUint(uint64(id), 10))}
 	sh := r.ln.shard(id)
 	sh.mu.Lock()
@@ -107,7 +108,7 @@ func (r *handRig) send(s *hubSession) frameMeta {
 // breaks), and its input stamp goes out in the header of the next frame that
 // is encoded, never on an older queued one.
 func TestPushDropCarriesStampsToNextSentFrame(t *testing.T) {
-	r := newHandRig(t, NoRegulation)
+	r := newHandRig(t, core.RuleNoReg)
 	s := r.session(1)
 	stamp := func(local uint64) frame.InputStamp {
 		return frame.InputStamp{ID: packInput(s.id, local), Issued: time.Duration(local) * time.Millisecond}
@@ -163,7 +164,7 @@ func TestPushDropCarriesStampsToNextSentFrame(t *testing.T) {
 // stamp waits out the older frames queued ahead of it and rides the
 // session's next send, which the hub splices because the chain skipped.
 func TestPushFullSessionSkipsToLaterFrame(t *testing.T) {
-	r := newHandRig(t, IntervalRegulation)
+	r := newHandRig(t, core.RuleInterval)
 	full, peer := r.session(1), r.session(2)
 	for seq := uint64(1); seq <= pushQueueDepth; seq++ {
 		r.encode(seq)
@@ -186,5 +187,34 @@ func TestPushFullSessionSkipsToLaterFrame(t *testing.T) {
 	m := r.send(full)
 	if m.seq != skipped+1 || m.parentSeq != pushQueueDepth || m.inputID != uint64(packInput(full.id, 5)) {
 		t.Fatalf("next send %+v, want frame %d spliced onto %d carrying input 5", m, skipped+1, pushQueueDepth)
+	}
+}
+
+// TestNewHubRefusesRulesItDoesNotRun: NewHub panics on RVS, whose vblank
+// feedback the wire does not carry, and on any rule outside core's four,
+// naming the rule, instead of rendering ODR under a label no rule has.
+func TestNewHubRefusesRulesItDoesNotRun(t *testing.T) {
+	testutil.VerifyNoLeaks(t)
+	for rule, want := range map[core.RenderRule]string{
+		core.RuleRVS:        "the hub has no RVS",
+		core.RenderRule(4):  "RenderRule(4)",
+		core.RenderRule(-1): "RenderRule(-1)",
+	} {
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, want) {
+					t.Errorf("NewHub under rule %d panicked with %q, want it to say %q", int(rule), msg, want)
+				}
+			}()
+			NewHub(HubConfig{Width: 16, Height: 8, Policy: rule}).Stop()
+		}()
+		if err := CheckRule(rule); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("CheckRule(%d) = %v, want an error that says %q", int(rule), err, want)
+		}
+	}
+	for _, rule := range []core.RenderRule{core.RuleODR, core.RuleInterval, core.RuleNoReg} {
+		if err := CheckRule(rule); err != nil {
+			t.Errorf("CheckRule(%v) = %v, want nil", rule, err)
+		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"odr/internal/chaos"
+	"odr/internal/core"
 	"odr/internal/testutil"
 )
 
@@ -156,7 +157,7 @@ func TestHubDrainTimeout(t *testing.T) {
 // attached session, each client exits via msgBye, and the hub ends with zero
 // sessions.
 func TestHubDrainByesAllClients(t *testing.T) {
-	for _, policy := range []PolicyKind{ODRRegulation, IntervalRegulation, NoRegulation} {
+	for _, policy := range []core.RenderRule{core.RuleODR, core.RuleInterval, core.RuleNoReg} {
 		t.Run(policy.String(), func(t *testing.T) {
 			testutil.VerifyNoLeaks(t)
 			h := NewHub(HubConfig{Width: 32, Height: 18, Policy: policy, TargetFPS: 240})

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"odr/internal/core"
 	"odr/internal/obs"
 )
 
@@ -24,7 +25,7 @@ func TestRecordSessionStart(t *testing.T) {
 	reg := obs.NewRegistry()
 	odrHub, stopODR := startHub(t, HubConfig{Width: 16, Height: 16, TargetFPS: 10, Metrics: reg})
 	defer stopODR()
-	intHub, stopInt := startHub(t, HubConfig{Width: 16, Height: 16, TargetFPS: 10, Policy: IntervalRegulation, Metrics: reg})
+	intHub, stopInt := startHub(t, HubConfig{Width: 16, Height: 16, TargetFPS: 10, Policy: core.RuleInterval, Metrics: reg})
 	defer stopInt()
 	for _, h := range []*Hub{odrHub, odrHub, intHub} {
 		defer attachDiscarding(h, AttachOptions{})()

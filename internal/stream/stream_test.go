@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"odr/internal/core"
 	"odr/internal/obs"
 	"odr/internal/testutil"
 )
@@ -57,7 +58,7 @@ func waitFrames(t *testing.T, c *Client, n int64, within time.Duration) {
 
 func TestStreamODRDeliversFrames(t *testing.T) {
 	ins, cli, cleanup := startPair(t, HubConfig{
-		Width: 64, Height: 36, Policy: ODRRegulation, TargetFPS: 120,
+		Width: 64, Height: 36, Policy: core.RuleODR, TargetFPS: 120,
 	})
 	defer cleanup()
 	waitFrames(t, cli, 30, 10*time.Second)
@@ -74,7 +75,7 @@ func TestStreamODRDeliversFrames(t *testing.T) {
 
 func TestStreamODRMeetsTargetFPS(t *testing.T) {
 	_, cli, cleanup := startPair(t, HubConfig{
-		Width: 48, Height: 27, Policy: ODRRegulation, TargetFPS: 60,
+		Width: 48, Height: 27, Policy: core.RuleODR, TargetFPS: 60,
 	})
 	defer cleanup()
 	// Collect ~1.5s of frames.
@@ -87,7 +88,7 @@ func TestStreamODRMeetsTargetFPS(t *testing.T) {
 
 func TestStreamNoRegRendersExcessively(t *testing.T) {
 	ins, cli, cleanup := startPair(t, HubConfig{
-		Width: 64, Height: 36, Policy: NoRegulation,
+		Width: 64, Height: 36, Policy: core.RuleNoReg,
 	})
 	defer cleanup()
 	waitFrames(t, cli, 30, 10*time.Second)
@@ -99,7 +100,7 @@ func TestStreamNoRegRendersExcessively(t *testing.T) {
 
 func TestStreamInputLatencyAndPriority(t *testing.T) {
 	ins, cli, cleanup := startPair(t, HubConfig{
-		Width: 48, Height: 27, Policy: ODRRegulation, TargetFPS: 30,
+		Width: 48, Height: 27, Policy: core.RuleODR, TargetFPS: 30,
 	})
 	defer cleanup()
 	waitFrames(t, cli, 5, 10*time.Second)
@@ -129,7 +130,7 @@ func TestStreamInputVisibleInPixels(t *testing.T) {
 	// The frame responding to an input flashes brighter: verify causality
 	// end-to-end through render -> encode -> network -> decode.
 	_, cli, cleanup := startPair(t, HubConfig{
-		Width: 48, Height: 27, Policy: ODRRegulation, TargetFPS: 30,
+		Width: 48, Height: 27, Policy: core.RuleODR, TargetFPS: 30,
 	})
 	defer cleanup()
 	waitFrames(t, cli, 5, 10*time.Second)
@@ -154,7 +155,7 @@ func TestStreamInputVisibleInPixels(t *testing.T) {
 }
 
 func TestStreamOverTCP(t *testing.T) {
-	h, stop := startHub(t, HubConfig{Width: 64, Height: 36, Policy: ODRRegulation, TargetFPS: 60})
+	h, stop := startHub(t, HubConfig{Width: 64, Height: 36, Policy: core.RuleODR, TargetFPS: 60})
 	defer stop()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -203,7 +204,7 @@ func TestStreamOverTCP(t *testing.T) {
 
 func TestStreamIntervalRegulation(t *testing.T) {
 	_, cli, cleanup := startPair(t, HubConfig{
-		Width: 48, Height: 27, Policy: IntervalRegulation, TargetFPS: 50,
+		Width: 48, Height: 27, Policy: core.RuleInterval, TargetFPS: 50,
 	})
 	defer cleanup()
 	waitFrames(t, cli, 60, 15*time.Second)
@@ -216,7 +217,7 @@ func TestStreamIntervalRegulation(t *testing.T) {
 
 func TestStreamOnFrameCallback(t *testing.T) {
 	_, cli, cleanup := startPair(t, HubConfig{
-		Width: 32, Height: 18, Policy: ODRRegulation, TargetFPS: 60,
+		Width: 32, Height: 18, Policy: core.RuleODR, TargetFPS: 60,
 	})
 	defer cleanup()
 	var mu sync.Mutex

@@ -182,8 +182,11 @@ func Simulate(cfg SimConfig) (*SimResult, error) {
 type (
 	// StreamClient decodes a stream and measures client-side QoS.
 	StreamClient = stream.Client
-	// StreamPolicy selects a hub's regulation policy (HubConfig.Policy).
-	StreamPolicy = stream.PolicyKind
+	// StreamPolicy is the render rule a hub regulates by (HubConfig.Policy):
+	// core's RenderRule, whose String names the hub's policy in its metrics.
+	// A hub runs StreamODR, StreamInterval and StreamNoReg; NewHub panics on
+	// any other rule.
+	StreamPolicy = core.RenderRule
 	// ClientReport summarizes client-side measurements.
 	ClientReport = stream.Report
 	// CodecOptions configures the frame codec (quantization, keyframe
@@ -202,9 +205,9 @@ func NewTileCache(maxBytes int64) *TileCache { return codec.NewTileCache(maxByte
 
 // The streaming regulation policies; StreamODR is the zero value.
 const (
-	StreamODR      = stream.ODRRegulation
-	StreamInterval = stream.IntervalRegulation
-	StreamNoReg    = stream.NoRegulation
+	StreamODR      = core.RuleODR
+	StreamInterval = core.RuleInterval
+	StreamNoReg    = core.RuleNoReg
 )
 
 // NewStreamClient wraps conn as a measuring stream client.

@@ -2,7 +2,8 @@
 # The real-time CLIs end to end. For each regulation policy, start
 # `odrserver -once` on a fixed loopback port, play `odrclient` against it for
 # two seconds, and fail unless the client decoded frames and the server exited
-# once its client detached.
+# once its client detached. Then ask for RVS, which a hub does not run, and
+# fail unless odrserver exits non-zero without listening.
 #
 #   bash scripts/serve-smoke.sh            (or: make serve-smoke)
 #
@@ -56,3 +57,13 @@ for policy in odr interval noreg; do
 	srv=
 	echo "serve-smoke: -policy $policy: client decoded $frames frames; server exited after it left"
 done
+
+# A hub has no RVS: odrserver must say so and exit before it listens.
+policy=rvs
+rm -f "$tmp/client.log"
+if timeout 10 "$tmp/odrserver" -once -policy rvs -addr "$addr" 2>"$tmp/server.log"; then
+	fail "odrserver exited 0"
+fi
+grep -q 'listening on' "$tmp/server.log" && fail "odrserver listened"
+grep -q 'the hub has no RVS' "$tmp/server.log" || fail "odrserver did not say the hub has no RVS"
+echo "serve-smoke: -policy rvs: refused before listening"
