@@ -22,7 +22,6 @@ import (
 	"time"
 
 	"odr/internal/experiments"
-	"odr/internal/obs"
 	"odr/internal/pictor"
 	"odr/internal/sched"
 )
@@ -53,7 +52,7 @@ func main() {
 		}
 		cache = c
 	}
-	runner := sched.New(sched.Options{Workers: *parallel, Cache: cache, Metrics: obs.NewRegistry()})
+	runner := sched.New(sched.Options{Workers: *parallel, Cache: cache})
 
 	o := experiments.Options{Duration: *duration, Seed: *seed, Runner: runner}
 	m := experiments.NewMatrix(o)

@@ -26,7 +26,6 @@ import (
 	"time"
 
 	"odr/internal/experiments"
-	"odr/internal/obs"
 	"odr/internal/sched"
 )
 
@@ -38,7 +37,6 @@ func main() {
 	cacheDir := flag.String("cache", "artifacts/cache", "content-addressed result cache directory (empty disables)")
 	flag.Parse()
 
-	reg := obs.NewRegistry()
 	var cache *sched.Cache
 	if *cacheDir != "" {
 		c, err := sched.OpenCache(*cacheDir)
@@ -48,7 +46,7 @@ func main() {
 		}
 		cache = c
 	}
-	runner := sched.New(sched.Options{Workers: *parallel, Cache: cache, Metrics: reg})
+	runner := sched.New(sched.Options{Workers: *parallel, Cache: cache})
 
 	o := experiments.Options{Duration: *duration, Seed: *seed, Out: os.Stdout, Runner: runner}
 	m := experiments.NewMatrix(o)

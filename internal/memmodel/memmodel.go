@@ -21,49 +21,35 @@ import (
 	"time"
 )
 
-// Config holds the model's hardware-ish constants. Zero fields take the
-// defaults in DefaultConfig (Skylake-X-era DDR4, matching the i7-7820x
-// testbed).
-type Config struct {
-	// IPCPeak is the benchmark's uncontended instructions-per-cycle.
-	IPCPeak float64
-	// HitTime is the DRAM read time when the row buffer hits.
-	HitTimeNs float64
-	// MissPenalty is the added read time on a row-buffer miss (precharge +
-	// activate), before queueing.
-	MissPenaltyNs float64
-	// BaseMissRate is the row-buffer miss rate with a single active stream.
-	BaseMissRate float64
-	// MaxMissRate bounds the miss rate under full contention.
-	MaxMissRate float64
-	// SaturationGBs is the activity level (GB/s of frame traffic) at which
+// The calibrated constants (Skylake-X-era DDR4, matching the i7-7820x
+// testbed). They are typed so that every expression over them rounds as
+// float64 arithmetic does.
+const (
+	// defaultIPCPeak is the uncontended instructions-per-cycle New uses
+	// when given 0.
+	defaultIPCPeak = 0.80
+	// hitTimeNs is the DRAM read time when the row buffer hits.
+	hitTimeNs float64 = 22
+	// missPenaltyNs is the added read time on a row-buffer miss (precharge
+	// + activate), before queueing.
+	missPenaltyNs float64 = 42
+	// baseMissRate is the row-buffer miss rate with a single active stream.
+	baseMissRate float64 = 0.45
+	// maxMissRate bounds the miss rate under full contention.
+	maxMissRate float64 = 0.93
+	// saturationGBs is the activity level (GB/s of frame traffic) at which
 	// contention saturates.
-	SaturationGBs float64
-	// MemSensitivity scales how strongly read latency depresses IPC.
-	MemSensitivity float64
-	// SlowdownRefNs is the read latency at which the CPU slowdown factor
+	saturationGBs float64 = 2.2
+	// memSensitivity scales how strongly read latency depresses IPC.
+	memSensitivity float64 = 0.55
+	// slowdownRefNs is the read latency at which the CPU slowdown factor
 	// is 1.0 (the workload medians are calibrated at regulated-pipeline
 	// contention, so the reference sits at that operating point).
-	SlowdownRefNs float64
-	// SlowdownGain scales how strongly reads beyond the reference slow
-	// the CPU-side pipeline steps.
-	SlowdownGain float64
-}
-
-// DefaultConfig returns the calibrated constants.
-func DefaultConfig() Config {
-	return Config{
-		IPCPeak:        0.80,
-		HitTimeNs:      22,
-		MissPenaltyNs:  42,
-		BaseMissRate:   0.45,
-		MaxMissRate:    0.93,
-		SaturationGBs:  2.2,
-		MemSensitivity: 0.55,
-		SlowdownRefNs:  53,
-		SlowdownGain:   0.40,
-	}
-}
+	slowdownRefNs float64 = 53
+	// slowdownGain scales how strongly reads beyond the reference slow the
+	// CPU-side pipeline steps.
+	slowdownGain float64 = 0.40
+)
 
 // Activity summarizes one observation window of pipeline behaviour.
 type Activity struct {
@@ -97,43 +83,19 @@ type Snapshot struct {
 // weighted view so single windows do not cause discontinuities, mirroring
 // how real row-buffer locality reacts over tens of milliseconds.
 type Model struct {
-	cfg    Config
-	ewma   float64 // smoothed traffic GB/s
-	inited bool
-	last   Snapshot
+	ipcPeak float64 // the benchmark's uncontended instructions-per-cycle
+	ewma    float64 // smoothed traffic GB/s
+	inited  bool
+	last    Snapshot
 }
 
-// New returns a model with cfg (zero-valued fields replaced by defaults).
-func New(cfg Config) *Model {
-	def := DefaultConfig()
-	if cfg.IPCPeak == 0 {
-		cfg.IPCPeak = def.IPCPeak
+// New returns a model for a benchmark whose uncontended IPC is ipcPeak
+// (0 means 0.80).
+func New(ipcPeak float64) *Model {
+	if ipcPeak == 0 {
+		ipcPeak = defaultIPCPeak
 	}
-	if cfg.HitTimeNs == 0 {
-		cfg.HitTimeNs = def.HitTimeNs
-	}
-	if cfg.MissPenaltyNs == 0 {
-		cfg.MissPenaltyNs = def.MissPenaltyNs
-	}
-	if cfg.BaseMissRate == 0 {
-		cfg.BaseMissRate = def.BaseMissRate
-	}
-	if cfg.MaxMissRate == 0 {
-		cfg.MaxMissRate = def.MaxMissRate
-	}
-	if cfg.SaturationGBs == 0 {
-		cfg.SaturationGBs = def.SaturationGBs
-	}
-	if cfg.MemSensitivity == 0 {
-		cfg.MemSensitivity = def.MemSensitivity
-	}
-	if cfg.SlowdownRefNs == 0 {
-		cfg.SlowdownRefNs = def.SlowdownRefNs
-	}
-	if cfg.SlowdownGain == 0 {
-		cfg.SlowdownGain = def.SlowdownGain
-	}
-	m := &Model{cfg: cfg}
+	m := &Model{ipcPeak: ipcPeak}
 	m.last = m.compute(0)
 	return m
 }
@@ -155,24 +117,23 @@ func (m *Model) Update(a Activity) Snapshot {
 func (m *Model) Current() Snapshot { return m.last }
 
 func (m *Model) compute(trafficGBs float64) Snapshot {
-	c := m.cfg
 	// Contention index in [0, 1): probability-like measure of overlapping
 	// streams, saturating with traffic.
-	idx := 1 - math.Exp(-trafficGBs/c.SaturationGBs)
-	miss := c.BaseMissRate + (c.MaxMissRate-c.BaseMissRate)*idx
+	idx := 1 - math.Exp(-trafficGBs/saturationGBs)
+	miss := baseMissRate + (maxMissRate-baseMissRate)*idx
 	// Read time: hit/miss mix plus a queueing term that grows sharply with
 	// contention (bank conflicts queue behind one another).
 	queueNs := 70 * idx * idx * idx
-	readNs := c.HitTimeNs + miss*c.MissPenaltyNs + queueNs
+	readNs := hitTimeNs + miss*missPenaltyNs + queueNs
 	// IPC: a simple memory-stall CPI model anchored at ~50 ns reads.
 	const ipcRefNs = 50.0
-	ipc := c.IPCPeak / (1 + c.MemSensitivity*math.Max(0, readNs-ipcRefNs)/ipcRefNs)
-	if ipc > c.IPCPeak {
-		ipc = c.IPCPeak
+	ipc := m.ipcPeak / (1 + memSensitivity*math.Max(0, readNs-ipcRefNs)/ipcRefNs)
+	if ipc > m.ipcPeak {
+		ipc = m.ipcPeak
 	}
 	// CPU-side pipeline slowdown, referenced to the regulated operating
 	// point (service-time medians are calibrated there).
-	cpuFactor := 1 + c.SlowdownGain*math.Max(0, readNs-c.SlowdownRefNs)/c.SlowdownRefNs
+	cpuFactor := 1 + slowdownGain*math.Max(0, readNs-slowdownRefNs)/slowdownRefNs
 	// GPU work has its own memory but shares the PCIe/host path for copies;
 	// it feels a fraction of the contention.
 	gpuFactor := 1 + 0.15*(cpuFactor-1)

@@ -15,8 +15,8 @@ func act(renderFPS, encodeFPS float64) Activity {
 }
 
 func TestMonotoneInActivity(t *testing.T) {
-	low := New(Config{})
-	high := New(Config{})
+	low := New(0)
+	high := New(0)
 	var sLow, sHigh Snapshot
 	for i := 0; i < 50; i++ { // let the EWMA settle
 		sLow = low.Update(act(60, 60))
@@ -39,7 +39,7 @@ func TestMonotoneInActivity(t *testing.T) {
 func TestCalibrationAnchors(t *testing.T) {
 	// The paper's InMind anchors (§4.3): unregulated ~190/93 FPS gives
 	// ~75% miss rate and ~68ns reads; regulated 60 FPS drops both.
-	m := New(Config{IPCPeak: 0.62})
+	m := New(0.62)
 	var noreg Snapshot
 	for i := 0; i < 60; i++ {
 		noreg = m.Update(act(190, 93))
@@ -52,7 +52,7 @@ func TestCalibrationAnchors(t *testing.T) {
 		t.Fatalf("NoReg read time = %.1fns, want ~70", readNs)
 	}
 
-	m2 := New(Config{IPCPeak: 0.62})
+	m2 := New(0.62)
 	var reg Snapshot
 	for i := 0; i < 60; i++ {
 		reg = m2.Update(act(62, 60))
@@ -67,7 +67,7 @@ func TestCalibrationAnchors(t *testing.T) {
 }
 
 func TestCPUFactorReferencedAtRegulatedPoint(t *testing.T) {
-	m := New(Config{})
+	m := New(0)
 	var s Snapshot
 	for i := 0; i < 60; i++ {
 		s = m.Update(act(62, 60))
@@ -78,7 +78,7 @@ func TestCPUFactorReferencedAtRegulatedPoint(t *testing.T) {
 }
 
 func TestGPUFactorDampedVsCPU(t *testing.T) {
-	m := New(Config{})
+	m := New(0)
 	var s Snapshot
 	for i := 0; i < 60; i++ {
 		s = m.Update(act(200, 95))
@@ -92,7 +92,7 @@ func TestGPUFactorDampedVsCPU(t *testing.T) {
 }
 
 func TestEWMASmoothsSpikes(t *testing.T) {
-	m := New(Config{})
+	m := New(0)
 	for i := 0; i < 50; i++ {
 		m.Update(act(60, 60))
 	}
@@ -111,7 +111,7 @@ func TestEWMASmoothsSpikes(t *testing.T) {
 }
 
 func TestZeroActivity(t *testing.T) {
-	m := New(Config{})
+	m := New(0)
 	s := m.Update(Activity{})
 	if s.MissRate <= 0 || s.MissRate > 0.6 {
 		t.Fatalf("idle miss rate = %.2f, want base level", s.MissRate)
@@ -125,14 +125,11 @@ func TestZeroActivity(t *testing.T) {
 }
 
 func TestDefaultsApplied(t *testing.T) {
-	m := New(Config{})
-	def := DefaultConfig()
-	if m.cfg.IPCPeak != def.IPCPeak || m.cfg.SaturationGBs != def.SaturationGBs {
-		t.Fatalf("defaults not applied: %+v", m.cfg)
+	if m := New(0); m.ipcPeak != defaultIPCPeak {
+		t.Fatalf("New(0) IPC peak = %v, want %v", m.ipcPeak, defaultIPCPeak)
 	}
-	m2 := New(Config{IPCPeak: 0.9})
-	if m2.cfg.IPCPeak != 0.9 {
-		t.Fatal("explicit IPCPeak overridden")
+	if m := New(0.9); m.ipcPeak != 0.9 {
+		t.Fatalf("explicit IPC peak overridden: %v", m.ipcPeak)
 	}
 }
 
@@ -149,13 +146,13 @@ func TestTrafficModel(t *testing.T) {
 // Property: outputs stay within physical bounds for arbitrary activity.
 func TestSnapshotBoundsProperty(t *testing.T) {
 	f := func(r, e uint16) bool {
-		m := New(Config{})
+		m := New(0)
 		var s Snapshot
 		for i := 0; i < 20; i++ {
 			s = m.Update(act(float64(r%1000), float64(e%500)))
 		}
 		return s.MissRate >= 0 && s.MissRate <= 1 &&
-			s.IPC > 0 && s.IPC <= m.cfg.IPCPeak+1e-9 &&
+			s.IPC > 0 && s.IPC <= m.ipcPeak+1e-9 &&
 			s.CPUFactor >= 1 && s.GPUFactor >= 1 &&
 			s.ReadTime > 0
 	}

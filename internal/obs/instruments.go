@@ -14,16 +14,11 @@ const (
 	NameSessionsEvicted = "odr_sessions_evicted_total"
 
 	NameRenderUs     = "odr_render_us"
-	NameCopyUs       = "odr_copy_us"
 	NameEncodeUs     = "odr_encode_us"
 	NameTileEncodeUs = "odr_tile_encode_us"
 	NameTxUs         = "odr_tx_us"
-	NameDecodeUs     = "odr_decode_us"
 	NameMtPUs        = "odr_mtp_us"
 
-	NameRenderFPS  = "odr_render_fps"
-	NameClientFPS  = "odr_client_fps"
-	NameFPSGap     = "odr_fps_gap"
 	NameDirtyRatio = "odr_dirty_tile_ratio"
 )
 
@@ -39,23 +34,18 @@ var frameHelp = map[string]string{
 	NameTilesDirty:      "Tiles that carried an encoded payload.",
 	NameSessionsEvicted: "Sessions cut for blowing a read or write deadline.",
 	NameRenderUs:        "Render step service time, microseconds.",
-	NameCopyUs:          "Framebuffer copy service time, microseconds.",
 	NameEncodeUs:        "Encode step service time, microseconds.",
 	NameTileEncodeUs:    "Per-tile slice of the encode step, microseconds.",
 	NameTxUs:            "Network transmit service time, microseconds.",
-	NameDecodeUs:        "Client decode service time, microseconds.",
 	NameMtPUs:           "Motion-to-photon latency, microseconds.",
-	NameRenderFPS:       "Render rate over the last monitoring window.",
-	NameClientFPS:       "Client display rate over the last monitoring window.",
-	NameFPSGap:          "Render FPS minus client FPS (excessive rendering).",
 	NameDirtyRatio:      "Dirty/total tile ratio of the last encoded frame.",
 }
 
-// FrameInstruments bundles the registry instruments the frame pipeline
-// records, under one shared naming vocabulary, so the simulator and the
-// real-time stream stack export identical /debug/odr snapshots. All
-// fields are nil when built from a nil registry, which makes every record
-// a no-op.
+// FrameInstruments bundles the registry instruments a stream hub records
+// for its frame path, under one naming vocabulary; the hub writes every
+// one of them. (The simulator keeps its books in pipeline.Result and
+// shares only the tracer.) All fields are nil when built from a nil
+// registry, which makes every record a no-op.
 type FrameInstruments struct {
 	// Counters (events since start).
 	Rendered  *Counter // odr_frames_rendered_total
@@ -71,17 +61,12 @@ type FrameInstruments struct {
 
 	// Histograms of per-step service time, in microseconds.
 	Render     *Histogram // odr_render_us
-	Copy       *Histogram // odr_copy_us
 	Encode     *Histogram // odr_encode_us
 	TileEncode *Histogram // odr_tile_encode_us (per-tile slice of odr_encode_us)
 	Tx         *Histogram // odr_tx_us
-	Decode     *Histogram // odr_decode_us
 	MtP        *Histogram // odr_mtp_us (motion-to-photon)
 
-	// Gauges refreshed per monitoring window.
-	RenderFPS  *Gauge // odr_render_fps
-	ClientFPS  *Gauge // odr_client_fps
-	FPSGap     *Gauge // odr_fps_gap
+	// Gauge refreshed per encoded frame.
 	DirtyRatio *Gauge // odr_dirty_tile_ratio
 }
 
@@ -99,15 +84,10 @@ func NewFrameInstruments(r *Registry) FrameInstruments {
 		TilesCoded: r.Counter(NameTilesCoded),
 		TilesDirty: r.Counter(NameTilesDirty),
 		Render:     r.Histogram(NameRenderUs),
-		Copy:       r.Histogram(NameCopyUs),
 		Encode:     r.Histogram(NameEncodeUs),
 		TileEncode: r.Histogram(NameTileEncodeUs),
 		Tx:         r.Histogram(NameTxUs),
-		Decode:     r.Histogram(NameDecodeUs),
 		MtP:        r.Histogram(NameMtPUs),
-		RenderFPS:  r.Gauge(NameRenderFPS),
-		ClientFPS:  r.Gauge(NameClientFPS),
-		FPSGap:     r.Gauge(NameFPSGap),
 		DirtyRatio: r.Gauge(NameDirtyRatio),
 	}
 	for name, help := range frameHelp {

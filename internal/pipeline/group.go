@@ -23,9 +23,6 @@ type GroupConfig struct {
 	// CPUCores is the number of cores available to the copy/encode/logic
 	// work of all sessions together.
 	CPUCores float64
-	// MemConfig/PowerConfig configure the shared server models.
-	MemConfig   memmodel.Config
-	PowerConfig powermodel.Config
 }
 
 // GroupResult carries the per-session results plus server-level accounting.
@@ -59,11 +56,8 @@ func RunGroup(gc GroupConfig) *GroupResult {
 		states[i] = build(cfg, env)
 		states[i].spawnStages()
 	}
-	if gc.MemConfig.IPCPeak == 0 {
-		gc.MemConfig.IPCPeak = gc.Sessions[0].Workload.CPUIPC
-	}
-	mem := memmodel.New(gc.MemConfig)
-	power := powermodel.New(gc.PowerConfig)
+	mem := memmodel.New(gc.Sessions[0].Workload.CPUIPC)
+	power := powermodel.New(powermodel.Config{})
 
 	var gpuLoadSum, cpuLoadSum float64
 	loadSamples := 0
@@ -81,15 +75,12 @@ func RunGroup(gc GroupConfig) *GroupResult {
 		tick := 0
 		for {
 			p.Sleep(win)
-			warm := false
 			for _, st := range states {
-				if !st.collecting && p.Now() >= st.cfg.Warmup {
+				if !st.collecting && p.Now() >= warmup {
 					st.collecting = true
 					st.startBytes = st.link.SentBytes()
-					warm = true
 				}
 			}
-			_ = warm
 			// Aggregate activity and load across sessions, plus the
 			// demand-weighted GPU power intensity for mixed-benchmark
 			// groups. Busy time (which
@@ -108,9 +99,7 @@ func RunGroup(gc GroupConfig) *GroupResult {
 				act.RenderFPS += float64(rD) / win.Seconds()
 				act.CopyFPS += float64(eD) / win.Seconds()
 				act.EncodeFPS += float64(eD) / win.Seconds()
-				if st.cfg.RawFrameBytes > act.RawFrameBytes {
-					act.RawFrameBytes = st.cfg.RawFrameBytes
-				}
+				act.RawFrameBytes = max(act.RawFrameBytes, st.cfg.rawFrameBytes())
 				gB := st.gpuBusy - last[i].gpuBusy
 				cB := st.cpuBusy - last[i].cpuBusy
 				last[i].gpuBusy, last[i].cpuBusy = st.gpuBusy, st.cpuBusy
@@ -183,7 +172,7 @@ func RunGroup(gc GroupConfig) *GroupResult {
 		}
 	})
 
-	total := states[0].cfg.Warmup + states[0].cfg.Duration
+	total := warmup + states[0].cfg.Duration
 	env.Run(total)
 	for _, st := range states {
 		st.policy.Close()

@@ -105,43 +105,6 @@ func TestTimelinePacerSpans(t *testing.T) {
 	}
 }
 
-// TestPipelineMetricsRegistry checks the live registry agrees with the
-// exact post-run result on the event counters.
-func TestPipelineMetricsRegistry(t *testing.T) {
-	reg := obs.NewRegistry()
-	b := pictor.IM
-	r := pipeline.Run(pipeline.Config{
-		Workload: b.Params(),
-		Scale:    pictor.Scale(pictor.PrivateCloud, pictor.R720p),
-		Net:      pictor.Network(pictor.PrivateCloud),
-		Policy:   odrFactory(0),
-		Duration: 5 * time.Second,
-		Seed:     1,
-		Metrics:  reg,
-	})
-	if got := reg.Counter(obs.NameFramesRendered).Value(); got != r.FramesRendered {
-		t.Errorf("frames_rendered counter = %d, result = %d", got, r.FramesRendered)
-	}
-	if got := reg.Counter(obs.NameFramesDisplayed).Value(); got != r.FramesDisplayed {
-		t.Errorf("frames_displayed counter = %d, result = %d", got, r.FramesDisplayed)
-	}
-	if got := reg.Counter(obs.NameFramesDropped).Value(); got != r.FramesDropped {
-		t.Errorf("frames_dropped counter = %d, result = %d", got, r.FramesDropped)
-	}
-	if got := reg.Counter(obs.NameFramesPriority).Value(); got != r.PriorityFrames {
-		t.Errorf("priority_frames counter = %d, result = %d", got, r.PriorityFrames)
-	}
-	if reg.Histogram(obs.NameRenderUs).Count() == 0 {
-		t.Error("render_us histogram empty")
-	}
-	if reg.Histogram(obs.NameMtPUs).Count() == 0 {
-		t.Error("mtp_us histogram empty")
-	}
-	if reg.Gauge(obs.NameClientFPS).Value() <= 0 {
-		t.Error("client_fps gauge never set")
-	}
-}
-
 // TestTracingDoesNotChangeResults guards the zero-interference property:
 // an attached tracer must not alter the simulation outcome.
 func TestTracingDoesNotChangeResults(t *testing.T) {

@@ -33,7 +33,9 @@ import (
 // the simulation context.
 type PolicyFactory func(*regulator.Ctx) regulator.Policy
 
-// Config describes one simulated run.
+// Config describes one simulated run. The DRAM model takes its IPC peak
+// from Workload.CPUIPC and the power model its defaults; the run's numbers
+// are its Result, and Trace is the one live instrument it writes.
 type Config struct {
 	// Label tags the run in results: a paper configuration's
 	// core.Policy.String, or a variant's own name.
@@ -50,22 +52,11 @@ type Config struct {
 	Net netsim.Params
 	// Policy builds the regulation policy.
 	Policy PolicyFactory
-	// Duration is the measured run length; Warmup is simulated first and
-	// excluded from all statistics.
+	// Duration is the measured run length (default 60 s); the warmup
+	// before it is excluded from all statistics.
 	Duration time.Duration
-	Warmup   time.Duration
 	// Seed makes the run reproducible.
 	Seed int64
-	// RawFrameBytes is the uncompressed frame size (pixels × 4); it drives
-	// the DRAM traffic model. Zero defaults to 720p (1280×720×4).
-	RawFrameBytes int
-	// RefreshHz is the client display refresh rate used for tearing
-	// accounting (default 60).
-	RefreshHz float64
-	// MemConfig and PowerConfig override model constants (zero = defaults,
-	// with IPCPeak taken from the workload's CPUIPC).
-	MemConfig   memmodel.Config
-	PowerConfig powermodel.Config
 	// DisableContention freezes the DRAM model at its uncontended point
 	// (ablation: isolates the §6.3 FPS gain that comes from the
 	// contention feedback).
@@ -86,31 +77,19 @@ type Config struct {
 	// pace). Export with Trace.WriteChromeTrace for a Fig. 5-style
 	// Perfetto timeline. Nil disables tracing at nil-check cost.
 	Trace *obs.Tracer
-	// Metrics, when non-nil, receives live O(1) telemetry (the
-	// obs.FrameInstruments vocabulary) alongside the exact post-run
-	// statistics in Result. Nil disables it at nil-check cost.
-	Metrics *obs.Registry
 }
 
-func (c *Config) applyDefaults() {
-	if c.Duration == 0 {
-		c.Duration = 60 * time.Second
+// warmup is simulated before every run's measured Duration and excluded
+// from all statistics.
+const warmup = 2 * time.Second
+
+// rawFrameBytes is the uncompressed frame size (pixels × 4) that drives
+// the DRAM traffic model: 720p scaled by Scale.Pixels, 720p when unscaled.
+func (c *Config) rawFrameBytes() int {
+	if b := int(1280 * 720 * 4 * c.Scale.Pixels); b != 0 {
+		return b
 	}
-	if c.Warmup == 0 {
-		c.Warmup = 2 * time.Second
-	}
-	if c.RawFrameBytes == 0 {
-		c.RawFrameBytes = int(1280 * 720 * 4 * c.Scale.Pixels)
-		if c.RawFrameBytes == 0 {
-			c.RawFrameBytes = 1280 * 720 * 4
-		}
-	}
-	if c.RefreshHz == 0 {
-		c.RefreshHz = 60
-	}
-	if c.MemConfig.IPCPeak == 0 {
-		c.MemConfig.IPCPeak = c.Workload.CPUIPC
-	}
+	return 1280 * 720 * 4
 }
 
 // Result carries everything the experiments need from one run.
@@ -241,9 +220,7 @@ type pipelineState struct {
 
 	startBytes int64 // link bytes at collection start
 
-	// Observability (nil-safe: disabled tracer/registry cost a nil check).
-	tr  *obs.Tracer
-	ins obs.FrameInstruments
+	tr *obs.Tracer // nil-safe: a disabled tracer costs a nil check
 }
 
 // sourceFor picks the configured Source or builds the stochastic sampler.
@@ -256,7 +233,9 @@ func sourceFor(cfg Config) workload.Source {
 
 // build constructs a pipeline state inside env without spawning processes.
 func build(cfg Config, env *sim.Env) *pipelineState {
-	cfg.applyDefaults()
+	if cfg.Duration == 0 {
+		cfg.Duration = 60 * time.Second
+	}
 	dom := simrt.NewDomain(env)
 	st := &pipelineState{
 		cfg:           cfg,
@@ -265,8 +244,8 @@ func build(cfg Config, env *sim.Env) *pipelineState {
 		sampler:       sourceFor(cfg),
 		link:          netsim.NewLink(cfg.Net, cfg.Seed+1),
 		inputs:        core.NewInputBox(dom),
-		mem:           memmodel.New(cfg.MemConfig),
-		power:         powermodel.New(cfg.PowerConfig),
+		mem:           memmodel.New(cfg.Workload.CPUIPC),
+		power:         powermodel.New(powermodel.Config{}),
 		deliver:       sim.NewQueue[*frame.Frame](env, 0),
 		renderCounter: metrics.NewRateCounter(200 * time.Millisecond),
 		encodeCounter: metrics.NewRateCounter(200 * time.Millisecond),
@@ -274,7 +253,6 @@ func build(cfg Config, env *sim.Env) *pipelineState {
 		extGPU:        1,
 		extCPU:        1,
 		tr:            cfg.Trace,
-		ins:           obs.NewFrameInstruments(cfg.Metrics),
 	}
 	st.memSnap = st.mem.Current()
 
@@ -317,7 +295,7 @@ func Run(cfg Config) *Result {
 	st.spawnStages()
 	env.Spawn("monitor", st.monitorProc)
 
-	total := st.cfg.Warmup + st.cfg.Duration
+	total := warmup + st.cfg.Duration
 	env.Run(total)
 	st.policy.Close()
 	env.Shutdown()
@@ -328,7 +306,6 @@ func Run(cfg Config) *Result {
 // onDrop records a dropped frame and carries its inputs forward.
 func (st *pipelineState) onDrop(f *frame.Frame) {
 	st.dropped++
-	st.ins.Dropped.Inc()
 	st.tr.Instant(obs.TrackRender, "mulbuf-drop", f.Seq, st.dom.Now())
 	if len(f.Inputs) > 0 {
 		st.carried = append(st.carried, f.Inputs...)

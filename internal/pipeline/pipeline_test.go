@@ -16,7 +16,6 @@ func stdConfig(b pictor.Benchmark, plat pictor.Platform, res pictor.Resolution, 
 		Net:      pictor.Network(plat),
 		Policy:   pol,
 		Duration: 30 * time.Second,
-		Warmup:   2 * time.Second,
 		Seed:     seed,
 	}
 }

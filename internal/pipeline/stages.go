@@ -57,10 +57,7 @@ func (st *pipelineState) rendererProc(p *sim.Proc) {
 		st.tr.Span(obs.TrackRender, "render", f.Seq, f.RenderStart, f.RenderEnd)
 		if f.Priority {
 			st.tr.Instant(obs.TrackRender, "priority-frame", f.Seq, f.RenderStart)
-			st.ins.Priority.Inc()
 		}
-		st.ins.Rendered.Inc()
-		st.ins.Render.ObserveDuration(rt)
 		if st.collecting {
 			st.renderCounter.Tick(p.Now())
 			st.renderTimes.Add(msf(rt))
@@ -93,9 +90,6 @@ func (st *pipelineState) proxyProc(p *sim.Proc) {
 		st.encoded++
 		st.tr.Span(obs.TrackProxy, "copy", f.Seq, start, f.CopyEnd)
 		st.tr.Span(obs.TrackProxy, "encode", f.Seq, f.EncodeStart, f.EncodeEnd)
-		st.ins.Encoded.Inc()
-		st.ins.Copy.ObserveDuration(ct)
-		st.ins.Encode.ObserveDuration(et)
 		if st.collecting {
 			st.encodeCounter.Tick(p.Now())
 			st.encodeTimes.Add(msf(et))
@@ -120,7 +114,6 @@ func (st *pipelineState) networkProc(p *sim.Proc) {
 		st.policy.DoneSend(f)
 		prop := st.link.PropDelay()
 		st.tr.Span(obs.TrackNetwork, "tx", f.Seq, txStart, f.SendEnd)
-		st.ins.Tx.ObserveDuration(tx + prop)
 		if st.collecting {
 			st.transTimes.Add(msf(tx + prop))
 		}
@@ -138,7 +131,6 @@ func (st *pipelineState) clientProc(p *sim.Proc) {
 		p.Sleep(f.CostDecode)
 		f.DecodeEnd = p.Now()
 		st.tr.Span(obs.TrackClient, "decode", f.Seq, arrive, f.DecodeEnd)
-		st.ins.Decode.ObserveDuration(f.DecodeEnd - arrive)
 		display, shown := st.policy.DisplayTime(f, f.DecodeEnd)
 		if !shown {
 			continue
@@ -156,10 +148,6 @@ func (st *pipelineState) clientProc(p *sim.Proc) {
 		f.DecodeEnd = display
 		st.displayed++
 		st.tr.Instant(obs.TrackClient, "display", f.Seq, display)
-		st.ins.Displayed.Inc()
-		for _, s := range f.Inputs {
-			st.ins.MtP.ObserveDuration(display - s.Issued)
-		}
 		if st.collecting {
 			st.clientCounter.Tick(display)
 			if f.Extra {
@@ -189,7 +177,6 @@ func (st *pipelineState) inputProc(p *sim.Proc) {
 		st.env.After(st.link.PropDelay(), func() {
 			st.inputs.OnInput(id, issued)
 			st.tr.Instant(obs.TrackInput, "input", uint64(id), st.dom.Now())
-			st.ins.Inputs.Inc()
 		})
 	}
 }
@@ -206,7 +193,7 @@ func (st *pipelineState) monitorProc(p *sim.Proc) {
 	tick := 0
 	for {
 		p.Sleep(win)
-		if !st.collecting && p.Now() >= st.cfg.Warmup {
+		if !st.collecting && p.Now() >= warmup {
 			st.collecting = true
 			st.startBytes = st.link.SentBytes()
 		}
@@ -217,7 +204,7 @@ func (st *pipelineState) monitorProc(p *sim.Proc) {
 			RenderFPS:     float64(rD) / win.Seconds(),
 			CopyFPS:       float64(eD) / win.Seconds(),
 			EncodeFPS:     float64(eD) / win.Seconds(),
-			RawFrameBytes: st.cfg.RawFrameBytes,
+			RawFrameBytes: st.cfg.rawFrameBytes(),
 		}
 		if !st.cfg.DisableContention {
 			st.memSnap = st.mem.Update(act)
@@ -243,9 +230,6 @@ func (st *pipelineState) monitorProc(p *sim.Proc) {
 			clientFPS := float64(st.displayed-gapDisplayed) / span
 			gapRendered, gapDisplayed = st.rendered, st.displayed
 			st.policy.OnWindow(renderFPS, clientFPS)
-			st.ins.RenderFPS.Set(renderFPS)
-			st.ins.ClientFPS.Set(clientFPS)
-			st.ins.FPSGap.Set(renderFPS - clientFPS)
 			if st.collecting {
 				st.gap.AddWindow(renderFPS, clientFPS)
 			}

@@ -8,10 +8,8 @@ import (
 	"path/filepath"
 	"time"
 
-	"odr/internal/memmodel"
 	"odr/internal/netsim"
 	"odr/internal/pipeline"
-	"odr/internal/powermodel"
 	"odr/internal/workload"
 )
 
@@ -22,8 +20,10 @@ import (
 // unchanged PolicyKey, so no cell replays numbers the old algorithm computed
 // (2: ODR renders through core.RenderClock and Result gains ExtraFPS; 3:
 // Interval does too, on a grid anchored at time zero; 4: PolicyKey becomes
-// the cell's label, see Cell).
-const cacheSchema = 4
+// the cell's label, see Cell; 5: pipeline.Config drops Warmup,
+// RawFrameBytes, RefreshHz, MemConfig and PowerConfig, so the key material
+// loses them).
+const cacheSchema = 5
 
 // Cache is a content-addressed store of pipeline results under one
 // directory: each entry is <sha256 of the canonical cell>.json. Entries are
@@ -111,32 +111,27 @@ func (c *Cache) Put(key string, r *pipeline.Result) error {
 // encoding/json emits float64s with the minimal digits that round-trip
 // exactly, so equal cells hash equally across processes.
 type keyMaterial struct {
-	Schema            int               `json:"schema"`
-	PolicyKey         string            `json:"policy"`
-	Label             string            `json:"label"`
-	Workload          workload.Params   `json:"workload"`
-	Scale             workload.Scale    `json:"scale"`
-	Net               netsim.Params     `json:"net"`
-	Duration          time.Duration     `json:"duration"`
-	Warmup            time.Duration     `json:"warmup"`
-	Seed              int64             `json:"seed"`
-	RawFrameBytes     int               `json:"raw_frame_bytes"`
-	RefreshHz         float64           `json:"refresh_hz"`
-	MemConfig         memmodel.Config   `json:"mem"`
-	PowerConfig       powermodel.Config `json:"power"`
-	DisableContention bool              `json:"disable_contention"`
-	CollectFrames     int               `json:"collect_frames"`
-	VRRMinHz          float64           `json:"vrr_min_hz"`
-	VRRMaxHz          float64           `json:"vrr_max_hz"`
+	Schema            int             `json:"schema"`
+	PolicyKey         string          `json:"policy"`
+	Label             string          `json:"label"`
+	Workload          workload.Params `json:"workload"`
+	Scale             workload.Scale  `json:"scale"`
+	Net               netsim.Params   `json:"net"`
+	Duration          time.Duration   `json:"duration"`
+	Seed              int64           `json:"seed"`
+	DisableContention bool            `json:"disable_contention"`
+	CollectFrames     int             `json:"collect_frames"`
+	VRRMinHz          float64         `json:"vrr_min_hz"`
+	VRRMaxHz          float64         `json:"vrr_max_hz"`
 }
 
 // CellKey derives the content hash for a cell. ok is false when the cell
 // is not cacheable: no PolicyKey, or a Config carrying live objects — a
-// Source replaces the stochastic sampler with caller state, and Trace /
-// Metrics expect side effects that a cache hit would silently skip.
+// Source replaces the stochastic sampler with caller state, and a Trace
+// expects side effects that a cache hit would silently skip.
 func CellKey(c Cell) (key string, ok bool) {
 	cfg := c.Config
-	if c.PolicyKey == "" || cfg.Source != nil || cfg.Trace != nil || cfg.Metrics != nil {
+	if c.PolicyKey == "" || cfg.Source != nil || cfg.Trace != nil {
 		return "", false
 	}
 	b, err := json.Marshal(keyMaterial{
@@ -147,12 +142,7 @@ func CellKey(c Cell) (key string, ok bool) {
 		Scale:             cfg.Scale,
 		Net:               cfg.Net,
 		Duration:          cfg.Duration,
-		Warmup:            cfg.Warmup,
 		Seed:              cfg.Seed,
-		RawFrameBytes:     cfg.RawFrameBytes,
-		RefreshHz:         cfg.RefreshHz,
-		MemConfig:         cfg.MemConfig,
-		PowerConfig:       cfg.PowerConfig,
 		DisableContention: cfg.DisableContention,
 		CollectFrames:     cfg.CollectFrames,
 		VRRMinHz:          cfg.VRRMinHz,

@@ -14,8 +14,8 @@ package sched
 
 import (
 	"runtime"
+	"sync/atomic"
 
-	"odr/internal/obs"
 	"odr/internal/pipeline"
 	"odr/internal/wpool"
 )
@@ -28,10 +28,6 @@ type Options struct {
 	// Cache, when non-nil, serves cacheable cells from disk and persists
 	// fresh results (see Cache and CellKey).
 	Cache *Cache
-	// Metrics, when non-nil, receives the odr_sched_cells_run_total,
-	// odr_sched_cache_hits_total, odr_sched_cache_misses_total and
-	// odr_sched_cache_stores_total counters.
-	Metrics *obs.Registry
 }
 
 // Runner executes batches of cells. It is safe for concurrent use.
@@ -39,10 +35,7 @@ type Runner struct {
 	workers int
 	cache   *Cache
 
-	cellsRun *obs.Counter // odr_sched_cells_run_total
-	hits     *obs.Counter // odr_sched_cache_hits_total
-	misses   *obs.Counter // odr_sched_cache_misses_total
-	stores   *obs.Counter // odr_sched_cache_stores_total
+	cellsRun, hits, misses atomic.Int64 // read by Stats
 }
 
 // New returns a runner over o.
@@ -51,30 +44,17 @@ func New(o Options) *Runner {
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
 	}
-	if o.Metrics == nil {
-		// Stats() must count even when the caller doesn't export metrics.
-		o.Metrics = obs.NewRegistry()
-	}
-	o.Metrics.SetHelp("odr_sched_cells_run_total", "Experiment cells executed (cache misses included).")
-	o.Metrics.SetHelp("odr_sched_cache_hits_total", "Experiment cells served from the result cache.")
-	o.Metrics.SetHelp("odr_sched_cache_misses_total", "Result-cache lookups that missed.")
-	o.Metrics.SetHelp("odr_sched_cache_stores_total", "Fresh results persisted to the result cache.")
-	return &Runner{
-		workers:  w,
-		cache:    o.Cache,
-		cellsRun: o.Metrics.Counter("odr_sched_cells_run_total"),
-		hits:     o.Metrics.Counter("odr_sched_cache_hits_total"),
-		misses:   o.Metrics.Counter("odr_sched_cache_misses_total"),
-		stores:   o.Metrics.Counter("odr_sched_cache_stores_total"),
-	}
+	return &Runner{workers: w, cache: o.Cache}
 }
 
 // Workers returns the configured worker count.
 func (r *Runner) Workers() int { return r.workers }
 
-// Stats reports the lifetime cell and cache counts.
+// Stats reports the lifetime cell and cache counts: cells executed (cache
+// misses included), cells served from the cache, and cache lookups that
+// missed.
 func (r *Runner) Stats() (run, hits, misses int64) {
-	return r.cellsRun.Value(), r.hits.Value(), r.misses.Value()
+	return r.cellsRun.Load(), r.hits.Load(), r.misses.Load()
 }
 
 // Cell is one schedulable simulation: a pipeline.Config plus the identity
@@ -105,17 +85,15 @@ func (r *Runner) runCell(c Cell) *pipeline.Result {
 	key, cacheable := CellKey(c)
 	if cacheable && r.cache != nil {
 		if res, ok := r.cache.Get(key); ok {
-			r.hits.Inc()
+			r.hits.Add(1)
 			return res
 		}
-		r.misses.Inc()
+		r.misses.Add(1)
 	}
 	res := pipeline.Run(c.Config)
-	r.cellsRun.Inc()
+	r.cellsRun.Add(1)
 	if cacheable && r.cache != nil {
-		if r.cache.Put(key, res) == nil {
-			r.stores.Inc()
-		}
+		_ = r.cache.Put(key, res) // a failed store costs only a later miss
 	}
 	return res
 }

@@ -119,11 +119,6 @@ func TestCellKeyUncacheable(t *testing.T) {
 	if _, ok := CellKey(c); ok {
 		t.Fatal("cell with Trace must be uncacheable")
 	}
-	c = testCell(1)
-	c.Config.Metrics = obs.NewRegistry()
-	if _, ok := CellKey(c); ok {
-		t.Fatal("cell with Metrics must be uncacheable")
-	}
 }
 
 func TestCacheRoundTrip(t *testing.T) {
@@ -131,8 +126,7 @@ func TestCacheRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := obs.NewRegistry()
-	r := New(Options{Workers: 2, Cache: cache, Metrics: reg})
+	r := New(Options{Workers: 2, Cache: cache})
 	cell := testCell(1)
 
 	cold := r.RunOne(cell)

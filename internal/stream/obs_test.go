@@ -6,6 +6,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -120,6 +121,55 @@ func TestHubObservability(t *testing.T) {
 	}
 	if reg.Histogram(obs.NameEncodeUs).Count() == 0 {
 		t.Error("encode_us histogram empty")
+	}
+}
+
+// TestHubWritesEveryFrameInstrument holds the hub to what it exports: an
+// unpaced viewer and a 10-FPS viewer (whose skipped frames count as drops)
+// stream while inputs arrive, until every counter and histogram of
+// obs.FrameInstruments has counted and every gauge reads non-zero. It
+// ranges over the struct's fields, so an instrument added later is held
+// to the same rule.
+func TestHubWritesEveryFrameInstrument(t *testing.T) {
+	reg := obs.NewRegistry()
+	h, stop := startHub(t, HubConfig{Width: 48, Height: 27, TargetFPS: 60, Metrics: reg})
+	defer stop()
+	cli, _, cleanFast := attachClient(t, h, 0)
+	defer cleanFast()
+	_, _, cleanSlow := attachClient(t, h, 10)
+	defer cleanSlow()
+
+	ins := reflect.ValueOf(obs.NewFrameInstruments(reg))
+	unwritten := func() []string {
+		var out []string
+		for i := 0; i < ins.NumField(); i++ {
+			name := ins.Type().Field(i).Name
+			var written bool
+			switch v := ins.Field(i).Interface().(type) {
+			case *obs.Counter:
+				written = v.Value() > 0
+			case *obs.Histogram:
+				written = v.Count() > 0
+			case *obs.Gauge:
+				written = v.Value() != 0
+			default:
+				t.Fatalf("FrameInstruments.%s is a %T, not a counter, histogram or gauge", name, v)
+			}
+			if !written {
+				out = append(out, name)
+			}
+		}
+		return out
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for missing := unwritten(); len(missing) > 0; missing = unwritten() {
+		if time.Now().After(deadline) {
+			t.Fatalf("a live hub never wrote FrameInstruments %v", missing)
+		}
+		if _, err := cli.SendInput(); err != nil {
+			t.Fatalf("SendInput: %v", err)
+		}
+		time.Sleep(20 * time.Millisecond)
 	}
 }
 

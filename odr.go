@@ -105,11 +105,9 @@ type SimConfig struct {
 	Seed int64
 	// Trace, when non-nil, records the frame lifecycle of the run as spans
 	// and instants on the virtual clock; export it afterwards with
-	// Trace.WriteChromeTrace or Trace.WriteCSV.
+	// Trace.WriteChromeTrace or Trace.WriteCSV. The run's numbers are
+	// its SimResult; a simulation writes no MetricsRegistry.
 	Trace *Tracer
-	// Metrics, when non-nil, receives live counters, gauges and latency
-	// histograms during the run (snapshot with Metrics.Snapshot).
-	Metrics *MetricsRegistry
 	// TraceCSVPath, when set, replays a recorded frame-cost trace (the
 	// odrtrace -kind trace format) instead of the stochastic benchmark
 	// model. Benchmark still selects input rate and power/DRAM character.
@@ -156,7 +154,6 @@ func Simulate(cfg SimConfig) (*SimResult, error) {
 		return nil, fmt.Errorf("odr: %w", err)
 	}
 	pc.Trace = cfg.Trace
-	pc.Metrics = cfg.Metrics
 	r := pipeline.Run(pc)
 	return &SimResult{
 		Label:          r.Label,
@@ -313,9 +310,10 @@ const (
 
 // Observability re-exports: the frame-lifecycle tracer, the telemetry
 // registry, and the live debug endpoint. A nil *Tracer turns every recording
-// call into a no-op, and so does a nil *MetricsRegistry in the simulator. A
-// Hub always counts: built without a MetricsRegistry it keeps its counts in
-// a registry of its own, which Hub.Snapshot reads.
+// call into a no-op; the simulator and the hub share the tracer. The
+// registry belongs to the hub, which always counts: built without a
+// MetricsRegistry it keeps its counts in a registry of its own, which
+// Hub.Snapshot reads.
 type (
 	// Tracer records frame-lifecycle spans and instants into a fixed-size
 	// lock-free ring; export with WriteChromeTrace (chrome://tracing /
