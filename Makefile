@@ -18,15 +18,17 @@ race:
 
 # Chaos soak: churning reconnecting clients against a hub under the flaky
 # fault schedule, with the race detector and a pass/fail invariant report.
+# Every soak target leaves a full goroutine dump (the leak check's stacks
+# first) in soak-<mode>-goroutines.txt when an invariant fails; DESIGN.md
+# §10.5 lists each mode's invariants.
 soak:
-	$(GO) run -race ./cmd/odrsoak -clients 16 -schedule flaky -seed 1 -duration 20s
+	$(GO) run -race ./cmd/odrsoak -clients 16 -schedule flaky -seed 1 -duration 20s -faildump soak-classic-goroutines.txt
 
 # Encode-once fan-out soak: 2000 same-resolution viewers share one lane
 # encoder, one in 16 churning through chaos reconnects, one in 8 paced at
 # half rate through the timer wheel; invariants assert O(frames) encoding,
 # spliced catch-up keyframes, byte-identical pixels, flat per-viewer memory
-# and an O(pool) goroutine budget. Runs under the race detector; a failure
-# leaves a full goroutine dump in soak-hub-goroutines.txt.
+# and an O(pool) goroutine budget. Runs under the race detector.
 soak-hub:
 	$(GO) run -race ./cmd/odrsoak -fanout 2000 -width 48 -height 27 -fps 10 -schedule flaky -seed 1 -duration 15s -faildump soak-hub-goroutines.txt
 
@@ -36,7 +38,7 @@ soak-hub:
 # pixels across migration, clean odr_cluster_* accounting and no goroutine
 # leaks. Runs under the race detector.
 soak-cluster:
-	$(GO) run -race ./cmd/odrsoak -cluster -workers 3 -clients 8 -schedule flaky -seed 1 -duration 15s
+	$(GO) run -race ./cmd/odrsoak -cluster -workers 3 -clients 8 -schedule flaky -seed 1 -duration 15s -faildump soak-cluster-goroutines.txt
 
 # Fuzz smoke over the wire framing, the chaos schedule parser, the codec
 # bitstream decoder, the tile payload coder, the content-addressed tile

@@ -41,7 +41,6 @@
 package main
 
 import (
-	"bytes"
 	"flag"
 	"fmt"
 	"log"
@@ -57,7 +56,6 @@ import (
 	"odr/internal/cluster"
 	"odr/internal/core"
 	"odr/internal/obs"
-	"odr/internal/obs/scrape"
 	"odr/internal/stream"
 )
 
@@ -185,17 +183,7 @@ func main() {
 			Addr:      adAddr,
 			// The load report is derived from the same /metrics surface
 			// operators scrape: live session series, watts, dirty-tile ratio.
-			Load: func() cluster.LoadReport {
-				var buf bytes.Buffer
-				if err := obs.WritePrometheusWith(&buf, reg, false); err != nil {
-					return cluster.LoadReport{}
-				}
-				sc, err := scrape.ParseBytes(buf.Bytes())
-				if err != nil {
-					return cluster.LoadReport{}
-				}
-				return cluster.LoadFromScrape(sc)
-			},
+			Load: func() cluster.LoadReport { return cluster.LoadFromRegistry(reg) },
 			OnDrain: func() {
 				log.Printf("cluster: drain ordered; draining hub")
 				if err := hub.Drain(15 * time.Second); err != nil {

@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"net/http"
 	"os"
 	"sort"
 	"strings"
@@ -52,7 +51,7 @@ func main() {
 	var prev *scrape.Scrape
 	var prevAt time.Time
 	for {
-		s, err := fetch(*url)
+		s, err := scrape.Fetch(*url)
 		now := time.Now()
 		if err != nil {
 			if *once {
@@ -74,20 +73,6 @@ func main() {
 		}
 		time.Sleep(*interval)
 	}
-}
-
-// fetch scrapes and parses one document.
-func fetch(url string) (*scrape.Scrape, error) {
-	c := http.Client{Timeout: 5 * time.Second}
-	resp, err := c.Get(url)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("GET %s: %s", url, resp.Status)
-	}
-	return scrape.Parse(resp.Body)
 }
 
 // labelString renders a sample's labels as {k="v",...} ("" when unlabeled).

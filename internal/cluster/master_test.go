@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"odr/internal/obs"
-	"odr/internal/obs/scrape"
 	"odr/internal/stream"
 	"odr/internal/testutil"
 )
@@ -229,7 +228,8 @@ func TestClusterMetricsLintClean(t *testing.T) {
 }
 
 // TestLoadFromScrape derives a load report from a real /metrics document
-// rendered by the obs encoder — the exact surface a worker self-scrapes.
+// rendered by the obs encoder and parsed back — the exact surface a worker
+// self-scrapes.
 func TestLoadFromScrape(t *testing.T) {
 	reg := obs.NewRegistry()
 	stream.RegisterLiveMetrics(reg)
@@ -244,15 +244,7 @@ func TestLoadFromScrape(t *testing.T) {
 	outcome.With1("dirty").Add(30)
 	outcome.With1("clean").Add(70)
 
-	var buf bytes.Buffer
-	if err := obs.WritePrometheusWith(&buf, reg, false); err != nil {
-		t.Fatal(err)
-	}
-	sc, err := scrape.ParseBytes(buf.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	load := LoadFromScrape(sc)
+	load := LoadFromRegistry(reg)
 	if load.Sessions != 2 {
 		t.Errorf("Sessions = %d, want 2 (shared excluded)", load.Sessions)
 	}
@@ -262,8 +254,8 @@ func TestLoadFromScrape(t *testing.T) {
 	if load.DirtyRatio != 0.3 {
 		t.Errorf("DirtyRatio = %v, want 0.3", load.DirtyRatio)
 	}
-	if got := LoadFromScrape(nil); got != (LoadReport{}) {
-		t.Errorf("LoadFromScrape(nil) = %+v, want zeros", got)
+	if got := LoadFromRegistry(obs.NewRegistry()); got != (LoadReport{}) {
+		t.Errorf("LoadFromRegistry(empty) = %+v, want zeros", got)
 	}
 }
 
@@ -276,18 +268,6 @@ func TestLoadFromScrapeParkedHub(t *testing.T) {
 	hub := stream.NewHub(stream.HubConfig{Width: 32, Height: 18, Metrics: reg})
 	go hub.Run()
 	defer hub.Stop()
-	load := func() LoadReport {
-		t.Helper()
-		var buf bytes.Buffer
-		if err := obs.WritePrometheusWith(&buf, reg, false); err != nil {
-			t.Fatal(err)
-		}
-		sc, err := scrape.ParseBytes(buf.Bytes())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return LoadFromScrape(sc)
-	}
 	poll := func(what string, cond func() bool) {
 		t.Helper()
 		for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(5 * time.Millisecond) {
@@ -301,11 +281,11 @@ func TestLoadFromScrapeParkedHub(t *testing.T) {
 	hub.Attach(sc, 0, nil)
 	go io.Copy(io.Discard, cc)
 	// Power is published from the second half-second flush on.
-	poll("a busy hub to report watts", func() bool { l := load(); return l.Sessions == 1 && l.Watts > 0 })
+	poll("a busy hub to report watts", func() bool { l := LoadFromRegistry(reg); return l.Sessions == 1 && l.Watts > 0 })
 	cc.Close()
 	target := reg.Gauge(stream.NameHubRenderTargetFPS)
 	poll("the hub to park", func() bool { return hub.Clients() == 0 && target.Value() == 0 })
-	if l := load(); l.Sessions != 0 || l.Watts != 0 {
+	if l := LoadFromRegistry(reg); l.Sessions != 0 || l.Watts != 0 {
 		t.Fatalf("parked hub scrapes as %+v, want no sessions and 0 W", l)
 	}
 }

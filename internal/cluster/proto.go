@@ -15,12 +15,14 @@
 // Everything is stdlib: net/http for the control RPCs, encoding/json for the
 // wire types in this file. Load reports are derived from the worker's
 // existing /metrics surface (sessions, watts, dirty-tile ratio) via
-// LoadFromScrape, so the control plane reads the same telemetry operators do.
+// LoadFromRegistry, so the control plane reads the same telemetry operators do.
 package cluster
 
 import (
+	"bytes"
 	"time"
 
+	"odr/internal/obs"
 	"odr/internal/obs/scrape"
 )
 
@@ -126,16 +128,28 @@ const (
 	tilesOutcomeFamily = "odr_tiles_outcome_total"
 )
 
-// LoadFromScrape derives a LoadReport from a parsed /metrics document:
+// LoadFromRegistry derives a LoadReport from reg's /metrics exposition, the
+// same document an operator scrapes: it renders reg, parses it back and reads
+// the load from the parsed samples. A render or parse error reports zeros.
+func LoadFromRegistry(reg *obs.Registry) LoadReport {
+	var buf bytes.Buffer
+	if err := obs.WritePrometheusWith(&buf, reg, false); err != nil {
+		return LoadReport{}
+	}
+	sc, err := scrape.ParseBytes(buf.Bytes())
+	if err != nil {
+		return LoadReport{}
+	}
+	return loadFromScrape(sc)
+}
+
+// loadFromScrape reads a LoadReport off a parsed /metrics document:
 // sessions is the number of odr_session_fps series (the hub's own
 // session="shared" probe excluded), watts sums odr_session_watts across all
 // series, and the dirty ratio comes from the odr_tiles_outcome_total
 // counters. A worker that has served nothing reports zeros.
-func LoadFromScrape(sc *scrape.Scrape) LoadReport {
+func loadFromScrape(sc *scrape.Scrape) LoadReport {
 	var load LoadReport
-	if sc == nil {
-		return load
-	}
 	for _, sm := range sc.Series(sessionFPSFamily) {
 		if sm.Label("session") != "shared" {
 			load.Sessions++

@@ -20,7 +20,7 @@ type WorkerConfig struct {
 	Addr string
 	// Load reports the worker's current load on every heartbeat (nil
 	// reports zeros). Derive it from the local /metrics surface with
-	// LoadFromScrape.
+	// LoadFromRegistry.
 	Load func() LoadReport
 	// OnDrain runs (once) when the master orders a drain; it should drain
 	// the hub — orderly msgBye per session — and stop accepting clients.

@@ -15,9 +15,11 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"net/http"
 	"sort"
 	"strconv"
 	"strings"
+	"time"
 
 	"odr/internal/obs"
 )
@@ -141,6 +143,21 @@ func Parse(r io.Reader) (*Scrape, error) {
 
 // ParseBytes parses an in-memory document.
 func ParseBytes(b []byte) (*Scrape, error) { return Parse(strings.NewReader(string(b))) }
+
+// Fetch GETs one exposition document from url (5 s timeout) and parses it;
+// a non-200 response is an error.
+func Fetch(url string) (*Scrape, error) {
+	c := http.Client{Timeout: 5 * time.Second}
+	resp, err := c.Get(url)
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return nil, fmt.Errorf("GET %s: %s", url, resp.Status)
+	}
+	return Parse(resp.Body)
+}
 
 // parseComment handles # HELP and # TYPE; other comments are ignored.
 func (s *Scrape) parseComment(line string) error {

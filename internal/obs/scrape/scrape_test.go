@@ -3,6 +3,8 @@ package scrape
 import (
 	"bytes"
 	"math"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
@@ -283,5 +285,26 @@ func TestDifferentialJSONVsProm(t *testing.T) {
 	}
 	if checked < 6 {
 		t.Fatalf("differential covered only %d instruments", checked)
+	}
+}
+
+// TestFetch: a 200 response parses; any other status is an error.
+func TestFetch(t *testing.T) {
+	status := http.StatusOK
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		w.WriteHeader(status)
+		w.Write([]byte(doc))
+	}))
+	defer srv.Close()
+	s, err := Fetch(srv.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Number("odr_frames_encoded_total"); got != 894 {
+		t.Errorf("odr_frames_encoded_total = %v, want 894", got)
+	}
+	status = http.StatusInternalServerError
+	if _, err := Fetch(srv.URL); err == nil {
+		t.Error("Fetch of a 500 response returned no error")
 	}
 }

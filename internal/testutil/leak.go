@@ -23,30 +23,18 @@ import (
 // dump is logged so the leaked goroutine is identifiable.
 func VerifyNoLeaks(t testing.TB) {
 	t.Helper()
-	base := runtime.NumGoroutine()
+	base := Snapshot()
 	t.Cleanup(func() {
-		deadline := time.Now().Add(10 * time.Second)
-		var n int
-		for {
-			n = runtime.NumGoroutine()
-			if n <= base {
-				return
-			}
-			if time.Now().After(deadline) {
-				break
-			}
-			runtime.Gosched()
-			time.Sleep(10 * time.Millisecond)
+		if err := base.Check(10 * time.Second); err != nil {
+			t.Error(err)
 		}
-		buf := make([]byte, 1<<20)
-		buf = buf[:runtime.Stack(buf, true)]
-		t.Errorf("goroutine leak: %d goroutines, baseline %d\n%s", n, base, buf)
 	})
 }
 
-// LeakSnapshot captures the current goroutine count for non-test callers
-// (the soak harness); Check polls until the count returns to the baseline or
-// the timeout passes, returning an error with a stack dump on failure.
+// LeakSnapshot captures the current goroutine count, for VerifyNoLeaks and
+// for non-test callers (the soak harness); Check polls until the count
+// returns to the baseline or the timeout passes, returning an error with a
+// stack dump on failure.
 type LeakSnapshot struct {
 	base int
 }
