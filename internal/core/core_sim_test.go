@@ -237,6 +237,38 @@ func TestMultiBufferTryVariants(t *testing.T) {
 	env.Shutdown()
 }
 
+// TestMultiBufferTryPutNeverDisplaces: TryPut promotes into an empty buffer,
+// fills a free back buffer without touching an unconsumed front, and is
+// refused by a full back buffer and by a closed buffer.
+func TestMultiBufferTryPutNeverDisplaces(t *testing.T) {
+	_, dom := newSim()
+	mb := core.NewMultiBuffer(dom)
+	if !mb.TryPut(&frame.Frame{Seq: 1}) {
+		t.Fatal("TryPut into an empty buffer refused")
+	}
+	if f := mb.TryAcquire(); f == nil || f.Seq != 1 {
+		t.Fatalf("front = %+v, want Seq 1 promoted", f)
+	}
+	mb.Release()
+	mb.TryPut(&frame.Frame{Seq: 2}) // unconsumed front
+	if !mb.TryPut(&frame.Frame{Seq: 3}) {
+		t.Fatal("TryPut into a free back buffer refused")
+	}
+	if mb.TryPut(&frame.Frame{Seq: 4}) {
+		t.Fatal("TryPut into a full back buffer stored")
+	}
+	for _, want := range []uint64{2, 3} {
+		if f := mb.TryAcquire(); f == nil || f.Seq != want {
+			t.Fatalf("acquired %+v, want Seq %d", f, want)
+		}
+		mb.Release()
+	}
+	mb.Close()
+	if mb.TryPut(&frame.Frame{Seq: 5}) || mb.Occupancy() != 0 {
+		t.Fatal("TryPut into a closed buffer stored")
+	}
+}
+
 func TestInputBoxCombinesPendingInputs(t *testing.T) {
 	env, dom := newSim()
 	box := core.NewInputBox(dom)

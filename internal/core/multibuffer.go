@@ -20,7 +20,8 @@ import (
 //
 // PutPriority implements PriorityFrame's obsolete-frame dropping (§5.3): an
 // input-triggered frame replaces any not-yet-consumed frames instead of
-// waiting behind them.
+// waiting behind them. TryPut is the producer that cannot wait: it stores
+// only into a free back buffer.
 type MultiBuffer struct {
 	dom     Domain
 	changed Cond
@@ -53,6 +54,22 @@ func (b *MultiBuffer) Put(w Waiter, f *frame.Frame) bool {
 	for b.back != nil && !b.closed {
 		w.Wait(b.changed)
 	}
+	return b.storeLocked(f)
+}
+
+// TryPut is Put without blocking: it stores f only when the back buffer is
+// free, never displacing a buffered frame, and reports whether it did (false
+// when the back buffer is full or the buffer is closed).
+func (b *MultiBuffer) TryPut(f *frame.Frame) bool {
+	mu := b.dom.Locker()
+	mu.Lock()
+	defer mu.Unlock()
+	return b.back == nil && b.storeLocked(f)
+}
+
+// storeLocked fills the free back buffer, promoting it when the front is
+// empty; it refuses once the buffer is closed.
+func (b *MultiBuffer) storeLocked(f *frame.Frame) bool {
 	if b.closed {
 		return false
 	}

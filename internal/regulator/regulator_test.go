@@ -1,6 +1,7 @@
 package regulator
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -441,16 +442,9 @@ type started struct {
 	extra bool
 }
 
-// TestODRRendersByTheHubClock is the two-substrate differential: one seeded
-// input script on the virtual clock, run through ODR's hooks (RenderGate, a
-// fixed render cost, SubmitRendered, with a proxy and network that empty the
-// buffers at once) and through a bare core.RenderClock driven the way
-// Hub.Run drives it, gives the same frame starts and the same extra flags.
-func TestODRRendersByTheHubClock(t *testing.T) {
-	const (
-		render  = 3 * ms
-		horizon = 10 * time.Second
-	)
+// odrInputScript returns a feeder for one seeded script of 100 inputs over
+// 10 s, a tenth of them dead on a 60 FPS slot, for the ODR differentials.
+func odrInputScript() func(env *sim.Env, box *core.InputBox) {
 	interval := core.NewPacer(60).Interval()
 	rng := rand.New(rand.NewSource(7))
 	var script []time.Duration
@@ -461,12 +455,25 @@ func TestODRRendersByTheHubClock(t *testing.T) {
 		}
 		script = append(script, at)
 	}
-	feed := func(env *sim.Env, box *core.InputBox) {
+	return func(env *sim.Env, box *core.InputBox) {
 		for j, at := range script {
 			id, at := frame.InputID(j+1), at
 			env.At(at, func() { box.OnInput(id, at) })
 		}
 	}
+}
+
+// TestODRRendersByTheHubClock is the two-substrate differential: one seeded
+// input script on the virtual clock, run through ODR's hooks (RenderGate, a
+// fixed render cost, SubmitRendered, with a proxy and network that empty the
+// buffers at once) and through a bare core.RenderClock driven the way
+// Hub.Run drives it, gives the same frame starts and the same extra flags.
+func TestODRRendersByTheHubClock(t *testing.T) {
+	const (
+		render  = 3 * ms
+		horizon = 10 * time.Second
+	)
+	feed := odrInputScript()
 
 	var viaODR []started
 	f := newFixture(defaultNet())
@@ -534,6 +541,126 @@ func TestODRRendersByTheHubClock(t *testing.T) {
 		if viaODR[k] != viaClock[k] {
 			t.Fatalf("frame %d: ODR %+v, hub's clock %+v", k, viaODR[k], viaClock[k])
 		}
+	}
+}
+
+// TestODRWaitsForTheEncoderAsTheHubDoes is the same differential with an
+// encoder at twice the render cost, slower than the 60 FPS slot, so Mul-Buf1
+// paces the renderer. ODR's hooks and a bare RuleODR clock driven the way
+// Hub.Run drives it (Begin; WaitBackFree, cut by a pending input; render;
+// TryPut for a regular frame or PutPriority for an input frame; End) into a
+// core.MultiBuffer drained by a proxy of the same cost give the same frame
+// starts, extra flags and drops, and on both sides no regular frame's put
+// drops a frame: only an input frame displaces obsolete ones.
+func TestODRWaitsForTheEncoderAsTheHubDoes(t *testing.T) {
+	const (
+		render  = 9 * ms
+		encode  = 2 * render
+		horizon = 10 * time.Second
+	)
+	feed := odrInputScript()
+	type side struct {
+		starts       []started
+		dropped      []uint64
+		regularDrops int
+	}
+	var viaODR side
+	f := newFixture(defaultNet())
+	p := NewODR(f.ctx, ODROptions{TargetFPS: 60})
+	feed(f.env, f.ctx.Inputs)
+	f.env.Spawn("renderer", func(pr *sim.Proc) {
+		w := simrt.NewWaiter(pr)
+		for seq := uint64(1); ; seq++ {
+			p.RenderGate(w)
+			fr := &frame.Frame{Seq: seq}
+			core.Tag(fr, f.ctx.Inputs.ConsumePending())
+			viaODR.starts = append(viaODR.starts, started{at: pr.Now()})
+			pr.Sleep(render)
+			before := len(f.dropped)
+			p.SubmitRendered(w, fr)
+			if !fr.Priority {
+				viaODR.regularDrops += len(f.dropped) - before
+			}
+			viaODR.starts[len(viaODR.starts)-1].extra = fr.Extra
+		}
+	})
+	f.env.Spawn("proxy", func(pr *sim.Proc) {
+		w := simrt.NewWaiter(pr)
+		for fr := p.AcquireForEncode(w); fr != nil; fr = p.AcquireForEncode(w) {
+			pr.Sleep(encode)
+			p.SubmitEncoded(w, fr)
+		}
+	})
+	f.env.Spawn("network", func(pr *sim.Proc) {
+		w := simrt.NewWaiter(pr)
+		for fr := p.AcquireForSend(w); fr != nil; fr = p.AcquireForSend(w) {
+			p.DoneSend(fr)
+		}
+	})
+	f.env.Run(horizon)
+	f.env.Shutdown()
+	for _, d := range f.dropped {
+		viaODR.dropped = append(viaODR.dropped, d.Seq)
+	}
+
+	var viaHub side
+	waited := 0
+	env := sim.NewEnv()
+	dom := simrt.NewDomain(env)
+	box := core.NewInputBox(dom)
+	lane := core.NewMultiBuffer(dom)
+	box.Subscribe(lane.Changed())
+	clock := core.NewRenderClock(dom, box, core.NewPacer(0), core.RuleODR)
+	feed(env, box)
+	clock.SetDemand(60)
+	env.Spawn("renderer", func(pr *sim.Proc) {
+		w := simrt.NewWaiter(pr)
+		for seq := uint64(1); clock.Begin(w); seq++ {
+			begun := pr.Now()
+			lane.WaitBackFree(w, box.PendingLocked)
+			if pr.Now() > begun {
+				waited++
+			}
+			viaHub.starts = append(viaHub.starts, started{pr.Now(), clock.Extra()})
+			fr := &frame.Frame{Seq: seq}
+			core.Tag(fr, box.ConsumePending())
+			pr.Sleep(render)
+			if fr.Priority {
+				for _, d := range lane.PutPriority(fr) {
+					viaHub.dropped = append(viaHub.dropped, d.Seq)
+				}
+			} else if !lane.TryPut(fr) {
+				viaHub.regularDrops++
+			}
+			clock.End()
+		}
+	})
+	env.Spawn("proxy", func(pr *sim.Proc) {
+		w := simrt.NewWaiter(pr)
+		for fr := lane.Acquire(w); fr != nil; fr = lane.Acquire(w) {
+			pr.Sleep(encode)
+			lane.Release()
+		}
+	})
+	env.Run(horizon)
+	env.Shutdown()
+
+	if waited < 100 || len(viaHub.dropped) == 0 {
+		t.Fatalf("the renderer waited on the encoder %d times and input frames dropped %d: the encoder does not pace the renderer", waited, len(viaHub.dropped))
+	}
+	if viaODR.regularDrops != 0 || viaHub.regularDrops != 0 {
+		t.Fatalf("regular frames dropped %d frames through ODR, %d through the hub's sequence; want none", viaODR.regularDrops, viaHub.regularDrops)
+	}
+	if len(viaODR.starts) != len(viaHub.starts) {
+		t.Fatalf("ODR started %d frames, the hub's sequence %d", len(viaODR.starts), len(viaHub.starts))
+	}
+	for k := range viaHub.starts {
+		if viaODR.starts[k] != viaHub.starts[k] {
+			t.Fatalf("frame %d: ODR %+v, hub's sequence %+v", k, viaODR.starts[k], viaHub.starts[k])
+		}
+	}
+	if fmt.Sprint(viaODR.dropped) != fmt.Sprint(viaHub.dropped) {
+		t.Fatalf("ODR dropped frames %v, the hub's sequence %v", viaODR.dropped, viaHub.dropped)
 	}
 }
 

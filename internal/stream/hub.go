@@ -25,10 +25,12 @@ import (
 // not at all while nobody is attached, and with one extra frame per input
 // (PriorityFrame style) that leaves the regular cadence where it was; each
 // frame is then encoded once per resolution lane and the resulting artifact
-// fans out to every viewer on the lane. Every client keeps its own Mul-Buf
-// latest-wins slot and its own pacer, so a slow or slower-paced client never
-// stalls the game or its peers — its obsolete artifacts are simply dropped
-// before transmission, which is ODR's on-demand principle applied per viewer.
+// fans out to every viewer on the lane; the renderer waits for each viewed
+// lane's back buffer (Mul-Buf1), so every viewed lane encodes each regular
+// frame. Every client keeps its own two-slot buffer and its own pacer, and
+// the lane never waits on one, so a slow or slower-paced client never stalls
+// the game or its peers — its obsolete artifacts are simply dropped before
+// transmission, which is ODR's on-demand principle applied per viewer.
 // A viewer whose delta chain skipped frames (or a late joiner needing a
 // keyframe) is repaired by splicing intra-coded tiles out of the shared
 // encoder's state, never by forcing a keyframe on everyone; see encLane and
@@ -36,7 +38,7 @@ import (
 type Hub struct {
 	cfg   HubConfig
 	dom   *realrt.Domain
-	epoch time.Time // shared epoch; lane and session domains align to it
+	epoch time.Time // shared epoch; session domains align to it
 	game  *Game
 	box   *core.InputBox
 	clock *core.RenderClock
@@ -123,10 +125,11 @@ type HubConfig struct {
 	Width, Height int
 	// Policy is the render rule the shared renderer starts frames by
 	// (default core.RuleODR: paced slots plus one extra frame per input).
-	// It also picks every session's buffer: under ODR a latest-wins
-	// core.MultiBuffer, so a viewer that falls behind skips to the newest
-	// frame (Mul-Buf2); under RuleInterval and RuleNoReg, the push rules, a
-	// bounded FIFO of encoded frames. Its String labels
+	// It also picks the buffers: under ODR the renderer waits for each lane's
+	// back buffer (Mul-Buf1) and each session keeps a core.MultiBuffer
+	// (Mul-Buf2, see hubSession.put); under RuleInterval and RuleNoReg, the
+	// push rules, lanes are latest-wins and each session queues encoded
+	// frames in a bounded FIFO. Its String labels
 	// odr_sessions_started_total and /debug/odr. NewHub panics on any other
 	// rule, RuleRVS included (see CheckRule).
 	Policy core.RenderRule
@@ -390,6 +393,17 @@ func (h *Hub) Run() {
 	w := realrt.NewWaiter(h.dom)
 	var seq uint64
 	for h.clock.Begin(w) {
+		if !h.push() {
+			// Mul-Buf1, as in regulator.ODR.RenderGate: wait for every viewed
+			// lane's back buffer; a pending input cuts the wait.
+			if lsP := h.lanes.Load(); lsP != nil {
+				for _, ln := range *lsP {
+					if ln.sessions.Load() > 0 {
+						ln.buf.WaitBackFree(w, h.box.PendingLocked)
+					}
+				}
+			}
+		}
 		start := h.dom.Now()
 		stamps := h.box.ConsumePending()
 		for range stamps {
@@ -411,10 +425,9 @@ func (h *Hub) Run() {
 		}
 
 		// Offer the frame to every lane that has a viewer: each encodes it
-		// once (latest-wins, so a lane still busy with an older frame drops
-		// it) and fans the artifact out. The pixel buffer recycles once the
-		// last lane retires the frame; the renderer holds one reference of
-		// its own until every offer is made.
+		// once and fans the artifact out (see encLane.offer for what drops).
+		// The pixel buffer recycles once the last lane retires the frame; the
+		// renderer holds one reference of its own until every offer is made.
 		var rc atomic.Int32
 		rc.Store(1)
 		f.Retire = func() {
@@ -582,8 +595,9 @@ func (h *Hub) evictSession() {
 // the per-session counters of every client still attached. Every total is
 // read from the registry, so it equals its /metrics counter: rendered
 // (odr_frames_rendered_total), inputs (odr_inputs_received_total), sent
-// (odr_frames_displayed_total), dropped (odr_frames_dropped_total: lane
-// drops and push-policy drops before encode as well as per-session skips),
+// (odr_frames_displayed_total), dropped (odr_frames_dropped_total: lane drops
+// by input frames or a push rule, push-rule drops before encode, and
+// per-session skips),
 // evicted (odr_sessions_evicted_total) and sessions_served
 // (odr_sessions_started_total for this hub's policy). Hubs that share a
 // registry share these totals. Safe to call concurrently with Run.
@@ -719,17 +733,14 @@ func (h *Hub) AttachWithOptions(conn net.Conn, opts AttachOptions) {
 	h.eng.start()
 	sh := ln.shard(id)
 	sh.mu.Lock()
-	select {
-	case <-h.stopping:
-		// A Stop between the entry check and here has already snapshotted
-		// (or will not see) this session; registering now would leak it
-		// past Stop's sweep. Refuse instead — under the same lock Stop's
-		// sweep serializes against.
+	if ln.buf.Closed() {
+		// Stop, Drain and a lane failure close the lane's buffer before they
+		// sweep its sessions; registering now would leak this one past that
+		// sweep. Refuse instead — under the same lock the sweep takes.
 		sh.mu.Unlock()
 		s.probe.close(s.dom.Now(), true)
 		refuse()
 		return
-	default:
 	}
 	sh.m[id] = s
 	sh.rebuildLocked()
@@ -1012,9 +1023,20 @@ func (s *hubSession) skip(f *frame.Frame) {
 	s.carry(f.Seq, f.Inputs)
 }
 
+// put stores an artifact in the session's buffer without ever waiting. Under
+// ODR a regular artifact takes a free back buffer rather than displace the
+// unsent front; a pacing viewer, a full buffer and an input frame keep
+// latest-wins, so the viewer sends the newest frame.
+func (s *hubSession) put(f *frame.Frame) (stored bool, dropped []*frame.Frame) {
+	if mb, ok := s.buf.(*core.MultiBuffer); ok && !f.Priority && s.sched.Load() != schedPacing && mb.TryPut(f) {
+		return true, nil
+	}
+	return s.buf.PutPriorityStored(f)
+}
+
 // hasRoom reports whether the session can take another artifact without
-// displacing one: always under latest-wins, while its queue is short of full
-// under a push policy.
+// being refused: always under ODR, while its queue is short of full under a
+// push policy.
 func (s *hubSession) hasRoom() bool {
 	q, ok := s.buf.(*pushQueue)
 	return !ok || q.Occupancy() < pushQueueDepth

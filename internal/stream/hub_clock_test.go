@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"odr/internal/codec"
 	"odr/internal/obs"
 )
 
@@ -256,5 +257,82 @@ func TestHubEmptiedLaneIsNotEncoded(t *testing.T) {
 		if sum != sha256.Sum256(small) {
 			t.Fatalf("frame %d on the re-joined lane differs from the downscaled reference", seq)
 		}
+	}
+}
+
+// TestHubSoloViewerEncodesEveryFrame is Mul-Buf1 on the real stack: with one
+// unpaced viewer over loopback TCP, no inputs and an uncapped target, the
+// renderer waits for its lane's back buffer instead of outrunning the
+// encoder, so once the hub has drained every rendered frame has been encoded.
+// The equality is exact on a host of any speed.
+func TestHubSoloViewerEncodesEveryFrame(t *testing.T) {
+	sc, cc := tcpPair(t)
+	reg := obs.NewRegistry()
+	h := NewHub(HubConfig{Width: 320, Height: 180, TargetFPS: 100000, Metrics: reg})
+	go h.Run()
+	defer h.Stop()
+	h.Attach(sc, 0, nil)
+	cli := NewClient(cc)
+	done := make(chan error, 1)
+	go func() { done <- cli.Run() }()
+	waitFrames(t, cli, 200, 60*time.Second)
+	if err := h.Drain(10 * time.Second); err != nil {
+		t.Fatalf("Drain = %v", err)
+	}
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("client: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("client never received the bye")
+	}
+	ins := obs.NewFrameInstruments(reg)
+	rendered, encoded := ins.Rendered.Value(), ins.Encoded.Value()
+	if rendered < 200 || encoded != rendered {
+		t.Fatalf("rendered %d frames and encoded %d; want every one of at least 200 encoded", rendered, encoded)
+	}
+}
+
+// TestHubFailedLaneIsReplaced: an encoder error retires its lane. The lane's
+// viewer detaches, the lane leaves the hub, so the renderer stops waiting on
+// it, and the next viewer at that divisor gets a fresh lane and decodes.
+func TestHubFailedLaneIsReplaced(t *testing.T) {
+	h, stop := startHub(t, HubConfig{Width: 48, Height: 27, TargetFPS: 120})
+	defer stop()
+	detached := make(chan SessionStats, 1)
+	sc, cc := net.Pipe()
+	defer cc.Close()
+	h.AttachWithOptions(sc, AttachOptions{Detach: func(st SessionStats) { detached <- st }})
+	go io.Copy(io.Discard, cc)
+	failed := h.lane(1)
+	pollUntil(t, 10*time.Second, "the lane to encode", func() bool { return failed.sharedEncodes.Value() >= 3 })
+
+	// An encoder for another frame size makes the lane's next EncodeAppend
+	// fail on the real path.
+	failed.encMu.Lock()
+	failed.enc = codec.NewEncoder(failed.w+1, failed.h, h.cfg.Codec)
+	failed.encMu.Unlock()
+	select {
+	case <-detached:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the failed lane's viewer never detached")
+	}
+
+	cli, _, cleanup := attachClient(t, h, 0)
+	defer cleanup()
+	waitFrames(t, cli, 10, 10*time.Second)
+	if h.lane(1) == failed {
+		t.Fatal("the failed lane still serves its divisor")
+	}
+	stopped := make(chan struct{})
+	go func() {
+		h.Stop()
+		close(stopped)
+	}()
+	select {
+	case <-stopped:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Stop did not return")
 	}
 }

@@ -72,17 +72,17 @@ func (sh *laneShard) rebuildLocked() {
 // encLane is one shared encoder serving every session at one resolution
 // (downscale divisor). The hub's renderer offers each frame to every lane
 // with a viewer; the lane encodes it exactly once and fans the artifact out
-// to its sessions' latest-wins buffers — encode work is O(frames), not
-// O(sessions × frames).
+// to its sessions' buffers — encode work is O(frames), not O(sessions ×
+// frames).
 type encLane struct {
 	hub  *Hub
 	div  int
 	w, h int
 
-	// dom is the lane's own wait domain (hub-epoch aligned) so the encode
-	// loop's blocking never contends with the renderer or any session.
-	dom *realrt.Domain
-	buf *core.MultiBuffer // renderer → encode loop, latest-wins
+	// buf hands frames from the renderer to the encode loop: Mul-Buf1 under
+	// ODR, latest-wins under a push rule. It is in the hub's domain and
+	// subscribed to the input box, so an input cuts the renderer's wait.
+	buf *core.MultiBuffer
 
 	// encMu serializes the shared encoder between the lane's encode loop
 	// (EncodeAppend) and sessions splicing catch-up frames (AppendSplice).
@@ -161,10 +161,10 @@ func (h *Hub) lane(div int) *encLane {
 		div: div,
 		w:   w,
 		h:   hh,
-		dom: realrt.NewDomainAt(h.epoch),
+		buf: core.NewMultiBuffer(h.dom),
 		enc: codec.NewEncoder(w, hh, h.cfg.Codec),
 	}
-	ln.buf = core.NewMultiBuffer(ln.dom)
+	h.box.Subscribe(ln.buf.Changed())
 	if ln.div > 1 {
 		ln.scratch = make([]byte, w*hh*4)
 	}
@@ -232,10 +232,14 @@ func (ln *encLane) carry(stamps []frame.InputStamp) {
 	ln.carriedMu.Unlock()
 }
 
-// offer hands a rendered frame to the lane's latest-wins buffer (renderer
-// goroutine). Dropped frames retire immediately and their input stamps carry
-// into the next encode.
+// offer hands a rendered frame to the lane (renderer goroutine). Under ODR a
+// regular frame takes the back buffer Hub.Run waited for; any other frame is
+// latest-wins, and the frames it drops retire immediately with their input
+// stamps carried into the next encode.
 func (ln *encLane) offer(f *frame.Frame) {
+	if !f.Priority && !ln.hub.push() && ln.buf.TryPut(f) {
+		return
+	}
 	stored, dropped := ln.buf.PutPriorityStored(f)
 	for _, d := range dropped {
 		ln.hub.tr.Instant(obs.TrackProxy, "mulbuf-drop", d.Seq, ln.hub.dom.Now())
@@ -252,23 +256,20 @@ func (ln *encLane) offer(f *frame.Frame) {
 	}
 }
 
-// run is the lane's encode loop: acquire the latest rendered frame, encode
-// it once, fan the artifact out to every session on the lane.
+// run is the lane's encode loop: acquire the next rendered frame, encode it
+// once, fan the artifact out to every session on the lane. It returns once
+// its buffer is closed and drained; after a failure frames retire unencoded.
 func (ln *encLane) run() {
-	w := realrt.NewWaiter(ln.dom)
-	for {
-		f := ln.buf.Acquire(w)
-		if f == nil {
-			return // lane buffer closed: hub stopping or drained
+	w := realrt.NewWaiter(ln.hub.dom)
+	failed := false
+	for f := ln.buf.Acquire(w); f != nil; f = ln.buf.Acquire(w) {
+		if !failed && ln.encode(f) != nil {
+			failed = true
+			ln.fail()
 		}
-		err := ln.encode(f)
 		ln.buf.Release()
 		if f.Retire != nil {
 			f.Retire()
-		}
-		if err != nil {
-			ln.fail()
-			return
 		}
 	}
 }
@@ -377,7 +378,7 @@ func (ln *encLane) encode(f *frame.Frame) error {
 		}
 		for _, s := range *snapP {
 			art.refs.Add(1)
-			stored, dropped := s.buf.PutPriorityStored(ef)
+			stored, dropped := s.put(ef)
 			for _, d := range dropped {
 				s.skip(d)
 				if da, ok := d.Encoded.(*encArtifact); ok {
@@ -402,10 +403,22 @@ func (ln *encLane) encode(f *frame.Frame) error {
 	return nil
 }
 
-// fail tears down every session on the lane after an encoder error; the
-// shared encoder's state is unusable, so the lane retires rather than
-// streaming wrong pixels.
+// fail retires the lane after an encoder error rather than stream wrong
+// pixels: it leaves the hub's list, so the next attach at its divisor builds
+// a fresh lane, closes its buffer, which releases the renderer, and tears
+// down every session on it.
 func (ln *encLane) fail() {
+	h := ln.hub
+	h.laneMu.Lock()
+	var next []*encLane
+	for _, l := range *h.lanes.Load() {
+		if l != ln {
+			next = append(next, l)
+		}
+	}
+	h.lanes.Store(&next)
+	h.laneMu.Unlock()
+	ln.buf.Close()
 	for i := range ln.shards {
 		sh := &ln.shards[i]
 		sh.mu.Lock()

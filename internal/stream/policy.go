@@ -28,7 +28,8 @@ func CheckRule(rule core.RenderRule) error {
 func (h *Hub) push() bool { return h.cfg.Policy != core.RuleODR }
 
 // sessionBuf returns a new session's buffer under the hub's rule: a bounded
-// FIFO under a push rule, a latest-wins core.MultiBuffer under ODR.
+// FIFO under a push rule, a two-slot core.MultiBuffer under ODR (see
+// hubSession.put).
 func (h *Hub) sessionBuf(dom core.Domain) sessionQueue {
 	if h.push() {
 		return &pushQueue{}

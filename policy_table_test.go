@@ -59,7 +59,7 @@ func TestEveryPaperConfigOnBothSubstrates(t *testing.T) {
 	noMax := gap{lacks, "HubConfig.TargetFPS 0 means 60, so the hub has no *Max configuration (nor IntMax's ratchet)"}
 	noRVS := gap{refuses, "no RVS: the wire carries no vblank feedback from the client"}
 	vsync := gap{differs, "the client displays each frame at decode end, not on the next vblank"}
-	mulBuf1 := gap{differs, "the renderer never waits on a lane (no Mul-Buf1): a busy lane drops the frame, which is why renders_per_display on solo_sat reads above 1"}
+	mulBuf2 := gap{differs, "the lane never waits on a session (Mul-Buf2 does not block): a full, paced or input-answering viewer skips to the newest frame, so viewers stay independent, while the simulator's one viewer blocks its proxy in buf2.Put"}
 	gaps := map[string][]gap{
 		"NoReg":  {{differs, "sessions queue encoded frames in a 64-frame pushQueue, not behind the simulator's 4 MB (8 MB on GCE) byte bound"}},
 		"Int30":  {gridWait},
@@ -68,10 +68,10 @@ func TestEveryPaperConfigOnBothSubstrates(t *testing.T) {
 		"RVS30":  {noRVS, vsync},
 		"RVS60":  {noRVS, vsync},
 		"RVSMax": {noRVS, vsync},
-		"ODR30":  {mulBuf1},
-		"ODR60":  {mulBuf1},
-		"ODRMax": {mulBuf1, noMax},
-		noPri:    {mulBuf1, noMax, {lacks, "HubConfig has no PriorityFrame switch"}},
+		"ODR30":  {mulBuf2},
+		"ODR60":  {mulBuf2},
+		"ODRMax": {mulBuf2, noMax},
+		noPri:    {mulBuf2, noMax, {lacks, "HubConfig has no PriorityFrame switch"}},
 	}
 
 	// Simulator: every configuration the evaluation matrix runs, at both

@@ -2,8 +2,11 @@
 # The real-time CLIs end to end. For each regulation policy, start
 # `odrserver -once` on a fixed loopback port, play `odrclient` against it for
 # two seconds, and fail unless the client decoded frames and the server exited
-# once its client detached. Then ask for RVS, which a hub does not run, and
-# fail unless odrserver exits non-zero without listening.
+# once its client detached. ODR runs twice: at the default 60 FPS target and
+# uncapped (-fps 100000), where the renderer waits on its lane for every frame,
+# so a renderer stranded in that wait fails here instead of hanging the -once
+# server. Then ask for RVS, which a hub does not run, and fail unless odrserver
+# exits non-zero without listening.
 #
 #   bash scripts/serve-smoke.sh            (or: make serve-smoke)
 #
@@ -26,7 +29,7 @@ trap cleanup EXIT
 "$go" build -o "$tmp/odrclient" ./cmd/odrclient
 
 fail() {
-	echo "serve-smoke: -policy $policy: $*" >&2
+	echo "serve-smoke: -policy $policy -fps $fps: $*" >&2
 	echo "--- odrserver log" >&2
 	cat "$tmp/server.log" >&2
 	echo "--- odrclient log" >&2
@@ -34,9 +37,10 @@ fail() {
 	exit 1
 }
 
-for policy in odr interval noreg; do
+for pass in "odr 60" "odr 100000" "interval 60" "noreg 60"; do
+	read -r policy fps <<<"$pass"
 	rm -f "$tmp/client.log"
-	"$tmp/odrserver" -once -policy "$policy" -addr "$addr" -width 96 -height 54 2>"$tmp/server.log" &
+	"$tmp/odrserver" -once -policy "$policy" -fps "$fps" -addr "$addr" -width 96 -height 54 2>"$tmp/server.log" &
 	srv=$!
 	for _ in $(seq 100); do
 		grep -q 'listening on' "$tmp/server.log" && break
@@ -55,11 +59,12 @@ for policy in odr interval noreg; do
 	kill -0 "$srv" 2>/dev/null && fail "odrserver -once still running after its client left"
 	wait "$srv" || fail "odrserver exited with an error"
 	srv=
-	echo "serve-smoke: -policy $policy: client decoded $frames frames; server exited after it left"
+	echo "serve-smoke: -policy $policy -fps $fps: client decoded $frames frames; server exited after it left"
 done
 
 # A hub has no RVS: odrserver must say so and exit before it listens.
 policy=rvs
+fps=60
 rm -f "$tmp/client.log"
 if timeout 10 "$tmp/odrserver" -once -policy rvs -addr "$addr" 2>"$tmp/server.log"; then
 	fail "odrserver exited 0"
