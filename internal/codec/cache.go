@@ -4,22 +4,27 @@ package codec
 // across frames, encoders and hub lanes.
 //
 // The key insight that makes sharing sound is that a tile payload is a pure
-// function of the bytes being coded and the row width they are coded at:
-// payload = appendPayload(content, rowBytes) (rowBytes because the coder
-// may predict a byte from the one a row above it) and crc =
-// CRC32C(payload) depend on nothing else — not on the encoder, the frame
-// index, the worker count, or whether the bytes are a key tile, a
-// stripe-intra tile, a splice cut or a delta image. One cache therefore
-// serves every payload producer in this package, and a hit can never
-// change what goes on the wire: it returns exactly the bytes a fresh coding
-// pass would have produced. The key is (content, rowBytes): the same bytes
-// at two row widths are two entries with two payloads.
+// function of the content being coded, the reference it is coded against
+// and the row width it is coded at: payload = appendPayload(content, ref,
+// rowBytes) (ref because a delta tile's blocks may code content − ref;
+// rowBytes because the coder may predict a byte from the one a row above
+// it) and crc = CRC32C(payload) depend on nothing else — not on the
+// encoder, the frame index or the worker count. Key tiles, stripe-intra
+// tiles and splice cuts have no reference (ref nil), so their key is
+// (content, rowBytes) and a splice shares the payloads of the stripe and key
+// tiles the frame path coded; a delta tile's key is (content, ref,
+// rowBytes). One cache therefore serves every payload producer in this
+// package, and a hit can never change what goes on the wire: it returns
+// exactly the bytes a fresh coding pass would have produced. The same bytes
+// at two row widths, or against two references, or with and without one,
+// are distinct entries with their own payloads.
 //
 // Hash collisions are survived, not assumed away: entries with the same
-// 64-bit hash chain, and every lookup re-verifies the row width and the
-// full content bytes (length + memcmp) before declaring a hit. A poisoned
-// or colliding entry can cost a chain walk, never wrong pixels
-// (TestTileCachePoisoning pins this with a deliberately constant hash).
+// 64-bit hash chain, and every lookup re-verifies the row width, whether
+// there is a reference, and the full content and reference bytes (length +
+// memcmp) before declaring a hit. A poisoned or colliding entry can cost a
+// chain walk, never wrong pixels (TestTileCachePoisoning pins this with a
+// deliberately constant hash).
 //
 // Admission is gated by a per-shard doorkeeper: a hash is only admitted on
 // its second sighting. Never-repeating content (noise, one-shot deltas)
@@ -48,7 +53,7 @@ const (
 	// shards track 4096 recent hashes in 32 KiB.
 	tcDoorSlots = 512
 	// tcEntryOverhead approximates the per-entry bookkeeping bytes charged
-	// against the byte budget on top of content+payload.
+	// against the byte budget on top of content+reference+payload.
 	tcEntryOverhead = 96
 	// DefaultTileCacheBytes is the byte budget NewTileCache(0) applies —
 	// enough for the full quantized content plus payloads of several 4K
@@ -60,25 +65,34 @@ const (
 // tests can force collisions and prove the full-content verification on hit.
 var tileCacheHash = hashContent
 
-// hashContent addresses tile content coded at row width rowBytes with
-// CRC32-Castagnoli, which is a single hardware instruction per word on
-// amd64/arm64 — an order of magnitude faster over tile-sized inputs than
-// any scalar software mix, which matters because never-repeating content
-// (noise) pays exactly one hash pass per miss and nothing else. 32 bits of
-// state are plenty for bucket addressing: every hit re-verifies the row
-// width and the full content bytes, so a collision costs a chain walk,
-// never wrong payload bytes. The length and the row width go in the high
-// half so tiles of different geometry seldom share a chain.
-func hashContent(b []byte, rowBytes int) uint64 {
-	return (uint64(len(b))^uint64(rowBytes)<<16)<<32 | uint64(crc32.Checksum(b, castagnoli))
+// hashContent addresses tile content b coded against ref (nil for none) at
+// row width rowBytes with CRC32-Castagnoli over b and then ref, which is a
+// single hardware instruction per word on amd64/arm64 — an order of
+// magnitude faster over tile-sized inputs than any scalar software mix,
+// which matters because never-repeating content (noise) pays exactly one
+// hash pass per miss and nothing else. 32 bits of state are plenty for
+// bucket addressing: every hit re-verifies the row width and the full
+// bytes, so a collision costs a chain walk, never wrong payload bytes. The
+// length, the row width and whether there is a reference go in the high
+// half so tiles of different geometry or kind seldom share a chain.
+func hashContent(b, ref []byte, rowBytes int) uint64 {
+	hi := uint64(len(b)) ^ uint64(rowBytes)<<16
+	sum := crc32.Checksum(b, castagnoli)
+	if ref != nil {
+		hi ^= 1 << 31
+		sum = crc32.Update(sum, castagnoli, ref)
+	}
+	return hi<<32 | uint64(sum)
 }
 
-// tcEntry is one cached payload. content and rowBytes are the verification
-// key (a copy of the coded bytes and the row width they were coded at),
-// payload their coded form and crc the payload's CRC32-Castagnoli.
+// tcEntry is one cached payload. content, ref and rowBytes are the
+// verification key (copies of the coded bytes and of their reference, nil
+// for none, and the row width they were coded at), payload their coded form
+// and crc the payload's CRC32-Castagnoli.
 type tcEntry struct {
 	hash     uint64
 	content  []byte
+	ref      []byte
 	rowBytes int
 	payload  []byte
 	crc      uint32
@@ -110,7 +124,7 @@ type TileCache struct {
 }
 
 // NewTileCache returns a cache bounded to roughly maxBytes of content +
-// payload memory (0 = DefaultTileCacheBytes).
+// reference + payload memory (0 = DefaultTileCacheBytes).
 func NewTileCache(maxBytes int64) *TileCache {
 	if maxBytes <= 0 {
 		maxBytes = DefaultTileCacheBytes
@@ -127,28 +141,28 @@ func NewTileCache(maxBytes int64) *TileCache {
 	return c
 }
 
-// Lookup returns the cached payload and CRC for content coded at row width
-// rowBytes, verifying the row width and the full content bytes before
-// declaring a hit. Every call counts exactly one hit or one miss, which is
-// the accounting contract the soak conservation invariant checks (hits +
-// misses == payload tiles coded + splice tiles cut). Nil-safe;
-// allocation-free.
-func (c *TileCache) Lookup(content []byte, rowBytes int) (payload []byte, crc uint32, ok bool) {
+// Lookup returns the cached payload and CRC for content coded against ref
+// (nil for none) at row width rowBytes, verifying the row width and the
+// full content and reference bytes before declaring a hit. Every call
+// counts exactly one hit or one miss, which is the accounting contract the
+// soak conservation invariant checks (hits + misses == payload tiles coded
+// + splice tiles cut). Nil-safe; allocation-free.
+func (c *TileCache) Lookup(content, ref []byte, rowBytes int) (payload []byte, crc uint32, ok bool) {
 	if c == nil {
 		return nil, 0, false
 	}
-	return c.lookupHashed(tileCacheHash(content, rowBytes), content, rowBytes)
+	return c.lookupHashed(tileCacheHash(content, ref, rowBytes), content, ref, rowBytes)
 }
 
-// lookupHashed is Lookup with the content hash already computed, so a
-// miss-then-Insert sequence hashes the content exactly once (the hash pass
+// lookupHashed is Lookup with the hash already computed, so a
+// miss-then-Insert sequence hashes the bytes exactly once (the hash pass
 // is the dominant miss cost on never-repeating content). Callers must pass
-// h == tileCacheHash(content, rowBytes) and a non-nil receiver.
-func (c *TileCache) lookupHashed(h uint64, content []byte, rowBytes int) (payload []byte, crc uint32, ok bool) {
+// h == tileCacheHash(content, ref, rowBytes) and a non-nil receiver.
+func (c *TileCache) lookupHashed(h uint64, content, ref []byte, rowBytes int) (payload []byte, crc uint32, ok bool) {
 	sh := &c.shards[h&(tcShards-1)]
 	sh.mu.Lock()
 	for e := sh.m[h]; e != nil; e = e.hnext {
-		if e.matches(content, rowBytes) {
+		if e.matches(content, ref, rowBytes) {
 			sh.moveFrontLocked(e)
 			sh.mu.Unlock()
 			c.hits.Add(1)
@@ -160,29 +174,29 @@ func (c *TileCache) lookupHashed(h uint64, content []byte, rowBytes int) (payloa
 	return nil, 0, false
 }
 
-// Insert offers (content, rowBytes, payload, crc) after a Lookup miss. It
-// returns the canonical cache-owned payload when the entry was admitted
-// (possibly one another worker raced in first), or nil when the doorkeeper
-// rejected the first sighting — the caller then keeps using its own scratch
-// payload. Content and payload are copied on admission; the caller's slices
-// are never retained. Nil-safe.
-func (c *TileCache) Insert(content []byte, rowBytes int, payload []byte, crc uint32) []byte {
+// Insert offers (content, ref, rowBytes, payload, crc) after a Lookup
+// miss. It returns the canonical cache-owned payload when the entry was
+// admitted (possibly one another worker raced in first), or nil when the
+// doorkeeper rejected the first sighting — the caller then keeps using its
+// own scratch payload. Content, reference and payload are copied on
+// admission; the caller's slices are never retained. Nil-safe.
+func (c *TileCache) Insert(content, ref []byte, rowBytes int, payload []byte, crc uint32) []byte {
 	if c == nil {
 		return nil
 	}
-	return c.insertHashed(tileCacheHash(content, rowBytes), content, rowBytes, payload, crc)
+	return c.insertHashed(tileCacheHash(content, ref, rowBytes), content, ref, rowBytes, payload, crc)
 }
 
-// insertHashed is Insert with the content hash already computed (paired
-// with lookupHashed; same contract).
-func (c *TileCache) insertHashed(h uint64, content []byte, rowBytes int, payload []byte, crc uint32) []byte {
+// insertHashed is Insert with the hash already computed (paired with
+// lookupHashed; same contract).
+func (c *TileCache) insertHashed(h uint64, content, ref []byte, rowBytes int, payload []byte, crc uint32) []byte {
 	sh := &c.shards[h&(tcShards-1)]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	// A concurrent worker coding the same content may have admitted it
+	// A concurrent worker coding the same tile may have admitted it
 	// between our Lookup and this Insert; dedupe under the lock.
 	for e := sh.m[h]; e != nil; e = e.hnext {
-		if e.matches(content, rowBytes) {
+		if e.matches(content, ref, rowBytes) {
 			sh.moveFrontLocked(e)
 			return e.payload
 		}
@@ -207,9 +221,12 @@ func (c *TileCache) insertHashed(h uint64, content []byte, rowBytes int, payload
 		crc:      crc,
 		hnext:    sh.m[h],
 	}
+	if ref != nil {
+		e.ref = append(make([]byte, 0, len(ref)), ref...)
+	}
 	sh.m[h] = e
 	sh.pushFrontLocked(e)
-	sh.bytes += int64(len(e.content)+len(e.payload)) + tcEntryOverhead
+	sh.bytes += e.size()
 	for sh.bytes > sh.budget && sh.tail != nil && sh.tail != e {
 		c.evictions.Add(1)
 		sh.evictLocked(sh.tail)
@@ -244,9 +261,16 @@ func (c *TileCache) Len() int {
 	return n
 }
 
-// matches reports whether e caches content coded at row width rowBytes.
-func (e *tcEntry) matches(content []byte, rowBytes int) bool {
-	return e.rowBytes == rowBytes && bytes.Equal(e.content, content)
+// matches reports whether e caches content coded against ref at row width
+// rowBytes.
+func (e *tcEntry) matches(content, ref []byte, rowBytes int) bool {
+	return e.rowBytes == rowBytes && (e.ref == nil) == (ref == nil) &&
+		bytes.Equal(e.content, content) && bytes.Equal(e.ref, ref)
+}
+
+// size is what e charges against its shard's byte budget.
+func (e *tcEntry) size() int64 {
+	return int64(len(e.content)+len(e.ref)+len(e.payload)) + tcEntryOverhead
 }
 
 // pushFrontLocked links e at the LRU head.
@@ -309,5 +333,5 @@ func (sh *tcShard) evictLocked(e *tcEntry) {
 		}
 	}
 	e.hnext = nil
-	sh.bytes -= int64(len(e.content)+len(e.payload)) + tcEntryOverhead
+	sh.bytes -= e.size()
 }

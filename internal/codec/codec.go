@@ -65,7 +65,8 @@ type Options struct {
 	// across frames, encoders and splices (see cache.go). Sharing
 	// one cache between encoders — of any geometry or QuantShift — is safe
 	// and changes no bitstream byte: payloads are pure functions of the
-	// coded bytes and the row width, and the cache keys on both.
+	// coded bytes, their reference and the row width, and the cache keys on
+	// all three.
 	Cache *TileCache
 	// StripeKeyframes replaces the periodic full keyframe with temporal
 	// striping: each delta frame intra-refreshes the tile stripe
@@ -100,7 +101,6 @@ type Encoder struct {
 	tilePayload [][]byte // per-tile payload refs: tileScratch[i] or cache memory
 	tileScratch [][]byte // per-tile encoder-owned payload scratch
 	tileQ       [][]byte // per-tile quantization scratch
-	tileDelta   [][]byte // per-tile delta scratch
 	tileCRC     []uint32
 	tileDirty   []bool // tile carries a payload this frame
 	tileChanged []bool // tile content differs from the reference

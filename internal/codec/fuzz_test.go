@@ -105,25 +105,28 @@ func FuzzV2RoundTrip(f *testing.F) {
 
 // FuzzTileCache drives a deliberately tiny cache through fuzzer-chosen
 // hit/miss/evict interleavings and holds it to its two contracts: a hit
-// returns exactly appendPayload(content, rowBytes) with a matching CRC (never
-// another entry's payload), and the hit/miss counters account for every
-// lookup. The seeds cover repeat-until-admitted (hit), distinct contents
-// (miss), one content at two row widths, and enough distinct admissions to
-// force evictions on the small budget.
+// returns exactly appendPayload(content, ref, rowBytes) with a matching CRC
+// (never another entry's payload), and the hit/miss counters account for
+// every lookup. The seeds cover repeat-until-admitted (hit), distinct
+// contents (miss), one content at two row widths, one content against no
+// reference and against references one byte apart, and enough distinct
+// admissions to force evictions on the small budget.
 func FuzzTileCache(f *testing.F) {
 	f.Add([]byte{1, 1, 1, 1})                                  // repeats: admit then hit
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8})                      // all distinct: misses
 	f.Add([]byte{1, 1, 2, 2, 1, 3, 3, 2, 1, 4, 4, 3, 2, 1})    // interleaved reuse
 	f.Add([]byte{5, 5, 0x45, 0x45, 5, 0x45})                   // one content, two row widths
+	f.Add([]byte{5, 5, 0x25, 0x25, 0x35, 0x35, 5, 0x25, 0x35}) // one content, references one byte apart
 	f.Add(bytes.Repeat([]byte{9, 9, 8, 8, 7, 7, 6, 6, 5}, 40)) // churn: evictions
 	f.Fuzz(func(t *testing.T, script []byte) {
 		cache := NewTileCache(tcShards * 4096) // a few entries per shard
 		lookups := int64(0)
 		for _, op := range script {
 			// Each script byte selects one of 16 synthetic tile contents;
-			// the high bit varies the length and bit 6 the row width, so
-			// geometry mismatches are exercised alongside content
-			// mismatches.
+			// the high bit varies the length, bit 6 the row width and bits
+			// 4-5 the reference (none, or one of three, the last two one
+			// byte apart), so geometry and reference mismatches are
+			// exercised alongside content mismatches.
 			n, rowBytes := 256, 64
 			if op&0x80 != 0 {
 				n = 512
@@ -135,16 +138,26 @@ func FuzzTileCache(f *testing.F) {
 			for i := range content {
 				content[i] = (op & 0x0F) * byte(i>>3)
 			}
-			want := appendPayload(nil, content, rowBytes)
+			var ref []byte
+			if r := op >> 4 & 3; r != 0 {
+				ref = make([]byte, n)
+				for i := range ref {
+					ref[i] = byte(i>>2) + 3*min(r, 2)
+				}
+				if r == 3 {
+					ref[n/2]++
+				}
+			}
+			want := appendPayload(nil, content, ref, rowBytes)
 			wantCRC := crc32.Checksum(want, castagnoli)
-			payload, crc, ok := cache.Lookup(content, rowBytes)
+			payload, crc, ok := cache.Lookup(content, ref, rowBytes)
 			lookups++
 			if ok {
 				if crc != wantCRC || !bytes.Equal(payload, want) {
 					t.Fatalf("op %#x: hit returned wrong payload/CRC", op)
 				}
 			} else {
-				if canon := cache.Insert(content, rowBytes, want, wantCRC); canon != nil && !bytes.Equal(canon, want) {
+				if canon := cache.Insert(content, ref, rowBytes, want, wantCRC); canon != nil && !bytes.Equal(canon, want) {
 					t.Fatalf("op %#x: canonical payload differs from inserted", op)
 				}
 			}

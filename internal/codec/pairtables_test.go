@@ -32,10 +32,11 @@ func pairCorpus() []pairHist {
 				continue
 			}
 			n := end - i
-			mode, s, ks, est := planBlock(&zz, src, i, end, rowBytes)
-			if est+8*riceOverhead > 8*n {
+			p := planBlock(&zz, src, i, end, rowBytes, 0)
+			if p.est+8*riceOverhead > 8*n {
 				continue
 			}
+			mode, s, ks := p.mode, p.s, p.params(&zz[p.mode], n)
 			for c, k := range ks {
 				if k != 0 {
 					continue
@@ -61,7 +62,7 @@ func pairCorpus() []pairHist {
 	for f, pix := range gameFrames(w, h, 30) {
 		src := pix
 		if f > 0 {
-			maskSubInto(delta, pix, prev, 0xFF)
+			subInto(delta, pix, prev)
 			src = delta
 		}
 		for ti := 0; ti < tileCount(h, DefaultTileRows); ti++ {
@@ -70,7 +71,8 @@ func pairCorpus() []pairHist {
 		}
 		copy(prev, pix)
 	}
-	contentTiles(func(kind string, w int, shift uint, tile []byte) { add(tile, 4*w) })
+	// A tile with a reference joins as its temporal delta.
+	contentTiles(func(kind string, w int, shift uint, tile, ref []byte) { add(refDelta(tile, ref), 4*w) })
 	return corpus
 }
 

@@ -2,22 +2,31 @@ package codec
 
 // The tile payload coder: a block-wise, predictive residual coder with
 // Rice-split samples whose quotients are coded in pairs by static prefix
-// tables. Every payload producer in the package — delta tiles (the byte-wise
-// temporal delta image), key/stripe tiles and splice cuts (absolute
-// content) — hands its bytes to appendPayload, and decodeTile hands the
-// payload to decodePayload; there is no other entropy stage.
+// tables. Every payload producer in the package — delta tiles, key/stripe
+// tiles and splice cuts — hands its tile to appendPayload, and decodeTile
+// hands the payload to decodePayload; there is no other entropy stage.
 //
-// The payload is a pure, self-describing function of two things: the source
-// bytes and rowBytes, the byte distance from a pixel to the one above it
-// (4 × frame width, so always a positive multiple of 4). Blocks are cut by
-// byte count from the start of the tile (never by row width), and
-// everything else the decoder needs — prediction mode, the common
-// power-of-two factor of the block (what quantization leaves behind), the
-// per-channel Rice parameters — is derived from the bytes and recorded in
-// the block header (the pair table of each channel included: it is picked
-// by cost from the same bytes). That is what lets TileCache key payloads by
-// (content, rowBytes) and keeps a splice byte-identical to a private
-// encoder.
+// The payload is a pure, self-describing function of three things: the
+// tile's absolute (quantized) content src, its reference ref, and rowBytes,
+// the byte distance from a pixel to the one above it (4 × frame width, so
+// always a positive multiple of 4). The reference is the previous frame's
+// content of the same tile for a delta tile, and nil for key, stripe-intra
+// and splice tiles. Blocks are cut by byte count from the start of the tile
+// (never by row width), and everything else the decoder needs — the
+// domain, the prediction mode, the common power-of-two factor of the block
+// (what quantization leaves behind), the per-channel Rice parameters — is
+// derived from the bytes and recorded in the block header (the pair table
+// of each channel included: it is picked by cost from the same bytes). That
+// is what lets TileCache key payloads by (content, reference, rowBytes) and
+// keeps a splice byte-identical to a private encoder.
+//
+// Two domains. Without a reference every block codes the content A = src.
+// With one, a block codes either the temporal delta D = src − ref (inter
+// coding, the S bit clear) or the content A itself (intra coding, S set),
+// whichever the encoder estimates cheaper. The decoder holds ref and every
+// byte of A it has decoded, so it knows both A and D = A − ref for every
+// earlier byte: a block predicts from the neighbours of its own domain,
+// whatever domain coded them.
 //
 // Layout: the source is cut into blockBytes-byte blocks (the last may be
 // short; the decoder derives the block count from the tile size, so no
@@ -26,19 +35,22 @@ package codec
 //
 //	bits 0-2  shift s: every coded byte of the block is a multiple of 2^s
 //	bit  3    H: predict from the left (the same channel of the previous
-//	          pixel, src[i-4])
+//	          pixel, x[i-4])
 //	bit  4    V: predict from above (the same byte of the row above,
-//	          src[i-rowBytes])
-//	bits 5-6  block type; bit 7 must be zero
+//	          x[i-rowBytes])
+//	bits 5-6  block type
+//	bit  7    S: the block codes A, not D. Legal only on a rice block of a
+//	          tile with a reference; anywhere else it is corrupt.
 //
-// Bytes before the tile start — the rows above its first row included —
-// read as 0. The four predictors are separable: none (the residual is
-// src[i]), H (src[i]-src[i-4]), V (src[i]-src[i-rowBytes]), and H and V
-// together, planar a+b-c prediction, which is H applied to the V difference
-// image d[i] = src[i]-src[i-rowBytes]. H runs across block and row
-// boundaries. V needs rows of at least two pixels (rowBytes >= 8, so the
-// decoder can add the row above a word at a time); a V tag on a narrower
-// tile is corrupt.
+// x is the block's signal: D for a block of a tile with a reference and S
+// clear, A otherwise. Bytes before the tile start — the rows above its first
+// row included — read as 0 in both domains. The four predictors are
+// separable: none (the residual is x[i]), H (x[i]-x[i-4]), V
+// (x[i]-x[i-rowBytes]), and H and V together, planar a+b-c prediction,
+// which is H applied to the V difference image d[i] = x[i]-x[i-rowBytes]. H
+// runs across block and row boundaries. V needs rows of at least two pixels
+// (rowBytes >= 8, so the decoder can add the row above a word at a time); a
+// V tag on a narrower tile is corrupt.
 //
 //	type 0 (rice):  two bytes follow holding four 4-bit parameters, channel
 //	    c = byte index mod 4 in bits 4c..4c+3 (little-endian):
@@ -51,10 +63,12 @@ package codec
 //	             no bits at all (alpha, static stretches inside a changed
 //	             block).
 //	    Then the body, below.
-//	type 1 (zeros): s, H and V must be 0; a uvarint n >= 1 follows and the
-//	    next n blocks are all zero — a clean region of any length costs
-//	    one tag and one varint.
-//	type 2 (raw):   s, H and V must be 0; the block's bytes follow verbatim.
+//	type 1 (zeros): s, H, V and S must be 0; a uvarint n >= 1 follows and
+//	    the next n blocks are all zero in D (the reference's bytes) or, without
+//	    a reference, in A — a clean region of any length costs one tag and
+//	    one varint.
+//	type 2 (raw):   s, H, V and S must be 0; the block's bytes of D (of A
+//	    without a reference) follow verbatim.
 //
 // A sample is coded as v = zigzag(int8(residual) >> s), split Rice-fashion
 // into a quotient q = v>>k and the k remainder bits. The quotient becomes a
@@ -108,6 +122,7 @@ const (
 	tagLeft      = 0x08 // H
 	tagUp        = 0x10 // V
 	tagTypeShift = 5
+	tagSpatial   = 0x80 // S
 
 	// A prediction mode is the tag's H and V bits shifted down.
 	tagModeShift = 3
@@ -228,16 +243,17 @@ func residualByte(src []byte, p, rowBytes, mode int) byte {
 }
 
 // blockStats analyses src[i:end] (i a multiple of blockBytes, end-i <=
-// blockBytes) for all four prediction modes in one pass, eight byte lanes
-// at a time: it leaves each mode's zig-zagged residuals in zz[mode][:n]
-// (zero up to the next multiple of 8) for the coder to pick from, and
-// returns the OR of every residual of every mode (for the shift) and each
+// blockBytes) for the prediction modes from first on (0, or modeLeft to
+// leave none out) in one pass, eight byte lanes at a time: it leaves each
+// such mode's zig-zagged residuals in zz[mode][:n] (zero up to the next
+// multiple of 8) for the coder to pick from, and returns the OR of every
+// residual of every mode, none's included (for the shift), and each such
 // mode's per-channel magnitude sums (for the mode choice). The residuals
 // are differences of the block's bytes, the rows above them and the pixel
 // before the block, so those bytes OR to the same power-of-two factor. The
 // 16-bit lane accumulators cannot overflow: a block feeds each lane at
 // most blockBytes/8 values of at most 255.
-func blockStats(zz *[4][blockBytes]byte, src []byte, i, end, rowBytes int) (or byte, sum [4][4]uint32) {
+func blockStats(zz *[4][blockBytes]byte, src []byte, i, end, rowBytes, first int) (or byte, sum [4][4]uint32) {
 	const lo16 = 0x00FF00FF00FF00FF
 	// The pixel before the cursor of src and of its V difference.
 	cx, cd := leftCarry(src, i, rowBytes, false), leftCarry(src, i, rowBytes, true)
@@ -253,11 +269,13 @@ func blockStats(zz *[4][blockBytes]byte, src []byte, i, end, rowBytes int) (or b
 		pl := subBytes(d, d<<32|cd)
 		cx, cd = x>>32, d>>32
 		o |= x | u
-		z := zigzagBytes(x)
-		binary.LittleEndian.PutUint64(zz[0][j:], z)
-		eN += z & lo16
-		oN += z >> 8 & lo16
-		z = zigzagBytes(h)
+		if first == 0 {
+			z := zigzagBytes(x)
+			binary.LittleEndian.PutUint64(zz[0][j:], z)
+			eN += z & lo16
+			oN += z >> 8 & lo16
+		}
+		z := zigzagBytes(h)
 		binary.LittleEndian.PutUint64(zz[modeLeft][j:], z)
 		eH += z & lo16
 		oH += z >> 8 & lo16
@@ -355,84 +373,124 @@ func riceK(m, nc int) uint {
 // Rice coding beats that with its outliers counted in full; its parameter
 // then follows the clamped mean, as the outliers escape whatever k is.
 func riceParams(s uint, mag, cmag *[4]uint32, n int) (ks [4]uint8, estBits int) {
-	width := 8 - s // bits of a verbatim sample
 	for c := 0; c < 4; c++ {
-		m := int(mag[c])
-		if m == 0 {
-			ks[c] = kZero
-			continue
+		cost, k := channelCost(s, mag[c], n, c)
+		if k < 8-s {
+			k = riceK(int(cmag[c]), (n-c+3)/4)
 		}
-		nc := (n - c + 3) / 4
-		k := riceK(m, nc)
-		cost := nc*(int(k)+1) + m>>k
-		if raw := nc * int(width); cost >= raw || k >= width {
-			ks[c] = uint8(width)
-			estBits += raw
-			continue
-		}
-		ks[c] = uint8(riceK(int(cmag[c]), nc))
+		ks[c] = uint8(k)
 		estBits += cost
 	}
 	return ks, estBits
 }
 
+// channelCost is the estimated size in bits of channel c of a block of n
+// bytes and shift s whose magnitude sum is m, and its parameter before the
+// clamp: kZero for no bits, 8-s for verbatim, or the Rice parameter of the
+// plain mean.
+func channelCost(s uint, m uint32, n, c int) (cost int, k uint) {
+	if m == 0 {
+		return 0, kZero
+	}
+	width := 8 - s // bits of a verbatim sample
+	nc := (n - c + 3) / 4
+	k = riceK(int(m), nc)
+	cost = nc*(int(k)+1) + int(m)>>k
+	if raw := nc * int(width); cost >= raw || k >= width {
+		return raw, width
+	}
+	return cost, k
+}
+
 // modeCost is the estimated body size of one prediction mode of a block,
 // shift s, from its magnitude sums: what the mode choice compares.
-func modeCost(s uint, sum *[4]uint32, n int) int {
-	var mag [4]uint32
+func modeCost(s uint, sum *[4]uint32, n int) (est int) {
 	for c, v := range sum {
-		mag[c] = v >> s
+		cost, _ := channelCost(s, v>>s, n, c)
+		est += cost
 	}
-	_, est := riceParams(s, &mag, &mag, n)
 	return est
 }
 
-// planBlock analyses the block src[i:end], which is not all zero, and picks
-// how it codes: the prediction mode, the shift, the channel parameters and
-// the estimated body size in bits. It leaves every mode's zig-zagged
-// residuals in zz.
-func planBlock(zz *[4][blockBytes]byte, src []byte, i, end, rowBytes int) (mode int, s uint, ks [4]uint8, est int) {
+// blockPlan is how a block codes in one domain: the prediction mode, the
+// shift, the mode's magnitude sums after the shift, and the estimated body
+// size in bits.
+type blockPlan struct {
+	mode int
+	s    uint
+	mag  [4]uint32
+	est  int
+}
+
+// planBlock analyses the block src[i:end], which is not all zero, and plans
+// how it codes in that one domain, over the prediction modes from first on.
+// It leaves those modes' zig-zagged residuals in zz.
+func planBlock(zz *[4][blockBytes]byte, src []byte, i, end, rowBytes, first int) (p blockPlan) {
 	modes := 4
 	if rowBytes < minUpRow {
 		modes = 2 // none and H only
 	}
 	n := end - i
-	or, sum := blockStats(zz, src, i, end, rowBytes)
-	s = uint(bits.TrailingZeros8(or)) // or != 0: the block is not all zero
-	best := modeCost(s, &sum[0], n)
-	for m := 1; m < modes; m++ {
-		if c := modeCost(s, &sum[m], n); c < best {
-			mode, best = m, c
+	or, sum := blockStats(zz, src, i, end, rowBytes, first)
+	p.s = uint(bits.TrailingZeros8(or)) // or != 0: the block is not all zero
+	p.mode = first
+	p.est = modeCost(p.s, &sum[first], n)
+	for m := first + 1; m < modes; m++ {
+		if c := modeCost(p.s, &sum[m], n); c < p.est {
+			p.mode, p.est = m, c
 		}
 	}
-	var mag [4]uint32
-	for c, v := range sum[mode] {
-		mag[c] = v >> s
+	for c, v := range sum[p.mode] {
+		p.mag[c] = v >> p.s
 	}
-	cmag := clampedSums(&zz[mode], n, s)
-	ks, est = riceParams(s, &mag, &cmag, n)
-	return mode, s, ks, est
+	return p
+}
+
+// params returns the channel parameters of plan p for the n residuals zz
+// of its mode. The estimate does not depend on them, so a block only pays
+// for the clamped sums of the plan it codes.
+func (p *blockPlan) params(zz *[blockBytes]byte, n int) [4]uint8 {
+	cmag := clampedSums(zz, n, p.s)
+	ks, _ := riceParams(p.s, &p.mag, &cmag, n)
+	return ks
 }
 
 // appendPayload appends the coded form of src, a tile whose rows are
-// rowBytes long, to dst and returns the extended slice. It allocates only
-// when dst lacks the capacity for the worst case plus payloadSlack.
-func appendPayload(dst, src []byte, rowBytes int) []byte {
+// rowBytes long, against the reference ref (nil, or as long as src) to dst
+// and returns the extended slice; dst may not overlap src or ref. With a
+// reference, each block that changed codes in the domain whose plan
+// estimates fewer bits, the temporal one on a tie. It allocates only when
+// dst lacks the capacity for the worst case plus payloadSlack, and with a
+// reference len(src) more: the temporal delta is computed once into the end
+// of that capacity, past anything the payload can reach.
+func appendPayload(dst, src, ref []byte, rowBytes int) []byte {
 	pos := len(dst)
-	if need := pos + maxPayloadLen(len(src)) + payloadSlack; cap(dst) < need {
+	need := pos + maxPayloadLen(len(src)) + payloadSlack
+	if ref != nil {
+		need += len(src)
+	}
+	if cap(dst) < need {
 		grown := make([]byte, need)
 		copy(grown, dst)
 		dst = grown
 	}
 	out := dst[:cap(dst)]
-	var zz [4][blockBytes]byte
+	// sig is the signal of zero runs, raw blocks and blocks with S clear:
+	// the delta D, or the content without a reference.
+	sig := src
+	if ref != nil {
+		sig = out[len(out)-len(src):]
+		out = out[:len(out)-len(src)]
+		subInto(sig, src, ref)
+	}
+	var zz, zzA [4][blockBytes]byte // the residuals of sig, and of the content
 	for i := 0; i < len(src); {
 		end := min(i+blockBytes, len(src))
-		if allZero(src[i:end]) {
+		if allZero(sig[i:end]) {
 			run := 1
 			for end < len(src) {
 				next := min(end+blockBytes, len(src))
-				if !allZero(src[end:next]) {
+				if !allZero(sig[end:next]) {
 					break
 				}
 				run++
@@ -445,16 +503,25 @@ func appendPayload(dst, src []byte, rowBytes int) []byte {
 			continue
 		}
 		n := end - i
-		mode, s, ks, est := planBlock(&zz, src, i, end, rowBytes)
-		if est+8*riceOverhead <= 8*n {
-			tag := byte(blockRice<<tagTypeShift) | byte(mode)<<tagModeShift | byte(s)
-			if next := appendRiceBlock(out, pos, &zz[mode], n, tag, &ks); next-pos <= n {
+		p := planBlock(&zz, sig, i, end, rowBytes, 0)
+		res, tag := &zz[p.mode], byte(blockRice<<tagTypeShift)
+		if ref != nil {
+			// The content, planned over H, V and planar: none would code
+			// its raw pixel values.
+			if a := planBlock(&zzA, src, i, end, rowBytes, modeLeft); a.est < p.est {
+				p, res, tag = a, &zzA[a.mode], tag|tagSpatial
+			}
+		}
+		if p.est+8*riceOverhead <= 8*n {
+			tag |= byte(p.mode)<<tagModeShift | byte(p.s)
+			ks := p.params(res, n)
+			if next := appendRiceBlock(out, pos, res, n, tag, &ks); next-pos <= n {
 				pos, i = next, end
 				continue
 			}
 		}
 		out[pos] = blockRaw << tagTypeShift
-		pos += 1 + copy(out[pos+1:], src[i:end])
+		pos += 1 + copy(out[pos+1:], sig[i:end])
 		i = end
 	}
 	return out[:pos]
@@ -672,13 +739,17 @@ func appendPairs(out []byte, pos int, acc uint64, nb uint, ch []byte, code *[256
 	return pos, acc, nb
 }
 
-// decodePayload expands a payload into exactly len(dst) bytes, a tile whose
-// rows are rowBytes long. It never allocates and never reads outside
-// payload or writes outside dst: every declared size is checked against
-// the bytes and the space actually left before it is acted on, and the
-// sample loops are bounded by the block size, not by anything the payload
-// says.
-func decodePayload(dst, payload []byte, rowBytes int) error {
+// decodePayload expands a payload into exactly len(dst) bytes of absolute
+// content, a tile whose rows are rowBytes long coded against the reference
+// ref: nil, or len(dst) bytes that dst does not overlap. It never allocates
+// and never reads outside payload and ref or writes outside dst: every
+// declared size is checked against the bytes and the space actually left
+// before it is acted on, and the sample loops are bounded by the block
+// size, not by anything the payload says.
+func decodePayload(dst, payload, ref []byte, rowBytes int) error {
+	if ref != nil {
+		ref = ref[:len(dst)]
+	}
 	pos := 0
 	for i := 0; i < len(dst); {
 		if pos >= len(payload) {
@@ -699,15 +770,26 @@ func decodePayload(dst, payload []byte, rowBytes int) error {
 			}
 			pos += used
 			end = min(i+int(n)*blockBytes, len(dst))
-			clear(dst[i:end])
+			if ref != nil {
+				copy(dst[i:end], ref[i:end])
+			} else {
+				clear(dst[i:end])
+			}
 		case tag == blockRaw<<tagTypeShift:
 			if len(payload)-pos < end-i {
 				return ErrTruncated
 			}
 			pos += copy(dst[i:end], payload[pos:])
-		case tag>>tagTypeShift == blockRice:
+			if ref != nil {
+				addInto(dst[i:end], ref[i:end])
+			}
+		case tag>>tagTypeShift&3 == blockRice && (ref != nil || tag&tagSpatial == 0):
+			bias := ref // the block codes D, or A when S is set
+			if tag&tagSpatial != 0 {
+				bias = nil
+			}
 			var err error
-			if pos, err = decodeRiceBlock(dst, i, end, rowBytes, payload, pos, tag); err != nil {
+			if pos, err = decodeRiceBlock(dst, bias, i, end, rowBytes, payload, pos, tag); err != nil {
 				return err
 			}
 		default:
@@ -727,8 +809,9 @@ func unzigzagBytes(v uint64) uint64 {
 }
 
 // decodeRiceBlock decodes one rice block (tag already consumed, parameters
-// at payload[pos:]) into dst[i:end] and returns the position after it.
-func decodeRiceBlock(dst []byte, i, end, rowBytes int, payload []byte, pos int, tag byte) (int, error) {
+// at payload[pos:]) of the signal dst-bias into dst[i:end] and returns the
+// position after it.
+func decodeRiceBlock(dst, bias []byte, i, end, rowBytes int, payload []byte, pos int, tag byte) (int, error) {
 	if tag&tagUp != 0 && rowBytes < minUpRow {
 		return 0, ErrCorrupt
 	}
@@ -902,17 +985,19 @@ func decodeRiceBlock(dst []byte, i, end, rowBytes int, payload []byte, pos int, 
 		}
 	}
 
-	unpredictBlock(dst, i, end, rowBytes, tag, &rem, (*[blockBytes]byte)(quo[:]))
+	unpredictBlock(dst, bias, i, end, rowBytes, tag, &rem, (*[blockBytes]byte)(quo[:]))
 	return pos, nil
 }
 
 // unpredictBlock is the decoder's reconstruction stage, eight lanes at a
 // time: sample j's value is rem[j] | quo[j]; undo zig-zag and shift, then
-// the prediction. H runs on the two pixels of a word — the first adds the
-// carried one, the second the first — and V then adds the row above in a
-// second pass, in order, so a row of this block is final before the row
-// below reads it.
-func unpredictBlock(dst []byte, i, end, rowBytes int, tag byte, rem, quo *[blockBytes]byte) {
+// the prediction, in the domain of the signal x = dst-bias (dst when bias is
+// nil), reading the neighbours before the block as the content dst already
+// holds minus bias; then add bias back, so dst[i:end] ends as content. H
+// runs on the two pixels of a word — the first adds the carried one, the
+// second the first — and V then adds the row above in a second pass, in
+// order, so a row of this block is final before the row below reads it.
+func unpredictBlock(dst, bias []byte, i, end, rowBytes int, tag byte, rem, quo *[blockBytes]byte) {
 	s := uint(tag & 7)
 	laneMask := uint64(0xFF<<s&0xFF) * swarLo
 	up := tag&tagUp != 0
@@ -920,9 +1005,16 @@ func unpredictBlock(dst []byte, i, end, rowBytes int, tag byte, rem, quo *[block
 	if tag&tagLeft != 0 {
 		leftMask = ^uint64(0)
 		carry = leftCarry(dst, i, rowBytes, up)
+		if bias != nil {
+			carry = subBytes(carry, leftCarry(bias, i, rowBytes, up))
+		}
 	}
 	blk := dst[i:end]
 	n := len(blk)
+	var ref []byte // the bias the first pass adds back: all of it, unless V does
+	if bias != nil && !up {
+		ref = bias[i:end]
+	}
 	for j := 0; j < n; j += 8 {
 		z := binary.LittleEndian.Uint64(rem[j:]) | binary.LittleEndian.Uint64(quo[j:])
 		x := unzigzagBytes(z) << s & laneMask
@@ -930,11 +1022,17 @@ func unpredictBlock(dst []byte, i, end, rowBytes int, tag byte, rem, quo *[block
 		x = addBytes(x, x<<32&leftMask)
 		carry = x >> 32 & leftMask
 		if j+8 <= n {
+			if ref != nil {
+				x = addBytes(x, binary.LittleEndian.Uint64(ref[j:]))
+			}
 			binary.LittleEndian.PutUint64(blk[j:], x)
 			continue
 		}
 		for t := j; t < n; t++ {
 			blk[t] = byte(x)
+			if ref != nil {
+				blk[t] += ref[t]
+			}
 			x >>= 8
 		}
 	}
@@ -942,10 +1040,26 @@ func unpredictBlock(dst []byte, i, end, rowBytes int, tag byte, rem, quo *[block
 		return
 	}
 	j := max(i, rowBytes) // the tile's first row has nothing above it
+	if bias == nil {
+		for ; j+8 <= end; j += 8 {
+			binary.LittleEndian.PutUint64(dst[j:], addBytes(binary.LittleEndian.Uint64(dst[j:]), binary.LittleEndian.Uint64(dst[j-rowBytes:])))
+		}
+		for ; j < end; j++ {
+			dst[j] += dst[j-rowBytes]
+		}
+		return
+	}
+	if i < j { // first-row bytes: the bias is all there is to add
+		addInto(dst[i:min(j, end)], bias[i:min(j, end)])
+	}
+	// Below it, x[j] is the difference plus x[j-rowBytes], the content
+	// above minus its bias; then the bias of j comes back.
 	for ; j+8 <= end; j += 8 {
-		binary.LittleEndian.PutUint64(dst[j:], addBytes(binary.LittleEndian.Uint64(dst[j:]), binary.LittleEndian.Uint64(dst[j-rowBytes:])))
+		b := subBytes(binary.LittleEndian.Uint64(bias[j:]), binary.LittleEndian.Uint64(bias[j-rowBytes:]))
+		x := addBytes(binary.LittleEndian.Uint64(dst[j:]), binary.LittleEndian.Uint64(dst[j-rowBytes:]))
+		binary.LittleEndian.PutUint64(dst[j:], addBytes(x, b))
 	}
 	for ; j < end; j++ {
-		dst[j] += dst[j-rowBytes]
+		dst[j] += dst[j-rowBytes] - bias[j-rowBytes] + bias[j]
 	}
 }

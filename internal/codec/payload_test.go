@@ -17,12 +17,12 @@ import (
 // Reference coder: the payload format written and read one bit at a time,
 // straight from the layout comment in payload.go. It shares only riceParams
 // (plain scalar code) and the committed code lengths pairLens with the
-// production coder: its predictors, statistics, table choice, canonical
-// codes, bit strings and reconstruction are its own, and it writes the
-// unary table as two unary codes, so byte equality between the two pins
-// every word-wide kernel — the four-mode analysis, the clamped sums, the
-// three bit packers, the escape scan, and on the way back the table lookups,
-// the bit readers and both reconstruction passes.
+// production coder: its domains, predictors, statistics, table choice,
+// canonical codes, bit strings and reconstruction are its own, and it
+// writes the unary table as two unary codes, so byte equality between the
+// two pins every word-wide kernel — the four-mode analysis in both domains,
+// the clamped sums, the three bit packers, the escape scan, and on the way
+// back the table lookups, the bit readers and both reconstruction passes.
 // ---------------------------------------------------------------------------
 
 type refBitWriter struct {
@@ -65,14 +65,77 @@ func refResidual(src []byte, p, rowBytes, mode int) byte {
 	return src[p] - (left + up - corner)
 }
 
-func refAppendPayload(src []byte, rowBytes int) []byte {
+// refPlan is one domain's plan of block sig[i:end] over the prediction
+// modes from first on: the mode, shift and parameters the coder's rules
+// pick, the estimated body size and the sample values.
+type refPlan struct {
+	mode int
+	s    uint
+	ks   [4]uint8
+	est  int
+	v    []uint
+}
+
+func refPlanBlock(sig []byte, i, end, rowBytes, first int) refPlan {
+	n := end - i
+	var or byte // of every residual of every mode
+	var sum [4][4]uint32
+	for j := i; j < end; j++ {
+		for m := 0; m < 4; m++ {
+			r := refResidual(sig, j, rowBytes, m)
+			or |= r
+			sum[m][j&3] += uint32(zigzag(r))
+		}
+	}
+	s := uint(bits.TrailingZeros8(or))
+	modes := 4
+	if rowBytes < 8 {
+		modes = 2
+	}
+	mode, best := 0, 0
+	for m := first; m < modes; m++ {
+		var mag [4]uint32
+		for c := range mag {
+			mag[c] = sum[m][c] >> s
+		}
+		if _, est := riceParams(s, &mag, &mag, n); m == first || est < best {
+			mode, best = m, est
+		}
+	}
+	var mag, cmag [4]uint32
+	v := make([]uint, n)
+	for j := i; j < end; j++ {
+		v[j-i] = uint(zigzag(refResidual(sig, j, rowBytes, mode))) >> s
+		cmag[j&3] += uint32(min(v[j-i], kClamp))
+	}
+	for c := range mag {
+		mag[c] = sum[mode][c] >> s
+	}
+	ks, est := riceParams(s, &mag, &cmag, n)
+	return refPlan{mode, s, ks, est, v}
+}
+
+// refDelta returns src - ref byte by byte, or src when ref is nil.
+func refDelta(src, ref []byte) []byte {
+	if ref == nil {
+		return src
+	}
+	d := make([]byte, len(src))
+	for i := range d {
+		d[i] = src[i] - ref[i]
+	}
+	return d
+}
+
+func refAppendPayload(src, ref []byte, rowBytes int) []byte {
 	var out []byte
 	zero := func(b []byte) bool { return bytes.Count(b, []byte{0}) == len(b) }
+	sig := refDelta(src, ref) // the domain of zero runs, raw blocks and S = 0
 	for i := 0; i < len(src); {
 		end := min(i+blockBytes, len(src))
-		if zero(src[i:end]) {
+		if zero(sig[i:end]) {
 			run := uint64(1)
-			for end < len(src) && zero(src[end:min(end+blockBytes, len(src))]) {
+			for end < len(src) && zero(sig[end:min(end+blockBytes, len(src))]) {
 				run++
 				end = min(end+blockBytes, len(src))
 			}
@@ -81,48 +144,20 @@ func refAppendPayload(src []byte, rowBytes int) []byte {
 			continue
 		}
 		n := end - i
-		var or byte // of every residual of every mode
-		var sum [4][4]uint32
-		for j := i; j < end; j++ {
-			for m := 0; m < 4; m++ {
-				r := refResidual(src, j, rowBytes, m)
-				or |= r
-				sum[m][j&3] += uint32(zigzag(r))
+		p, spatial := refPlanBlock(sig, i, end, rowBytes, 0), false
+		if ref != nil { // the content without mode none
+			if a := refPlanBlock(src, i, end, rowBytes, modeLeft); a.est < p.est {
+				p, spatial = a, true
 			}
 		}
-		s := uint(bits.TrailingZeros8(or))
-		modes := 4
-		if rowBytes < 8 {
-			modes = 2
-		}
-		mode, best := 0, 0
-		for m := 0; m < modes; m++ {
-			var mag [4]uint32
-			for c := range mag {
-				mag[c] = sum[m][c] >> s
-			}
-			if _, est := riceParams(s, &mag, &mag, n); m == 0 || est < best {
-				mode, best = m, est
-			}
-		}
-		var mag, cmag [4]uint32
-		v := make([]uint, n)
-		for j := i; j < end; j++ {
-			v[j-i] = uint(zigzag(refResidual(src, j, rowBytes, mode))) >> s
-			cmag[j&3] += uint32(min(v[j-i], kClamp))
-		}
-		for c := range mag {
-			mag[c] = sum[mode][c] >> s
-		}
-		ks, est := riceParams(s, &mag, &cmag, n)
-		if est+8*riceOverhead <= 8*n {
-			if blk := refRiceBlock(v, s, mode, ks); len(blk) <= n {
+		if p.est+8*riceOverhead <= 8*n {
+			if blk := refRiceBlock(p.v, p.s, p.mode, p.ks, spatial); len(blk) <= n {
 				out = append(out, blk...)
 				i = end
 				continue
 			}
 		}
-		out = append(append(out, blockRaw<<tagTypeShift), src[i:end]...)
+		out = append(append(out, blockRaw<<tagTypeShift), sig[i:end]...)
 		i = end
 	}
 	return out
@@ -174,8 +209,9 @@ func refPairs(v []uint, c int, k uint) (pairs [][2]int) {
 	return pairs
 }
 
-// refRiceBlock writes a rice block for the sample values v.
-func refRiceBlock(v []uint, s uint, mode int, ks [4]uint8) []byte {
+// refRiceBlock writes a rice block for the sample values v, with S set when
+// spatial.
+func refRiceBlock(v []uint, s uint, mode int, ks [4]uint8, spatial bool) []byte {
 	width := 8 - s
 	var nib [4]byte
 	var tabs [4]int
@@ -237,6 +273,9 @@ func refRiceBlock(v []uint, s uint, mode int, ks [4]uint8) []byte {
 	}
 	w.align()
 	tag := byte(blockRice<<tagTypeShift) | byte(mode)<<tagModeShift | byte(s)
+	if spatial {
+		tag |= 0x80
+	}
 	return append([]byte{tag, nib[0] | nib[1]<<4, nib[2] | nib[3]<<4}, w.b...)
 }
 
@@ -273,8 +312,9 @@ func (r *refBitReader) align() bool {
 	return ok
 }
 
-// refDecodePayload decodes a well-formed payload; anything else is errRef.
-func refDecodePayload(payload []byte, size, rowBytes int) ([]byte, error) {
+// refDecodePayload decodes a well-formed payload of a size-byte tile coded
+// against ref (nil, or size bytes); anything else is errRef.
+func refDecodePayload(payload, ref []byte, size, rowBytes int) ([]byte, error) {
 	dst := make([]byte, size)
 	pos := 0
 	for i := 0; i < size; {
@@ -291,17 +331,36 @@ func refDecodePayload(payload []byte, size, rowBytes int) ([]byte, error) {
 				return nil, errRef
 			}
 			pos += used
-			i = min(i+int(run)*blockBytes, size)
+			end = min(i+int(run)*blockBytes, size)
+			if ref != nil {
+				copy(dst[i:end], ref[i:end])
+			}
+			i = end
 			continue
 		case tag == blockRaw<<tagTypeShift:
 			if len(payload)-pos < end-i {
 				return nil, errRef
 			}
-			pos += copy(dst[i:end], payload[pos:])
-			i = end
+			for ; i < end; i++ {
+				if dst[i] = payload[pos]; ref != nil {
+					dst[i] += ref[i]
+				}
+				pos++
+			}
 			continue
-		case tag>>tagTypeShift != blockRice, len(payload)-pos < 2:
+		case tag&0x60 != blockRice<<tagTypeShift, len(payload)-pos < 2:
 			return nil, errRef
+		}
+		spatial := tag&0x80 != 0
+		if spatial && ref == nil {
+			return nil, errRef
+		}
+		// The block's signal: the content, or its delta against ref.
+		bias := func(q int) byte {
+			if q < 0 || spatial || ref == nil {
+				return 0
+			}
+			return ref[q]
 		}
 		s, mode := uint(tag&7), int(tag>>tagModeShift&3)
 		width := 8 - s
@@ -411,7 +470,8 @@ func refDecodePayload(payload []byte, size, rowBytes int) ([]byte, error) {
 		}
 		pos = r.pos
 		for j := i; j < end; j++ {
-			left, up, corner := refAt(dst, j-4), refAt(dst, j-rowBytes), refAt(dst, j-rowBytes-4)
+			sig := func(q int) byte { return refAt(dst, q) - bias(q) }
+			left, up, corner := sig(j-4), sig(j-rowBytes), sig(j-rowBytes-4)
 			var pred byte
 			switch mode {
 			case modeLeft:
@@ -421,7 +481,7 @@ func refDecodePayload(payload []byte, size, rowBytes int) ([]byte, error) {
 			case modeLeft | modeUp:
 				pred = left + up - corner
 			}
-			dst[j] = unzigzag(byte(v[j-i]))<<s + pred
+			dst[j] = unzigzag(byte(v[j-i]))<<s + pred + bias(j)
 		}
 		i = end
 	}
@@ -517,21 +577,28 @@ func contentFrames(kind string, w, h, n int) [][]byte {
 	return out
 }
 
-// corpusEntry is a byte string and the row width it is coded at.
+// corpusEntry is a byte string, the reference it is coded against (nil
+// for none) and the row width it is coded at.
 type corpusEntry struct {
-	src      []byte
+	src, ref []byte
 	rowBytes int
 }
 
 // payloadCorpus is the byte strings the coder-level tests run over, each at
 // several row widths: every block type, every prediction mode, every
-// shift, escapes, short and odd lengths.
+// shift, escapes, short and odd lengths, without a reference and against
+// references that make either domain win, block by block.
 func payloadCorpus() []corpusEntry {
 	rng := rand.New(rand.NewSource(7))
 	var corpus []corpusEntry
 	add := func(b []byte) {
 		for _, rb := range []int{4, 8, 12, 256, 1028} {
-			corpus = append(corpus, corpusEntry{b, rb})
+			corpus = append(corpus, corpusEntry{b, nil, rb})
+		}
+	}
+	addRef := func(b, ref []byte) {
+		for _, rb := range []int{4, 8, 256, 1028} {
+			corpus = append(corpus, corpusEntry{b, ref, rb})
 		}
 	}
 	add(nil)
@@ -566,6 +633,19 @@ func payloadCorpus() []corpusEntry {
 			outlier[i] = byte(rng.Intn(256))
 		}
 		add(outlier)
+		addRef(smooth, make([]byte, n))         // against zeros: D is the content
+		addRef(outlier, smooth)                 // sparse escapes in D, zero runs
+		addRef(smooth, randBuf(rng, n))         // D is noise, the content is smooth
+		addRef(randBuf(rng, n), smooth)         // both domains noise: raw blocks of D
+		mixed := append([]byte(nil), smooth...) // a domain switch per block
+		for i := range mixed {
+			if i/blockBytes%2 == 1 {
+				mixed[i] += byte(rng.Intn(3)) // D small, the content smooth
+			} else {
+				mixed[i] = byte(rng.Intn(256)) &^ 0x0F // D and the content rough
+			}
+		}
+		addRef(mixed, smooth)
 		// A block whose own bytes share a larger power of two than the
 		// bytes its predictors read before it: the shift must not come
 		// from the block alone.
@@ -578,17 +658,21 @@ func payloadCorpus() []corpusEntry {
 		}
 		add(steps)
 	}
-	for _, f := range gameFrames(64, 36, 3) {
-		corpus = append(corpus, corpusEntry{f, 256}, corpusEntry{f, 128})
+	game := gameFrames(64, 36, 3)
+	for i, f := range game {
+		corpus = append(corpus, corpusEntry{f, nil, 256}, corpusEntry{f, nil, 128})
+		if i > 0 {
+			corpus = append(corpus, corpusEntry{f, game[i-1], 256}, corpusEntry{f, game[i-1], 128})
+		}
 	}
 	return corpus
 }
 
 // contentTiles cuts each frame of every content class into tiles at every
-// QuantShift, both as absolute content and as the temporal delta against
-// the previous frame — what a key or stripe tile and a delta tile hand the
-// coder — over awkward geometries: 1×1, odd widths, a short last tile.
-func contentTiles(yield func(kind string, w int, shift uint, tile []byte)) {
+// QuantShift, both as absolute content and against the previous frame's
+// tile as its reference — what a key or stripe tile and a delta tile hand
+// the coder — over awkward geometries: 1×1, odd widths, a short last tile.
+func contentTiles(yield func(kind string, w int, shift uint, tile, ref []byte)) {
 	geoms := []struct{ w, h, rows int }{{1, 1, 16}, {33, 19, 16}, {7, 40, 16}, {20, 23, 5}, {64, 40, 16}}
 	for _, kind := range []string{"static", "scrolling", "mixed", "noise", "game"} {
 		for _, g := range geoms {
@@ -596,15 +680,15 @@ func contentTiles(yield func(kind string, w int, shift uint, tile []byte)) {
 			for shift := uint(0); shift < 8; shift++ {
 				mask := byte(0xFF) << shift
 				prev := make([]byte, g.w*g.h*4)
-				delta := make([]byte, len(prev))
+				cur := make([]byte, len(prev))
 				for _, f := range frames {
-					maskSubInto(delta, f, prev, mask)
-					maskInto(prev, f, mask)
+					maskInto(cur, f, mask)
 					for ti := 0; ti < tileCount(g.h, g.rows); ti++ {
 						s, e := tileRange(g.w, g.h, g.rows, ti)
-						yield(kind, g.w, shift, prev[s:e])
-						yield(kind, g.w, shift, delta[s:e])
+						yield(kind, g.w, shift, cur[s:e], nil)
+						yield(kind, g.w, shift, cur[s:e], prev[s:e])
 					}
+					prev, cur = cur, prev
 				}
 			}
 		}
@@ -717,9 +801,9 @@ func TestVerticalKernelsMatchByteLoop(t *testing.T) {
 	}
 }
 
-// TestBlockStatsMatchesByteLoop pins the four-mode analysis — residuals,
-// zig-zag, the per-mode arrays with their zero tail, OR and sums — and the
-// clamped sums against byte loops.
+// TestBlockStatsMatchesByteLoop pins the four-mode analysis and the one
+// without mode none — residuals, zig-zag, the per-mode arrays with their
+// zero tail, OR and sums — and the clamped sums against byte loops.
 func TestBlockStatsMatchesByteLoop(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	var zz [4][blockBytes]byte
@@ -738,13 +822,21 @@ func TestBlockStatsMatchesByteLoop(t *testing.T) {
 					zz[m][j] = 0xEE // stale bytes from an earlier block
 				}
 			}
-			or, sum := blockStats(&zz, src, i, end, rb)
+			first := iter % 2 * modeLeft
+			or, sum := blockStats(&zz, src, i, end, rb, first)
+			if first > 0 { // mode none is not analysed: no sum, stale bytes
+				sum[0] = [4]uint32{}
+				zz[0] = [blockBytes]byte{}
+			}
 			var wantOr byte
 			var wantSum [4][4]uint32
 			for j := i; j < end; j++ {
 				for m := 0; m < 4; m++ {
 					wantOr |= refResidual(src, j, rb, m)
 					z := zigzag(refResidual(src, j, rb, m))
+					if m < first {
+						z = 0
+					}
 					wantSum[m][j&3] += uint32(z)
 					if zz[m][j-i] != z {
 						t.Fatalf("zz[%d][%d] = %d, want %d (rowBytes %d)", m, j-i, zz[m][j-i], z, rb)
@@ -779,28 +871,38 @@ func TestBlockStatsMatchesByteLoop(t *testing.T) {
 }
 
 // TestUnpredictMatchesByteLoop pins the decoder's reconstruction — both
-// passes, every mode and shift, blocks in and below the tile's first row —
-// against a byte loop: the values a source's residuals zig-zag to must
-// rebuild the source.
+// passes, every mode and shift, blocks in and below the tile's first row,
+// each block in either domain against a reference — against a byte loop:
+// the values a signal's residuals zig-zag to must rebuild the source.
 func TestUnpredictMatchesByteLoop(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for iter := 0; iter < 300; iter++ {
 		s := uint(rng.Intn(8))
 		src := randBuf(rng, 1+rng.Intn(3*blockBytes))
 		maskInto(src, src, 0xFF<<s)
+		var ref []byte
+		if iter%2 == 1 {
+			ref = randBuf(rng, len(src))
+			maskInto(ref, ref, 0xFF<<s)
+		}
+		d := refDelta(src, ref)
 		rb := 4 * (2 + rng.Intn(300))
 		dst := make([]byte, len(src))
 		for i := 0; i < len(src); i += blockBytes {
 			end := min(i+blockBytes, len(src))
 			mode := rng.Intn(4)
+			bias, sig := ref, d
+			if rng.Intn(2) == 0 {
+				bias, sig = nil, src
+			}
 			var rem, quo [blockBytes]byte
 			for j := i; j < end; j++ {
-				v := zigzag(refResidual(src, j, rb, mode)) >> s
+				v := zigzag(refResidual(sig, j, rb, mode)) >> s
 				rem[j-i], quo[j-i] = v&0x0F, v&0xF0 // any split of v
 			}
-			unpredictBlock(dst, i, end, rb, byte(mode)<<tagModeShift|byte(s), &rem, &quo)
+			unpredictBlock(dst, bias, i, end, rb, byte(mode)<<tagModeShift|byte(s), &rem, &quo)
 			if !bytes.Equal(dst[i:end], src[i:end]) {
-				t.Fatalf("mode %d shift %d rowBytes %d block %d: reconstruction differs", mode, s, rb, i/blockBytes)
+				t.Fatalf("mode %d shift %d rowBytes %d block %d bias %v: reconstruction differs", mode, s, rb, i/blockBytes, bias != nil)
 			}
 		}
 	}
@@ -846,55 +948,91 @@ func TestRiceKMatchesFloatRule(t *testing.T) {
 // Coder
 // ---------------------------------------------------------------------------
 
-func checkAgainstReference(t *testing.T, what string, src []byte, rowBytes int) []byte {
+func checkAgainstReference(t *testing.T, what string, src, ref []byte, rowBytes int) []byte {
 	t.Helper()
-	got := appendPayload(nil, src, rowBytes)
-	if want := refAppendPayload(src, rowBytes); !bytes.Equal(got, want) {
-		t.Fatalf("%s (len %d, rowBytes %d): payload differs from the reference coder's (%d vs %d bytes)", what, len(src), rowBytes, len(got), len(want))
+	got := appendPayload(nil, src, ref, rowBytes)
+	if want := refAppendPayload(src, ref, rowBytes); !bytes.Equal(got, want) {
+		t.Fatalf("%s (len %d, rowBytes %d, reference %v): payload differs from the reference coder's (%d vs %d bytes)", what, len(src), rowBytes, ref != nil, len(got), len(want))
 	}
 	if len(got) > maxPayloadLen(len(src)) {
 		t.Fatalf("%s: %d payload bytes for %d source bytes, bound %d", what, len(got), len(src), maxPayloadLen(len(src)))
 	}
 	back := make([]byte, len(src))
-	if err := decodePayload(back, got, rowBytes); err != nil {
-		t.Fatalf("%s (len %d, rowBytes %d): decode: %v", what, len(src), rowBytes, err)
+	if err := decodePayload(back, got, ref, rowBytes); err != nil {
+		t.Fatalf("%s (len %d, rowBytes %d, reference %v): decode: %v", what, len(src), rowBytes, ref != nil, err)
 	}
-	ref, err := refDecodePayload(got, len(src), rowBytes)
+	refBack, err := refDecodePayload(got, ref, len(src), rowBytes)
 	if err != nil {
 		t.Fatalf("%s: reference decode: %v", what, err)
 	}
-	if !bytes.Equal(back, src) || !bytes.Equal(ref, src) {
-		t.Fatalf("%s (len %d, rowBytes %d): round trip differs", what, len(src), rowBytes)
+	if !bytes.Equal(back, src) || !bytes.Equal(refBack, src) {
+		t.Fatalf("%s (len %d, rowBytes %d, reference %v): round trip differs", what, len(src), rowBytes, ref != nil)
 	}
 	return got
 }
 
+// refDomains counts the changed blocks of src that the reference coder
+// plans in each domain against ref.
+func refDomains(src, ref []byte, rowBytes int) (temporal, spatial int) {
+	d := refDelta(src, ref)
+	for i := 0; i < len(src); i += blockBytes {
+		end := min(i+blockBytes, len(src))
+		if bytes.Count(d[i:end], []byte{0}) == end-i {
+			continue
+		}
+		if refPlanBlock(src, i, end, rowBytes, modeLeft).est < refPlanBlock(d, i, end, rowBytes, 0).est {
+			spatial++
+		} else {
+			temporal++
+		}
+	}
+	return temporal, spatial
+}
+
 func TestPayloadMatchesReferenceCoder(t *testing.T) {
+	var temporal, spatial int
 	for n, e := range payloadCorpus() {
-		got := checkAgainstReference(t, "corpus entry", e.src, e.rowBytes)
+		got := checkAgainstReference(t, "corpus entry", e.src, e.ref, e.rowBytes)
 		// Appending must leave what is already in dst alone.
 		pre := []byte("prefix")
-		if out := appendPayload(pre[:len(pre):len(pre)], e.src, e.rowBytes); !bytes.Equal(out[:len(pre)], pre) || !bytes.Equal(out[len(pre):], got) {
+		if out := appendPayload(pre[:len(pre):len(pre)], e.src, e.ref, e.rowBytes); !bytes.Equal(out[:len(pre)], pre) || !bytes.Equal(out[len(pre):], got) {
 			t.Fatalf("corpus %d: appending after a prefix changed the bytes", n)
 		}
+		if e.ref != nil {
+			tb, sb := refDomains(e.src, e.ref, e.rowBytes)
+			temporal += tb
+			spatial += sb
+		}
+	}
+	if temporal == 0 || spatial == 0 {
+		t.Fatalf("the corpus codes %d temporal and %d spatial blocks against references, want both", temporal, spatial)
 	}
 }
 
 // TestPayloadMatchesReferenceOnTiles pins the coder byte for byte on the
 // tiles the encoder really hands it: every content class, every
-// QuantShift, absolute and delta, odd and degenerate geometries.
+// QuantShift, with and without a reference, odd and degenerate geometries.
 func TestPayloadMatchesReferenceOnTiles(t *testing.T) {
 	var modes [4]int
-	contentTiles(func(kind string, w int, shift uint, tile []byte) {
-		p := checkAgainstReference(t, kind, tile, 4*w)
-		if len(p) > 0 && p[0]>>tagTypeShift == blockRice {
+	var temporal, spatial int
+	contentTiles(func(kind string, w int, shift uint, tile, ref []byte) {
+		p := checkAgainstReference(t, kind, tile, ref, 4*w)
+		if len(p) > 0 && p[0]&0x60 == blockRice<<tagTypeShift {
 			modes[p[0]>>tagModeShift&3]++
+		}
+		if ref != nil {
+			tb, sb := refDomains(tile, ref, 4*w)
+			temporal += tb
+			spatial += sb
 		}
 	})
 	for m, c := range modes {
 		if c == 0 {
 			t.Errorf("no tile's first block chose prediction mode %d", m)
 		}
+	}
+	if temporal == 0 || spatial == 0 {
+		t.Errorf("delta tiles plan %d temporal and %d spatial blocks, want both", temporal, spatial)
 	}
 }
 
@@ -909,7 +1047,7 @@ func TestPayloadEscapes(t *testing.T) {
 	for i := 0; i < len(src); i += 52 {
 		src[i] ^= 0x80 // a residual of magnitude 255: a quotient of 255 at k=0
 	}
-	if got := checkAgainstReference(t, "outliers", src, 256); len(got) > len(src)/3 {
+	if got := checkAgainstReference(t, "outliers", src, nil, 256); len(got) > len(src)/3 {
 		t.Fatalf("%d outliers in a flat tile cost %d bytes, want <= %d", len(src)/52, len(got), len(src)/3)
 	}
 }
@@ -927,13 +1065,13 @@ func TestPayloadNeverWorseThanRaw(t *testing.T) {
 			src[i] = byte(rng.Intn(256))
 		}
 	}
-	got := checkAgainstReference(t, "escape-heavy", src, rowBytes)
+	got := checkAgainstReference(t, "escape-heavy", src, nil, rowBytes)
 	raws := 0
 	for i := 0; i < len(src); i += blockBytes {
 		// Blocks code independently of the bytes after them, so a prefix
 		// of the source codes to a prefix of the payload.
-		start := len(appendPayload(nil, src[:i], rowBytes))
-		size := len(appendPayload(nil, src[:i+blockBytes], rowBytes)) - start
+		start := len(appendPayload(nil, src[:i], nil, rowBytes))
+		size := len(appendPayload(nil, src[:i+blockBytes], nil, rowBytes)) - start
 		if size > blockBytes+1 {
 			t.Fatalf("block %d costs %d bytes, raw costs %d", i/blockBytes, size, blockBytes+1)
 		}
@@ -951,26 +1089,26 @@ func TestPayloadNeverWorseThanRaw(t *testing.T) {
 func TestPayloadCleanRegionIsCheap(t *testing.T) {
 	for _, n := range []int{256, 20480, 122880, 1 << 22} {
 		token := 1 + len(binary.AppendUvarint(nil, uint64(n))) // tag, uvarint
-		if got := len(appendPayload(nil, make([]byte, n), 1280)); got > token {
+		if got := len(appendPayload(nil, make([]byte, n), nil, 1280)); got > token {
 			t.Errorf("%d zero bytes code to %d bytes, zero-run token %d", n, got, token)
 		}
 	}
 	// A constant-colour tile: absolute content that prediction flattens to
 	// one non-zero pixel and then a parameters-only block per block.
 	flat := bytes.Repeat([]byte{10, 200, 30, 255}, 5120)
-	if got, limit := len(appendPayload(nil, flat, 1280)), blockBytes/8+4*len(flat)/blockBytes+16; got > limit {
+	if got, limit := len(appendPayload(nil, flat, nil, 1280)), blockBytes/8+4*len(flat)/blockBytes+16; got > limit {
 		t.Errorf("flat tile of %d bytes codes to %d, want <= %d", len(flat), got, limit)
 	}
 }
 
 // TestGameContentCompresses bounds game content about 5 % above what the
-// pair-table coder measures (0.150x raw lossless, 0.118x at QuantShift 2).
+// coder measures (0.131x raw lossless, 0.109x at QuantShift 2).
 func TestGameContentCompresses(t *testing.T) {
 	const w, h = 320, 180
 	for _, c := range []struct {
 		shift uint
 		ratio float64
-	}{{0, 0.158}, {2, 0.124}} {
+	}{{0, 0.138}, {2, 0.115}} {
 		enc := NewEncoder(w, h, Options{QuantShift: c.shift, StripeKeyframes: true})
 		dec := NewDecoder()
 		frames := gameFrames(w, h, 30)
@@ -1003,7 +1141,7 @@ func TestGameContentCompresses(t *testing.T) {
 // tables and the word-wide kernels may not depend on the host. A change to
 // any of them changes the digest and needs a new version byte.
 func TestBitstreamGolden(t *testing.T) {
-	const want = "510d5d43d520a782353182a0dc487a86195ff67cf924b35c37d77833d8ac6e03"
+	const want = "c9111467df2e2217a8ca3b7485d1c0ead39b760456eaf9a017d6ee296f7df31a"
 	sum := sha256.New()
 	enc := NewEncoder(160, 90, Options{StripeKeyframes: true, Cache: NewTileCache(0)})
 	for _, f := range gameFrames(160, 90, 30) {
@@ -1166,15 +1304,15 @@ func TestSharedCacheAcrossGeometryAndQuant(t *testing.T) {
 			}
 		}
 	}
-	wideP, _, okW := cache.Lookup(tile, 64*4)
-	tallP, _, okT := cache.Lookup(tile, 32*4)
+	wideP, _, okW := cache.Lookup(tile, nil, 64*4)
+	tallP, _, okT := cache.Lookup(tile, nil, 32*4)
 	if !okW || !okT {
 		t.Fatal("the two row widths of one tile are not both cached")
 	}
 	if bytes.Equal(wideP, tallP) {
 		t.Fatal("one tile at two row widths got one payload")
 	}
-	if !bytes.Equal(wideP, appendPayload(nil, tile, 64*4)) || !bytes.Equal(tallP, appendPayload(nil, tile, 32*4)) {
+	if !bytes.Equal(wideP, appendPayload(nil, tile, nil, 64*4)) || !bytes.Equal(tallP, appendPayload(nil, tile, nil, 32*4)) {
 		t.Fatal("a cached payload differs from a fresh coding of its row width")
 	}
 }
@@ -1228,7 +1366,9 @@ func TestDecodePayloadHostile(t *testing.T) {
 	}
 	cases := []hostile{
 		{"empty payload", 4, 4, nil, ErrTruncated},
-		{"tag bit 7 set", 4, 4, []byte{0x80, 0, 0}, ErrCorrupt},
+		{"S on a key or intra tile (no reference)", 4, 4, riceBlock(tagSpatial, allZeroKs, nil, nil, nil), ErrCorrupt},
+		{"S on a zeros block without a reference", 4, 4, []byte{zeros | tagSpatial, 1}, ErrCorrupt},
+		{"S on a raw block without a reference", 4, 4, []byte{raw | tagSpatial, 1, 2, 3, 4}, ErrCorrupt},
 		{"unknown block type", 4, 4, []byte{0x60, 1}, ErrCorrupt},
 		{"zeros tag with shift", 4, 4, []byte{zeros | 1, 1}, ErrCorrupt},
 		{"zeros tag with V", 4, 8, []byte{zeros | tagUp, 1}, ErrCorrupt},
@@ -1305,39 +1445,81 @@ func TestDecodePayloadHostile(t *testing.T) {
 		{"planar in the first row", 8, 8, riceBlock(tagUp|tagLeft, k0, nil, []byte{0x24}, nil), []byte{1, 0, 0, 0, 2, 0, 0, 0}},
 		{"V across the first row", 16, 8, riceBlock(tagUp, k0, nil, []byte{0x24, 0x09}, nil), []byte{1, 0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0, 2, 0, 0, 0}},
 	}
-	for _, c := range controls {
-		got := make([]byte, c.size)
-		if err := decodePayload(got, c.payload, c.rowBytes); err != nil {
-			t.Errorf("control %q (%x) rejected: %v", c.name, c.payload, err)
-			continue
+	// Against a reference: S is legal on a rice block only, and a block
+	// reads its neighbours in its own domain across a switch.
+	ref4 := []byte{9, 8, 7, 6}
+	ramp := make([]byte, blockBytes+4) // ref[j] = j: a temporal block's H carry is A - ref
+	for j := range ramp {
+		ramp[j] = byte(j)
+	}
+	deltaCases := []struct {
+		hostile
+		ref []byte
+	}{
+		{hostile{"S on a zeros block", 4, 4, []byte{zeros | tagSpatial, 1}, ErrCorrupt}, ref4},
+		{hostile{"S on a raw block", 4, 4, []byte{raw | tagSpatial, 1, 2, 3, 4}, ErrCorrupt}, ref4},
+		{hostile{"S on an unknown block type", 4, 4, []byte{0xE0, 1}, ErrCorrupt}, ref4},
+	}
+	deltaControls := []struct {
+		name           string
+		size, rowBytes int
+		payload, ref   []byte
+		want           []byte
+	}{
+		{"zeros block: the reference", 4, 4, []byte{zeros, 1}, ref4, ref4},
+		{"raw block: the delta", 4, 4, []byte{raw, 1, 2, 3, 4}, ref4, []byte{10, 10, 10, 10}},
+		{"temporal rice block: the delta", 4, 4, riceBlock(0x00, k0, nil, pairString(unaryTable, [2]int{1, 0}), nil), ref4, []byte{8, 8, 7, 6}},
+		{"S on a rice block: the content", 4, 4, riceBlock(tagSpatial, k0, nil, pairString(unaryTable, [2]int{1, 0}), nil), ref4, []byte{0xFF, 0, 0, 0}},
+		{"H across a switch to temporal", blockBytes + 4, 8, append(riceBlock(tagSpatial, allZeroKs, nil, nil, nil), riceBlock(tagLeft, allZeroKs, nil, nil, nil)...), ramp,
+			append(make([]byte, blockBytes), 4, 4, 4, 4)},
+		{"V across a switch to spatial", blockBytes + 4, blockBytes, append(riceBlock(0x00, allZeroKs, nil, nil, nil), riceBlock(tagSpatial|tagUp, allZeroKs, nil, nil, nil)...), ramp,
+			append(append([]byte(nil), ramp[:blockBytes]...), 0, 1, 2, 3)},
+	}
+	control := func(name string, size, rowBytes int, payload, ref, want []byte) {
+		got := make([]byte, size)
+		if err := decodePayload(got, payload, ref, rowBytes); err != nil {
+			t.Errorf("control %q (%x) rejected: %v", name, payload, err)
+			return
 		}
-		if !bytes.Equal(got, c.want) {
-			t.Errorf("control %q decodes to %v, want %v", c.name, got, c.want)
+		if !bytes.Equal(got, want) {
+			t.Errorf("control %q decodes to %v, want %v", name, got, want)
 		}
-		if ref, err := refDecodePayload(c.payload, c.size, c.rowBytes); err != nil || !bytes.Equal(ref, c.want) {
-			t.Errorf("control %q: reference decodes to %v, %v", c.name, ref, err)
+		if back, err := refDecodePayload(payload, ref, size, rowBytes); err != nil || !bytes.Equal(back, want) {
+			t.Errorf("control %q: reference decodes to %v, %v", name, back, err)
 		}
 	}
-	for _, c := range cases {
+	for _, c := range controls {
+		control(c.name, c.size, c.rowBytes, c.payload, nil, c.want)
+	}
+	for _, c := range deltaControls {
+		control(c.name, c.size, c.rowBytes, c.payload, c.ref, c.want)
+	}
+	reject := func(c hostile, ref []byte) {
 		// The payload sits in the middle of a larger buffer of set bits: a
 		// decoder that over-reads sees ones where it expects padding, and
 		// one that over-writes trips the canary after dst.
 		buf := append(append(ones(16), c.payload...), ones(16)...)
 		payload := buf[16 : 16+len(c.payload) : 16+len(c.payload)]
 		out := append(make([]byte, c.size), 0xEE)
-		err := decodePayload(out[:c.size:c.size], payload, c.rowBytes)
+		err := decodePayload(out[:c.size:c.size], payload, ref, c.rowBytes)
 		if !errors.Is(err, c.want) {
 			t.Errorf("%s: err = %v, want %v", c.name, err, c.want)
 		}
 		if out[c.size] != 0xEE {
 			t.Errorf("%s: wrote past dst", c.name)
 		}
-		if _, err := refDecodePayload(c.payload, c.size, c.rowBytes); err == nil {
+		if _, err := refDecodePayload(c.payload, ref, c.size, c.rowBytes); err == nil {
 			t.Errorf("%s: the reference decoder accepts it", c.name)
 		}
-		if allocs := testing.AllocsPerRun(10, func() { _ = decodePayload(out[:c.size], payload, c.rowBytes) }); allocs != 0 {
+		if allocs := testing.AllocsPerRun(10, func() { _ = decodePayload(out[:c.size], payload, ref, c.rowBytes) }); allocs != 0 {
 			t.Errorf("%s: %.0f allocations decoding a hostile payload", c.name, allocs)
 		}
+	}
+	for _, c := range cases {
+		reject(c, nil)
+	}
+	for _, c := range deltaCases {
+		reject(c.hostile, c.ref)
 	}
 }
 
@@ -1346,29 +1528,41 @@ func TestDecodePayloadHostile(t *testing.T) {
 // decode (a flip can land on another valid payload) — never panic, never
 // touch memory outside dst.
 func TestDecodePayloadEveryTruncationAndFlip(t *testing.T) {
-	quantNoise := randBuf(rand.New(rand.NewSource(3)), 300) // verbatim channels
+	rng := rand.New(rand.NewSource(3))
+	quantNoise := randBuf(rng, 300) // verbatim channels
 	maskInto(quantNoise, quantNoise, 0xF0)
 	escapes := make([]byte, 64)
 	for i := range escapes {
 		escapes[i] = byte(i&3) + byte(i%9)*27 // residuals past the unary limit
 	}
+	// A mixed-domain tile: smooth content over a noise reference (the
+	// first block codes the content), then noise a step away from its
+	// reference (the short second block codes the delta).
+	mixed := gameFrames(16, 17, 1)[0]
+	mixedRef := randBuf(rng, len(mixed))
+	for i := blockBytes; i < len(mixed); i++ {
+		mixed[i] = mixedRef[i] + byte(rng.Intn(2))
+	}
+	if tb, sb := refDomains(mixed, mixedRef, 64); tb != 1 || sb != 1 {
+		t.Fatalf("the mixed-domain tile plans %d temporal and %d spatial blocks, want 1 and 1", tb, sb)
+	}
 	for _, c := range []struct {
-		src      []byte
+		src, ref []byte
 		rowBytes int
-	}{{gameFrames(16, 5, 1)[0], 64}, {quantNoise, 20}, {escapes, 16}} {
-		valid := appendPayload(nil, c.src, c.rowBytes)
+	}{{gameFrames(16, 5, 1)[0], nil, 64}, {quantNoise, nil, 20}, {escapes, nil, 16}, {mixed, mixedRef, 64}} {
+		valid := appendPayload(nil, c.src, c.ref, c.rowBytes)
 		out := append(make([]byte, len(c.src)), 0xEE)
 		n := len(c.src)
 		for cut := 0; cut < len(valid); cut++ {
-			if err := decodePayload(out[:n:n], valid[:cut:cut], c.rowBytes); err == nil {
+			if err := decodePayload(out[:n:n], valid[:cut:cut], c.ref, c.rowBytes); err == nil {
 				t.Fatalf("payload cut to %d of %d bytes decoded", cut, len(valid))
 			}
 		}
 		for bit := 0; bit < 8*len(valid); bit++ {
 			mut := append([]byte(nil), valid...)
 			mut[bit/8] ^= 1 << (bit % 8)
-			if err := decodePayload(out[:n:n], mut, c.rowBytes); err == nil {
-				if ref, refErr := refDecodePayload(mut, n, c.rowBytes); refErr != nil || !bytes.Equal(ref, out[:n]) {
+			if err := decodePayload(out[:n:n], mut, c.ref, c.rowBytes); err == nil {
+				if ref, refErr := refDecodePayload(mut, c.ref, n, c.rowBytes); refErr != nil || !bytes.Equal(ref, out[:n]) {
 					t.Fatalf("flip of bit %d decodes differently from the reference (ref err %v)", bit, refErr)
 				}
 			}
@@ -1384,18 +1578,21 @@ func TestDecodePayloadEveryTruncationAndFlip(t *testing.T) {
 // ---------------------------------------------------------------------------
 
 func TestPayloadSteadyStateAllocs(t *testing.T) {
-	src := gameFrames(64, 16, 1)[0]
-	buf := appendPayload(nil, src, 256) // sized on first use
-	if allocs := testing.AllocsPerRun(100, func() { buf = appendPayload(buf[:0], src, 256) }); allocs != 0 {
-		t.Errorf("appendPayload allocates %.1f objects per tile with a warm buffer", allocs)
-	}
-	back := make([]byte, len(src))
-	if allocs := testing.AllocsPerRun(100, func() {
-		if err := decodePayload(back, buf, 256); err != nil {
-			t.Fatal(err)
+	frames := gameFrames(64, 16, 2)
+	src := frames[1]
+	for _, ref := range [][]byte{nil, frames[0]} {
+		buf := appendPayload(nil, src, ref, 256) // sized on first use
+		if allocs := testing.AllocsPerRun(100, func() { buf = appendPayload(buf[:0], src, ref, 256) }); allocs != 0 {
+			t.Errorf("reference %v: appendPayload allocates %.1f objects per tile with a warm buffer", ref != nil, allocs)
 		}
-	}); allocs != 0 {
-		t.Errorf("decodePayload allocates %.1f objects per tile", allocs)
+		back := make([]byte, len(src))
+		if allocs := testing.AllocsPerRun(100, func() {
+			if err := decodePayload(back, buf, ref, 256); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Errorf("reference %v: decodePayload allocates %.1f objects per tile", ref != nil, allocs)
+		}
 	}
 }
 
@@ -1440,39 +1637,55 @@ func TestSpliceSteadyStateAllocs(t *testing.T) {
 // ---------------------------------------------------------------------------
 
 // FuzzTilePayload holds the payload coder to its contracts on arbitrary
-// bytes at a fuzzer-chosen row width: encode matches the reference coder
-// and stays within the worst-case bound, decode(encode(x)) == x, and
-// decoding x itself as a payload (for a fuzzer-chosen tile size) never
-// panics, over-reads or writes past dst, and agrees with the reference
-// decoder whenever it accepts.
+// bytes against an arbitrary reference (none when it is empty, else cycled
+// to the length) at a fuzzer-chosen row width: encode matches the
+// reference coder and stays within the worst-case bound, decode(encode(x))
+// == x, and decoding x itself as a payload (for a fuzzer-chosen tile size)
+// never panics, over-reads or writes past dst, and agrees with the
+// reference decoder whenever it accepts.
 func FuzzTilePayload(f *testing.F) {
 	for _, e := range payloadCorpus() {
 		if len(e.src) <= 1100 && e.rowBytes <= 256 {
-			f.Add(e.src, uint16(len(e.src)), uint8(e.rowBytes/4-1))
-			f.Add(appendPayload(nil, e.src, e.rowBytes), uint16(len(e.src)), uint8(e.rowBytes/4-1))
+			f.Add(e.src, e.ref, uint16(len(e.src)), uint8(e.rowBytes/4-1))
+			f.Add(appendPayload(nil, e.src, e.ref, e.rowBytes), e.ref, uint16(len(e.src)), uint8(e.rowBytes/4-1))
 		}
 	}
 	// A valid payload in each pair table: seven pixels, channel 0 at k = 0
-	// with an escape and a pad token.
+	// with an escape and a pad token; and the same coding the content
+	// against a reference.
 	for tab := 0; tab < pairTables; tab++ {
 		pairs := pairString(tab, [2]int{0, 1}, [2]int{2, 0}, [2]int{riceEscape, 1}, [2]int{0, 0})
 		p := riceBlock(0x00, [4]byte{byte(tab), kZero, kZero, kZero}, nil, pairs, []byte{0x2A})
-		if err := decodePayload(make([]byte, 28), p, 8); err != nil {
+		if err := decodePayload(make([]byte, 28), p, nil, 8); err != nil {
 			f.Fatalf("table %d seed: %v", tab, err)
 		}
-		f.Add(p, uint16(28), uint8(1))
+		f.Add(p, []byte(nil), uint16(28), uint8(1))
+		sp := append([]byte(nil), p...)
+		sp[0] |= tagSpatial
+		f.Add(sp, []byte{1, 2, 3}, uint16(28), uint8(1))
 	}
-	f.Fuzz(func(t *testing.T, data []byte, size uint16, rowB uint8) {
+	f.Fuzz(func(t *testing.T, data, refSeed []byte, size uint16, rowB uint8) {
 		rowBytes := 4 * (1 + int(rowB))
-		enc := appendPayload(nil, data, rowBytes)
-		if !bytes.Equal(enc, refAppendPayload(data, rowBytes)) {
+		fit := func(n int) []byte {
+			if len(refSeed) == 0 {
+				return nil
+			}
+			r := make([]byte, n)
+			for i := range r {
+				r[i] = refSeed[i%len(refSeed)]
+			}
+			return r
+		}
+		ref := fit(len(data))
+		enc := appendPayload(nil, data, ref, rowBytes)
+		if !bytes.Equal(enc, refAppendPayload(data, ref, rowBytes)) {
 			t.Fatal("payload differs from the reference coder's")
 		}
 		if len(enc) > maxPayloadLen(len(data)) {
 			t.Fatalf("%d payload bytes for %d source bytes", len(enc), len(data))
 		}
 		back := make([]byte, len(data))
-		if err := decodePayload(back, enc, rowBytes); err != nil {
+		if err := decodePayload(back, enc, ref, rowBytes); err != nil {
 			t.Fatalf("round trip: %v", err)
 		}
 		if !bytes.Equal(back, data) {
@@ -1480,59 +1693,62 @@ func FuzzTilePayload(f *testing.F) {
 		}
 		out := append(make([]byte, int(size)%5000), 0xEE)
 		n := len(out) - 1
-		err := decodePayload(out[:n:n], data[:len(data):len(data)], rowBytes)
+		ref = fit(n)
+		err := decodePayload(out[:n:n], data[:len(data):len(data)], ref, rowBytes)
 		if out[n] != 0xEE {
 			t.Fatal("decode wrote past dst")
 		}
-		if ref, refErr := refDecodePayload(data, n, rowBytes); err == nil {
-			if refErr != nil || !bytes.Equal(ref, out[:n]) {
+		if refOut, refErr := refDecodePayload(data, ref, n, rowBytes); err == nil {
+			if refErr != nil || !bytes.Equal(refOut, out[:n]) {
 				t.Fatalf("accepted payload decodes differently from the reference (ref err %v)", refErr)
 			}
 		}
 	})
 }
 
-func gameDeltaTiles(shift uint) [][]byte {
+// gameTiles returns the 16-row tiles of 11 320×180 game frames quantized at
+// shift, each with its reference: the same tile of the frame before.
+func gameTiles(shift uint) (tiles, refs [][]byte) {
 	const w, h = 320, 180
 	frames := gameFrames(w, h, 12)
 	mask := byte(0xFF) << shift
 	prev := make([]byte, w*h*4)
 	maskInto(prev, frames[0], mask)
-	var tiles [][]byte
 	for _, f := range frames[1:] {
-		d := make([]byte, w*h*4)
-		maskSubInto(d, f, prev, mask)
+		cur := make([]byte, w*h*4)
+		maskInto(cur, f, mask)
 		for ti := 0; ti < tileCount(h, DefaultTileRows); ti++ {
 			s, e := tileRange(w, h, DefaultTileRows, ti)
-			tiles = append(tiles, d[s:e])
+			tiles, refs = append(tiles, cur[s:e]), append(refs, prev[s:e])
 		}
-		maskInto(prev, f, mask)
+		prev = cur
 	}
-	return tiles
+	return tiles, refs
 }
 
 func BenchmarkPayloadEncodeGame(b *testing.B) {
-	tiles := gameDeltaTiles(0)
+	tiles, refs := gameTiles(0)
 	var buf []byte
 	b.SetBytes(int64(len(tiles[0])))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf = appendPayload(buf[:0], tiles[i%len(tiles)], 320*4)
+		j := i % len(tiles)
+		buf = appendPayload(buf[:0], tiles[j], refs[j], 320*4)
 	}
 }
 
 func BenchmarkPayloadDecodeGame(b *testing.B) {
-	tiles := gameDeltaTiles(0)
+	tiles, refs := gameTiles(0)
 	enc := make([][]byte, len(tiles))
 	for i, t := range tiles {
-		enc[i] = appendPayload(nil, t, 320*4)
+		enc[i] = appendPayload(nil, t, refs[i], 320*4)
 	}
 	dst := make([]byte, len(tiles[0]))
 	b.SetBytes(int64(len(tiles[0])))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		j := i % len(tiles)
-		if err := decodePayload(dst[:len(tiles[j])], enc[j], 320*4); err != nil {
+		if err := decodePayload(dst[:len(tiles[j])], enc[j], refs[j], 320*4); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -114,6 +114,6 @@ func (e *Encoder) ensureIntraTile(i int) {
 		return
 	}
 	s, end := tileRange(e.w, e.h, e.tileRows, i)
-	e.splicePayload[i], e.spliceCRC[i] = e.codePayload(&e.spliceScratch[i], e.prev[s:end])
+	e.splicePayload[i], e.spliceCRC[i] = e.codePayload(&e.spliceScratch[i], e.prev[s:end], nil)
 	e.spliceAt[i] = e.frames
 }

@@ -3,6 +3,7 @@ package codec
 import (
 	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"testing"
 )
 
@@ -226,6 +227,63 @@ func TestSpliceHostileIntraFlags(t *testing.T) {
 		}
 		if _, err := dec.Decode(c.bs); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("%s: err = %v, want ErrCorrupt", c.name, err)
+		}
+	}
+}
+
+// TestSpatialBitNeedsAReference pins the S bit at the frame level: a tile
+// is coded against a reference only when it is a dirty, non-intra tile of a
+// delta frame, so S on a key tile or on a spliced intra tile loses that
+// tile, while on a delta tile it is a valid block (of other pixels).
+func TestSpatialBitNeedsAReference(t *testing.T) {
+	const w, h = 16, 20 // tiles of rows 0-15 and 16-19
+	frames := gameFrames(w, h, 3)
+	enc := NewEncoder(w, h, Options{KeyInterval: 100})
+	var bs [3][]byte
+	for i, f := range frames {
+		var err error
+		if bs[i], err = enc.Encode(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	intra, err := enc.AppendSplice(nil, 1) // catches a viewer of the key frame up
+	if err != nil {
+		t.Fatal(err)
+	}
+	// setS sets S on tile 0's first block, a rice block, and mends the CRC.
+	setS := func(frame []byte) []byte {
+		b := append([]byte(nil), frame...)
+		span := v2dir(t, b)[0]
+		if b[hdr2Len]&tileFlagDirty == 0 || b[span[0]]&0x60 != blockRice<<tagTypeShift {
+			t.Fatalf("tile 0 does not start with a rice block (flags %#x, tag %#x)", b[hdr2Len], b[span[0]])
+		}
+		b[span[0]] |= tagSpatial
+		binary.LittleEndian.PutUint32(b[hdr2Len+5:], crc32.Checksum(b[span[0]:span[1]], castagnoli))
+		return b
+	}
+	for _, c := range []struct {
+		name     string
+		prior    [][]byte
+		frame    []byte
+		rejected bool
+	}{
+		{"key tile", nil, setS(bs[0]), true},
+		{"spliced intra tile", [][]byte{bs[0]}, setS(intra), true},
+		{"delta tile", [][]byte{bs[0]}, setS(bs[1]), false},
+	} {
+		dec := NewDecoder()
+		for _, p := range c.prior {
+			if _, err := dec.Decode(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		_, err := dec.Decode(c.frame)
+		var te *TileError
+		switch {
+		case c.rejected && (!errors.As(err, &te) || len(te.Tiles) != 1 || te.Tiles[0] != 0):
+			t.Errorf("%s with S: err = %v, want tile 0 rejected", c.name, err)
+		case !c.rejected && err != nil:
+			t.Errorf("%s with S: err = %v, want a valid frame", c.name, err)
 		}
 	}
 }

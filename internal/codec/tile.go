@@ -9,7 +9,7 @@ package codec
 // Layout (all integers little-endian):
 //
 //	byte 0:       magic 0xD4
-//	byte 1:       version (5; any other value is answered with ErrVersion)
+//	byte 1:       version (6; any other value is answered with ErrVersion)
 //	byte 2:       frame type (0 = key, 1 = delta)
 //	byte 3:       quantization shift (0-7)
 //	bytes 4-7:    width  (uint32)
@@ -24,15 +24,17 @@ package codec
 //	then the tile payloads, concatenated in tile order.
 //
 // Each payload is the predictive pair-table coding (payload.go) of the tile's
-// quantized content (key frames) or of its byte-wise delta against the
-// previous frame (delta frames). Key frames mark every tile dirty.
+// quantized content: with no reference on key frames, and against the
+// previous frame's content of the tile on delta frames, where each block
+// codes either the byte-wise temporal delta or the content itself. Either
+// way a tile decodes to its absolute content. Key frames mark every tile
+// dirty.
 //
 // The intra flag (splice.go) marks a dirty tile of a *delta* frame whose
-// payload is absolute content rather than a delta: the decoder copies it
-// into place instead of adding it. Spliced frames use it to repair exactly
-// the tiles a session's reconstruction is missing while every other tile
-// ships as a zero-byte clean entry. Intra is illegal on clean tiles and on
-// key frames (whose tiles are all absolute already).
+// payload is coded with no reference, like a key tile's. Spliced frames use
+// it to repair exactly the tiles a session's reconstruction is missing
+// while every other tile ships as a zero-byte clean entry. Intra is illegal
+// on clean tiles and on key frames (whose tiles have no reference already).
 //
 // Determinism: workers encode tiles into per-tile scratch buffers and the
 // assembly loop concatenates them in fixed tile order, so the bitstream is
@@ -49,7 +51,7 @@ import (
 
 const (
 	magic2   = 0xD4
-	version2 = 5 // version byte of the bitstream
+	version2 = 6 // version byte of the bitstream
 
 	hdr2Len     = 16
 	dirEntryLen = 9
@@ -113,7 +115,6 @@ func (e *Encoder) ensureTileState(nt int) {
 	e.tilePayload = make([][]byte, nt)
 	e.tileScratch = make([][]byte, nt)
 	e.tileQ = make([][]byte, nt)
-	e.tileDelta = make([][]byte, nt)
 	e.tileCRC = make([]uint32, nt)
 	e.tileDirty = make([]bool, nt)
 	e.tileChanged = make([]bool, nt)
@@ -136,46 +137,27 @@ func (e *Encoder) encodeTile(k int) {
 	start := time.Now()
 	i := e.workList[k]
 	s, end := tileRange(e.w, e.h, e.tileRows, i)
-	if e.tileChanged[i] && !e.curKey && !e.tileIntra[i] {
-		// Changed tile shipping as a delta — the hot case. The fused kernel
-		// computes quantize(pix) - prev in one pass without materializing
-		// the quantized content, then the reference is re-quantized in
-		// place from the raw pixels (prev = pix & mask — the same bytes a
-		// materialized content copy would have landed; tile ranges are
-		// disjoint so concurrent workers never overlap). prevRaw is NOT
-		// refreshed here — the pre-pass dropped tileRawOK for this tile and
-		// rebuilds the raw reference the next time it classifies clean.
-		d := grow(e.tileDelta[i], end-s)
-		e.tileDelta[i] = d
-		maskSubInto(d, e.curPix[s:end], e.prev[s:end], 0xFF<<e.opts.QuantShift)
-		e.tilePayload[i], e.tileCRC[i] = e.codePayload(&e.tileScratch[i], d)
-		if e.opts.QuantShift == 0 {
-			copy(e.prev[s:end], e.curPix[s:end])
-		} else {
-			maskInto(e.prev[s:end], e.curPix[s:end], 0xFF<<e.opts.QuantShift)
-		}
-		e.tileDirty[i] = true
-		e.tileNanos[i] = time.Since(start).Nanoseconds()
-		return
-	}
-	// Absolute-content cases: every tile of a key frame, and this frame's
-	// keyframe stripe (changed or not).
-	var content []byte
-	if e.tileChanged[i] {
-		q := grow(e.tileQ[i], end-s)
-		e.tileQ[i] = q
-		if e.opts.QuantShift == 0 {
-			copy(q, e.curPix[s:end])
-		} else {
-			maskInto(q, e.curPix[s:end], 0xFF<<e.opts.QuantShift)
-		}
-		content = q
-	} else {
+	var content, ref []byte
+	switch {
+	case !e.tileChanged[i]:
 		// Stripe refresh of an unchanged tile: the reference already holds
 		// exactly its quantized content — no quantization work at all.
 		content = e.prev[s:end]
+	case e.opts.QuantShift == 0:
+		content = e.curPix[s:end]
+	default:
+		content = grow(e.tileQ[i], end-s)
+		e.tileQ[i] = content
+		maskInto(content, e.curPix[s:end], 0xFF<<e.opts.QuantShift)
 	}
-	e.tilePayload[i], e.tileCRC[i] = e.codePayload(&e.tileScratch[i], content)
+	if e.tileChanged[i] && !e.curKey && !e.tileIntra[i] {
+		// A changed tile of a delta frame — the hot case — codes against
+		// its reference. prevRaw is NOT refreshed here — the pre-pass
+		// dropped tileRawOK for this tile and rebuilds the raw reference
+		// the next time it classifies clean.
+		ref = e.prev[s:end]
+	}
+	e.tilePayload[i], e.tileCRC[i] = e.codePayload(&e.tileScratch[i], content, ref)
 	e.tileDirty[i] = true
 	if e.tileChanged[i] {
 		// Fold the tile into the persistent reference; tile ranges are
@@ -185,29 +167,29 @@ func (e *Encoder) encodeTile(k int) {
 	e.tileNanos[i] = time.Since(start).Nanoseconds()
 }
 
-// codePayload produces the payload and CRC for src — the one place tile
-// bytes meet the payload coder — through the content-addressed cache when
-// one is configured. On a hit the payload aliases immutable cache memory
-// (never the scratch), so one encoded payload is shared across frames,
-// encoders and hub lanes without copying; a miss codes into the
-// caller-owned scratch and offers the result for admission. Cached or fresh,
-// the bytes are identical — payload and CRC are pure functions of src and
-// the row width (see cache.go).
-func (e *Encoder) codePayload(scratch *[]byte, src []byte) ([]byte, uint32) {
+// codePayload produces the payload and CRC for src coded against ref (nil
+// for a tile without one) — the one place tile bytes meet the payload coder
+// — through the content-addressed cache when one is configured. On a hit
+// the payload aliases immutable cache memory (never the scratch), so one
+// encoded payload is shared across frames, encoders and hub lanes without
+// copying; a miss codes into the caller-owned scratch and offers the result
+// for admission. Cached or fresh, the bytes are identical — payload and CRC
+// are pure functions of src, ref and the row width (see cache.go).
+func (e *Encoder) codePayload(scratch *[]byte, src, ref []byte) ([]byte, uint32) {
 	c := e.opts.Cache
 	rowBytes := e.w * 4
 	var h uint64
 	if c != nil {
-		h = tileCacheHash(src, rowBytes)
-		if payload, crc, ok := c.lookupHashed(h, src, rowBytes); ok {
+		h = tileCacheHash(src, ref, rowBytes)
+		if payload, crc, ok := c.lookupHashed(h, src, ref, rowBytes); ok {
 			return payload, crc
 		}
 	}
-	p := appendPayload((*scratch)[:0], src, rowBytes)
+	p := appendPayload((*scratch)[:0], src, ref, rowBytes)
 	*scratch = p
 	crc := crc32.Checksum(p, castagnoli)
 	if c != nil {
-		if canon := c.insertHashed(h, src, rowBytes, p, crc); canon != nil {
+		if canon := c.insertHashed(h, src, ref, rowBytes, p, crc); canon != nil {
 			p = canon
 		}
 	}
@@ -355,20 +337,21 @@ func (d *Decoder) decodeTile(i int) {
 		keepOld()
 		return
 	}
-	if err := decodePayload(dst, seg, d.curW*4); err != nil {
+	// A delta tile decodes against the tile's current content, which
+	// stays untouched until the tile is done; an intra one has no
+	// reference, like a key tile.
+	var ref []byte
+	if !d.curKeyF && !d.tileIntra[i] {
+		ref = d.cur[s:end]
+	}
+	if err := decodePayload(dst, seg, ref, d.curW*4); err != nil {
 		d.tileErr[i] = err
 		keepOld()
 		return
 	}
 	d.tileErr[i] = nil
 	if !d.curKeyF {
-		if d.tileIntra[i] {
-			// Intra tile of a delta frame: absolute content replaces the
-			// tile instead of adding to it (spliced resync frames).
-			copy(d.cur[s:end], dst)
-		} else {
-			addInto(d.cur[s:end], dst)
-		}
+		copy(d.cur[s:end], dst)
 	}
 }
 

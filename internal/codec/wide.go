@@ -60,22 +60,18 @@ func maskInto(dst, src []byte, mask byte) {
 	}
 }
 
-// maskSubInto computes dst[i] = (a[i] & mask) - b[i] byte-wise: quantization
-// fused into the temporal delta, so a changed tile shipping as a delta never
-// materializes its quantized content — the reference catches up afterwards
-// by applying the delta (addInto), which reproduces the quantized bytes
-// exactly (mod-256 arithmetic).
-func maskSubInto(dst, a, b []byte, mask byte) {
-	m := uint64(mask) * swarLo
+// subInto computes dst[i] = a[i] - b[i] byte-wise: the temporal delta a
+// delta tile's blocks are planned on.
+func subInto(dst, a, b []byte) {
 	n := len(dst)
 	i := 0
 	for ; i+8 <= n; i += 8 {
-		x := binary.LittleEndian.Uint64(a[i:]) & m
+		x := binary.LittleEndian.Uint64(a[i:])
 		y := binary.LittleEndian.Uint64(b[i:])
 		binary.LittleEndian.PutUint64(dst[i:], subBytes(x, y))
 	}
 	for ; i < n; i++ {
-		dst[i] = a[i]&mask - b[i]
+		dst[i] = a[i] - b[i]
 	}
 }
 

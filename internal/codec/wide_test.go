@@ -52,13 +52,13 @@ func TestDeltaAddMaskMatchByteLoops(t *testing.T) {
 		a, b := randBuf(rng, n), randBuf(rng, n)
 
 		got := make([]byte, n)
-		maskSubInto(got, a, b, 0xFF)
+		subInto(got, a, b)
 		want := make([]byte, n)
 		for i := range want {
 			want[i] = a[i] - b[i]
 		}
 		if !bytes.Equal(got, want) {
-			t.Fatalf("maskSubInto(0xFF) mismatch at len %d", n)
+			t.Fatalf("subInto mismatch at len %d", n)
 		}
 
 		// addInto inverts the delta: b + (a-b) == a.
@@ -75,22 +75,6 @@ func TestDeltaAddMaskMatchByteLoops(t *testing.T) {
 				if got[i] != a[i]&mask {
 					t.Fatalf("maskInto mask %#x len %d: byte %d = %#x, want %#x", mask, n, i, got[i], a[i]&mask)
 				}
-			}
-
-			// maskSubInto fuses maskInto with the delta, and applying its delta
-			// to the reference must land exactly on the quantized content.
-			fused := make([]byte, n)
-			maskSubInto(fused, a, b, mask)
-			for i := range fused {
-				if fused[i] != a[i]&mask-b[i] {
-					t.Fatalf("maskSubInto mask %#x len %d: byte %d = %#x, want %#x", mask, n, i, fused[i], a[i]&mask-b[i])
-				}
-			}
-			ref := append([]byte(nil), b...)
-			addInto(ref, fused)
-			maskInto(got, a, mask)
-			if !bytes.Equal(ref, got) {
-				t.Fatalf("addInto(b, maskSubInto(a,b)) != maskInto(a) at mask %#x len %d", mask, n)
 			}
 		}
 	}

@@ -294,6 +294,32 @@ func TestHubSoloViewerEncodesEveryFrame(t *testing.T) {
 	}
 }
 
+// TestHubRendererWaitsForItsLane pins Mul-Buf1 on the hub without timing
+// the encoder. The lane's encMu is held from the moment its viewer attaches,
+// so the lane takes one frame and cannot encode it. An unpaced ODR renderer
+// then fills the back buffer and waits: it renders at most two frames and
+// drops none. A renderer that did not wait would go on rendering and
+// displace the back buffer frame after frame, however fast the host.
+func TestHubRendererWaitsForItsLane(t *testing.T) {
+	h, stop := startHub(t, HubConfig{Width: 48, Height: 27, TargetFPS: 100000})
+	defer stop()
+	defer attachDiscarding(h, AttachOptions{})()
+	ln := h.lane(1)
+	ln.encMu.Lock()
+	// An unpaced renderer that did not wait would render hundreds of
+	// frames in this window.
+	time.Sleep(200 * time.Millisecond)
+	rendered, dropped := h.ins.Rendered.Value(), h.ins.Dropped.Value()
+	ln.encMu.Unlock()
+	if rendered > 2 {
+		t.Errorf("the renderer rendered %d frames while its lane could not encode, want at most 2", rendered)
+	}
+	if dropped != 0 {
+		t.Errorf("odr_frames_dropped_total = %d while the lane could not encode, want 0", dropped)
+	}
+	pollUntil(t, 10*time.Second, "the lane to encode", func() bool { return ln.sharedEncodes.Value() >= 3 })
+}
+
 // TestHubFailedLaneIsReplaced: an encoder error retires its lane. The lane's
 // viewer detaches, the lane leaves the hub, so the renderer stops waiting on
 // it, and the next viewer at that divisor gets a fresh lane and decodes.
