@@ -18,32 +18,43 @@ var regenPairTables = flag.Bool("regen-pair-tables", false, "rewrite pairLens in
 type pairHist []struct{ sym, n uint32 }
 
 // pairCorpus collects the pair histogram of every k = 0 rice channel the
-// coder plans for the fitting corpus: 640×360 game frames (the first as
-// absolute tiles, the rest as temporal deltas, lossless, 16-row tiles) and
-// every tile contentTiles yields. The plan does not depend on the tables,
-// so neither does the corpus.
+// coder plans for the fitting corpus: 640×360 game frames (lossless, 16-row
+// tiles; the first frame's tiles without a reference, the rest against the
+// tile of the frame before) and every tile contentTiles yields. A block of
+// a tile with a reference is planned as appendPayload plans it: the
+// temporal delta over every mode, the content over H, V and planar. The
+// corpus keeps the plan with the lower estimate, where the coder keeps the
+// domain whose block codes shorter in these very tables: choosing by the
+// estimate keeps the corpus, and with it the fit, independent of the
+// tables.
 func pairCorpus() []pairHist {
 	var corpus []pairHist
-	var zz [4][blockBytes]byte
-	add := func(src []byte, rowBytes int) {
+	var zz, zzA [4][blockBytes]byte
+	add := func(src, ref []byte, rowBytes int) {
+		sig := refDelta(src, ref)
 		for i := 0; i < len(src); i += blockBytes {
 			end := min(i+blockBytes, len(src))
-			if allZero(src[i:end]) {
+			if allZero(sig[i:end]) {
 				continue
 			}
 			n := end - i
-			p := planBlock(&zz, src, i, end, rowBytes, 0)
+			p := planBlock(&zz, sig, i, end, rowBytes, 0)
+			res := &zz[p.mode]
+			if ref != nil {
+				if a := planBlock(&zzA, src, i, end, rowBytes, modeLeft); a.est < p.est {
+					p, res = a, &zzA[a.mode]
+				}
+			}
 			if p.est+8*riceOverhead > 8*n {
 				continue
 			}
-			mode, s, ks := p.mode, p.s, p.params(&zz[p.mode], n)
-			for c, k := range ks {
+			for c, k := range p.params(res, n) {
 				if k != 0 {
 					continue
 				}
 				var counts [pairSyms]uint32
 				for j := c; j < n; j += 8 {
-					sym := refPairSym(zz[mode][j], zz[mode][j+4], s)
+					sym := refPairSym(res[j], res[j+4], p.s)
 					counts[int(sym>>4)*pairTokens+int(sym&15)]++
 				}
 				var h pairHist
@@ -57,22 +68,19 @@ func pairCorpus() []pairHist {
 		}
 	}
 	const w, h = 640, 360
-	prev := make([]byte, w*h*4)
-	delta := make([]byte, w*h*4)
-	for f, pix := range gameFrames(w, h, 30) {
-		src := pix
-		if f > 0 {
-			subInto(delta, pix, prev)
-			src = delta
-		}
+	var prev []byte
+	for _, pix := range gameFrames(w, h, 30) {
 		for ti := 0; ti < tileCount(h, DefaultTileRows); ti++ {
 			s, e := tileRange(w, h, DefaultTileRows, ti)
-			add(src[s:e], 4*w)
+			var ref []byte
+			if prev != nil {
+				ref = prev[s:e]
+			}
+			add(pix[s:e], ref, 4*w)
 		}
-		copy(prev, pix)
+		prev = pix
 	}
-	// A tile with a reference joins as its temporal delta.
-	contentTiles(func(kind string, w int, shift uint, tile, ref []byte) { add(refDelta(tile, ref), 4*w) })
+	contentTiles(func(kind string, w int, shift uint, tile, ref []byte) { add(tile, ref, 4*w) })
 	return corpus
 }
 

@@ -23,10 +23,13 @@ package codec
 // Two domains. Without a reference every block codes the content A = src.
 // With one, a block codes either the temporal delta D = src − ref (inter
 // coding, the S bit clear) or the content A itself (intra coding, S set),
-// whichever the encoder estimates cheaper. The decoder holds ref and every
-// byte of A it has decoded, so it knows both A and D = A − ref for every
-// earlier byte: a block predicts from the neighbours of its own domain,
-// whatever domain coded them.
+// whichever codes shorter: the encoder plans both, sizes each plan's block
+// exactly in the pair tables and keeps the shorter, the temporal one on a
+// tie. The Rice estimate the plans are made by overstates quiet channels,
+// which the pair tables code below a bit per sample, so it does not pick
+// the domain. The decoder holds ref and every byte of A it has decoded, so
+// it knows both A and D = A − ref for every earlier byte: a block predicts
+// from the neighbours of its own domain, whatever domain coded them.
 //
 // Layout: the source is cut into blockBytes-byte blocks (the last may be
 // short; the decoder derives the block count from the tile size, so no
@@ -98,8 +101,9 @@ package codec
 // where an unlimited unary code spends up to 256; no table has a code
 // longer than maxPairLen.
 //
-// Worst case: a rice block that comes out no smaller than the block itself
-// is rewound and the block goes out raw, so a payload never exceeds
+// Worst case: the encoder sizes a rice block exactly before it writes it
+// (riceCode.measure), and a block whose rice block would come out longer
+// than the block itself goes out raw, so a payload never exceeds
 // len(src) + ceil(len(src)/blockBytes) bytes — raw plus one tag byte per
 // block (0.1 %).
 
@@ -153,11 +157,10 @@ const (
 	// bits, at most: tag, parameters and the three paddings.
 	riceOverhead = 6
 
-	// payloadSlack is the headroom past the worst-case payload that lets a
-	// rice block be written before it is known to beat raw — a sample costs
-	// at most maxPairLen/2 bits more than verbatim, a pad token as much,
-	// plus the header and paddings — and the bit writers store whole words.
-	payloadSlack = maxPairLen/2*(blockBytes+4)/8 + 1 + riceOverhead + 8
+	// payloadSlack is the headroom past the worst-case payload that the bit
+	// writers' whole-word stores need: a rice block is written only once it
+	// is measured to fit the block's raw size.
+	payloadSlack = 8
 )
 
 // maxPayloadLen returns the payload worst case for n source bytes.
@@ -447,10 +450,17 @@ func planBlock(zz *[4][blockBytes]byte, src []byte, i, end, rowBytes, first int)
 }
 
 // params returns the channel parameters of plan p for the n residuals zz
-// of its mode. The estimate does not depend on them, so a block only pays
-// for the clamped sums of the plan it codes.
+// of its mode. Clamping only lowers a sum and riceK never rises as its sum
+// falls, so a channel whose plain-mean parameter is 0 keeps 0: the clamped
+// sums are taken only when some channel's is 1 or more.
 func (p *blockPlan) params(zz *[blockBytes]byte, n int) [4]uint8 {
-	cmag := clampedSums(zz, n, p.s)
+	cmag := p.mag
+	for c, m := range p.mag {
+		if _, k := channelCost(p.s, m, n, c); k > 0 && k < 8-p.s {
+			cmag = clampedSums(zz, n, p.s)
+			break
+		}
+	}
 	ks, _ := riceParams(p.s, &p.mag, &cmag, n)
 	return ks
 }
@@ -458,8 +468,10 @@ func (p *blockPlan) params(zz *[blockBytes]byte, n int) [4]uint8 {
 // appendPayload appends the coded form of src, a tile whose rows are
 // rowBytes long, against the reference ref (nil, or as long as src) to dst
 // and returns the extended slice; dst may not overlap src or ref. With a
-// reference, each block that changed codes in the domain whose plan
-// estimates fewer bits, the temporal one on a tie. It allocates only when
+// reference, each block that changed codes in the domain whose rice block
+// is shorter, the temporal one on a tie, and goes out raw when that block
+// would be longer than the block itself. Without one, a block the estimate
+// gives to raw is not sized at all. It allocates only when
 // dst lacks the capacity for the worst case plus payloadSlack, and with a
 // reference len(src) more: the temporal delta is computed once into the end
 // of that capacity, past anything the payload can reach.
@@ -505,20 +517,27 @@ func appendPayload(dst, src, ref []byte, rowBytes int) []byte {
 		n := end - i
 		p := planBlock(&zz, sig, i, end, rowBytes, 0)
 		res, tag := &zz[p.mode], byte(blockRice<<tagTypeShift)
-		if ref != nil {
+		var rc riceCode
+		switch {
+		case ref != nil:
 			// The content, planned over H, V and planar: none would code
-			// its raw pixel values.
-			if a := planBlock(&zzA, src, i, end, rowBytes, modeLeft); a.est < p.est {
-				p, res, tag = a, &zzA[a.mode], tag|tagSpatial
+			// its raw pixel values. Both domains' blocks are sized and the
+			// shorter one kept, the temporal one on a tie.
+			a := planBlock(&zzA, src, i, end, rowBytes, modeLeft)
+			rc.measure(res, n, p.s, p.params(res, n))
+			var rcA riceCode
+			if rcA.measure(&zzA[a.mode], n, a.s, a.params(&zzA[a.mode], n)); rcA.size < rc.size {
+				p, res, rc, tag = a, &zzA[a.mode], rcA, tag|tagSpatial
 			}
+		case p.est+8*riceOverhead <= 8*n:
+			rc.measure(res, n, p.s, p.params(res, n))
+		default:
+			rc.size = n + 1 // the estimate says raw
 		}
-		if p.est+8*riceOverhead <= 8*n {
+		if rc.size <= n {
 			tag |= byte(p.mode)<<tagModeShift | byte(p.s)
-			ks := p.params(res, n)
-			if next := appendRiceBlock(out, pos, res, n, tag, &ks); next-pos <= n {
-				pos, i = next, end
-				continue
-			}
+			pos, i = appendRiceBlock(out, pos, res, n, tag, &rc), end
+			continue
 		}
 		out[pos] = blockRaw << tagTypeShift
 		pos += 1 + copy(out[pos+1:], sig[i:end])
@@ -554,16 +573,19 @@ func escapeMask(ks *[4]uint8, width, s uint) (m uint64) {
 // every channel's token a and the second its token b, so pair p of channel
 // c lands at syms[4p+c] as a<<4|b. Tokens saturate at riceEscape lane by
 // lane; a pair past n (the pad of an odd channel) reads the zero tail of
-// zz.
-func pairSymbols(syms *[blockBytes / 2]byte, zz *[blockBytes]byte, n int, sk uint) {
+// zz. It returns the escaped tokens counted per byte lane, channel c's in
+// lanes c and c+4 (at most blockBytes/8 each).
+func pairSymbols(syms *[blockBytes / 2]byte, zz *[blockBytes]byte, n int, sk uint) (esc uint64) {
 	sk &= 7
 	lanes := uint64(0xFF>>sk) * swarLo
 	for j := 0; j < n; j += 8 {
 		v := binary.LittleEndian.Uint64(zz[j:]) >> sk & lanes
-		big := nonZeroLanes(v &^ ((riceEscape - 1) * swarLo)) // a high bit per lane >= riceEscape
-		v = v&^(big>>7*0xFF) | big>>7*riceEscape
+		big := nonZeroLanes(v&^((riceEscape-1)*swarLo)) >> 7 // a 1 per lane >= riceEscape
+		v = v&^(big*0xFF) | big*riceEscape
+		esc += big
 		binary.LittleEndian.PutUint32(syms[j/2:], uint32(v)<<4|uint32(v>>32))
 	}
+	return esc
 }
 
 // channelPairs returns channel c's pairs from syms filled for n samples:
@@ -577,13 +599,13 @@ func channelPairs(syms *[blockBytes / 2]byte, c, n int) []byte {
 	return syms[c : c+4*np-3]
 }
 
-// pairTable returns the table that codes the pairs ch (every 4th byte) in
-// the fewest bits, the lowest-numbered one on a tie: one pass adds up
-// their cost in every table, in byte lanes spilled to 16-bit lanes (even
-// tables, odd tables) every costRun pairs.
-func pairTable(ch []byte) uint8 {
+// pairCosts adds up what the pairs ch (every 4th byte) cost in every table
+// in one pass, in byte lanes spilled to 16-bit lanes every costRun pairs:
+// table t's bits end up in 16-bit lane t>>1 of even (t even) or odd (t
+// odd). A channel's at most blockBytes/8 pairs of at most maxPairLen bits
+// cannot overflow a lane.
+func pairCosts(ch []byte) (even, odd uint64) {
 	const lo16 = 0x00FF00FF00FF00FF
-	var even, odd uint64
 	for i := 0; i < len(ch); {
 		var acc uint64
 		for stop := min(len(ch), i+4*costRun); i < stop; i += 4 {
@@ -592,35 +614,112 @@ func pairTable(ch []byte) uint8 {
 		even += acc & lo16
 		odd += acc >> 8 & lo16
 	}
-	best, least := uint8(0), even&0xFFFF
+	return even, odd
+}
+
+// tableBits returns table t's lane of pairCosts.
+func tableBits(even, odd uint64, t uint8) int {
+	if t&1 != 0 {
+		even = odd
+	}
+	return int(even >> (16 * (t >> 1)) & 0xFFFF)
+}
+
+// pairTable returns the table that codes the pairs ch in the fewest bits,
+// the lowest-numbered one on a tie, and those bits.
+func pairTable(ch []byte) (best uint8, least int) {
+	even, odd := pairCosts(ch)
+	least = tableBits(even, odd, 0)
 	for t := uint8(1); t < pairTables; t++ {
-		lanes := even
-		if t&1 != 0 {
-			lanes = odd
-		}
-		if b := lanes >> (16 * (t >> 1)) & 0xFFFF; b < least {
+		if b := tableBits(even, odd, t); b < least {
 			best, least = t, b
 		}
 	}
-	return best
+	return best, least
 }
 
-// appendRiceBlock writes one rice block (header tag, ks) for the n
-// zig-zag magnitudes zz (before the shift; zero up to the next multiple of
-// 8) at out[pos:] and returns the position after it. ks holds each
-// channel's Rice parameter, 8-s for verbatim or kZero; the block picks the
-// pair tables. out has payloadSlack bytes of headroom past the raw size of
-// the block, enough for anything the block can need, so the bit writers
-// store whole words without bounds arithmetic.
-func appendRiceBlock(out []byte, pos int, zz *[blockBytes]byte, n int, tag byte, ks *[4]uint8) int {
+// riceCode is a rice block measured and ready to write: its channel
+// parameters, their pair tables, the block's length in bytes, the escaped
+// samples, and the pairs at shift symShift that the writer starts from.
+type riceCode struct {
+	ks, tabs [4]uint8
+	size     int
+	escapes  int
+	symShift uint
+	syms     [blockBytes / 2]byte
+}
+
+// measure sizes the rice block of the n zig-zag magnitudes zz (before the
+// shift; zero up to the next multiple of 8) at shift s with the channel
+// parameters ks — k, 8-s for verbatim or kZero — without writing a bit: it
+// picks each k = 0 channel's table by cost and adds up the header, the
+// remainder bits, the pair codes in pairs.cost's lanes (the unary lane for
+// k >= 1) and the escape fields, each string padded to a byte. The size is
+// exact whenever it is at most n. The remainder bits are known from ks
+// alone and a pair code takes at least one bit (two in the unary table),
+// so a block whose floor already passes n — verbatim noise — stops there,
+// with that floor as its size: it goes out raw whatever its pairs cost.
+func (rc *riceCode) measure(zz *[blockBytes]byte, n int, s uint, ks [4]uint8) {
+	width := 8 - s
+	rc.ks, rc.escapes = ks, 0
+	remBits, pairBits, escBits := 0, 0, 0
+	for c, k8 := range ks {
+		k := uint(k8)
+		nc := (n - c + 3) / 4
+		switch {
+		case k == kZero:
+		case k == width:
+			remBits += nc * int(width)
+		case k == 0:
+			pairBits += (nc + 1) / 2
+		default:
+			remBits += nc * int(k)
+			pairBits += (nc + 1) / 2 * 2
+		}
+	}
+	if rc.size = 3 + (remBits+7)>>3 + (pairBits+7)>>3; rc.size > n {
+		return
+	}
+	pairBits = 0
+	rc.symShift = s
+	esc := pairSymbols(&rc.syms, zz, n, s)
+	for c, k8 := range ks {
+		k := uint(k8)
+		if k >= width { // all-zero or verbatim: no pairs, no escapes
+			continue
+		}
+		if s+k != rc.symShift {
+			rc.symShift = s + k
+			esc = pairSymbols(&rc.syms, zz, n, rc.symShift)
+		}
+		ch := channelPairs(&rc.syms, c, n)
+		if k == 0 {
+			var b int
+			rc.tabs[c], b = pairTable(ch)
+			pairBits += b
+		} else {
+			even, odd := pairCosts(ch)
+			rc.tabs[c] = unaryTable
+			pairBits += tableBits(even, odd, unaryTable)
+		}
+		e := int(esc>>(8*c)&0xFF + esc>>(8*c+32)&0xFF)
+		rc.escapes += e
+		escBits += e * int(width-k)
+	}
+	rc.size = 3 + (remBits+7)>>3 + (pairBits+7)>>3 + (escBits+7)>>3
+}
+
+// appendRiceBlock writes the rice block rc measured (header tag) for the
+// n zig-zag magnitudes zz at out[pos:] and returns the position after it,
+// rc.size bytes on, which is at most the block's raw size. out has
+// payloadSlack bytes of headroom past that, so the bit writers store whole
+// words without bounds arithmetic. The writer refills rc.syms at each
+// k >= 1 channel's shift.
+func appendRiceBlock(out []byte, pos int, zz *[blockBytes]byte, n int, tag byte, rc *riceCode) int {
 	s := uint(tag & 7)
 	width := 8 - s
-	// The pairs at shift s serve the k = 0 channels; a k >= 1 channel
-	// refills syms at its own shift when its pairs are written.
-	var syms [blockBytes / 2]byte
-	symShift := s
-	pairSymbols(&syms, zz, n, s)
-	var tabs, nib [4]uint8
+	ks, tabs := &rc.ks, &rc.tabs
+	var nib [4]uint8
 	for c, k := range ks {
 		switch {
 		case k == kZero:
@@ -628,10 +727,8 @@ func appendRiceBlock(out []byte, pos int, zz *[blockBytes]byte, n int, tag byte,
 		case uint(k) == width:
 			nib[c] = nibVerbatim
 		case k == 0:
-			tabs[c] = pairTable(channelPairs(&syms, c, n))
 			nib[c] = tabs[c]
 		default:
-			tabs[c] = unaryTable
 			nib[c] = nibRice + k
 		}
 	}
@@ -674,11 +771,11 @@ func appendRiceBlock(out []byte, pos int, zz *[blockBytes]byte, n int, tag byte,
 		if k >= width { // all-zero or verbatim: no quotients
 			continue
 		}
-		if s+k != symShift {
-			symShift = s + k
-			pairSymbols(&syms, zz, n, symShift)
+		if s+k != rc.symShift {
+			rc.symShift = s + k
+			pairSymbols(&rc.syms, zz, n, rc.symShift)
 		}
-		pos, acc, nb = appendPairs(out, pos, acc, nb, channelPairs(&syms, c, n), &pairs.code[tabs[c]])
+		pos, acc, nb = appendPairs(out, pos, acc, nb, channelPairs(&rc.syms, c, n), &pairs.code[tabs[c]])
 	}
 	if nb > 0 {
 		out[pos] = byte(acc)
@@ -686,10 +783,10 @@ func appendRiceBlock(out []byte, pos int, zz *[blockBytes]byte, n int, tag byte,
 	}
 
 	// Escape string: a word-wide scan finds the escaped samples.
-	em := escapeMask(ks, width, s)
-	if em == 0 {
+	if rc.escapes == 0 {
 		return pos
 	}
+	em := escapeMask(ks, width, s)
 	acc, nb = 0, 0
 	for j := 0; j < n; j += 8 {
 		for lanes := nonZeroLanes(binary.LittleEndian.Uint64(zz[j:]) & em); lanes != 0; lanes &= lanes - 1 {
