@@ -116,7 +116,7 @@ report:
 
 # Live-measured markdown results report.
 report-md:
-	$(GO) run ./cmd/odrreport -o report.md
+	$(GO) run ./cmd/odrsim report > report.md
 
 # Plot-ready CSVs for Table 2 and Figures 9-13.
 artifacts:

@@ -4,15 +4,20 @@
 // Usage:
 //
 //	odrsim [-duration 60s] [-seed 1] [-parallel 0] [-cache dir] [experiment ...]
+//	odrsim [-duration 60s] [-seed 1] [-parallel 0] [-cache dir] report > report.md
 //
 // With no arguments it runs every experiment. Experiment names: fig1, fig3,
 // fig4, fig5, fig6, fig7, table2, fig9, fig10, fig11, fig12, fig13,
-// userstudy (fig14+fig15), summary, ablations.
+// userstudy (fig14+fig15), summary, ablations, vrr, consolidation, sweeps,
+// seeds, fidelity. report, which the default run leaves out, prints a
+// markdown results report instead: the summary, Table 2, Figure 9, the
+// efficiency averages, the user-study panel and the ablations.
 //
 // Cells run through the shared deterministic scheduler: -parallel picks the
-// worker count (0 = all CPUs, 1 = sequential) and -cache points at a
-// content-addressed result cache reused across runs ("" disables caching).
-// Output is byte-identical regardless of worker count or cache state.
+// worker count (0 = all CPUs, 1 = sequential) and -cache points at a result
+// cache reused across runs of the same executable ("" disables caching).
+// Output is byte-identical regardless of worker count or cache state. The
+// scheduler's counts and the wall time go to stderr.
 //
 // The exit status is 1 when the fidelity experiment ran and any paper anchor
 // fell outside its tolerance, so `odrsim fidelity` works as a gate.
@@ -34,7 +39,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "base RNG seed")
 	csvDir := flag.String("csv", "", "also write plot-ready CSV artifacts into this directory")
 	parallel := flag.Int("parallel", 0, "scheduler workers (0 = all CPUs, 1 = sequential)")
-	cacheDir := flag.String("cache", "artifacts/cache", "content-addressed result cache directory (empty disables)")
+	cacheDir := flag.String("cache", "artifacts/cache", "result cache directory, reused by the same executable only (empty disables)")
 	flag.Parse()
 
 	var cache *sched.Cache
@@ -127,8 +132,11 @@ func main() {
 			for _, r := range experiments.Fidelity(m) {
 				anchorMissed = anchorMissed || !r.OK
 			}
+		case "report":
+			experiments.Markdown(o, os.Stdout)
+			continue
 		default:
-			fmt.Fprintf(os.Stderr, "odrsim: unknown experiment %q (known: %s)\n", name, strings.Join(all, ", "))
+			fmt.Fprintf(os.Stderr, "odrsim: unknown experiment %q (known: %s, report)\n", name, strings.Join(all, ", "))
 			os.Exit(2)
 		}
 		fmt.Println()
@@ -142,9 +150,9 @@ func main() {
 		fmt.Printf("wrote %d CSV artifacts to %s\n", len(files), *csvDir)
 	}
 	run, hits, misses := runner.Stats()
-	fmt.Printf("scheduler: %d cells run, cache %d hits / %d misses (%d workers)\n",
+	fmt.Fprintf(os.Stderr, "scheduler: %d cells run, cache %d hits / %d misses (%d workers)\n",
 		run, hits, misses, runner.Workers())
-	fmt.Printf("completed in %.1fs wall time\n", time.Since(start).Seconds())
+	fmt.Fprintf(os.Stderr, "completed in %.1fs wall time\n", time.Since(start).Seconds())
 	if anchorMissed {
 		fmt.Fprintln(os.Stderr, "odrsim: paper anchors missed")
 		os.Exit(1)

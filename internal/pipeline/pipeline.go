@@ -35,7 +35,9 @@ type PolicyFactory func(*regulator.Ctx) regulator.Policy
 
 // Config describes one simulated run. The DRAM model takes its IPC peak
 // from Workload.CPUIPC and the power model its defaults; the run's numbers
-// are its Result, and Trace is the one live instrument it writes.
+// are its Result, and Trace is the one live instrument it writes. Its JSON
+// form, every field but Policy, Source and Trace, keys the experiment
+// runner's result cache (sched.CellKey).
 type Config struct {
 	// Label tags the run in results: a paper configuration's
 	// core.Policy.String, or a variant's own name.
@@ -47,11 +49,11 @@ type Config struct {
 	// Source, when non-nil, overrides the stochastic sampler as the
 	// frame-cost supplier (e.g. a workload.TraceSampler replaying a
 	// recorded trace). Workload is still consulted for GPUShare/CPUIPC.
-	Source workload.Source
+	Source workload.Source `json:"-"`
 	// Net is the network path model.
 	Net netsim.Params
 	// Policy builds the regulation policy.
-	Policy PolicyFactory
+	Policy PolicyFactory `json:"-"`
 	// Duration is the measured run length (default 60 s); the warmup
 	// before it is excluded from all statistics.
 	Duration time.Duration
@@ -76,7 +78,7 @@ type Config struct {
 	// display instants, and the ODR events (mulbuf-drop, priority-frame,
 	// pace). Export with Trace.WriteChromeTrace for a Fig. 5-style
 	// Perfetto timeline. Nil disables tracing at nil-check cost.
-	Trace *obs.Tracer
+	Trace *obs.Tracer `json:"-"`
 }
 
 // warmup is simulated before every run's measured Duration and excluded

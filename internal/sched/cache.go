@@ -4,36 +4,28 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
-	"time"
+	"sync"
 
-	"odr/internal/netsim"
 	"odr/internal/pipeline"
-	"odr/internal/workload"
 )
 
-// cacheSchema versions both the key derivation and the stored encoding.
-// Bump it whenever pipeline.Result, metrics.Dist's JSON form, or the key
-// material changes shape, so stale artifacts miss instead of decoding into
-// the wrong struct — and whenever a policy's algorithm changes under an
-// unchanged PolicyKey, so no cell replays numbers the old algorithm computed
-// (2: ODR renders through core.RenderClock and Result gains ExtraFPS; 3:
-// Interval does too, on a grid anchored at time zero; 4: PolicyKey becomes
-// the cell's label, see Cell; 5: pipeline.Config drops Warmup,
-// RawFrameBytes, RefreshHz, MemConfig and PowerConfig, so the key material
-// loses them).
-const cacheSchema = 5
-
-// Cache is a content-addressed store of pipeline results under one
-// directory: each entry is <sha256 of the canonical cell>.json. Entries are
-// plain JSON, not compressed — distribution samples are stored as packed
-// base64 blobs that barely compress, and a cache hit's latency is the
-// decode. Reads and writes are safe across concurrent workers and processes
-// (writes go through a temp file + rename). A nil *Cache is valid and
-// always misses.
+// Cache is a store of pipeline results under one directory: each entry is
+// <CellKey>.json and records the build that computed it, the SHA-256 of the
+// running executable. Get serves an entry only to that same build, so a
+// change to any compiled code — an algorithm under an unchanged policy
+// name, the shape of pipeline.Result — misses instead of replaying old
+// numbers, and a new build overwrites the entry in place. Entries are plain
+// JSON, not compressed — distribution samples are stored as packed base64
+// blobs that barely compress, and a cache hit's latency is the decode.
+// Reads and writes are safe across concurrent workers and processes (writes
+// go through a temp file + rename). A nil *Cache is valid and always
+// misses, and so is a Cache whose executable could not be read.
 type Cache struct {
-	dir string
+	dir   string
+	build string // "" turns the cache off
 }
 
 // OpenCache opens (creating if needed) the cache directory.
@@ -41,16 +33,27 @@ func OpenCache(dir string) (*Cache, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	return &Cache{dir: dir}, nil
+	return &Cache{dir: dir, build: executableSum()}, nil
 }
 
-// Dir returns the cache directory.
-func (c *Cache) Dir() string {
-	if c == nil {
+// executableSum is the hex SHA-256 of the running executable, or "" when
+// it cannot be read. It is hashed once per process.
+var executableSum = sync.OnceValue(func() string {
+	path, err := os.Executable()
+	if err != nil {
 		return ""
 	}
-	return c.dir
-}
+	f, err := os.Open(path)
+	if err != nil {
+		return ""
+	}
+	defer f.Close()
+	h := sha256.New()
+	if _, err := io.Copy(h, f); err != nil {
+		return ""
+	}
+	return hex.EncodeToString(h.Sum(nil))
+})
 
 func (c *Cache) path(key string) string {
 	return filepath.Join(c.dir, key+".json")
@@ -58,14 +61,14 @@ func (c *Cache) path(key string) string {
 
 // cacheEntry is the on-disk envelope.
 type cacheEntry struct {
-	Schema int              `json:"schema"`
+	Build  string           `json:"build"`
 	Result *pipeline.Result `json:"result"`
 }
 
 // Get loads the result stored under key. ok is false on a miss; a corrupt
-// or schema-mismatched artifact is treated as a miss, never an error.
+// artifact, or one another build wrote, is a miss, never an error.
 func (c *Cache) Get(key string) (*pipeline.Result, bool) {
-	if c == nil {
+	if c == nil || c.build == "" {
 		return nil, false
 	}
 	b, err := os.ReadFile(c.path(key))
@@ -73,7 +76,7 @@ func (c *Cache) Get(key string) (*pipeline.Result, bool) {
 		return nil, false
 	}
 	var e cacheEntry
-	if err := json.Unmarshal(b, &e); err != nil || e.Schema != cacheSchema || e.Result == nil {
+	if err := json.Unmarshal(b, &e); err != nil || e.Build != c.build || e.Result == nil {
 		return nil, false
 	}
 	return e.Result, true
@@ -83,14 +86,14 @@ func (c *Cache) Get(key string) (*pipeline.Result, bool) {
 // in the same directory and renamed into place, so concurrent readers and
 // writers never observe a torn artifact.
 func (c *Cache) Put(key string, r *pipeline.Result) error {
-	if c == nil {
+	if c == nil || c.build == "" {
 		return nil
 	}
 	tmp, err := os.CreateTemp(c.dir, "put-*.tmp")
 	if err != nil {
 		return err
 	}
-	err = json.NewEncoder(tmp).Encode(cacheEntry{Schema: cacheSchema, Result: r})
+	err = json.NewEncoder(tmp).Encode(cacheEntry{Build: c.build, Result: r})
 	if cerr := tmp.Close(); err == nil {
 		err = cerr
 	}
@@ -105,49 +108,24 @@ func (c *Cache) Put(key string, r *pipeline.Result) error {
 	return nil
 }
 
-// keyMaterial is the canonicalized, content-addressable view of a cell:
-// every pipeline.Config field that influences the simulation, plus the
-// caller-supplied policy identity. Field order is fixed by the struct, and
-// encoding/json emits float64s with the minimal digits that round-trip
-// exactly, so equal cells hash equally across processes.
-type keyMaterial struct {
-	Schema            int             `json:"schema"`
-	PolicyKey         string          `json:"policy"`
-	Label             string          `json:"label"`
-	Workload          workload.Params `json:"workload"`
-	Scale             workload.Scale  `json:"scale"`
-	Net               netsim.Params   `json:"net"`
-	Duration          time.Duration   `json:"duration"`
-	Seed              int64           `json:"seed"`
-	DisableContention bool            `json:"disable_contention"`
-	CollectFrames     int             `json:"collect_frames"`
-	VRRMinHz          float64         `json:"vrr_min_hz"`
-	VRRMaxHz          float64         `json:"vrr_max_hz"`
-}
-
-// CellKey derives the content hash for a cell. ok is false when the cell
-// is not cacheable: no PolicyKey, or a Config carrying live objects — a
-// Source replaces the stochastic sampler with caller state, and a Trace
-// expects side effects that a cache hit would silently skip.
+// CellKey derives the content hash for a cell: the SHA-256 of its
+// PolicyKey and its pipeline.Config as JSON. Every Config field is keyed
+// except the three that cannot be (json:"-"): Policy, a function the
+// PolicyKey names, and the live objects Source and Trace. ok is false when
+// the cell is not cacheable: no PolicyKey, or a Source or Trace — a Source
+// replaces the stochastic sampler with caller state, and a Trace expects
+// side effects that a cache hit would silently skip. encoding/json emits
+// fields in struct order and float64s with the minimal digits that
+// round-trip exactly, so equal cells hash equally across processes.
 func CellKey(c Cell) (key string, ok bool) {
 	cfg := c.Config
 	if c.PolicyKey == "" || cfg.Source != nil || cfg.Trace != nil {
 		return "", false
 	}
-	b, err := json.Marshal(keyMaterial{
-		Schema:            cacheSchema,
-		PolicyKey:         c.PolicyKey,
-		Label:             cfg.Label,
-		Workload:          cfg.Workload,
-		Scale:             cfg.Scale,
-		Net:               cfg.Net,
-		Duration:          cfg.Duration,
-		Seed:              cfg.Seed,
-		DisableContention: cfg.DisableContention,
-		CollectFrames:     cfg.CollectFrames,
-		VRRMinHz:          cfg.VRRMinHz,
-		VRRMaxHz:          cfg.VRRMaxHz,
-	})
+	b, err := json.Marshal(struct {
+		Policy string
+		Config pipeline.Config
+	}{c.PolicyKey, cfg})
 	if err != nil {
 		return "", false
 	}

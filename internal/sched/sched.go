@@ -1,8 +1,8 @@
 // Package sched is the shared experiment runner: a deterministic scheduler
 // that executes independent pipeline.Config cells on the process-wide
-// worker pool (internal/wpool, shared with the tile codec), plus a
-// content-addressed result cache keyed by the canonicalized cell
-// (cache.go).
+// worker pool (internal/wpool, shared with the tile codec), plus a result
+// cache keyed by the cell — its PolicyKey and pipeline.Config — that serves
+// an entry only to the executable that wrote it (cache.go).
 //
 // Determinism comes from two properties. First, pipeline.Run is a pure
 // function of its Config — each cell carries its own seed (seedFor in
@@ -82,8 +82,11 @@ func (r *Runner) Run(cells []Cell) []*pipeline.Result {
 func (r *Runner) RunOne(c Cell) *pipeline.Result { return r.runCell(c) }
 
 func (r *Runner) runCell(c Cell) *pipeline.Result {
-	key, cacheable := CellKey(c)
-	if cacheable && r.cache != nil {
+	key, cacheable := "", false
+	if r.cache != nil { // an uncached run skips the key's JSON and hash
+		key, cacheable = CellKey(c)
+	}
+	if cacheable {
 		if res, ok := r.cache.Get(key); ok {
 			r.hits.Add(1)
 			return res
@@ -92,7 +95,7 @@ func (r *Runner) runCell(c Cell) *pipeline.Result {
 	}
 	res := pipeline.Run(c.Config)
 	r.cellsRun.Add(1)
-	if cacheable && r.cache != nil {
+	if cacheable {
 		_ = r.cache.Put(key, res) // a failed store costs only a later miss
 	}
 	return res

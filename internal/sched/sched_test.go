@@ -2,10 +2,10 @@ package sched
 
 import (
 	"encoding/json"
-	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -170,31 +170,124 @@ func TestCacheCorruptArtifactIsAMiss(t *testing.T) {
 	}
 }
 
-func TestStaleCacheSchemaIsAMiss(t *testing.T) {
+func TestStaleBuildIsAMiss(t *testing.T) {
 	// A policy key ("ODR@60", "Int@60") does not name the algorithm, so only
-	// the schema keeps an entry an older algorithm computed from being
-	// replayed. Schema 1 entries came from the ODR that paced after encode,
-	// schema 2 entries from the Interval with a render grid of its own.
-	for _, schema := range []int{1, 2} {
-		t.Run(fmt.Sprintf("schema%d", schema), func(t *testing.T) {
+	// the build an entry records keeps an older algorithm's numbers from
+	// being replayed: an entry another executable wrote, or one in the
+	// format that versioned entries by a hand-kept schema number, misses,
+	// and the same entry stamped with this executable's hash hits.
+	cell := testCell(1)
+	key, _ := CellKey(cell)
+	res := New(Options{Workers: 1}).RunOne(cell)
+	for _, tc := range []struct {
+		name  string
+		entry any
+		hit   bool
+	}{
+		{"other-build", cacheEntry{Build: strings.Repeat("0", 64), Result: res}, false},
+		{"schema-entry", struct {
+			Schema int              `json:"schema"`
+			Result *pipeline.Result `json:"result"`
+		}{5, res}, false},
+		{"this-build", cacheEntry{Build: executableSum(), Result: res}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			cache, err := OpenCache(dir)
 			if err != nil {
 				t.Fatal(err)
 			}
-			cell := testCell(1)
-			key, _ := CellKey(cell)
-			b, err := json.Marshal(cacheEntry{Schema: schema, Result: New(Options{Workers: 1}).RunOne(cell)})
+			b, err := json.Marshal(tc.entry)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if err := os.WriteFile(filepath.Join(dir, key+".json"), b, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			if _, ok := cache.Get(key); ok {
-				t.Fatalf("schema-%d entry served as a hit", schema)
+			if _, ok := cache.Get(key); ok != tc.hit {
+				t.Fatalf("Get hit = %v, want %v", ok, tc.hit)
 			}
 		})
+	}
+}
+
+func TestUnreadableExecutableTurnsTheCacheOff(t *testing.T) {
+	dir := t.TempDir()
+	cache := &Cache{dir: dir} // what OpenCache returns when the executable cannot be read
+	cell := testCell(1)
+	key, _ := CellKey(cell)
+	r := New(Options{Workers: 1, Cache: cache})
+	r.RunOne(cell)
+	r.RunOne(cell)
+	if run, hits, _ := r.Stats(); run != 2 || hits != 0 {
+		t.Fatalf("stats = run %d hits %d, want every cell run", run, hits)
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 0 {
+		t.Fatalf("cache without a build wrote %d files", len(entries))
+	}
+	// Not even an entry whose build field is empty too.
+	b, err := json.Marshal(cacheEntry{Result: r.RunOne(cell)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, key+".json"), b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := cache.Get(key); ok {
+		t.Fatal("cache without a build served a hit")
+	}
+}
+
+// TestCellKeyKeysEveryConfigField changes each exported pipeline.Config
+// field in turn, nested struct fields included, and wants a new key every
+// time: a field added later is keyed without a list to keep up to date.
+// Policy, Source and Trace are not keyed (the PolicyKey names the policy;
+// a Source or Trace makes the cell uncacheable).
+func TestCellKeyKeysEveryConfigField(t *testing.T) {
+	base, ok := CellKey(testCell(1))
+	if !ok {
+		t.Fatal("cell unexpectedly uncacheable")
+	}
+	unkeyed := map[string]bool{"Policy": true, "Source": true, "Trace": true}
+	changed := 0
+	var walk func(path string, typ reflect.Type, index []int)
+	walk = func(path string, typ reflect.Type, index []int) {
+		for i := 0; i < typ.NumField(); i++ {
+			f := typ.Field(i)
+			name := path + f.Name
+			idx := append(append([]int(nil), index...), i)
+			if !f.IsExported() || (path == "" && unkeyed[f.Name]) {
+				continue
+			}
+			if f.Type.Kind() == reflect.Struct {
+				walk(name+".", f.Type, idx)
+				continue
+			}
+			c := testCell(1)
+			v := reflect.ValueOf(&c.Config).Elem().FieldByIndex(idx)
+			switch v.Kind() {
+			case reflect.String:
+				v.SetString(v.String() + "x")
+			case reflect.Bool:
+				v.SetBool(!v.Bool())
+			case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+				v.SetInt(v.Int() + 1)
+			case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+				v.SetUint(v.Uint() + 1)
+			case reflect.Float32, reflect.Float64:
+				v.SetFloat(v.Float()*2 + 1)
+			default:
+				t.Fatalf("Config.%s: cannot change a %s; extend this test", name, v.Kind())
+			}
+			if key, ok := CellKey(c); !ok || key == base {
+				t.Errorf("changing Config.%s leaves the cell key unchanged", name)
+			}
+			changed++
+		}
+	}
+	walk("", reflect.TypeOf(pipeline.Config{}), nil)
+	if changed < 20 {
+		t.Fatalf("changed %d Config fields; the walk missed the nested structs", changed)
 	}
 }
 

@@ -48,8 +48,8 @@ const (
 
 // senderScratch is one sender worker's reusable send-path buffers: the splice
 // payload, the private verbatim header, and the writev vector. Workers process
-// sessions serially, so one scratch per worker replaces what used to be one
-// payload buffer (plus header and iovec) per session.
+// sessions serially, so one scratch per worker serves every session it sends
+// for, and no session holds send buffers of its own.
 type senderScratch struct {
 	payload []byte
 	head    [5 + frameHeaderLen]byte
@@ -57,8 +57,8 @@ type senderScratch struct {
 	iov     net.Buffers
 }
 
-// hubEngine is the hub's event-driven session engine. It replaces the old
-// three-goroutines-per-viewer shape (sendLoop + inputLoop + reaper) with:
+// hubEngine is the hub's event-driven session engine. No goroutine belongs to
+// a viewer; every session shares:
 //
 //   - a fixed sender worker pool (wpool.Striped) draining per-session
 //     buffers; each viewer is pinned to a stripe so its writes stay ordered,
@@ -264,7 +264,7 @@ func (s *hubSession) runSends(e *hubEngine, wk int) (frames int64, dead, evict b
 			s.paceDue = 0 // nothing was waiting on the deadline: the next send starts its own period
 			if s.buf.Closed() {
 				// Drained after a close: a hub Drain flush ends with an
-				// orderly bye, exactly like the old send loop.
+				// orderly bye.
 				s.sealOnDrain()
 				return frames, true, false
 			}

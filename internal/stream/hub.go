@@ -108,8 +108,9 @@ type Hub struct {
 	probe   *sessionProbe
 
 	// eng is the event-driven session engine: a fixed sender worker pool, a
-	// pacing timer wheel, and a shared input-reader pool replace the old
-	// three-goroutines-per-viewer session loops (see engine.go).
+	// pacing timer wheel, and a shared input-reader pool serve every
+	// session, so the hub's goroutines do not grow with its viewers (see
+	// engine.go).
 	eng *hubEngine
 
 	// paceHook, when non-nil, observes every per-session pacing decision
@@ -957,9 +958,9 @@ func (s *hubSession) sendArtifact(scr *senderScratch, f *frame.Frame, art *encAr
 	if inputID == 0 {
 		// A frame answering this viewer's own input skips its pacer
 		// (PriorityFrame); anybody else's input frame is paced like any other.
-		// Same ODR arithmetic as the old in-loop sleep — the delay now rides
-		// the timer wheel instead of blocking a goroutine. The differential
-		// pacing test pins this call bit-for-bit against a reference pacer.
+		// The delay rides the timer wheel instead of blocking a goroutine.
+		// The differential pacing test pins this call bit-for-bit against a
+		// reference pacer.
 		end := h.dom.Now()
 		d := s.pace.PaceAfterObserved(paceFrom, end)
 		if h.paceHook != nil {

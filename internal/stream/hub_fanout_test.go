@@ -250,6 +250,10 @@ func TestHubSharedEncoderFanOut(t *testing.T) {
 	for _, cli := range clis {
 		waitFrames(t, cli, wantFrames, 15*time.Second)
 	}
+	// Read the shared-encode count where the displayed frames are summed:
+	// the 240 FPS hub keeps encoding until it stops, so a count read after
+	// the cleanups would hold encodes no viewer was counted for.
+	encodes := reg.CounterVec(NameHubSharedEncodes, "", "lane").With1("1").Value()
 	var displayed int64
 	for _, cli := range clis {
 		displayed += cli.Report().Frames
@@ -261,7 +265,6 @@ func TestHubSharedEncoderFanOut(t *testing.T) {
 
 	// Encode-once: the shared encoder ran once per encoded frame, bounded
 	// by what was rendered — while deliveries fanned out many times over.
-	encodes := reg.CounterVec(NameHubSharedEncodes, "", "lane").With1("1").Value()
 	rendered := h.Rendered()
 	if encodes <= 0 || encodes > rendered {
 		t.Fatalf("shared encodes = %d, rendered = %d; want 0 < encodes <= rendered", encodes, rendered)

@@ -77,4 +77,20 @@ var table = []mutant{
 		pkg:   "./internal/codec",
 		test:  "TestDeltaBlockKeepsTheShorterDomain",
 	},
+	{
+		claim: "the result cache serves an entry only to the executable that wrote it",
+		file:  "internal/sched/cache.go",
+		old:   "e.Build != c.build || ",
+		new:   "",
+		pkg:   "./internal/sched",
+		test:  "TestStaleBuildIsAMiss",
+	},
+	{
+		claim: "a cell's key hashes its pipeline.Config",
+		file:  "internal/sched/cache.go",
+		old:   "}{c.PolicyKey, cfg})",
+		new:   "}{c.PolicyKey, pipeline.Config{}})",
+		pkg:   "./internal/sched",
+		test:  "TestCellKeyDiscriminates",
+	},
 }
