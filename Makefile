@@ -53,13 +53,12 @@ fuzz:
 	$(GO) test -fuzz=FuzzTileCache -fuzztime=10s -run '^$$' ./internal/codec
 	$(GO) test -fuzz=FuzzParse -fuzztime=10s -run '^$$' ./internal/obs/scrape
 
-# Metrics-surface lint: pre-register every family the server and the cluster
-# master can export and hold the registries to the
-# odr_<subsystem>_<noun>_<unit> naming convention (the same lint gates
-# odrserver and odrmaster startup).
+# Metrics-surface lint: pre-register every family the server
+# (TestRegisterLiveMetricsIsLintClean) and the cluster master
+# (TestClusterMetricsLintClean, the union of all three surfaces) can export
+# and hold the registries to the odr_<subsystem>_<noun>_<unit> naming
+# convention (the same lint gates odrserver and odrmaster startup).
 metrics-check:
-	$(GO) run ./cmd/odrserver -metrics-lint
-	$(GO) run ./cmd/odrmaster -metrics-lint
 	$(GO) test -run 'TestRegisterLiveMetricsIsLintClean|TestLint|TestClusterMetricsLintClean' ./internal/stream ./internal/obs ./internal/cluster
 
 # Mutation gate: apply each mutant of scripts/mutants/table.go to a copy of

@@ -23,8 +23,10 @@
 // With -debug-addr, the master exposes /metrics (the odr_cluster_* families:
 // fleet size by state, placements, heartbeats, worker failures, drain
 // orders, per-worker load score), /debug/odr (the worker registry as JSON)
-// and /debug/pprof/. -metrics-lint validates the metric surface against the
-// registry naming conventions and exits; the same lint guards startup.
+// and /debug/pprof/. Startup registers the whole cluster metric surface and
+// panics if a family breaks the registry naming conventions (obs.MustLint);
+// on SIGINT/SIGTERM the master logs the final telemetry as the Prometheus
+// document /metrics serves.
 package main
 
 import (
@@ -45,23 +47,6 @@ import (
 	"odr/internal/cluster"
 	"odr/internal/obs"
 )
-
-// lintMetrics builds the master's full metric surface in a scratch registry
-// and reports naming-convention violations.
-func lintMetrics() int {
-	reg := odr.NewMetricsRegistry()
-	odr.RegisterClusterMetrics(reg)
-	errs := obs.Lint(reg)
-	for _, err := range errs {
-		fmt.Fprintf(os.Stderr, "metrics-lint: %v\n", err)
-	}
-	if len(errs) > 0 {
-		fmt.Fprintf(os.Stderr, "metrics-lint: %d violation(s)\n", len(errs))
-		return 1
-	}
-	fmt.Printf("metrics-lint: %d families clean\n", len(reg.Names()))
-	return 0
-}
 
 // orderDrain posts an operator drain order to a running master.
 func orderDrain(addr, id string) int {
@@ -98,12 +83,8 @@ func main() {
 	deadline := flag.Duration("deadline", 0, "heartbeat deadline before a worker is declared dead (0 = 4x the interval)")
 	debugAddr := flag.String("debug-addr", "", "serve /metrics, /debug/odr and /debug/pprof/ on this address")
 	drainID := flag.String("drain", "", "act as an operator client: order this worker to drain, then exit")
-	metricsLint := flag.Bool("metrics-lint", false, "validate the metric naming conventions and exit")
 	flag.Parse()
 
-	if *metricsLint {
-		os.Exit(lintMetrics())
-	}
 	if *drainID != "" {
 		os.Exit(orderDrain(*addr, *drainID))
 	}
@@ -131,7 +112,7 @@ func main() {
 
 	if *debugAddr != "" {
 		ds, err := odr.ServeDebugWithMetrics(*debugAddr, reg, func() any {
-			return map[string]any{"workers": m.Workers(), "metrics": reg.Snapshot()}
+			return map[string]any{"workers": m.Workers()}
 		})
 		if err != nil {
 			log.Fatal(err)
@@ -155,7 +136,7 @@ func main() {
 	m.Stop()
 
 	var b strings.Builder
-	if err := reg.WriteSummary(&b); err != nil {
+	if err := obs.WritePrometheusWith(&b, reg, false); err != nil {
 		log.Printf("final stats: <unserializable: %v>", err)
 		return
 	}

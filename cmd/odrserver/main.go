@@ -17,10 +17,10 @@
 // exits when its first client detaches.
 //
 // With -debug-addr, the server exposes live observability over HTTP:
-// /debug/odr (JSON snapshot of the regulation state and telemetry
-// registry), /metrics (Prometheus text exposition of the same registry,
-// including the per-session QoE/energy series), /debug/vars (expvar) and
-// /debug/pprof/ (profiles).
+// /debug/odr (the hub's regulation and session state as JSON), /metrics
+// (Prometheus text exposition of the telemetry registry, including the
+// per-session QoE/energy series), /debug/vars (expvar) and /debug/pprof/
+// (profiles).
 //
 // With -master, the server joins a cluster as a worker: it registers its
 // data-plane address with the odrmaster control plane, heartbeats with a
@@ -31,13 +31,12 @@
 // overrides the data-plane address registered with
 // the master when -addr is not dialable from clients (e.g. ":7311").
 //
-// -metrics-lint validates the full metric surface against the registry
-// naming conventions and exits (0 clean, 1 with violations printed); the
-// same lint also guards normal startup.
+// Startup registers every metric family the server can export and panics
+// if one breaks the registry naming conventions (obs.MustLint).
 //
-// On SIGINT/SIGTERM the server shuts down gracefully and logs a final
-// telemetry summary (one line per instrument, sorted by name) before
-// exiting.
+// On SIGINT/SIGTERM the server shuts down gracefully and logs the final
+// telemetry as the same Prometheus document /metrics serves (without the
+// Go runtime families) before exiting.
 package main
 
 import (
@@ -59,30 +58,6 @@ import (
 	"odr/internal/stream"
 )
 
-// registerAll pre-registers every metric family odrserver can export: the
-// shared frame-pipeline instruments and the labeled live-session surface.
-func registerAll(reg *odr.MetricsRegistry) {
-	obs.NewFrameInstruments(reg)
-	stream.RegisterLiveMetrics(reg)
-}
-
-// lintMetrics builds the full surface in a scratch registry and reports
-// convention violations (-metrics-lint, and the make metrics-check target).
-func lintMetrics() int {
-	reg := odr.NewMetricsRegistry()
-	registerAll(reg)
-	errs := obs.Lint(reg)
-	for _, err := range errs {
-		fmt.Fprintf(os.Stderr, "metrics-lint: %v\n", err)
-	}
-	if len(errs) > 0 {
-		fmt.Fprintf(os.Stderr, "metrics-lint: %d violation(s)\n", len(errs))
-		return 1
-	}
-	fmt.Printf("metrics-lint: %d families clean\n", len(reg.Names()))
-	return 0
-}
-
 func main() {
 	addr := flag.String("addr", ":7311", "listen address")
 	policy := flag.String("policy", "odr", "regulation policy: odr, int (or interval), noreg")
@@ -94,12 +69,7 @@ func main() {
 	workerID := flag.String("worker-id", "", "stable worker ID for -master (default: the advertised address)")
 	advertise := flag.String("advertise", "", "data-plane address registered with -master (default: the listen address)")
 	debugAddr := flag.String("debug-addr", "", "serve /debug/odr, /metrics, /debug/vars and /debug/pprof/ on this address")
-	metricsLint := flag.Bool("metrics-lint", false, "validate the metric naming conventions and exit")
 	flag.Parse()
-
-	if *metricsLint {
-		os.Exit(lintMetrics())
-	}
 
 	pol, err := core.ParsePolicy(*policy, *fps)
 	if err == nil {
@@ -117,10 +87,12 @@ func main() {
 		pol.Rule, *fps, *width, *height, ln.Addr())
 
 	reg := odr.NewMetricsRegistry()
-	// Pre-register every family this process can export, then hold startup
-	// to the naming conventions — a misnamed instrument is a bug caught
-	// here, not a broken dashboard discovered later.
-	registerAll(reg)
+	// Pre-register every family this process can export — the shared
+	// frame-pipeline instruments and the labeled live-session surface — then
+	// hold startup to the naming conventions: a misnamed instrument is a bug
+	// caught here, not a broken dashboard discovered later.
+	obs.NewFrameInstruments(reg)
+	stream.RegisterLiveMetrics(reg)
 	obs.MustLint(reg)
 	hub := odr.NewHub(odr.HubConfig{
 		Width: *width, Height: *height, Policy: pol.Rule, TargetFPS: *fps,
@@ -131,7 +103,7 @@ func main() {
 
 	if *debugAddr != "" {
 		ds, err := odr.ServeDebugWithMetrics(*debugAddr, reg, func() any {
-			return map[string]any{"metrics": reg.Snapshot(), "hub": hub.Snapshot()}
+			return map[string]any{"hub": hub.Snapshot()}
 		})
 		if err != nil {
 			log.Fatal(err)
@@ -205,10 +177,9 @@ func main() {
 	}
 	finish := func() {
 		hub.Stop() // logs its own summary via Logf
-		// One line per instrument, sorted by canonical name — the same
-		// ordering /metrics exports.
+		// The document /metrics serves, without the Go runtime families.
 		var b strings.Builder
-		if err := reg.WriteSummary(&b); err != nil {
+		if err := obs.WritePrometheusWith(&b, reg, false); err != nil {
 			log.Printf("final stats: <unserializable: %v>", err)
 			return
 		}

@@ -70,7 +70,7 @@ func main() {
 	// requested, so e.g. `odrsim fig1` stays cheap.
 	matrixBacked := map[string]bool{"table2": true, "fig9": true, "fig10": true,
 		"fig11": true, "fig12": true, "fig13": true, "userstudy": true,
-		"fig14": true, "fig15": true, "summary": true, "fidelity": true}
+		"fig14": true, "fig15": true, "summary": true, "fidelity": true, "report": true}
 	needMatrix := *csvDir != ""
 	for _, name := range want {
 		if matrixBacked[strings.ToLower(name)] {
@@ -133,7 +133,7 @@ func main() {
 				anchorMissed = anchorMissed || !r.OK
 			}
 		case "report":
-			experiments.Markdown(o, os.Stdout)
+			experiments.Markdown(m, os.Stdout)
 			continue
 		default:
 			fmt.Fprintf(os.Stderr, "odrsim: unknown experiment %q (known: %s, report)\n", name, strings.Join(all, ", "))

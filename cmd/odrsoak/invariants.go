@@ -164,8 +164,9 @@ var predicates = map[string]predicate{
 		return rendered > 0 && encoded > 0 && encoded <= rendered && displayed > 0,
 			fmt.Sprintf("rendered=%.0f >= encoded=%.0f (shared), displayed=%.0f", rendered, encoded, displayed)
 	}),
-	// The registry's JSON view and the hub's snapshot totals are read from
-	// the same registry as /metrics, so each equals its scraped counter.
+	// The hub's counters, read directly, and its /debug/odr snapshot totals
+	// come from the same instruments as /metrics, so each equals its scraped
+	// counter.
 	"prom-vs-json": scraped(func(s *scrape.Scrape, r *run) (bool, string) {
 		encoded, coded, _ := registryTiles(r)
 		hubSnap := r.fleet[0].hub.Snapshot()
@@ -186,7 +187,7 @@ var predicates = map[string]predicate{
 		}
 		encodedP, codedP := s.Number("odr_frames_encoded_total"), s.Number("odr_tiles_coded_total")
 		return int64(encodedP) == encoded && int64(codedP) == coded && len(hubOff) == 0,
-			fmt.Sprintf("/metrics encoded=%.0f tiles=%.0f vs /debug/odr %d/%d; %s", encodedP, codedP, encoded, coded, hubDetail)
+			fmt.Sprintf("/metrics encoded=%.0f tiles=%.0f vs counters %d/%d; %s", encodedP, codedP, encoded, coded, hubDetail)
 	}),
 	"prom-tile-outcomes": scraped(func(s *scrape.Scrape, r *run) (bool, string) {
 		_, coded, dirty := registryTiles(r)
@@ -262,14 +263,12 @@ func scraped(p func(s *scrape.Scrape, r *run) (bool, string)) predicate {
 	}
 }
 
-// registryTiles reads the first hub's frame and tile counters off its
-// registry (the /debug/odr view).
+// registryTiles reads the first hub's frame and tile counters straight off
+// the instruments the hub writes, not through any export.
 func registryTiles(r *run) (encoded, coded, dirty int64) {
-	snap := r.fleet[0].reg.Snapshot()
-	encoded, _ = snap[obs.NameFramesEncoded].(int64)
-	coded, _ = snap[obs.NameTilesCoded].(int64)
-	dirty, _ = snap[obs.NameTilesDirty].(int64)
-	return encoded, coded, dirty
+	reg := r.fleet[0].reg
+	return reg.Counter(obs.NameFramesEncoded).Value(), reg.Counter(obs.NameTilesCoded).Value(),
+		reg.Counter(obs.NameTilesDirty).Value()
 }
 
 func tileOutcome(s *scrape.Scrape, outcome string) float64 {

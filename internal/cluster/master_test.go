@@ -215,8 +215,9 @@ func TestMasterHandlerRoundTrip(t *testing.T) {
 }
 
 // TestClusterMetricsLintClean holds the full odr_cluster_* surface — joined
-// with the frame-pipeline and live-session families it shares a registry
-// with in odrmaster — to the repo's naming conventions.
+// with the frame-pipeline and live-session families a worker exports — to
+// the repo's naming conventions. A clean union means odrmaster's surface
+// (the cluster families alone) and odrserver's are each clean too.
 func TestClusterMetricsLintClean(t *testing.T) {
 	reg := obs.NewRegistry()
 	obs.NewFrameInstruments(reg)

@@ -4,7 +4,8 @@ import "odr/internal/obs"
 
 // Canonical names of the cluster control-plane families. They follow the
 // odr_<subsystem>_<noun>_<unit> convention and are held to obs.Lint by the
-// master's startup gate (cmd/odrmaster -metrics-lint, make metrics-check).
+// master's startup gate (obs.MustLint in cmd/odrmaster) and by
+// TestClusterMetricsLintClean (make metrics-check).
 const (
 	// NameClusterWorkers gauges the worker fleet by state (alive, draining,
 	// dead).

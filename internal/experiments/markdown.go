@@ -8,19 +8,19 @@ import (
 	"odr/internal/pictor"
 )
 
-// Markdown writes a markdown results report to w from fresh runs: the §6.6
-// summary, Table 2, the Figure 9 QoS matrix, the efficiency averages, the
-// user-study panel and the ablations — the same content as EXPERIMENTS.md,
-// measured on this machine. The experiments' text output (o.Out) is
-// discarded; the report is all that is written.
-func Markdown(o Options, w io.Writer) {
+// Markdown writes a markdown results report to w from the cells of m and
+// fresh ablation runs: the §6.6 summary, Table 2, the Figure 9 QoS matrix,
+// the efficiency averages, the user-study panel and the ablations — the
+// same content as EXPERIMENTS.md, measured on this machine. Prefetch m
+// first to fill it through the parallel scheduler; cells it already holds
+// are not run again. The sections' text output (m's Out) is discarded
+// while the report is written; the report is all that is written.
+func Markdown(m *Matrix, w io.Writer) {
 	start := time.Now()
-	o.Out = nil
-	o = o.withDefaults()
-	m := NewMatrix(o)
-	// Fill the whole evaluation matrix up front through the parallel
-	// scheduler; the sections below then read memoized cells.
-	m.Prefetch()
+	out := m.o.Out
+	m.o.Out = io.Discard
+	defer func() { m.o.Out = out }()
+	o := m.o
 
 	fmt.Fprintf(w, "# ODR reproduction report\n\n")
 	fmt.Fprintf(w, "Generated %s; %v simulated per configuration; seed %d.\n\n",

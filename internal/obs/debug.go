@@ -11,29 +11,21 @@ import (
 
 // DebugServer is the optional live-telemetry HTTP listener: it serves the
 // standard Go debug surfaces (expvar at /debug/vars, pprof at
-// /debug/pprof/) plus /debug/odr, a JSON snapshot assembled by the
-// caller-supplied function (per-session FPS, gaps, drop counts, pacer
-// state, ...), and — when built with a registry — /metrics in Prometheus
-// text exposition format.
+// /debug/pprof/), /debug/odr, a JSON document of the caller's own state
+// (hub sessions, pacer state, worker registry, ...), and — when built
+// with a registry — /metrics in Prometheus text exposition format.
 type DebugServer struct {
 	ln  net.Listener
 	srv *http.Server
 }
 
-// ServeDebug starts a debug listener on addr (":0" picks a free port) and
-// serves until Close. snapshot is invoked per /debug/odr request; it may
-// be nil, in which case /debug/odr serves an empty object. Without a
-// registry there is no /metrics route; use ServeDebugRegistry for the
-// full surface.
-func ServeDebug(addr string, snapshot func() any) (*DebugServer, error) {
-	return ServeDebugRegistry(addr, nil, snapshot)
-}
-
-// ServeDebugRegistry is ServeDebug plus the Prometheus surface: when reg
-// is non-nil, /metrics serves the registry's canonical instruments (plus
-// Go runtime stats and odr_build_info) in text exposition format — the
-// single metrics surface soaks, dashboards (cmd/odrtop) and CI regression
-// gates scrape.
+// ServeDebugRegistry starts a debug listener on addr (":0" picks a free
+// port) and serves until Close. snapshot is invoked per /debug/odr
+// request; it may be nil, in which case /debug/odr serves an empty object.
+// When reg is non-nil, /metrics serves the registry's canonical
+// instruments (plus Go runtime stats and odr_build_info) in text
+// exposition format — the single read path of a registry, which soaks,
+// dashboards (cmd/odrtop) and CI regression gates scrape.
 func ServeDebugRegistry(addr string, reg *Registry, snapshot func() any) (*DebugServer, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {

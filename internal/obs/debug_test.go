@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"strings"
 	"testing"
 
 	"odr/internal/obs"
@@ -26,7 +27,7 @@ func get(t *testing.T, url string) (int, []byte) {
 func TestServeDebugEndpoints(t *testing.T) {
 	reg := obs.NewRegistry()
 	reg.Counter("frames_rendered").Add(42)
-	d, err := obs.ServeDebug("127.0.0.1:0", func() any { return reg.Snapshot() })
+	d, err := obs.ServeDebugRegistry("127.0.0.1:0", reg, func() any { return map[string]any{"sessions": 3} })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,8 +42,12 @@ func TestServeDebugEndpoints(t *testing.T) {
 	if err := json.Unmarshal(body, &snap); err != nil {
 		t.Fatalf("/debug/odr is not JSON: %v\n%s", err, body)
 	}
-	if snap["frames_rendered"] != float64(42) {
-		t.Fatalf("/debug/odr snapshot = %v", snap)
+	if snap["sessions"] != float64(3) || len(snap) != 1 {
+		t.Fatalf("/debug/odr snapshot = %v, want only the caller's state", snap)
+	}
+	code, body = get(t, base+"/metrics")
+	if code != http.StatusOK || !strings.Contains(string(body), "\nframes_rendered 42\n") {
+		t.Fatalf("/metrics status = %d, body:\n%s", code, body)
 	}
 
 	if code, _ := get(t, base+"/debug/pprof/"); code != http.StatusOK {
@@ -62,7 +67,7 @@ func TestServeDebugEndpoints(t *testing.T) {
 }
 
 func TestServeDebugNilSnapshot(t *testing.T) {
-	d, err := obs.ServeDebug("127.0.0.1:0", nil)
+	d, err := obs.ServeDebugRegistry("127.0.0.1:0", nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,5 +79,8 @@ func TestServeDebugNilSnapshot(t *testing.T) {
 	var v map[string]any
 	if err := json.Unmarshal(body, &v); err != nil || len(v) != 0 {
 		t.Fatalf("body = %s", body)
+	}
+	if code, _ := get(t, "http://"+d.Addr()+"/metrics"); code != http.StatusNotFound {
+		t.Fatalf("/metrics without a registry: status = %d, want 404", code)
 	}
 }

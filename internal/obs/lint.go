@@ -36,7 +36,7 @@ func Lint(r *Registry) []error {
 		if (kind == "counter" || kind == "counter vector") && !strings.HasSuffix(name, "_total") {
 			bad("%s %q must end in _total", kind, name)
 		}
-		if kind == "histogram" || kind == "histogram vector" {
+		if kind == "histogram" {
 			ok := false
 			for _, u := range histUnits {
 				if strings.HasSuffix(name, u) {
@@ -79,10 +79,6 @@ func Lint(r *Registry) []error {
 	}
 	for name, v := range r.gaugeVecs {
 		add(name, "gauge vector")
-		checkLabels(name, v.Labels())
-	}
-	for name, v := range r.histVecs {
-		add(name, "histogram vector")
 		checkLabels(name, v.Labels())
 	}
 	for name, help := range r.help {

@@ -23,7 +23,6 @@ func TestLintCleanRegistry(t *testing.T) {
 	r.Histogram("odr_encode_us")
 	r.CounterVec("odr_tiles_outcome_total", "Tiles by outcome.", "tile_outcome")
 	r.GaugeVec("odr_session_fps", "FPS.", "session")
-	r.HistogramVec("odr_tx_seconds", "Send time.", "session")
 	if errs := Lint(r); len(errs) != 0 {
 		t.Fatalf("clean registry flagged: %v", errs)
 	}

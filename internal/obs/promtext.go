@@ -101,7 +101,7 @@ func renderLabels(names, values []string) string {
 // observations, so its inclusive upper bound is 2^i - 1; bucket 0 holds
 // values <= 0 and exports as le="0". Trailing all-zero buckets collapse
 // into le="+Inf".
-func histRows(h *Histogram, baseLabels string) []promRow {
+func histRows(h *Histogram) []promRow {
 	buckets := h.Buckets()
 	top := 0
 	for i, c := range buckets {
@@ -111,12 +111,6 @@ func histRows(h *Histogram, baseLabels string) []promRow {
 	}
 	rows := make([]promRow, 0, top+4)
 	var cum int64
-	bucketLabel := func(le string) string {
-		if baseLabels == "" {
-			return `le="` + le + `"`
-		}
-		return baseLabels + `,le="` + le + `"`
-	}
 	if h.Count() > 0 {
 		for i := 0; i <= top; i++ {
 			cum += buckets[i]
@@ -128,13 +122,13 @@ func histRows(h *Histogram, baseLabels string) []promRow {
 			} else {
 				le = strconv.FormatUint(1<<uint(i)-1, 10)
 			}
-			rows = append(rows, promRow{suffix: "_bucket", labels: bucketLabel(le), value: float64(cum)})
+			rows = append(rows, promRow{suffix: "_bucket", labels: `le="` + le + `"`, value: float64(cum)})
 		}
 	}
 	rows = append(rows,
-		promRow{suffix: "_bucket", labels: bucketLabel("+Inf"), value: float64(h.Count())},
-		promRow{suffix: "_sum", labels: baseLabels, value: float64(h.Sum())},
-		promRow{suffix: "_count", labels: baseLabels, value: float64(h.Count())},
+		promRow{suffix: "_bucket", labels: `le="+Inf"`, value: float64(h.Count())},
+		promRow{suffix: "_sum", value: float64(h.Sum())},
+		promRow{suffix: "_count", value: float64(h.Count())},
 	)
 	return rows
 }
@@ -156,7 +150,7 @@ func collectFamilies(r *Registry) []promFamily {
 	}
 	for name, h := range r.histograms {
 		fams = append(fams, promFamily{name: name, help: r.help[name], typ: "histogram",
-			rows: histRows(h, "")})
+			rows: histRows(h)})
 	}
 	for name, v := range r.counterVecs {
 		fam := promFamily{name: name, help: r.help[name], typ: "counter"}
@@ -171,15 +165,6 @@ func collectFamilies(r *Registry) []promFamily {
 		fam := promFamily{name: name, help: r.help[name], typ: "gauge"}
 		for _, s := range v.Series() {
 			fam.rows = append(fam.rows, promRow{labels: renderLabels(v.Labels(), s.Values), value: s.Inst.Value()})
-		}
-		if len(fam.rows) > 0 {
-			fams = append(fams, fam)
-		}
-	}
-	for name, v := range r.histVecs {
-		fam := promFamily{name: name, help: r.help[name], typ: "histogram"}
-		for _, s := range v.Series() {
-			fam.rows = append(fam.rows, histRows(s.Inst, renderLabels(v.Labels(), s.Values))...)
 		}
 		if len(fam.rows) > 0 {
 			fams = append(fams, fam)
@@ -248,15 +233,9 @@ func writeFamilies(w io.Writer, fams []promFamily) error {
 	return bw.Flush()
 }
 
-// WritePrometheus encodes every instrument of r in the Prometheus text
-// exposition format.
-func WritePrometheus(w io.Writer, r *Registry) error {
-	return writeFamilies(w, collectFamilies(r))
-}
-
-// WritePrometheusWith is WritePrometheus plus, when runtimeStats is set,
-// the Go runtime and odr_build_info families — what the /metrics endpoint
-// serves.
+// WritePrometheusWith encodes every instrument of r in the Prometheus text
+// exposition format, plus, when runtimeStats is set, the Go runtime and
+// odr_build_info families — what the /metrics endpoint serves.
 func WritePrometheusWith(w io.Writer, r *Registry, runtimeStats bool) error {
 	fams := collectFamilies(r)
 	if runtimeStats {

@@ -24,7 +24,6 @@ func populated() *Registry {
 	r.GaugeVec("odr_session_fps", "Delivered FPS.", "session").With1("s1").Set(59.8)
 	r.GaugeVec("odr_session_fps", "", "session").With1(`we"ird\la
 bel`).Set(1)
-	r.HistogramVec("odr_tx_us", "Send time.", "session").With1("s1").Observe(250)
 	return r
 }
 
@@ -49,7 +48,7 @@ func TestFormatValue(t *testing.T) {
 
 func TestWritePrometheusShape(t *testing.T) {
 	var b bytes.Buffer
-	if err := WritePrometheus(&b, populated()); err != nil {
+	if err := WritePrometheusWith(&b, populated(), false); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
@@ -66,7 +65,6 @@ func TestWritePrometheusShape(t *testing.T) {
 		`odr_sessions_started_total{policy="ODR",codec_version="2"} 3`,
 		`odr_session_fps{session="s1"} 59.8`,
 		`odr_session_fps{session="we\"ird\\la\nbel"} 1`,
-		`odr_tx_us_bucket{session="s1",le="255"} 1`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q\n%s", want, out)
@@ -97,7 +95,7 @@ func TestHistogramBucketsCumulative(t *testing.T) {
 	h.Observe(3) // bucket 2
 	h.Observe(8) // bucket 4, le="15"
 	var b bytes.Buffer
-	if err := WritePrometheus(&b, r); err != nil {
+	if err := WritePrometheusWith(&b, r, false); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()

@@ -1,13 +1,8 @@
 package obs
 
 import (
-	"encoding/json"
-	"fmt"
-	"io"
 	"math"
 	"math/bits"
-	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -214,38 +209,13 @@ func (h *Histogram) Buckets() [histBuckets]int64 {
 	return out
 }
 
-// HistogramSnapshot is the exported view of a histogram.
-type HistogramSnapshot struct {
-	Count int64   `json:"count"`
-	Sum   int64   `json:"sum"`
-	Mean  float64 `json:"mean"`
-	Min   int64   `json:"min"`
-	Max   int64   `json:"max"`
-	P50   float64 `json:"p50"`
-	P95   float64 `json:"p95"`
-	P99   float64 `json:"p99"`
-}
-
-// Snapshot returns the current summary.
-func (h *Histogram) Snapshot() HistogramSnapshot {
-	return HistogramSnapshot{
-		Count: h.Count(),
-		Sum:   h.Sum(),
-		Mean:  h.Mean(),
-		Min:   h.Min(),
-		Max:   h.Max(),
-		P50:   h.Quantile(0.50),
-		P95:   h.Quantile(0.95),
-		P99:   h.Quantile(0.99),
-	}
-}
-
 // Registry is a named collection of counters, gauges, histograms and
-// their labeled vector counterparts. Instrument lookup (Counter/Gauge/
+// labeled counter and gauge vectors. Instrument lookup (Counter/Gauge/
 // Histogram/...Vec) takes the registry lock and is meant for setup time;
 // the returned instruments are then recorded to lock-free on hot paths.
 // A nil *Registry is valid: it returns nil instruments, whose methods are
-// no-ops.
+// no-ops. The registry is read out only as the Prometheus text exposition
+// (WritePrometheusWith, PromHandler).
 //
 // Names follow the odr_<subsystem>_<noun>_<unit> convention (see Lint).
 type Registry struct {
@@ -256,7 +226,6 @@ type Registry struct {
 
 	counterVecs map[string]*CounterVec
 	gaugeVecs   map[string]*GaugeVec
-	histVecs    map[string]*HistogramVec
 
 	help map[string]string // family name -> help text
 
@@ -274,7 +243,6 @@ func NewRegistry() *Registry {
 		histograms:  make(map[string]*Histogram),
 		counterVecs: make(map[string]*CounterVec),
 		gaugeVecs:   make(map[string]*GaugeVec),
-		histVecs:    make(map[string]*HistogramVec),
 		help:        make(map[string]string),
 	}
 	r.dropped = &Counter{}
@@ -292,16 +260,6 @@ func (r *Registry) SetHelp(name, help string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.help[name] = help
-}
-
-// Help returns the help text for name ("" when unset).
-func (r *Registry) Help(name string) string {
-	if r == nil {
-		return ""
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.help[name]
 }
 
 // Counter returns the named counter, creating it on first use.
@@ -388,137 +346,10 @@ func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
 	return v
 }
 
-// HistogramVec returns the named labeled histogram family, creating it on
-// first use.
-func (r *Registry) HistogramVec(name, help string, labels ...string) *HistogramVec {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	v := r.histVecs[name]
-	if v == nil {
-		v = newVec(name, help, labels, 0, r.dropped, newHistogram)
-		r.histVecs[name] = v
-		if help != "" {
-			r.help[name] = help
-		}
-	}
-	return v
-}
-
 // DroppedLabelSets returns the cardinality-overflow self-metric.
 func (r *Registry) DroppedLabelSets() *Counter {
 	if r == nil {
 		return nil
 	}
 	return r.dropped
-}
-
-// seriesKey renders a labeled series as name{l1="v1",l2="v2"} for JSON
-// snapshots — the same shape the Prometheus surface exports.
-func seriesKey(name string, labels, values []string) string {
-	var b strings.Builder
-	b.WriteString(name)
-	b.WriteByte('{')
-	for i, l := range labels {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(l)
-		b.WriteString(`="`)
-		b.WriteString(escapeLabelValue(values[i]))
-		b.WriteString(`"`)
-	}
-	b.WriteByte('}')
-	return b.String()
-}
-
-// Snapshot returns a point-in-time copy of every instrument, keyed by
-// name. Counter and gauge values appear directly; histograms appear as
-// HistogramSnapshot; vector series appear under name{label="value"} keys.
-func (r *Registry) Snapshot() map[string]any {
-	out := make(map[string]any)
-	if r == nil {
-		return out
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for name, c := range r.counters {
-		out[name] = c.Value()
-	}
-	for name, g := range r.gauges {
-		out[name] = g.Value()
-	}
-	for name, h := range r.histograms {
-		out[name] = h.Snapshot()
-	}
-	for name, v := range r.counterVecs {
-		for _, s := range v.Series() {
-			out[seriesKey(name, v.Labels(), s.Values)] = s.Inst.Value()
-		}
-	}
-	for name, v := range r.gaugeVecs {
-		for _, s := range v.Series() {
-			out[seriesKey(name, v.Labels(), s.Values)] = s.Inst.Value()
-		}
-	}
-	for name, v := range r.histVecs {
-		for _, s := range v.Series() {
-			out[seriesKey(name, v.Labels(), s.Values)] = s.Inst.Snapshot()
-		}
-	}
-	return out
-}
-
-// Names returns all instrument names, sorted.
-func (r *Registry) Names() []string {
-	snap := r.Snapshot()
-	names := make([]string, 0, len(snap))
-	for n := range snap {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// WriteJSON writes the snapshot as indented JSON (keys sorted).
-func (r *Registry) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r.Snapshot())
-}
-
-// WriteSummary writes a line-per-instrument plain-text summary sorted by
-// name — the diff-friendly form the odrserver SIGINT handler logs. It
-// reuses the same sorted export path as the Prometheus encoder, so two
-// runs of the same build list instruments in the same order.
-func (r *Registry) WriteSummary(w io.Writer) error {
-	if r == nil {
-		return nil
-	}
-	snap := r.Snapshot()
-	names := make([]string, 0, len(snap))
-	for n := range snap {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		var err error
-		switch v := snap[n].(type) {
-		case HistogramSnapshot:
-			_, err = fmt.Fprintf(w, "%s count=%d sum=%d mean=%.1f p50=%.0f p95=%.0f p99=%.0f max=%d\n",
-				n, v.Count, v.Sum, v.Mean, v.P50, v.P95, v.P99, v.Max)
-		case float64:
-			_, err = fmt.Fprintf(w, "%s %s\n", n, FormatValue(v))
-		case int64:
-			_, err = fmt.Fprintf(w, "%s %d\n", n, v)
-		default:
-			_, err = fmt.Fprintf(w, "%s %v\n", n, v)
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }

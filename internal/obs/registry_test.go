@@ -2,8 +2,8 @@ package obs_test
 
 import (
 	"bytes"
-	"encoding/json"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -46,8 +46,9 @@ func TestNilRegistryIsNoop(t *testing.T) {
 	if h.Count() != 0 || h.Mean() != 0 || h.Quantile(0.5) != 0 {
 		t.Fatal("nil histogram recorded")
 	}
-	if len(r.Snapshot()) != 0 {
-		t.Fatal("nil registry snapshot not empty")
+	var b bytes.Buffer
+	if err := obs.WritePrometheusWith(&b, r, false); err != nil || b.Len() != 0 {
+		t.Fatalf("nil registry exposition = %q, %v; want empty", b.String(), err)
 	}
 }
 
@@ -132,35 +133,31 @@ func TestHistogramConcurrent(t *testing.T) {
 	}
 }
 
-func TestRegistrySnapshotJSON(t *testing.T) {
+// TestRegistryExportsEveryFamilySorted: a registry's one read path, the
+// Prometheus exposition, lists every registered family once, sorted by
+// name, and always includes the obs_dropped_label_sets_total self-metric.
+func TestRegistryExportsEveryFamilySorted(t *testing.T) {
 	r := obs.NewRegistry()
 	r.Counter("frames").Add(10)
 	r.Gauge("fps").Set(60)
 	r.Histogram("render_us").Observe(5000)
 	var buf bytes.Buffer
-	if err := r.WriteJSON(&buf); err != nil {
+	if err := obs.WritePrometheusWith(&buf, r, false); err != nil {
 		t.Fatal(err)
 	}
-	var snap map[string]any
-	if err := json.Unmarshal(buf.Bytes(), &snap); err != nil {
-		t.Fatalf("snapshot not valid JSON: %v", err)
+	var names []string
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if f := strings.Fields(line); len(f) == 4 && f[1] == "TYPE" {
+			names = append(names, f[2])
+		}
 	}
-	if snap["frames"] != float64(10) || snap["fps"] != float64(60) {
-		t.Fatalf("snapshot = %v", snap)
-	}
-	hist, ok := snap["render_us"].(map[string]any)
-	if !ok || hist["count"] != float64(1) {
-		t.Fatalf("histogram snapshot = %v", snap["render_us"])
-	}
-	// The self-metric obs_dropped_label_sets_total is always registered.
-	names := r.Names()
 	want := []string{"fps", "frames", obs.DroppedLabelSetsName, "render_us"}
-	if len(names) != len(want) {
-		t.Fatalf("names = %v", names)
+	if strings.Join(names, " ") != strings.Join(want, " ") {
+		t.Fatalf("families = %v, want %v\n%s", names, want, buf.String())
 	}
-	for i, n := range want {
-		if names[i] != n {
-			t.Fatalf("names = %v, want %v", names, want)
+	for _, line := range []string{"frames 10", "fps 60", "render_us_count 1", obs.DroppedLabelSetsName + " 0"} {
+		if !strings.Contains(buf.String(), line+"\n") {
+			t.Errorf("exposition missing %q\n%s", line, buf.String())
 		}
 	}
 }

@@ -2,11 +2,11 @@
 // typed samples — the read side of internal/obs's /metrics surface. It
 // exists so the soak harness (cmd/odrsoak) can assert metric-predicate
 // invariants against a live server, cmd/odrtop can render dashboards from
-// any /metrics URL, and tests can differential-check the JSON and
-// Prometheus views of one registry.
+// any /metrics URL, and tests can differential-check the exposition of a
+// registry against its instruments' own reads.
 //
 // Re-encoding is canonical and matches internal/obs's encoder exactly:
-// for any document produced by obs.WritePrometheus, Parse followed by
+// for any document produced by obs.WritePrometheusWith, Parse followed by
 // Write is byte-identical (pinned by tests and a fuzz target).
 package scrape
 
@@ -323,7 +323,7 @@ func parseQuoted(rest string) (string, string, error) {
 
 // Write re-encodes the document canonically: families and samples in
 // stored order, values through the same formatter as internal/obs's
-// encoder. Parse(obs.WritePrometheus output) -> Write is byte-identical.
+// encoder. Parse(obs.WritePrometheusWith output) -> Write is byte-identical.
 func (s *Scrape) Write(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	for i := range s.Families {

@@ -25,6 +25,32 @@ odr_encode_us_sum 1000
 odr_encode_us_count 6
 `
 
+// labeledHistogram is a canonical labeled histogram family, the shape a
+// Prometheus client library exports for a histogram vector: the obs
+// registry itself has no labeled histograms, but the scrape parser reads
+// documents from outside it too.
+const labeledHistogram = `# HELP odr_tx_us Send time by session.
+# TYPE odr_tx_us histogram
+odr_tx_us_bucket{session="s1",le="0"} 0
+odr_tx_us_bucket{session="s1",le="1"} 0
+odr_tx_us_bucket{session="s1",le="3"} 0
+odr_tx_us_bucket{session="s1",le="7"} 0
+odr_tx_us_bucket{session="s1",le="15"} 0
+odr_tx_us_bucket{session="s1",le="31"} 0
+odr_tx_us_bucket{session="s1",le="63"} 0
+odr_tx_us_bucket{session="s1",le="127"} 0
+odr_tx_us_bucket{session="s1",le="255"} 1
+odr_tx_us_bucket{session="s1",le="+Inf"} 1
+odr_tx_us_sum{session="s1"} 250
+odr_tx_us_count{session="s1"} 1
+odr_tx_us_bucket{session="s2",le="0"} 1
+odr_tx_us_bucket{session="s2",le="1"} 1
+odr_tx_us_bucket{session="s2",le="3"} 2
+odr_tx_us_bucket{session="s2",le="+Inf"} 2
+odr_tx_us_sum{session="s2"} 3
+odr_tx_us_count{session="s2"} 2
+`
+
 func mustParse(t *testing.T, s string) *Scrape {
 	t.Helper()
 	p, err := ParseBytes([]byte(s))
@@ -132,7 +158,7 @@ func TestQuantileMatchesServer(t *testing.T) {
 		h.Observe(v)
 	}
 	var b bytes.Buffer
-	if err := obs.WritePrometheus(&b, r); err != nil {
+	if err := obs.WritePrometheusWith(&b, r, false); err != nil {
 		t.Fatal(err)
 	}
 	s := mustParse(t, b.String())
@@ -155,7 +181,9 @@ func TestQuantileMatchesServer(t *testing.T) {
 }
 
 // TestRoundTripByteIdentical is the core contract: for any document the
-// obs encoder produces, Parse followed by Write reproduces it exactly.
+// obs encoder produces, Parse followed by Write reproduces it exactly. A
+// canonical labeled-histogram document from outside the registry round
+// trips the same way.
 func TestRoundTripByteIdentical(t *testing.T) {
 	r := obs.NewRegistry()
 	r.Counter("odr_frames_encoded_total").Add(894)
@@ -168,23 +196,35 @@ func TestRoundTripByteIdentical(t *testing.T) {
 	r.CounterVec("odr_sessions_started_total", "Sessions.", "policy", "codec_version").With2("ODR", "2").Add(3)
 	r.GaugeVec("odr_session_fps", "FPS.", "session").With1(`we"ird\la
 bel`).Set(59.8)
-	r.HistogramVec("odr_tx_us", "Send.", "session").With1("s1").Observe(250)
 
-	var first bytes.Buffer
-	if err := obs.WritePrometheus(&first, r); err != nil {
+	var encoded bytes.Buffer
+	if err := obs.WritePrometheusWith(&encoded, r, false); err != nil {
 		t.Fatal(err)
 	}
-	s, err := ParseBytes(first.Bytes())
-	if err != nil {
-		t.Fatalf("parsing our own exposition: %v", err)
+	for name, first := range map[string][]byte{"encoder": encoded.Bytes(), "labeled histogram": []byte(labeledHistogram)} {
+		s, err := ParseBytes(first)
+		if err != nil {
+			t.Fatalf("%s: parsing: %v", name, err)
+		}
+		var second bytes.Buffer
+		if err := s.Write(&second); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first, second.Bytes()) {
+			t.Fatalf("%s: round trip not byte-identical:\n--- parsed ---\n%s\n--- re-encoded ---\n%s",
+				name, first, second.String())
+		}
 	}
-	var second bytes.Buffer
-	if err := s.Write(&second); err != nil {
-		t.Fatal(err)
+	s := mustParse(t, labeledHistogram)
+	s2 := Label{Name: "session", Value: "s2"}
+	if f := s.Family("odr_tx_us"); f == nil || f.Type != "histogram" || len(f.Samples) != 18 {
+		t.Fatalf("labeled histogram family = %+v", f)
 	}
-	if !bytes.Equal(first.Bytes(), second.Bytes()) {
-		t.Fatalf("round trip not byte-identical:\n--- encoded ---\n%s\n--- re-encoded ---\n%s",
-			first.String(), second.String())
+	if got := s.Number("odr_tx_us_count", s2); got != 2 {
+		t.Fatalf("odr_tx_us_count{session=\"s2\"} = %v, want 2", got)
+	}
+	if q, ok := s.Quantile("odr_tx_us", 0.5, Label{Name: "session", Value: "s1"}); !ok || q < 128 || q > 255 {
+		t.Fatalf("s1 median = %v,%v, want within [128, 255]", q, ok)
 	}
 }
 
@@ -211,80 +251,87 @@ func TestWriteIsFixedPoint(t *testing.T) {
 	}
 }
 
-// TestDifferentialJSONVsProm pins that the two export surfaces of one
-// registry agree: every instrument in the JSON snapshot appears in the
-// Prometheus exposition with the same value (histograms compare their
-// count and sum).
-func TestDifferentialJSONVsProm(t *testing.T) {
+// TestDifferentialInstrumentsVsProm pins the registry's one read path
+// against the instruments themselves: every counter, gauge, histogram and
+// vector series appears in the parsed exposition with the value its own
+// reads return (a histogram compares its count, sum and +Inf bucket), and
+// the exposition holds no sample that no instrument accounts for.
+func TestDifferentialInstrumentsVsProm(t *testing.T) {
 	r := obs.NewRegistry()
-	r.Counter("odr_frames_encoded_total").Add(894)
-	r.Gauge("odr_dirty_tile_ratio").Set(0.375)
+	frames := r.Counter("odr_frames_encoded_total")
+	frames.Add(894)
+	ratio := r.Gauge("odr_dirty_tile_ratio")
+	ratio.Set(0.375)
 	h := r.Histogram("odr_encode_us")
 	for _, v := range []int64{3, 700, 900, 4096} {
 		h.Observe(v)
 	}
-	r.CounterVec("odr_sessions_started_total", "s", "policy", "codec_version").With2("ODR", "2").Add(3)
-	r.GaugeVec("odr_session_fps", "f", "session").With1("s1").Set(59.8)
-	r.HistogramVec("odr_tx_us", "t", "session").With1("s1").Observe(250)
+	started := r.CounterVec("odr_sessions_started_total", "s", "policy", "codec_version")
+	started.With2("ODR", "2").Add(3)
+	started.With2("NoReg", "2").Inc()
+	fps := r.GaugeVec("odr_session_fps", "f", "session")
+	fps.With1("s1").Set(59.8)
+	fps.With1(`we"ird`).Set(0.5)
 
 	var b bytes.Buffer
-	if err := obs.WritePrometheus(&b, r); err != nil {
+	if err := obs.WritePrometheusWith(&b, r, false); err != nil {
 		t.Fatal(err)
 	}
 	s := mustParse(t, b.String())
 
-	// Index every scraped sample under the same name{l="v"} key shape the
-	// JSON snapshot uses for vector series.
+	// Index every scraped sample but the finite histogram buckets by name
+	// and label set; each instrument read below claims its sample.
+	key := func(name string, labels []Label) string {
+		for _, l := range labels {
+			name += "," + l.Name + "=" + l.Value
+		}
+		return name
+	}
 	scraped := make(map[string]float64)
 	for _, f := range s.Families {
 		for _, sm := range f.Samples {
-			key := sm.Name
-			if len(sm.Labels) > 0 {
-				key += "{"
-				for i, l := range sm.Labels {
-					if i > 0 {
-						key += ","
-					}
-					key += l.Name + `="` + obs.EscapeLabelValue(l.Value) + `"`
-				}
-				key += "}"
+			if sm.Name != f.Name+"_bucket" || sm.Label("le") == "+Inf" {
+				scraped[key(sm.Name, sm.Labels)] = sm.Value
 			}
-			scraped[key] = sm.Value
 		}
 	}
-
-	snap := r.Snapshot()
 	checked := 0
-	for name, v := range snap {
-		switch v := v.(type) {
-		case int64:
-			if got, ok := scraped[name]; !ok || got != float64(v) {
-				t.Errorf("%s: JSON %d vs prom %v (present=%v)", name, v, got, ok)
-			}
-		case float64:
-			if got, ok := scraped[name]; !ok || got != v {
-				t.Errorf("%s: JSON %v vs prom %v (present=%v)", name, v, got, ok)
-			}
-		case obs.HistogramSnapshot:
-			// name may itself be a series key name{labels}: splice the
-			// histogram suffix onto the bare name.
-			base, labels := name, ""
-			if i := strings.IndexByte(name, '{'); i >= 0 {
-				base, labels = name[:i], name[i:]
-			}
-			if got := scraped[base+"_count"+labels]; got != float64(v.Count) {
-				t.Errorf("%s count: JSON %d vs prom %v", name, v.Count, got)
-			}
-			if got := scraped[base+"_sum"+labels]; got != float64(v.Sum) {
-				t.Errorf("%s sum: JSON %d vs prom %v", name, v.Sum, got)
-			}
-		default:
-			t.Errorf("%s: unexpected snapshot type %T", name, v)
+	check := func(name string, labels []Label, want float64) {
+		t.Helper()
+		k := key(name, labels)
+		if got, ok := scraped[k]; !ok || got != want {
+			t.Errorf("%s: instrument reads %v, /metrics %v (present=%v)", k, want, got, ok)
 		}
+		delete(scraped, k)
 		checked++
 	}
-	if checked < 6 {
-		t.Fatalf("differential covered only %d instruments", checked)
+	vecLabels := func(names, values []string) []Label {
+		out := make([]Label, len(names))
+		for i, n := range names {
+			out[i] = Label{Name: n, Value: values[i]}
+		}
+		return out
+	}
+
+	check("odr_frames_encoded_total", nil, float64(frames.Value()))
+	check(obs.DroppedLabelSetsName, nil, float64(r.DroppedLabelSets().Value()))
+	check("odr_dirty_tile_ratio", nil, ratio.Value())
+	check("odr_encode_us_bucket", []Label{{Name: "le", Value: "+Inf"}}, float64(h.Count()))
+	check("odr_encode_us_sum", nil, float64(h.Sum()))
+	check("odr_encode_us_count", nil, float64(h.Count()))
+	for _, sr := range started.Series() {
+		check(started.Name(), vecLabels(started.Labels(), sr.Values), float64(sr.Inst.Value()))
+	}
+	for _, sr := range fps.Series() {
+		check(fps.Name(), vecLabels(fps.Labels(), sr.Values), sr.Inst.Value())
+	}
+	for k, v := range scraped {
+		t.Errorf("/metrics sample %s = %v has no instrument", k, v)
+	}
+	// Eight instruments: four plain ones (the histogram read as three
+	// samples) and four vector series.
+	if checked < 10 {
+		t.Fatalf("differential covered only %d samples", checked)
 	}
 }
 

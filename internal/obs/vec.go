@@ -36,7 +36,7 @@ type vecEntry[I any] struct {
 }
 
 // Vec is a family of instruments of one name distinguished by label
-// values — the labeled counterpart of a single Counter/Gauge/Histogram.
+// values — the labeled counterpart of a single Counter or Gauge.
 // Lookup (With/With1/...) takes a read lock and is allocation-free for
 // label sets that already exist; hot paths should resolve the instrument
 // once per session and record through the returned handle lock-free.
@@ -54,11 +54,10 @@ type Vec[I any] struct {
 	m       map[labelKey]*vecEntry[I]
 }
 
-// CounterVec, GaugeVec and HistogramVec are the concrete vector kinds.
+// CounterVec and GaugeVec are the concrete vector kinds.
 type (
-	CounterVec   = Vec[Counter]
-	GaugeVec     = Vec[Gauge]
-	HistogramVec = Vec[Histogram]
+	CounterVec = Vec[Counter]
+	GaugeVec   = Vec[Gauge]
 )
 
 // newVec builds a vector (registry-internal).
@@ -114,11 +113,8 @@ func (v *Vec[I]) With1(a string) *I { return v.with(labelKey{a}) }
 // With2 resolves a two-label set.
 func (v *Vec[I]) With2(a, b string) *I { return v.with(labelKey{a, b}) }
 
-// With3 resolves a three-label set.
-func (v *Vec[I]) With3(a, b, c string) *I { return v.with(labelKey{a, b, c}) }
-
 // With resolves the instrument for the given label values (padded or
-// truncated to the vector's label names). Prefer With1/With2/With3 on hot
+// truncated to the vector's label names). Prefer With1/With2 on hot
 // paths — the variadic slice may allocate.
 func (v *Vec[I]) With(vals ...string) *I {
 	var k labelKey

@@ -14,11 +14,13 @@ import (
 
 	"odr/internal/core"
 	"odr/internal/obs"
+	"odr/internal/obs/scrape"
 )
 
 // TestHubObservability runs a traced, metered hub with a live debug server:
-// a real client streams frames over a pipe while /debug/odr and /debug/pprof/
-// are scraped from a loopback listener, and Stop must log a final summary.
+// a real client streams frames over a pipe while /debug/odr, /metrics and
+// /debug/pprof/ are scraped from a loopback listener, and Stop must log a
+// final summary.
 func TestHubObservability(t *testing.T) {
 	tr := obs.NewTracer(1 << 14)
 	reg := obs.NewRegistry()
@@ -36,8 +38,8 @@ func TestHubObservability(t *testing.T) {
 	})
 	go h.Run()
 
-	ds, err := obs.ServeDebug("127.0.0.1:0", func() any {
-		return map[string]any{"hub": h.Snapshot(), "metrics": reg.Snapshot()}
+	ds, err := obs.ServeDebugRegistry("127.0.0.1:0", reg, func() any {
+		return map[string]any{"hub": h.Snapshot()}
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -74,7 +76,6 @@ func TestHubObservability(t *testing.T) {
 			Rendered int64            `json:"rendered"`
 			Clients  []map[string]any `json:"clients"`
 		} `json:"hub"`
-		Metrics map[string]any `json:"metrics"`
 	}
 	if err := json.Unmarshal(get("/debug/odr"), &snap); err != nil {
 		t.Fatalf("/debug/odr is not valid JSON: %v", err)
@@ -85,8 +86,12 @@ func TestHubObservability(t *testing.T) {
 	if len(snap.Hub.Clients) != 1 {
 		t.Errorf("/debug/odr reports %d clients, want 1", len(snap.Hub.Clients))
 	}
-	if _, ok := snap.Metrics[obs.NameFramesRendered]; !ok {
-		t.Errorf("/debug/odr metrics missing odr_frames_rendered_total: %v", snap.Metrics)
+	metrics, err := scrape.ParseBytes(get("/metrics"))
+	if err != nil {
+		t.Fatalf("/metrics does not parse: %v", err)
+	}
+	if metrics.Number(obs.NameFramesRendered) == 0 {
+		t.Errorf("/metrics reports no %s", obs.NameFramesRendered)
 	}
 	if !strings.Contains(string(get("/debug/pprof/goroutine?debug=1")), "goroutine") {
 		t.Error("/debug/pprof/goroutine did not return a goroutine dump")

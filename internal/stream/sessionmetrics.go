@@ -167,9 +167,10 @@ func registerLiveVecs(reg *obs.Registry) *liveVecs {
 }
 
 // RegisterLiveMetrics pre-registers the full live-session metric surface in
-// reg without creating any series, so a startup lint (odrserver
-// -metrics-lint, make metrics-check) can validate every family this package
-// will ever export before the first client connects. Nil-safe.
+// reg without creating any series, so a lint (odrserver's startup
+// obs.MustLint, TestRegisterLiveMetricsIsLintClean in make metrics-check)
+// can validate every family this package will ever export before the first
+// client connects. Nil-safe.
 func RegisterLiveMetrics(reg *obs.Registry) {
 	if reg == nil {
 		return

@@ -322,10 +322,10 @@ type (
 	// TraceEvent is one recorded tracer event.
 	TraceEvent = obs.Event
 	// MetricsRegistry holds named counters, gauges and log-bucketed latency
-	// histograms, snapshotable as JSON.
+	// histograms, read out as the Prometheus text exposition.
 	MetricsRegistry = obs.Registry
 	// DebugServer is the live observability HTTP endpoint started by
-	// ServeDebug.
+	// ServeDebugWithMetrics.
 	DebugServer = obs.DebugServer
 )
 
@@ -336,17 +336,13 @@ func NewTracer(capacity int) *Tracer { return obs.NewTracer(capacity) }
 // NewMetricsRegistry returns an empty telemetry registry.
 func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
 
-// ServeDebug starts an HTTP listener on addr serving /debug/odr (the given
-// snapshot as JSON), /debug/vars (expvar) and /debug/pprof/. Close the
+// ServeDebugWithMetrics starts an HTTP listener on addr serving /debug/odr
+// (the given snapshot as JSON; nil serves an empty object), /debug/vars
+// (expvar), /debug/pprof/ and, when reg is non-nil, /metrics: reg's
+// instruments (labeled series included, plus Go runtime stats and
+// odr_build_info) in text exposition format 0.0.4 — scrapeable by
+// Prometheus, cmd/odrtop and the internal/obs/scrape harness. Close the
 // returned server to stop it.
-func ServeDebug(addr string, snapshot func() any) (*DebugServer, error) {
-	return obs.ServeDebug(addr, snapshot)
-}
-
-// ServeDebugWithMetrics is ServeDebug plus a Prometheus surface: /metrics
-// serves reg's instruments (labeled series included, plus Go runtime stats
-// and odr_build_info) in text exposition format 0.0.4 — scrapeable by
-// Prometheus, cmd/odrtop and the internal/obs/scrape harness.
 func ServeDebugWithMetrics(addr string, reg *MetricsRegistry, snapshot func() any) (*DebugServer, error) {
 	return obs.ServeDebugRegistry(addr, reg, snapshot)
 }

@@ -93,4 +93,12 @@ var table = []mutant{
 		pkg:   "./internal/sched",
 		test:  "TestCellKeyDiscriminates",
 	},
+	{
+		claim: "/metrics exports each histogram's count as its _count sample",
+		file:  "internal/obs/promtext.go",
+		old:   `promRow{suffix: "_count", value: float64(h.Count())}`,
+		new:   `promRow{suffix: "_count", value: float64(h.Sum())}`,
+		pkg:   "./internal/obs/scrape",
+		test:  "TestDifferentialInstrumentsVsProm",
+	},
 }
