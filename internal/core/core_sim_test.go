@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -267,6 +268,42 @@ func TestMultiBufferTryPutNeverDisplaces(t *testing.T) {
 	if mb.TryPut(&frame.Frame{Seq: 5}) || mb.Occupancy() != 0 {
 		t.Fatal("TryPut into a closed buffer stored")
 	}
+}
+
+// TestMultiBufferPutRegularKeepsInputFrames: PutRegular fills a free back
+// buffer, displaces the regular frames the consumer has not taken, and is
+// refused while an input-triggered frame waits in either slot.
+func TestMultiBufferPutRegularKeepsInputFrames(t *testing.T) {
+	_, dom := newSim()
+	mb := core.NewMultiBuffer(dom)
+	put := func(f *frame.Frame, stored bool, dropped []uint64, refused bool) {
+		t.Helper()
+		s, d, r := mb.PutRegular(f)
+		var seqs []uint64
+		for _, x := range d {
+			seqs = append(seqs, x.Seq)
+		}
+		if s != stored || r != refused || fmt.Sprint(seqs) != fmt.Sprint(dropped) {
+			t.Fatalf("PutRegular(%d) = stored %v, dropped %v, refused %v; want %v, %v, %v", f.Seq, s, seqs, r, stored, dropped, refused)
+		}
+	}
+	put(&frame.Frame{Seq: 1}, true, nil, false) // promoted to the front
+	put(&frame.Frame{Seq: 2}, true, nil, false) // the free back buffer
+	put(&frame.Frame{Seq: 3}, true, []uint64{2, 1}, false)
+	mb.TryAcquire() // 3 is being consumed
+	mb.PutPriority(&frame.Frame{Seq: 4, Priority: true})
+	put(&frame.Frame{Seq: 5}, false, nil, true)
+	mb.Release() // 4 waits unconsumed in the front
+	put(&frame.Frame{Seq: 6}, true, nil, false)
+	put(&frame.Frame{Seq: 7}, true, []uint64{6}, false)
+	for _, want := range []uint64{4, 7} {
+		if f := mb.TryAcquire(); f == nil || f.Seq != want {
+			t.Fatalf("acquired %+v, want Seq %d", f, want)
+		}
+		mb.Release()
+	}
+	mb.Close()
+	put(&frame.Frame{Seq: 8}, false, nil, false)
 }
 
 func TestInputBoxCombinesPendingInputs(t *testing.T) {

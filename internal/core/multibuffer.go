@@ -79,6 +79,40 @@ func (b *MultiBuffer) storeLocked(f *frame.Frame) bool {
 	return true
 }
 
+// PutRegular stores a regular frame for a producer that cannot wait: into a
+// free back buffer as TryPut does, and otherwise latest-wins in place of the
+// buffered frames the consumer has not taken — but never in place of an
+// input-triggered frame, which holds that input's response (§5.3): then f is
+// refused. It reports whether f was stored, the frames it displaced, and
+// whether it was refused; a closed buffer neither stores nor refuses.
+func (b *MultiBuffer) PutRegular(f *frame.Frame) (stored bool, dropped []*frame.Frame, refused bool) {
+	mu := b.dom.Locker()
+	mu.Lock()
+	defer mu.Unlock()
+	if b.back == nil {
+		return b.storeLocked(f), nil, false
+	}
+	if b.closed {
+		return false, nil, false
+	}
+	if b.back.Priority {
+		return false, nil, true
+	}
+	dropped = append(dropped, b.back)
+	b.back = nil
+	if b.front != nil && !b.consuming && !b.front.Priority {
+		dropped = append(dropped, b.front)
+		b.front = nil
+	}
+	if b.front == nil {
+		b.front = f
+	} else {
+		b.back = f
+	}
+	b.changed.Broadcast()
+	return true, dropped, false
+}
+
 // PutPriority stores an input-triggered frame, dropping any frames that are
 // buffered but not yet consumed (they are obsolete: they would be displayed
 // before f, delaying it). It never blocks. It returns the dropped frames so

@@ -59,30 +59,21 @@ func (g *Gauge) Value() float64 {
 // a uint64 value plus a dedicated <=0 bucket.
 const histBuckets = 65
 
-// newHistogram returns a ready histogram (min starts at the sentinel so
-// the first observation always wins the CAS).
-func newHistogram() *Histogram {
-	h := &Histogram{}
-	h.min.Store(math.MaxInt64)
-	return h
-}
-
 // Histogram is a log2-bucketed histogram of non-negative values with O(1)
 // lock-free Observe — the hot-path replacement for metrics.Dist, whose
 // percentile queries sort every sample. Values are recorded in an
 // arbitrary integer unit chosen by the caller (ObserveDuration uses
 // microseconds); bucket i (i >= 1) covers [2^(i-1), 2^i), and bucket 0
-// holds values <= 0. A nil *Histogram is valid and ignores writes.
+// holds values <= 0. It keeps exactly what /metrics exports: buckets, count
+// and sum. A nil *Histogram is valid and ignores writes.
 type Histogram struct {
 	count   atomic.Int64
 	sum     atomic.Int64
-	max     atomic.Int64
-	min     atomic.Int64
 	buckets [histBuckets]atomic.Int64
 }
 
-// Observe records one value in O(1): one bucket increment plus the
-// count/sum/min/max updates, no sorting, no allocation.
+// Observe records one value in O(1): one bucket increment plus the count
+// and sum updates, no sorting, no allocation.
 func (h *Histogram) Observe(v int64) {
 	if h == nil {
 		return
@@ -94,18 +85,6 @@ func (h *Histogram) Observe(v int64) {
 	h.buckets[idx].Add(1)
 	h.count.Add(1)
 	h.sum.Add(v)
-	for {
-		cur := h.max.Load()
-		if v <= cur || h.max.CompareAndSwap(cur, v) {
-			break
-		}
-	}
-	for {
-		cur := h.min.Load()
-		if v >= cur || h.min.CompareAndSwap(cur, v) {
-			break
-		}
-	}
 }
 
 // ObserveDuration records d in microseconds.
@@ -127,71 +106,6 @@ func (h *Histogram) Sum() int64 {
 		return 0
 	}
 	return h.sum.Load()
-}
-
-// Mean returns the mean observed value (0 when empty).
-func (h *Histogram) Mean() float64 {
-	n := h.Count()
-	if n == 0 {
-		return 0
-	}
-	return float64(h.Sum()) / float64(n)
-}
-
-// Max returns the largest observed value (0 when empty).
-func (h *Histogram) Max() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.max.Load()
-}
-
-// Min returns the smallest observed value (0 when empty).
-func (h *Histogram) Min() int64 {
-	if h == nil || h.count.Load() == 0 {
-		return 0
-	}
-	return h.min.Load()
-}
-
-// Quantile returns an estimate of the q-quantile (0 <= q <= 1) from the
-// bucket counts: the geometric midpoint of the bucket holding the q-th
-// observation, clamped to the observed min/max. The estimate is within a
-// factor of sqrt(2) of the true value, which is plenty for live
-// dashboards; exact percentiles stay with metrics.Dist offline.
-func (h *Histogram) Quantile(q float64) float64 {
-	n := h.Count()
-	if n == 0 {
-		return 0
-	}
-	rank := int64(math.Ceil(q * float64(n)))
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > n {
-		rank = n
-	}
-	var seen int64
-	for i := 0; i < histBuckets; i++ {
-		seen += h.buckets[i].Load()
-		if seen >= rank {
-			var est float64
-			if i == 0 {
-				est = 0
-			} else {
-				lo := math.Exp2(float64(i - 1))
-				est = lo * math.Sqrt2 // geometric midpoint of [2^(i-1), 2^i)
-			}
-			if mn := float64(h.Min()); est < mn {
-				est = mn
-			}
-			if mx := float64(h.Max()); est > mx {
-				est = mx
-			}
-			return est
-		}
-	}
-	return float64(h.Max())
 }
 
 // Buckets returns a copy of the raw log2 bucket counts: index 0 holds
@@ -301,7 +215,7 @@ func (r *Registry) Histogram(name string) *Histogram {
 	defer r.mu.Unlock()
 	h := r.histograms[name]
 	if h == nil {
-		h = newHistogram()
+		h = &Histogram{}
 		r.histograms[name] = h
 	}
 	return h

@@ -2,7 +2,6 @@ package obs_test
 
 import (
 	"bytes"
-	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -43,7 +42,7 @@ func TestNilRegistryIsNoop(t *testing.T) {
 	}
 	h := r.Histogram("z")
 	h.Observe(10)
-	if h.Count() != 0 || h.Mean() != 0 || h.Quantile(0.5) != 0 {
+	if h.Count() != 0 || h.Sum() != 0 || h.Buckets() != [65]int64{} {
 		t.Fatal("nil histogram recorded")
 	}
 	var b bytes.Buffer
@@ -64,21 +63,13 @@ func TestHistogramBasics(t *testing.T) {
 	if h.Sum() != 1106 {
 		t.Fatalf("sum = %d, want 1106", h.Sum())
 	}
-	if h.Min() != 1 || h.Max() != 1000 {
-		t.Fatalf("min/max = %d/%d, want 1/1000", h.Min(), h.Max())
-	}
-	if m := h.Mean(); math.Abs(m-221.2) > 1e-9 {
-		t.Fatalf("mean = %v, want 221.2", m)
-	}
-	// The p99 observation is 1000, in bucket [512, 1024); the estimate is
-	// the bucket's geometric midpoint, within a factor of sqrt(2) of truth.
-	if p := h.Quantile(0.99); p < 512 || p > 1024 {
-		t.Fatalf("p99 = %v, want within [512, 1024]", p)
-	}
-	// The median of {1,2,3,100,1000} is 3; the log-bucket estimate must be
-	// within a factor of sqrt(2) of the bucket bounds around it.
-	if p := h.Quantile(0.5); p < 2 || p > 4 {
-		t.Fatalf("p50 = %v, want within [2,4]", p)
+	// Bucket i >= 1 holds [2^(i-1), 2^i): 1 in bucket 1, 2 and 3 in bucket 2,
+	// 100 in bucket 7 ([64, 128)) and 1000 in bucket 10 ([512, 1024)).
+	want := map[int]int64{1: 1, 2: 2, 7: 1, 10: 1}
+	for i, n := range h.Buckets() {
+		if n != want[i] {
+			t.Fatalf("bucket %d holds %d observations, want %d", i, n, want[i])
+		}
 	}
 }
 
@@ -90,13 +81,12 @@ func TestHistogramZeroAndNegative(t *testing.T) {
 	if h.Count() != 2 {
 		t.Fatalf("count = %d, want 2", h.Count())
 	}
-	if h.Min() != -5 {
-		t.Fatalf("min = %d, want -5", h.Min())
+	// Non-positive values share bucket 0, and the sum keeps their sign.
+	if b := h.Buckets(); b[0] != 2 {
+		t.Fatalf("bucket 0 holds %d observations, want 2", b[0])
 	}
-	// Non-positive values share bucket 0; the estimate is clamped into the
-	// observed [min, max] range.
-	if p := h.Quantile(0.5); p < -5 || p > 0 {
-		t.Fatalf("p50 = %v, want within [-5, 0]", p)
+	if h.Sum() != -5 {
+		t.Fatalf("sum = %d, want -5", h.Sum())
 	}
 }
 
@@ -128,8 +118,15 @@ func TestHistogramConcurrent(t *testing.T) {
 	if h.Count() != workers*per {
 		t.Fatalf("count = %d, want %d", h.Count(), workers*per)
 	}
-	if h.Min() != 1 || h.Max() != per {
-		t.Fatalf("min/max = %d/%d, want 1/%d", h.Min(), h.Max(), per)
+	if want := int64(workers * per * (per + 1) / 2); h.Sum() != want {
+		t.Fatalf("sum = %d, want %d", h.Sum(), want)
+	}
+	var inBuckets int64
+	for _, n := range h.Buckets() {
+		inBuckets += n
+	}
+	if inBuckets != workers*per {
+		t.Fatalf("buckets hold %d observations, want %d", inBuckets, workers*per)
 	}
 }
 

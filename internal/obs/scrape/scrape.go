@@ -439,8 +439,8 @@ func (s *Scrape) LabelValues(name, label string) []string {
 
 // Quantile estimates the q-quantile of the histogram family name from its
 // cumulative _bucket samples (optionally restricted to the label set
-// want), using the same geometric-midpoint rule as obs.Histogram — so a
-// scraped estimate agrees with the server's own.
+// want): the geometric midpoint of the log2 bucket holding the q-th
+// observation, within a factor of sqrt(2) of the true value.
 func (s *Scrape) Quantile(name string, q float64, want ...Label) (float64, bool) {
 	type bucket struct {
 		le  float64
@@ -476,8 +476,8 @@ func (s *Scrape) Quantile(name string, q float64, want ...Label) (float64, bool)
 			if math.IsInf(b.le, 1) || b.le <= 0 {
 				return math.Max(prev, 0), true
 			}
-			// Bucket spans (prev, le]; return its geometric midpoint like
-			// obs.Histogram.Quantile (log2 buckets, sqrt2 midpoint).
+			// Bucket spans (prev, le]; return its geometric midpoint
+			// (log2 buckets, sqrt2 midpoint).
 			lo := math.Max(prev, 1)
 			return math.Min(lo*math.Sqrt2, b.le), true
 		}

@@ -148,9 +148,9 @@ func TestParseRejectsGarbage(t *testing.T) {
 	}
 }
 
-// TestQuantileMatchesServer pins that the scraped-quantile estimator
-// reproduces obs.Histogram.Quantile from the exported buckets (modulo the
-// min/max clamp the server applies with information the scrape lacks).
+// TestQuantileMatchesServer pins that the scraped-quantile estimator lands
+// in the log2 bucket that holds the q-th observation, read off the server's
+// own bucket counts.
 func TestQuantileMatchesServer(t *testing.T) {
 	r := obs.NewRegistry()
 	h := r.Histogram("odr_q_us")
@@ -162,17 +162,22 @@ func TestQuantileMatchesServer(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := mustParse(t, b.String())
+	buckets := h.Buckets()
 	for _, q := range []float64{0.5, 0.95, 0.99} {
 		got, ok := s.Quantile("odr_q_us", q)
 		if !ok {
 			t.Fatalf("Quantile(%v) missing", q)
 		}
-		want := h.Quantile(q)
-		// Same bucket, same geometric midpoint — but the server clamps to
-		// the true min/max, which the exposition doesn't carry. Both land
-		// in the same log2 bucket, so they agree within a factor of 2.
-		if got < want/2 || got > want*2 {
-			t.Errorf("Quantile(%v) = %v, server says %v", q, got, want)
+		// Bucket i >= 1 holds [2^(i-1), 2^i) and is exported as le=2^i-1.
+		rank := int64(math.Ceil(q * float64(h.Count())))
+		var seen int64
+		i := 0
+		for seen += buckets[i]; seen < rank; seen += buckets[i] {
+			i++
+		}
+		lo, hi := math.Exp2(float64(i-1))-1, math.Exp2(float64(i))-1
+		if got <= lo || got > hi {
+			t.Errorf("Quantile(%v) = %v, outside the bucket (%v, %v] that holds observation %d", q, got, lo, hi, rank)
 		}
 	}
 	if _, ok := s.Quantile("odr_missing_us", 0.5); ok {

@@ -200,7 +200,8 @@ func (e *hubEngine) shutdown() {
 // kick marks s ready and hands it to the sender pool; a no-op when the
 // session is already queued or pacing (its timer will requeue it). Called by
 // lane fan-out after storing an artifact, by Stop/Drain after closing a
-// session's buffer, and on attach.
+// session's buffer, and on attach and keyframe request, whose send pass
+// serves the key at once.
 func (e *hubEngine) kick(s *hubSession) {
 	if !s.sched.CompareAndSwap(schedParked, schedQueued) {
 		return
@@ -258,9 +259,18 @@ func (e *hubEngine) process(wk int, s *hubSession) int64 {
 // dead=true when the session must tear down (buffer closed or send error) and
 // evict=true when the death was a blown write deadline.
 func (s *hubSession) runSends(e *hubEngine, wk int) (frames int64, dead, evict bool) {
+	keyTried := false
 	for {
 		f := s.buf.TryAcquire()
-		if f == nil {
+		var art *encArtifact
+		switch {
+		case f != nil:
+			art = f.Encoded.(*encArtifact)
+		case !keyTried && (s.lastSentSeq == 0 || s.wantKey.Load()) && !s.buf.Closed():
+			// A joiner, or a keyframe request, with nothing queued: one try a
+			// pass to serve it the newest frame at once (see sendArtifact).
+			keyTried = true
+		default:
 			s.paceDue = 0 // nothing was waiting on the deadline: the next send starts its own period
 			if s.buf.Closed() {
 				// Drained after a close: a hub Drain flush ends with an
@@ -281,10 +291,11 @@ func (s *hubSession) runSends(e *hubEngine, wk int) (frames int64, dead, evict b
 			}
 			continue
 		}
-		art := f.Encoded.(*encArtifact)
 		sent, delay, err := s.sendArtifact(&e.scratch[wk], f, art)
-		s.buf.Release()
-		art.release()
+		if f != nil {
+			s.buf.Release()
+			art.release()
+		}
 		if err != nil {
 			return frames, true, isTimeoutErr(err)
 		}
@@ -371,8 +382,10 @@ func (e *hubEngine) handleClientMsg(s *hubSession, typ byte, payload []byte) boo
 		h.box.OnInput(packInput(s.id, id), time.Duration(nanos))
 	case msgKeyReq:
 		// The lane encoder is shared; a per-viewer keyframe is spliced from
-		// its state by the send path, so only flag the request.
+		// its state by the send path: flag the request and run a send pass,
+		// which answers at once when nothing is queued.
 		s.wantKey.Store(true)
+		e.kick(s)
 	default:
 		// msgBye, or a type no client sends.
 		return false

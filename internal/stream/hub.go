@@ -31,10 +31,12 @@ import (
 // the lane never waits on one, so a slow or slower-paced client never stalls
 // the game or its peers — its obsolete artifacts are simply dropped before
 // transmission, which is ODR's on-demand principle applied per viewer.
-// A viewer whose delta chain skipped frames (or a late joiner needing a
-// keyframe) is repaired by splicing intra-coded tiles out of the shared
-// encoder's state, never by forcing a keyframe on everyone; see encLane and
-// codec.AppendSplice.
+// A viewer whose delta chain skipped frames is repaired by splicing
+// intra-coded tiles out of the shared encoder's state, never by forcing a
+// keyframe on everyone; see encLane and codec.AppendSplice. A late joiner or
+// a keyframe request does not wait for the next render either: it is served
+// at once a key spliced from the newest frame already rendered (see
+// Hub.newest and hubSession.sendArtifact).
 type Hub struct {
 	cfg   HubConfig
 	dom   *realrt.Domain
@@ -56,6 +58,15 @@ type Hub struct {
 	laneMu sync.Mutex
 	lanes  atomic.Pointer[[]*encLane]
 	laneWG sync.WaitGroup
+
+	// newest is the last frame rendered, kept by one reference (newestRefs
+	// counts every holder of its pixels) so that an attach can offer it to
+	// a lane that has not seen it: a new lane, or one emptied while the
+	// others kept rendering. offerMu orders every offer — the render loop's
+	// and an attach's — so a lane sees seqs in order and each seq once.
+	offerMu    sync.Mutex
+	newest     *frame.Frame
+	newestRefs *atomic.Int32
 
 	nextID atomic.Uint32
 
@@ -349,8 +360,9 @@ func (h *Hub) Clients() int {
 // Rendered returns the number of frames the shared game has rendered.
 func (h *Hub) Rendered() int64 { return h.ins.Rendered.Value() }
 
-// hubPixFreeCap bounds the render-buffer free list: the renderer plus one
-// in-flight frame per lane is the realistic ceiling.
+// hubPixFreeCap bounds the render-buffer free list: the frame being
+// rendered, the newest one the renderer keeps for joiners and one in-flight
+// frame per lane is the realistic ceiling.
 const hubPixFreeCap = 4
 
 // pixGet takes a recycled render buffer or allocates the first few.
@@ -416,7 +428,6 @@ func (h *Hub) Run() {
 		f := &frame.Frame{Seq: seq, Pixels: pix, RenderStart: start, RenderEnd: h.dom.Now()}
 		core.Tag(f, stamps)
 		h.tr.Span(obs.TrackRender, "render", f.Seq, f.RenderStart, f.RenderEnd)
-		h.ins.Rendered.Inc()
 		h.ins.Render.ObserveDuration(f.RenderEnd - f.RenderStart)
 		h.probe.onRender(f.RenderEnd - f.RenderStart)
 		h.probe.maybeFlush(h.dom.Now())
@@ -424,28 +435,50 @@ func (h *Hub) Run() {
 			h.tr.Instant(obs.TrackRender, "priority-frame", f.Seq, f.RenderStart)
 			h.ins.Priority.Inc()
 		}
+		h.publish(f)
+		h.clock.End()
+	}
+	h.publish(nil)
+}
 
-		// Offer the frame to every lane that has a viewer: each encodes it
-		// once and fans the artifact out (see encLane.offer for what drops).
-		// The pixel buffer recycles once the last lane retires the frame; the
-		// renderer holds one reference of its own until every offer is made.
-		var rc atomic.Int32
-		rc.Store(1)
+// publish makes f the newest rendered frame and offers it to every lane that
+// has a viewer: each encodes it once and fans the artifact out (see
+// encLane.offer for what drops). The pixel buffer recycles once the last
+// lane retires the frame; the renderer holds one reference of its own while
+// the frame is the newest, for joiners, and publish(nil) drops it when the
+// renderer retires.
+func (h *Hub) publish(f *frame.Frame) {
+	var refs *atomic.Int32
+	if f != nil {
+		refs = new(atomic.Int32)
+		refs.Store(1)
+		pix := f.Pixels
 		f.Retire = func() {
-			if rc.Add(-1) == 0 {
+			if refs.Add(-1) == 0 {
 				h.pixPut(pix)
 			}
 		}
+	}
+	// The frame counts as rendered once it is the newest, so an attach that
+	// follows a read of Rendered is served this frame or a later one.
+	h.offerMu.Lock()
+	prev := h.newest
+	h.newest, h.newestRefs = f, refs
+	if f != nil {
+		h.ins.Rendered.Inc()
 		if lsP := h.lanes.Load(); lsP != nil {
 			for _, ln := range *lsP {
 				if ln.sessions.Load() > 0 {
-					rc.Add(1)
+					refs.Add(1)
+					ln.offered.Store(f.Seq)
 					ln.offer(f)
 				}
 			}
 		}
-		f.Retire()
-		h.clock.End()
+	}
+	h.offerMu.Unlock()
+	if prev != nil {
+		prev.Retire()
 	}
 }
 
@@ -752,10 +785,26 @@ func (h *Hub) AttachWithOptions(conn net.Conn, opts AttachOptions) {
 	h.demandChange(rate, +1)
 	h.started.Inc()
 	sh.mu.Unlock()
+	// A lane that has not been offered the newest frame (it is new, or it
+	// emptied while the others kept rendering) is offered it now, so its
+	// encode reaches this session. It takes only a free back buffer: a lane
+	// still busy with older frames fans those out to this session first.
+	// Nothing rendered yet: the render the demand above starts serves it.
+	h.offerMu.Lock()
+	if nf := h.newest; nf != nil && ln.offered.Load() < nf.Seq {
+		h.newestRefs.Add(1)
+		if ln.buf.TryPut(nf) {
+			ln.offered.Store(nf.Seq)
+			ln.joinSeq = nf.Seq
+		} else {
+			h.newestRefs.Add(-1)
+		}
+	}
+	h.offerMu.Unlock()
 	// No per-session goroutines: the engine's reader pool serves the input
 	// path and lane fan-out kicks the sender pool when artifacts arrive. The
-	// initial kick covers nothing today (the buffer is empty) but is cheap
-	// insurance against future reorderings.
+	// initial kick runs the session's first send pass, which serves the
+	// joiner at once when the lane encoder holds the newest frame.
 	h.eng.readerFor(id).register(s)
 	h.eng.kick(s)
 }
@@ -789,22 +838,33 @@ func (s *hubSession) sealOnDrain() {
 // viewer's chain is intact (writev of its private header + the shared
 // bitstream, zero copies), spliced from the lane encoder's state when the
 // chain skipped frames, the viewer just joined, or it requested a keyframe.
-// It runs on a sender worker with that worker's scratch buffers; sent
-// reports whether a frame actually shipped, and delay carries the session's
-// ODR pacing delay for the engine to put on the timer wheel.
+// With no artifact (f and art nil) it serves a joiner or a keyframe request
+// at once, by a key spliced from the lane encoder when that holds the newest
+// frame offered to the lane, and otherwise sends nothing: that frame's encode
+// fans out to the session. It runs on a sender worker with that worker's
+// scratch buffers; sent reports whether a frame actually shipped, and delay
+// carries the session's ODR pacing delay for the engine to put on the timer
+// wheel.
 func (s *hubSession) sendArtifact(scr *senderScratch, f *frame.Frame, art *encArtifact) (sent bool, delay time.Duration, err error) {
 	h := s.hub
+	if art == nil && !s.lane.holdsNewest() {
+		return false, 0, nil
+	}
 	if hk := h.sendErr.Load(); hk != nil {
 		if err := (*hk)(s.id); err != nil {
 			s.sealOnDrain()
 			return false, 0, err
 		}
 	}
-	if art.seq <= s.lastSentSeq {
-		// Stale artifact (the viewer already advanced past it via a
-		// splice): carry its stamps so their MtP samples still answer.
-		s.carry(art.seq, f.Inputs)
-		return false, 0, nil
+	var inputs []frame.InputStamp
+	if art != nil {
+		if art.seq <= s.lastSentSeq {
+			// Stale artifact (the viewer already advanced past it via a
+			// splice): carry its stamps so their MtP samples still answer.
+			s.carry(art.seq, f.Inputs)
+			return false, 0, nil
+		}
+		inputs = f.Inputs
 	}
 	start := h.dom.Now()
 	// A send its pacing timer released is paced from the deadline, not from
@@ -816,27 +876,17 @@ func (s *hubSession) sendArtifact(scr *senderScratch, f *frame.Frame, art *encAr
 		paceFrom, s.paceDue = s.paceDue, 0
 	}
 	wantKey := s.wantKey.Swap(false)
-	verbatim := art.key ||
-		(!wantKey && s.lastSentSeq != 0 && art.parentSeq == s.lastSentSeq)
-
-	// Only the stamp belonging to this session is echoed: MtP is measured
-	// on the issuing client's clock. Stamps carried from dropped older
-	// artifacts are answered by this frame too.
-	stamps := append(s.takeCarried(art.seq), f.Inputs...)
-	var inputID uint64
-	var inputNanos int64
-	for _, st := range stamps {
-		if sessionOf(st.ID) == s.id {
-			inputID = uint64(st.ID)
-			inputNanos = int64(st.Issued)
-			break
-		}
-	}
+	verbatim := art != nil && (art.key ||
+		(!wantKey && s.lastSentSeq != 0 && art.parentSeq == s.lastSentSeq))
 
 	var sentBytes int
 	var frameSeq uint64
-	txStart := h.dom.Now()
+	var inputID uint64
+	var txStart time.Duration
 	if verbatim {
+		var inputNanos int64
+		inputID, inputNanos = s.echo(art.seq, inputs)
+		txStart = h.dom.Now()
 		var parentSeq uint64
 		if !art.key {
 			parentSeq = art.parentSeq
@@ -909,12 +959,13 @@ func (s *hubSession) sendArtifact(scr *senderScratch, f *frame.Frame, art *encAr
 			return false, 0, err
 		}
 		scr.payload = payload
-		spliceEnd := h.dom.Now()
-		s.probe.onEncode(spliceEnd - start) // splice work is this viewer's
+		s.probe.onEncode(h.dom.Now() - start) // splice work is this viewer's
 		var hdrParent uint64
 		if parent > 0 {
 			hdrParent = s.lastSentSeq
 		}
+		var inputNanos int64
+		inputID, inputNanos = s.echo(seq, inputs)
 		bs := payload[frameHeaderLen:]
 		putFrameHeader(payload, frameMeta{
 			seq:         seq,
@@ -974,6 +1025,19 @@ func (s *hubSession) sendArtifact(scr *senderScratch, f *frame.Frame, art *encAr
 	return true, delay, nil
 }
 
+// echo picks the input stamp a frame numbered seq answers for this viewer,
+// among the stamps the frame carries and those carried from frames it
+// skipped: only the viewer's own stamp is echoed, because MtP is measured on
+// the issuing client's clock.
+func (s *hubSession) echo(seq uint64, inputs []frame.InputStamp) (inputID uint64, inputNanos int64) {
+	for _, st := range append(s.takeCarried(seq), inputs...) {
+		if sessionOf(st.ID) == s.id {
+			return uint64(st.ID), int64(st.Issued)
+		}
+	}
+	return 0, 0
+}
+
 // carriedStamp is an input stamp waiting for a frame to ride on, with the
 // seq of the frame it came from: only a later frame shows the game's response
 // to it.
@@ -1026,13 +1090,20 @@ func (s *hubSession) skip(f *frame.Frame) {
 
 // put stores an artifact in the session's buffer without ever waiting. Under
 // ODR a regular artifact takes a free back buffer rather than displace the
-// unsent front; a pacing viewer, a full buffer and an input frame keep
-// latest-wins, so the viewer sends the newest frame.
+// unsent front, and never displaces an input frame the sender has not
+// written yet: the regular artifact is skipped instead, so the input comes
+// back on its own frame. Otherwise a full buffer, a pacing viewer and an
+// input frame keep latest-wins, so the viewer sends the newest frame.
 func (s *hubSession) put(f *frame.Frame) (stored bool, dropped []*frame.Frame) {
-	if mb, ok := s.buf.(*core.MultiBuffer); ok && !f.Priority && s.sched.Load() != schedPacing && mb.TryPut(f) {
-		return true, nil
+	mb, ok := s.buf.(*core.MultiBuffer)
+	if !ok || f.Priority || s.sched.Load() == schedPacing {
+		return s.buf.PutPriorityStored(f)
 	}
-	return s.buf.PutPriorityStored(f)
+	stored, dropped, refused := mb.PutRegular(f)
+	if refused {
+		s.skip(f)
+	}
+	return stored, dropped
 }
 
 // hasRoom reports whether the session can take another artifact without

@@ -91,6 +91,14 @@ type encLane struct {
 	lastSeq         uint64 // shared seq of the newest encode
 	lastRenderNanos int64
 
+	// offered is the seq of the newest frame offered to the lane, and
+	// joinSeq that of the last one an attach offered to serve its joiner
+	// (both written under Hub.offerMu). While lastSeq is behind offered, a
+	// frame is on its way to the encoder and will fan out to every session
+	// on the lane.
+	offered atomic.Uint64
+	joinSeq uint64
+
 	// carried holds input stamps of frames dropped before the shared encode
 	// (renderer outran the encoder); the next encode answers them.
 	carriedMu sync.Mutex
@@ -117,6 +125,19 @@ type encLane struct {
 	splicedKeys   *obs.Counter
 	splicedDeltas *obs.Counter
 	splicedTiles  *obs.Counter
+}
+
+// holdsNewest reports whether the encoder holds the newest frame offered to
+// the lane, so that a key spliced now shows it: false before the lane is
+// offered a frame, and while one is on its way to the encoder.
+func (ln *encLane) holdsNewest() bool {
+	offered := ln.offered.Load()
+	if offered == 0 {
+		return false
+	}
+	ln.encMu.Lock()
+	defer ln.encMu.Unlock()
+	return ln.lastSeq >= offered
 }
 
 // lane returns the shared-encoder lane for a downscale divisor, creating it
@@ -232,18 +253,22 @@ func (ln *encLane) carry(stamps []frame.InputStamp) {
 	ln.carriedMu.Unlock()
 }
 
-// offer hands a rendered frame to the lane (renderer goroutine). Under ODR a
-// regular frame takes the back buffer Hub.Run waited for; any other frame is
-// latest-wins, and the frames it drops retire immediately with their input
-// stamps carried into the next encode.
+// offer hands a rendered frame to the lane (renderer goroutine, Hub.offerMu
+// held). Under ODR a regular frame takes the back buffer Hub.Run waited for;
+// any other frame is latest-wins, and the frames it drops retire immediately
+// with their input stamps carried into the next encode. A frame an attach
+// offered to serve its joiner is no drop when a newer one replaces it: the
+// lane had no viewer when it was rendered.
 func (ln *encLane) offer(f *frame.Frame) {
 	if !f.Priority && !ln.hub.push() && ln.buf.TryPut(f) {
 		return
 	}
 	stored, dropped := ln.buf.PutPriorityStored(f)
 	for _, d := range dropped {
-		ln.hub.tr.Instant(obs.TrackProxy, "mulbuf-drop", d.Seq, ln.hub.dom.Now())
-		ln.hub.ins.Dropped.Inc()
+		if d.Seq != ln.joinSeq {
+			ln.hub.tr.Instant(obs.TrackProxy, "mulbuf-drop", d.Seq, ln.hub.dom.Now())
+			ln.hub.ins.Dropped.Inc()
+		}
 		ln.carry(d.Inputs)
 		if d.Retire != nil {
 			d.Retire()
