@@ -113,6 +113,9 @@ type Encoder struct {
 	curKey      bool
 	curPhase    int // this delta frame's stripe phase, -1 when not striping
 
+	// tileMapNanos is the wall time of the last frame's tile Map.
+	tileMapNanos int64
+
 	// Splice state (splice.go): tileChangedAt[i] is the encode index
 	// (Frames() value) of the last frame whose tile i was dirty, and the
 	// splice* slices memoize intra-coded tile payloads cut from e.prev so

@@ -215,7 +215,9 @@ func (e *Encoder) encodeTiles(dst, pix []byte) ([]byte, error) {
 	e.curPix, e.curKey = pix, isKey
 	e.predictTiles(nt, isKey)
 	e.count++
+	mapStart := time.Now()
 	e.group.Map(e.opts.Workers, len(e.workList), e.encTask)
+	e.tileMapNanos = time.Since(mapStart).Nanoseconds()
 	e.curPix = nil
 
 	base := len(dst)
@@ -291,6 +293,13 @@ func (e *Encoder) TileNanos() []int64 {
 func (e *Encoder) TileNanosAppend(dst []int64) []int64 {
 	return append(dst, e.tileNanos[:e.lastTiles]...)
 }
+
+// TileMapNanos returns the wall time, in nanoseconds, of the last frame's
+// tile Map: the span over which the TileNanosAppend durations ran, in
+// parallel when the pool has more than one worker. The encode's busy time
+// is its wall time with this span replaced by the durations' sum. Read it
+// under the same lock as TileNanosAppend.
+func (e *Encoder) TileMapNanos() int64 { return e.tileMapNanos }
 
 // ---------------------------------------------------------------------------
 // Decoder

@@ -132,7 +132,16 @@ type Client struct {
 // connection dies the client stops; use NewReconnectingClient for a client
 // that redials.
 func NewClient(conn streamConn) *Client {
-	return &Client{conn: conn, dec: codec.NewDecoder(), start: time.Now(), stopCh: make(chan struct{})}
+	return &Client{conn: conn, dec: newDecoder(), start: time.Now(), stopCh: make(chan struct{})}
+}
+
+// newDecoder returns the decoder a client displays from: tile-parallel on
+// the shared worker pool, the pool the hub renders and encodes on. The
+// pixels are those of a serial decode at any worker count.
+func newDecoder() *codec.Decoder {
+	d := codec.NewDecoder()
+	d.SetPool(nil, 0)
+	return d
 }
 
 // NewReconnectingClient returns a client that obtains connections from dial
@@ -142,7 +151,7 @@ func NewReconnectingClient(dial func() (net.Conn, error), pol ReconnectPolicy) *
 	return &Client{
 		dial:   dial,
 		pol:    pol.withDefaults(),
-		dec:    codec.NewDecoder(),
+		dec:    newDecoder(),
 		start:  time.Now(),
 		stopCh: make(chan struct{}),
 	}
@@ -384,7 +393,7 @@ func (c *Client) Run() error {
 			// with the whole keyframe-chain state reset alongside it: the
 			// first delta of the new session must be rejected and trigger a
 			// resync, never matched against a stale lastSeq.
-			c.dec = codec.NewDecoder()
+			c.dec = newDecoder()
 			c.haveSeq, c.lastSeq, c.pendingResync = false, 0, false
 			before := c.frameCount()
 			err = c.runSession(conn)

@@ -1,12 +1,23 @@
 package stream
 
-import "math"
+import (
+	"math"
+	"time"
+
+	"odr/internal/codec"
+	"odr/internal/wpool"
+)
 
 // Game is the synthetic interactive 3D application the server renders: a
 // procedurally animated scene (a plasma-style gradient with moving sprites)
 // whose content advances with time and reacts visibly to user inputs. It
 // stands in for the Pictor benchmarks in the real-time stack; the regulators
 // only care that frames take real time to produce and change over time.
+//
+// Render is data-parallel like the GPU it stands in for: each row is a pure
+// function of its coordinates and the frame's state, so rows render in
+// bands of codec.DefaultTileRows across the shared worker pool, with the
+// same bytes at any worker count.
 type Game struct {
 	w, h int
 	t    float64 // animation clock, advanced per frame
@@ -14,11 +25,23 @@ type Game struct {
 	// input-to-frame causality visible (and testable) in pixels.
 	reaction float64
 	inputs   int
+
+	// Band state: the task is bound once so a frame allocates nothing, and
+	// each band writes only its own rows and its own bandNanos slot.
+	group     *wpool.Group
+	bandTask  func(int)
+	bandNanos []int64
+	// The frame being rendered, set by Render before the band Map.
+	dst    []byte
+	cx, cy float64 // sprite centre
 }
 
 // NewGame returns a game rendering w×h RGBA frames.
 func NewGame(w, h int) *Game {
-	return &Game{w: w, h: h}
+	g := &Game{w: w, h: h, group: wpool.NewGroup(nil)}
+	g.bandTask = g.renderBand
+	g.bandNanos = make([]int64, (h+codec.DefaultTileRows-1)/codec.DefaultTileRows)
+	return g
 }
 
 // Size returns the frame dimensions.
@@ -39,20 +62,41 @@ func (g *Game) Inputs() int { return g.inputs }
 
 // Render draws the next frame into dst (len must be FrameBytes) and
 // advances the animation. It performs real pixel work — this is the
-// "GPU rendering" of the real-time stack.
+// "GPU rendering" of the real-time stack. Not safe for concurrent calls.
 func (g *Game) Render(dst []byte) {
 	if len(dst) != g.FrameBytes() {
 		panic("stream: bad frame buffer size")
 	}
 	g.t += 0.05
-	t := g.t
-	flash := g.reaction
-	g.reaction *= 0.8
 	// Sprite position orbits the center.
-	cx := float64(g.w) * (0.5 + 0.3*math.Cos(t))
-	cy := float64(g.h) * (0.5 + 0.3*math.Sin(1.3*t))
-	i := 0
-	for y := 0; y < g.h; y++ {
+	g.cx = float64(g.w) * (0.5 + 0.3*math.Cos(g.t))
+	g.cy = float64(g.h) * (0.5 + 0.3*math.Sin(1.3*g.t))
+	g.dst = dst
+	g.group.Map(0, len(g.bandNanos), g.bandTask)
+	g.dst = nil
+	g.reaction *= 0.8 // the bands read this frame's flash
+}
+
+// Busy returns the last Render's summed band time: the work the frame took
+// across the pool's workers, which exceeds Render's wall time when bands
+// ran in parallel. Energy is billed from it; latency is the wall time.
+func (g *Game) Busy() time.Duration {
+	var busy int64
+	for _, ns := range g.bandNanos {
+		busy += ns
+	}
+	return time.Duration(busy)
+}
+
+// renderBand draws band b's rows of the frame Render set up.
+func (g *Game) renderBand(b int) {
+	start := time.Now()
+	y0 := b * codec.DefaultTileRows
+	y1 := min(y0+codec.DefaultTileRows, g.h)
+	t, flash, cx, cy := g.t, g.reaction, g.cx, g.cy
+	i := y0 * g.w * 4
+	dst := g.dst
+	for y := y0; y < y1; y++ {
 		fy := float64(y)
 		for x := 0; x < g.w; x++ {
 			fx := float64(x)
@@ -77,6 +121,7 @@ func (g *Game) Render(dst []byte) {
 			i += 4
 		}
 	}
+	g.bandNanos[b] = time.Since(start).Nanoseconds()
 }
 
 func satAdd(a, b byte) byte {

@@ -429,7 +429,7 @@ func (h *Hub) Run() {
 		core.Tag(f, stamps)
 		h.tr.Span(obs.TrackRender, "render", f.Seq, f.RenderStart, f.RenderEnd)
 		h.ins.Render.ObserveDuration(f.RenderEnd - f.RenderStart)
-		h.probe.onRender(f.RenderEnd - f.RenderStart)
+		h.probe.onRender(h.game.Busy())
 		h.probe.maybeFlush(h.dom.Now())
 		if f.Priority {
 			h.tr.Instant(obs.TrackRender, "priority-frame", f.Seq, f.RenderStart)
@@ -938,6 +938,7 @@ func (s *hubSession) sendArtifact(scr *senderScratch, f *frame.Frame, art *encAr
 			parent = s.lastEncIdx
 		}
 		ln.encMu.Lock()
+		spliceFrom := h.dom.Now()
 		payload, err := ln.enc.AppendSplice(scr.payload[:frameHeaderLen], parent)
 		seq := ln.lastSeq
 		encIdx := ln.enc.Frames()
@@ -959,7 +960,9 @@ func (s *hubSession) sendArtifact(scr *senderScratch, f *frame.Frame, art *encAr
 			return false, 0, err
 		}
 		scr.payload = payload
-		s.probe.onEncode(h.dom.Now() - start) // splice work is this viewer's
+		// The splice is serial work and this viewer's; the wait for encMu
+		// is the shared encode's, billed there.
+		s.probe.onEncode(h.dom.Now() - spliceFrom)
 		var hdrParent uint64
 		if parent > 0 {
 			hdrParent = s.lastSentSeq

@@ -208,20 +208,23 @@ func refRenders(w, h int, maxSeq uint64) [][32]byte {
 	return hashes
 }
 
-// TestHubSharedEncoderFanOut proves the tentpole end to end: N same-
-// resolution viewers share one lane encoder (encode work grows with frames,
-// not frames × viewers) and every viewer's decoded pixels are byte-identical
-// to the per-session-encoder reference — including late joiners, whose first
-// frame is spliced, not re-encoded.
+// TestHubSharedEncoderFanOut proves the tentpole end to end, counted per
+// frame: N same-resolution viewers share one lane encoder, so every seq a
+// viewer displayed was encoded exactly once, however many viewers displayed
+// it, and every viewer's decoded pixels are byte-identical to the
+// per-session-encoder reference — including late joiners, whose first frame
+// is spliced, not re-encoded.
 func TestHubSharedEncoderFanOut(t *testing.T) {
 	const clients = 6
 	const wantFrames = 30
 	reg := obs.NewRegistry()
-	h, stop := startHub(t, HubConfig{Width: 32, Height: 18, TargetFPS: 240, Metrics: reg})
+	tr := obs.NewTracer(1 << 16)
+	h, stop := startHub(t, HubConfig{Width: 32, Height: 18, TargetFPS: 240, Metrics: reg, Trace: tr})
 	defer stop()
 
 	var mu sync.Mutex
 	got := make(map[uint64][32]byte) // seq → pixel hash, must agree across viewers
+	shownBy := make(map[uint64]int)  // seq → viewers that displayed it
 	var maxSeq uint64
 	mismatch := false
 
@@ -236,6 +239,7 @@ func TestHubSharedEncoderFanOut(t *testing.T) {
 				mismatch = true
 			}
 			got[seq] = sum
+			shownBy[seq]++
 			if seq > maxSeq {
 				maxSeq = seq
 			}
@@ -250,36 +254,49 @@ func TestHubSharedEncoderFanOut(t *testing.T) {
 	for _, cli := range clis {
 		waitFrames(t, cli, wantFrames, 15*time.Second)
 	}
-	// Read the shared-encode count where the displayed frames are summed:
-	// the 240 FPS hub keeps encoding until it stops, so a count read after
-	// the cleanups would hold encodes no viewer was counted for.
-	encodes := reg.CounterVec(NameHubSharedEncodes, "", "lane").With1("1").Value()
-	var displayed int64
-	for _, cli := range clis {
-		displayed += cli.Report().Frames
-	}
 	for _, clean := range cleanups {
 		clean()
 	}
 	h.Stop()
 
 	// Encode-once: the shared encoder ran once per encoded frame, bounded
-	// by what was rendered — while deliveries fanned out many times over.
+	// by what was rendered, and each displayed frame is one encode however
+	// many viewers it fanned out to.
 	rendered := h.Rendered()
+	encodes := reg.CounterVec(NameHubSharedEncodes, "", "lane").With1("1").Value()
 	if encodes <= 0 || encodes > rendered {
 		t.Fatalf("shared encodes = %d, rendered = %d; want 0 < encodes <= rendered", encodes, rendered)
 	}
-	if displayed < 2*encodes {
-		t.Fatalf("displayed %d frames across %d clients for %d shared encodes; fan-out not shared", displayed, clients, encodes)
+	if tr.Dropped() != 0 {
+		t.Fatalf("the trace ring overwrote %d events", tr.Dropped())
+	}
+	encodedN := make(map[uint64]int) // seq → lane encodes
+	for _, ev := range tr.Events() {
+		if ev.Name == "encode" {
+			encodedN[ev.Seq]++
+		}
 	}
 	splicedKeys := reg.CounterVec(NameHubSplicedKeyframes, "", "lane").With1("1").Value()
 	if splicedKeys <= 0 {
 		t.Fatalf("spliced keyframes = %d, want > 0 (late joiners must splice, not force shared keys)", splicedKeys)
 	}
 
-	// Byte-identity: viewers agreed with each other and with the reference.
 	mu.Lock()
 	defer mu.Unlock()
+	shared := 0
+	for seq, n := range shownBy {
+		if encodedN[seq] != 1 {
+			t.Errorf("frame %d was displayed by %d viewers and encoded %d times, want once", seq, n, encodedN[seq])
+		}
+		if n >= 2 {
+			shared++
+		}
+	}
+	if shared == 0 {
+		t.Fatalf("no frame was displayed by two viewers (%d frames displayed); fan-out not shared", len(shownBy))
+	}
+
+	// Byte-identity: viewers agreed with each other and with the reference.
 	if mismatch {
 		t.Fatal("two viewers decoded different pixels for the same frame seq")
 	}

@@ -336,7 +336,9 @@ func (ln *encLane) encode(f *frame.Frame) error {
 		src = ln.scratch
 	}
 	buf := ln.getBuf()
+	waitFrom := h.dom.Now()
 	ln.encMu.Lock()
+	waited := h.dom.Now() - waitFrom
 	bs, err := ln.enc.EncodeAppend(buf[:0], src)
 	if err != nil {
 		ln.encMu.Unlock()
@@ -363,6 +365,7 @@ func (ln *encLane) encode(f *frame.Frame) error {
 	// slice is rewritten by the next encode (or a concurrent splice).
 	ln.nanosScratch = ln.enc.TileNanosAppend(ln.nanosScratch[:0])
 	tileNanos := ln.nanosScratch
+	mapNanos := ln.enc.TileMapNanos()
 	ln.encMu.Unlock()
 	h.publishCacheStats()
 	encEnd := h.dom.Now()
@@ -371,7 +374,8 @@ func (ln *encLane) encode(f *frame.Frame) error {
 	h.ins.Encoded.Inc()
 	h.ins.Encode.ObserveDuration(encEnd - start)
 	ln.sharedEncodes.Inc()
-	h.probe.onEncode(encEnd - start) // shared work bills the shared probe
+	// Shared work bills the shared probe, by busy time (poolBusy).
+	h.probe.onEncode(poolBusy(encEnd-start-waited, mapNanos, tileNanos))
 	h.ins.TilesCoded.Add(int64(tiles))
 	h.ins.TilesDirty.Add(int64(dirty))
 	h.ins.DirtyRatio.Set(float64(dirty) / float64(tiles))

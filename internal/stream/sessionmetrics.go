@@ -231,14 +231,31 @@ func newSessionProbe(v *liveVecs, session string) *sessionProbe {
 	return p
 }
 
-// onRender bills GPU-busy render time.
+// onRender bills GPU-busy render time: the bands' summed time
+// (Game.Busy), not the render's wall time.
 func (p *sessionProbe) onRender(busy time.Duration) {
 	p.meter.AddRender(busy)
 }
 
-// onEncode bills CPU-busy copy+encode time.
+// onEncode bills CPU-busy copy+encode time (see poolBusy).
 func (p *sessionProbe) onEncode(busy time.Duration) {
 	p.meter.AddEncode(busy)
+}
+
+// poolBusy is the busy time of a stage that ran a tile Map on the worker
+// pool: its wall time, lock waits excluded, with the Map's span (mapNanos)
+// replaced by the tiles' summed durations. A Map on two workers does twice
+// the work its span shows, and energy bills work. The serial remainder
+// floors at zero on a domain clock that stands still while real time runs.
+func poolBusy(wall time.Duration, mapNanos int64, tileNanos []int64) time.Duration {
+	busy := wall - time.Duration(mapNanos)
+	if busy < 0 {
+		busy = 0
+	}
+	for _, ns := range tileNanos {
+		busy += time.Duration(ns)
+	}
+	return busy
 }
 
 // onTiles counts one frame's tile outcomes.

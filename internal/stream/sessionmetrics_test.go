@@ -151,3 +151,21 @@ func TestSessionProbeRecordingAllocFree(t *testing.T) {
 		t.Errorf("probe recording allocates %.2f/op, want 0", n)
 	}
 }
+
+// TestPoolBusyBillsWork pins the billing rule for a stage that ran a tile
+// Map: the Map's span is replaced by the tiles' summed durations, so two
+// workers that each coded 6 ms of tiles in a 6 ms span bill 12 ms, plus the
+// serial remainder; a domain clock that stood still bills the tiles alone.
+func TestPoolBusyBillsWork(t *testing.T) {
+	ms := int64(time.Millisecond)
+	tiles := []int64{5 * ms, 1 * ms, 4 * ms, 2 * ms}
+	if got, want := poolBusy(10*time.Millisecond, 6*ms, tiles), 16*time.Millisecond; got != want {
+		t.Errorf("poolBusy = %v, want %v (4 ms serial + 12 ms of tiles)", got, want)
+	}
+	if got, want := poolBusy(0, 6*ms, tiles), 12*time.Millisecond; got != want {
+		t.Errorf("poolBusy on a still clock = %v, want %v", got, want)
+	}
+	if got, want := poolBusy(3*time.Millisecond, 0, nil), 3*time.Millisecond; got != want {
+		t.Errorf("poolBusy without a Map = %v, want %v", got, want)
+	}
+}

@@ -2,6 +2,7 @@ package stream
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"net"
 	"sync/atomic"
@@ -257,5 +258,140 @@ func TestReconnectRejectsStaleDeltaChain(t *testing.T) {
 	rep := cli.Report()
 	if rep.Reconnects != 1 || rep.Resyncs != 1 {
 		t.Fatalf("report = %+v, want 1 reconnect and 1 resync", rep)
+	}
+}
+
+// TestClientPooledDecodeMatchesSerial feeds one stream to a Client, whose
+// decoder runs tiles on the shared worker pool, and to a serial
+// codec.Decoder: a key, deltas, a catch-up spliced over two frames the
+// client never saw, a delta with one CRC-damaged tile, a delta sent while
+// the resync is pending, and the key that answers it. The client must show
+// the serial decoder's pixels for every frame it displays, the damaged
+// frame's partial pixels included, and send exactly one msgKeyReq, after
+// the damaged frame.
+func TestClientPooledDecodeMatchesSerial(t *testing.T) {
+	testutil.VerifyNoLeaks(t)
+	const w, h = 96, 72 // five tiles, the last short
+	g := NewGame(w, h)
+	pix := make([]byte, g.FrameBytes())
+	enc := codec.NewEncoder(w, h, codec.Options{KeyInterval: 1 << 20})
+	next := func() []byte {
+		g.Render(pix)
+		bs, err := enc.Encode(pix)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return bs
+	}
+	type sent struct {
+		m       frameMeta
+		bs      []byte
+		shown   bool // the client displays it (it is not skipped for the resync)
+		damaged bool
+	}
+	var stream []sent
+	stream = append(stream, sent{m: frameMeta{seq: 1}, bs: next(), shown: true})
+	stream = append(stream, sent{m: frameMeta{seq: 2, parentSeq: 1}, bs: next(), shown: true})
+	stream = append(stream, sent{m: frameMeta{seq: 3, parentSeq: 2}, bs: next(), shown: true})
+	parent := enc.Frames()
+	next() // seqs 4 and 5 never reach the client: it catches up by splice
+	next()
+	splice, err := enc.AppendSplice(nil, parent)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if codec.IsKeyframe(splice) || enc.LastSpliceTiles() == 0 {
+		t.Fatalf("the catch-up is not a spliced delta (%d tiles)", enc.LastSpliceTiles())
+	}
+	stream = append(stream, sent{m: frameMeta{seq: 5, parentSeq: 3}, bs: splice, shown: true})
+	stream = append(stream, sent{m: frameMeta{seq: 6, parentSeq: 5}, bs: next(), shown: true})
+	damaged := next()
+	// The last byte is the last dirty tile's payload; the wire CRC is
+	// stamped over the damaged bitstream, so only the tile CRC sees it.
+	damaged[len(damaged)-1] ^= 0xFF
+	stream = append(stream, sent{m: frameMeta{seq: 7, parentSeq: 6}, bs: damaged, shown: true, damaged: true})
+	stream = append(stream, sent{m: frameMeta{seq: 8, parentSeq: 7}, bs: next()})
+	enc.ForceKeyframe()
+	stream = append(stream, sent{m: frameMeta{seq: 9}, bs: next(), shown: true})
+	stream = append(stream, sent{m: frameMeta{seq: 10, parentSeq: 9}, bs: next(), shown: true})
+
+	// The serial reference decodes what the client is expected to display.
+	ref := codec.NewDecoder()
+	want := map[uint64][]byte{}
+	for _, f := range stream {
+		if !f.shown {
+			continue
+		}
+		p, err := ref.Decode(f.bs)
+		if f.damaged && !errors.Is(err, codec.ErrTileCRC) || !f.damaged && err != nil {
+			t.Fatalf("serial decode of seq %d: %v", f.m.seq, err)
+		}
+		want[f.m.seq] = append([]byte(nil), p...)
+	}
+
+	sc, cc := net.Pipe()
+	defer sc.Close()
+	cli := NewClient(cc)
+	var shown []uint64
+	got := map[uint64][]byte{}
+	cli.OnFrame(func(seq uint64, p []byte) {
+		shown = append(shown, seq)
+		got[seq] = append([]byte(nil), p...)
+	})
+	cliDone := make(chan error, 1)
+	go func() { cliDone <- cli.Run() }()
+	upstream := make(chan byte, 8) // message types the client sent
+	go func() {
+		defer close(upstream)
+		for {
+			typ, _, err := readMsg(sc, nil)
+			if err != nil {
+				return
+			}
+			upstream <- typ
+		}
+	}()
+	for _, f := range stream {
+		if err := writeMsg(sc, msgFrame, frameMsg(f.m, f.bs)); err != nil {
+			t.Fatal(err)
+		}
+		if !f.damaged {
+			continue
+		}
+		select {
+		case typ := <-upstream:
+			if typ != msgKeyReq {
+				t.Fatalf("client sent type %d after the damaged frame, want msgKeyReq", typ)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("no msgKeyReq after the damaged frame")
+		}
+	}
+	if err := writeMsg(sc, msgBye, nil); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-cliDone:
+		if err != nil {
+			t.Fatalf("client: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("client stuck")
+	}
+	sc.Close()
+	for typ := range upstream {
+		t.Errorf("client sent an unexpected message of type %d", typ)
+	}
+
+	if len(shown) != len(want) {
+		t.Fatalf("client displayed seqs %v, want the %d the serial decoder decoded", shown, len(want))
+	}
+	for _, seq := range shown {
+		if !bytes.Equal(got[seq], want[seq]) {
+			t.Errorf("seq %d: the pooled client's pixels differ from the serial decode", seq)
+		}
+	}
+	if rep := cli.Report(); rep.Resyncs != 1 {
+		t.Errorf("report = %+v, want 1 resync", rep)
 	}
 }
