@@ -17,38 +17,64 @@ var regenPairTables = flag.Bool("regen-pair-tables", false, "rewrite pairLens in
 // a*pairTokens+b and count.
 type pairHist []struct{ sym, n uint32 }
 
-// pairCorpus collects the pair histogram of every k = 0 rice channel the
-// coder plans for the fitting corpus: 640×360 game frames (lossless, 16-row
-// tiles; the first frame's tiles without a reference, the rest against the
-// tile of the frame before) and every tile contentTiles yields. A block of
-// a tile with a reference is planned as appendPayload plans it: the
-// temporal delta over every mode, the content over H, V and planar. The
-// corpus keeps the plan with the lower estimate, where the coder keeps the
-// domain whose block codes shorter in these very tables: choosing by the
-// estimate keeps the corpus, and with it the fit, independent of the
+// corpusHeader is one block header the fitting corpus plans: the tag
+// symbol, and for a rice block each channel's nibble, or for a k = 0
+// channel -1-h, h the index of its pair histogram: its nibble is the table
+// that codes it cheapest, known once the pair tables are fitted.
+type corpusHeader struct {
+	sym int
+	nib [4]int
+}
+
+// pairCorpus collects the fitting corpus: the pair histogram of every
+// k = 0 rice channel the coder plans, and every tile's block headers, for
+// 640×360 game frames (lossless, 16-row tiles; the first frame's tiles
+// without a reference, the rest against the tile of the frame before) and
+// every tile contentTiles yields. A block of a tile with a reference is
+// planned as appendPayload plans it: the temporal delta over every mode,
+// the content over H, V and planar. The corpus keeps the plan with the
+// lower estimate, and sends a block raw when that estimate says so, where
+// the coder measures each block exactly in these very tables: choosing by
+// the estimate keeps the corpus, and with it the fit, independent of the
 // tables.
-func pairCorpus() []pairHist {
-	var corpus []pairHist
+func pairCorpus() (corpus []pairHist, tiles [][]corpusHeader) {
 	var zz, zzA [4][blockBytes]byte
 	add := func(src, ref []byte, rowBytes int) {
 		sig := refDelta(src, ref)
+		var hdrs []corpusHeader
 		for i := 0; i < len(src); i += blockBytes {
 			end := min(i+blockBytes, len(src))
 			if allZero(sig[i:end]) {
+				if len(hdrs) == 0 || hdrs[len(hdrs)-1].sym != symZeros {
+					hdrs = append(hdrs, corpusHeader{sym: symZeros})
+				}
 				continue
 			}
 			n := end - i
 			p := planBlock(&zz, sig, i, end, rowBytes, 0)
-			res := &zz[p.mode]
+			res, tag := &zz[p.mode], byte(0)
 			if ref != nil {
 				if a := planBlock(&zzA, src, i, end, rowBytes, modeLeft); a.est < p.est {
-					p, res = a, &zzA[a.mode]
+					p, res, tag = a, &zzA[a.mode], tagSpatial
 				}
 			}
 			if p.est+8*riceOverhead > 8*n {
+				hdrs = append(hdrs, corpusHeader{sym: symRaw})
 				continue
 			}
-			for c, k := range p.params(res, n) {
+			ks := p.params(res, n)
+			hdr := corpusHeader{sym: tagSymbol(tag | byte(p.mode)<<tagModeShift | byte(p.s))}
+			for c, k := range ks {
+				switch {
+				case k == kZero:
+					hdr.nib[c] = kZero
+				case uint(k) == 8-p.s:
+					hdr.nib[c] = nibVerbatim
+				case k > 0:
+					hdr.nib[c] = nibRice + int(k)
+				default:
+					hdr.nib[c] = -1 - len(corpus)
+				}
 				if k != 0 {
 					continue
 				}
@@ -65,7 +91,9 @@ func pairCorpus() []pairHist {
 				}
 				corpus = append(corpus, h)
 			}
+			hdrs = append(hdrs, hdr)
 		}
+		tiles = append(tiles, hdrs)
 	}
 	const w, h = 640, 360
 	var prev []byte
@@ -81,7 +109,7 @@ func pairCorpus() []pairHist {
 		prev = pix
 	}
 	contentTiles(func(kind string, w int, shift uint, tile, ref []byte) { add(tile, ref, 4*w) })
-	return corpus
+	return corpus, tiles
 }
 
 // histCost is what table lens spends on h, in bits.
@@ -95,16 +123,17 @@ func histCost(h pairHist, lens *[pairSyms]uint8) uint32 {
 
 // limitedLengths returns the optimal code lengths of at most limit bits for
 // the weights w (all positive), by package-merge: integer arithmetic only,
-// ties broken by pair index, so the result is a complete prefix code and
+// ties broken by symbol index, so the result is a complete prefix code and
 // the same on every host.
-func limitedLengths(w *[pairSyms]uint64, limit int) (lens [pairSyms]uint8) {
+func limitedLengths(w []uint64, limit int) []uint8 {
 	type item struct {
 		w    uint64
-		uses [pairSyms]uint8 // how often each pair is inside the item
+		uses []uint8 // how often each symbol is inside the item
 	}
-	leaves := make([]item, pairSyms)
+	leaves := make([]item, len(w))
 	for i := range leaves {
 		leaves[i].w = w[i]
+		leaves[i].uses = make([]uint8, len(w))
 		leaves[i].uses[i] = 1
 	}
 	sort.SliceStable(leaves, func(x, y int) bool { return leaves[x].w < leaves[y].w })
@@ -113,7 +142,7 @@ func limitedLengths(w *[pairSyms]uint64, limit int) (lens [pairSyms]uint8) {
 		var merged []item
 		li := 0
 		for p := 0; p+1 < len(list); p += 2 {
-			pkg := item{w: list[p].w + list[p+1].w}
+			pkg := item{w: list[p].w + list[p+1].w, uses: make([]uint8, len(w))}
 			for i := range pkg.uses {
 				pkg.uses[i] = list[p].uses[i] + list[p+1].uses[i]
 			}
@@ -125,7 +154,8 @@ func limitedLengths(w *[pairSyms]uint64, limit int) (lens [pairSyms]uint8) {
 		}
 		list = append(merged, leaves[li:]...)
 	}
-	for _, it := range list[:2*pairSyms-2] {
+	lens := make([]uint8, len(w))
+	for _, it := range list[:2*len(w)-2] {
 		for i, u := range it.uses {
 			lens[i] += u
 		}
@@ -183,7 +213,7 @@ func fitPairTables(corpus []pairHist) [unaryTable][pairSyms]uint8 {
 			for i := range sums[t] {
 				sums[t][i]++
 			}
-			tabs[t] = limitedLengths(&sums[t], maxPairLen)
+			tabs[t] = [pairSyms]uint8(limitedLengths(sums[t][:], maxPairLen))
 		}
 		moved := 0
 		for i, h := range corpus {
@@ -209,28 +239,105 @@ func fitPairTables(corpus []pairHist) [unaryTable][pairSyms]uint8 {
 	return [unaryTable][pairSyms]uint8(fitted)
 }
 
-// TestPairTablesRegenerate re-derives the committed tables from their rule
-// and checks their form: every fitted table a complete prefix code within
-// the length limit, and the unary table the unary code bit for bit.
+// fitHeaderTables is the rule the committed header tables come from: each
+// rice channel's nibble resolved against the fitted pair tables (the
+// cheapest table, the lowest-numbered on a tie, as the coder picks it), the
+// headers counted in their contexts as the coder codes them, each context
+// starting afresh at a tile start, and every context's table fitted as the
+// length-limited optimal code of its counts plus one per symbol.
+func fitHeaderTables(corpus []pairHist, tiles [][]corpusHeader, fitted *[unaryTable][pairSyms]uint8) (tags [tagCtxs][tagSyms]uint8, nibs [4][nibCtxs][nibSyms]uint8) {
+	var tabs [pairTables][pairSyms]uint8
+	copy(tabs[:], fitted[:])
+	tabs[unaryTable], _ = tableLens(unaryTable)
+	var tagN [tagCtxs][tagSyms]uint64
+	var nibN [4][nibCtxs][nibSyms]uint64
+	for _, hdrs := range tiles {
+		ctx := newHdrCtx()
+		for _, h := range hdrs {
+			tagN[ctx.tag][h.sym]++
+			ctx.tag = h.sym
+			if h.sym >= symZeros {
+				continue
+			}
+			for c, v := range h.nib {
+				if v < 0 {
+					best, least := 0, histCost(corpus[-1-v], &tabs[0])
+					for tb := 1; tb < pairTables; tb++ {
+						if b := histCost(corpus[-1-v], &tabs[tb]); b < least {
+							best, least = tb, b
+						}
+					}
+					v = best
+				}
+				nibN[c][ctx.nib[c]][v]++
+				ctx.nib[c] = uint8(v)
+			}
+		}
+	}
+	fit := func(n []uint64, lens []uint8) {
+		w := make([]uint64, len(n))
+		for i, v := range n {
+			w[i] = v + 1
+		}
+		copy(lens, limitedLengths(w, maxHeaderCode))
+	}
+	for ctx := range tagN {
+		fit(tagN[ctx][:], tags[ctx][:])
+	}
+	for c := range nibN {
+		for ctx := range nibN[c] {
+			fit(nibN[c][ctx][:], nibs[c][ctx][:])
+		}
+	}
+	return tags, nibs
+}
+
+// TestPairTablesRegenerate re-derives the committed pair and header tables
+// from their rules and checks their form: every fitted table a complete
+// prefix code within its length limit, and the unary table the unary code
+// bit for bit.
 func TestPairTablesRegenerate(t *testing.T) {
-	corpus := pairCorpus()
+	corpus, tiles := pairCorpus()
 	fitted := fitPairTables(corpus)
+	tags, nibs := fitHeaderTables(corpus, tiles, &fitted)
 	if *regenPairTables {
-		writePairLens(t, &fitted)
-	} else if fitted != pairLens {
-		t.Errorf("the committed pairLens differ from the fit on %d channels; run go test -run TestPairTablesRegenerate -regen-pair-tables", len(corpus))
+		writeLiteral(t, "pairtables.go", "var pairLens = [unaryTable][pairSyms]uint8{\n", rows(fitted[:]))
+		writeLiteral(t, "headers.go", "var tagLens = [tagCtxs][tagSyms]uint8{\n", rows(tags[:]))
+		var b strings.Builder
+		for c := range nibs {
+			fmt.Fprintf(&b, "{\n%s},\n", rows(nibs[c][:]))
+		}
+		writeLiteral(t, "headers.go", "var nibLens = [4][nibCtxs][nibSyms]uint8{\n", b.String())
+	} else {
+		if fitted != pairLens {
+			t.Errorf("the committed pairLens differ from the fit on %d channels; run go test -run TestPairTablesRegenerate -regen-pair-tables", len(corpus))
+		}
+		if tags != tagLens || nibs != nibLens {
+			t.Errorf("the committed header tables differ from the fit on %d tiles; run go test -run TestPairTablesRegenerate -regen-pair-tables", len(tiles))
+		}
+	}
+	kraft := func(what string, lens []uint8, limit int) {
+		sum := 0
+		for i, l := range lens {
+			if l < 1 || int(l) > limit {
+				t.Fatalf("%s symbol %d: length %d outside 1..%d", what, i, l, limit)
+			}
+			sum += 1 << (limit - int(l))
+		}
+		if sum != 1<<limit {
+			t.Errorf("%s: Kraft sum %d/2^%d, want exactly 1 (a complete code)", what, sum, limit)
+		}
+	}
+	for ctx := range tagLens {
+		kraft(fmt.Sprintf("tag table %d", ctx), tagLens[ctx][:], maxHeaderCode)
+	}
+	for c := range nibLens {
+		for ctx := range nibLens[c] {
+			kraft(fmt.Sprintf("channel %d nibble table %d", c, ctx), nibLens[c][ctx][:], maxHeaderCode)
+		}
 	}
 	for tb := range pairLens {
-		kraft := 0
-		for i, l := range pairLens[tb] {
-			if l < 1 || l > maxPairLen {
-				t.Fatalf("table %d pair %d: length %d outside 1..%d", tb, i, l, maxPairLen)
-			}
-			kraft += 1 << (maxPairLen - l)
-		}
-		if kraft != 1<<maxPairLen {
-			t.Errorf("table %d: Kraft sum %d/2^%d, want exactly 1 (a complete code)", tb, kraft, maxPairLen)
-		}
+		kraft(fmt.Sprintf("pair table %d", tb), pairLens[tb][:], maxPairLen)
 	}
 	for a := 0; a < pairTokens; a++ {
 		for b := 0; b < pairTokens; b++ {
@@ -287,35 +394,38 @@ func TestPairTablesRegenerate(t *testing.T) {
 	}
 }
 
-// writePairLens rewrites the pairLens literal in pairtables.go.
-func writePairLens(t *testing.T, lens *[unaryTable][pairSyms]uint8) {
-	const file = "pairtables.go"
+// rows formats the rows of a table literal, one per line.
+func rows[T [pairSyms]uint8 | [tagSyms]uint8 | [nibSyms]uint8](tab []T) string {
+	var b strings.Builder
+	for _, row := range tab {
+		b.WriteString("{")
+		for i := range len(row) {
+			if i > 0 {
+				b.WriteString(", ")
+			}
+			fmt.Fprint(&b, row[i])
+		}
+		b.WriteString("},\n")
+	}
+	return b.String()
+}
+
+// writeLiteral rewrites the body of the literal that opens with head in
+// file.
+func writeLiteral(t *testing.T, file, head, body string) {
 	src, err := os.ReadFile(file)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const head = "var pairLens = [unaryTable][pairSyms]uint8{\n"
 	start := bytes.Index(src, []byte(head))
 	if start < 0 {
-		t.Fatal("pairLens literal not found")
+		t.Fatalf("%q not found in %s", head, file)
 	}
 	end := bytes.Index(src[start:], []byte("\n}\n"))
 	if end < 0 {
-		t.Fatal("pairLens literal not closed")
+		t.Fatalf("%q not closed in %s", head, file)
 	}
-	var b strings.Builder
-	b.WriteString(head)
-	for _, tab := range lens {
-		b.WriteString("{")
-		for i, l := range tab {
-			if i > 0 {
-				b.WriteString(", ")
-			}
-			fmt.Fprint(&b, l)
-		}
-		b.WriteString("},\n")
-	}
-	out := append(append(append([]byte(nil), src[:start]...), b.String()...), src[start+end+1:]...)
+	out := append(append(append([]byte(nil), src[:start]...), head+body...), src[start+end+1:]...)
 	if out, err = format.Source(out); err != nil {
 		t.Fatal(err)
 	}

@@ -250,15 +250,21 @@ func TestSpatialBitNeedsAReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// setS sets S on tile 0's first block, a rice block, and mends the CRC.
+	// setS sets S on tile 0's first block, a rice block, re-coding the
+	// header string, and mends the directory entry.
 	setS := func(frame []byte) []byte {
-		b := append([]byte(nil), frame...)
-		span := v2dir(t, b)[0]
-		if b[hdr2Len]&tileFlagDirty == 0 || b[span[0]]&0x60 != blockRice<<tagTypeShift {
-			t.Fatalf("tile 0 does not start with a rice block (flags %#x, tag %#x)", b[hdr2Len], b[span[0]])
+		span := v2dir(t, frame)[0]
+		p := frame[span[0]:span[1]]
+		blocks, pos, err := refHeaders(p, 16*w*4)
+		if frame[hdr2Len]&tileFlagDirty == 0 || err != nil || refSym(blocks[0].tag) >= 64 {
+			t.Fatalf("tile 0 does not start with a rice block (flags %#x, %v)", frame[hdr2Len], err)
 		}
-		b[span[0]] |= tagSpatial
-		binary.LittleEndian.PutUint32(b[hdr2Len+5:], crc32.Checksum(b[span[0]:span[1]], castagnoli))
+		blocks[0].tag |= tagSpatial
+		blocks[0].body = p[pos:]
+		np := refPayload(blocks...)
+		b := append(append(append([]byte(nil), frame[:span[0]]...), np...), frame[span[1]:]...)
+		binary.LittleEndian.PutUint32(b[hdr2Len+1:], uint32(len(np)))
+		binary.LittleEndian.PutUint32(b[hdr2Len+5:], crc32.Checksum(np, castagnoli))
 		return b
 	}
 	for _, c := range []struct {

@@ -278,6 +278,7 @@ func TestV2HostileHeaders(t *testing.T) {
 		{"unary-quotient v4 generation", mut(func(b []byte) []byte { b[1] = 4; return b }), ErrVersion},
 		{"pair-table v5 generation", mut(func(b []byte) []byte { b[1] = 5; return b }), ErrVersion},
 		{"estimate-domain v6 generation", mut(func(b []byte) []byte { b[1] = 6; return b }), ErrVersion},
+		{"byte-header v7 generation", mut(func(b []byte) []byte { b[1] = 7; return b }), ErrVersion},
 		{"bad frame type", mut(func(b []byte) []byte { b[2] = 9; return b }), ErrCorrupt},
 		{"zero width", mut(func(b []byte) []byte { binary.LittleEndian.PutUint32(b[4:], 0); return b }), ErrDimensions},
 		{"huge height", mut(func(b []byte) []byte { binary.LittleEndian.PutUint32(b[8:], maxDim+1); return b }), ErrDimensions},

@@ -108,7 +108,6 @@ type Client struct {
 	interDispSum float64 // inter-display gaps, ms: Report needs only
 	interDispN   int     // their mean, so the gaps themselves are not kept
 	lastDisplay  time.Duration
-	lastBright   float64
 	resyncs      int64
 	reconnects   int64
 	redirects    int64
@@ -309,7 +308,6 @@ func (c *Client) runSession(conn streamConn) error {
 			if m.inputID != 0 {
 				c.latencies.Add(float64(display-time.Duration(m.inputNanos)) / float64(time.Millisecond))
 			}
-			c.lastBright = Brightness(pix)
 			fn := c.onFrame
 			c.mu.Unlock()
 			if fn != nil {
@@ -462,11 +460,10 @@ type Report struct {
 	P99Latency     float64 // ms
 	LatencySamples int
 	MeanInterMs    float64
-	Brightness     float64 // last frame's luminance
-	Resyncs        int64   // keyframe resyncs (mid-stream joins, chain breaks, corruption)
-	Reconnects     int64   // sessions redialed after a mid-stream death
-	Redirects      int64   // dials the resolver re-placed onto a new endpoint
-	RetryBudget    int     // consecutive-failure budget (0 for single-conn clients)
+	Resyncs        int64 // keyframe resyncs (mid-stream joins, chain breaks, corruption)
+	Reconnects     int64 // sessions redialed after a mid-stream death
+	Redirects      int64 // dials the resolver re-placed onto a new endpoint
+	RetryBudget    int   // consecutive-failure budget (0 for single-conn clients)
 }
 
 // Report returns the current measurements.
@@ -479,7 +476,6 @@ func (c *Client) Report() Report {
 		MeanLatency:    c.latencies.Mean(),
 		P99Latency:     c.latencies.Percentile(99),
 		LatencySamples: c.latencies.N(),
-		Brightness:     c.lastBright,
 		Resyncs:        c.resyncs,
 		Reconnects:     c.reconnects,
 		Redirects:      c.redirects,

@@ -44,6 +44,25 @@ func startPair(t *testing.T, cfg HubConfig) (obs.FrameInstruments, *Client, func
 	return obs.NewFrameInstruments(cfg.Metrics), cli, cleanup
 }
 
+// watchBrightness installs an OnFrame callback on c that keeps the
+// luminance of the last decoded frame, and returns its reader (0 before the
+// first frame).
+func watchBrightness(c *Client) func() float64 {
+	var mu sync.Mutex
+	var last float64
+	c.OnFrame(func(_ uint64, pix []byte) {
+		b := Brightness(pix)
+		mu.Lock()
+		last = b
+		mu.Unlock()
+	})
+	return func() float64 {
+		mu.Lock()
+		defer mu.Unlock()
+		return last
+	}
+}
+
 func waitFrames(t *testing.T, c *Client, n int64, within time.Duration) {
 	t.Helper()
 	deadline := time.Now().Add(within)
@@ -61,15 +80,16 @@ func TestStreamODRDeliversFrames(t *testing.T) {
 		Width: 64, Height: 36, Policy: core.RuleODR, TargetFPS: 120,
 	})
 	defer cleanup()
+	bright := watchBrightness(cli)
 	waitFrames(t, cli, 30, 10*time.Second)
 	// The hub counts a send after its pipe write returns, which can trail
 	// the client's decode of that same frame by a beat — poll briefly.
 	pollUntil(t, 2*time.Second, "30 frames rendered, encoded and sent", func() bool {
 		return ins.Rendered.Value() >= 30 && ins.Encoded.Value() >= 30 && ins.Displayed.Value() >= 30
 	})
-	rep := cli.Report()
-	if rep.Bytes == 0 || rep.Brightness == 0 {
-		t.Fatalf("client did not decode real content: %+v", rep)
+	pollUntil(t, 2*time.Second, "a decoded frame with content", func() bool { return bright() > 0 })
+	if rep := cli.Report(); rep.Bytes == 0 {
+		t.Fatalf("client did not receive content: %+v", rep)
 	}
 }
 
@@ -133,15 +153,17 @@ func TestStreamInputVisibleInPixels(t *testing.T) {
 		Width: 48, Height: 27, Policy: core.RuleODR, TargetFPS: 30,
 	})
 	defer cleanup()
+	bright := watchBrightness(cli)
 	waitFrames(t, cli, 5, 10*time.Second)
-	base := cli.Report().Brightness
+	pollUntil(t, 2*time.Second, "a decoded frame with content", func() bool { return bright() > 0 })
+	base := bright()
 	if _, err := cli.SendInput(); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	var peak float64
 	for time.Now().Before(deadline) {
-		if b := cli.Report().Brightness; b > peak {
+		if b := bright(); b > peak {
 			peak = b
 		}
 		if peak > base+20 {
