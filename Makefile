@@ -132,7 +132,7 @@ fidelity:
 # (open artifacts/timeline.json in chrome://tracing or ui.perfetto.dev).
 trace:
 	mkdir -p artifacts
-	$(GO) run ./cmd/odrtrace -kind timeline -policy odr -trace-out artifacts/timeline.json
+	$(GO) run ./cmd/odrsim -policy odr timeline > artifacts/timeline.json
 
 examples:
 	$(GO) run ./examples/quickstart

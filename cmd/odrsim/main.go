@@ -1,10 +1,11 @@
 // Command odrsim regenerates the paper's tables and figures from the
-// pipeline simulator.
+// pipeline simulator, and exports one simulated run for plotting or replay.
 //
 // Usage:
 //
-//	odrsim [-duration 60s] [-seed 1] [-parallel 0] [-cache dir] [experiment ...]
+//	odrsim [-duration 60s] [-seed 1] [-parallel 0] [-cache dir] [-csv dir] [experiment ...]
 //	odrsim [-duration 60s] [-seed 1] [-parallel 0] [-cache dir] report > report.md
+//	odrsim [-duration 60s] [-seed 1] [run flags] cdf|frames|fps|timeline|timeline-csv > out
 //
 // With no arguments it runs every experiment. Experiment names: fig1, fig3,
 // fig4, fig5, fig6, fig7, table2, fig9, fig10, fig11, fig12, fig13,
@@ -13,6 +14,15 @@
 // markdown results report instead: the summary, Table 2, Figure 9, the
 // efficiency averages, the user-study panel and the ablations.
 //
+// The exports, also left out of the default run, simulate the one run that
+// the run flags -benchmark -platform -resolution -policy -fps -replay name
+// (IM, priv, 720p, noreg by default) and write it: cdf, the render, encode
+// and transmission time CDFs (Fig. 4a); frames, the first 200 frames' costs
+// (Fig. 4b) in the trace format -replay reads; fps, the client FPS per
+// 200 ms window; timeline and timeline-csv, the frame lifecycle as Chrome
+// trace-event JSON (chrome://tracing, ui.perfetto.dev) or as CSV. A run flag
+// given without an export is a usage error.
+//
 // Cells run through the shared deterministic scheduler: -parallel picks the
 // worker count (0 = all CPUs, 1 = sequential) and -cache points at a result
 // cache reused across runs of the same executable ("" disables caching).
@@ -20,19 +30,40 @@
 // scheduler's counts and the wall time go to stderr.
 //
 // The exit status is 1 when the fidelity experiment ran and any paper anchor
-// fell outside its tolerance, so `odrsim fidelity` works as a gate.
+// fell outside its tolerance, so `odrsim fidelity` works as a gate, and 2 on
+// a bad command line.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
 	"odr/internal/experiments"
+	"odr/internal/metrics"
+	"odr/internal/obs"
+	"odr/internal/pipeline"
 	"odr/internal/sched"
+	"odr/internal/simrun"
+	"odr/internal/trace"
+	"odr/internal/workload"
 )
+
+var (
+	experimentNames = []string{"fig1", "fig3", "fig4", "fig5", "fig6", "fig7", "table2",
+		"fig9", "fig10", "fig11", "fig12", "fig13", "userstudy", "summary", "ablations",
+		"vrr", "consolidation", "sweeps", "seeds", "fidelity"}
+	exportNames = []string{"cdf", "frames", "fps", "timeline", "timeline-csv"}
+	runFlags    = []string{"benchmark", "platform", "resolution", "policy", "fps", "replay"}
+)
+
+// timelineEvents is the timeline ring's capacity: a 60 s NoReg run records
+// about 46 000 events.
+const timelineEvents = 1 << 20
 
 func main() {
 	duration := flag.Duration("duration", 60*time.Second, "simulated duration per configuration")
@@ -40,7 +71,33 @@ func main() {
 	csvDir := flag.String("csv", "", "also write plot-ready CSV artifacts into this directory")
 	parallel := flag.Int("parallel", 0, "scheduler workers (0 = all CPUs, 1 = sequential)")
 	cacheDir := flag.String("cache", "artifacts/cache", "result cache directory, reused by the same executable only (empty disables)")
+	spec := simrun.Spec{}
+	flag.StringVar(&spec.Benchmark, "benchmark", "IM", "exported run's benchmark: STK, 0AD, RE, D2, IM, ITP")
+	flag.StringVar(&spec.Platform, "platform", "priv", "exported run's platform: priv, gce")
+	flag.StringVar(&spec.Resolution, "resolution", "720p", "exported run's resolution: 720p, 1080p")
+	flag.StringVar(&spec.Policy, "policy", "noreg", "exported run's policy: noreg, int (or interval), rvs, odr")
+	flag.Float64Var(&spec.FPS, "fps", 0, "exported run's target FPS (0 = max; refresh rate for rvs)")
+	flag.StringVar(&spec.Replay, "replay", "", "frame-cost trace (from the frames export) to replay as the exported run's workload")
+	flag.Usage = func() {
+		fmt.Fprintf(flag.CommandLine.Output(), "usage: odrsim [flags] [name ...]\n"+
+			"experiments: %s, report\nexports: %s\nflags:\n",
+			strings.Join(experimentNames, ", "), strings.Join(exportNames, ", "))
+		flag.PrintDefaults()
+	}
 	flag.Parse()
+	spec.Duration, spec.Seed = *duration, *seed
+
+	want := flag.Args()
+	if len(want) == 0 {
+		want = experimentNames
+	}
+	var set []string
+	flag.Visit(func(f *flag.Flag) { set = append(set, f.Name) })
+	if err := checkArgs(want, set, spec); err != nil {
+		fmt.Fprintf(os.Stderr, "odrsim: %v\n", err)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	var cache *sched.Cache
 	if *cacheDir != "" {
@@ -55,14 +112,6 @@ func main() {
 
 	o := experiments.Options{Duration: *duration, Seed: *seed, Out: os.Stdout, Runner: runner}
 	m := experiments.NewMatrix(o)
-
-	all := []string{"fig1", "fig3", "fig4", "fig5", "fig6", "fig7", "table2",
-		"fig9", "fig10", "fig11", "fig12", "fig13", "userstudy", "summary", "ablations",
-		"vrr", "consolidation", "sweeps", "seeds", "fidelity"}
-	want := flag.Args()
-	if len(want) == 0 {
-		want = all
-	}
 
 	start := time.Now()
 	anchorMissed := false
@@ -82,7 +131,7 @@ func main() {
 	}
 
 	for _, name := range want {
-		switch strings.ToLower(name) {
+		switch name = strings.ToLower(name); name {
 		case "fig1":
 			experiments.Fig1(o)
 		case "fig3":
@@ -136,8 +185,11 @@ func main() {
 			experiments.Markdown(m, os.Stdout)
 			continue
 		default:
-			fmt.Fprintf(os.Stderr, "odrsim: unknown experiment %q (known: %s, report)\n", name, strings.Join(all, ", "))
-			os.Exit(2)
+			if err := export(os.Stdout, name, spec); err != nil {
+				fmt.Fprintf(os.Stderr, "odrsim: %s: %v\n", name, err)
+				os.Exit(1)
+			}
+			continue
 		}
 		fmt.Println()
 	}
@@ -157,4 +209,74 @@ func main() {
 		fmt.Fprintln(os.Stderr, "odrsim: paper anchors missed")
 		os.Exit(1)
 	}
+}
+
+// export simulates the run spec names and writes the export name to w.
+func export(w io.Writer, name string, spec simrun.Spec) error {
+	// Each export builds its own configuration: a replayed trace's sampler
+	// is consumed by the run it drives.
+	cfg, err := simrun.Config(spec)
+	if err != nil {
+		return err
+	}
+	cfg.CollectFrames = 200
+	var tl *obs.Tracer
+	if strings.HasPrefix(name, "timeline") {
+		tl = obs.NewTracer(timelineEvents)
+		cfg.Trace = tl
+	}
+	r := pipeline.Run(cfg)
+
+	switch name {
+	case "cdf":
+		t := trace.NewTable("step", "time_ms", "cdf")
+		steps := []string{"render", "encode", "trans"}
+		for i, d := range []*metrics.Dist{&r.RenderTimes, &r.EncodeTimes, &r.TransTimes} {
+			xs, ps := d.CDF()
+			for j := range xs {
+				if err := t.AddRow(steps[i], xs[j], ps[j]); err != nil {
+					return err
+				}
+			}
+		}
+		return t.WriteCSV(w)
+	case "frames":
+		return workload.WriteTraceCSV(w, r.FrameTrace)
+	case "fps":
+		return trace.WriteSeries(w, "window", "client_fps", r.ClientRates.Samples())
+	}
+	if name == "timeline" {
+		err = tl.WriteChromeTrace(w)
+	} else {
+		err = tl.WriteCSV(w)
+	}
+	if n := tl.Dropped(); n > 0 {
+		fmt.Fprintf(os.Stderr, "odrsim: timeline ring wrapped: oldest %d events overwritten (shorten -duration)\n", n)
+	}
+	return err
+}
+
+// checkArgs refuses a command line before anything runs: an unknown
+// experiment or export name, a run flag among the set flags given without an
+// export, or a run that spec names but simrun does not know.
+func checkArgs(names, set []string, spec simrun.Spec) error {
+	known := append(slices.Concat(experimentNames, exportNames), "report", "fig14", "fig15")
+	exporting := false
+	for _, name := range names {
+		n := strings.ToLower(name)
+		if !slices.Contains(known, n) {
+			return fmt.Errorf("unknown experiment or export %q", name)
+		}
+		exporting = exporting || slices.Contains(exportNames, n)
+	}
+	if exporting {
+		_, err := simrun.Config(spec)
+		return err
+	}
+	for _, f := range set {
+		if slices.Contains(runFlags, f) {
+			return fmt.Errorf("-%s names the exported run, but no export is named", f)
+		}
+	}
+	return nil
 }

@@ -1,7 +1,7 @@
 // Package simrun builds one simulator run from the names the command line
 // and the public API use — benchmark, platform, resolution, policy, frame
 // rate and an optional recorded trace to replay — so odr.Simulate and
-// cmd/odrtrace accept the same names and refuse the same unknown ones.
+// odrsim's exports accept the same names and refuse the same unknown ones.
 package simrun
 
 import (
@@ -26,8 +26,8 @@ type Spec struct {
 	FPS        float64 // the QoS goal, 0 = maximize; for rvs the display refresh rate (0 = 240 Hz)
 	Duration   time.Duration
 	Seed       int64
-	// Replay, when set, is a recorded frame-cost trace (odrtrace -kind
-	// trace) that drives the run instead of the stochastic benchmark model;
+	// Replay, when set, is a recorded frame-cost trace (odrsim frames) that
+	// drives the run instead of the stochastic benchmark model;
 	// the benchmark still sets input rate and power/DRAM character.
 	Replay string
 }

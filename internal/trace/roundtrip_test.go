@@ -29,7 +29,7 @@ func TestCSVEscapingRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	recs, err := csv.NewReader(strings.NewReader(tb.String())).ReadAll()
+	recs, err := csv.NewReader(strings.NewReader(csvText(tb))).ReadAll()
 	if err != nil {
 		t.Fatalf("exported CSV does not parse: %v", err)
 	}
@@ -44,8 +44,7 @@ func TestCSVEscapingRoundTrip(t *testing.T) {
 }
 
 // TestCSVFloatRoundTrip checks that float64 values written to CSV parse back
-// bit for bit — this is what makes -replay reproduce a recorded trace
-// exactly.
+// bit for bit.
 func TestCSVFloatRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	vals := []float64{0, 1, -1, 0.1, 1.0 / 3.0, math.Pi, 1e-300, 1e300,
@@ -59,7 +58,7 @@ func TestCSVFloatRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	recs, err := csv.NewReader(strings.NewReader(tb.String())).ReadAll()
+	recs, err := csv.NewReader(strings.NewReader(csvText(tb))).ReadAll()
 	if err != nil {
 		t.Fatal(err)
 	}

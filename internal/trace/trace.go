@@ -1,5 +1,5 @@
-// Package trace exports simulation measurements as CSV for plotting: time
-// series (Fig. 4b-style traces), CDFs (Fig. 4a) and labeled tables.
+// Package trace exports simulation measurements as CSV for plotting:
+// indexed series and labeled tables.
 package trace
 
 import (
@@ -46,8 +46,7 @@ func format(v any) string {
 	case string:
 		return escape(x)
 	// Floats use the shortest representation that parses back to exactly
-	// the same value, so a trace exported to CSV and replayed (-replay)
-	// reproduces the original costs bit for bit.
+	// the same value.
 	case float64:
 		return strconv.FormatFloat(x, 'g', -1, 64)
 	case float32:
@@ -85,24 +84,6 @@ func (t *Table) WriteCSV(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// String renders the table as CSV text.
-func (t *Table) String() string {
-	var b strings.Builder
-	_ = t.WriteCSV(&b)
-	return b.String()
-}
-
-// WriteCDF writes (value, probability) pairs as a two-column CSV.
-func WriteCDF(w io.Writer, name string, values, probs []float64) error {
-	t := NewTable(name, "cdf")
-	for i := range values {
-		if err := t.AddRow(values[i], probs[i]); err != nil {
-			return err
-		}
-	}
-	return t.WriteCSV(w)
 }
 
 // WriteSeries writes an indexed series as a two-column CSV.

@@ -5,6 +5,13 @@ import (
 	"testing"
 )
 
+// csvText renders tb as CSV text.
+func csvText(tb *Table) string {
+	var b strings.Builder
+	_ = tb.WriteCSV(&b)
+	return b.String()
+}
+
 func TestTableBasic(t *testing.T) {
 	tb := NewTable("a", "b")
 	if err := tb.AddRow(1, 2.5); err != nil {
@@ -16,7 +23,7 @@ func TestTableBasic(t *testing.T) {
 	if tb.Rows() != 2 {
 		t.Fatalf("Rows = %d", tb.Rows())
 	}
-	got := tb.String()
+	got := csvText(tb)
 	want := "a,b\n1,2.5\n\"x,y\",true\n"
 	if got != want {
 		t.Fatalf("CSV = %q, want %q", got, want)
@@ -34,7 +41,7 @@ func TestEscaping(t *testing.T) {
 	tb := NewTable("v")
 	_ = tb.AddRow(`say "hi"`)
 	_ = tb.AddRow("line\nbreak")
-	out := tb.String()
+	out := csvText(tb)
 	if !strings.Contains(out, `"say ""hi"""`) {
 		t.Fatalf("quote escaping wrong: %q", out)
 	}
@@ -48,7 +55,7 @@ func TestFormatTypes(t *testing.T) {
 	_ = tb.AddRow(int64(9))
 	_ = tb.AddRow(float32(1.5))
 	_ = tb.AddRow(uint(3)) // falls through to fmt.Sprint
-	out := tb.String()
+	out := csvText(tb)
 	for _, want := range []string{"9", "1.5", "3"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("missing %q in %q", want, out)
@@ -61,19 +68,8 @@ func TestEmptyTable(t *testing.T) {
 	if tb.Rows() != 0 {
 		t.Fatal("empty table has rows")
 	}
-	if tb.String() != "\n" {
-		t.Fatalf("empty CSV = %q", tb.String())
-	}
-}
-
-func TestWriteCDF(t *testing.T) {
-	var b strings.Builder
-	if err := WriteCDF(&b, "ms", []float64{1, 2}, []float64{0.5, 1}); err != nil {
-		t.Fatal(err)
-	}
-	want := "ms,cdf\n1,0.5\n2,1\n"
-	if b.String() != want {
-		t.Fatalf("CDF CSV = %q", b.String())
+	if csvText(tb) != "\n" {
+		t.Fatalf("empty CSV = %q", csvText(tb))
 	}
 }
 

@@ -14,7 +14,7 @@ import (
 
 // TraceSampler replays a recorded frame-cost trace (e.g. captured from a
 // real game with the Pictor instrumentation, or exported from a simulator
-// run with odrtrace). The trace loops when exhausted, so any run duration
+// run with `odrsim frames`). The trace loops when exhausted, so any run duration
 // can be driven from a finite recording. Input arrivals remain Poisson at
 // the configured rate (input timing is a property of the player, not the
 // trace).
@@ -74,9 +74,35 @@ func (t *TraceSampler) NextInputID() frame.InputID {
 // Len returns the trace length in frames.
 func (t *TraceSampler) Len() int { return len(t.trace) }
 
+// WriteTraceCSV writes frames' sampled costs as the CSV that ParseTraceCSV
+// reads, with the columns frame, render_ms, copy_ms, encode_ms, decode_ms,
+// bytes, complexity and trans_ms (SendEnd − EncodeEnd, for plotting; a
+// replay ignores it). Milliseconds are written in the shortest form that
+// parses back to the same float64, so a replay reproduces every cost to the
+// nanosecond.
+func WriteTraceCSV(w io.Writer, frames []frame.Frame) error {
+	b := []byte("frame,render_ms,copy_ms,encode_ms,decode_ms,bytes,complexity,trans_ms\n")
+	ms := func(b []byte, d time.Duration) []byte {
+		return strconv.AppendFloat(append(b, ','), float64(d)/1e6, 'g', -1, 64)
+	}
+	for i, f := range frames {
+		b = strconv.AppendInt(b, int64(i), 10)
+		b = ms(b, f.CostRender)
+		b = ms(b, f.CostCopy)
+		b = ms(b, f.CostEncode)
+		b = ms(b, f.CostDecode)
+		b = strconv.AppendInt(append(b, ','), int64(f.Bytes), 10)
+		b = strconv.AppendFloat(append(b, ','), f.Complexity, 'g', -1, 64)
+		b = append(ms(b, f.SendEnd-f.EncodeEnd), '\n')
+	}
+	_, err := w.Write(b)
+	return err
+}
+
 // ParseTraceCSV reads a frame-cost trace from CSV. The header must contain
 // the columns render_ms, copy_ms, encode_ms, decode_ms and bytes (extra
 // columns are ignored; order is free). A complexity column is optional.
+// Milliseconds are rounded to the nearest nanosecond.
 func ParseTraceCSV(r io.Reader) ([]Costs, error) {
 	cr := csv.NewReader(r)
 	cr.TrimLeadingSpace = true
@@ -98,7 +124,7 @@ func ParseTraceCSV(r io.Reader) ([]Costs, error) {
 		if err != nil {
 			return 0, fmt.Errorf("workload: bad %s value %q: %w", name, rec[col[name]], err)
 		}
-		return time.Duration(v * float64(time.Millisecond)), nil
+		return time.Duration(math.Round(v * float64(time.Millisecond))), nil
 	}
 	var out []Costs
 	for {

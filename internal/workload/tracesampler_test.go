@@ -1,10 +1,11 @@
 package workload
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 	"time"
+
+	"odr/internal/frame"
 )
 
 func sampleTrace() []Costs {
@@ -117,30 +118,49 @@ func TestRecordFromSampler(t *testing.T) {
 	}
 }
 
+// TestRoundTripCSVThroughTraceSampler: a recorded trace written by
+// WriteTraceCSV, parsed back and replayed yields every recorded cost exactly,
+// to the nanosecond.
 func TestRoundTripCSVThroughTraceSampler(t *testing.T) {
-	// Record from the stochastic sampler, format as CSV, parse, replay.
 	src := NewSampler(testParams(), RefScale, 11)
-	rec := Record(src, 20)
-	var sb strings.Builder
-	sb.WriteString("render_ms,copy_ms,encode_ms,decode_ms,bytes\n")
-	msStr := func(d time.Duration) string {
-		return fmt.Sprintf("%.6f", float64(d)/float64(time.Millisecond))
+	rec := Record(src, 500)
+	frames := make([]frame.Frame, len(rec))
+	for i, c := range rec {
+		frames[i] = frame.Frame{CostRender: c.Render, CostCopy: c.Copy, CostEncode: c.Encode,
+			CostDecode: c.Decode, Bytes: c.Bytes, Complexity: c.Complexity, SendEnd: c.Encode / 3}
 	}
-	for _, c := range rec {
-		fmt.Fprintf(&sb, "%s,%s,%s,%s,%d\n",
-			msStr(c.Render), msStr(c.Copy), msStr(c.Encode), msStr(c.Decode), c.Bytes)
+	var sb strings.Builder
+	if err := WriteTraceCSV(&sb, frames); err != nil {
+		t.Fatal(err)
 	}
 	parsed, err := ParseTraceCSV(strings.NewReader(sb.String()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(parsed) != 20 {
-		t.Fatalf("parsed %d rows", len(parsed))
+	if len(parsed) != len(rec) {
+		t.Fatalf("parsed %d rows, want %d", len(parsed), len(rec))
 	}
-	for i := range parsed {
-		// CSV milliseconds round-trip within a microsecond.
-		if d := parsed[i].Render - rec[i].Render; d > time.Microsecond || d < -time.Microsecond {
-			t.Fatalf("row %d render drifted by %v", i, d)
+	ts, err := NewTraceSampler(parsed, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range rec {
+		if got := ts.NextFrame(); got != want {
+			t.Fatalf("row %d replays as %+v, want %+v", i, got, want)
 		}
+	}
+}
+
+func TestWriteTraceCSVFormat(t *testing.T) {
+	var sb strings.Builder
+	f := frame.Frame{CostRender: 4500 * time.Microsecond, CostCopy: time.Millisecond, CostEncode: 8200001,
+		CostDecode: 3 * time.Millisecond, Bytes: 30000, Complexity: 1.25, EncodeEnd: 20, SendEnd: 30}
+	if err := WriteTraceCSV(&sb, []frame.Frame{f, f}); err != nil {
+		t.Fatal(err)
+	}
+	const row = "4.5,1,8.200001,3,30000,1.25,1e-05\n"
+	want := "frame,render_ms,copy_ms,encode_ms,decode_ms,bytes,complexity,trans_ms\n0," + row + "1," + row
+	if sb.String() != want {
+		t.Fatalf("CSV = %q, want %q", sb.String(), want)
 	}
 }

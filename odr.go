@@ -109,7 +109,7 @@ type SimConfig struct {
 	// its SimResult; a simulation writes no MetricsRegistry.
 	Trace *Tracer
 	// TraceCSVPath, when set, replays a recorded frame-cost trace (the
-	// odrtrace -kind trace format) instead of the stochastic benchmark
+	// format of `odrsim frames`) instead of the stochastic benchmark
 	// model. Benchmark still selects input rate and power/DRAM character.
 	TraceCSVPath string
 }
