@@ -98,7 +98,7 @@ bench-codec:
 
 # Regression gate: re-run the suite and fail when a static/scrolling/mixed
 # cell's bytes/frame grow at all against the committed BENCH_codec.json
-# baseline (game, noise: >10%), game content codes above 0.134x raw, noise
+# baseline (game, noise: >10%), game content codes above 0.132x raw, noise
 # above 1.02x raw, a static cell's cache hit ratio falls below 0.9, a static
 # cell shows a keyframe-shaped latency spike, or a worker count's bitstream
 # differs from the serial one. Times are reported, not gated.

@@ -457,11 +457,11 @@ func writeCodecReport(rep *codecSuiteReport, path string) error {
 // and what it cannot compress must not grow past the payload coder's
 // documented worst case of raw + one byte of header per 1 KiB block, plus
 // the tile directory (noise). The game bound sits just above what the coder
-// achieves (0.128x raw at 320x180 lossless), so a compression loss of 5 %
+// achieves (0.127x raw at 320x180 lossless), so a compression loss of 4 %
 // fails it.
 const (
 	codecMinStaticHitRatio = 0.9
-	codecGameMaxRawRatio   = 0.134
+	codecGameMaxRawRatio   = 0.132
 	codecNoiseMaxRawRatio  = 1.02
 )
 

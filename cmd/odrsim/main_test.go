@@ -39,6 +39,35 @@ func TestCheckArgs(t *testing.T) {
 	}
 }
 
+// TestExportOnlyOpensNoCache: a command line of exports alone runs no
+// scheduler cell, so it neither creates the result cache nor prints the
+// scheduler's lines; an experiment run still does both.
+func TestExportOnlyOpensNoCache(t *testing.T) {
+	for _, c := range []struct {
+		args      []string
+		wantCache bool
+	}{
+		{[]string{"-duration", "1s", "fps", "timeline"}, false},
+		{[]string{"-duration", "1s", "-parallel", "1", "fig1"}, true},
+	} {
+		cache := filepath.Join(t.TempDir(), "cache")
+		var stdout, stderr bytes.Buffer
+		if code := run(append([]string{"-cache", cache}, c.args...), &stdout, &stderr); code != 0 {
+			t.Fatalf("odrsim %v exited %d: %s", c.args, code, stderr.String())
+		}
+		_, err := os.Stat(cache)
+		if created := err == nil; created != c.wantCache {
+			t.Errorf("odrsim %v: cache directory created = %v, want %v", c.args, created, c.wantCache)
+		}
+		if printed := strings.Contains(stderr.String(), "cells run"); printed != c.wantCache {
+			t.Errorf("odrsim %v: stderr %q", c.args, stderr.String())
+		}
+		if stdout.Len() == 0 {
+			t.Errorf("odrsim %v wrote nothing to stdout", c.args)
+		}
+	}
+}
+
 // TestFramesExportReplaysExactly: a run replaying a frames export costs each
 // of its frames exactly as some exported frame, to the nanosecond.
 func TestFramesExportReplaysExactly(t *testing.T) {

@@ -71,8 +71,12 @@ func FuzzV2RoundTrip(f *testing.F) {
 	f.Add(gameFrames(16, 5, 1)[0], uint8(15), uint8(19), uint8(7), uint8(0)) // smooth: rice blocks
 	f.Add(gameFrames(16, 5, 1)[0], uint8(12), uint8(38), uint8(15), uint8(4))
 	f.Add([]byte{0x10, 0x20, 0x30, 0xFF}, uint8(15), uint8(39), uint8(23), uint8(1)) // flat: all-zero channels
+	// Tiles' first rows: one-row tiles, and 33 pixels, where a word
+	// straddles the end of a row.
+	f.Add(gameFrames(16, 5, 1)[0], uint8(15), uint8(4), uint8(0), uint8(0))
+	f.Add(gameFrames(33, 9, 1)[0], uint8(32), uint8(8), uint8(3), uint8(0))
 	f.Fuzz(func(t *testing.T, data []byte, wb, hb, rowsB, shiftB uint8) {
-		w, h := 1+int(wb)%16, 1+int(hb)%40
+		w, h := 1+int(wb)%40, 1+int(hb)%40
 		rows, shift := 1+int(rowsB)%24, uint(shiftB)%8
 		pix := func(mut byte) []byte {
 			p := make([]byte, w*h*4)

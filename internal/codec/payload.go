@@ -42,17 +42,19 @@ package codec
 //	bit  3    H: predict from the left (the same channel of the previous
 //	          pixel, x[i-4])
 //	bit  4    V: predict from above (the same byte of the row above,
-//	          x[i-rowBytes])
+//	          x[i-rowBytes]; in the first row, x[i-4])
 //	bits 5-6  block type
 //	bit  7    S: the block codes A, not D. Legal only on a rice block of a
 //	          tile with a reference; anywhere else it is corrupt.
 //
 // x is the block's signal: D for a block of a tile with a reference and S
-// clear, A otherwise. Bytes before the tile start — the rows above its first
-// row included — read as 0 in both domains. The four predictors are
-// separable: none (the residual is x[i]), H (x[i]-x[i-4]), V
-// (x[i]-x[i-rowBytes]), and H and V together, planar a+b-c prediction,
-// which is H applied to the V difference image d[i] = x[i]-x[i-rowBytes]. H
+// clear, A otherwise. Bytes before the tile start read as 0 in both
+// domains. The four predictors are separable: none (the residual is x[i]),
+// H (x[i]-x[i-4]), V (x[i]-u[i]), and H and V together, planar a+b-c
+// prediction, which is H applied to the V difference image d[i] =
+// x[i]-u[i]. u[i] is the byte above, x[i-rowBytes], and in the tile's first
+// row, which has no row above, the same channel of the pixel to the left,
+// x[i-4]: V there is H, and planar the gradient 2x[i-4]-x[i-8]. H
 // runs across block and row boundaries. V needs rows of at least two pixels
 // (rowBytes >= 8, so the decoder can add the row above a word at a time); a
 // V tag on a narrower tile is corrupt.
@@ -208,29 +210,33 @@ func nonZeroLanes(t uint64) uint64 {
 	return ((t &^ swarHi) + ^swarHi | t) & swarHi
 }
 
-// upWord returns the eight bytes one row above b[p:p+8], reading bytes
-// before the start of b as 0. It needs p+8-rowBytes <= len(b).
-func upWord(b []byte, p, rowBytes int) uint64 {
+// upWord returns the eight bytes V predicts b[p:p+8] from: the row above
+// it, or in the tile's first row the pixel to the left, which the caller
+// passes as left (b[p-4:p+4] with 0 before the start of b, the operand H
+// builds). It needs p+8-rowBytes <= len(b).
+func upWord(b []byte, p, rowBytes int, left uint64) uint64 {
 	q := p - rowBytes
 	switch {
 	case q >= 0:
 		return binary.LittleEndian.Uint64(b[q:])
 	case q <= -8:
-		return 0
+		return left
 	}
-	return loadTail(b[:q+8]) << (8 * uint(-q))
+	sh := 8 * uint(-q) // the first row ends inside the word
+	return left&(1<<sh-1) | loadTail(b[:q+8])<<sh
 }
 
 // leftCarry returns the pixel before block start p (a multiple of
 // blockBytes) of the signal H predicts — b itself, or its V difference
-// when up is set — in the low four lanes; 0 at the tile start.
+// when up is set, which is its H difference in the tile's first row — in
+// the low four lanes; 0 at the tile start.
 func leftCarry(b []byte, p, rowBytes int, up bool) uint64 {
 	if p == 0 {
 		return 0
 	}
 	x := binary.LittleEndian.Uint64(b[p-8:])
 	if up {
-		x = subBytes(x, upWord(b, p-8, rowBytes))
+		x = subBytes(x, upWord(b, p-8, rowBytes, binary.LittleEndian.Uint64(b[p-12:])))
 	}
 	return x >> 32
 }
@@ -244,10 +250,16 @@ func residualByte(src []byte, p, rowBytes, mode int) byte {
 		}
 		return src[q]
 	}
+	up := func(q int) byte { // V's operand: the pixel to the left in the first row
+		if q < rowBytes {
+			return at(q - 4)
+		}
+		return src[q-rowBytes]
+	}
 	r, left := src[p], at(p-4)
 	if mode&modeUp != 0 {
-		r -= at(p - rowBytes)
-		left -= at(p - 4 - rowBytes)
+		r -= up(p)
+		left -= up(p - 4)
 	}
 	if mode&modeLeft != 0 {
 		r -= left
@@ -276,7 +288,7 @@ func blockStats(zz *[4][blockBytes]byte, src []byte, i, end, rowBytes, first int
 	for ; i+j+8 <= end; j += 8 {
 		p := i + j
 		x := binary.LittleEndian.Uint64(src[p:])
-		u := upWord(src, p, rowBytes)
+		u := upWord(src, p, rowBytes, x<<32|cx)
 		d := subBytes(x, u)
 		h := subBytes(x, x<<32|cx)
 		pl := subBytes(d, d<<32|cd)
@@ -1094,7 +1106,8 @@ func decodeRiceBlock(dst, bias []byte, i, end, rowBytes int, payload []byte, pos
 // holds minus bias; then add bias back, so dst[i:end] ends as content. H
 // runs on the two pixels of a word — the first adds the carried one, the
 // second the first — and V then adds the row above in a second pass, in
-// order, so a row of this block is final before the row below reads it.
+// order, so a row of this block is final before the row below reads it; in
+// the tile's first row V adds the pixel to the left, as H does.
 func unpredictBlock(dst, bias []byte, i, end, rowBytes int, tag byte, rem, quo *[blockBytes]byte) {
 	s := uint(tag & 7)
 	laneMask := uint64(0xFF<<s&0xFF) * swarLo
@@ -1137,7 +1150,34 @@ func unpredictBlock(dst, bias []byte, i, end, rowBytes int, tag byte, rem, quo *
 	if !up {
 		return
 	}
-	j := max(i, rowBytes) // the tile's first row has nothing above it
+	// The tile's first row predicts from the pixel to its left: the pass
+	// undoes H over it with the first pass's two-step carry, then adds the
+	// bias.
+	j := max(i, rowBytes)
+	if i < j {
+		stop := min(j, end)
+		carry = leftCarry(dst, i, rowBytes, false)
+		if bias != nil {
+			carry = subBytes(carry, leftCarry(bias, i, rowBytes, false))
+		}
+		k := i
+		for ; k+8 <= stop; k += 8 {
+			x := addBytes(binary.LittleEndian.Uint64(dst[k:]), carry)
+			x = addBytes(x, x<<32)
+			carry = x >> 32
+			if bias != nil {
+				x = addBytes(x, binary.LittleEndian.Uint64(bias[k:]))
+			}
+			binary.LittleEndian.PutUint64(dst[k:], x)
+		}
+		for ; k < stop; k++ { // the row or the block ends inside a word
+			v := dst[k] + byte(carry)
+			carry = carry>>8 | uint64(v)<<24
+			if dst[k] = v; bias != nil {
+				dst[k] += bias[k]
+			}
+		}
+	}
 	if bias == nil {
 		for ; j+8 <= end; j += 8 {
 			binary.LittleEndian.PutUint64(dst[j:], addBytes(binary.LittleEndian.Uint64(dst[j:]), binary.LittleEndian.Uint64(dst[j-rowBytes:])))
@@ -1146,9 +1186,6 @@ func unpredictBlock(dst, bias []byte, i, end, rowBytes int, tag byte, rem, quo *
 			dst[j] += dst[j-rowBytes]
 		}
 		return
-	}
-	if i < j { // first-row bytes: the bias is all there is to add
-		addInto(dst[i:min(j, end)], bias[i:min(j, end)])
 	}
 	// Below it, x[j] is the difference plus x[j-rowBytes], the content
 	// above minus its bias; then the bias of j comes back.

@@ -51,10 +51,19 @@ func refAt(src []byte, p int) byte {
 	return src[p]
 }
 
+// refAbove is the position V predicts p from: the byte a row up, or in the
+// tile's first row the same channel of the pixel to the left.
+func refAbove(p, rowBytes int) int {
+	if p < rowBytes {
+		return p - 4
+	}
+	return p - rowBytes
+}
+
 // refResidual is the residual of src[p] under mode, planar written as
 // a+b-c rather than as H of the V difference.
 func refResidual(src []byte, p, rowBytes, mode int) byte {
-	left, up, corner := refAt(src, p-4), refAt(src, p-rowBytes), refAt(src, p-rowBytes-4)
+	left, up, corner := refAt(src, p-4), refAt(src, refAbove(p, rowBytes)), refAt(src, refAbove(p-4, rowBytes))
 	switch mode {
 	case 0:
 		return src[p]
@@ -654,7 +663,7 @@ func refDecodePayload(payload, ref []byte, size, rowBytes int) ([]byte, error) {
 		pos = r.pos
 		for j := i; j < end; j++ {
 			sig := func(q int) byte { return refAt(dst, q) - bias(q) }
-			left, up, corner := sig(j-4), sig(j-rowBytes), sig(j-rowBytes-4)
+			left, up, corner := sig(j-4), sig(refAbove(j, rowBytes)), sig(refAbove(j-4, rowBytes))
 			var pred byte
 			switch mode {
 			case modeLeft:
@@ -961,18 +970,20 @@ func TestPairSymbolsMatchesByteLoop(t *testing.T) {
 }
 
 // TestVerticalKernelsMatchByteLoop pins the V stages against byte loops:
-// upWord at every offset around the tile's first row, and leftCarry (the H
-// carry into a block, of the source and of its V difference).
+// upWord at every offset in and around the tile's first row — a word that
+// straddles the row end at 33 pixels, and a one-row tile — and leftCarry
+// (the H carry into a block, of the source and of its V difference).
 func TestVerticalKernelsMatchByteLoop(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	src := randBuf(rng, 3*blockBytes)
-	for _, rb := range []int{4, 8, 12, 20, 64, 1028, 4000} {
+	for _, rb := range []int{4, 8, 12, 20, 64, 4 * 33, 1028, 3 * blockBytes, 4000} {
 		for p := 0; p+8 <= len(src); p += 4 {
-			var want uint64
+			var want, left uint64
 			for l := 0; l < 8; l++ {
-				want |= uint64(refAt(src, p+l-rb)) << (8 * l)
+				want |= uint64(refAt(src, refAbove(p+l, rb))) << (8 * l)
+				left |= uint64(refAt(src, p-4+l)) << (8 * l)
 			}
-			if got := upWord(src, p, rb); got != want {
+			if got := upWord(src, p, rb, left); got != want {
 				t.Fatalf("upWord(p=%d, rowBytes=%d) = %#x, want %#x", p, rb, got, want)
 			}
 		}
@@ -981,7 +992,7 @@ func TestVerticalKernelsMatchByteLoop(t *testing.T) {
 			for l := 0; l < 4; l++ {
 				x := refAt(src, p-4+l)
 				wantX |= uint64(x) << (8 * l)
-				wantD |= uint64(x-refAt(src, p-4+l-rb)) << (8 * l)
+				wantD |= uint64(x-refAt(src, refAbove(p-4+l, rb))) << (8 * l)
 			}
 			if got := leftCarry(src, p, rb, false); got != wantX {
 				t.Fatalf("leftCarry(p=%d) = %#x, want %#x", p, got, wantX)
@@ -995,7 +1006,9 @@ func TestVerticalKernelsMatchByteLoop(t *testing.T) {
 
 // TestBlockStatsMatchesByteLoop pins the four-mode analysis and the one
 // without mode none — residuals, zig-zag, the per-mode arrays with their
-// zero tail, OR and sums — and the clamped sums against byte loops.
+// zero tail, OR and sums — and the clamped sums against byte loops, at
+// random row widths, at 33 pixels (a word straddles the first row's end)
+// and on one-row tiles.
 func TestBlockStatsMatchesByteLoop(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	var zz [4][blockBytes]byte
@@ -1007,6 +1020,12 @@ func TestBlockStatsMatchesByteLoop(t *testing.T) {
 			}
 		}
 		rb := 4 * (1 + rng.Intn(300))
+		switch iter % 5 {
+		case 1:
+			rb = 4 * 33 // a word straddles the end of the first row
+		case 2:
+			rb = max(4, (len(src)+3)&^3) // a one-row tile
+		}
 		for i := 0; i < len(src); i += blockBytes {
 			end := min(i+blockBytes, len(src))
 			for m := range zz {
@@ -1063,9 +1082,11 @@ func TestBlockStatsMatchesByteLoop(t *testing.T) {
 }
 
 // TestUnpredictMatchesByteLoop pins the decoder's reconstruction — both
-// passes, every mode and shift, blocks in and below the tile's first row,
-// each block in either domain against a reference — against a byte loop:
-// the values a signal's residuals zig-zag to must rebuild the source.
+// passes, every mode and shift, blocks in and below the tile's first row
+// (at 33 pixels a word straddles its end; a one-row tile has nothing
+// below), each block in either domain against a reference — against a
+// byte loop: the values a signal's residuals zig-zag to must rebuild the
+// source.
 func TestUnpredictMatchesByteLoop(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for iter := 0; iter < 300; iter++ {
@@ -1079,6 +1100,12 @@ func TestUnpredictMatchesByteLoop(t *testing.T) {
 		}
 		d := refDelta(src, ref)
 		rb := 4 * (2 + rng.Intn(300))
+		switch iter % 5 {
+		case 1:
+			rb = 4 * 33 // a word straddles the end of the first row
+		case 2:
+			rb = max(8, (len(src)+3)&^3) // a one-row tile
+		}
 		dst := make([]byte, len(src))
 		for i := 0; i < len(src); i += blockBytes {
 			end := min(i+blockBytes, len(src))
@@ -1096,6 +1123,33 @@ func TestUnpredictMatchesByteLoop(t *testing.T) {
 			if !bytes.Equal(dst[i:end], src[i:end]) {
 				t.Fatalf("mode %d shift %d rowBytes %d block %d bias %v: reconstruction differs", mode, s, rb, i/blockBytes, bias != nil)
 			}
+		}
+	}
+}
+
+// TestFirstRowPredictsFromTheLeft: a tile's first row has no row above it,
+// so V predicts from the pixel to the left and planar becomes the gradient
+// 2W-WW, which codes a horizontal linear ramp in zeros from the third pixel
+// on (the first two read zeros before the tile start). A one-row tile of 33
+// pixels takes its last pixel through the short block's byte path.
+func TestFirstRowPredictsFromTheLeft(t *testing.T) {
+	const w = 33
+	rb := 4 * w
+	src := make([]byte, 3*rb)
+	for p := range src {
+		src[p] = byte(7*(p%rb/4) + 3*(p&3) + 11*(p/rb))
+	}
+	var zz [4][blockBytes]byte
+	for _, tile := range [][]byte{src, src[:rb]} {
+		blockStats(&zz, tile, 0, len(tile), rb, 0)
+		for p := 8; p < rb; p++ {
+			if r := zz[modeLeft|modeUp][p]; r != 0 {
+				t.Fatalf("%d-byte tile: planar residual of first-row byte %d = %d, want 0", len(tile), p, unzigzag(r))
+			}
+		}
+		got := make([]byte, len(tile))
+		if err := decodePayload(got, appendPayload(nil, tile, nil, rb), nil, rb); err != nil || !bytes.Equal(got, tile) {
+			t.Fatalf("%d-byte tile: round trip: %v", len(tile), err)
 		}
 	}
 }
@@ -1435,14 +1489,14 @@ func TestPayloadCleanRegionIsCheap(t *testing.T) {
 	}
 }
 
-// TestGameContentCompresses bounds game content about 5 % above what the
-// coder measures (0.1268x raw lossless, 0.1056x at QuantShift 2).
+// TestGameContentCompresses bounds game content about 3-5 % above what the
+// coder measures (0.1245x raw lossless, 0.1066x at QuantShift 2).
 func TestGameContentCompresses(t *testing.T) {
 	const w, h = 320, 180
 	for _, c := range []struct {
 		shift uint
 		ratio float64
-	}{{0, 0.133}, {2, 0.110}} {
+	}{{0, 0.131}, {2, 0.110}} {
 		enc := NewEncoder(w, h, Options{QuantShift: c.shift, StripeKeyframes: true})
 		dec := NewDecoder()
 		frames := gameFrames(w, h, 30)
@@ -1476,7 +1530,7 @@ func TestGameContentCompresses(t *testing.T) {
 // tables and the word-wide kernels may not depend on the host. A change to
 // any of them changes the digest and needs a new version byte.
 func TestBitstreamGolden(t *testing.T) {
-	const want = "b7740615ee92a06d75d5852b3b13133e03f4b073bf7a1918b9f353ccf40be0ea"
+	const want = "67f63f08c6c00555f5cfd3459722359baa3deccc83b42eaf8dedfad6ead06275"
 	sum := sha256.New()
 	enc := NewEncoder(160, 90, Options{StripeKeyframes: true, Cache: NewTileCache(0)})
 	for _, f := range gameFrames(160, 90, 30) {
@@ -1808,8 +1862,8 @@ func TestDecodePayloadHostile(t *testing.T) {
 		{"escape where no sample escapes", 4, 4, refPayload(riceBlock(0x04, k1, []byte{0x00}, escape, []byte{0x00})), ErrCorrupt},
 	}
 	// Each corrupt case above is one change away from one of these, which
-	// decode, and a V or planar block in a tile's first row reads zeros
-	// above it: it decodes to what the same body means without V.
+	// decode, and a V or planar block in a tile's first row reads the pixel
+	// to the left as the row above: V decodes as H, planar as the gradient.
 	controls := []struct {
 		name           string
 		size, rowBytes int
@@ -1830,9 +1884,9 @@ func TestDecodePayloadHostile(t *testing.T) {
 		{"largest quotient for the parameter", 4, 4, refPayload(riceBlock(0x00, k6, []byte{0x3F}, pairString(unaryTable, [2]int{3, 0}), nil)), []byte{0x80, 0, 0, 0}},
 		{"one-pixel pair codes", 12, 4, refPayload(riceBlock(0x00, k1, []byte{0x07}, []byte{0x0F}, nil)), []byte{0xFF, 0, 0, 0, 0xFF, 0, 0, 0, 0xFF, 0, 0, 0}},
 		{"verbatim sample", 4, 4, refPayload(riceBlock(0x04, verbatim, []byte{0x0F}, nil, nil)), []byte{0x80, 0, 0, 0}},
-		{"V in the first row", 8, 8, refPayload(riceBlock(tagUp, k0, nil, []byte{0x24}, nil)), []byte{1, 0, 0, 0, 1, 0, 0, 0}},
-		{"planar in the first row", 8, 8, refPayload(riceBlock(tagUp|tagLeft, k0, nil, []byte{0x24}, nil)), []byte{1, 0, 0, 0, 2, 0, 0, 0}},
-		{"V across the first row", 16, 8, refPayload(riceBlock(tagUp, k0, nil, []byte{0x24, 0x09}, nil)), []byte{1, 0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0, 2, 0, 0, 0}},
+		{"V in the first row", 8, 8, refPayload(riceBlock(tagUp, k0, nil, []byte{0x24}, nil)), []byte{1, 0, 0, 0, 2, 0, 0, 0}},
+		{"planar in the first row", 8, 8, refPayload(riceBlock(tagUp|tagLeft, k0, nil, []byte{0x24}, nil)), []byte{1, 0, 0, 0, 3, 0, 0, 0}},
+		{"V across the first row", 16, 8, refPayload(riceBlock(tagUp, k0, nil, []byte{0x24, 0x09}, nil)), []byte{1, 0, 0, 0, 2, 0, 0, 0, 2, 0, 0, 0, 3, 0, 0, 0}},
 	}
 	// Against a reference: S is legal on a rice block, and a block reads its
 	// neighbours in its own domain across a switch.
@@ -2038,6 +2092,15 @@ func FuzzTilePayload(f *testing.F) {
 		f.Add(p, []byte(nil), uint16(28), uint8(1))
 		b.tag |= tagSpatial
 		f.Add(refPayload(b), []byte{1, 2, 3}, uint16(28), uint8(1))
+	}
+	// Tiles' first rows: a one-row tile, and 33 pixels, where a word
+	// straddles the end of a row; each with and without a reference.
+	for _, g := range [][2]int{{64, 1}, {33, 4}} {
+		fr := gameFrames(g[0], g[1], 2)
+		for _, ref := range [][]byte{nil, fr[0]} {
+			f.Add(fr[1], ref, uint16(len(fr[1])), uint8(g[0]-1))
+			f.Add(appendPayload(nil, fr[1], ref, 4*g[0]), ref, uint16(len(fr[1])), uint8(g[0]-1))
+		}
 	}
 	f.Fuzz(func(t *testing.T, data, refSeed []byte, size uint16, rowB uint8) {
 		rowBytes := 4 * (1 + int(rowB))

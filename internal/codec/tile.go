@@ -9,7 +9,7 @@ package codec
 // Layout (all integers little-endian):
 //
 //	byte 0:       magic 0xD4
-//	byte 1:       version (8; any other value is answered with ErrVersion)
+//	byte 1:       version (9; any other value is answered with ErrVersion)
 //	byte 2:       frame type (0 = key, 1 = delta)
 //	byte 3:       quantization shift (0-7)
 //	bytes 4-7:    width  (uint32)
@@ -51,7 +51,7 @@ import (
 
 const (
 	magic2   = 0xD4
-	version2 = 8 // version byte of the bitstream
+	version2 = 9 // version byte of the bitstream
 
 	hdr2Len     = 16
 	dirEntryLen = 9

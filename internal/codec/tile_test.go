@@ -272,13 +272,14 @@ func TestV2HostileHeaders(t *testing.T) {
 		want error
 	}{
 		{"short header", valid[:10], ErrTruncated},
-		{"bad version", mut(func(b []byte) []byte { b[1] = 9; return b }), ErrVersion},
+		{"bad version", mut(func(b []byte) []byte { b[1] = 10; return b }), ErrVersion},
 		{"zero-run RLE generation", mut(func(b []byte) []byte { b[1] = 2; return b }), ErrVersion},
 		{"Rice v3 generation", mut(func(b []byte) []byte { b[1] = 3; return b }), ErrVersion},
 		{"unary-quotient v4 generation", mut(func(b []byte) []byte { b[1] = 4; return b }), ErrVersion},
 		{"pair-table v5 generation", mut(func(b []byte) []byte { b[1] = 5; return b }), ErrVersion},
 		{"estimate-domain v6 generation", mut(func(b []byte) []byte { b[1] = 6; return b }), ErrVersion},
 		{"byte-header v7 generation", mut(func(b []byte) []byte { b[1] = 7; return b }), ErrVersion},
+		{"zero-first-row v8 generation", mut(func(b []byte) []byte { b[1] = 8; return b }), ErrVersion},
 		{"bad frame type", mut(func(b []byte) []byte { b[2] = 9; return b }), ErrCorrupt},
 		{"zero width", mut(func(b []byte) []byte { binary.LittleEndian.PutUint32(b[4:], 0); return b }), ErrDimensions},
 		{"huge height", mut(func(b []byte) []byte { binary.LittleEndian.PutUint32(b[8:], maxDim+1); return b }), ErrDimensions},
