@@ -231,8 +231,12 @@ type encTiming struct {
 // encode time (and at least minFrames, rounded up to a multiple of cycle)
 // after warm warm-up encodes, and reports per-frame statistics. Only
 // EncodeAppend is timed — a source that renders on the fly costs the window
-// nothing. The hit ratio of cache (the encoder's) is computed over the
-// measured window only (warm-up lookups excluded).
+// nothing. Bytes/frame and the dirty ratio are taken over the window's
+// first minFrames rounded up to a whole cycle: a fixed stretch of the
+// source, so a game cell's bytes are the coder's alone, not those of however
+// many frames the host's speed fits in the budget. The hit ratio of cache
+// (the encoder's) is computed over the measured window only (warm-up
+// lookups excluded).
 func timeEncode(enc *codec.Encoder, src func(i int) []byte, budget time.Duration, warm, minFrames, cycle int, cache *codec.TileCache) encTiming {
 	buf := make([]byte, 0, enc.FrameSize()/2)
 	var err error
@@ -242,6 +246,7 @@ func timeEncode(enc *codec.Encoder, src func(i int) []byte, budget time.Duration
 		}
 	}
 	h0, m0, _ := cache.Stats()
+	fixed := (minFrames + cycle - 1) / cycle * cycle
 	var n, tileSum, dirtySum int
 	var outBytes int64
 	samples := make([]float64, 0, 512)
@@ -258,17 +263,19 @@ func timeEncode(enc *codec.Encoder, src func(i int) []byte, budget time.Duration
 		elapsed += d
 		ns := float64(d.Nanoseconds())
 		samples = append(samples, ns)
-		outBytes += int64(len(buf))
 		tiles, dirty := enc.TileStats()
-		tileSum += tiles
-		dirtySum += dirty
+		if n < fixed {
+			outBytes += int64(len(buf))
+			tileSum += tiles
+			dirtySum += dirty
+		}
 		frameNs = append(frameNs, ns)
 		frameFull = append(frameFull, dirty*2 >= tiles)
 		n++
 	}
 	t := encTiming{
 		nsPerFrame:    float64(elapsed.Nanoseconds()) / float64(n),
-		bytesPerFrame: float64(outBytes) / float64(n),
+		bytesPerFrame: float64(outBytes) / float64(fixed),
 		dirtyRatio:    float64(dirtySum) / float64(tileSum),
 	}
 	sort.Float64s(samples)
@@ -469,8 +476,9 @@ const (
 // baseline. The noise-pixel classes repeat with the frame set's period and
 // are measured over whole stripe cycles, so their bytes/frame is a constant
 // of the coder: any growth is a regression. Game content never repeats and
-// noise windows are not cycle-aligned, so the frames a window holds vary
-// with the host's speed; they keep a 10% band on top of their absolute gates.
+// noise is not cycle-aligned, so their bytes come from a fixed stretch of
+// frames (timeEncode) rather than whole cycles of a repeating set; they keep
+// a 10% band on top of their absolute gates.
 func codecBytesGrowthAllowed(content string) float64 {
 	switch content {
 	case "static", "scrolling", "mixed":

@@ -46,15 +46,15 @@ const (
 	pollMaxPayload = 512
 )
 
-// senderScratch is one sender worker's reusable send-path buffers: the splice
-// payload, the private verbatim header, and the writev vector. Workers process
-// sessions serially, so one scratch per worker serves every session it sends
-// for, and no session holds send buffers of its own.
+// senderScratch is one sender worker's reusable send-path buffers: the
+// spliced bitstream, the frame message head, and the writev vector. Workers
+// process sessions serially, so one scratch per worker serves every session
+// it sends for, and no session holds send buffers of its own.
 type senderScratch struct {
-	payload []byte
-	head    [5 + frameHeaderLen]byte
-	iovArr  [2][]byte
-	iov     net.Buffers
+	splice []byte
+	head   [5 + frameHeaderLen]byte
+	iovArr [2][]byte
+	iov    net.Buffers
 }
 
 // hubEngine is the hub's event-driven session engine. No goroutine belongs to
@@ -66,7 +66,8 @@ type senderScratch struct {
 //     the batch is the cross-session write-coalescing unit;
 //   - one hashed timer wheel scheduling every session's ODR pacing deadline,
 //     aligned to the hub epoch via the domain clock;
-//   - a small shared reader pool polling session input paths.
+//   - a small shared reader pool polling session input paths; reader r
+//     walks shards r, r+hubReaders, … of every lane's session registry.
 //
 // Total goroutines are O(GOMAXPROCS + lanes), independent of viewer count.
 type hubEngine struct {
@@ -79,65 +80,30 @@ type hubEngine struct {
 	senders *wpool.Striped[*hubSession]
 	wheel   *timerwheel.Wheel
 
-	readers    [hubReaders]hubReader
+	readerWake [hubReaders]chan struct{}
 	readerStop chan struct{}
 	readerWG   sync.WaitGroup
 
 	scratch []senderScratch
 }
 
-// hubReader is one stripe of the shared input-reader pool: a registry of the
-// sessions it serves (sessions land on reader id%hubReaders) read through a
-// copy-on-write snapshot, like the lanes' fan-out shards.
-type hubReader struct {
-	mu   sync.Mutex
-	m    map[uint32]*hubSession
-	snap atomic.Pointer[[]*hubSession]
-	wake chan struct{}
-}
-
-func (r *hubReader) register(s *hubSession) {
-	r.mu.Lock()
-	r.m[s.id] = s
-	r.rebuildLocked()
-	r.mu.Unlock()
-	select {
-	case r.wake <- struct{}{}:
-	default:
-	}
-}
-
-func (r *hubReader) deregister(s *hubSession) {
-	r.mu.Lock()
-	if _, ok := r.m[s.id]; ok {
-		delete(r.m, s.id)
-		r.rebuildLocked()
-	}
-	r.mu.Unlock()
-}
-
-func (r *hubReader) rebuildLocked() {
-	snap := make([]*hubSession, 0, len(r.m))
-	for _, s := range r.m {
-		snap = append(snap, s)
-	}
-	r.snap.Store(&snap)
-}
-
 // newHubEngine builds the engine without starting any goroutines; start runs
 // lazily on the first attach so a hub that never serves viewers costs nothing.
 func newHubEngine(h *Hub) *hubEngine {
 	e := &hubEngine{h: h}
-	for i := range e.readers {
-		e.readers[i].m = make(map[uint32]*hubSession)
-		e.readers[i].wake = make(chan struct{}, 1)
+	for i := range e.readerWake {
+		e.readerWake[i] = make(chan struct{}, 1)
 	}
 	return e
 }
 
-// readerFor returns the reader stripe serving session id.
-func (e *hubEngine) readerFor(id uint32) *hubReader {
-	return &e.readers[id%hubReaders]
+// wakeReader wakes the reader serving session id, which parks while every
+// shard it walks is empty.
+func (e *hubEngine) wakeReader(id uint32) {
+	select {
+	case e.readerWake[id%hubReaders] <- struct{}{}:
+	default:
+	}
 }
 
 // start spins up the worker pool, the timer wheel and the reader pool once.
@@ -156,7 +122,7 @@ func (e *hubEngine) start() {
 	}
 	e.scratch = make([]senderScratch, n)
 	for i := range e.scratch {
-		e.scratch[i].payload = make([]byte, frameHeaderLen, frameHeaderLen+4096)
+		e.scratch[i].splice = make([]byte, 0, 4096)
 	}
 	e.senders = wpool.NewStriped[*hubSession](n, e.handleBatch)
 	e.wheel = timerwheel.New(timerwheel.Config{
@@ -169,8 +135,8 @@ func (e *hubEngine) start() {
 	})
 	e.readerStop = make(chan struct{})
 	e.readerWG.Add(hubReaders)
-	for i := range e.readers {
-		go e.readLoop(&e.readers[i])
+	for r := range hubReaders {
+		go e.readLoop(r)
 	}
 }
 
@@ -319,11 +285,11 @@ func isTimeoutErr(err error) bool {
 }
 
 // teardown detaches the session exactly once: close the transport, cancel
-// any pacing timer, remove it from its lane shard, the render clock's demand
-// and its reader, release queued artifacts, retire its metric series, and
-// fire the detach callback with its counters. Callable from any goroutine
-// (sender worker, reader, lane failure, Stop); callbacks must not block —
-// they run inline.
+// any pacing timer, remove it from its lane shard (which its reader walks)
+// and the render clock's demand, release queued artifacts, retire its
+// metric series, and fire the detach callback with its counters. Callable
+// from any goroutine (sender worker, reader, lane failure, Stop); callbacks
+// must not block — they run inline.
 func (s *hubSession) teardown(evict bool) {
 	s.detachOnce.Do(func() {
 		h := s.hub
@@ -343,7 +309,6 @@ func (s *hubSession) teardown(evict bool) {
 		sh.mu.Unlock()
 		s.lane.sessions.Add(-1)
 		h.demandChange(s.rate, -1)
-		e.readerFor(s.id).deregister(s)
 		// Release artifacts still queued in the (now closed) buffer so their
 		// bitstream buffers recycle. sendMu excludes a concurrent send pass.
 		s.sendMu.Lock()
@@ -393,42 +358,39 @@ func (e *hubEngine) handleClientMsg(s *hubSession, typ byte, payload []byte) boo
 	return true
 }
 
-// readLoop serves one reader stripe: each round polls every session on it
-// with a short future deadline — a deadline already expired would never
-// transfer bytes on a pipe or socket — so a silent session costs its peers on
-// the stripe one poll window, never a whole read.
-func (e *hubEngine) readLoop(r *hubReader) {
+// readLoop serves reader r: each round walks shards r, r+hubReaders, … of
+// every lane, so session id lands on reader id%hubReaders, and polls each
+// session there with a short future deadline — a deadline already expired
+// would never transfer bytes on a pipe or socket — so a silent session costs
+// its peers on the reader one poll window, never a whole read. A round that
+// finds no session parks the reader until an attach wakes it.
+func (e *hubEngine) readLoop(r int) {
 	defer e.readerWG.Done()
 	for {
-		select {
-		case <-e.readerStop:
-			return
-		default:
+		roundStart := time.Now()
+		polled := 0
+		for _, ln := range *e.h.lanes.Load() {
+			for i := r; i < hubShards; i += hubReaders {
+				for _, s := range *ln.shards[i].snap.Load() {
+					select {
+					case <-e.readerStop:
+						return
+					default:
+					}
+					if !s.detached.Load() {
+						s.readPoll(e)
+						polled++
+					}
+				}
+			}
 		}
-		var sessions []*hubSession
-		if p := r.snap.Load(); p != nil {
-			sessions = *p
-		}
-		if len(sessions) == 0 {
+		if polled == 0 {
 			select {
-			case <-r.wake:
+			case <-e.readerWake[r]:
 			case <-e.readerStop:
 				return
 			}
 			continue
-		}
-		roundStart := time.Now()
-		for _, s := range sessions {
-			select {
-			case <-e.readerStop:
-				return
-			default:
-			}
-			if s.detached.Load() {
-				r.deregister(s)
-				continue
-			}
-			s.readPoll(e)
 		}
 		// Bound the idle polling rate without slowing active rounds.
 		if d := time.Since(roundStart); d < time.Millisecond {

@@ -3,6 +3,7 @@ package stream
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"testing"
@@ -32,6 +33,12 @@ import (
 
 const matrixSeed = 1
 
+// lossWhole drops the two writes that start past the first frame's head:
+// the hub writes a frame on a pipe as its head, [5+frameHeaderLen], then its
+// bitstream, so the first frame's bitstream write starts at that offset and
+// the second frame's head is the next write.
+var lossWhole = fmt.Sprintf("loss@%dx2", 5+frameHeaderLen+1)
+
 // --- Client column: a reconnecting client against a Hub -------------------
 
 type clientCell struct {
@@ -42,13 +49,13 @@ type clientCell struct {
 
 func TestFailureMatrixClient(t *testing.T) {
 	cells := []clientCell{
-		// loss@6x2 swallows both writes of one frame message (header +
-		// payload) — a whole frame vanishes without breaking framing, which
-		// only the parent-chain check can detect. corrupt@5 lands exactly on
-		// the first payload write, which only the bitstream CRC can detect.
+		// lossWhole swallows both writes of the second frame message (head
+		// + bitstream) — a whole frame vanishes without breaking framing,
+		// which only the parent-chain check can detect. corrupt@5 lands on
+		// the first bitstream write, which only the frame CRC can detect.
 		{chaos.Latency, "latency@0:2ms", "tolerate"},
 		{chaos.Bandwidth, "bw@0:1048576", "tolerate"},
-		{chaos.Loss, "loss@6x2", "resume"},
+		{chaos.Loss, lossWhole, "resume"},
 		{chaos.Corrupt, "corrupt@5", "resume"},
 		{chaos.StallRead, "stallr@1:50ms", "tolerate"},
 		{chaos.StallWrite, "stallw@6000:50ms", "tolerate"},
@@ -123,7 +130,7 @@ func TestFailureMatrixHub(t *testing.T) {
 	cells := []hubCell{
 		{kind: chaos.Latency, spec: "latency@0:2ms", expect: "tolerate"},
 		{kind: chaos.Bandwidth, spec: "bw@0:1048576", expect: "tolerate"},
-		{kind: chaos.Loss, spec: "loss@6x2", expect: "resume"},
+		{kind: chaos.Loss, spec: lossWhole, expect: "resume"},
 		{kind: chaos.Corrupt, spec: "corrupt@5", expect: "resume"},
 		{kind: chaos.StallRead, spec: "stallr@1:10s", expect: "evict",
 			readTO: 150 * time.Millisecond, sendInputs: true},
@@ -373,33 +380,55 @@ func TestServerHandlesKeyReq(t *testing.T) {
 	})
 }
 
-// TestClientResyncsOnChecksumMismatch: a frame whose bitstream fails the CRC
-// must trigger a keyframe resync, never reach the decoder.
+// TestClientResyncsOnChecksumMismatch: a frame that fails the CRC — a byte
+// flipped in its bitstream, or in its header with the bitstream intact —
+// must trigger a keyframe resync, never reach the decoder or show under a
+// wrong seq.
 func TestClientResyncsOnChecksumMismatch(t *testing.T) {
-	testutil.VerifyNoLeaks(t)
-	sc, cc := net.Pipe()
-	defer sc.Close()
-	cli := NewClient(cc)
-	done := make(chan error, 1)
-	go func() { done <- cli.Run() }()
+	g := NewGame(16, 8)
+	pix := make([]byte, g.FrameBytes())
+	g.Render(pix)
+	key, err := codec.NewEncoder(16, 8, codec.Options{}).Encode(pix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		at   func(msg []byte) int // the byte flipped
+	}{
+		{"bitstream", func(msg []byte) int { return len(msg) - 1 }},
+		{"seq", func([]byte) int { return 0 }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			testutil.VerifyNoLeaks(t)
+			sc, cc := net.Pipe()
+			defer sc.Close()
+			cli := NewClient(cc)
+			done := make(chan error, 1)
+			go func() { done <- cli.Run() }()
 
-	msg := frameMsg(frameMeta{seq: 1}, []byte{0xD3, 0, 0, 16, 0, 0, 0, 9, 0, 0, 0})
-	msg[len(msg)-1] ^= 0xFF // corrupt the bitstream after the CRC was stamped
-	if err := writeMsg(sc, msgFrame, msg); err != nil {
-		t.Fatal(err)
-	}
-	typ, _, err := readMsg(sc, nil)
-	if err != nil || typ != msgKeyReq {
-		t.Fatalf("expected a keyframe request after checksum mismatch, got typ=%d err=%v", typ, err)
-	}
-	if err := writeMsg(sc, msgBye, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := <-done; err != nil {
-		t.Fatalf("client: %v", err)
-	}
-	if rep := cli.Report(); rep.Resyncs != 1 || rep.Frames != 0 {
-		t.Fatalf("report = %+v, want 1 resync and 0 decoded frames", rep)
+			msg := frameMsg(frameMeta{seq: 1}, key)
+			msg[c.at(msg)] ^= 0x01 // after the CRC was stamped
+			if _, _, err := parseFrameMsg(msg); !errors.Is(err, errFrameChecksum) {
+				t.Fatalf("parseFrameMsg = %v, want errFrameChecksum", err)
+			}
+			if err := writeMsg(sc, msgFrame, msg); err != nil {
+				t.Fatal(err)
+			}
+			typ, _, err := readMsg(sc, nil)
+			if err != nil || typ != msgKeyReq {
+				t.Fatalf("expected a keyframe request after checksum mismatch, got typ=%d err=%v", typ, err)
+			}
+			if err := writeMsg(sc, msgBye, nil); err != nil {
+				t.Fatal(err)
+			}
+			if err := <-done; err != nil {
+				t.Fatalf("client: %v", err)
+			}
+			if rep := cli.Report(); rep.Resyncs != 1 || rep.Frames != 0 {
+				t.Fatalf("report = %+v, want 1 resync and 0 decoded frames", rep)
+			}
+		})
 	}
 }
 

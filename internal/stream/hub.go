@@ -3,6 +3,7 @@ package stream
 import (
 	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"net"
 	"strconv"
 	"sync"
@@ -53,8 +54,8 @@ type Hub struct {
 	rates    map[float64]int
 
 	// Lanes (one shared encoder per downscale divisor) are created lazily
-	// under laneMu and published copy-on-write; the render loop reads the
-	// slice lock-free every frame.
+	// under laneMu and published copy-on-write (never a nil pointer); the
+	// render loop and the input readers read the slice lock-free.
 	laneMu sync.Mutex
 	lanes  atomic.Pointer[[]*encLane]
 	laneWG sync.WaitGroup
@@ -211,14 +212,6 @@ type hubSession struct {
 	lastSentSeq uint64
 	lastEncIdx  int64
 
-	// vectored marks a transport with real writev (TCP/Unix): verbatim
-	// sends batch the private header with the shared bitstream and never
-	// copy the payload. Other transports (pipes, wrappers) get the
-	// classic contiguous two-write framing instead — net.Buffers would
-	// degrade to one syscall per slice there, changing write boundaries
-	// for no gain.
-	vectored bool
-
 	// Engine scheduling state (see engine.go): wk pins the session to one
 	// sender stripe so its writes stay ordered; sched is the parked/queued/
 	// pacing state machine; timer carries its ODR pacing deadline on the
@@ -297,6 +290,7 @@ func NewHub(cfg HubConfig) *Hub {
 		started:  live.started.With1(cfg.Policy.String()),
 		probe:    newSessionProbe(live, "shared"),
 	}
+	h.lanes.Store(new([]*encLane))
 	h.tileCache = cfg.Codec.Cache
 	h.eng = newHubEngine(h)
 	pace := core.NewPacer(0) // the clock sets the target
@@ -344,14 +338,12 @@ func (h *Hub) deadlineAfter(d time.Duration) time.Time {
 // Clients returns the number of attached clients.
 func (h *Hub) Clients() int {
 	n := 0
-	if ls := h.lanes.Load(); ls != nil {
-		for _, ln := range *ls {
-			for i := range ln.shards {
-				sh := &ln.shards[i]
-				sh.mu.Lock()
-				n += len(sh.m)
-				sh.mu.Unlock()
-			}
+	for _, ln := range *h.lanes.Load() {
+		for i := range ln.shards {
+			sh := &ln.shards[i]
+			sh.mu.Lock()
+			n += len(sh.m)
+			sh.mu.Unlock()
 		}
 	}
 	return n
@@ -409,11 +401,9 @@ func (h *Hub) Run() {
 		if !h.push() {
 			// Mul-Buf1, as in regulator.ODR.RenderGate: wait for every viewed
 			// lane's back buffer; a pending input cuts the wait.
-			if lsP := h.lanes.Load(); lsP != nil {
-				for _, ln := range *lsP {
-					if ln.sessions.Load() > 0 {
-						ln.buf.WaitBackFree(w, h.box.PendingLocked)
-					}
+			for _, ln := range *h.lanes.Load() {
+				if ln.sessions.Load() > 0 {
+					ln.buf.WaitBackFree(w, h.box.PendingLocked)
 				}
 			}
 		}
@@ -466,13 +456,11 @@ func (h *Hub) publish(f *frame.Frame) {
 	h.newest, h.newestRefs = f, refs
 	if f != nil {
 		h.ins.Rendered.Inc()
-		if lsP := h.lanes.Load(); lsP != nil {
-			for _, ln := range *lsP {
-				if ln.sessions.Load() > 0 {
-					refs.Add(1)
-					ln.offered.Store(f.Seq)
-					ln.offer(f)
-				}
+		for _, ln := range *h.lanes.Load() {
+			if ln.sessions.Load() > 0 {
+				refs.Add(1)
+				ln.offered.Store(f.Seq)
+				ln.offer(f)
 			}
 		}
 	}
@@ -493,16 +481,14 @@ func (h *Hub) stopClock() {
 // allSessions snapshots every attached session across lanes and shards.
 func (h *Hub) allSessions() []*hubSession {
 	var sessions []*hubSession
-	if ls := h.lanes.Load(); ls != nil {
-		for _, ln := range *ls {
-			for i := range ln.shards {
-				sh := &ln.shards[i]
-				sh.mu.Lock()
-				for _, s := range sh.m {
-					sessions = append(sessions, s)
-				}
-				sh.mu.Unlock()
+	for _, ln := range *h.lanes.Load() {
+		for i := range ln.shards {
+			sh := &ln.shards[i]
+			sh.mu.Lock()
+			for _, s := range sh.m {
+				sessions = append(sessions, s)
 			}
+			sh.mu.Unlock()
 		}
 	}
 	return sessions
@@ -518,10 +504,8 @@ func (h *Hub) Stop() {
 		// Attach re-checks stopping under the shard lock, so a racing attach
 		// either lands in this sweep or refuses itself.
 		h.laneMu.Lock()
-		if ls := h.lanes.Load(); ls != nil {
-			for _, ln := range *ls {
-				ln.buf.Close()
-			}
+		for _, ln := range *h.lanes.Load() {
+			ln.buf.Close()
 		}
 		h.laneMu.Unlock()
 		// Close every session and kick it so a sender worker observes the
@@ -561,10 +545,8 @@ func (h *Hub) Drain(timeout time.Duration) error {
 	// closed, and takes laneMu to publish, so this sweep under laneMu sees
 	// every lane that will ever exist.
 	h.laneMu.Lock()
-	if ls := h.lanes.Load(); ls != nil {
-		for _, ln := range *ls {
-			ln.buf.Close()
-		}
+	for _, ln := range *h.lanes.Load() {
+		ln.buf.Close()
 	}
 	h.laneMu.Unlock()
 	h.laneWG.Wait()
@@ -745,7 +727,6 @@ func (h *Hub) AttachWithOptions(conn net.Conn, opts AttachOptions) {
 		w:         ln.w,
 		h:         ln.h,
 		wk:        int(id),
-		vectored:  supportsVectoredWrites(conn),
 		detachCb:  opts.Detach,
 		lastRead:  h.dom.Now(),
 	}
@@ -805,7 +786,7 @@ func (h *Hub) AttachWithOptions(conn net.Conn, opts AttachOptions) {
 	// path and lane fan-out kicks the sender pool when artifacts arrive. The
 	// initial kick runs the session's first send pass, which serves the
 	// joiner at once when the lane encoder holds the newest frame.
-	h.eng.readerFor(id).register(s)
+	h.eng.wakeReader(id)
 	h.eng.kick(s)
 }
 
@@ -835,9 +816,10 @@ func (s *hubSession) sealOnDrain() {
 }
 
 // sendArtifact delivers one shared encode to this viewer: verbatim when the
-// viewer's chain is intact (writev of its private header + the shared
-// bitstream, zero copies), spliced from the lane encoder's state when the
-// chain skipped frames, the viewer just joined, or it requested a keyframe.
+// viewer's chain is intact (its private header + the shared bitstream, zero
+// copies), spliced from the lane encoder's state when the chain skipped
+// frames, the viewer just joined, or it requested a keyframe. Either way the
+// frame leaves through writeFrame.
 // With no artifact (f and art nil) it serves a joiner or a keyframe request
 // at once, by a key spliced from the lane encoder when that holds the newest
 // frame offered to the lane, and otherwise sends nothing: that frame's encode
@@ -879,54 +861,16 @@ func (s *hubSession) sendArtifact(scr *senderScratch, f *frame.Frame, art *encAr
 	verbatim := art != nil && (art.key ||
 		(!wantKey && s.lastSentSeq != 0 && art.parentSeq == s.lastSentSeq))
 
-	var sentBytes int
-	var frameSeq uint64
-	var inputID uint64
-	var txStart time.Duration
+	var meta frameMeta
+	var bs []byte
+	var crc uint32
+	var encIdx int64
 	if verbatim {
-		var inputNanos int64
-		inputID, inputNanos = s.echo(art.seq, inputs)
-		txStart = h.dom.Now()
-		var parentSeq uint64
+		meta = frameMeta{seq: art.seq, renderNanos: art.renderNanos}
 		if !art.key {
-			parentSeq = art.parentSeq
+			meta.parentSeq = art.parentSeq
 		}
-		meta := frameMeta{
-			seq:         art.seq,
-			parentSeq:   parentSeq,
-			inputID:     inputID,
-			inputNanos:  inputNanos,
-			renderNanos: art.renderNanos,
-		}
-		if wt := h.cfg.WriteTimeout; wt > 0 {
-			s.conn.SetWriteDeadline(h.deadlineAfter(wt))
-		}
-		if s.vectored {
-			// One writev batches the 49-byte private head with the shared
-			// bitstream: the encoded payload is never copied per viewer.
-			scr.head[0] = msgFrame
-			binary.LittleEndian.PutUint32(scr.head[1:], uint32(frameHeaderLen+len(art.bs)))
-			putFrameHeaderCRC(scr.head[5:], meta, art.crc)
-			scr.iovArr[0] = scr.head[:]
-			scr.iovArr[1] = art.bs
-			scr.iov = scr.iovArr[:]
-			if _, err := scr.iov.WriteTo(s.conn); err != nil {
-				s.sealOnDrain()
-				return false, 0, err
-			}
-		} else {
-			payload := append(scr.payload[:frameHeaderLen], art.bs...)
-			scr.payload = payload
-			putFrameHeaderCRC(payload, meta, art.crc)
-			if err := writeMsg(s.conn, msgFrame, payload); err != nil {
-				s.sealOnDrain()
-				return false, 0, err
-			}
-		}
-		sentBytes = frameHeaderLen + len(art.bs)
-		frameSeq = art.seq
-		s.lastSentSeq = art.seq
-		s.lastEncIdx = art.encIdx
+		bs, crc, encIdx = art.bs, art.crc, art.encIdx
 	} else {
 		// Chain broken (drops), fresh joiner, or keyframe request: splice a
 		// catch-up frame from the lane encoder's current state. parent = 0
@@ -939,19 +883,13 @@ func (s *hubSession) sendArtifact(scr *senderScratch, f *frame.Frame, art *encAr
 		}
 		ln.encMu.Lock()
 		spliceFrom := h.dom.Now()
-		payload, err := ln.enc.AppendSplice(scr.payload[:frameHeaderLen], parent)
-		seq := ln.lastSeq
-		encIdx := ln.enc.Frames()
-		renderNanos := ln.lastRenderNanos
+		spliced, err := ln.enc.AppendSplice(scr.splice[:0], parent)
+		meta.seq = ln.lastSeq
+		meta.renderNanos = ln.lastRenderNanos
+		encIdx = ln.enc.Frames()
 		spliceTiles := ln.enc.LastSpliceTiles()
 		ln.encMu.Unlock()
 		h.publishCacheStats()
-		if err == nil {
-			// Counted whether or not the write below lands: the cache lookups
-			// happened at splice time, and the conservation invariant
-			// (hits+misses == dirty+spliced tiles) must stay exact.
-			ln.splicedTiles.Add(int64(spliceTiles))
-		}
 		if err != nil {
 			// The shared encoder cannot produce this viewer's frame; end
 			// the session through the same drain-aware teardown as a
@@ -959,57 +897,49 @@ func (s *hubSession) sendArtifact(scr *senderScratch, f *frame.Frame, art *encAr
 			s.sealOnDrain()
 			return false, 0, err
 		}
-		scr.payload = payload
+		// Counted whether or not the write below lands: the cache lookups
+		// happened at splice time, and the conservation invariant
+		// (hits+misses == dirty+spliced tiles) must stay exact.
+		ln.splicedTiles.Add(int64(spliceTiles))
+		scr.splice = spliced
 		// The splice is serial work and this viewer's; the wait for encMu
 		// is the shared encode's, billed there.
 		s.probe.onEncode(h.dom.Now() - spliceFrom)
-		var hdrParent uint64
 		if parent > 0 {
-			hdrParent = s.lastSentSeq
+			meta.parentSeq = s.lastSentSeq
 		}
-		var inputNanos int64
-		inputID, inputNanos = s.echo(seq, inputs)
-		bs := payload[frameHeaderLen:]
-		putFrameHeader(payload, frameMeta{
-			seq:         seq,
-			parentSeq:   hdrParent,
-			inputID:     inputID,
-			inputNanos:  inputNanos,
-			renderNanos: renderNanos,
-		}, bs)
-		if wt := h.cfg.WriteTimeout; wt > 0 {
-			s.conn.SetWriteDeadline(h.deadlineAfter(wt))
-		}
-		txStart = h.dom.Now()
-		if err := writeMsg(s.conn, msgFrame, payload); err != nil {
-			s.sealOnDrain()
-			return false, 0, err
-		}
-		if parent > 0 {
-			ln.splicedDeltas.Inc()
-		} else {
-			ln.splicedKeys.Inc()
-		}
-		sentBytes = len(payload)
-		frameSeq = seq
-		s.lastSentSeq = seq
-		s.lastEncIdx = encIdx
+		bs, crc = spliced, crc32.ChecksumIEEE(spliced)
 	}
+	meta.inputID, meta.inputNanos = s.echo(meta.seq, inputs)
+	txStart := h.dom.Now()
+	if err := s.writeFrame(scr, meta, crc, bs); err != nil {
+		s.sealOnDrain()
+		return false, 0, err
+	}
+	if !verbatim {
+		if meta.parentSeq != 0 {
+			s.lane.splicedDeltas.Inc()
+		} else {
+			s.lane.splicedKeys.Inc()
+		}
+	}
+	s.lastSentSeq = meta.seq
+	s.lastEncIdx = encIdx
 
 	atomic.AddInt64(&s.sent, 1)
 	txEnd := h.dom.Now()
-	h.tr.Span(obs.TrackNetwork, "tx", frameSeq, txStart, txEnd)
+	h.tr.Span(obs.TrackNetwork, "tx", meta.seq, txStart, txEnd)
 	h.ins.Displayed.Inc()
 	h.ins.Tx.ObserveDuration(txEnd - txStart)
 	var mtpUs int64
-	if inputID != 0 {
+	if meta.inputID != 0 {
 		mtpUs = s.probe.mtpEstimate(txEnd)
 		if mtpUs > 0 {
 			h.ins.MtP.Observe(mtpUs)
 		}
 	}
-	s.probe.onSend(txEnd, sentBytes, txEnd-txStart, mtpUs)
-	if inputID == 0 {
+	s.probe.onSend(txEnd, frameHeaderLen+len(bs), txEnd-txStart, mtpUs)
+	if meta.inputID == 0 {
 		// A frame answering this viewer's own input skips its pacer
 		// (PriorityFrame); anybody else's input frame is paced like any other.
 		// The delay rides the timer wheel instead of blocking a goroutine.
@@ -1026,6 +956,23 @@ func (s *hubSession) sendArtifact(scr *senderScratch, f *frame.Frame, art *encAr
 		}
 	}
 	return true, delay, nil
+}
+
+// writeFrame writes one frame message: its head (type, length and frame
+// header) from the worker's scratch, then the bitstream, which is never
+// copied, as one net.Buffers write. That is one writev on TCP and Unix
+// sockets and two writes, [5+frameHeaderLen] and [len(bs)], on any other
+// conn (pipes, wrappers). It is the hub's only writer of msgFrame.
+func (s *hubSession) writeFrame(scr *senderScratch, m frameMeta, crc uint32, bs []byte) error {
+	if wt := s.hub.cfg.WriteTimeout; wt > 0 {
+		s.conn.SetWriteDeadline(s.hub.deadlineAfter(wt))
+	}
+	scr.head[0] = msgFrame
+	binary.LittleEndian.PutUint32(scr.head[1:], uint32(frameHeaderLen+len(bs)))
+	putFrameHeaderCRC(scr.head[5:], m, crc)
+	scr.iov = append(scr.iovArr[:0], scr.head[:], bs)
+	_, err := scr.iov.WriteTo(s.conn)
+	return err
 }
 
 // echo picks the input stamp a frame numbered seq answers for this viewer,
@@ -1115,17 +1062,6 @@ func (s *hubSession) put(f *frame.Frame) (stored bool, dropped []*frame.Frame) {
 func (s *hubSession) hasRoom() bool {
 	q, ok := s.buf.(*pushQueue)
 	return !ok || q.Occupancy() < pushQueueDepth
-}
-
-// supportsVectoredWrites reports whether the conn's underlying transport
-// implements vectored I/O (writev), making net.Buffers a genuine scatter
-// write rather than a loop of single writes.
-func supportsVectoredWrites(c net.Conn) bool {
-	switch c.(type) {
-	case *net.TCPConn, *net.UnixConn:
-		return true
-	}
-	return false
 }
 
 // packInput embeds the session id in the high 32 bits of a client-local

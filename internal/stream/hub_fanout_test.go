@@ -311,50 +311,123 @@ func TestHubSharedEncoderFanOut(t *testing.T) {
 	}
 }
 
-// TestHubVectoredWritePathTCP streams over real TCP, the transport where
-// verbatim sends use writev (net.Buffers) with no payload copy, and checks
-// the wire protocol survives the batching intact.
-func TestHubVectoredWritePathTCP(t *testing.T) {
+// TestHubFrameWriteOverTCP streams over real TCP, where writeFrame is one
+// writev of the frame's head and its bitstream, and over a TCP conn behind a
+// wrapper without writev, where it is two writes. Verbatim frames, a late
+// joiner's spliced key, the key that answers a msgKeyReq and the wrapped
+// conn's frames must all decode to the reference pixels.
+func TestHubFrameWriteOverTCP(t *testing.T) {
 	lst, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Skipf("loopback TCP unavailable: %v", err)
 	}
 	defer lst.Close()
-
-	h, stop := startHub(t, HubConfig{Width: 32, Height: 18, TargetFPS: 240})
+	reg := obs.NewRegistry()
+	h, stop := startHub(t, HubConfig{Width: 32, Height: 18, TargetFPS: 240, Metrics: reg})
 	defer stop()
+	splicedKeys := reg.CounterVec(NameHubSplicedKeyframes, "", "lane").With1("1")
 
-	accepted := make(chan net.Conn, 1)
-	go func() {
-		c, err := lst.Accept()
-		if err == nil {
-			accepted <- c
+	var mu sync.Mutex
+	got := make(map[uint64][32]byte) // seq → pixel hash, must agree across viewers
+	var maxSeq uint64
+	mismatch := false
+	var clis []*Client
+	var cleanups []func()
+	defer func() {
+		for _, clean := range cleanups {
+			clean()
 		}
 	}()
-	cc, err := net.Dial("tcp", lst.Addr().String())
-	if err != nil {
-		t.Skipf("loopback TCP dial failed: %v", err)
-	}
-	sc := <-accepted
-	if !supportsVectoredWrites(sc) {
-		t.Fatal("TCP conn not detected as vectored")
-	}
-	if supportsVectoredWrites(struct{ net.Conn }{sc}) {
-		t.Fatal("wrapped conn wrongly detected as vectored")
+	// view attaches a TCP viewer, behind a wrapper without writev if wrap.
+	view := func(wrap bool) *Client {
+		t.Helper()
+		accepted := make(chan net.Conn, 1)
+		go func() {
+			c, _ := lst.Accept()
+			accepted <- c
+		}()
+		cc, err := net.Dial("tcp", lst.Addr().String())
+		if err != nil {
+			t.Fatalf("loopback TCP dial: %v", err)
+		}
+		var sc net.Conn = <-accepted
+		if sc == nil {
+			t.Fatal("loopback TCP accept failed")
+		}
+		if wrap {
+			sc = struct{ net.Conn }{sc}
+		}
+		h.Attach(sc, 0, nil)
+		cli := NewClient(cc)
+		cli.OnFrame(func(seq uint64, pix []byte) {
+			sum := sha256.Sum256(pix)
+			mu.Lock()
+			if prev, ok := got[seq]; ok && prev != sum {
+				mismatch = true
+			}
+			got[seq] = sum
+			if seq > maxSeq {
+				maxSeq = seq
+			}
+			mu.Unlock()
+		})
+		done := make(chan error, 1)
+		go func() { done <- cli.Run() }()
+		clis = append(clis, cli)
+		cleanups = append(cleanups, func() {
+			cli.Stop()
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Errorf("client: %v", err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Error("client did not stop")
+			}
+		})
+		return cli
 	}
 
-	h.Attach(sc, 0, nil)
-	cli := NewClient(cc)
-	done := make(chan error, 1)
-	bright := watchBrightness(cli)
-	go func() { done <- cli.Run() }()
-	waitFrames(t, cli, 30, 15*time.Second)
-	pollUntil(t, 2*time.Second, "a decoded frame with content", func() bool { return bright() > 0 })
-	cli.Stop()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("client did not stop")
+	first := view(false)
+	waitFrames(t, first, 20, 15*time.Second)
+
+	keys := splicedKeys.Value()
+	late := view(false)
+	waitFrames(t, late, 20, 15*time.Second)
+	if splicedKeys.Value() == keys {
+		t.Fatal("the late joiner was served no spliced key")
+	}
+
+	keys = splicedKeys.Value()
+	if err := first.sendKeyReq(); err != nil {
+		t.Fatal(err)
+	}
+	pollUntil(t, 5*time.Second, "a spliced key answering the request", func() bool { return splicedKeys.Value() > keys })
+	waitFrames(t, first, first.Report().Frames+20, 15*time.Second)
+
+	wrapped := view(true)
+	waitFrames(t, wrapped, 20, 15*time.Second)
+
+	for _, clean := range cleanups {
+		clean()
+	}
+	cleanups = nil
+	h.Stop()
+	for i, cli := range clis {
+		if rep := cli.Report(); rep.Resyncs != 0 {
+			t.Errorf("viewer %d resynced %d times: a frame arrived damaged", i, rep.Resyncs)
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if mismatch {
+		t.Fatal("two viewers decoded different pixels for the same frame seq")
+	}
+	ref := refRenders(32, 18, maxSeq)
+	for seq, sum := range got {
+		if ref[seq-1] != sum {
+			t.Fatalf("frame %d: decoded pixels differ from the reference render", seq)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package stream
 
 import (
 	"hash/crc32"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -51,9 +52,10 @@ func (a *encArtifact) release() {
 	}
 }
 
-// laneShard is one stripe of a lane's session registry. The map is the
-// source of truth (mutated under mu); snap is a copy-on-write slice the
-// fan-out path reads lock-free.
+// laneShard is one stripe of a lane's session registry, the only one a
+// session is in. The map is the source of truth (mutated under mu); snap is
+// a copy-on-write slice, never nil once the lane is built, that the fan-out
+// path and the input readers read lock-free.
 type laneShard struct {
 	mu   sync.Mutex
 	m    map[uint32]*hubSession
@@ -145,11 +147,9 @@ func (ln *encLane) holdsNewest() bool {
 // caller refuses the attach — and never creates a lane after Drain has begun
 // (Drain waits on laneWG; a late lane would strand it).
 func (h *Hub) lane(div int) *encLane {
-	if ls := h.lanes.Load(); ls != nil {
-		for _, ln := range *ls {
-			if ln.div == div {
-				return ln
-			}
+	for _, ln := range *h.lanes.Load() {
+		if ln.div == div {
+			return ln
 		}
 	}
 	h.laneMu.Lock()
@@ -161,12 +161,10 @@ func (h *Hub) lane(div int) *encLane {
 		return nil
 	default:
 	}
-	cur := h.lanes.Load()
-	if cur != nil {
-		for _, ln := range *cur {
-			if ln.div == div {
-				return ln
-			}
+	cur := *h.lanes.Load()
+	for _, ln := range cur {
+		if ln.div == div {
+			return ln
 		}
 	}
 	w := h.cfg.Width / div
@@ -191,17 +189,14 @@ func (h *Hub) lane(div int) *encLane {
 	}
 	for i := range ln.shards {
 		ln.shards[i].m = make(map[uint32]*hubSession)
+		ln.shards[i].rebuildLocked()
 	}
 	lane := strconv.Itoa(div)
 	ln.sharedEncodes = h.live.hubEncodes.With1(lane)
 	ln.splicedKeys = h.live.hubSplicedKeys.With1(lane)
 	ln.splicedDeltas = h.live.hubSplicedDeltas.With1(lane)
 	ln.splicedTiles = h.live.hubSplicedTiles.With1(lane)
-	var next []*encLane
-	if cur != nil {
-		next = append(next, *cur...)
-	}
-	next = append(next, ln)
+	next := append(slices.Clip(cur), ln) // a copy: readers hold cur
 	h.lanes.Store(&next)
 	h.laneWG.Add(1)
 	go func() {
@@ -303,11 +298,9 @@ func (ln *encLane) run() {
 // artifact.
 func (ln *encLane) hasRoom() bool {
 	for i := range ln.shards {
-		if snapP := ln.shards[i].snap.Load(); snapP != nil {
-			for _, s := range *snapP {
-				if s.hasRoom() {
-					return true
-				}
+		for _, s := range *ln.shards[i].snap.Load() {
+			if s.hasRoom() {
+				return true
 			}
 		}
 	}
@@ -401,11 +394,7 @@ func (ln *encLane) encode(f *frame.Frame) error {
 	// cannot release the artifact to zero mid-broadcast.
 	art.refs.Store(1)
 	for i := range ln.shards {
-		snapP := ln.shards[i].snap.Load()
-		if snapP == nil {
-			continue
-		}
-		for _, s := range *snapP {
+		for _, s := range *ln.shards[i].snap.Load() {
 			art.refs.Add(1)
 			stored, dropped := s.put(ef)
 			for _, d := range dropped {

@@ -44,7 +44,6 @@ func newHandRig(t *testing.T, policy core.RenderRule) *handRig {
 	t.Cleanup(h.Stop)
 	r := &handRig{t: t, h: h, ln: h.lane(1), ins: obs.NewFrameInstruments(reg), game: NewGame(16, 8)}
 	r.pix = make([]byte, r.game.FrameBytes())
-	r.scr.payload = make([]byte, frameHeaderLen, 4096)
 	return r
 }
 

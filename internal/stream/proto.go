@@ -37,13 +37,14 @@ const allocChunk = 64 << 10
 // against anything but frame parentSeq would silently show wrong pixels, so
 // a parent-chain mismatch — caused by a lost frame, or by the server
 // dropping an already-encoded frame — triggers a keyframe resync instead.
-// The CRC covers the bitstream, catching byte corruption that the codec
-// would otherwise decode "validly" into wrong pixels.
+// The CRC covers the bitstream and then the header's first 40 bytes,
+// catching byte corruption that the codec would otherwise decode "validly"
+// into wrong pixels, or that would show a frame under a wrong seq.
 const frameHeaderLen = 44
 
 var (
 	errPayloadTooLarge = errors.New("stream: payload exceeds limit")
-	errFrameChecksum   = errors.New("stream: frame bitstream checksum mismatch")
+	errFrameChecksum   = errors.New("stream: frame checksum mismatch")
 )
 
 // writeMsg writes one length-prefixed message: type(1) len(4) payload.
@@ -117,14 +118,21 @@ func putFrameHeader(dst []byte, m frameMeta, bitstream []byte) {
 
 // putFrameHeaderCRC is putFrameHeader with a precomputed bitstream CRC, for
 // fan-out paths that checksum a shared bitstream once and reuse it across
-// every viewer's header.
+// every viewer's header: the stored CRC extends it over the header fields,
+// which differ per viewer.
 func putFrameHeaderCRC(dst []byte, m frameMeta, crc uint32) {
 	binary.LittleEndian.PutUint64(dst[0:], m.seq)
 	binary.LittleEndian.PutUint64(dst[8:], m.parentSeq)
 	binary.LittleEndian.PutUint64(dst[16:], m.inputID)
 	binary.LittleEndian.PutUint64(dst[24:], uint64(m.inputNanos))
 	binary.LittleEndian.PutUint64(dst[32:], uint64(m.renderNanos))
-	binary.LittleEndian.PutUint32(dst[40:], crc)
+	binary.LittleEndian.PutUint32(dst[40:], frameCRC(crc, dst))
+}
+
+// frameCRC is the CRC a frame header stores: the bitstream's CRC extended
+// over the header's first 40 bytes, everything in it but the CRC itself.
+func frameCRC(bitstreamCRC uint32, hdr []byte) uint32 {
+	return crc32.Update(bitstreamCRC, crc32.IEEETable, hdr[:40])
 }
 
 // frameMsg encodes a frame message payload: header + bitstream.
@@ -135,9 +143,10 @@ func frameMsg(m frameMeta, bitstream []byte) []byte {
 	return out
 }
 
-// parseFrameMsg splits a frame message payload, verifying the bitstream CRC
-// (errFrameChecksum on mismatch — the client resyncs rather than decoding
-// corrupt data into wrong pixels).
+// parseFrameMsg splits a frame message payload, verifying the CRC over the
+// bitstream and the header (errFrameChecksum on mismatch — the client
+// resyncs rather than decoding corrupt data into wrong pixels or under a
+// wrong seq).
 func parseFrameMsg(p []byte) (m frameMeta, bitstream []byte, err error) {
 	if len(p) < frameHeaderLen {
 		return frameMeta{}, nil, errors.New("stream: short frame message")
@@ -148,7 +157,7 @@ func parseFrameMsg(p []byte) (m frameMeta, bitstream []byte, err error) {
 	m.inputNanos = int64(binary.LittleEndian.Uint64(p[24:]))
 	m.renderNanos = int64(binary.LittleEndian.Uint64(p[32:]))
 	bitstream = p[frameHeaderLen:]
-	if crc32.ChecksumIEEE(bitstream) != binary.LittleEndian.Uint32(p[40:]) {
+	if frameCRC(crc32.ChecksumIEEE(bitstream), p) != binary.LittleEndian.Uint32(p[40:]) {
 		return frameMeta{}, nil, errFrameChecksum
 	}
 	return m, bitstream, nil
