@@ -55,11 +55,13 @@ fuzz:
 
 # Metrics-surface lint: pre-register every family the server
 # (TestRegisterLiveMetricsIsLintClean) and the cluster master
-# (TestClusterMetricsLintClean, the union of all three surfaces) can export
+# (TestClusterMetricsLintClean, the union of both surfaces) can export
 # and hold the registries to the odr_<subsystem>_<noun>_<unit> naming
-# convention (the same lint gates odrserver and odrmaster startup).
+# convention (the same lint gates odrserver and odrmaster startup); and
+# hold pre-registration to every family a serving hub writes
+# (TestRegisterLiveMetricsCoversLiveHub).
 metrics-check:
-	$(GO) test -run 'TestRegisterLiveMetricsIsLintClean|TestLint|TestClusterMetricsLintClean' ./internal/stream ./internal/obs ./internal/cluster
+	$(GO) test -run 'TestRegisterLiveMetricsIsLintClean|TestRegisterLiveMetricsCoversLiveHub|TestLint|TestClusterMetricsLintClean' ./internal/stream ./internal/obs ./internal/cluster
 
 # Mutation gate: apply each mutant of scripts/mutants/table.go to a copy of
 # the module and run only the test its row names, with plain go test; fails

@@ -87,11 +87,9 @@ func main() {
 		pol.Rule, *fps, *width, *height, ln.Addr())
 
 	reg := odr.NewMetricsRegistry()
-	// Pre-register every family this process can export — the shared
-	// frame-pipeline instruments and the labeled live-session surface — then
-	// hold startup to the naming conventions: a misnamed instrument is a bug
-	// caught here, not a broken dashboard discovered later.
-	obs.NewFrameInstruments(reg)
+	// Pre-register every family the hub can export, then hold startup to the
+	// naming conventions: a misnamed instrument is a bug caught here, not a
+	// broken dashboard discovered later.
 	stream.RegisterLiveMetrics(reg)
 	obs.MustLint(reg)
 	hub := odr.NewHub(odr.HubConfig{

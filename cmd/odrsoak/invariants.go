@@ -8,7 +8,6 @@ import (
 	"odr"
 	"odr/internal/cluster"
 	"odr/internal/codec"
-	"odr/internal/obs"
 	"odr/internal/obs/scrape"
 	"odr/internal/stream"
 )
@@ -172,8 +171,8 @@ var predicates = map[string]predicate{
 		hubSnap := r.fleet[0].hub.Snapshot()
 		policy, _ := hubSnap["policy"].(string)
 		keys := []string{"rendered", "inputs", "sent", "dropped", "evicted", "sessions_served"}
-		proms := []float64{s.Number("odr_frames_rendered_total"), s.Number(obs.NameInputs),
-			s.Number("odr_frames_displayed_total"), s.Number(obs.NameFramesDropped), s.Number(obs.NameSessionsEvicted),
+		proms := []float64{s.Number("odr_frames_rendered_total"), s.Number(stream.NameInputs),
+			s.Number("odr_frames_displayed_total"), s.Number(stream.NameFramesDropped), s.Number(stream.NameSessionsEvicted),
 			s.Number(stream.NameSessionsStarted, scrape.Label{Name: "policy", Value: policy})}
 		hubDetail := "all six hub totals agree"
 		var hubOff []string
@@ -267,8 +266,8 @@ func scraped(p func(s *scrape.Scrape, r *run) (bool, string)) predicate {
 // the instruments the hub writes, not through any export.
 func registryTiles(r *run) (encoded, coded, dirty int64) {
 	reg := r.fleet[0].reg
-	return reg.Counter(obs.NameFramesEncoded).Value(), reg.Counter(obs.NameTilesCoded).Value(),
-		reg.Counter(obs.NameTilesDirty).Value()
+	return reg.Counter(stream.NameFramesEncoded).Value(), reg.Counter(stream.NameTilesCoded).Value(),
+		reg.Counter(stream.NameTilesDirty).Value()
 }
 
 func tileOutcome(s *scrape.Scrape, outcome string) float64 {

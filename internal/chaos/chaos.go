@@ -39,7 +39,8 @@ func (e Event) String() string {
 // fault decisions are driven by byte offsets and a seeded RNG, so the event
 // log is a pure function of (schedule, seed, traffic). Faults that wait
 // (stalls, latency, pacing, half-open reads) do sleep in real time, but the
-// log never depends on the clock.
+// log never depends on the clock. Like a socket's blocked call, a wait ends
+// at the conn's read or write deadline with os.ErrDeadlineExceeded.
 type Conn struct {
 	inner net.Conn
 
@@ -62,6 +63,7 @@ type Conn struct {
 	stallUntil        time.Time // a read stall delivers nothing before this instant
 	disconnected      bool
 	readDeadline      time.Time
+	writeDeadline     time.Time
 
 	// Node-fault state (Crash, Partition, HeartbeatDelay).
 	nodeHook    func()    // OnNodeFault; run (async) when Crash fires
@@ -236,6 +238,19 @@ func (c *Conn) sleep(d time.Duration) error {
 	}
 }
 
+// wait is sleep that ends no later than deadline (when set): a wait the
+// deadline cuts short returns os.ErrDeadlineExceeded, the timeout a socket's
+// blocked read or write returns.
+func (c *Conn) wait(d time.Duration, deadline time.Time) error {
+	if d > 0 && !deadline.IsZero() && time.Now().Add(d).After(deadline) {
+		if err := c.sleep(time.Until(deadline)); err != nil {
+			return err
+		}
+		return os.ErrDeadlineExceeded
+	}
+	return c.sleep(d)
+}
+
 // Write implements net.Conn: the scheduled write-side faults apply, then the
 // bytes (possibly corrupted) reach the underlying conn — unless they were
 // lost or the link disconnected.
@@ -253,6 +268,7 @@ func (c *Conn) Write(p []byte) (int, error) {
 	eff := writeEffects{corruptPos: -1}
 	c.fireLocked(false, c.writeOff, &eff)
 	c.writeOff += int64(len(p))
+	deadline := c.writeDeadline
 	var hook func()
 	if eff.crash {
 		hook = c.nodeHook
@@ -301,16 +317,16 @@ func (c *Conn) Write(p []byte) (int, error) {
 		// Burst loss: the write "succeeds" but nothing crosses the link.
 		return len(p), nil
 	}
-	if err := c.sleep(eff.stall); err != nil {
+	if err := c.wait(eff.stall, deadline); err != nil {
 		return 0, err
 	}
-	if err := c.sleep(eff.latency); err != nil {
+	if err := c.wait(eff.latency, deadline); err != nil {
 		return 0, err
 	}
-	if !eff.paceUntil.IsZero() {
-		if err := c.sleep(time.Until(eff.paceUntil)); err != nil {
-			return 0, err
-		}
+	// The bottleneck frees at paceUntil (zero: no pacing, a negative wait),
+	// measured after the waits above.
+	if err := c.wait(time.Until(eff.paceUntil), deadline); err != nil {
+		return 0, err
 	}
 	if eff.corruptPos >= 0 {
 		corrupted := make([]byte, len(p))
@@ -340,16 +356,8 @@ func (c *Conn) Read(p []byte) (int, error) {
 	partUntil := c.partUntil
 	c.mu.Unlock()
 
-	if stall > 0 {
-		if !deadline.IsZero() && time.Now().Add(stall).After(deadline) {
-			if err := c.sleep(time.Until(deadline)); err != nil {
-				return 0, err
-			}
-			return 0, os.ErrDeadlineExceeded
-		}
-		if err := c.sleep(stall); err != nil {
-			return 0, err
-		}
+	if err := c.wait(stall, deadline); err != nil {
+		return 0, err
 	}
 	if halfOpen || partForever {
 		// The peer's bytes never arrive: block until the deadline or Close.
@@ -365,13 +373,7 @@ func (c *Conn) Read(p []byte) (int, error) {
 	if !partUntil.IsZero() && time.Now().Before(partUntil) {
 		// A healing partition: nothing is delivered until it heals, the
 		// deadline fires, or the conn closes.
-		if !deadline.IsZero() && deadline.Before(partUntil) {
-			if err := c.sleep(time.Until(deadline)); err != nil {
-				return 0, err
-			}
-			return 0, os.ErrDeadlineExceeded
-		}
-		if err := c.sleep(time.Until(partUntil)); err != nil {
+		if err := c.wait(time.Until(partUntil), deadline); err != nil {
 			return 0, err
 		}
 	}
@@ -397,7 +399,7 @@ func (c *Conn) RemoteAddr() net.Addr { return c.inner.RemoteAddr() }
 // SetDeadline implements net.Conn.
 func (c *Conn) SetDeadline(t time.Time) error {
 	c.mu.Lock()
-	c.readDeadline = t
+	c.readDeadline, c.writeDeadline = t, t
 	c.mu.Unlock()
 	return c.inner.SetDeadline(t)
 }
@@ -412,7 +414,11 @@ func (c *Conn) SetReadDeadline(t time.Time) error {
 	return c.inner.SetReadDeadline(t)
 }
 
-// SetWriteDeadline implements net.Conn.
+// SetWriteDeadline implements net.Conn; the deadline also ends injected
+// write waits (stalls, latency, heartbeat delays, bandwidth pacing).
 func (c *Conn) SetWriteDeadline(t time.Time) error {
+	c.mu.Lock()
+	c.writeDeadline = t
+	c.mu.Unlock()
 	return c.inner.SetWriteDeadline(t)
 }

@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -266,6 +267,32 @@ func TestLatencyDelaysWrites(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed < 30*time.Millisecond {
 		t.Fatalf("latency write returned after %v, want >= ~40ms", elapsed)
+	}
+}
+
+// TestWriteWaitEndsAtWriteDeadline: an injected write wait ends at the write
+// deadline with a timeout, as a socket's blocked write does, instead of
+// outliving it.
+func TestWriteWaitEndsAtWriteDeadline(t *testing.T) {
+	for _, spec := range []string{"latency@0:300ms", "stallw@0:300ms"} {
+		t.Run(spec, func(t *testing.T) {
+			testutil.VerifyNoLeaks(t)
+			fc, cleanup := drainPair(t, MustParse(spec), 1, nil)
+			defer cleanup()
+			if err := fc.SetWriteDeadline(time.Now().Add(50 * time.Millisecond)); err != nil {
+				t.Fatal(err)
+			}
+			start := time.Now()
+			_, err := fc.Write([]byte("ping"))
+			elapsed := time.Since(start)
+			var ne net.Error
+			if !errors.As(err, &ne) || !ne.Timeout() {
+				t.Fatalf("write error = %v, want a timeout", err)
+			}
+			if elapsed < 30*time.Millisecond || elapsed > 200*time.Millisecond {
+				t.Fatalf("write returned after %v, want ~50ms, at its deadline", elapsed)
+			}
+		})
 	}
 }
 

@@ -215,12 +215,11 @@ func TestMasterHandlerRoundTrip(t *testing.T) {
 }
 
 // TestClusterMetricsLintClean holds the full odr_cluster_* surface — joined
-// with the frame-pipeline and live-session families a worker exports — to
+// with the hub families a worker exports — to
 // the repo's naming conventions. A clean union means odrmaster's surface
 // (the cluster families alone) and odrserver's are each clean too.
 func TestClusterMetricsLintClean(t *testing.T) {
 	reg := obs.NewRegistry()
-	obs.NewFrameInstruments(reg)
 	stream.RegisterLiveMetrics(reg)
 	RegisterClusterMetrics(reg)
 	if errs := obs.Lint(reg); len(errs) > 0 {

@@ -3,6 +3,7 @@ package obs
 import (
 	"math"
 	"math/bits"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -128,8 +129,8 @@ func (h *Histogram) Buckets() [histBuckets]int64 {
 // Histogram/...Vec) takes the registry lock and is meant for setup time;
 // the returned instruments are then recorded to lock-free on hot paths.
 // A nil *Registry is valid: it returns nil instruments, whose methods are
-// no-ops. The registry is read out only as the Prometheus text exposition
-// (WritePrometheusWith, PromHandler).
+// no-ops. Its values are read out only as the Prometheus text exposition
+// (WritePrometheusWith, PromHandler); Families lists its family names.
 //
 // Names follow the odr_<subsystem>_<noun>_<unit> convention (see Lint).
 type Registry struct {
@@ -266,4 +267,33 @@ func (r *Registry) DroppedLabelSets() *Counter {
 		return nil
 	}
 	return r.dropped
+}
+
+// Families returns the name of every family registered in r, sorted. A
+// labeled family counts from its registration, before it has a series (the
+// exposition shows it only once it has one).
+func (r *Registry) Families() []string {
+	if r == nil {
+		return nil
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	var names []string
+	for name := range r.counters {
+		names = append(names, name)
+	}
+	for name := range r.gauges {
+		names = append(names, name)
+	}
+	for name := range r.histograms {
+		names = append(names, name)
+	}
+	for name := range r.counterVecs {
+		names = append(names, name)
+	}
+	for name := range r.gaugeVecs {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
 }

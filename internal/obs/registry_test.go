@@ -130,6 +130,25 @@ func TestHistogramConcurrent(t *testing.T) {
 	}
 }
 
+// TestFamiliesListsEveryRegistration: Families names every family once,
+// sorted, a labeled one from its registration on, before it has a series.
+func TestFamiliesListsEveryRegistration(t *testing.T) {
+	r := obs.NewRegistry()
+	r.Counter("b_total")
+	r.Gauge("c")
+	r.Histogram("a_us")
+	r.CounterVec("d_total", "help", "lane")
+	r.GaugeVec("e", "help", "session")
+	r.Counter("b_total")
+	want := []string{"a_us", "b_total", "c", "d_total", "e", obs.DroppedLabelSetsName}
+	if got := r.Families(); strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Fatalf("Families = %v, want %v", got, want)
+	}
+	if (*obs.Registry)(nil).Families() != nil {
+		t.Fatal("a nil registry lists families")
+	}
+}
+
 // TestRegistryExportsEveryFamilySorted: a registry's one read path, the
 // Prometheus exposition, lists every registered family once, sorted by
 // name, and always includes the obs_dropped_label_sets_total self-metric.

@@ -110,7 +110,7 @@ func TestRealStackCongestionCollapse(t *testing.T) {
 			time.Sleep(20 * time.Millisecond)
 		}
 		rep := cli.Report()
-		drops = reg.Counter(obs.NameFramesDropped).Value()
+		drops = reg.Counter(NameFramesDropped).Value()
 		cli.Stop()
 		hub.Stop()
 		<-cliDone

@@ -67,7 +67,8 @@ type senderScratch struct {
 //   - one hashed timer wheel scheduling every session's ODR pacing deadline,
 //     aligned to the hub epoch via the domain clock;
 //   - a small shared reader pool polling session input paths; reader r
-//     walks shards r, r+hubReaders, … of every lane's session registry.
+//     polls the sessions s of every lane's viewer list with
+//     s.id%hubReaders == r.
 //
 // Total goroutines are O(GOMAXPROCS + lanes), independent of viewer count.
 type hubEngine struct {
@@ -97,8 +98,8 @@ func newHubEngine(h *Hub) *hubEngine {
 	return e
 }
 
-// wakeReader wakes the reader serving session id, which parks while every
-// shard it walks is empty.
+// wakeReader wakes the reader serving session id, which parks while it has
+// no session to poll.
 func (e *hubEngine) wakeReader(id uint32) {
 	select {
 	case e.readerWake[id%hubReaders] <- struct{}{}:
@@ -108,7 +109,7 @@ func (e *hubEngine) wakeReader(id uint32) {
 
 // start spins up the worker pool, the timer wheel and the reader pool once.
 // It is a no-op after shutdown so an attach racing Stop cannot revive engine
-// goroutines (the shard-lock stopping recheck refuses the session anyway).
+// goroutines (the lane-buffer check under viewMu refuses the session anyway).
 func (e *hubEngine) start() {
 	e.startMu.Lock()
 	defer e.startMu.Unlock()
@@ -130,12 +131,12 @@ func (e *hubEngine) start() {
 		Tick:  time.Millisecond,
 		Now:   e.h.dom.Now,
 		OnFire: func(lag time.Duration) {
-			e.h.live.timerwheelLag.Set(float64(lag.Microseconds()))
+			e.h.ins.timerwheelLag.Set(float64(lag.Microseconds()))
 		},
 	})
 	e.readerStop = make(chan struct{})
 	e.readerWG.Add(hubReaders)
-	for r := range hubReaders {
+	for r := range uint32(hubReaders) {
 		go e.readLoop(r)
 	}
 }
@@ -160,7 +161,7 @@ func (e *hubEngine) shutdown() {
 	}
 	close(e.readerStop)
 	e.readerWG.Wait()
-	e.h.live.senderQueueDepth.Set(0)
+	e.h.ins.senderQueueDepth.Set(0)
 }
 
 // kick marks s ready and hands it to the sender pool; a no-op when the
@@ -178,7 +179,7 @@ func (e *hubEngine) kick(s *hubSession) {
 		s.sched.Store(schedParked)
 		return
 	}
-	e.h.live.senderQueueDepth.Set(float64(e.senders.QueueLen()))
+	e.h.ins.senderQueueDepth.Set(float64(e.senders.QueueLen()))
 }
 
 // handleBatch is the sender pool handler: flush every ready session in the
@@ -195,24 +196,28 @@ func (e *hubEngine) handleBatch(wk int, batch []*hubSession) {
 			frames += n
 		}
 	}
-	live := e.h.live
+	ins := e.h.ins
 	if frames > 0 {
-		live.flushPasses.Inc()
+		ins.flushPasses.Inc()
 		if flushed >= 2 {
-			live.coalescedWrites.Add(frames)
+			ins.coalescedWrites.Add(frames)
 		}
 	}
-	live.senderQueueDepth.Set(float64(e.senders.QueueLen()))
+	ins.senderQueueDepth.Set(float64(e.senders.QueueLen()))
 }
 
-// process runs one session's send pass and tears it down if the pass ended
-// the session. Returns the number of frames sent.
+// process runs one session's send pass and, if the pass ended the session,
+// seals it (sealOnDrain, the one call) and tears it down. Returns the number
+// of frames sent.
 func (e *hubEngine) process(wk int, s *hubSession) int64 {
 	if s.detached.Load() {
 		return 0
 	}
 	s.sendMu.Lock()
 	frames, dead, evict := s.runSends(e, wk)
+	if dead {
+		s.sealOnDrain()
+	}
 	s.sendMu.Unlock()
 	if dead {
 		s.teardown(evict)
@@ -241,7 +246,6 @@ func (s *hubSession) runSends(e *hubEngine, wk int) (frames int64, dead, evict b
 			if s.buf.Closed() {
 				// Drained after a close: a hub Drain flush ends with an
 				// orderly bye.
-				s.sealOnDrain()
 				return frames, true, false
 			}
 			// Park, then re-check: an artifact stored (or a close issued)
@@ -285,8 +289,8 @@ func isTimeoutErr(err error) bool {
 }
 
 // teardown detaches the session exactly once: close the transport, cancel
-// any pacing timer, remove it from its lane shard (which its reader walks)
-// and the render clock's demand, release queued artifacts, retire its
+// any pacing timer, remove it from its lane's viewers (which its reader
+// polls) and the render clock's demand, release queued artifacts, retire its
 // metric series, and fire the detach callback with its counters. Callable
 // from any goroutine (sender worker, reader, lane failure, Stop); callbacks
 // must not block — they run inline.
@@ -302,12 +306,7 @@ func (s *hubSession) teardown(evict bool) {
 		if e.wheel != nil {
 			e.wheel.Cancel(&s.timer)
 		}
-		sh := s.lane.shard(s.id)
-		sh.mu.Lock()
-		delete(sh.m, s.id)
-		sh.rebuildLocked()
-		sh.mu.Unlock()
-		s.lane.sessions.Add(-1)
+		s.lane.remove(s)
 		h.demandChange(s.rate, -1)
 		// Release artifacts still queued in the (now closed) buffer so their
 		// bitstream buffers recycle. sendMu excludes a concurrent send pass.
@@ -358,30 +357,29 @@ func (e *hubEngine) handleClientMsg(s *hubSession, typ byte, payload []byte) boo
 	return true
 }
 
-// readLoop serves reader r: each round walks shards r, r+hubReaders, … of
-// every lane, so session id lands on reader id%hubReaders, and polls each
-// session there with a short future deadline — a deadline already expired
-// would never transfer bytes on a pipe or socket — so a silent session costs
-// its peers on the reader one poll window, never a whole read. A round that
-// finds no session parks the reader until an attach wakes it.
-func (e *hubEngine) readLoop(r int) {
+// readLoop serves reader r: each round walks every lane's viewers and polls
+// the sessions with id%hubReaders == r, each with a short future deadline — a
+// deadline already expired would never transfer bytes on a pipe or socket —
+// so a silent session costs its peers on the reader one poll window, never a
+// whole read. A round that finds no session parks the reader until an
+// attach wakes it.
+func (e *hubEngine) readLoop(r uint32) {
 	defer e.readerWG.Done()
 	for {
 		roundStart := time.Now()
 		polled := 0
 		for _, ln := range *e.h.lanes.Load() {
-			for i := r; i < hubShards; i += hubReaders {
-				for _, s := range *ln.shards[i].snap.Load() {
-					select {
-					case <-e.readerStop:
-						return
-					default:
-					}
-					if !s.detached.Load() {
-						s.readPoll(e)
-						polled++
-					}
+			for _, s := range ln.viewers() {
+				if s.id%hubReaders != r || s.detached.Load() {
+					continue
 				}
+				select {
+				case <-e.readerStop:
+					return
+				default:
+				}
+				s.readPoll(e)
+				polled++
 			}
 		}
 		if polled == 0 {
@@ -457,5 +455,5 @@ func (s *hubSession) drainPollBuf(e *hubEngine) bool {
 // (odr_frames_displayed_total — every send runs in a flush pass).
 // frames/passes is the mean coalescing ratio the hub bench reports.
 func (h *Hub) SenderBatchStats() (passes, frames int64) {
-	return h.live.flushPasses.Value(), h.ins.Displayed.Value()
+	return h.ins.flushPasses.Value(), h.ins.Displayed.Value()
 }

@@ -107,17 +107,15 @@ type Hub struct {
 	cachePubMu                       sync.Mutex
 	pubHits, pubMisses, pubEvictions int64
 
-	// Observability. The registry is the hub's only counter store: Snapshot,
-	// Rendered, Evicted and SenderBatchStats read it back. The hub-level
-	// probe carries the shared renderer's and shared encoders' energy under
-	// session="shared"; per-viewer probes live on each hubSession. The
-	// tracer is nil-safe (see HubConfig.Trace).
-	tr      *obs.Tracer
-	ins     obs.FrameInstruments
-	live    *liveVecs
-	evicted *obs.Counter // odr_sessions_evicted_total
-	started *obs.Counter // odr_sessions_started_total{policy=<this hub's>}
-	probe   *sessionProbe
+	// Observability. The registry is the hub's only counter store, and ins
+	// its one bundle of instruments: Snapshot, Rendered, Evicted and
+	// SenderBatchStats read it back. The hub-level probe carries the shared
+	// renderer's and shared encoders' energy under session="shared";
+	// per-viewer probes live on each hubSession. The tracer is nil-safe (see
+	// HubConfig.Trace).
+	tr    *obs.Tracer
+	ins   *instruments
+	probe *sessionProbe
 
 	// eng is the event-driven session engine: a fixed sender worker pool, a
 	// pacing timer wheel, and a shared input-reader pool serve every
@@ -154,8 +152,8 @@ type HubConfig struct {
 	// per-viewer events against the hub's wall clock (the simulator's
 	// vocabulary; export with Trace.WriteChromeTrace).
 	Trace *obs.Tracer
-	// Metrics receives live hub telemetry under the obs.FrameInstruments
-	// names and the live-session names of this package. It is the hub's only
+	// Metrics receives live hub telemetry under this package's Name*
+	// families (see RegisterLiveMetrics). It is the hub's only
 	// counter store; nil gives the hub a registry of its own, so Snapshot and
 	// the counters work either way.
 	Metrics *obs.Registry
@@ -243,8 +241,7 @@ type hubSession struct {
 	// carried holds the input stamps of artifacts this session dropped or
 	// skipped before sending; the next frame it sends that was rendered after
 	// them answers them, so the issuing client still gets its MtP sample.
-	carriedMu sync.Mutex
-	carried   []carriedStamp
+	carried carriedStamps
 
 	// probe publishes this viewer's live QoE/energy series.
 	probe *sessionProbe
@@ -271,7 +268,8 @@ func NewHub(cfg HubConfig) *Hub {
 	if cfg.Metrics == nil {
 		cfg.Metrics = obs.NewRegistry()
 	}
-	live := registerLiveVecs(cfg.Metrics)
+	ins := newInstruments(cfg.Metrics)
+	ins.started = ins.sessionsStarted.With1(cfg.Policy.String())
 	epoch := time.Now()
 	dom := realrt.NewDomainAt(epoch)
 	h := &Hub{
@@ -284,11 +282,8 @@ func NewHub(cfg HubConfig) *Hub {
 		stopping: make(chan struct{}),
 		draining: make(chan struct{}),
 		tr:       cfg.Trace,
-		ins:      obs.NewFrameInstruments(cfg.Metrics),
-		live:     live,
-		evicted:  cfg.Metrics.Counter(obs.NameSessionsEvicted),
-		started:  live.started.With1(cfg.Policy.String()),
-		probe:    newSessionProbe(live, "shared"),
+		ins:      ins,
+		probe:    newSessionProbe(ins, "shared"),
 	}
 	h.lanes.Store(new([]*encLane))
 	h.tileCache = cfg.Codec.Cache
@@ -304,7 +299,7 @@ func NewHub(cfg HubConfig) *Hub {
 		if fps == 0 {
 			h.probe.flushIdle(h.dom.Now())
 		}
-		h.live.renderTarget.Set(fps) // last: a scrape that reads 0 here finds the idle flush done
+		h.ins.renderTarget.Set(fps) // last: a scrape that reads 0 here finds the idle flush done
 	}
 	return h
 }
@@ -339,12 +334,7 @@ func (h *Hub) deadlineAfter(d time.Duration) time.Time {
 func (h *Hub) Clients() int {
 	n := 0
 	for _, ln := range *h.lanes.Load() {
-		for i := range ln.shards {
-			sh := &ln.shards[i]
-			sh.mu.Lock()
-			n += len(sh.m)
-			sh.mu.Unlock()
-		}
+		n += len(ln.viewers())
 	}
 	return n
 }
@@ -402,7 +392,7 @@ func (h *Hub) Run() {
 			// Mul-Buf1, as in regulator.ODR.RenderGate: wait for every viewed
 			// lane's back buffer; a pending input cuts the wait.
 			for _, ln := range *h.lanes.Load() {
-				if ln.sessions.Load() > 0 {
+				if len(ln.viewers()) > 0 {
 					ln.buf.WaitBackFree(w, h.box.PendingLocked)
 				}
 			}
@@ -457,7 +447,7 @@ func (h *Hub) publish(f *frame.Frame) {
 	if f != nil {
 		h.ins.Rendered.Inc()
 		for _, ln := range *h.lanes.Load() {
-			if ln.sessions.Load() > 0 {
+			if len(ln.viewers()) > 0 {
 				refs.Add(1)
 				ln.offered.Store(f.Seq)
 				ln.offer(f)
@@ -478,18 +468,15 @@ func (h *Hub) stopClock() {
 	h.runMu.Unlock()
 }
 
-// allSessions snapshots every attached session across lanes and shards.
+// allSessions snapshots every attached session across lanes. It takes each
+// lane's viewMu, so a sweep that closed the lanes' buffers first sees every
+// attach that found them open (see AttachWithOptions).
 func (h *Hub) allSessions() []*hubSession {
 	var sessions []*hubSession
 	for _, ln := range *h.lanes.Load() {
-		for i := range ln.shards {
-			sh := &ln.shards[i]
-			sh.mu.Lock()
-			for _, s := range sh.m {
-				sessions = append(sessions, s)
-			}
-			sh.mu.Unlock()
-		}
+		ln.viewMu.Lock()
+		sessions = append(sessions, ln.viewers()...)
+		ln.viewMu.Unlock()
 	}
 	return sessions
 }
@@ -501,8 +488,8 @@ func (h *Hub) Stop() {
 		close(h.stopping)
 		h.stopClock()
 		// Taking laneMu orders this sweep after any in-flight lane creation;
-		// Attach re-checks stopping under the shard lock, so a racing attach
-		// either lands in this sweep or refuses itself.
+		// Attach checks the lane's buffer under the lane's viewMu, so a racing
+		// attach either lands in this sweep or refuses itself.
 		h.laneMu.Lock()
 		for _, ln := range *h.lanes.Load() {
 			ln.buf.Close()
@@ -593,17 +580,17 @@ func (h *Hub) publishCacheStats() {
 	dh, dm, de := hits-h.pubHits, misses-h.pubMisses, evs-h.pubEvictions
 	h.pubHits, h.pubMisses, h.pubEvictions = hits, misses, evs
 	h.cachePubMu.Unlock()
-	h.live.cacheHits.Add(dh)
-	h.live.cacheMisses.Add(dm)
-	h.live.cacheEvictions.Add(de)
+	h.ins.cacheHits.Add(dh)
+	h.ins.cacheMisses.Add(dm)
+	h.ins.cacheEvictions.Add(de)
 }
 
 // Evicted returns how many sessions were cut for blowing a deadline.
-func (h *Hub) Evicted() int64 { return h.evicted.Value() }
+func (h *Hub) Evicted() int64 { return h.ins.evicted.Value() }
 
 // evictSession records one deadline eviction.
 func (h *Hub) evictSession() {
-	h.evicted.Inc()
+	h.ins.evicted.Inc()
 	h.tr.Instant(obs.TrackNetwork, "evict", 0, h.dom.Now())
 }
 
@@ -635,10 +622,10 @@ func (h *Hub) Snapshot() map[string]any {
 		"target_fps":      h.cfg.TargetFPS,
 		"rendered":        h.ins.Rendered.Value(),
 		"inputs":          h.ins.Inputs.Value(),
-		"sessions_served": h.started.Value(),
+		"sessions_served": h.ins.started.Value(),
 		"sent":            h.ins.Displayed.Value(),
 		"dropped":         h.ins.Dropped.Value(),
-		"evicted":         h.evicted.Value(),
+		"evicted":         h.ins.evicted.Value(),
 		"clients":         live,
 	}
 }
@@ -741,31 +728,28 @@ func (h *Hub) AttachWithOptions(conn net.Conn, opts AttachOptions) {
 			}
 		}
 	}
-	// Everything a sender worker reads must be in place before the shard
-	// publishes the session: lane fan-out can hand it a frame the moment
-	// the lock drops.
-	s.probe = newSessionProbe(h.live, "h"+strconv.FormatUint(uint64(id), 10))
+	// Everything a sender worker reads must be in place before the lane
+	// publishes the session: fan-out can hand it a frame the moment it is
+	// in the list.
+	s.probe = newSessionProbe(h.ins, "h"+strconv.FormatUint(uint64(id), 10))
 	h.eng.start()
-	sh := ln.shard(id)
-	sh.mu.Lock()
+	ln.viewMu.Lock()
 	if ln.buf.Closed() {
 		// Stop, Drain and a lane failure close the lane's buffer before they
 		// sweep its sessions; registering now would leak this one past that
 		// sweep. Refuse instead — under the same lock the sweep takes.
-		sh.mu.Unlock()
+		ln.viewMu.Unlock()
 		s.probe.close(s.dom.Now(), true)
 		refuse()
 		return
 	}
-	sh.m[id] = s
-	sh.rebuildLocked()
-	// Demand rises while the shard lock still keeps teardown out, so the
-	// matching decrement always comes second; the wake-up finds the session
-	// already published, and the frame it starts reaches this lane.
-	ln.sessions.Add(1)
+	ln.addLocked(s)
+	// Demand rises while viewMu still keeps teardown out, so the matching
+	// decrement always comes second; the wake-up finds the session already
+	// published, and the frame it starts reaches this lane.
 	h.demandChange(rate, +1)
-	h.started.Inc()
-	sh.mu.Unlock()
+	h.ins.started.Inc()
+	ln.viewMu.Unlock()
 	// A lane that has not been offered the newest frame (it is new, or it
 	// emptied while the others kept rendering) is offered it now, so its
 	// encode reaches this session. It takes only a free back buffer: a lane
@@ -799,10 +783,10 @@ func (s *hubSession) close() {
 }
 
 // sealOnDrain writes the orderly msgBye when the hub is draining, so the
-// client sees a graceful end instead of an abrupt close. Every send-pass
-// exit path routes through here — including send errors — because a client
-// that still has a working read half deserves the bye even if the last
-// frame write failed.
+// client sees a graceful end instead of an abrupt close. hubEngine.process
+// calls it after every send pass that ends the session — a drained, closed
+// buffer or a send error alike — because a client that still has a working
+// read half deserves the bye even if the last frame write failed.
 func (s *hubSession) sealOnDrain() {
 	if !s.hub.drainRequested() {
 		return
@@ -834,7 +818,6 @@ func (s *hubSession) sendArtifact(scr *senderScratch, f *frame.Frame, art *encAr
 	}
 	if hk := h.sendErr.Load(); hk != nil {
 		if err := (*hk)(s.id); err != nil {
-			s.sealOnDrain()
 			return false, 0, err
 		}
 	}
@@ -843,7 +826,7 @@ func (s *hubSession) sendArtifact(scr *senderScratch, f *frame.Frame, art *encAr
 		if art.seq <= s.lastSentSeq {
 			// Stale artifact (the viewer already advanced past it via a
 			// splice): carry its stamps so their MtP samples still answer.
-			s.carry(art.seq, f.Inputs)
+			s.carried.add(art.seq, f.Inputs)
 			return false, 0, nil
 		}
 		inputs = f.Inputs
@@ -891,10 +874,9 @@ func (s *hubSession) sendArtifact(scr *senderScratch, f *frame.Frame, art *encAr
 		ln.encMu.Unlock()
 		h.publishCacheStats()
 		if err != nil {
-			// The shared encoder cannot produce this viewer's frame; end
-			// the session through the same drain-aware teardown as a
-			// buffer close so a draining hub still seals with msgBye.
-			s.sealOnDrain()
+			// The shared encoder cannot produce this viewer's frame; the
+			// error ends the session like a buffer close, so a draining hub
+			// still seals with msgBye.
 			return false, 0, err
 		}
 		// Counted whether or not the write below lands: the cache lookups
@@ -913,7 +895,6 @@ func (s *hubSession) sendArtifact(scr *senderScratch, f *frame.Frame, art *encAr
 	meta.inputID, meta.inputNanos = s.echo(meta.seq, inputs)
 	txStart := h.dom.Now()
 	if err := s.writeFrame(scr, meta, crc, bs); err != nil {
-		s.sealOnDrain()
 		return false, 0, err
 	}
 	if !verbatim {
@@ -980,7 +961,7 @@ func (s *hubSession) writeFrame(scr *senderScratch, m frameMeta, crc uint32, bs 
 // skipped: only the viewer's own stamp is echoed, because MtP is measured on
 // the issuing client's clock.
 func (s *hubSession) echo(seq uint64, inputs []frame.InputStamp) (inputID uint64, inputNanos int64) {
-	for _, st := range append(s.takeCarried(seq), inputs...) {
+	for _, st := range append(s.carried.take(seq), inputs...) {
 		if sessionOf(st.ID) == s.id {
 			return uint64(st.ID), int64(st.Issued)
 		}
@@ -988,43 +969,48 @@ func (s *hubSession) echo(seq uint64, inputs []frame.InputStamp) (inputID uint64
 	return 0, 0
 }
 
-// carriedStamp is an input stamp waiting for a frame to ride on, with the
-// seq of the frame it came from: only a later frame shows the game's response
-// to it.
+// carriedStamps holds the input stamps of frames that will not be sent (a
+// lane's drops before the shared encode, a session's drops and skips), each
+// with the seq of the frame it came from: only a frame rendered later shows
+// the game's response to it. Under a push policy that is not simply the
+// session's next send: the queue ahead of it holds older frames.
+type carriedStamps struct {
+	mu   sync.Mutex
+	list []carriedStamp
+}
+
 type carriedStamp struct {
 	from uint64
 	frame.InputStamp
 }
 
-// carry keeps the stamps of frame seq, which this session will not send, for
-// the next frame it sends that was rendered after it. Under a push policy
-// that is not simply the next send: the queue ahead of it holds older frames.
-func (s *hubSession) carry(seq uint64, stamps []frame.InputStamp) {
+// add keeps the stamps of frame seq for a later frame.
+func (c *carriedStamps) add(seq uint64, stamps []frame.InputStamp) {
 	if len(stamps) == 0 {
 		return
 	}
-	s.carriedMu.Lock()
+	c.mu.Lock()
 	for _, st := range stamps {
-		s.carried = append(s.carried, carriedStamp{from: seq, InputStamp: st})
+		c.list = append(c.list, carriedStamp{from: seq, InputStamp: st})
 	}
-	s.carriedMu.Unlock()
+	c.mu.Unlock()
 }
 
-// takeCarried removes and returns, oldest first, the carried stamps a frame
-// numbered seq was rendered late enough to answer.
-func (s *hubSession) takeCarried(seq uint64) []frame.InputStamp {
-	s.carriedMu.Lock()
-	defer s.carriedMu.Unlock()
+// take removes and returns, oldest first, the stamps a frame numbered seq
+// was rendered late enough to answer.
+func (c *carriedStamps) take(seq uint64) []frame.InputStamp {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	var out []frame.InputStamp
-	keep := s.carried[:0]
-	for _, c := range s.carried {
-		if c.from < seq {
-			out = append(out, c.InputStamp)
+	keep := c.list[:0]
+	for _, st := range c.list {
+		if st.from < seq {
+			out = append(out, st.InputStamp)
 		} else {
-			keep = append(keep, c)
+			keep = append(keep, st)
 		}
 	}
-	s.carried = keep
+	c.list = keep
 	return out
 }
 
@@ -1035,7 +1021,7 @@ func (s *hubSession) skip(f *frame.Frame) {
 	atomic.AddInt64(&s.dropped, 1)
 	h.ins.Dropped.Inc()
 	h.tr.Instant(obs.TrackProxy, "mulbuf-drop", f.Seq, h.dom.Now())
-	s.carry(f.Seq, f.Inputs)
+	s.carried.add(f.Seq, f.Inputs)
 }
 
 // put stores an artifact in the session's buffer without ever waiting. Under

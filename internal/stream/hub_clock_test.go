@@ -86,7 +86,7 @@ func (v *rawViewer) close() { v.cc.Close() }
 func parked(t *testing.T, h *Hub) {
 	t.Helper()
 	pollUntil(t, 10*time.Second, "the hub to park", func() bool {
-		return h.Clients() == 0 && h.live.renderTarget.Value() == 0
+		return h.Clients() == 0 && h.ins.renderTarget.Value() == 0
 	})
 }
 
@@ -97,7 +97,7 @@ func TestHubRendersOnDemand(t *testing.T) {
 	reg := obs.NewRegistry()
 	h, stop := startHub(t, HubConfig{Width: 48, Height: 27, TargetFPS: 60, Metrics: reg})
 	defer stop()
-	encoded := reg.Counter(obs.NameFramesEncoded)
+	encoded := reg.Counter(NameFramesEncoded)
 	spliced := reg.CounterVec(NameHubSplicedDeltas, "", "lane").With1("1")
 	watts := reg.GaugeVec(NameSessionWatts, "", "session").With1("shared")
 
@@ -120,7 +120,7 @@ func TestHubRendersOnDemand(t *testing.T) {
 	// One 30 FPS viewer: the clock follows it.
 	cli, _, detach := attachClient(t, h, 30)
 	waitFrames(t, cli, 10, 10*time.Second)
-	if got := h.live.renderTarget.Value(); got != 30 {
+	if got := h.ins.renderTarget.Value(); got != 30 {
 		t.Fatalf("render target with one 30 FPS viewer = %v, want 30", got)
 	}
 	r0, f0, s0, t0 := h.Rendered(), cli.Report().Frames, spliced.Value(), time.Now()
@@ -417,8 +417,7 @@ func TestHubSoloViewerEncodesEveryFrame(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("client never received the bye")
 	}
-	ins := obs.NewFrameInstruments(reg)
-	rendered, encoded := ins.Rendered.Value(), ins.Encoded.Value()
+	rendered, encoded := h.ins.Rendered.Value(), h.ins.Encoded.Value()
 	if rendered < 200 || encoded != rendered {
 		t.Fatalf("rendered %d frames and encoded %d; want every one of at least 200 encoded", rendered, encoded)
 	}

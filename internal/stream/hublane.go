@@ -14,11 +14,6 @@ import (
 	"odr/internal/realrt"
 )
 
-// hubShards stripes each lane's session registry so attach/detach contend on
-// 1/hubShards of the map and the fan-out path reads copy-on-write snapshots
-// without taking any lock.
-const hubShards = 8
-
 // encArtifact is one shared encode fanned out to every session on a lane:
 // the bitstream bytes, their CRC (computed once, reused in every viewer's
 // frame header), and the chain coordinates a session needs to decide between
@@ -52,25 +47,6 @@ func (a *encArtifact) release() {
 	}
 }
 
-// laneShard is one stripe of a lane's session registry, the only one a
-// session is in. The map is the source of truth (mutated under mu); snap is
-// a copy-on-write slice, never nil once the lane is built, that the fan-out
-// path and the input readers read lock-free.
-type laneShard struct {
-	mu   sync.Mutex
-	m    map[uint32]*hubSession
-	snap atomic.Pointer[[]*hubSession]
-}
-
-// rebuildLocked refreshes the lock-free snapshot after a map mutation.
-func (sh *laneShard) rebuildLocked() {
-	snap := make([]*hubSession, 0, len(sh.m))
-	for _, s := range sh.m {
-		snap = append(snap, s)
-	}
-	sh.snap.Store(&snap)
-}
-
 // encLane is one shared encoder serving every session at one resolution
 // (downscale divisor). The hub's renderer offers each frame to every lane
 // with a viewer; the lane encodes it exactly once and fans the artifact out
@@ -102,9 +78,9 @@ type encLane struct {
 	joinSeq uint64
 
 	// carried holds input stamps of frames dropped before the shared encode
-	// (renderer outran the encoder); the next encode answers them.
-	carriedMu sync.Mutex
-	carried   []frame.InputStamp
+	// (renderer outran the encoder); the next encode of a later frame
+	// answers them.
+	carried carriedStamps
 
 	scratch []byte // downsample target; encode-loop goroutine only
 
@@ -117,16 +93,36 @@ type encLane struct {
 	freeMu sync.Mutex
 	free   [][]byte
 
-	shards [hubShards]laneShard
-	// sessions counts the viewers registered across shards; the renderer
-	// offers frames only to lanes that have one.
-	sessions atomic.Int32
+	// viewList is the lane's one list of sessions, copy-on-write and never
+	// nil once the lane is built: the renderer (which offers frames only to
+	// lanes with a viewer), fan-out, Hub.Clients and the input readers read
+	// it lock-free (viewers). viewMu orders every change to it and the
+	// sweeps that must see every viewer (Hub.allSessions, fail).
+	viewMu   sync.Mutex
+	viewList atomic.Pointer[[]*hubSession]
 
 	// Labeled counters (label = downscale divisor).
 	sharedEncodes *obs.Counter
 	splicedKeys   *obs.Counter
 	splicedDeltas *obs.Counter
 	splicedTiles  *obs.Counter
+}
+
+// viewers returns the lane's viewers, lock-free.
+func (ln *encLane) viewers() []*hubSession { return *ln.viewList.Load() }
+
+// addLocked publishes s as a viewer of the lane (viewMu held).
+func (ln *encLane) addLocked(s *hubSession) {
+	next := append(slices.Clip(ln.viewers()), s) // a copy: readers hold the old list
+	ln.viewList.Store(&next)
+}
+
+// remove takes s off the lane's viewers.
+func (ln *encLane) remove(s *hubSession) {
+	ln.viewMu.Lock()
+	next := slices.DeleteFunc(slices.Clone(ln.viewers()), func(v *hubSession) bool { return v == s })
+	ln.viewList.Store(&next)
+	ln.viewMu.Unlock()
 }
 
 // holdsNewest reports whether the encoder holds the newest frame offered to
@@ -187,15 +183,12 @@ func (h *Hub) lane(div int) *encLane {
 	if ln.div > 1 {
 		ln.scratch = make([]byte, w*hh*4)
 	}
-	for i := range ln.shards {
-		ln.shards[i].m = make(map[uint32]*hubSession)
-		ln.shards[i].rebuildLocked()
-	}
+	ln.viewList.Store(new([]*hubSession))
 	lane := strconv.Itoa(div)
-	ln.sharedEncodes = h.live.hubEncodes.With1(lane)
-	ln.splicedKeys = h.live.hubSplicedKeys.With1(lane)
-	ln.splicedDeltas = h.live.hubSplicedDeltas.With1(lane)
-	ln.splicedTiles = h.live.hubSplicedTiles.With1(lane)
+	ln.sharedEncodes = h.ins.hubEncodes.With1(lane)
+	ln.splicedKeys = h.ins.hubSplicedKeys.With1(lane)
+	ln.splicedDeltas = h.ins.hubSplicedDeltas.With1(lane)
+	ln.splicedTiles = h.ins.hubSplicedTiles.With1(lane)
 	next := append(slices.Clip(cur), ln) // a copy: readers hold cur
 	h.lanes.Store(&next)
 	h.laneWG.Add(1)
@@ -205,9 +198,6 @@ func (h *Hub) lane(div int) *encLane {
 	}()
 	return ln
 }
-
-// shard returns the registry stripe owning session id.
-func (ln *encLane) shard(id uint32) *laneShard { return &ln.shards[id%hubShards] }
 
 // getBuf takes a recycled bitstream buffer (or nil — EncodeAppend grows it).
 func (ln *encLane) getBuf() []byte {
@@ -237,17 +227,6 @@ func (ln *encLane) putBuf(b []byte) {
 	ln.freeMu.Unlock()
 }
 
-// carry keeps the stamps of a frame dropped before the shared encode for the
-// next encode, which is always of a later frame.
-func (ln *encLane) carry(stamps []frame.InputStamp) {
-	if len(stamps) == 0 {
-		return
-	}
-	ln.carriedMu.Lock()
-	ln.carried = append(ln.carried, stamps...)
-	ln.carriedMu.Unlock()
-}
-
 // offer hands a rendered frame to the lane (renderer goroutine, Hub.offerMu
 // held). Under ODR a regular frame takes the back buffer Hub.Run waited for;
 // any other frame is latest-wins, and the frames it drops retire immediately
@@ -264,7 +243,7 @@ func (ln *encLane) offer(f *frame.Frame) {
 			ln.hub.tr.Instant(obs.TrackProxy, "mulbuf-drop", d.Seq, ln.hub.dom.Now())
 			ln.hub.ins.Dropped.Inc()
 		}
-		ln.carry(d.Inputs)
+		ln.carried.add(d.Seq, d.Inputs)
 		if d.Retire != nil {
 			d.Retire()
 		}
@@ -297,14 +276,7 @@ func (ln *encLane) run() {
 // hasRoom reports whether some session on the lane can queue another
 // artifact.
 func (ln *encLane) hasRoom() bool {
-	for i := range ln.shards {
-		for _, s := range *ln.shards[i].snap.Load() {
-			if s.hasRoom() {
-				return true
-			}
-		}
-	}
-	return false
+	return slices.ContainsFunc(ln.viewers(), (*hubSession).hasRoom)
 }
 
 // encode encodes f once and fans the artifact out to every session on the
@@ -319,7 +291,7 @@ func (ln *encLane) encode(f *frame.Frame) error {
 	if h.push() && !ln.hasRoom() {
 		h.tr.Instant(obs.TrackProxy, "tail-drop", f.Seq, h.dom.Now())
 		h.ins.Dropped.Inc()
-		ln.carry(f.Inputs)
+		ln.carried.add(f.Seq, f.Inputs)
 		return nil
 	}
 	start := h.dom.Now()
@@ -377,11 +349,7 @@ func (ln *encLane) encode(f *frame.Frame) error {
 		h.ins.TileEncode.Observe(ns / 1e3)
 	}
 
-	ln.carriedMu.Lock()
-	stamps := append(ln.carried, f.Inputs...)
-	ln.carried = nil
-	ln.carriedMu.Unlock()
-
+	stamps := append(ln.carried.take(f.Seq), f.Inputs...)
 	ef := &frame.Frame{
 		Seq:       art.seq,
 		Priority:  art.priority,
@@ -393,28 +361,26 @@ func (ln *encLane) encode(f *frame.Frame) error {
 	// The lane holds one reference while fanning out, so a fast session
 	// cannot release the artifact to zero mid-broadcast.
 	art.refs.Store(1)
-	for i := range ln.shards {
-		for _, s := range *ln.shards[i].snap.Load() {
-			art.refs.Add(1)
-			stored, dropped := s.put(ef)
-			for _, d := range dropped {
-				s.skip(d)
-				if da, ok := d.Encoded.(*encArtifact); ok {
-					da.release()
-				}
+	for _, s := range ln.viewers() {
+		art.refs.Add(1)
+		stored, dropped := s.put(ef)
+		for _, d := range dropped {
+			s.skip(d)
+			if da, ok := d.Encoded.(*encArtifact); ok {
+				da.release()
 			}
-			if stored {
-				// Hand the session to a sender worker; a no-op when it
-				// is already queued or waiting out a pacing delay.
-				h.eng.kick(s)
-				continue
-			}
-			art.refs.Add(-1)
-			if !s.hasRoom() {
-				// A full push queue skips this artifact; the session's next
-				// send finds its chain broken and is spliced.
-				s.skip(ef)
-			}
+		}
+		if stored {
+			// Hand the session to a sender worker; a no-op when it is
+			// already queued or waiting out a pacing delay.
+			h.eng.kick(s)
+			continue
+		}
+		art.refs.Add(-1)
+		if !s.hasRoom() {
+			// A full push queue skips this artifact; the session's next send
+			// finds its chain broken and is spliced.
+			s.skip(ef)
 		}
 	}
 	art.release()
@@ -437,16 +403,10 @@ func (ln *encLane) fail() {
 	h.lanes.Store(&next)
 	h.laneMu.Unlock()
 	ln.buf.Close()
-	for i := range ln.shards {
-		sh := &ln.shards[i]
-		sh.mu.Lock()
-		sessions := make([]*hubSession, 0, len(sh.m))
-		for _, s := range sh.m {
-			sessions = append(sessions, s)
-		}
-		sh.mu.Unlock()
-		for _, s := range sessions {
-			s.teardown(false)
-		}
+	ln.viewMu.Lock()
+	sessions := ln.viewers()
+	ln.viewMu.Unlock()
+	for _, s := range sessions {
+		s.teardown(false)
 	}
 }

@@ -90,8 +90,8 @@ func TestHubObservability(t *testing.T) {
 	if err != nil {
 		t.Fatalf("/metrics does not parse: %v", err)
 	}
-	if metrics.Number(obs.NameFramesRendered) == 0 {
-		t.Errorf("/metrics reports no %s", obs.NameFramesRendered)
+	if metrics.Number(NameFramesRendered) == 0 {
+		t.Errorf("/metrics reports no %s", NameFramesRendered)
 	}
 	if !strings.Contains(string(get("/debug/pprof/goroutine?debug=1")), "goroutine") {
 		t.Error("/debug/pprof/goroutine did not return a goroutine dump")
@@ -121,20 +121,20 @@ func TestHubObservability(t *testing.T) {
 		}
 	}
 
-	if reg.Counter(obs.NameFramesRendered).Value() == 0 {
+	if reg.Counter(NameFramesRendered).Value() == 0 {
 		t.Error("frames_rendered counter never incremented")
 	}
-	if reg.Histogram(obs.NameEncodeUs).Count() == 0 {
+	if reg.Histogram(NameEncodeUs).Count() == 0 {
 		t.Error("encode_us histogram empty")
 	}
 }
 
 // TestHubWritesEveryFrameInstrument holds the hub to what it exports: an
 // unpaced viewer and a 10-FPS viewer (whose skipped frames count as drops)
-// stream while inputs arrive, until every counter and histogram of
-// obs.FrameInstruments has counted and every gauge reads non-zero. It
-// ranges over the struct's fields, so an instrument added later is held
-// to the same rule.
+// stream while inputs arrive, until every frame-path counter and histogram
+// (the exported fields of the hub's instruments) has counted and every such
+// gauge reads non-zero. It ranges over the struct's fields, so a frame-path
+// instrument added later is held to the same rule.
 func TestHubWritesEveryFrameInstrument(t *testing.T) {
 	reg := obs.NewRegistry()
 	h, stop := startHub(t, HubConfig{Width: 48, Height: 27, TargetFPS: 60, Metrics: reg})
@@ -144,11 +144,14 @@ func TestHubWritesEveryFrameInstrument(t *testing.T) {
 	_, _, cleanSlow := attachClient(t, h, 10)
 	defer cleanSlow()
 
-	ins := reflect.ValueOf(obs.NewFrameInstruments(reg))
+	ins := reflect.ValueOf(h.ins).Elem()
 	unwritten := func() []string {
 		var out []string
 		for i := 0; i < ins.NumField(); i++ {
 			name := ins.Type().Field(i).Name
+			if !ins.Type().Field(i).IsExported() {
+				continue
+			}
 			var written bool
 			switch v := ins.Field(i).Interface().(type) {
 			case *obs.Counter:
@@ -158,7 +161,7 @@ func TestHubWritesEveryFrameInstrument(t *testing.T) {
 			case *obs.Gauge:
 				written = v.Value() != 0
 			default:
-				t.Fatalf("FrameInstruments.%s is a %T, not a counter, histogram or gauge", name, v)
+				t.Fatalf("instruments.%s is a %T, not a counter, histogram or gauge", name, v)
 			}
 			if !written {
 				out = append(out, name)
@@ -169,7 +172,7 @@ func TestHubWritesEveryFrameInstrument(t *testing.T) {
 	deadline := time.Now().Add(10 * time.Second)
 	for missing := unwritten(); len(missing) > 0; missing = unwritten() {
 		if time.Now().After(deadline) {
-			t.Fatalf("a live hub never wrote FrameInstruments %v", missing)
+			t.Fatalf("a live hub never wrote frame instruments %v", missing)
 		}
 		if _, err := cli.SendInput(); err != nil {
 			t.Fatalf("SendInput: %v", err)
@@ -220,11 +223,11 @@ func TestHubObservabilityOffIsInert(t *testing.T) {
 		t.Fatal("a hub built with Metrics: nil has no registry")
 	}
 	snap := h.Snapshot()
-	if r := snap["rendered"].(int64); r == 0 || r > reg.Counter(obs.NameFramesRendered).Value() {
-		t.Fatalf("snapshot rendered=%d, registry %d", r, reg.Counter(obs.NameFramesRendered).Value())
+	if r := snap["rendered"].(int64); r == 0 || r > reg.Counter(NameFramesRendered).Value() {
+		t.Fatalf("snapshot rendered=%d, registry %d", r, reg.Counter(NameFramesRendered).Value())
 	}
-	if s := snap["sent"].(int64); s == 0 || s > reg.Counter(obs.NameFramesDisplayed).Value() {
-		t.Fatalf("snapshot sent=%d, registry %d", s, reg.Counter(obs.NameFramesDisplayed).Value())
+	if s := snap["sent"].(int64); s == 0 || s > reg.Counter(NameFramesDisplayed).Value() {
+		t.Fatalf("snapshot sent=%d, registry %d", s, reg.Counter(NameFramesDisplayed).Value())
 	}
 	// Probes are live too: the shared probe's series and the viewer's.
 	if n := reg.GaugeVec(NameSessionFPS, "", "session").Len(); n != 2 {
@@ -251,7 +254,7 @@ func TestSnapshotTotalsMatchRegistry(t *testing.T) {
 	if _, err := cli.SendInput(); err != nil {
 		t.Fatal(err)
 	}
-	ins := obs.NewFrameInstruments(reg)
+	ins := h.ins
 	pollUntil(t, 10*time.Second, "a drop, an input and an eviction", func() bool {
 		return ins.Dropped.Value() > 0 && ins.Inputs.Value() > 0 && h.Evicted() > 0
 	})
@@ -260,11 +263,11 @@ func TestSnapshotTotalsMatchRegistry(t *testing.T) {
 
 	snap := h.Snapshot()
 	for key, name := range map[string]string{
-		"rendered": obs.NameFramesRendered,
-		"inputs":   obs.NameInputs,
-		"sent":     obs.NameFramesDisplayed,
-		"dropped":  obs.NameFramesDropped,
-		"evicted":  obs.NameSessionsEvicted,
+		"rendered": NameFramesRendered,
+		"inputs":   NameInputs,
+		"sent":     NameFramesDisplayed,
+		"dropped":  NameFramesDropped,
+		"evicted":  NameSessionsEvicted,
 	} {
 		if got, want := snap[key].(int64), reg.Counter(name).Value(); got != want {
 			t.Errorf("snapshot %s = %d, %s = %d", key, got, name, want)
@@ -276,6 +279,6 @@ func TestSnapshotTotalsMatchRegistry(t *testing.T) {
 	}
 	passes, frames := h.SenderBatchStats()
 	if displayed := ins.Displayed.Value(); frames != displayed || passes == 0 || passes > frames {
-		t.Errorf("SenderBatchStats = %d passes / %d frames, %s = %d", passes, frames, obs.NameFramesDisplayed, displayed)
+		t.Errorf("SenderBatchStats = %d passes / %d frames, %s = %d", passes, frames, NameFramesDisplayed, displayed)
 	}
 }

@@ -10,7 +10,6 @@ import (
 
 	"odr/internal/core"
 	"odr/internal/frame"
-	"odr/internal/obs"
 	"odr/internal/realrt"
 	"odr/internal/testutil"
 )
@@ -30,7 +29,6 @@ type handRig struct {
 	t    *testing.T
 	h    *Hub
 	ln   *encLane
-	ins  obs.FrameInstruments
 	game *Game
 	pix  []byte
 	scr  senderScratch
@@ -39,10 +37,9 @@ type handRig struct {
 func newHandRig(t *testing.T, policy core.RenderRule) *handRig {
 	t.Helper()
 	testutil.VerifyNoLeaks(t)
-	reg := obs.NewRegistry()
-	h := NewHub(HubConfig{Width: 16, Height: 8, Policy: policy, Metrics: reg})
+	h := NewHub(HubConfig{Width: 16, Height: 8, Policy: policy})
 	t.Cleanup(h.Stop)
-	r := &handRig{t: t, h: h, ln: h.lane(1), ins: obs.NewFrameInstruments(reg), game: NewGame(16, 8)}
+	r := &handRig{t: t, h: h, ln: h.lane(1), game: NewGame(16, 8)}
 	r.pix = make([]byte, r.game.FrameBytes())
 	return r
 }
@@ -53,13 +50,10 @@ func (r *handRig) session(id uint32) *hubSession {
 	dom := realrt.NewDomainAt(r.h.epoch)
 	s := &hubSession{id: id, hub: r.h, lane: r.ln, conn: conn, dom: dom,
 		pace: core.NewPacer(0), buf: r.h.sessionBuf(dom),
-		probe: newSessionProbe(r.h.live, "h"+strconv.FormatUint(uint64(id), 10))}
-	sh := r.ln.shard(id)
-	sh.mu.Lock()
-	sh.m[id] = s
-	sh.rebuildLocked()
-	sh.mu.Unlock()
-	r.ln.sessions.Add(1)
+		probe: newSessionProbe(r.h.ins, "h"+strconv.FormatUint(uint64(id), 10))}
+	r.ln.viewMu.Lock()
+	r.ln.addLocked(s)
+	r.ln.viewMu.Unlock()
 	return s
 }
 
@@ -123,7 +117,7 @@ func TestPushDropCarriesStampsToNextSentFrame(t *testing.T) {
 	// Queue full: the two frames answering inputs 7 and 8 are refused.
 	r.encode(2+pushQueueDepth, stamp(7))
 	r.encode(3+pushQueueDepth, stamp(8))
-	if enc, drop := r.ins.Encoded.Value(), r.ins.Dropped.Value(); enc != 1+pushQueueDepth || drop != 2 {
+	if enc, drop := r.h.ins.Encoded.Value(), r.h.ins.Dropped.Value(); enc != 1+pushQueueDepth || drop != 2 {
 		t.Fatalf("after two refusals: %d encoded, %d dropped, want %d and 2", enc, drop, 1+pushQueueDepth)
 	}
 
@@ -153,8 +147,8 @@ func TestPushDropCarriesStampsToNextSentFrame(t *testing.T) {
 	if m.parentSeq != 1+pushQueueDepth {
 		t.Fatalf("frame %d builds on %d, want %d: a refused frame must not advance the delta chain", last, m.parentSeq, 1+pushQueueDepth)
 	}
-	if len(r.ln.carried) != 0 || len(s.carried) != 0 {
-		t.Fatalf("stamps still carried after they were sent: lane %v, session %v", r.ln.carried, s.carried)
+	if len(r.ln.carried.list) != 0 || len(s.carried.list) != 0 {
+		t.Fatalf("stamps still carried after they were sent: lane %v, session %v", r.ln.carried.list, s.carried.list)
 	}
 }
 
@@ -174,8 +168,8 @@ func TestPushFullSessionSkipsToLaterFrame(t *testing.T) {
 	if m := r.send(peer); m.seq != skipped {
 		t.Fatalf("peer got frame %d, want %d", m.seq, skipped)
 	}
-	if full.dropped != 1 || r.ins.Dropped.Value() != 1 {
-		t.Fatalf("full session dropped %d (hub %d), want the one skipped artifact", full.dropped, r.ins.Dropped.Value())
+	if full.dropped != 1 || r.h.ins.Dropped.Value() != 1 {
+		t.Fatalf("full session dropped %d (hub %d), want the one skipped artifact", full.dropped, r.h.ins.Dropped.Value())
 	}
 	for seq := uint64(1); seq <= pushQueueDepth; seq++ {
 		if m := r.send(full); m.seq != seq || m.inputID != 0 {
@@ -186,6 +180,25 @@ func TestPushFullSessionSkipsToLaterFrame(t *testing.T) {
 	m := r.send(full)
 	if m.seq != skipped+1 || m.parentSeq != pushQueueDepth || m.inputID != uint64(packInput(full.id, 5)) {
 		t.Fatalf("next send %+v, want frame %d spliced onto %d carrying input 5", m, skipped+1, pushQueueDepth)
+	}
+}
+
+// TestLaneCarryWaitsForALaterFrame: a stamp the lane carries from a frame it
+// dropped (frame 3, displaced while frame 2 was being encoded) does not ride
+// the encode of an older frame, which was rendered before the input; it
+// rides the next encode of a later one.
+func TestLaneCarryWaitsForALaterFrame(t *testing.T) {
+	r := newHandRig(t, core.RuleODR)
+	s := r.session(1)
+	stamp := frame.InputStamp{ID: packInput(s.id, 7), Issued: 7 * time.Millisecond}
+	r.ln.carried.add(3, []frame.InputStamp{stamp})
+	r.encode(2)
+	if m := r.send(s); m.seq != 2 || m.inputID != 0 {
+		t.Fatalf("frame 2: %+v, want it untagged: it was rendered before the input", m)
+	}
+	r.encode(4)
+	if m := r.send(s); m.seq != 4 || m.inputID != uint64(stamp.ID) {
+		t.Fatalf("frame 4: %+v, want it to carry input 7", m)
 	}
 }
 

@@ -9,11 +9,29 @@ import (
 	"odr/internal/qoe"
 )
 
-// Canonical names of the live per-session series. They join the
-// obs.FrameInstruments names on the same registry, so one /metrics scrape
-// carries both the aggregate pipeline counters and the labeled QoE/energy
-// view the paper's evaluation reads per session.
+// Canonical names of the hub's metric families: the aggregate frame-path
+// counters, histograms and gauge, and the labeled QoE/energy and fan-out
+// view the paper's evaluation reads per session and per lane. One /metrics
+// scrape carries them all.
 const (
+	NameFramesRendered  = "odr_frames_rendered_total"
+	NameFramesEncoded   = "odr_frames_encoded_total"
+	NameFramesDisplayed = "odr_frames_displayed_total"
+	NameFramesDropped   = "odr_frames_dropped_total"
+	NameFramesPriority  = "odr_frames_priority_total"
+	NameInputs          = "odr_inputs_received_total"
+	NameTilesCoded      = "odr_tiles_coded_total"
+	NameTilesDirty      = "odr_tiles_dirty_total"
+	NameSessionsEvicted = "odr_sessions_evicted_total"
+
+	NameRenderUs     = "odr_render_us"
+	NameEncodeUs     = "odr_encode_us"
+	NameTileEncodeUs = "odr_tile_encode_us"
+	NameTxUs         = "odr_tx_us"
+	NameMtPUs        = "odr_mtp_us"
+
+	NameDirtyRatio = "odr_dirty_tile_ratio"
+
 	// NameSessionFPS is the delivered frame rate over the live QoE window.
 	NameSessionFPS = "odr_session_fps"
 	// NameSessionMtPMs is the mean server-side motion-to-photon estimate.
@@ -91,12 +109,30 @@ const sessionFlushInterval = 500 * time.Millisecond
 // benchmark (the simulator varies this per workload, the live path cannot).
 const defaultGPUIntensity = 0.5
 
-// liveVecs bundles the live hub surface beyond obs.FrameInstruments: the
-// labeled per-session families and the hub's own counters and gauges. A hub
-// registers it once and hands it to its lanes, engine and probes.
-type liveVecs struct {
+// instruments is the hub's whole registry surface, resolved once per hub
+// and handed to its lanes, engine and probes. Its exported fields are the
+// frame path, and TestHubWritesEveryFrameInstrument holds a live hub to
+// writing every one of them; the unexported rest are the labeled
+// per-session and per-lane families and the engine's, the tile cache's and
+// eviction's own.
+type instruments struct {
+	// Frame-path counters (events since start): drops count latest-wins
+	// buffers and tail drops; TilesCoded counts the tiles of every encode
+	// and TilesDirty those that carried a payload.
+	Rendered, Encoded, Displayed, Dropped, Priority, Inputs *obs.Counter
+	TilesCoded, TilesDirty                                  *obs.Counter
+
+	// Per-step service time, microseconds (TileEncode is the per-tile slice
+	// of Encode), and the last encoded frame's dirty-tile ratio.
+	Render, Encode, TileEncode, Tx, MtP *obs.Histogram
+	DirtyRatio                          *obs.Gauge
+
 	fps, mtp, mtpP99, smooth, watts, energy *obs.GaugeVec
-	outcome, started                        *obs.CounterVec
+	outcome, sessionsStarted                *obs.CounterVec
+
+	// started is this hub's series of sessionsStarted (NewHub sets it).
+	started *obs.Counter
+	evicted *obs.Counter
 
 	// Hub fan-out families, labeled by lane (the downscale divisor).
 	hubEncodes, hubSplicedKeys, hubSplicedDeltas, hubSplicedTiles *obs.CounterVec
@@ -112,34 +148,55 @@ type liveVecs struct {
 	renderTarget     *obs.Gauge
 }
 
-// registerLiveVecs idempotently registers every live-session family in reg.
-func registerLiveVecs(reg *obs.Registry) *liveVecs {
-	reg.SetHelp(NameCodecTileCacheHits,
-		"Encoded-tile cache lookups served from the content-addressed cache.")
-	reg.SetHelp(NameCodecTileCacheMisses,
-		"Encoded-tile cache lookups that had to run the entropy coder.")
-	reg.SetHelp(NameCodecTileCacheEvictions,
-		"Encoded-tile cache entries evicted by the LRU byte budget.")
-	reg.SetHelp(NameHubSenderQueueDepth,
-		"Ready sessions queued for the hub's sender worker pool, awaiting a flush pass.")
-	reg.SetHelp(NameHubTimerwheelLagUs,
-		"Lag of the most recent pacing timer-wheel fire past its deadline, microseconds.")
-	reg.SetHelp(NameHubCoalescedWrites,
-		"Frames flushed in sender passes that drained two or more sessions back-to-back.")
-	reg.SetHelp(NameHubFlushPasses,
-		"Sender-pool passes that flushed at least one frame.")
-	reg.SetHelp(NameHubRenderTargetFPS,
-		"Rate the hub's render clock paces to: the fastest attached viewer's, capped at the hub target; 0 while parked with no viewer.")
-	return &liveVecs{
-		cacheHits:        reg.Counter(NameCodecTileCacheHits),
-		cacheMisses:      reg.Counter(NameCodecTileCacheMisses),
-		cacheEvictions:   reg.Counter(NameCodecTileCacheEvictions),
-		senderQueueDepth: reg.Gauge(NameHubSenderQueueDepth),
-		timerwheelLag:    reg.Gauge(NameHubTimerwheelLagUs),
-		coalescedWrites:  reg.Counter(NameHubCoalescedWrites),
-		flushPasses:      reg.Counter(NameHubFlushPasses),
-		renderTarget:     reg.Gauge(NameHubRenderTargetFPS),
-		started: reg.CounterVec(NameSessionsStarted,
+// newInstruments idempotently registers every family of the hub's surface
+// in reg, with its help text, and resolves its instruments.
+func newInstruments(reg *obs.Registry) *instruments {
+	counter := func(name, help string) *obs.Counter {
+		reg.SetHelp(name, help)
+		return reg.Counter(name)
+	}
+	gauge := func(name, help string) *obs.Gauge {
+		reg.SetHelp(name, help)
+		return reg.Gauge(name)
+	}
+	hist := func(name, help string) *obs.Histogram {
+		reg.SetHelp(name, help)
+		return reg.Histogram(name)
+	}
+	return &instruments{
+		Rendered:   counter(NameFramesRendered, "Frames rendered by the 3D application."),
+		Encoded:    counter(NameFramesEncoded, "Frames encoded by the server proxy."),
+		Displayed:  counter(NameFramesDisplayed, "Frames displayed (sent to the client, server side)."),
+		Dropped:    counter(NameFramesDropped, "Frames dropped by latest-wins buffers or tail drop."),
+		Priority:   counter(NameFramesPriority, "PriorityFrame promotions (input-triggered renders)."),
+		Inputs:     counter(NameInputs, "User inputs received."),
+		TilesCoded: counter(NameTilesCoded, "Tiles emitted by the tile codec (dirty or clean)."),
+		TilesDirty: counter(NameTilesDirty, "Tiles that carried an encoded payload."),
+		Render:     hist(NameRenderUs, "Render step service time, microseconds."),
+		Encode:     hist(NameEncodeUs, "Encode step service time, microseconds."),
+		TileEncode: hist(NameTileEncodeUs, "Per-tile slice of the encode step, microseconds."),
+		Tx:         hist(NameTxUs, "Network transmit service time, microseconds."),
+		MtP:        hist(NameMtPUs, "Motion-to-photon latency, microseconds."),
+		DirtyRatio: gauge(NameDirtyRatio, "Dirty/total tile ratio of the last encoded frame."),
+
+		evicted: counter(NameSessionsEvicted, "Sessions cut for blowing a read or write deadline."),
+		cacheHits: counter(NameCodecTileCacheHits,
+			"Encoded-tile cache lookups served from the content-addressed cache."),
+		cacheMisses: counter(NameCodecTileCacheMisses,
+			"Encoded-tile cache lookups that had to run the entropy coder."),
+		cacheEvictions: counter(NameCodecTileCacheEvictions,
+			"Encoded-tile cache entries evicted by the LRU byte budget."),
+		senderQueueDepth: gauge(NameHubSenderQueueDepth,
+			"Ready sessions queued for the hub's sender worker pool, awaiting a flush pass."),
+		timerwheelLag: gauge(NameHubTimerwheelLagUs,
+			"Lag of the most recent pacing timer-wheel fire past its deadline, microseconds."),
+		coalescedWrites: counter(NameHubCoalescedWrites,
+			"Frames flushed in sender passes that drained two or more sessions back-to-back."),
+		flushPasses: counter(NameHubFlushPasses,
+			"Sender-pool passes that flushed at least one frame."),
+		renderTarget: gauge(NameHubRenderTargetFPS,
+			"Rate the hub's render clock paces to: the fastest attached viewer's, capped at the hub target; 0 while parked with no viewer."),
+		sessionsStarted: reg.CounterVec(NameSessionsStarted,
 			"Streaming sessions started, by regulation policy.", "policy"),
 		hubEncodes: reg.CounterVec(NameHubSharedEncodes,
 			"Frames encoded once by a hub lane's shared encoder and fanned out to every viewer on the lane.", "lane"),
@@ -166,16 +223,17 @@ func registerLiveVecs(reg *obs.Registry) *liveVecs {
 	}
 }
 
-// RegisterLiveMetrics pre-registers the full live-session metric surface in
-// reg without creating any series, so a lint (odrserver's startup
+// RegisterLiveMetrics pre-registers the hub's whole metric surface in reg
+// without creating any labeled series, so a lint (odrserver's startup
 // obs.MustLint, TestRegisterLiveMetricsIsLintClean in make metrics-check)
-// can validate every family this package will ever export before the first
-// client connects. Nil-safe.
+// can validate every family a hub will ever export before the first client
+// connects; TestRegisterLiveMetricsCoversLiveHub holds it to every family a
+// serving hub writes. Nil-safe.
 func RegisterLiveMetrics(reg *obs.Registry) {
 	if reg == nil {
 		return
 	}
-	registerLiveVecs(reg)
+	newInstruments(reg)
 }
 
 // sessionProbe feeds one session's frame lifecycle into the live QoE window
@@ -199,7 +257,7 @@ type sessionProbe struct {
 	tilesDirty, tilesClean          *obs.Counter
 
 	// vecs is kept for Delete on close (bounding series churn).
-	vecs *liveVecs
+	vecs *instruments
 
 	lastFlushAt time.Duration
 	lastTotalJ  float64
@@ -211,7 +269,7 @@ type sessionProbe struct {
 }
 
 // newSessionProbe creates the live series for one session label.
-func newSessionProbe(v *liveVecs, session string) *sessionProbe {
+func newSessionProbe(v *instruments, session string) *sessionProbe {
 	p := &sessionProbe{
 		session: session,
 		live:    qoe.NewLiveWindow(0),

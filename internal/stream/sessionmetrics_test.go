@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"net"
 	"testing"
 	"time"
 
@@ -11,11 +12,46 @@ import (
 func TestRegisterLiveMetricsIsLintClean(t *testing.T) {
 	reg := obs.NewRegistry()
 	RegisterLiveMetrics(reg)
-	obs.NewFrameInstruments(reg)
 	if errs := obs.Lint(reg); len(errs) != 0 {
 		t.Fatalf("full metric surface fails lint: %v", errs)
 	}
 	RegisterLiveMetrics(nil) // nil-safe
+}
+
+// TestRegisterLiveMetricsCoversLiveHub holds pre-registration to what a hub
+// really writes: every family of a hub that served two lanes, a paced
+// viewer, an input and an eviction must already be registered by
+// RegisterLiveMetrics alone, which is all odrserver's startup lint sees.
+func TestRegisterLiveMetricsCoversLiveHub(t *testing.T) {
+	pre := obs.NewRegistry()
+	RegisterLiveMetrics(pre)
+	registered := make(map[string]bool)
+	for _, name := range pre.Families() {
+		registered[name] = true
+	}
+
+	reg := obs.NewRegistry()
+	h, stop := startHub(t, HubConfig{Width: 48, Height: 27, TargetFPS: 60, Metrics: reg,
+		WriteTimeout: 50 * time.Millisecond})
+	cli, _, clean := attachClient(t, h, 0)
+	defer attachDiscarding(h, AttachOptions{ClientFPS: 10, Downscale: 2})()
+	stuck, peer := net.Pipe()
+	defer peer.Close()
+	h.Attach(stuck, 0, nil)
+	waitFrames(t, cli, 10, 10*time.Second)
+	if _, err := cli.SendInput(); err != nil {
+		t.Fatal(err)
+	}
+	pollUntil(t, 10*time.Second, "an input and an eviction", func() bool {
+		return h.ins.Inputs.Value() > 0 && h.Evicted() > 0
+	})
+	clean()
+	stop()
+	for _, name := range reg.Families() {
+		if !registered[name] {
+			t.Errorf("a serving hub writes %s, which RegisterLiveMetrics does not register", name)
+		}
+	}
 }
 
 // TestRecordSessionStart pins session-start accounting: every attach counts
@@ -47,7 +83,7 @@ func TestRecordSessionStart(t *testing.T) {
 
 func TestSessionProbeLifecycle(t *testing.T) {
 	reg := obs.NewRegistry()
-	p := newSessionProbe(registerLiveVecs(reg), "s1")
+	p := newSessionProbe(newInstruments(reg), "s1")
 	now := time.Duration(0)
 
 	// Simulate ~1 s of a 50 FPS session answering an input every frame.
@@ -99,7 +135,7 @@ func TestSessionProbeLifecycle(t *testing.T) {
 // means no sample, and a frame finishing before the input cannot sample.
 func TestSessionProbeMtPEstimate(t *testing.T) {
 	reg := obs.NewRegistry()
-	p := newSessionProbe(registerLiveVecs(reg), "s1")
+	p := newSessionProbe(newInstruments(reg), "s1")
 	if got := p.mtpEstimate(time.Second); got != 0 {
 		t.Errorf("estimate before any input = %d", got)
 	}
@@ -114,7 +150,7 @@ func TestSessionProbeMtPEstimate(t *testing.T) {
 
 func TestSessionProbeCloseDeletesSeries(t *testing.T) {
 	reg := obs.NewRegistry()
-	p := newSessionProbe(registerLiveVecs(reg), "h7")
+	p := newSessionProbe(newInstruments(reg), "h7")
 	p.onSend(sessionFlushInterval+time.Millisecond, 1000, time.Millisecond, 0)
 
 	fpsVec := reg.GaugeVec(NameSessionFPS, "", "session")
@@ -138,7 +174,7 @@ func TestSessionProbeCloseDeletesSeries(t *testing.T) {
 // allocate.
 func TestSessionProbeRecordingAllocFree(t *testing.T) {
 	reg := obs.NewRegistry()
-	p := newSessionProbe(registerLiveVecs(reg), "s1")
+	p := newSessionProbe(newInstruments(reg), "s1")
 	at := time.Duration(0)
 	if n := testing.AllocsPerRun(1000, func() {
 		at += time.Millisecond // stay inside one flush interval per run

@@ -7,19 +7,14 @@ import (
 	"time"
 
 	"odr/internal/core"
-	"odr/internal/obs"
 	"odr/internal/testutil"
 )
 
 // startPair serves one client from a hub over an in-process pipe — the
-// one-viewer shape of a server — and returns the hub's frame instruments
-// (registered on cfg.Metrics, or on a fresh registry).
-func startPair(t *testing.T, cfg HubConfig) (obs.FrameInstruments, *Client, func()) {
+// one-viewer shape of a server — and returns the hub's instruments.
+func startPair(t *testing.T, cfg HubConfig) (*instruments, *Client, func()) {
 	t.Helper()
 	testutil.VerifyNoLeaks(t)
-	if cfg.Metrics == nil {
-		cfg.Metrics = obs.NewRegistry()
-	}
 	h := NewHub(cfg)
 	go h.Run()
 	sc, cc := net.Pipe()
@@ -41,7 +36,7 @@ func startPair(t *testing.T, cfg HubConfig) (obs.FrameInstruments, *Client, func
 			t.Fatal("stream did not shut down")
 		}
 	}
-	return obs.NewFrameInstruments(cfg.Metrics), cli, cleanup
+	return h.ins, cli, cleanup
 }
 
 // watchBrightness installs an OnFrame callback on c that keeps the
